@@ -45,7 +45,7 @@ pub fn a1_intrusiveness(scale: Scale, jobs: usize) -> Vec<A1Row> {
                 .arrival_rate(2_500.0)
                 .mapper(MapperKind::Baseline) // maximise task/test collisions
                 .intrusive_testing(intrusive);
-            crate::ledger::run_system("a1", builder)
+            crate::runner::run_system(builder)
         });
     }
     modes
@@ -114,7 +114,7 @@ pub fn a2_criticality_weights(scale: Scale, jobs: usize) -> Vec<A2Row> {
                 .sim_time_ms(ms)
                 .arrival_rate(2_000.0)
                 .criticality(CriticalityModel::new(w_stress, w_time, 0.1, 1.0));
-            crate::ledger::run_system("a2", builder)
+            crate::runner::run_system(builder)
         });
     }
     variants
@@ -200,7 +200,7 @@ pub fn a3_abort_overhead(scale: Scale, jobs: usize) -> Vec<A3Row> {
                 .arrival_rate(2_500.0)
                 .mapper(MapperKind::Baseline)
                 .testing(false);
-            crate::ledger::run_system("a3", builder)
+            crate::runner::run_system(builder)
         });
     }
     for &overhead in overheads.iter() {
@@ -212,7 +212,7 @@ pub fn a3_abort_overhead(scale: Scale, jobs: usize) -> Vec<A3Row> {
                 cfg.arrival_rate = 2_500.0;
                 cfg.mapper = MapperKind::Baseline;
                 cfg.abort_overhead = manytest_sim::Duration::from_secs_f64(overhead);
-                crate::ledger::run_system("a3", SystemBuilder::from_config(cfg))
+                crate::runner::run_system(SystemBuilder::from_config(cfg))
             });
         }
     }
@@ -268,7 +268,7 @@ pub fn a4_level_rotation(scale: Scale, jobs: usize) -> Vec<A4Row> {
         cfg.injected_faults = 40;
         cfg.vf_windowed_fault_fraction = 1.0;
         cfg.test_scheduler.fixed_level = fixed;
-        crate::ledger::run_system("a4", SystemBuilder::from_config(cfg))
+        crate::runner::run_system(SystemBuilder::from_config(cfg))
     };
     let mut batch = Batch::new();
     batch.push("a4/ladder-rotation", move || run(None));
@@ -363,7 +363,7 @@ pub fn a5_thermal_model(scale: Scale, jobs: usize) -> Vec<A5Row> {
                 .sim_time_ms(ms)
                 .arrival_rate(2_000.0)
                 .transient_thermal(transient);
-            crate::ledger::run_system("a5", builder)
+            crate::runner::run_system(builder)
         });
     }
     modes
@@ -441,7 +441,7 @@ pub fn a6_contention(scale: Scale, jobs: usize) -> Vec<A6Row> {
                 .sim_time_ms(ms)
                 .arrival_rate(3_000.0)
                 .model_contention(contention);
-            crate::ledger::run_system("a6", builder)
+            crate::runner::run_system(builder)
         });
     }
     modes

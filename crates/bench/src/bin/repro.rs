@@ -12,9 +12,7 @@
 //! cargo run -p manytest-bench --bin repro --release -- trace e3 --out report/
 //! cargo run -p manytest-bench --bin repro --release -- diff e3 e11
 //! cargo run -p manytest-bench --bin repro --release -- diff e11 --seed2 111
-//! cargo run -p manytest-bench --bin repro --release -- --quick --ledger --progress
-//! cargo run -p manytest-bench --bin repro --release -- runs list
-//! cargo run -p manytest-bench --bin repro --release -- runs show 3
+//! cargo run -p manytest-bench --bin repro --release -- --quick --progress
 //! cargo run -p manytest-bench --bin repro --release -- regress --quick
 //! ```
 //!
@@ -43,17 +41,14 @@
 //! downstream per-kind and aggregate drift. Identical runs print an
 //! explicit zero-divergence verdict (CI's self-diff gate).
 //!
-//! `--ledger` (or `--ledger=DIR`, or the `MANYTEST_LEDGER_DIR`
-//! environment variable) switches on the run ledger: every simulation
-//! run writes a manifest under the ledger directory and its full report
-//! into a content-addressed cache, and identical configurations replay
-//! from cache byte-identically instead of re-simulating. `runs list`
-//! (add `--failed` for failures only), `runs show <ref>` and `runs gc`
-//! inspect and clean the ledger. `--progress` streams heartbeat frames
-//! to stderr (percent/ETA per running job, event counts, and a STALLED
-//! verdict for jobs silent longer than `MANYTEST_STALL_SECONDS`).
+//! `--progress` streams heartbeat frames to stderr (percent/ETA per
+//! running job, event counts, and a STALLED verdict for jobs silent
+//! longer than `MANYTEST_STALL_SECONDS`).
 //! `regress` re-runs a small probe set at quick scale and exits nonzero
 //! if any watched aggregate drifted from the committed baseline.
+//!
+//! Any other `--` flag is an error (exit 2), so a misspelt or retired
+//! flag never silently changes what runs.
 
 use manytest_bench::diff::{run_diff, DiffTarget};
 use manytest_bench::events::{explain, write_event_logs, PROBE_IDS};
@@ -61,13 +56,10 @@ use manytest_bench::kernels::{
     kernels_json, print_kernels, run_kernels, wall_kernels_table, DEFAULT_GRIDS, QUICK_GRIDS,
 };
 use manytest_bench::report::{run_report_probe_timed, wall_phase_table, write_report_files};
-use manytest_bench::runner::{
-    default_jobs, job_stats, jobs_executed, panic_message, Batch, JobStats,
-};
+use manytest_bench::runner::{default_jobs, job_stats, jobs_executed, panic_message, JobStats};
 use manytest_bench::trace::{run_trace, write_trace_file};
-use manytest_bench::{ledger, progress, regress};
+use manytest_bench::{progress, regress};
 use manytest_bench::*;
-use manytest_core::Report;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -82,6 +74,12 @@ struct Timing {
     /// Mean number of jobs queued behind each job as it started.
     mean_queue_depth: f64,
 }
+
+/// Flags without a value.
+const SWITCHES: [&str; 3] = ["--quick", "--progress", "--inject-drift"];
+
+/// Flags that take a value, as `--flag VALUE` or `--flag=VALUE`.
+const VALUE_FLAGS: [&str; 6] = ["--jobs", "--events", "--out", "--grids", "--grid", "--seed2"];
 
 fn parse_jobs(args: &[String]) -> Option<usize> {
     let mut it = args.iter();
@@ -153,21 +151,6 @@ fn parse_seed2(args: &[String]) -> Option<u64> {
     }
 }
 
-/// `--ledger` (bare: `runs/`) or `--ledger=DIR`. The flag switches the
-/// run ledger on; without it (and without `MANYTEST_LEDGER_DIR`) no
-/// manifests or cache blobs are written.
-fn parse_ledger(args: &[String]) -> Option<PathBuf> {
-    let mut dir = None;
-    for a in args {
-        if a == "--ledger" {
-            dir = Some(PathBuf::from("runs"));
-        } else if let Some(v) = a.strip_prefix("--ledger=") {
-            dir = Some(PathBuf::from(v));
-        }
-    }
-    dir
-}
-
 fn parse_out_dir(args: &[String]) -> Option<PathBuf> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -222,30 +205,34 @@ fn main() {
     // 0 would mean "decide per batch"; resolving here keeps the footer and
     // JSON honest about the worker count actually used everywhere.
     let jobs = parse_jobs(&args).filter(|&n| n > 0).unwrap_or_else(default_jobs);
-    if let Some(dir) = parse_ledger(&args) {
-        ledger::set_dir(Some(dir));
+    let mut positional: Vec<&str> = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            it.next(); // the flag's value is not an experiment id
+        } else if a.starts_with("--") {
+            let known = match a.split_once('=') {
+                Some((name, _)) => VALUE_FLAGS.contains(&name),
+                None => SWITCHES.contains(&a.as_str()),
+            };
+            if !known {
+                eprintln!("error: unknown flag '{a}'");
+                eprintln!(
+                    "known flags: {}; with a value (--flag V or --flag=V): {}",
+                    SWITCHES.join(" "),
+                    VALUE_FLAGS.join(" ")
+                );
+                std::process::exit(2);
+            }
+        } else {
+            positional.push(a.as_str());
+        }
     }
-    ledger::set_jobs(jobs as u64);
     if args.iter().any(|a| a == "--progress") {
         progress::enable();
     }
     let events_dir = parse_events_dir(&args);
     let out_dir = parse_out_dir(&args);
-    let mut positional: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs"
-            || a == "--events"
-            || a == "--out"
-            || a == "--grids"
-            || a == "--grid"
-            || a == "--seed2"
-        {
-            it.next(); // the flag's value is not an experiment id
-        } else if !a.starts_with("--") {
-            positional.push(a.as_str());
-        }
-    }
 
     // `repro explain <id>`: one probe, human-readable decision timeline.
     if positional.first() == Some(&"explain") {
@@ -346,39 +333,6 @@ fn main() {
         return;
     }
 
-    // `repro runs list|show|gc`: inspect the on-disk run ledger.
-    if positional.first() == Some(&"runs") {
-        let Some(dir) = ledger::dir() else {
-            eprintln!("error: no ledger directory — pass --ledger[=DIR] or set MANYTEST_LEDGER_DIR");
-            std::process::exit(2);
-        };
-        match positional.get(1) {
-            Some(&"list") => {
-                let failed_only = args.iter().any(|a| a == "--failed");
-                print!("{}", ledger::render_runs_list(&dir, failed_only));
-            }
-            Some(&"show") => {
-                let Some(&reference) = positional.get(2) else {
-                    eprintln!("usage: repro runs show <seq | config-hash prefix | probe id | label>");
-                    std::process::exit(2);
-                };
-                match ledger::render_runs_show(&dir, reference) {
-                    Some(text) => print!("{text}"),
-                    None => {
-                        eprintln!("error: no run matching '{reference}' in {}", dir.display());
-                        std::process::exit(1);
-                    }
-                }
-            }
-            Some(&"gc") => print!("{}", ledger::gc(&dir)),
-            _ => {
-                eprintln!("usage: repro runs <list [--failed] | show <ref> | gc> [--ledger=DIR]");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-
     // `repro regress [--inject-drift]`: the cross-run regression watch.
     // Exits nonzero on drift so CI can gate on it; `--inject-drift` is
     // the self-test hook proving the gate can fail.
@@ -386,30 +340,6 @@ fn main() {
         let inject = args.iter().any(|a| a == "--inject-drift");
         let ok = regress::run_regress(jobs, inject);
         std::process::exit(if ok { 0 } else { 1 });
-    }
-
-    // `repro stall-demo`: a deliberately quiet job plus a deliberately
-    // panicking one, with the heartbeat renderer forced on — exercises
-    // the stall watchdog and failure manifests end to end. Exits 0 by
-    // design (the panic is the fixture, not a failure of the demo).
-    if positional.first() == Some(&"stall-demo") {
-        progress::enable();
-        let sleep_s: f64 = std::env::var("MANYTEST_STALL_DEMO_SECONDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
-        let mut batch = Batch::new();
-        batch.push("demo/sleeper", move || {
-            std::thread::sleep(std::time::Duration::from_secs_f64(sleep_s));
-            Report::default()
-        });
-        batch.push("demo/panic", || -> Report {
-            panic!("deliberate stall-demo failure")
-        });
-        let (outcomes, _) = batch.run_outcomes(jobs.max(2));
-        let failed = outcomes.iter().filter(|o| o.is_failed()).count();
-        println!("stall-demo: {} job(s), {failed} failed as scripted", outcomes.len());
-        return;
     }
 
     // `repro bench kernels [--grids 8,16,32,64 | --grid N]`: the

@@ -51,18 +51,15 @@ pub enum DiffTarget<'a> {
 /// Runs both sides and renders the diff. `None` when either probe id is
 /// unknown.
 pub fn run_diff(id: &str, target: DiffTarget<'_>, scale: Scale) -> Option<String> {
-    let report_a = crate::ledger::run_system(&format!("diff/{id}"), probe_builder(id, scale)?);
+    let report_a = crate::runner::run_system(probe_builder(id, scale)?);
     let (label_b, report_b) = match target {
         DiffTarget::Probe(other) => (
             other.to_owned(),
-            crate::ledger::run_system(&format!("diff/{other}"), probe_builder(other, scale)?),
+            crate::runner::run_system(probe_builder(other, scale)?),
         ),
         DiffTarget::Seed(seed2) => (
             format!("{id} --seed2 {seed2}"),
-            crate::ledger::run_system(
-                &format!("diff/{id}/seed{seed2}"),
-                probe_builder(id, scale)?.seed(seed2),
-            ),
+            crate::runner::run_system(probe_builder(id, scale)?.seed(seed2)),
         ),
     };
     Some(diff_reports(id, &report_a, &label_b, &report_b))

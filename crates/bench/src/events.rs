@@ -87,13 +87,9 @@ pub fn probe_builder(id: &str, scale: Scale) -> Option<SystemBuilder> {
     )
 }
 
-/// Runs one probe to completion (through the run-ledger funnel, so a
-/// warm ledger serves it from cache). `None` for unknown ids.
+/// Runs one probe to completion. `None` for unknown ids.
 pub fn run_probe(id: &str, scale: Scale) -> Option<Report> {
-    Some(crate::ledger::run_system(
-        &format!("probe/{id}"),
-        probe_builder(id, scale)?,
-    ))
+    Some(crate::runner::run_system(probe_builder(id, scale)?))
 }
 
 /// Runs the probes for `ids` (unknown ids are skipped) on up to `jobs`

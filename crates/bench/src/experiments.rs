@@ -51,7 +51,7 @@ pub fn e1_tech_sweep(scale: Scale, jobs: usize) -> Vec<E1Row> {
         for s in 0..seeds as u64 {
             for testing in [false, true] {
                 batch.push(format!("e1/{node}/seed{s}/testing={testing}"), move || {
-                    crate::ledger::run_system("e1", build(node, 10 + s, ms, 3_000.0).testing(testing))
+                    crate::runner::run_system(build(node, 10 + s, ms, 3_000.0).testing(testing))
                 });
             }
         }
@@ -127,7 +127,7 @@ pub fn e2_power_trace(scale: Scale, jobs: usize) -> E2Trace {
     let ms = scale.ms(400);
     let mut batch = Batch::new();
     batch.push("e2/trace", move || {
-        crate::ledger::run_system("e2", build(TechNode::N16, 5, ms, 2_000.0))
+        crate::runner::run_system(build(TechNode::N16, 5, ms, 2_000.0))
     });
     let report = batch.run(jobs).pop().expect("one run");
     let workload = report.trace.series("workload_power_w").expect("series");
@@ -204,7 +204,7 @@ pub fn e3_test_power_share(scale: Scale, jobs: usize) -> Vec<E3Row> {
     let mut batch = Batch::new();
     for &rate in rates.iter() {
         batch.push(format!("e3/rate{rate}"), move || {
-            crate::ledger::run_system("e3", build(TechNode::N16, 21, ms, rate))
+            crate::runner::run_system(build(TechNode::N16, 21, ms, rate))
         });
     }
     rates
@@ -262,7 +262,7 @@ pub fn e4_test_interval_vs_load(scale: Scale, jobs: usize) -> Vec<E4Row> {
     let mut batch = Batch::new();
     for &rate in rates.iter() {
         batch.push(format!("e4/rate{rate}"), move || {
-            crate::ledger::run_system("e4", build(TechNode::N16, 33, ms, rate))
+            crate::runner::run_system(build(TechNode::N16, 33, ms, rate))
         });
     }
     rates
@@ -332,7 +332,7 @@ pub fn e5_mapping_compare(scale: Scale, jobs: usize) -> Vec<E5Side> {
     for &kind in kinds.iter() {
         for s in 0..seeds as u64 {
             batch.push(format!("e5/{kind:?}/seed{s}"), move || {
-                crate::ledger::run_system("e5", build(TechNode::N16, 40 + s, ms, 2_500.0).mapper(kind))
+                crate::runner::run_system(build(TechNode::N16, 40 + s, ms, 2_500.0).mapper(kind))
             });
         }
     }
@@ -419,7 +419,7 @@ pub fn e6_criticality_adaptation(scale: Scale, jobs: usize) -> E6Adaptation {
     let ms = scale.ms(500);
     let mut batch = Batch::new();
     batch.push("e6/adaptation", move || {
-        crate::ledger::run_system("e6", build(TechNode::N16, 55, ms, 2_000.0))
+        crate::runner::run_system(build(TechNode::N16, 55, ms, 2_000.0))
     });
     let r = batch.run(jobs).pop().expect("one run");
     let n = r.damage_per_core.len();
@@ -496,7 +496,7 @@ pub fn e7_vf_coverage(scale: Scale, jobs: usize) -> E7Coverage {
     let ms = scale.ms(800);
     let mut batch = Batch::new();
     batch.push("e7/coverage", move || {
-        crate::ledger::run_system("e7", build(TechNode::N16, 60, ms, 500.0))
+        crate::runner::run_system(build(TechNode::N16, 60, ms, 500.0))
     });
     let r = batch.run(jobs).pop().expect("one run");
     E7Coverage {
@@ -550,7 +550,7 @@ pub fn e8_pid_vs_naive(scale: Scale, jobs: usize) -> Vec<E8Row> {
     let mut batch = Batch::new();
     for &g in governors.iter() {
         batch.push(format!("e8/{g:?}"), move || {
-            crate::ledger::run_system("e8", build(TechNode::N16, 70, ms, 6_000.0).governor(g))
+            crate::runner::run_system(build(TechNode::N16, 70, ms, 6_000.0).governor(g))
         });
     }
     governors
@@ -612,7 +612,7 @@ pub fn e9_dark_silicon(scale: Scale, jobs: usize) -> Vec<E9Row> {
     let mut batch = Batch::new();
     for &node in TechNode::ALL.iter() {
         batch.push(format!("e9/{node}"), move || {
-            crate::ledger::run_system("e9", build(node, 80, ms, 8_000.0).testing(false))
+            crate::runner::run_system(build(node, 80, ms, 8_000.0).testing(false))
         });
     }
     TechNode::ALL
@@ -665,7 +665,7 @@ pub fn e10_lifetime(scale: Scale, jobs: usize) -> E10Lifetime {
     for &kind in kinds.iter() {
         for s in 0..seeds as u64 {
             batch.push(format!("e10/{kind:?}/seed{s}"), move || {
-                crate::ledger::run_system("e10", build(TechNode::N16, 100 + s, ms, 1_500.0).mapper(kind))
+                crate::runner::run_system(build(TechNode::N16, 100 + s, ms, 1_500.0).mapper(kind))
             });
         }
     }
@@ -781,8 +781,7 @@ pub fn e11_fault_response(scale: Scale, jobs: usize) -> Vec<E11Row> {
     for &policy in &E11_POLICIES {
         for s in 0..seeds as u64 {
             batch.push(format!("e11/{policy}/seed{s}"), move || {
-                crate::ledger::run_system(
-                    "e11",
+                crate::runner::run_system(
                     build(TechNode::N22, 110 + s, ms, 2_000.0)
                         .injected_faults(8)
                         .fault_response(policy),
@@ -915,7 +914,7 @@ pub fn e12_core_lifecycle(scale: Scale, jobs: usize) -> Vec<E12Row> {
                         if let Some(us) = lane {
                             b = b.probe_cadence_us(us);
                         }
-                        crate::ledger::run_system("e12", b)
+                        crate::runner::run_system(b)
                     },
                 );
             }

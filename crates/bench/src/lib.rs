@@ -14,7 +14,6 @@ pub mod diff;
 pub mod events;
 pub mod experiments;
 pub mod kernels;
-pub mod ledger;
 pub mod progress;
 pub mod regress;
 pub mod report;

@@ -14,7 +14,7 @@ use manytest_sim::{ProgressCounters, ProgressSnapshot};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
@@ -44,46 +44,21 @@ pub fn enabled() -> bool {
 
 /// Shared state of one in-flight (or recently finished) batch job.
 ///
-/// The runner registers one per job; the ledger reads the label and
-/// deposits the config hash through the thread-local handle, and the
-/// renderer thread reads everything through the board.
+/// The runner registers one per job; `runner::run_system` attaches its
+/// counters through the thread-local handle, and the renderer thread
+/// reads everything through the board.
 pub struct JobState {
     label: String,
     counters: Arc<ProgressCounters>,
-    config_hash: AtomicU64,
-    cached: AtomicBool,
     done: AtomicBool,
     started: Instant,
 }
 
 impl JobState {
-    /// The label the job was pushed with.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// The job's shared progress counters (installed into the simulation
-    /// by the ledger funnel).
+    /// by `runner::run_system`).
     pub fn counters(&self) -> Arc<ProgressCounters> {
         Arc::clone(&self.counters)
-    }
-
-    /// Records the job's config fingerprint (0 = not yet known).
-    pub fn set_config_hash(&self, hash: u64) {
-        self.config_hash.store(hash, Ordering::Relaxed);
-    }
-
-    /// The recorded config fingerprint, if the ledger funnel ran.
-    pub fn config_hash(&self) -> Option<u64> {
-        match self.config_hash.load(Ordering::Relaxed) {
-            0 => None,
-            h => Some(h),
-        }
-    }
-
-    /// Marks the job as served from the ledger cache.
-    pub fn mark_cached(&self) {
-        self.cached.store(true, Ordering::Relaxed);
     }
 }
 
@@ -102,8 +77,6 @@ pub fn job_started(label: &str) -> JobGuard {
     let state = Arc::new(JobState {
         label: label.to_owned(),
         counters: Arc::new(ProgressCounters::new()),
-        config_hash: AtomicU64::new(0),
-        cached: AtomicBool::new(false),
         done: AtomicBool::new(false),
         started: Instant::now(),
     });
@@ -133,8 +106,8 @@ impl Drop for JobGuard {
 }
 
 /// Runs `f` with the calling thread's innermost registered job, if any.
-/// This is how the ledger funnel finds the label and counters of the
-/// batch job it is running inside.
+/// This is how `runner::run_system` finds the counters of the batch job
+/// it is running inside.
 pub fn with_current<T>(f: impl FnOnce(&JobState) -> T) -> Option<T> {
     CURRENT.with(|c| c.borrow().last().map(Arc::clone)).map(|s| f(&s))
 }
@@ -151,8 +124,6 @@ pub struct JobView {
     pub label: String,
     /// Latest deterministic counter snapshot.
     pub snap: ProgressSnapshot,
-    /// Whether the job was served from the ledger cache.
-    pub cached: bool,
     /// Whether the job's guard dropped (result delivered).
     pub done: bool,
     /// Wall seconds since the job started.
@@ -167,17 +138,12 @@ pub struct JobView {
 /// running jobs get percent/ETA, event counts and the stall verdict.
 pub fn render_frame(views: &[JobView]) -> String {
     let done = views.iter().filter(|v| v.done).count();
-    let cached = views.iter().filter(|v| v.cached).count();
     let mut out = String::new();
-    let _ = write!(
+    let _ = writeln!(
         out,
         "[progress] {} running, {done} done",
         views.len() - done
     );
-    if cached > 0 {
-        let _ = write!(out, " ({cached} from cache)");
-    }
-    out.push('\n');
     for v in views.iter().filter(|v| !v.done) {
         let s = &v.snap;
         let _ = write!(out, "[progress]   {:<24}", v.label);
@@ -209,6 +175,29 @@ pub fn render_frame(views: &[JobView]) -> String {
     out
 }
 
+/// The stall watchdog for one job at one heartbeat. Records `snap` as job
+/// `key`'s latest counters in `seen` (restarting the job's quiet clock
+/// when they moved) and returns how long the job has been quiet when
+/// that exceeds `threshold` seconds. Done or finished jobs are never
+/// flagged. The function reads no clock of its own: the caller supplies
+/// `now`, so tests can drive it with synthetic instants.
+pub fn stall_verdict(
+    seen: &mut BTreeMap<usize, (ProgressSnapshot, Instant)>,
+    key: usize,
+    snap: ProgressSnapshot,
+    done: bool,
+    now: Instant,
+    threshold: f64,
+) -> Option<f64> {
+    let (last, changed) = seen.entry(key).or_insert((snap, now));
+    if *last != snap {
+        *last = snap;
+        *changed = now;
+    }
+    let quiet = now.duration_since(*changed).as_secs_f64();
+    (!done && !snap.finished && quiet > threshold).then_some(quiet)
+}
+
 /// Spawns the heartbeat renderer daemon thread (once per process). The
 /// thread snapshots the board every 200 ms and prints a frame whenever
 /// at least one job is registered; it also keeps the per-job
@@ -221,7 +210,7 @@ fn spawn_renderer() {
             .name("progress-heartbeat".into())
             .spawn(move || {
                 // Keyed by JobState address: (last snapshot, last change).
-                let mut seen: BTreeMap<usize, (ProgressSnapshot, Instant)> = BTreeMap::new();
+                let mut seen = BTreeMap::new();
                 loop {
                     let board: Vec<Arc<JobState>> =
                         BOARD.lock().expect("progress board lock").clone();
@@ -232,23 +221,17 @@ fn spawn_renderer() {
                             .map(|s| {
                                 let key = Arc::as_ptr(s) as usize;
                                 let snap = s.counters.snapshot();
-                                let entry = seen.entry(key).or_insert((snap, now));
-                                if entry.0 != snap {
-                                    *entry = (snap, now);
-                                }
                                 let done = s.done.load(Ordering::Relaxed);
-                                let quiet = now.duration_since(entry.1).as_secs_f64();
                                 JobView {
                                     label: s.label.clone(),
                                     snap,
-                                    cached: s.cached.load(Ordering::Relaxed),
                                     done,
                                     elapsed_seconds: now
                                         .duration_since(s.started)
                                         .as_secs_f64(),
-                                    stalled_for: (!done && !snap.finished
-                                        && quiet > threshold)
-                                        .then_some(quiet),
+                                    stalled_for: stall_verdict(
+                                        &mut seen, key, snap, done, now, threshold,
+                                    ),
                                 }
                             })
                             .collect();
@@ -287,7 +270,6 @@ mod tests {
         let views = [JobView {
             label: "probe/e3".into(),
             snap: snap(250, 500, 1234, 0),
-            cached: false,
             done: false,
             elapsed_seconds: 2.0,
             stalled_for: None,
@@ -304,9 +286,8 @@ mod tests {
     #[test]
     fn frame_flags_stalled_jobs_and_dropped_events() {
         let views = [JobView {
-            label: "demo/sleep".into(),
+            label: "e12/seed0".into(),
             snap: snap(1, 100, 10, 7),
-            cached: false,
             done: false,
             elapsed_seconds: 5.0,
             stalled_for: Some(3.25),
@@ -322,7 +303,6 @@ mod tests {
             JobView {
                 label: "a".into(),
                 snap: snap(100, 100, 5, 0),
-                cached: true,
                 done: true,
                 elapsed_seconds: 0.1,
                 stalled_for: None,
@@ -330,41 +310,85 @@ mod tests {
             JobView {
                 label: "b".into(),
                 snap: snap(0, 0, 0, 0),
-                cached: false,
                 done: false,
                 elapsed_seconds: 0.0,
                 stalled_for: None,
             },
         ];
         let frame = render_frame(&views);
-        assert!(frame.contains("1 running, 1 done (1 from cache)"), "got: {frame}");
+        assert!(frame.contains("1 running, 1 done\n"), "got: {frame}");
         assert!(!frame.lines().any(|l| l.contains("  a ")), "done jobs have no row: {frame}");
         assert!(frame.contains("starting"), "got: {frame}");
     }
 
+    /// Instants `secs` after `t0`, for driving the watchdog without sleeping.
+    fn after(t0: Instant, secs: f64) -> Instant {
+        t0 + Duration::from_secs_f64(secs)
+    }
+
+    #[test]
+    fn watchdog_flags_a_quiet_job_past_the_threshold() {
+        let t0 = Instant::now();
+        let mut seen = BTreeMap::new();
+        let s = snap(10, 100, 5, 0);
+        assert_eq!(stall_verdict(&mut seen, 1, s, false, t0, 10.0), None);
+        assert_eq!(stall_verdict(&mut seen, 1, s, false, after(t0, 9.5), 10.0), None);
+        assert_eq!(
+            stall_verdict(&mut seen, 1, s, false, after(t0, 12.0), 10.0),
+            Some(12.0)
+        );
+    }
+
+    #[test]
+    fn watchdog_clock_restarts_when_counters_move() {
+        let t0 = Instant::now();
+        let mut seen = BTreeMap::new();
+        assert_eq!(stall_verdict(&mut seen, 1, snap(10, 100, 5, 0), false, t0, 10.0), None);
+        let moved = snap(11, 100, 6, 0);
+        assert_eq!(stall_verdict(&mut seen, 1, moved, false, after(t0, 11.0), 10.0), None);
+        assert_eq!(stall_verdict(&mut seen, 1, moved, false, after(t0, 20.0), 10.0), None);
+        assert_eq!(
+            stall_verdict(&mut seen, 1, moved, false, after(t0, 22.0), 10.0),
+            Some(11.0)
+        );
+    }
+
+    #[test]
+    fn watchdog_never_flags_done_or_finished_jobs() {
+        let t0 = Instant::now();
+        let mut seen = BTreeMap::new();
+        let running = snap(50, 100, 5, 0);
+        let finished = ProgressSnapshot {
+            finished: true,
+            ..snap(100, 100, 9, 0)
+        };
+        for at in [t0, after(t0, 60.0)] {
+            assert_eq!(stall_verdict(&mut seen, 1, running, true, at, 10.0), None);
+            assert_eq!(stall_verdict(&mut seen, 2, finished, false, at, 10.0), None);
+        }
+    }
+
     #[test]
     fn job_guard_registers_and_unregisters() {
-        assert!(with_current(|s| s.label().to_owned()).is_none());
+        assert!(with_current(|s| s.label.clone()).is_none());
         let guard = job_started("outer/job");
         assert_eq!(
-            with_current(|s| s.label().to_owned()).as_deref(),
+            with_current(|s| s.label.clone()).as_deref(),
             Some("outer/job")
         );
         {
             let _inner = job_started("inner/job");
             assert_eq!(
-                with_current(|s| s.label().to_owned()).as_deref(),
+                with_current(|s| s.label.clone()).as_deref(),
                 Some("inner/job")
             );
         }
         assert_eq!(
-            with_current(|s| s.label().to_owned()).as_deref(),
+            with_current(|s| s.label.clone()).as_deref(),
             Some("outer/job")
         );
-        with_current(|s| s.set_config_hash(0xabcd)).expect("slot present");
-        assert_eq!(with_current(|s| s.config_hash()), Some(Some(0xabcd)));
         drop(guard);
-        assert!(with_current(|s| s.label().to_owned()).is_none());
+        assert!(with_current(|s| s.label.clone()).is_none());
     }
 
     #[test]

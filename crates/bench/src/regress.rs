@@ -7,15 +7,13 @@
 //! aggregates get a tiny relative tolerance that only forgives decimal
 //! round-trip noise, never behavioural drift. CI runs this as a gate
 //! (nonzero exit on drift); `MANYTEST_UPDATE_GOLDEN=1` regenerates the
-//! baseline after a reviewed behavioural change. When a run ledger is
-//! active, the table also reports (informationally) how the current
-//! values compare to the most recent ledger manifest per probe.
+//! baseline after a reviewed behavioural change.
 
 use crate::events::run_probe;
 use crate::kernels::{kernels_builder, KERNELS_SEED};
-use crate::ledger::{self, parse_flat_json, FlatValue};
-use crate::runner::Batch;
+use crate::runner::{run_system, Batch};
 use crate::Scale;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
@@ -39,8 +37,6 @@ pub fn baseline_path() -> PathBuf {
 }
 
 /// Computes the watched aggregates at quick scale, in a fixed order.
-/// Probe runs go through the batch runner (and therefore the ledger
-/// funnel), so a warm ledger serves them from cache.
 pub fn current_values(jobs: usize) -> Vec<(String, f64)> {
     let mut batch = Batch::new();
     for &id in &REGRESS_PROBES {
@@ -49,10 +45,7 @@ pub fn current_values(jobs: usize) -> Vec<(String, f64)> {
         });
     }
     batch.push(format!("kernels/g{REGRESS_GRID}"), || {
-        ledger::run_system(
-            &format!("kernels/g{REGRESS_GRID}"),
-            kernels_builder(REGRESS_GRID, Scale::Quick),
-        )
+        run_system(kernels_builder(REGRESS_GRID, Scale::Quick))
     });
     let mut reports = batch.run(jobs);
     let kernels = reports.pop().expect("kernels job present");
@@ -89,13 +82,28 @@ pub fn render_baseline(values: &[(String, f64)]) -> String {
 
 /// Loads the committed baseline. `None` when missing or unparseable.
 pub fn load_baseline() -> Option<Vec<(String, f64)>> {
-    let text = fs::read_to_string(baseline_path()).ok()?;
-    let map = parse_flat_json(&text)?;
-    Some(
-        map.into_iter()
-            .filter_map(|(k, v)| v.num().map(|n| (k, n)))
-            .collect(),
-    )
+    parse_baseline(&fs::read_to_string(baseline_path()).ok()?)
+}
+
+/// Parses a baseline: one flat JSON object of finite numbers
+/// (`{"name": 1.5, ...}`, the shape [`render_baseline`] writes), sorted
+/// by name. `None` on any malformation, including string or nested
+/// values and names holding quotes, backslashes, commas or colons.
+pub fn parse_baseline(text: &str) -> Option<Vec<(String, f64)>> {
+    let body = text.trim().strip_prefix('{')?.strip_suffix('}')?.trim();
+    let mut map = BTreeMap::new();
+    if !body.is_empty() {
+        for entry in body.split(',') {
+            let (name, value) = entry.split_once(':')?;
+            let name = name.trim().strip_prefix('"')?.strip_suffix('"')?;
+            if name.contains(['"', '\\']) {
+                return None;
+            }
+            let value = value.trim().parse::<f64>().ok().filter(|v| v.is_finite())?;
+            map.insert(name.to_owned(), value);
+        }
+    }
+    Some(map.into_iter().collect())
 }
 
 /// Whether `current` drifted from `baseline` beyond [`REL_TOL`].
@@ -163,7 +171,6 @@ pub fn run_regress(jobs: usize, inject_drift: bool) -> bool {
             println!("{name:<26} {base:>18} {:>18}  GONE (baseline only)", "-");
         }
     }
-    print_ledger_context();
     let ok = drifts == 0 && missing == 0;
     if ok {
         println!("regress: OK — all aggregates within tolerance");
@@ -171,40 +178,6 @@ pub fn run_regress(jobs: usize, inject_drift: bool) -> bool {
         println!("regress: FAIL — {drifts} drifted, {missing} missing/new aggregate(s)");
     }
     ok
-}
-
-/// Informational: how the current sweep compares with the most recent
-/// ledger manifest per watched probe (skipped when no ledger is active).
-fn print_ledger_context() {
-    let Some(dir) = ledger::dir() else {
-        return;
-    };
-    let (manifests, _) = ledger::load_manifests(&dir);
-    for &id in &REGRESS_PROBES {
-        if let Some(m) = manifests
-            .iter()
-            .rev()
-            .find(|m| m.probe.as_deref() == Some(id) && m.outcome != "failed")
-        {
-            println!(
-                "# ledger history: {id} last seen as run {} (outcome {}, {} MIPS, {} tests)",
-                m.seq, m.outcome, m.throughput_mips, m.tests_completed
-            );
-        }
-    }
-}
-
-/// Re-exported for tests: parses a baseline text blob.
-pub fn parse_baseline(text: &str) -> Option<Vec<(String, f64)>> {
-    let map = parse_flat_json(text)?;
-    let mut out = Vec::new();
-    for (k, v) in map {
-        match v {
-            FlatValue::Num(n) => out.push((k, n)),
-            FlatValue::Str(_) => return None,
-        }
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -223,6 +196,24 @@ mod tests {
         let mut sorted = values.clone();
         sorted.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(back, sorted);
+    }
+
+    #[test]
+    fn flat_json_rejects_malformed_input() {
+        for bad in [
+            "",
+            "{",
+            "{\"a\" 1}",
+            "{\"a\": }",
+            "{\"a\": 1} trailing",
+            "{\"a\": {\"nested\": 1}}",
+            "{\"a\": \"text\"}",
+            "{\"a\": 1,}",
+            "{\"a\": NaN}",
+            "not json at all",
+        ] {
+            assert!(parse_baseline(bad).is_none(), "accepted: {bad:?}");
+        }
     }
 
     #[test]

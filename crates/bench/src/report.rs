@@ -67,13 +67,9 @@ pub fn report_builder(id: &str, scale: Scale) -> Option<SystemBuilder> {
     Some(probe_builder(id, scale)?.record_state(REPORT_SNAPSHOT_CAPACITY))
 }
 
-/// Runs the report probe for `id` to completion (through the run-ledger
-/// funnel). `None` for unknown ids.
+/// Runs the report probe for `id` to completion. `None` for unknown ids.
 pub fn run_report_probe(id: &str, scale: Scale) -> Option<Report> {
-    Some(crate::ledger::run_system(
-        &format!("report/{id}"),
-        report_builder(id, scale)?,
-    ))
+    Some(crate::runner::run_system(report_builder(id, scale)?))
 }
 
 /// Wall-clock phase timer, bench-side only: implements [`PhaseObserver`]

@@ -20,6 +20,7 @@
 //! assert_eq!(batch.run(4), vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
+use manytest_core::{Report, SystemBuilder};
 use manytest_sim::enter_job_scope;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -178,6 +179,21 @@ pub fn failure_table<R>(outcomes: &[JobOutcome<R>]) -> String {
     out
 }
 
+/// Builds and runs one simulation, attaching the surrounding batch job's
+/// progress counters (if any) so `--progress` heartbeats see live epoch
+/// counts. Every experiment, probe and ablation run goes through here.
+///
+/// # Panics
+///
+/// Panics if `builder` holds an invalid configuration.
+pub fn run_system(builder: SystemBuilder) -> Report {
+    let mut system = builder.build().expect("experiment configs are valid");
+    if let Some(counters) = crate::progress::with_current(|slot| slot.counters()) {
+        system.set_progress(counters);
+    }
+    system.run()
+}
+
 /// Renders a panic payload the way the default hook would.
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -307,17 +323,12 @@ impl<'scope, R: Send> Batch<'scope, R> {
         let run_one = |i: usize, job: Job<'scope, R>| {
             let depth = (n - 1 - i) as f64;
             let _scope = enter_job_scope(JOB_IDS.fetch_add(1, Ordering::Relaxed));
-            // Progress registration: the ledger funnel reads the label
-            // and deposits the config hash through this slot, and the
-            // `--progress` heartbeat renderer watches its counters.
+            // Progress registration: [`run_system`] attaches this slot's
+            // counters to the simulation, and the `--progress` heartbeat
+            // renderer watches them.
             let progress = crate::progress::job_started(&job.label);
             let t0 = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(job.run)).map_err(|p| {
-                // Record the failure while the job's thread-local slot
-                // (and its config hash) is still reachable.
-                crate::ledger::note_failed_job(&job.label, &panic_message(p.as_ref()));
-                (job.label, p)
-            });
+            let outcome = catch_unwind(AssertUnwindSafe(job.run)).map_err(|p| (job.label, p));
             drop(progress);
             let secs = t0.elapsed().as_secs_f64();
             record_job(secs, depth);

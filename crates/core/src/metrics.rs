@@ -1,6 +1,5 @@
 //! Run-level metrics and the final report.
 
-use manytest_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use manytest_sim::{EventLog, OnlineStats, PhaseProfile, StateTimeline, Trace};
 use serde::{Deserialize, Serialize};
 
@@ -235,205 +234,6 @@ impl Report {
     }
 }
 
-impl Wire for Report {
-    fn encode(&self, w: &mut WireWriter) {
-        // Exhaustive destructuring: adding a Report field without
-        // extending the codec is a compile error, which is what keeps
-        // ledger cache replays byte-identical to cold runs.
-        let Report {
-            sim_seconds,
-            apps_arrived,
-            apps_completed,
-            apps_in_flight,
-            apps_pending,
-            apps_rejected,
-            instructions_executed,
-            throughput_mips,
-            mean_app_latency,
-            mean_queue_wait,
-            mean_power,
-            peak_power,
-            tdp,
-            cap_violations,
-            cap_adjustments,
-            test_energy_share,
-            noc_energy_share,
-            tests_completed,
-            tests_aborted,
-            tests_in_flight,
-            tests_denied_power,
-            min_tests_per_core,
-            max_tests_per_core,
-            mean_test_interval,
-            max_test_interval,
-            full_vf_coverage,
-            tests_per_level,
-            tests_per_core,
-            damage_per_core,
-            faults_injected,
-            faults_detected,
-            fault_detections,
-            fault_activations,
-            mean_detection_latency,
-            cores_suspected,
-            cores_quarantined,
-            cores_cleared,
-            false_quarantines,
-            confirmation_retests,
-            probes_launched,
-            cores_readmitted,
-            cores_requarantined,
-            probe_budget,
-            healthy_cores_end,
-            apps_aborted,
-            apps_restarted,
-            apps_migrated,
-            apps_checkpointed,
-            corruption_exposure,
-            mean_utilization,
-            dark_fraction,
-            mean_hop_cost,
-            profile,
-            state,
-            trace,
-            events,
-        } = self;
-        w.f64(*sim_seconds);
-        w.u64(*apps_arrived);
-        w.u64(*apps_completed);
-        w.u64(*apps_in_flight);
-        w.u64(*apps_pending);
-        w.u64(*apps_rejected);
-        w.u64(*instructions_executed);
-        w.f64(*throughput_mips);
-        w.f64(*mean_app_latency);
-        w.f64(*mean_queue_wait);
-        w.f64(*mean_power);
-        w.f64(*peak_power);
-        w.f64(*tdp);
-        w.u64(*cap_violations);
-        w.u64(*cap_adjustments);
-        w.f64(*test_energy_share);
-        w.f64(*noc_energy_share);
-        w.u64(*tests_completed);
-        w.u64(*tests_aborted);
-        w.u64(*tests_in_flight);
-        w.u64(*tests_denied_power);
-        w.u64(*min_tests_per_core);
-        w.u64(*max_tests_per_core);
-        w.f64(*mean_test_interval);
-        w.f64(*max_test_interval);
-        w.bool(*full_vf_coverage);
-        tests_per_level.encode(w);
-        tests_per_core.encode(w);
-        damage_per_core.encode(w);
-        w.u64(*faults_injected);
-        w.u64(*faults_detected);
-        w.u64(*fault_detections);
-        w.u64(*fault_activations);
-        w.f64(*mean_detection_latency);
-        w.u64(*cores_suspected);
-        w.u64(*cores_quarantined);
-        w.u64(*cores_cleared);
-        w.u64(*false_quarantines);
-        w.u64(*confirmation_retests);
-        w.u64(*probes_launched);
-        w.u64(*cores_readmitted);
-        w.u64(*cores_requarantined);
-        w.u64(*probe_budget);
-        w.u64(*healthy_cores_end);
-        w.u64(*apps_aborted);
-        w.u64(*apps_restarted);
-        w.u64(*apps_migrated);
-        w.u64(*apps_checkpointed);
-        w.f64(*corruption_exposure);
-        w.f64(*mean_utilization);
-        w.f64(*dark_fraction);
-        w.f64(*mean_hop_cost);
-        profile.encode(w);
-        state.encode(w);
-        trace.encode(w);
-        events.encode(w);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Report {
-            sim_seconds: r.f64()?,
-            apps_arrived: r.u64()?,
-            apps_completed: r.u64()?,
-            apps_in_flight: r.u64()?,
-            apps_pending: r.u64()?,
-            apps_rejected: r.u64()?,
-            instructions_executed: r.u64()?,
-            throughput_mips: r.f64()?,
-            mean_app_latency: r.f64()?,
-            mean_queue_wait: r.f64()?,
-            mean_power: r.f64()?,
-            peak_power: r.f64()?,
-            tdp: r.f64()?,
-            cap_violations: r.u64()?,
-            cap_adjustments: r.u64()?,
-            test_energy_share: r.f64()?,
-            noc_energy_share: r.f64()?,
-            tests_completed: r.u64()?,
-            tests_aborted: r.u64()?,
-            tests_in_flight: r.u64()?,
-            tests_denied_power: r.u64()?,
-            min_tests_per_core: r.u64()?,
-            max_tests_per_core: r.u64()?,
-            mean_test_interval: r.f64()?,
-            max_test_interval: r.f64()?,
-            full_vf_coverage: r.bool()?,
-            tests_per_level: Vec::<u64>::decode(r)?,
-            tests_per_core: Vec::<u64>::decode(r)?,
-            damage_per_core: Vec::<f64>::decode(r)?,
-            faults_injected: r.u64()?,
-            faults_detected: r.u64()?,
-            fault_detections: r.u64()?,
-            fault_activations: r.u64()?,
-            mean_detection_latency: r.f64()?,
-            cores_suspected: r.u64()?,
-            cores_quarantined: r.u64()?,
-            cores_cleared: r.u64()?,
-            false_quarantines: r.u64()?,
-            confirmation_retests: r.u64()?,
-            probes_launched: r.u64()?,
-            cores_readmitted: r.u64()?,
-            cores_requarantined: r.u64()?,
-            probe_budget: r.u64()?,
-            healthy_cores_end: r.u64()?,
-            apps_aborted: r.u64()?,
-            apps_restarted: r.u64()?,
-            apps_migrated: r.u64()?,
-            apps_checkpointed: r.u64()?,
-            corruption_exposure: r.f64()?,
-            mean_utilization: r.f64()?,
-            dark_fraction: r.f64()?,
-            mean_hop_cost: r.f64()?,
-            profile: PhaseProfile::decode(r)?,
-            state: StateTimeline::decode(r)?,
-            trace: Trace::decode(r)?,
-            events: EventLog::decode(r)?,
-        })
-    }
-}
-
-impl Report {
-    /// Serialises the full report to the `manytest-wire` text format.
-    /// Decoding the result with [`Report::decode_wire`] reproduces a
-    /// report equal to `self` down to f64 bit patterns, so every
-    /// renderer downstream (markdown, Prometheus, JSONL) emits bytes
-    /// identical to a fresh run's.
-    pub fn encode_wire(&self) -> String {
-        manytest_sim::wire::encode_to_string(self)
-    }
-
-    /// Decodes a report previously produced by [`Report::encode_wire`].
-    pub fn decode_wire(text: &str) -> Result<Self, WireError> {
-        manytest_sim::wire::decode_from_str(text)
-    }
-}
-
 /// Accumulates per-run statistics the [`Report`] is assembled from.
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
@@ -543,41 +343,5 @@ mod tests {
         let c = MetricsCollector::default();
         assert_eq!(c.apps_arrived, 0);
         assert_eq!(c.app_latency.count(), 0);
-    }
-
-    #[test]
-    fn wire_round_trip_is_exact() {
-        let mut r = Report::default();
-        r.sim_seconds = 1.25;
-        r.apps_arrived = 42;
-        r.throughput_mips = 1234.5678901234;
-        r.mean_power = -0.0; // sign bit must survive
-        r.full_vf_coverage = true;
-        r.tests_per_level = vec![1, 2, 3];
-        r.damage_per_core = vec![0.1, 0.2];
-        let text = r.encode_wire();
-        let back = Report::decode_wire(&text).expect("decodes");
-        assert_eq!(back, r);
-        // Re-encoding must reproduce the exact bytes (bit-stable f64s).
-        assert_eq!(back.encode_wire(), text);
-    }
-
-    #[test]
-    fn wire_round_trip_survives_nan() {
-        let mut r = Report::default();
-        r.mean_app_latency = f64::NAN;
-        let text = r.encode_wire();
-        let back = Report::decode_wire(&text).expect("decodes");
-        assert!(back.mean_app_latency.is_nan());
-        assert_eq!(back.encode_wire(), text);
-    }
-
-    #[test]
-    fn wire_decode_rejects_truncation() {
-        let mut r = Report::default();
-        r.apps_arrived = 7;
-        let text = r.encode_wire();
-        let cut = &text[..text.len() / 2];
-        assert!(Report::decode_wire(cut).is_err());
     }
 }

@@ -349,16 +349,11 @@ impl SystemBuilder {
         self
     }
 
-    /// The configuration this builder would construct with — the full
-    /// deterministic identity of the run (the run ledger fingerprints
-    /// it, together with [`SystemBuilder::mix`], to key its cache).
+    /// The configuration this builder would construct with, readable
+    /// before [`SystemBuilder::build`] (for example, to size buffers by
+    /// [`SystemConfig::epoch_count`]).
     pub fn config(&self) -> &SystemConfig {
         &self.config
-    }
-
-    /// The workload mix this builder would construct with.
-    pub fn mix(&self) -> &WorkloadMix {
-        &self.mix
     }
 
     /// Validates the configuration and constructs the system.

@@ -18,16 +18,6 @@
 //! `PhaseProfile` field — the same staleness protection, different
 //! vocabulary.
 //!
-//! Run-ledger manifests (committed fixtures under
-//! `crates/bench/tests/fixtures/manifests/` and any locally generated
-//! `runs/manifests/` ledger) must carry every key in
-//! `MANIFEST_REQUIRED_KEYS` (`crates/bench/src/ledger.rs`), declare the
-//! current manifest schema string, use a 16-digit lowercase-hex
-//! `config_hash`, a known `outcome`, and — when they name a `probe` —
-//! one that exists in `PROBE_IDS`. A malformed manifest silently
-//! disappears from `runs list`/`runs show` and from the regress watch's
-//! ledger history, so the lint fails loudly instead.
-//!
 //! The golden per-kind count gate only protects the repo while the
 //! golden files themselves are well-formed and speak the same schema as
 //! the event enum — a typo'd kind key would silently never match
@@ -47,9 +37,7 @@ pub struct GoldenSchema;
 const OBS_FILE: &str = "crates/sim/src/obs.rs";
 const EVENTS_FILE: &str = "crates/bench/src/events.rs";
 const REPORT_FILE: &str = "crates/bench/src/report.rs";
-const LEDGER_FILE: &str = "crates/bench/src/ledger.rs";
 const GOLDEN_DIR: &str = "crates/bench/tests/golden";
-const MANIFEST_DIRS: [&str; 2] = ["crates/bench/tests/fixtures/manifests", "runs/manifests"];
 const DOC_FILES: [&str; 2] = ["README.md", "EXPERIMENTS.md"];
 
 /// Workspace crate names in path form — `manytest_sim::…` in a doc is a
@@ -93,7 +81,6 @@ impl Rule for GoldenSchema {
         let probe_ids = string_array(ws, EVENTS_FILE, "PROBE_IDS");
         self.check_golden_files(ws, &kinds, &counters, &probe_ids, out);
         self.check_trace_files(ws, out);
-        self.check_manifest_files(ws, &probe_ids, out);
         self.check_doc_probe_ids(ws, &probe_ids, out);
         self.check_doc_metric_keys(ws, &string_array(ws, REPORT_FILE, "METRIC_KEYS"), out);
     }
@@ -248,145 +235,6 @@ impl GoldenSchema {
         }
     }
 
-    /// Validates every run-ledger manifest found in the committed
-    /// fixture directory or a locally generated `runs/manifests/`
-    /// ledger: required key set, schema string, config-hash format,
-    /// outcome vocabulary, and probe ids.
-    fn check_manifest_files(
-        &self,
-        ws: &Workspace,
-        probe_ids: &Option<Vec<String>>,
-        out: &mut Vec<Finding>,
-    ) {
-        let required = string_array(ws, LEDGER_FILE, "MANIFEST_REQUIRED_KEYS");
-        let schema = string_const(ws, LEDGER_FILE, "MANIFEST_SCHEMA");
-        for dir in MANIFEST_DIRS {
-            let Ok(entries) = std::fs::read_dir(ws.root.join(dir)) else {
-                continue;
-            };
-            let mut paths: Vec<_> = entries
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.extension().is_some_and(|e| e == "json"))
-                .collect();
-            paths.sort();
-            for path in paths {
-                let file_name = path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                let rel = format!("{dir}/{file_name}");
-                let Ok(text) = std::fs::read_to_string(&path) else {
-                    out.push(Finding {
-                        rule: self.id(),
-                        file: rel,
-                        line: 1,
-                        col: 1,
-                        message: "manifest is unreadable".into(),
-                        rationale: MANIFEST_RATIONALE,
-                    });
-                    continue;
-                };
-                let entries = match parse_manifest_object(&text) {
-                    Err((line, col, msg)) => {
-                        out.push(Finding {
-                            rule: self.id(),
-                            file: rel,
-                            line,
-                            col,
-                            message: format!("manifest does not parse: {msg}"),
-                            rationale: MANIFEST_RATIONALE,
-                        });
-                        continue;
-                    }
-                    Ok(entries) => entries,
-                };
-                let value_of = |name: &str| {
-                    entries
-                        .iter()
-                        .find(|(k, _, _, _)| k == name)
-                        .map(|(_, v, line, col)| (v.clone(), *line, *col))
-                };
-                if let Some(req) = &required {
-                    for key in req {
-                        if value_of(key).is_none() {
-                            out.push(Finding {
-                                rule: self.id(),
-                                file: rel.clone(),
-                                line: 1,
-                                col: 1,
-                                message: format!("manifest is missing required key `{key}`"),
-                                rationale: MANIFEST_RATIONALE,
-                            });
-                        }
-                    }
-                }
-                if let (Some(want), Some((got, line, col))) = (&schema, value_of("schema")) {
-                    if got.as_deref() != Some(want.as_str()) {
-                        out.push(Finding {
-                            rule: self.id(),
-                            file: rel.clone(),
-                            line,
-                            col,
-                            message: format!(
-                                "manifest schema is {got:?}, expected `{want}` \
-                                 (MANIFEST_SCHEMA in {LEDGER_FILE})"
-                            ),
-                            rationale: MANIFEST_RATIONALE,
-                        });
-                    }
-                }
-                if let Some((Some(hash), line, col)) = value_of("config_hash") {
-                    let ok = hash.len() == 16
-                        && hash
-                            .chars()
-                            .all(|c| c.is_ascii_digit() || ('a'..='f').contains(&c));
-                    if !ok {
-                        out.push(Finding {
-                            rule: self.id(),
-                            file: rel.clone(),
-                            line,
-                            col,
-                            message: format!(
-                                "config_hash `{hash}` is not 16 lowercase hex digits"
-                            ),
-                            rationale: MANIFEST_RATIONALE,
-                        });
-                    }
-                }
-                if let Some((Some(outcome), line, col)) = value_of("outcome") {
-                    if !["ok", "cached", "failed"].contains(&outcome.as_str()) {
-                        out.push(Finding {
-                            rule: self.id(),
-                            file: rel.clone(),
-                            line,
-                            col,
-                            message: format!(
-                                "manifest outcome `{outcome}` is not one of ok/cached/failed"
-                            ),
-                            rationale: MANIFEST_RATIONALE,
-                        });
-                    }
-                }
-                if let (Some(ids), Some((Some(probe), line, col))) =
-                    (probe_ids, value_of("probe"))
-                {
-                    if !ids.iter().any(|i| *i == probe) {
-                        out.push(Finding {
-                            rule: self.id(),
-                            file: rel.clone(),
-                            line,
-                            col,
-                            message: format!(
-                                "manifest probe `{probe}` is not in PROBE_IDS ({EVENTS_FILE})"
-                            ),
-                            rationale: MANIFEST_RATIONALE,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
     /// `explain`/`report`/`trace`/`diff <id>` commands quoted in the
     /// docs must name real probes. `diff` takes up to two ids, so after
     /// a valid first id the following word is checked too.
@@ -502,11 +350,6 @@ const GOLDEN_RATIONALE: &str =
 const TRACE_RATIONALE: &str =
     "Perfetto silently drops malformed trace entries, so a schema slip hides telemetry \
      instead of failing; regenerate with `repro trace <id>` rather than editing by hand";
-
-const MANIFEST_RATIONALE: &str =
-    "runs list/show and the regress watch's ledger history skip manifests they cannot \
-     parse or trust, so a schema slip silently erases run provenance; regenerate with \
-     `repro --ledger` rather than editing by hand";
 
 /// Minimal Chrome trace-event schema validation, exploiting the
 /// writer's line-oriented layout (one entry per line inside `[` … `]`).
@@ -668,65 +511,6 @@ fn string_array(ws: &Workspace, path: &str, name: &str) -> Option<Vec<String>> {
     None
 }
 
-/// Extracts a `const NAME: &str = "…"` string-literal constant from
-/// `path`. `None` when the file or constant is absent.
-fn string_const(ws: &Workspace, path: &str, name: &str) -> Option<String> {
-    let file = ws.file(path)?;
-    let code: Vec<_> = file.code_tokens().collect();
-    let start = code.iter().position(|t| t.is_ident(name))?;
-    let eq = code[start..].iter().position(|t| t.is_punct('='))? + start;
-    code[eq..]
-        .iter()
-        .find(|t| t.kind == TokenKind::Str)
-        .map(|t| t.text.clone())
-}
-
-/// Parses a flat JSON object whose values are strings or numbers — the
-/// run-manifest shape. Returns `(key, string value if quoted, line,
-/// col)` per entry, positioned at the *value*.
-#[allow(clippy::type_complexity)]
-fn parse_manifest_object(
-    text: &str,
-) -> Result<Vec<(String, Option<String>, u32, u32)>, (u32, u32, String)> {
-    let mut p = JsonScanner::new(text);
-    p.skip_ws();
-    p.expect('{')?;
-    let mut entries = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some('}') {
-        p.next();
-        return Ok(entries);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(':')?;
-        p.skip_ws();
-        let (line, col) = (p.line, p.col);
-        let value = if p.peek() == Some('"') {
-            Some(p.string()?)
-        } else {
-            p.number()?;
-            None
-        };
-        entries.push((key, value, line, col));
-        p.skip_ws();
-        match p.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => {
-                return Err((
-                    p.line,
-                    p.col,
-                    format!("expected `,` or `}}`, found {other:?}"),
-                ))
-            }
-        }
-    }
-    Ok(entries)
-}
-
 /// Parses a flat JSON object `{ "key": <unsigned int>, … }`, returning
 /// each key with its 1-based position. Errors carry a position too.
 #[allow(clippy::type_complexity)]
@@ -822,23 +606,6 @@ impl<'a> JsonScanner<'a> {
                 Some(c) => s.push(c),
                 None => return Err((line, col, "unterminated string".into())),
             }
-        }
-    }
-
-    /// Accepts any JSON number (sign, decimals, exponent).
-    fn number(&mut self) -> Result<(), (u32, u32, String)> {
-        let (line, col) = (self.line, self.col);
-        let mut digits = String::new();
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || "+-.eE".contains(c))
-        {
-            digits.push(self.next().unwrap_or('0'));
-        }
-        if digits.parse::<f64>().is_ok() {
-            Ok(())
-        } else {
-            Err((line, col, "expected a JSON number".into()))
         }
     }
 

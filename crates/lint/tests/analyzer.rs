@@ -435,63 +435,6 @@ fn golden_schema_catches_bad_kinds_unknown_probes_and_doc_drift() {
 }
 
 #[test]
-fn golden_schema_validates_run_manifests() {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-manifest-fixture");
-    let dir = root.join("crates/bench/tests/fixtures/manifests");
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    // Stale schema, malformed hash, unknown probe/outcome, and a
-    // missing required key (`label`) in one manifest; a well-formed
-    // sibling draws no findings.
-    std::fs::write(
-        dir.join("run-000001-bad.json"),
-        "{\n  \"schema\": \"manytest-run-manifest-v0\",\n  \"config_hash\": \"XYZ\",\n  \
-         \"probe\": \"q9\",\n  \"outcome\": \"exploded\",\n  \"wall_seconds\": 1.5\n}\n",
-    )
-    .expect("write");
-    std::fs::write(
-        dir.join("run-000002-good.json"),
-        "{\n  \"schema\": \"manytest-run-manifest-v1\",\n  \
-         \"config_hash\": \"8735f11164b18c04\",\n  \"label\": \"probe/e3\",\n  \
-         \"probe\": \"e3\",\n  \"outcome\": \"ok\",\n  \"wall_seconds\": 0.25\n}\n",
-    )
-    .expect("write");
-    let events = SourceFile::from_source(
-        "crates/bench/src/events.rs",
-        "pub const PROBE_IDS: [&str; 2] = [\"e3\", \"e11\"];\n",
-    );
-    let ledger = SourceFile::from_source(
-        "crates/bench/src/ledger.rs",
-        "pub const MANIFEST_SCHEMA: &str = \"manytest-run-manifest-v1\";\n\
-         pub const MANIFEST_REQUIRED_KEYS: [&str; 4] = \
-         [\"schema\", \"config_hash\", \"label\", \"outcome\"];\n",
-    );
-    let ws = Workspace::from_sources(root, vec![events, ledger]);
-    let report = run(&ws);
-    let findings: Vec<(&str, &str)> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "golden-schema")
-        .map(|f| (f.file.as_str(), f.message.as_str()))
-        .collect();
-    let bad = "crates/bench/tests/fixtures/manifests/run-000001-bad.json";
-    let msgs: Vec<&str> = findings.iter().filter(|(f, _)| *f == bad).map(|(_, m)| *m).collect();
-    assert!(msgs.iter().any(|m| m.contains("manifest-v0")), "schema drift: {msgs:?}");
-    assert!(msgs.iter().any(|m| m.contains("`XYZ`")), "bad hash: {msgs:?}");
-    assert!(msgs.iter().any(|m| m.contains("`q9`")), "unknown probe: {msgs:?}");
-    assert!(msgs.iter().any(|m| m.contains("`exploded`")), "bad outcome: {msgs:?}");
-    assert!(
-        msgs.iter().any(|m| m.contains("missing required key `label`")),
-        "missing key: {msgs:?}"
-    );
-    // The well-formed manifest drew no findings at all.
-    let good = "crates/bench/tests/fixtures/manifests/run-000002-good.json";
-    assert!(
-        !findings.iter().any(|(f, _)| *f == good),
-        "good manifest flagged: {findings:?}"
-    );
-}
-
-#[test]
 fn golden_schema_validates_perfetto_traces_and_flow_pairing() {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-trace-fixture");
     let report_dir = root.join("report");

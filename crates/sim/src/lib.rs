@@ -48,7 +48,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
-pub mod wire;
 
 pub use engine::{Event, EventQueue};
 pub use obs::{
@@ -62,7 +61,6 @@ pub use rng::{enter_job_scope, JobScopeGuard, SimRng};
 pub use stats::{Histogram, OnlineStats, TimeWeighted};
 pub use time::{Duration, Epoch, SimTime};
 pub use trace::{Trace, TraceSeries};
-pub use wire::{decode_from_str, encode_to_string, Wire, WireError, WireReader, WireWriter};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
@@ -78,7 +76,4 @@ pub mod prelude {
     pub use crate::stats::{Histogram, OnlineStats, TimeWeighted};
     pub use crate::time::{Duration, Epoch, SimTime};
     pub use crate::trace::{Trace, TraceSeries};
-    pub use crate::wire::{
-        decode_from_str, encode_to_string, Wire, WireError, WireReader, WireWriter,
-    };
 }

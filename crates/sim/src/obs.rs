@@ -21,7 +21,6 @@
 //! JSON is rendered only inside sinks that asked for it.
 
 use crate::stats::Histogram;
-use crate::wire::{Wire, WireError, WireReader, WireWriter};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -1753,482 +1752,6 @@ impl ProgressCounters {
             events_dropped: self.events_dropped.load(Ordering::Relaxed),
             finished: self.finished.load(Ordering::Relaxed) != 0,
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wire codec impls: exact round-trips for everything a Report carries.
-// Implemented here (not in `wire.rs`) because encoding needs the private
-// fields, and because an exhaustive destructuring next to the type
-// definition turns "field added but codec not updated" into a compile
-// error.
-// ---------------------------------------------------------------------------
-
-impl Wire for AbortReason {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(match self {
-            AbortReason::MappedOver => 0,
-            AbortReason::TaskPreempted => 1,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u64()? {
-            0 => Ok(AbortReason::MappedOver),
-            1 => Ok(AbortReason::TaskPreempted),
-            _ => r.err("AbortReason index"),
-        }
-    }
-}
-
-impl Wire for SimEvent {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.kind_index() as u64);
-        // Exhaustive: a new variant (or field) without codec coverage
-        // fails to compile.
-        match *self {
-            SimEvent::AppArrived { app, tasks } | SimEvent::AppRejected { app, tasks } => {
-                w.u64(app);
-                tasks.encode(w);
-            }
-            SimEvent::AppMapped {
-                app,
-                tasks,
-                first_node,
-                region_w,
-                region_h,
-                level,
-                hop_cost,
-                queue_wait,
-                headroom,
-            } => {
-                w.u64(app);
-                tasks.encode(w);
-                first_node.encode(w);
-                region_w.encode(w);
-                region_h.encode(w);
-                level.encode(w);
-                w.f64(hop_cost);
-                w.f64(queue_wait);
-                w.f64(headroom);
-            }
-            SimEvent::AppCompleted { app, latency } => {
-                w.u64(app);
-                w.f64(latency);
-            }
-            SimEvent::TestLaunched { core, routine, level, power, headroom } => {
-                core.encode(w);
-                routine.encode(w);
-                level.encode(w);
-                w.f64(power);
-                w.f64(headroom);
-            }
-            SimEvent::TestDeniedPower { core, needed, headroom } => {
-                core.encode(w);
-                w.f64(needed);
-                w.f64(headroom);
-            }
-            SimEvent::TestAborted { core, reason } => {
-                core.encode(w);
-                reason.encode(w);
-            }
-            SimEvent::TestCompleted { core, routine, level, covered_levels, interval } => {
-                core.encode(w);
-                routine.encode(w);
-                level.encode(w);
-                covered_levels.encode(w);
-                w.f64(interval);
-            }
-            SimEvent::CapAdjusted { cap, measured, headroom, reservations } => {
-                w.f64(cap);
-                w.f64(measured);
-                w.f64(headroom);
-                reservations.encode(w);
-            }
-            SimEvent::DvfsTransition { core, from, to } => {
-                core.encode(w);
-                from.encode(w);
-                to.encode(w);
-            }
-            SimEvent::FaultActivated { core } => core.encode(w),
-            SimEvent::FaultDetected { core, latency } => {
-                core.encode(w);
-                w.f64(latency);
-            }
-            SimEvent::CoreSuspected { core, level } => {
-                core.encode(w);
-                level.encode(w);
-            }
-            SimEvent::CoreQuarantined { core, retests }
-            | SimEvent::CoreCleared { core, retests } => {
-                core.encode(w);
-                retests.encode(w);
-            }
-            SimEvent::AppAborted { app, core } | SimEvent::AppRestarted { app, core } => {
-                w.u64(app);
-                core.encode(w);
-            }
-            SimEvent::AppMigrated { app, core, moved_tasks, delay } => {
-                w.u64(app);
-                core.encode(w);
-                moved_tasks.encode(w);
-                w.f64(delay);
-            }
-            SimEvent::CoreProbeLaunched { core, streak, inflight } => {
-                core.encode(w);
-                streak.encode(w);
-                inflight.encode(w);
-            }
-            SimEvent::CoreReadmitted { core, probes } => {
-                core.encode(w);
-                probes.encode(w);
-            }
-            SimEvent::CoreRequarantined { core, backoff } => {
-                core.encode(w);
-                backoff.encode(w);
-            }
-            SimEvent::AppCheckpointed { app, tasks, bytes } => {
-                w.u64(app);
-                tasks.encode(w);
-                w.u64(bytes);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u64()? {
-            0 => SimEvent::AppArrived { app: r.u64()?, tasks: u32::decode(r)? },
-            1 => SimEvent::AppRejected { app: r.u64()?, tasks: u32::decode(r)? },
-            2 => SimEvent::AppMapped {
-                app: r.u64()?,
-                tasks: u32::decode(r)?,
-                first_node: u32::decode(r)?,
-                region_w: u16::decode(r)?,
-                region_h: u16::decode(r)?,
-                level: u8::decode(r)?,
-                hop_cost: r.f64()?,
-                queue_wait: r.f64()?,
-                headroom: r.f64()?,
-            },
-            3 => SimEvent::AppCompleted { app: r.u64()?, latency: r.f64()? },
-            4 => SimEvent::TestLaunched {
-                core: u32::decode(r)?,
-                routine: u16::decode(r)?,
-                level: u8::decode(r)?,
-                power: r.f64()?,
-                headroom: r.f64()?,
-            },
-            5 => SimEvent::TestDeniedPower {
-                core: u32::decode(r)?,
-                needed: r.f64()?,
-                headroom: r.f64()?,
-            },
-            6 => SimEvent::TestAborted { core: u32::decode(r)?, reason: AbortReason::decode(r)? },
-            7 => SimEvent::TestCompleted {
-                core: u32::decode(r)?,
-                routine: u16::decode(r)?,
-                level: u8::decode(r)?,
-                covered_levels: u8::decode(r)?,
-                interval: r.f64()?,
-            },
-            8 => SimEvent::CapAdjusted {
-                cap: r.f64()?,
-                measured: r.f64()?,
-                headroom: r.f64()?,
-                reservations: u32::decode(r)?,
-            },
-            9 => SimEvent::DvfsTransition {
-                core: u32::decode(r)?,
-                from: i16::decode(r)?,
-                to: i16::decode(r)?,
-            },
-            10 => SimEvent::FaultActivated { core: u32::decode(r)? },
-            11 => SimEvent::FaultDetected { core: u32::decode(r)?, latency: r.f64()? },
-            12 => SimEvent::CoreSuspected { core: u32::decode(r)?, level: u8::decode(r)? },
-            13 => SimEvent::CoreQuarantined { core: u32::decode(r)?, retests: u32::decode(r)? },
-            14 => SimEvent::CoreCleared { core: u32::decode(r)?, retests: u32::decode(r)? },
-            15 => SimEvent::AppAborted { app: r.u64()?, core: u32::decode(r)? },
-            16 => SimEvent::AppRestarted { app: r.u64()?, core: u32::decode(r)? },
-            17 => SimEvent::AppMigrated {
-                app: r.u64()?,
-                core: u32::decode(r)?,
-                moved_tasks: u32::decode(r)?,
-                delay: r.f64()?,
-            },
-            18 => SimEvent::CoreProbeLaunched {
-                core: u32::decode(r)?,
-                streak: u32::decode(r)?,
-                inflight: u32::decode(r)?,
-            },
-            19 => SimEvent::CoreReadmitted { core: u32::decode(r)?, probes: u32::decode(r)? },
-            20 => SimEvent::CoreRequarantined { core: u32::decode(r)?, backoff: u32::decode(r)? },
-            21 => SimEvent::AppCheckpointed {
-                app: r.u64()?,
-                tasks: u32::decode(r)?,
-                bytes: r.u64()?,
-            },
-            _ => return r.err("SimEvent kind index"),
-        })
-    }
-}
-
-impl Wire for CauseKind {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.index() as u64);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let i = r.u64()?;
-        match usize::try_from(i) {
-            Ok(i) if i < Self::COUNT => Ok(Self::ALL[i]),
-            _ => r.err("CauseKind index"),
-        }
-    }
-}
-
-impl Wire for CauseLink {
-    fn encode(&self, w: &mut WireWriter) {
-        let CauseLink { kind, id } = self;
-        kind.encode(w);
-        w.u64(id.0);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CauseLink { kind: CauseKind::decode(r)?, id: EventId(r.u64()?) })
-    }
-}
-
-impl Wire for EventRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        let EventRecord { id, t, cause, ev } = self;
-        w.u64(id.0);
-        w.f64(*t);
-        cause.encode(w);
-        ev.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(EventRecord {
-            id: EventId(r.u64()?),
-            t: r.f64()?,
-            cause: Option::<CauseLink>::decode(r)?,
-            ev: SimEvent::decode(r)?,
-        })
-    }
-}
-
-impl Wire for EventLog {
-    fn encode(&self, w: &mut WireWriter) {
-        let EventLog { events, capacity, dropped, kind_counts, next_id } = self;
-        events.encode(w);
-        capacity.encode(w);
-        w.u64(*dropped);
-        for &c in kind_counts {
-            w.u64(c);
-        }
-        w.u64(*next_id);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let events = Vec::<EventRecord>::decode(r)?;
-        let capacity = usize::decode(r)?;
-        let dropped = r.u64()?;
-        let mut kind_counts = [0u64; SimEvent::KIND_COUNT];
-        for slot in &mut kind_counts {
-            *slot = r.u64()?;
-        }
-        let next_id = r.u64()?;
-        Ok(EventLog { events, capacity, dropped, kind_counts, next_id })
-    }
-}
-
-impl Wire for HealthCode {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(match self {
-            HealthCode::Healthy => 0,
-            HealthCode::Suspect => 1,
-            HealthCode::Quarantined => 2,
-            HealthCode::Probation => 3,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u64()? {
-            0 => Ok(HealthCode::Healthy),
-            1 => Ok(HealthCode::Suspect),
-            2 => Ok(HealthCode::Quarantined),
-            3 => Ok(HealthCode::Probation),
-            _ => r.err("HealthCode index"),
-        }
-    }
-}
-
-impl Wire for CoreState {
-    fn encode(&self, w: &mut WireWriter) {
-        let CoreState { power_w, temp_k, vf_level, health, occupied, testing } = self;
-        w.f64(*power_w);
-        w.f64(*temp_k);
-        vf_level.encode(w);
-        health.encode(w);
-        w.bool(*occupied);
-        w.bool(*testing);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CoreState {
-            power_w: r.f64()?,
-            temp_k: r.f64()?,
-            vf_level: i16::decode(r)?,
-            health: HealthCode::decode(r)?,
-            occupied: r.bool()?,
-            testing: r.bool()?,
-        })
-    }
-}
-
-impl Wire for StateSnapshot {
-    fn encode(&self, w: &mut WireWriter) {
-        let StateSnapshot {
-            t,
-            cap_w,
-            headroom_w,
-            power_w,
-            test_power_w,
-            reservations,
-            pending_apps,
-            running_apps,
-            active_tests,
-            cores,
-        } = self;
-        w.f64(*t);
-        w.f64(*cap_w);
-        w.f64(*headroom_w);
-        w.f64(*power_w);
-        w.f64(*test_power_w);
-        reservations.encode(w);
-        pending_apps.encode(w);
-        running_apps.encode(w);
-        active_tests.encode(w);
-        cores.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(StateSnapshot {
-            t: r.f64()?,
-            cap_w: r.f64()?,
-            headroom_w: r.f64()?,
-            power_w: r.f64()?,
-            test_power_w: r.f64()?,
-            reservations: u32::decode(r)?,
-            pending_apps: u32::decode(r)?,
-            running_apps: u32::decode(r)?,
-            active_tests: u32::decode(r)?,
-            cores: Vec::<CoreState>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for StateTimeline {
-    fn encode(&self, w: &mut WireWriter) {
-        let StateTimeline { snapshots, last, seen, stride, capacity } = self;
-        snapshots.encode(w);
-        last.encode(w);
-        w.u64(*seen);
-        w.u64(*stride);
-        capacity.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(StateTimeline {
-            snapshots: Vec::<StateSnapshot>::decode(r)?,
-            last: Option::<StateSnapshot>::decode(r)?,
-            seen: r.u64()?,
-            stride: r.u64()?,
-            capacity: usize::decode(r)?,
-        })
-    }
-}
-
-impl Wire for PhaseProfile {
-    fn encode(&self, w: &mut WireWriter) {
-        // Exhaustive destructuring: adding a counter without extending
-        // the codec is a compile error.
-        let PhaseProfile {
-            epochs,
-            pid_updates,
-            fault_sweeps,
-            fault_activations,
-            admit_scans,
-            apps_admitted,
-            sched_calls,
-            retests_planned,
-            sched_launches,
-            sched_denials,
-            queue_batches,
-            events_processed,
-            thermal_steps,
-            snapshots,
-            batch_high_water,
-            pending_high_water,
-            running_high_water,
-            candidates_high_water,
-            launches_high_water,
-            free_set_queries,
-            ctx_rebuilds,
-            ctx_delta_updates,
-            candidates_scanned,
-            heap_pops,
-            dirty_marks,
-        } = self;
-        for v in [
-            epochs,
-            pid_updates,
-            fault_sweeps,
-            fault_activations,
-            admit_scans,
-            apps_admitted,
-            sched_calls,
-            retests_planned,
-            sched_launches,
-            sched_denials,
-            queue_batches,
-            events_processed,
-            thermal_steps,
-            snapshots,
-            batch_high_water,
-            pending_high_water,
-            running_high_water,
-            candidates_high_water,
-            launches_high_water,
-            free_set_queries,
-            ctx_rebuilds,
-            ctx_delta_updates,
-            candidates_scanned,
-            heap_pops,
-            dirty_marks,
-        ] {
-            w.u64(*v);
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(PhaseProfile {
-            epochs: r.u64()?,
-            pid_updates: r.u64()?,
-            fault_sweeps: r.u64()?,
-            fault_activations: r.u64()?,
-            admit_scans: r.u64()?,
-            apps_admitted: r.u64()?,
-            sched_calls: r.u64()?,
-            retests_planned: r.u64()?,
-            sched_launches: r.u64()?,
-            sched_denials: r.u64()?,
-            queue_batches: r.u64()?,
-            events_processed: r.u64()?,
-            thermal_steps: r.u64()?,
-            snapshots: r.u64()?,
-            batch_high_water: r.u64()?,
-            pending_high_water: r.u64()?,
-            running_high_water: r.u64()?,
-            candidates_high_water: r.u64()?,
-            launches_high_water: r.u64()?,
-            free_set_queries: r.u64()?,
-            ctx_rebuilds: r.u64()?,
-            ctx_delta_updates: r.u64()?,
-            candidates_scanned: r.u64()?,
-            heap_pops: r.u64()?,
-            dirty_marks: r.u64()?,
-        })
     }
 }
 

@@ -5,7 +5,6 @@
 //! A [`Trace`] is a named collection of [`TraceSeries`], each a vector of
 //! `(t_seconds, value)` points.
 
-use crate::wire::{Wire, WireError, WireReader, WireWriter};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -244,50 +243,6 @@ impl fmt::Display for Trace {
             write!(f, "; {name}: {} pts", s.len())?;
         }
         write!(f, ")")
-    }
-}
-
-// Wire impls live beside the types so the exhaustive destructuring keeps
-// the codec honest when a field is added.
-
-impl Wire for TraceSeries {
-    fn encode(&self, w: &mut WireWriter) {
-        let TraceSeries { points, bound, stride, seen } = self;
-        points.encode(w);
-        bound.encode(w);
-        w.u64(*stride);
-        w.u64(*seen);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(TraceSeries {
-            points: Vec::<(f64, f64)>::decode(r)?,
-            bound: Option::<usize>::decode(r)?,
-            stride: r.u64()?,
-            seen: r.u64()?,
-        })
-    }
-}
-
-impl Wire for Trace {
-    fn encode(&self, w: &mut WireWriter) {
-        let Trace { series, default_bound } = self;
-        w.u64(series.len() as u64);
-        for (name, s) in series {
-            w.str(name);
-            s.encode(w);
-        }
-        default_bound.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = r.u64()?;
-        let mut series = BTreeMap::new();
-        for _ in 0..len {
-            let name = r.str()?;
-            let s = TraceSeries::decode(r)?;
-            series.insert(name, s);
-        }
-        let default_bound = Option::<usize>::decode(r)?;
-        Ok(Trace { series, default_bound })
     }
 }
 
