@@ -1,7 +1,7 @@
 //! `repro bench kernels` — control-loop scaling driver.
 //!
 //! Runs the standard configuration at a sweep of mesh edges (8×8 up to
-//! 64×64 by default) and records the deterministic [`PhaseProfile`]
+//! 128×128 by default) and records the deterministic [`PhaseProfile`]
 //! counters plus bench-side wall-clock per grid. The counters are the
 //! point: after the struct-of-arrays refactor the per-epoch scan work
 //! (`candidates_scanned`, `free_set_queries`, `ctx_rebuilds`, …) must
@@ -20,8 +20,8 @@ use manytest_sim::{Phase, PhaseProfile};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Grid edges swept by default: 64 to 4096 cores.
-pub const DEFAULT_GRIDS: [u16; 4] = [8, 16, 32, 64];
+/// Grid edges swept by default: 64 to 16384 cores.
+pub const DEFAULT_GRIDS: [u16; 5] = [8, 16, 32, 64, 128];
 
 /// Grid edges used by `--quick` runs and the CI smoke.
 pub const QUICK_GRIDS: [u16; 3] = [8, 16, 32];

@@ -106,6 +106,14 @@ impl RegionSearch {
     /// test-criticality preferences here), then by centre id for
     /// determinism. Returns `None` when fewer than `required` nodes are free
     /// in the whole mesh.
+    ///
+    /// One row-major pass calls `is_free` once per node and `node_score`
+    /// once per free node. An integer summed-area table over the free mask
+    /// then gives any square's free count in O(1): a centre that cannot
+    /// collect `required` nodes within the best radius so far is skipped
+    /// unscored, and every other centre sums its cached scores in the
+    /// region's row-major order, so the score bits match a rescan.
+    // lint:effect(alloc, reason = "the call graph resolves every `.find(` call to this fn by name, Iterator::find included; the score cache and summed-area table are per-search scratch")
     pub fn find<F, S>(&self, required: usize, is_free: F, node_score: S) -> Option<RegionChoice>
     where
         F: Fn(Coord) -> bool,
@@ -119,66 +127,156 @@ impl RegionSearch {
                 score: 0.0,
             });
         }
-        let total_free = self.mesh.coords().filter(|&c| is_free(c)).count();
-        if total_free < required {
+        let mesh = self.mesh;
+        let (w, h) = (usize::from(mesh.width()), usize::from(mesh.height()));
+        let scores: Vec<Option<f64>> = mesh
+            .coords()
+            .map(|c| is_free(c).then(|| node_score(c)))
+            .collect();
+        // sat[y * stride + x] counts the free nodes in rows < y, columns < x.
+        let stride = w + 1;
+        let mut sat = vec![0usize; stride * (h + 1)];
+        for (i, s) in scores.iter().enumerate() {
+            let (x, y) = (i % w, i / w);
+            sat[(y + 1) * stride + x + 1] =
+                usize::from(s.is_some()) + sat[y * stride + x + 1] + sat[(y + 1) * stride + x]
+                    - sat[y * stride + x];
+        }
+        if sat[h * stride + w] < required {
             return None;
         }
-        let max_radius = self.mesh.width().max(self.mesh.height());
-        let mut best: Option<(u16, f64, Coord)> = None;
-        let mut best_available = 0usize;
-        for center in self.mesh.coords() {
-            if !is_free(center) {
+        // The square of `radius` around `c`, clipped: columns x0..x1 and
+        // rows y0..y1, end-exclusive.
+        let square = |c: Coord, radius: usize| {
+            let (cx, cy) = (usize::from(c.x), usize::from(c.y));
+            let (x0, y0) = (cx.saturating_sub(radius), cy.saturating_sub(radius));
+            let (x1, y1) = ((cx + radius + 1).min(w), (cy + radius + 1).min(h));
+            (x0, x1, y0, y1)
+        };
+        let free_within = |c: Coord, radius: usize| -> usize {
+            let (x0, x1, y0, y1) = square(c, radius);
+            sat[y1 * stride + x1] + sat[y0 * stride + x0]
+                - sat[y0 * stride + x1]
+                - sat[y1 * stride + x0]
+        };
+        // A square of this radius covers the mesh from any centre, so every
+        // free centre reaches `required` within it.
+        let max_radius = w.max(h);
+        let mut best: Option<RegionChoice> = None;
+        for (center, own) in mesh.coords().zip(&scores) {
+            let limit = best.map_or(max_radius, |b| usize::from(b.region.radius));
+            if own.is_none() || free_within(center, limit) < required {
                 continue;
             }
-            // Smallest radius around this centre that collects `required`
-            // free nodes.
-            let mut found: Option<(u16, usize, f64)> = None;
-            for radius in 0..=max_radius {
-                let region = Region::new(center, radius);
-                let mut avail = 0usize;
-                let mut score = 0.0;
-                for c in region.iter(self.mesh) {
-                    if is_free(c) {
-                        avail += 1;
-                        score += node_score(c);
-                    }
-                }
-                if avail >= required {
-                    found = Some((radius, avail, score));
-                    break;
-                }
-                // Region already spans the whole mesh and still lacks nodes.
-                if region.len(self.mesh) == self.mesh.node_count() {
-                    break;
+            let mut radius = 0;
+            while free_within(center, radius) < required {
+                radius += 1;
+            }
+            // Summed row by row, like `Region::iter`, so the bits match.
+            let (x0, x1, y0, y1) = square(center, radius);
+            let mut score = 0.0;
+            for row in scores[y0 * w..y1 * w].chunks_exact(w) {
+                for s in row[x0..x1].iter().flatten() {
+                    score += s;
                 }
             }
-            if let Some((radius, avail, score)) = found {
-                let candidate = (radius, score, center);
-                let better = match &best {
-                    None => true,
-                    Some((br, bs, bc)) => {
-                        (radius, score) < (*br, *bs)
-                            || ((radius, score) == (*br, *bs)
-                                && self.mesh.node_id(center) < self.mesh.node_id(*bc))
-                    }
-                };
-                if better {
-                    best = Some(candidate);
-                    best_available = avail;
-                }
+            let region = Region::new(center, radius as u16);
+            // Centres arrive in ascending id order, so a tie keeps the
+            // earlier, lower-id centre.
+            let better = best.is_none_or(|b| (region.radius, score) < (b.region.radius, b.score));
+            if better {
+                best = Some(RegionChoice {
+                    region,
+                    available: free_within(center, radius),
+                    score,
+                });
             }
         }
-        best.map(|(radius, score, center)| RegionChoice {
-            region: Region::new(center, radius),
-            available: best_available,
-            score,
-        })
+        best
     }
+}
+
+/// The region search as first written: every radius of every free centre
+/// rescanned from scratch. [`RegionSearch::find`] must match it bit for bit.
+#[cfg(test)]
+fn find_reference<F, S>(
+    mesh: Mesh2D,
+    required: usize,
+    is_free: F,
+    node_score: S,
+) -> Option<RegionChoice>
+where
+    F: Fn(Coord) -> bool,
+    S: Fn(Coord) -> f64,
+{
+    if required == 0 {
+        // Degenerate but well-defined: an empty application fits anywhere.
+        return Some(RegionChoice {
+            region: Region::new(Coord::new(0, 0), 0),
+            available: 0,
+            score: 0.0,
+        });
+    }
+    let total_free = mesh.coords().filter(|&c| is_free(c)).count();
+    if total_free < required {
+        return None;
+    }
+    let max_radius = mesh.width().max(mesh.height());
+    let mut best: Option<(u16, f64, Coord)> = None;
+    let mut best_available = 0usize;
+    for center in mesh.coords() {
+        if !is_free(center) {
+            continue;
+        }
+        // Smallest radius around this centre that collects `required`
+        // free nodes.
+        let mut found: Option<(u16, usize, f64)> = None;
+        for radius in 0..=max_radius {
+            let region = Region::new(center, radius);
+            let mut avail = 0usize;
+            let mut score = 0.0;
+            for c in region.iter(mesh) {
+                if is_free(c) {
+                    avail += 1;
+                    score += node_score(c);
+                }
+            }
+            if avail >= required {
+                found = Some((radius, avail, score));
+                break;
+            }
+            // Region already spans the whole mesh and still lacks nodes.
+            if region.len(mesh) == mesh.node_count() {
+                break;
+            }
+        }
+        if let Some((radius, avail, score)) = found {
+            let candidate = (radius, score, center);
+            let better = match &best {
+                None => true,
+                Some((br, bs, bc)) => {
+                    (radius, score) < (*br, *bs)
+                        || ((radius, score) == (*br, *bs)
+                            && mesh.node_id(center) < mesh.node_id(*bc))
+                }
+            };
+            if better {
+                best = Some(candidate);
+                best_available = avail;
+            }
+        }
+    }
+    best.map(|(radius, score, center)| RegionChoice {
+        region: Region::new(center, radius),
+        available: best_available,
+        score,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manytest_sim::SimRng;
 
     #[test]
     fn region_iter_clips_to_mesh() {
@@ -275,5 +373,94 @@ mod tests {
         let choice = RegionSearch::new(mesh).find(16, |_| true, |_| 0.0).unwrap();
         assert_eq!(choice.available, 16);
         assert_eq!(choice.region.len(mesh), 16);
+    }
+
+    /// Per-node scores in one of four styles: tie-heavy quantised or
+    /// continuous utilisation/criticality pressure (as the test-aware
+    /// mapper weights it), signed noise, or all zero.
+    fn random_scores(rng: &mut SimRng, n: usize) -> Vec<f64> {
+        let style = rng.gen_range(4);
+        (0..n)
+            .map(|_| match style {
+                0 => 2.0 * (rng.gen_range(5) as f64 / 4.0) + 6.0 * rng.gen_range(3) as f64,
+                1 => 2.0 * rng.next_f64() + 6.0 * rng.gen_f64_range(0.0, 3.0),
+                2 => rng.gen_f64_range(-5.0, 5.0),
+                _ => 0.0,
+            })
+            .collect()
+    }
+
+    /// Random occupancy in [0, 1] (sometimes exactly 0 or 1) plus a few
+    /// quarantined holes, as a free mask.
+    fn random_free(rng: &mut SimRng, n: usize) -> Vec<bool> {
+        let busy = match rng.gen_range(6) {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.next_f64(),
+        };
+        let holes = rng.gen_range(4) as usize;
+        let mut free: Vec<bool> = (0..n).map(|_| rng.next_f64() >= busy).collect();
+        for _ in 0..holes {
+            free[rng.gen_range(n as u64) as usize] = false;
+        }
+        free
+    }
+
+    /// A request size: mostly application-sized, sometimes past the free
+    /// count, and on meshes of up to 200 nodes anything up to the free
+    /// count (the reference rescan is cubic in the radius, so larger
+    /// meshes keep to small requests).
+    fn random_required(rng: &mut SimRng, nodes: usize, free: usize) -> usize {
+        match rng.gen_range(8) {
+            0 => free + 1 + rng.gen_range(2) as usize,
+            1 | 2 if nodes <= 200 => rng.gen_range_inclusive(0, free as u64) as usize,
+            _ => rng.gen_range_inclusive(0, 16) as usize,
+        }
+    }
+
+    fn assert_matches_reference(mesh: Mesh2D, required: usize, free: &[bool], scores: &[f64]) {
+        let is_free = |c: Coord| free[mesh.node_id(c).index()];
+        let node_score = |c: Coord| scores[mesh.node_id(c).index()];
+        let key = |r: Option<RegionChoice>| r.map(|r| (r.region, r.available, r.score.to_bits()));
+        assert_eq!(
+            key(RegionSearch::new(mesh).find(required, is_free, node_score)),
+            key(find_reference(mesh, required, is_free, node_score)),
+            "{mesh:?}, required {required}"
+        );
+    }
+
+    #[test]
+    fn find_matches_reference_on_every_small_shape() {
+        let mut rng = SimRng::seed_from(1313);
+        for w in 1..=24 {
+            for h in 1..=24 {
+                let mesh = Mesh2D::new(w, h);
+                for _ in 0..2 {
+                    let free = random_free(&mut rng, mesh.node_count());
+                    let scores = random_scores(&mut rng, mesh.node_count());
+                    let n_free = free.iter().filter(|&&f| f).count();
+                    let required = random_required(&mut rng, mesh.node_count(), n_free);
+                    assert_matches_reference(mesh, required, &free, &scores);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn find_matches_reference_on_large_meshes() {
+        let mut rng = SimRng::seed_from(6464);
+        let mesh = Mesh2D::new(64, 64);
+        for busy in [0.0, 0.03, 0.5, 0.9, 0.995] {
+            let mut free: Vec<bool> = (0..mesh.node_count())
+                .map(|_| rng.next_f64() >= busy)
+                .collect();
+            // A quarantined block in the middle of the die.
+            for c in Region::new(Coord::new(30, 30), 3).iter(mesh) {
+                free[mesh.node_id(c).index()] = false;
+            }
+            let scores = random_scores(&mut rng, mesh.node_count());
+            let required = rng.gen_range_inclusive(1, 16) as usize;
+            assert_matches_reference(mesh, required, &free, &scores);
+        }
     }
 }
