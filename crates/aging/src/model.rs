@@ -118,8 +118,16 @@ impl AgingModel {
 
     /// Arrhenius acceleration factor at absolute temperature `t` kelvin.
     pub fn acceleration_at(&self, t: f64) -> f64 {
-        assert!(t > 0.0, "absolute temperature must be positive");
-        (self.activation_energy / BOLTZMANN_EV * (1.0 / self.t_reference - 1.0 / t)).exp()
+        self.arrhenius().at(t)
+    }
+
+    /// The acceleration factor's temperature-independent constants,
+    /// hoisted so a pass over many cores divides by them only once.
+    pub(crate) fn arrhenius(&self) -> Arrhenius {
+        Arrhenius {
+            ea_over_k: self.activation_energy / BOLTZMANN_EV,
+            inv_t_reference: 1.0 / self.t_reference,
+        }
     }
 
     /// Wear rate (damage/second) of a core drawing `power` watts.
@@ -142,6 +150,26 @@ impl AgingModel {
 impl Default for AgingModel {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// `AF(T) = exp(Ea/k · (1/T_ref − 1/T))` with `Ea/k` and `1/T_ref`
+/// precomputed: the one implementation of the acceleration factor.
+#[derive(Clone, Copy)]
+pub(crate) struct Arrhenius {
+    ea_over_k: f64,
+    inv_t_reference: f64,
+}
+
+impl Arrhenius {
+    /// Acceleration factor at absolute temperature `t` kelvin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not positive (NaN included).
+    pub(crate) fn at(self, t: f64) -> f64 {
+        assert!(t > 0.0, "absolute temperature must be positive");
+        (self.ea_over_k * (self.inv_t_reference - 1.0 / t)).exp()
     }
 }
 

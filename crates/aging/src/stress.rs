@@ -111,21 +111,57 @@ impl StressTracker {
         busy: f64,
         dt: f64,
     ) {
-        assert!((0.0..=1.0).contains(&busy), "busy fraction must be in [0,1]");
+        assert_busy_fraction(busy);
         let damage = aging.damage(power, dt);
-        let c = &mut self.cores[core];
-        Self::apply_damage(c, aging, damage, power, dt);
-        c.utilization = (1.0 - self.ema_alpha) * c.utilization + self.ema_alpha * busy;
+        Self::charge_epoch(&mut self.cores[core], aging, self.ema_alpha, damage, power, busy, dt);
     }
 
-    /// Adds `damage` to a core and, when the aging model enables NBTI
-    /// recovery, heals part of the recoverable pool if the core's power
-    /// is below the idle threshold.
-    fn apply_damage(
+    /// Records one epoch for every core from its raw accumulators, then
+    /// zeroes them: core `i` drew `energy[i]` joules and was busy for
+    /// `busy[i]` seconds of the epoch of length `dt`. Bit for bit the
+    /// same as calling [`Self::record_epoch`] in core order with power
+    /// `energy[i] / dt` and busy fraction `(busy[i] / dt).clamp(0, 1)`.
+    ///
+    /// Power-gated cores draw exactly 0 W, so runs of cores share one
+    /// power: the pass evaluates [`AgingModel::damage`] (one `exp`) only
+    /// when a core's power bits differ from the previous evaluation's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice's length differs from the core count, or if a
+    /// power is negative or NaN (with [`AgingModel::damage`]'s message).
+    pub fn record_epoch_all(
+        &mut self,
+        aging: &AgingModel,
+        energy: &mut [f64],
+        busy: &mut [f64],
+        dt: f64,
+    ) {
+        assert_eq!(energy.len(), self.cores.len(), "one energy per core");
+        assert_eq!(busy.len(), self.cores.len(), "one busy time per core");
+        let mut memo = LastEval::default();
+        for ((c, e), b) in self.cores.iter_mut().zip(energy).zip(busy) {
+            let busy = (*b / dt).clamp(0.0, 1.0);
+            let power = *e / dt;
+            assert_busy_fraction(busy);
+            let damage = memo.get_or_eval(power, |p| aging.damage(p, dt));
+            Self::charge_epoch(c, aging, self.ema_alpha, damage, power, busy, dt);
+            *b = 0.0;
+            *e = 0.0;
+        }
+    }
+
+    /// Charges one epoch's `damage` to `c` and folds `busy` into its
+    /// utilisation average. When the aging model enables NBTI recovery,
+    /// part of the recoverable pool heals if `power` is below the idle
+    /// threshold.
+    fn charge_epoch(
         c: &mut CoreStress,
         aging: &AgingModel,
+        ema_alpha: f64,
         damage: f64,
         power: f64,
+        busy: f64,
         dt: f64,
     ) {
         c.total_damage += damage;
@@ -140,6 +176,7 @@ impl StressTracker {
                 c.damage_since_test = (c.damage_since_test - healed).max(0.0);
             }
         }
+        c.utilization = (1.0 - ema_alpha) * c.utilization + ema_alpha * busy;
     }
 
     /// Records one epoch like [`Self::record_epoch`], but with the
@@ -157,16 +194,47 @@ impl StressTracker {
         busy: f64,
         dt: f64,
     ) {
-        assert!((0.0..=1.0).contains(&busy), "busy fraction must be in [0,1]");
+        assert_busy_fraction(busy);
         assert!(dt >= 0.0, "time must be non-negative");
         let damage = aging.base_rate * aging.acceleration_at(temperature) * dt;
-        let c = &mut self.cores[core];
-        // Recovery keys off power; approximate "unstressed" as busy == 0
-        // by translating the temperature path's idleness into a tiny
-        // nominal power below any plausible threshold.
-        let power_proxy = if busy == 0.0 { 0.0 } else { f64::INFINITY };
-        Self::apply_damage(c, aging, damage, power_proxy, dt);
-        c.utilization = (1.0 - self.ema_alpha) * c.utilization + self.ema_alpha * busy;
+        let power = idle_power_proxy(busy);
+        Self::charge_epoch(&mut self.cores[core], aging, self.ema_alpha, damage, power, busy, dt);
+    }
+
+    /// [`Self::record_epoch_all`] for the transient thermal path: core
+    /// `i` sat at `temps[i]` kelvin. Bit for bit the same as calling
+    /// [`Self::record_epoch_at_temperature`] in core order, with one
+    /// Arrhenius evaluation per change of temperature bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice's length differs from the core count, if `dt` is
+    /// negative, or if a temperature is not positive.
+    pub fn record_epoch_all_at_temperature(
+        &mut self,
+        aging: &AgingModel,
+        temps: &[f64],
+        energy: &mut [f64],
+        busy: &mut [f64],
+        dt: f64,
+    ) {
+        assert_eq!(temps.len(), self.cores.len(), "one temperature per core");
+        assert_eq!(energy.len(), self.cores.len(), "one energy per core");
+        assert_eq!(busy.len(), self.cores.len(), "one busy time per core");
+        assert!(dt >= 0.0, "time must be non-negative");
+        let arrhenius = aging.arrhenius();
+        let mut memo = LastEval::default();
+        let cores = self.cores.iter_mut().zip(temps).zip(energy).zip(busy);
+        for (((c, &temperature), e), b) in cores {
+            let busy = (*b / dt).clamp(0.0, 1.0);
+            assert_busy_fraction(busy);
+            let damage =
+                memo.get_or_eval(temperature, |t| aging.base_rate * arrhenius.at(t) * dt);
+            let power = idle_power_proxy(busy);
+            Self::charge_epoch(c, aging, self.ema_alpha, damage, power, busy, dt);
+            *b = 0.0;
+            *e = 0.0;
+        }
     }
 
     /// Marks a completed test on `core` at time `now` (seconds): the
@@ -216,9 +284,46 @@ impl StressTracker {
     }
 }
 
+fn assert_busy_fraction(busy: f64) {
+    assert!((0.0..=1.0).contains(&busy), "busy fraction must be in [0,1]");
+}
+
+/// Recovery keys off power; the temperature path approximates
+/// "unstressed" as `busy == 0` by translating idleness into a nominal
+/// power below any plausible threshold.
+fn idle_power_proxy(busy: f64) -> f64 {
+    if busy == 0.0 {
+        0.0
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// One-entry memo of a pure `f64 → f64` function, keyed by the input's
+/// exact bits. It starts empty, so no sentinel input can match, and it
+/// only ever holds inputs the function accepted: an input the function
+/// rejects (a negative or NaN power) always reaches it and panics.
+#[derive(Default)]
+struct LastEval(Option<(u64, f64)>);
+
+impl LastEval {
+    fn get_or_eval(&mut self, x: f64, f: impl FnOnce(f64) -> f64) -> f64 {
+        match self.0 {
+            Some((bits, y)) if bits == x.to_bits() => y,
+            _ => {
+                let y = f(x);
+                self.0 = Some((x.to_bits(), y));
+                y
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::RecoveryParams;
+    use manytest_sim::SimRng;
 
     fn tracker() -> (AgingModel, StressTracker) {
         (AgingModel::default(), StressTracker::new(4, 0.2))
@@ -310,7 +415,6 @@ mod tests {
 
     #[test]
     fn recovery_heals_idle_cores_only() {
-        use crate::model::RecoveryParams;
         let aging = AgingModel::default().with_recovery(RecoveryParams::default());
         let mut t = StressTracker::new(2, 0.2);
         // Both cores accumulate identical stress while busy.
@@ -356,5 +460,139 @@ mod tests {
         let (_, t) = tracker();
         assert_eq!(t.iter().count(), 4);
         assert_eq!(t.core_count(), 4);
+    }
+
+    const DT: f64 = 0.001;
+
+    fn models() -> [AgingModel; 2] {
+        let plain = AgingModel::default();
+        [plain, plain.with_recovery(RecoveryParams::default())]
+    }
+
+    /// Per-core accumulators shaped like a dark-silicon epoch: mostly
+    /// gated cores at exactly 0 J, a few repeated wattages, continuous
+    /// values, and busy times at 0, inside the epoch and past it.
+    fn random_epoch(rng: &mut SimRng, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let wattages = [0.35, 1.2, 2.5];
+        let energy = (0..n)
+            .map(|_| match rng.gen_range(10) {
+                0..=5 => 0.0,
+                6 | 7 => *rng.choose(&wattages).expect("non-empty") * DT,
+                _ => rng.gen_f64_range(0.0, 3.0) * DT,
+            })
+            .collect();
+        let busy = (0..n)
+            .map(|_| match rng.gen_range(3) {
+                0 => 0.0,
+                1 => rng.gen_f64_range(0.0, DT),
+                _ => rng.gen_f64_range(DT, 2.0 * DT),
+            })
+            .collect();
+        (energy, busy)
+    }
+
+    fn state_bits(t: &StressTracker) -> Vec<[u64; 6]> {
+        t.iter()
+            .map(|c| {
+                [
+                    c.total_damage.to_bits(),
+                    c.damage_since_test.to_bits(),
+                    c.utilization.to_bits(),
+                    c.last_test_time.to_bits(),
+                    c.tests_completed,
+                    c.recoverable_damage.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn record_epoch_all_matches_per_core_loop() {
+        let mut rng = SimRng::seed_from(2024);
+        for aging in models() {
+            for n in [1, 2, 7, 64, 333] {
+                let mut fast = StressTracker::new(n, 0.1);
+                let mut slow = fast.clone();
+                for epoch in 0..20 {
+                    let (mut energy, mut busy) = random_epoch(&mut rng, n);
+                    for core in 0..n {
+                        let b = (busy[core] / DT).clamp(0.0, 1.0);
+                        slow.record_epoch(core, &aging, energy[core] / DT, b, DT);
+                    }
+                    fast.record_epoch_all(&aging, &mut energy, &mut busy, DT);
+                    assert_eq!(state_bits(&fast), state_bits(&slow), "n {n}, epoch {epoch}");
+                    assert!(energy.iter().chain(&busy).all(|v| v.to_bits() == 0));
+                    if epoch % 7 == 3 {
+                        let core = rng.gen_range(n as u64) as usize;
+                        fast.note_test_complete(core, epoch as f64 * DT);
+                        slow.note_test_complete(core, epoch as f64 * DT);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn record_epoch_all_at_temperature_matches_per_core_loop() {
+        let mut rng = SimRng::seed_from(2025);
+        for aging in models() {
+            for n in [1, 2, 7, 64, 333] {
+                let mut fast = StressTracker::new(n, 0.1);
+                let mut slow = fast.clone();
+                for epoch in 0..20 {
+                    let (mut energy, mut busy) = random_epoch(&mut rng, n);
+                    let temps: Vec<f64> = (0..n)
+                        .map(|_| match rng.gen_range(4) {
+                            0 | 1 => aging.t_ambient,
+                            2 => *rng.choose(&[330.0, 345.5]).expect("non-empty"),
+                            _ => rng.gen_f64_range(300.0, 400.0),
+                        })
+                        .collect();
+                    for core in 0..n {
+                        let b = (busy[core] / DT).clamp(0.0, 1.0);
+                        slow.record_epoch_at_temperature(core, &aging, temps[core], b, DT);
+                    }
+                    fast.record_epoch_all_at_temperature(
+                        &aging,
+                        &temps,
+                        &mut energy,
+                        &mut busy,
+                        DT,
+                    );
+                    assert_eq!(state_bits(&fast), state_bits(&slow), "n {n}, epoch {epoch}");
+                    assert!(energy.iter().chain(&busy).all(|v| v.to_bits() == 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power must be non-negative")]
+    fn negative_energy_after_memo_hits_panics() {
+        let mut t = StressTracker::new(4, 0.1);
+        let mut energy = [0.0, 0.0, 0.0, -1e-3];
+        t.record_epoch_all(&AgingModel::default(), &mut energy, &mut [0.0; 4], DT);
+    }
+
+    #[test]
+    #[should_panic(expected = "power must be non-negative")]
+    fn nan_energy_after_memo_hits_panics() {
+        let mut t = StressTracker::new(4, 0.1);
+        let mut energy = [1e-3, 1e-3, 1e-3, f64::NAN];
+        t.record_epoch_all(&AgingModel::default(), &mut energy, &mut [0.0; 4], DT);
+    }
+
+    #[test]
+    #[should_panic(expected = "absolute temperature must be positive")]
+    fn nan_temperature_after_memo_hits_panics() {
+        let mut t = StressTracker::new(3, 0.1);
+        let temps = [320.0, 320.0, f64::NAN];
+        t.record_epoch_all_at_temperature(
+            &AgingModel::default(),
+            &temps,
+            &mut [0.0; 3],
+            &mut [0.0; 3],
+            DT,
+        );
     }
 }

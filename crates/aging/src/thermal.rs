@@ -82,20 +82,19 @@ pub struct ThermalGrid {
     height: usize,
     params: ThermalParams,
     temps: Vec<f64>,
-    // Flattened neighbor adjacency (CSR layout), precomputed once at
-    // construction: tile `i`'s neighbors are
-    // `neighbor_idx[neighbor_off[i]..neighbor_off[i + 1]]`. The epoch
-    // loop substeps the grid thousands of times per run; rebuilding the
-    // four-way neighbor iterator per tile per substep dominated `step`'s
-    // index arithmetic before this.
-    neighbor_idx: Vec<u32>,
-    neighbor_off: Vec<u32>,
+    // Lateral edge fluxes of the current substep, zero-padded so every
+    // tile has four: `flux_x[y * (width + 1) + x]` flows from tile
+    // (x − 1, y) into (x, y), and `flux_y[y * width + x]` from (x, y − 1)
+    // into (x, y). Only interior edges are ever written; the padding
+    // (x = 0 or width, y = 0 or height) stays 0.
+    flux_x: Vec<f64>,
+    flux_y: Vec<f64>,
     // Double-buffer for the explicit-Euler update, reused across steps.
     scratch: Vec<f64>,
 }
 
-// The derived scratch/adjacency fields are construction invariants;
-// equality is the physical state (geometry, constants, temperatures).
+// The flux and scratch buffers are per-step workspace; equality is the
+// physical state (geometry, constants, temperatures).
 impl PartialEq for ThermalGrid {
     fn eq(&self, other: &Self) -> bool {
         self.width == other.width
@@ -114,33 +113,13 @@ impl ThermalGrid {
     pub fn new(width: usize, height: usize, params: ThermalParams) -> Self {
         assert!(width > 0 && height > 0, "grid dimensions must be positive");
         let tiles = width * height;
-        let mut neighbor_idx = Vec::with_capacity(4 * tiles);
-        let mut neighbor_off = Vec::with_capacity(tiles + 1);
-        neighbor_off.push(0);
-        for i in 0..tiles {
-            let x = i % width;
-            let y = i / width;
-            if x > 0 {
-                neighbor_idx.push((i - 1) as u32);
-            }
-            if x + 1 < width {
-                neighbor_idx.push((i + 1) as u32);
-            }
-            if y > 0 {
-                neighbor_idx.push((i - width) as u32);
-            }
-            if y + 1 < height {
-                neighbor_idx.push((i + width) as u32);
-            }
-            neighbor_off.push(neighbor_idx.len() as u32);
-        }
         ThermalGrid {
             width,
             height,
             params,
             temps: vec![params.t_ambient; tiles],
-            neighbor_idx,
-            neighbor_off,
+            flux_x: vec![0.0; (width + 1) * height],
+            flux_y: vec![0.0; width * (height + 1)],
             scratch: vec![params.t_ambient; tiles],
         }
     }
@@ -184,17 +163,10 @@ impl ThermalGrid {
         self.temps.iter().sum::<f64>() / self.temps.len() as f64
     }
 
-    /// Neighbor tile indices of tile `i` (precomputed at construction).
-    pub fn neighbors(&self, i: usize) -> &[u32] {
-        let lo = self.neighbor_off[i] as usize;
-        let hi = self.neighbor_off[i + 1] as usize;
-        &self.neighbor_idx[lo..hi]
-    }
-
     /// Advances the grid by `dt` seconds with the given per-tile powers
-    /// (watts), sub-stepping as needed for numerical stability. Uses the
-    /// precomputed adjacency and an internal double-buffer, so stepping
-    /// never allocates.
+    /// (watts), sub-stepping as needed for numerical stability. Each
+    /// substep computes every lateral edge's flux once, then updates the
+    /// tiles row by row; stepping never allocates.
     ///
     /// # Panics
     ///
@@ -210,16 +182,42 @@ impl ThermalGrid {
         let substeps = (dt / max_step).ceil().max(1.0) as usize;
         let h = dt / substeps as f64;
         let p = self.params;
+        let w = self.width;
         for _ in 0..substeps {
-            for i in 0..self.temps.len() {
-                let t = self.temps[i];
-                let mut flow = powers[i] - (t - p.t_ambient) / p.r_vertical;
-                let lo = self.neighbor_off[i] as usize;
-                let hi = self.neighbor_off[i + 1] as usize;
-                for &j in &self.neighbor_idx[lo..hi] {
-                    flow -= (t - self.temps[j as usize]) / p.r_lateral;
+            let temps = &self.temps;
+            for (y, row) in temps.chunks_exact(w).enumerate() {
+                let fx = &mut self.flux_x[y * (w + 1)..(y + 1) * (w + 1)];
+                for (f, pair) in fx[1..w].iter_mut().zip(row.windows(2)) {
+                    *f = (pair[0] - pair[1]) / p.r_lateral;
                 }
-                self.scratch[i] = t + h * flow / p.capacitance;
+                if let Some(below) = temps.get((y + 1) * w..(y + 2) * w) {
+                    let fy = &mut self.flux_y[(y + 1) * w..(y + 2) * w];
+                    for ((f, &a), &b) in fy.iter_mut().zip(row).zip(below) {
+                        *f = (a - b) / p.r_lateral;
+                    }
+                }
+            }
+            // A tile gains its left and upper edges' flux and loses its
+            // right and lower edges', in the order left, right, up, down.
+            // Each term then equals a per-tile `−(t − t_j)/R_l` exactly
+            // (IEEE negation is exact), so the result matches
+            // `step_reference` bit for bit: only a zero flow's sign can
+            // differ, and `t + h·flow/C` absorbs it for any t ≠ 0.
+            let rows = self.scratch.chunks_exact_mut(w).zip(temps.chunks_exact(w));
+            for (y, (out, row)) in rows.enumerate() {
+                let fx = &self.flux_x[y * (w + 1)..(y + 1) * (w + 1)];
+                let up = &self.flux_y[y * w..(y + 1) * w];
+                let down = &self.flux_y[(y + 1) * w..(y + 2) * w];
+                let pw = &powers[y * w..(y + 1) * w];
+                for x in 0..w {
+                    let t = row[x];
+                    let mut flow = pw[x] - (t - p.t_ambient) / p.r_vertical;
+                    flow += fx[x];
+                    flow -= fx[x + 1];
+                    flow += up[x];
+                    flow -= down[x];
+                    out[x] = t + h * flow / p.capacitance;
+                }
             }
             std::mem::swap(&mut self.temps, &mut self.scratch);
         }
@@ -232,9 +230,60 @@ impl ThermalGrid {
     }
 }
 
+/// The stencil as first written: every tile divides its own four
+/// lateral temperature differences, walking a neighbour list in the
+/// order left, right, up, down. [`ThermalGrid::step`] must match it bit
+/// for bit.
+#[cfg(test)]
+impl ThermalGrid {
+    fn step_reference(&mut self, powers: &[f64], dt: f64) {
+        assert_eq!(powers.len(), self.temps.len(), "one power per tile");
+        assert!(dt >= 0.0, "time must advance forwards");
+        if dt == 0.0 {
+            return;
+        }
+        let (w, hgt) = (self.width, self.height);
+        let neighbors: Vec<Vec<usize>> = (0..self.temps.len())
+            .map(|i| {
+                let (x, y) = (i % w, i / w);
+                let mut n = Vec::new();
+                if x > 0 {
+                    n.push(i - 1);
+                }
+                if x + 1 < w {
+                    n.push(i + 1);
+                }
+                if y > 0 {
+                    n.push(i - w);
+                }
+                if y + 1 < hgt {
+                    n.push(i + w);
+                }
+                n
+            })
+            .collect();
+        let max_step = 0.25 * self.params.stable_step();
+        let substeps = (dt / max_step).ceil().max(1.0) as usize;
+        let h = dt / substeps as f64;
+        let p = self.params;
+        for _ in 0..substeps {
+            for i in 0..self.temps.len() {
+                let t = self.temps[i];
+                let mut flow = powers[i] - (t - p.t_ambient) / p.r_vertical;
+                for &j in &neighbors[i] {
+                    flow -= (t - self.temps[j]) / p.r_lateral;
+                }
+                self.scratch[i] = t + h * flow / p.capacitance;
+            }
+            std::mem::swap(&mut self.temps, &mut self.scratch);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manytest_sim::SimRng;
 
     fn grid(w: usize, h: usize) -> ThermalGrid {
         ThermalGrid::new(w, h, ThermalParams::default())
@@ -370,5 +419,58 @@ mod tests {
     #[should_panic(expected = "dimensions must be positive")]
     fn zero_dimension_panics() {
         ThermalGrid::new(0, 3, ThermalParams::default());
+    }
+
+    fn random_powers(rng: &mut SimRng, tiles: usize) -> Vec<f64> {
+        let zeros = rng.next_f64();
+        (0..tiles)
+            .map(|_| {
+                if rng.next_f64() < zeros {
+                    0.0
+                } else {
+                    rng.gen_f64_range(0.0, 3.0)
+                }
+            })
+            .collect()
+    }
+
+    /// Steps a grid and its reference twin through the same inputs and
+    /// demands identical temperature bits after every step.
+    fn assert_step_matches_reference(rng: &mut SimRng, w: usize, h: usize, steps: usize) {
+        let params = ThermalParams::default();
+        let tau = params.r_vertical * params.capacitance;
+        let mut fast = ThermalGrid::new(w, h, params);
+        if rng.gen_bool(0.5) {
+            for t in &mut fast.temps {
+                *t = rng.gen_f64_range(250.0, 450.0);
+            }
+        }
+        let mut slow = fast.clone();
+        for _ in 0..steps {
+            let powers = random_powers(rng, w * h);
+            let dt = *rng.choose(&[1e-3, 0.05, tau]).expect("non-empty");
+            fast.step(&powers, dt);
+            slow.step_reference(&powers, dt);
+            let bits = |g: &ThermalGrid| g.temps.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "{w}x{h} grid, dt {dt}");
+        }
+    }
+
+    #[test]
+    fn step_matches_reference_on_every_small_shape() {
+        let mut rng = SimRng::seed_from(1414);
+        for w in 1..=24 {
+            for h in 1..=24 {
+                assert_step_matches_reference(&mut rng, w, h, 3);
+            }
+        }
+    }
+
+    #[test]
+    fn step_matches_reference_on_large_grids() {
+        let mut rng = SimRng::seed_from(6464);
+        for _ in 0..4 {
+            assert_step_matches_reference(&mut rng, 64, 64, 3);
+        }
     }
 }

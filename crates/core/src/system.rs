@@ -2171,31 +2171,23 @@ impl System {
             powers.extend(self.epoch_energy.iter().map(|&e| e / epoch_secs));
             grid.step(powers, epoch_secs);
             self.profile.thermal_steps += 1;
-            for core in 0..self.store.len() {
-                let busy = (self.epoch_busy[core] / epoch_secs).clamp(0.0, 1.0);
-                let temperature = grid.temperature(core);
-                self.stress.record_epoch_at_temperature(
-                    core,
-                    &self.aging,
-                    temperature,
-                    busy,
-                    epoch_secs,
-                );
-                self.epoch_busy[core] = 0.0;
-                self.epoch_energy[core] = 0.0;
-            }
+            self.stress.record_epoch_all_at_temperature(
+                &self.aging,
+                grid.temperatures(),
+                &mut self.epoch_energy,
+                &mut self.epoch_busy,
+                epoch_secs,
+            );
             self.trace
                 .series_mut("max_temp_k")
                 .push(t1, grid.max_temperature());
         } else {
-            for core in 0..self.store.len() {
-                let busy = (self.epoch_busy[core] / epoch_secs).clamp(0.0, 1.0);
-                let avg_power = self.epoch_energy[core] / epoch_secs;
-                self.stress
-                    .record_epoch(core, &self.aging, avg_power, busy, epoch_secs);
-                self.epoch_busy[core] = 0.0;
-                self.epoch_energy[core] = 0.0;
-            }
+            self.stress.record_epoch_all(
+                &self.aging,
+                &mut self.epoch_energy,
+                &mut self.epoch_busy,
+                epoch_secs,
+            );
         }
         self.trace
             .series_mut("mean_utilization")

@@ -191,13 +191,17 @@ impl Trace {
     }
 
     /// Returns the series with the given name, creating it if absent
-    /// (with this trace's default sample bound, if any).
+    /// (with this trace's default sample bound, if any). Only a missing
+    /// name allocates: an existing series is found by `&str` lookup.
     // lint:effect(warmup, reason = "first touch of a series name allocates its key and buffer once; steady-state epochs append into bounded storage")
     pub fn series_mut(&mut self, name: &str) -> &mut TraceSeries {
-        let bound = self.default_bound;
-        self.series.entry(name.to_owned()).or_insert_with(|| {
-            bound.map_or_else(TraceSeries::new, TraceSeries::with_bound)
-        })
+        if !self.series.contains_key(name) {
+            let series = self
+                .default_bound
+                .map_or_else(TraceSeries::new, TraceSeries::with_bound);
+            self.series.insert(name.to_owned(), series);
+        }
+        self.series.get_mut(name).expect("series inserted above")
     }
 
     /// Returns the series with the given name, if recorded.
