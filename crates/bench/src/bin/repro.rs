@@ -13,7 +13,7 @@
 //! cargo run -p manytest-bench --bin repro --release -- diff e3 e11
 //! cargo run -p manytest-bench --bin repro --release -- diff e11 --seed2 111
 //! cargo run -p manytest-bench --bin repro --release -- --quick --progress
-//! cargo run -p manytest-bench --bin repro --release -- regress --quick
+//! cargo run -p manytest-bench --bin repro --release -- regress
 //! ```
 //!
 //! Worker count: `--jobs N` (or `--jobs=N`) > the `MANYTEST_JOBS`
@@ -44,8 +44,9 @@
 //! `--progress` streams heartbeat frames to stderr (percent/ETA per
 //! running job, event counts, and a STALLED verdict for jobs silent
 //! longer than `MANYTEST_STALL_SECONDS`).
-//! `regress` re-runs a small probe set at quick scale and exits nonzero
-//! if any watched aggregate drifted from the committed baseline.
+//! `regress` recomputes the golden store (`crates/bench/tests/golden/`)
+//! at quick scale and exits nonzero if any pinned value drifted;
+//! `MANYTEST_UPDATE_GOLDEN=1 repro regress` regenerates the store.
 //!
 //! Any other `--` flag is an error (exit 2), so a misspelt or retired
 //! flag never silently changes what runs.
@@ -333,9 +334,9 @@ fn main() {
         return;
     }
 
-    // `repro regress [--inject-drift]`: the cross-run regression watch.
-    // Exits nonzero on drift so CI can gate on it; `--inject-drift` is
-    // the self-test hook proving the gate can fail.
+    // `repro regress [--inject-drift]`: the golden-store gate. Exits
+    // nonzero on drift so CI can gate on it; `--inject-drift` is the
+    // self-test hook proving the gate can fail.
     if positional.first() == Some(&"regress") {
         let inject = args.iter().any(|a| a == "--inject-drift");
         let ok = regress::run_regress(jobs, inject);

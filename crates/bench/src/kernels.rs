@@ -5,8 +5,10 @@
 //! counters plus bench-side wall-clock per grid. The counters are the
 //! point: after the struct-of-arrays refactor the per-epoch scan work
 //! (`candidates_scanned`, `free_set_queries`, `ctx_rebuilds`, …) must
-//! grow roughly linearly with the core count, and the committed
-//! `BENCH_kernels.json` plus the `kernels_gate` test pin that.
+//! grow roughly linearly with the core count. The committed
+//! `BENCH_kernels.json` records that, the golden store that `repro
+//! regress` checks pins the 8×8/16×16/32×32 quick counters exactly, and
+//! the `kernels_gate` tests check the linear shape.
 //!
 //! Output discipline matches the rest of the harness: the stdout table
 //! contains only deterministic values (byte-identical across reruns and

@@ -3,17 +3,23 @@
 //! working directory (`BENCH_repro.json`, ...) never land in the source
 //! tree.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
-/// Runs the `repro` binary in the target tmpdir with a scrubbed
-/// environment (no inherited jobs/golden variables).
-fn repro(args: &[&str]) -> Output {
+/// The `repro` binary in the target tmpdir with a scrubbed environment
+/// (no inherited jobs/golden variables).
+fn repro_cmd(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.args(args).current_dir(env!("CARGO_TARGET_TMPDIR"));
     for var in ["MANYTEST_JOBS", "MANYTEST_UPDATE_GOLDEN"] {
         cmd.env_remove(var);
     }
-    cmd.output().expect("spawn repro")
+    cmd
+}
+
+/// Runs [`repro_cmd`] to completion.
+fn repro(args: &[&str]) -> Output {
+    repro_cmd(args).output().expect("spawn repro")
 }
 
 fn stdout_of(out: &Output) -> String {
@@ -22,13 +28,35 @@ fn stdout_of(out: &Output) -> String {
 
 #[test]
 fn regress_gate_passes_clean_and_fails_on_injected_drift() {
-    let clean = repro(&["regress", "--jobs", "4"]);
+    // Bytes and modification time of both golden store files: the gate
+    // must compare, never write, unless MANYTEST_UPDATE_GOLDEN is `1`.
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let stamp = || {
+        ["quick.json", "e11.seed111.diff.txt"].map(|name| {
+            let path = golden.join(name);
+            let modified = path.metadata().and_then(|m| m.modified());
+            (
+                std::fs::read(&path).expect("golden file"),
+                modified.expect("mtime"),
+            )
+        })
+    };
+    let before = stamp();
+    let clean = repro_cmd(&["regress", "--jobs", "4"])
+        .env("MANYTEST_UPDATE_GOLDEN", "0")
+        .output()
+        .expect("spawn repro");
     assert!(
         clean.status.success(),
-        "regress failed against the committed baseline:\n{}",
+        "regress failed against the committed golden store:\n{}",
         stdout_of(&clean)
     );
     assert!(stdout_of(&clean).contains("regress: OK"));
+    assert!(
+        before == stamp(),
+        "MANYTEST_UPDATE_GOLDEN=0 rewrote the golden store"
+    );
+
     let drift = repro(&["regress", "--jobs", "4", "--inject-drift"]);
     assert_eq!(drift.status.code(), Some(1), "injected drift must exit 1");
     let text = stdout_of(&drift);

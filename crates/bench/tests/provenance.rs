@@ -1,28 +1,16 @@
-//! Provenance-DAG property tests across every experiment driver, plus
-//! the pinned first-divergence fixture for `repro diff`.
+//! Provenance-DAG property tests across every experiment driver.
 //!
-//! The property half re-checks the causal-graph invariants *outside* the
-//! audit layer (which already runs them on every captured run): event
-//! ids mint strictly monotonically, every cause precedes its effect, and
-//! every fault-response outcome chains back to a legitimate root. The
-//! fixture half pins the full `repro diff` output for E11 against a
-//! reseeded twin — the divergence point of two seeded runs is itself a
-//! deterministic artifact, so drift in *where the histories split* is a
-//! behavioural change to review, not absorb:
-//!
-//! ```sh
-//! MANYTEST_UPDATE_GOLDEN=1 cargo test -p manytest-bench --test provenance
-//! git diff crates/bench/tests/golden/   # review, then commit
-//! ```
+//! They re-check the causal-graph invariants *outside* the audit layer
+//! (which already runs them on every captured run): event ids mint
+//! strictly monotonically, every cause precedes its effect, and every
+//! fault-response outcome chains back to a legitimate root. The E11
+//! first-divergence diff against its reseeded twin is pinned in the
+//! golden store that `repro regress` checks.
 
 use manytest_bench::diff::{run_diff, DiffTarget};
 use manytest_bench::events::{run_probe, PROBE_IDS};
 use manytest_bench::Scale;
 use manytest_core::prelude::*;
-use std::path::PathBuf;
-
-/// The reseeded twin the diff fixture compares E11 against.
-const DIFF_SEED2: u64 = 111;
 
 #[test]
 fn provenance_dag_is_acyclic_and_time_ordered_across_all_probes() {
@@ -91,44 +79,6 @@ fn fault_response_probe_links_a_meaningful_share_of_events() {
         graph.edge_count() > 100,
         "e11 carries only {} cause links",
         graph.edge_count()
-    );
-}
-
-fn diff_golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("e11.seed{DIFF_SEED2}.diff.txt"))
-}
-
-#[test]
-fn e11_first_divergence_against_reseeded_twin_matches_the_golden_fixture() {
-    let text = run_diff("e11", DiffTarget::Seed(DIFF_SEED2), Scale::Quick)
-        .expect("known probe id");
-    // The diff names a concrete first divergence with both chains.
-    assert!(
-        text.contains("first divergence at event index"),
-        "reseeded runs must diverge:\n{text}"
-    );
-    let path = diff_golden_path();
-    if std::env::var_os("MANYTEST_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-            .expect("create golden dir");
-        std::fs::write(&path, &text).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with \
-             MANYTEST_UPDATE_GOLDEN=1 cargo test -p manytest-bench --test provenance",
-            path.display()
-        )
-    });
-    assert_eq!(
-        text,
-        golden,
-        "e11 first-divergence output drifted from {}; if intentional, regenerate \
-         with MANYTEST_UPDATE_GOLDEN=1 and commit the diff",
-        path.display()
     );
 }
 

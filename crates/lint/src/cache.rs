@@ -1,13 +1,11 @@
 //! Incremental cache: `target/lint-cache.json`.
 //!
-//! Per-file rule results are pure in the file's content, and the
-//! workspace pass is pure in the contents of every input — so both are
+//! Per-file rule results are pure in the file's content, so they are
 //! keyed by FNV-1a content hashes and reused verbatim when the hash
-//! matches. Only the allow audit re-runs every time (it is the one pass
-//! whose output couples findings to suppressions across files, and it
-//! is cheap). A warm run on an unchanged tree re-lexes but re-analyzes
-//! nothing; findings replayed from the cache render byte-identically to
-//! a cold run.
+//! matches. The workspace pass and the allow audit re-run every time:
+//! the workspace rules also read inputs that are not `.rs` files (the
+//! docs, trace exports), and both passes are cheap. Findings replayed
+//! from the cache render byte-identically to a cold run.
 //!
 //! The cache is strictly best-effort: an unreadable, unparseable or
 //! version-skewed file is treated as absent, and write failures are
@@ -25,7 +23,7 @@ pub const CACHE_REL_PATH: &str = "target/lint-cache.json";
 
 /// Bump when the cache schema or any rule semantics change in a way
 /// the content hash cannot see.
-const VERSION: u64 = 1;
+const VERSION: u64 = 2;
 
 /// FNV-1a, 64-bit: tiny, dependency-free, and plenty for a same-machine
 /// content-equality check (this is not an integrity boundary).
@@ -46,20 +44,11 @@ pub struct CacheStats {
     pub file_hits: usize,
     /// Files that were re-analyzed.
     pub file_misses: usize,
-    /// Whether the workspace pass was replayed.
-    pub workspace_hit: bool,
 }
 
-struct CachedRun {
-    workspace_hash: u64,
-    workspace_findings: Vec<Finding>,
-    /// `(rel_path, content hash, findings)` per file.
-    files: Vec<(String, u64, Vec<Finding>)>,
-}
-
-/// Lints `root` through the cache: replays per-file and workspace
-/// findings whose content hashes match, re-runs the rest, re-audits
-/// allows unconditionally, and rewrites the cache.
+/// Lints `root` through the cache: replays per-file findings whose
+/// content hashes match, re-runs the rest, runs the workspace pass and
+/// the allow audit unconditionally, and rewrites the cache.
 pub fn lint_workspace_cached(root: &Path) -> std::io::Result<(LintReport, CacheStats)> {
     let ws = Workspace::load(root)?;
     let cache_path = root.join(CACHE_REL_PATH);
@@ -68,14 +57,12 @@ pub fn lint_workspace_cached(root: &Path) -> std::io::Result<(LintReport, CacheS
         .and_then(|text| json::parse(&text).ok())
         .and_then(|doc| load(&doc));
 
-    let hashes: Vec<u64> = ws.files.iter().map(|f| fnv1a64(f.text.as_bytes())).collect();
-    let ws_hash = workspace_hash(&ws, &hashes);
-
     let mut stats = CacheStats::default();
     let mut per_file: Vec<(String, u64, Vec<Finding>)> = Vec::with_capacity(ws.files.len());
-    for (file, &hash) in ws.files.iter().zip(&hashes) {
-        let cached = old.as_ref().and_then(|c| {
-            c.files
+    for file in &ws.files {
+        let hash = fnv1a64(file.text.as_bytes());
+        let cached = old.as_ref().and_then(|files| {
+            files
                 .iter()
                 .find(|(path, h, _)| *h == hash && path == &file.rel_path)
         });
@@ -91,19 +78,11 @@ pub fn lint_workspace_cached(root: &Path) -> std::io::Result<(LintReport, CacheS
         };
         per_file.push((file.rel_path.clone(), hash, findings));
     }
-    let workspace_findings = match old.as_ref().filter(|c| c.workspace_hash == ws_hash) {
-        Some(c) => {
-            stats.workspace_hit = true;
-            c.workspace_findings.clone()
-        }
-        None => crate::run_workspace_rules(&ws),
-    };
-
-    let _ = write_cache(&cache_path, ws_hash, &workspace_findings, &per_file);
+    let _ = write_cache(&cache_path, &per_file);
 
     let mut findings: Vec<Finding> =
         per_file.into_iter().flat_map(|(_, _, f)| f).collect();
-    findings.extend(workspace_findings);
+    findings.extend(crate::run_workspace_rules(&ws));
     let findings = crate::audit_allows(&ws, findings, None);
     Ok((
         LintReport {
@@ -114,31 +93,11 @@ pub fn lint_workspace_cached(root: &Path) -> std::io::Result<(LintReport, CacheS
     ))
 }
 
-/// Hash of every workspace input: the sorted `(path, content hash)`
-/// sequence. Any file added, removed, renamed or edited changes it.
-fn workspace_hash(ws: &Workspace, hashes: &[u64]) -> u64 {
-    let mut acc = Vec::new();
-    for (file, &h) in ws.files.iter().zip(hashes) {
-        acc.extend_from_slice(file.rel_path.as_bytes());
-        acc.push(0);
-        acc.extend_from_slice(&h.to_le_bytes());
-    }
-    fnv1a64(&acc)
-}
-
-fn write_cache(
-    path: &Path,
-    ws_hash: u64,
-    ws_findings: &[Finding],
-    per_file: &[(String, u64, Vec<Finding>)],
-) -> std::io::Result<()> {
+fn write_cache(path: &Path, per_file: &[(String, u64, Vec<Finding>)]) -> std::io::Result<()> {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"version\": {VERSION},\n"));
-    out.push_str(&format!("  \"workspace_hash\": \"{ws_hash:016x}\",\n"));
-    out.push_str("  \"workspace_findings\": [");
-    write_findings(&mut out, ws_findings, "    ");
-    out.push_str("],\n  \"files\": [");
+    out.push_str("  \"files\": [");
     for (i, (rel_path, hash, findings)) in per_file.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&format!(
@@ -176,12 +135,11 @@ fn write_findings(out: &mut String, findings: &[Finding], indent: &str) {
     }
 }
 
-fn load(doc: &Value) -> Option<CachedRun> {
+/// Loads the cached `(rel_path, content hash, findings)` per file.
+fn load(doc: &Value) -> Option<Vec<(String, u64, Vec<Finding>)>> {
     if doc.get("version")?.as_num()? as u64 != VERSION {
         return None;
     }
-    let workspace_hash = u64::from_str_radix(doc.get("workspace_hash")?.as_str()?, 16).ok()?;
-    let workspace_findings = load_findings(doc.get("workspace_findings")?)?;
     let mut files = Vec::new();
     for entry in doc.get("files")?.as_arr()? {
         files.push((
@@ -190,11 +148,7 @@ fn load(doc: &Value) -> Option<CachedRun> {
             load_findings(entry.get("findings")?)?,
         ));
     }
-    Some(CachedRun {
-        workspace_hash,
-        workspace_findings,
-        files,
-    })
+    Some(files)
 }
 
 fn load_findings(value: &Value) -> Option<Vec<Finding>> {
@@ -257,24 +211,17 @@ mod tests {
             fnv1a64(b"round-trip")
         ));
         let path = dir.join("lint-cache.json");
-        write_cache(&path, 0xabcd, &findings, &[("a.rs".into(), 1, findings.clone())])
-            .expect("write cache");
+        write_cache(&path, &[("a.rs".into(), 1, findings.clone())]).expect("write cache");
         let text = std::fs::read_to_string(&path).expect("read back");
-        let run = load(&json::parse(&text).expect("parse")).expect("load");
-        assert_eq!(run.workspace_hash, 0xabcd);
-        assert_eq!(run.workspace_findings, findings);
-        assert_eq!(run.files.len(), 1);
-        assert_eq!(run.files[0].2, findings);
+        let files = load(&json::parse(&text).expect("parse")).expect("load");
+        assert_eq!(files.len(), 1);
+        assert_eq!(files[0].2, findings);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn version_skew_discards_the_cache() {
-        let doc = json::parse(
-            "{\"version\": 999, \"workspace_hash\": \"0\", \
-             \"workspace_findings\": [], \"files\": []}",
-        )
-        .unwrap();
+        let doc = json::parse("{\"version\": 999, \"files\": []}").unwrap();
         assert!(load(&doc).is_none());
     }
 }

@@ -4,10 +4,9 @@
 //! JSON it (or a previous run of it) wrote: the incremental cache
 //! ([`crate::cache`]) reloads `target/lint-cache.json`, and the SARIF
 //! tests structurally validate `lint.sarif`. This is a full JSON value
-//! parser — unlike the flat-object scanner in the golden-schema rule it
-//! handles nesting — but it stays deliberately small: objects preserve
-//! key order as a `Vec`, numbers are `f64`, and errors carry a byte
-//! offset rather than a line/column.
+//! parser that handles nesting, but it stays deliberately small: objects
+//! preserve key order as a `Vec`, numbers are `f64`, and errors carry a
+//! byte offset rather than a line/column.
 
 /// One parsed JSON value. Object keys keep their source order.
 #[derive(Debug, Clone, PartialEq)]

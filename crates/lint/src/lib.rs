@@ -137,8 +137,9 @@ pub fn run_file_rules(file: &SourceFile) -> Vec<Finding> {
     findings
 }
 
-/// The cross-file pass (call-graph rules, golden/doc coherence). Keyed
-/// by the hash of *all* workspace inputs in the cache.
+/// The cross-file pass (call-graph rules, trace/doc coherence). Never
+/// cached: it also reads the docs and trace exports, which the per-file
+/// cache ([`cache`]) does not hash.
 pub fn run_workspace_rules(ws: &Workspace) -> Vec<Finding> {
     let registry = rules::registry();
     let mut findings = Vec::new();

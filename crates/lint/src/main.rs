@@ -213,8 +213,8 @@ usage: manytest-lint --workspace [--json] [--sarif FILE] [--root DIR]
        manytest-lint [--json] FILE...
        manytest-lint --rules
 
-  --workspace    lint every .rs file in the workspace plus the golden
-                 JSONs and doc probe references
+  --workspace    lint every .rs file in the workspace plus the trace
+                 exports and the docs' probe ids and metric names
   --changed REF  review scope: analyze the full tree but only report
                  findings in .rs files changed vs the git ref (committed,
                  dirty or untracked)

@@ -152,7 +152,7 @@ fn mark_test_lines(text: &str, tokens: &[Token]) -> Vec<bool> {
 }
 
 /// The lintable workspace: every source file plus the root for rules
-/// that read non-Rust inputs (golden JSONs, docs).
+/// that read non-Rust inputs (trace exports, docs).
 pub struct Workspace {
     /// Absolute path of the workspace root.
     pub root: PathBuf,
