@@ -12,7 +12,6 @@
 //! cargo run -p manytest-bench --bin repro --release -- trace e3 --out report/
 //! cargo run -p manytest-bench --bin repro --release -- diff e3 e11
 //! cargo run -p manytest-bench --bin repro --release -- diff e11 --seed2 111
-//! cargo run -p manytest-bench --bin repro --release -- --quick --progress
 //! cargo run -p manytest-bench --bin repro --release -- regress
 //! ```
 //!
@@ -41,25 +40,24 @@
 //! downstream per-kind and aggregate drift. Identical runs print an
 //! explicit zero-divergence verdict (CI's self-diff gate).
 //!
-//! `--progress` streams heartbeat frames to stderr (percent/ETA per
-//! running job, event counts, and a STALLED verdict for jobs silent
-//! longer than `MANYTEST_STALL_SECONDS`).
 //! `regress` recomputes the golden store (`crates/bench/tests/golden/`)
 //! at quick scale and exits nonzero if any pinned value drifted;
 //! `MANYTEST_UPDATE_GOLDEN=1 repro regress` regenerates the store.
 //!
-//! Any other `--` flag is an error (exit 2), so a misspelt or retired
-//! flag never silently changes what runs.
+//! Any other `--` flag, and any experiment id outside e1..e12 and
+//! a1..a6, is an error (exit 2) raised before anything prints or is
+//! written, so a misspelt or retired name never silently changes what
+//! runs.
 
 use manytest_bench::diff::{run_diff, DiffTarget};
 use manytest_bench::events::{explain, write_event_logs, PROBE_IDS};
 use manytest_bench::kernels::{
     kernels_json, print_kernels, run_kernels, wall_kernels_table, DEFAULT_GRIDS, QUICK_GRIDS,
 };
+use manytest_bench::regress;
 use manytest_bench::report::{run_report_probe_timed, wall_phase_table, write_report_files};
-use manytest_bench::runner::{default_jobs, job_stats, jobs_executed, panic_message, JobStats};
+use manytest_bench::runner::{default_jobs, job_stats, panic_message};
 use manytest_bench::trace::{run_trace, write_trace_file};
-use manytest_bench::{progress, regress};
 use manytest_bench::*;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -72,12 +70,10 @@ struct Timing {
     wall_seconds: f64,
     /// Summed per-job wall-clock seconds (serial-equivalent busy time).
     busy_seconds: f64,
-    /// Mean number of jobs queued behind each job as it started.
-    mean_queue_depth: f64,
 }
 
 /// Flags without a value.
-const SWITCHES: [&str; 3] = ["--quick", "--progress", "--inject-drift"];
+const SWITCHES: [&str; 2] = ["--quick", "--inject-drift"];
 
 /// Flags that take a value, as `--flag VALUE` or `--flag=VALUE`.
 const VALUE_FLAGS: [&str; 6] = ["--jobs", "--events", "--out", "--grids", "--grid", "--seed2"];
@@ -180,12 +176,11 @@ fn write_bench_json(path: &str, jobs: usize, scale: Scale, timings: &[Timing]) {
     for (i, t) in timings.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"id\": \"{}\", \"runs\": {}, \"wall_seconds\": {:.6}, \
-             \"busy_seconds\": {:.6}, \"mean_queue_depth\": {:.3}}}{}\n",
+             \"busy_seconds\": {:.6}}}{}\n",
             t.id,
             t.runs,
             t.wall_seconds,
             t.busy_seconds,
-            t.mean_queue_depth,
             if i + 1 == timings.len() { "" } else { "," }
         ));
     }
@@ -228,9 +223,6 @@ fn main() {
         } else {
             positional.push(a.as_str());
         }
-    }
-    if args.iter().any(|a| a == "--progress") {
-        progress::enable();
     }
     let events_dir = parse_events_dir(&args);
     let out_dir = parse_out_dir(&args);
@@ -370,6 +362,11 @@ fn main() {
         return;
     }
     let wanted = positional;
+    if let Some(id) = wanted.iter().find(|id| !PROBE_IDS.contains(id)) {
+        eprintln!("error: unknown experiment id '{id}'");
+        eprintln!("known ids: {}", PROBE_IDS.join(" "));
+        std::process::exit(2);
+    }
 
     let all = wanted.is_empty();
     let want = |id: &str| all || wanted.contains(&id);
@@ -388,25 +385,18 @@ fn main() {
     // runner re-raises the first panic in *submission* order.
     let mut failures: Vec<(&'static str, String)> = Vec::new();
     let mut timed = |id: &'static str, run: &mut dyn FnMut()| {
-        let jobs_before = jobs_executed();
-        let stats_before: JobStats = job_stats();
+        let before = job_stats();
         let start = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut *run));
         if let Err(payload) = outcome {
             failures.push((id, panic_message(payload.as_ref())));
         }
-        let stats_after = job_stats();
-        let runs = jobs_executed() - jobs_before;
+        let after = job_stats();
         timings.push(Timing {
             id,
-            runs,
+            runs: after.jobs - before.jobs,
             wall_seconds: start.elapsed().as_secs_f64(),
-            busy_seconds: stats_after.busy_seconds - stats_before.busy_seconds,
-            mean_queue_depth: if runs == 0 {
-                0.0
-            } else {
-                (stats_after.queue_depth_sum - stats_before.queue_depth_sum) / runs as f64
-            },
+            busy_seconds: after.busy_seconds - before.busy_seconds,
         });
     };
 
@@ -490,11 +480,11 @@ fn main() {
     let total_wall: f64 = timings.iter().map(|t| t.wall_seconds).sum();
     let total_busy: f64 = timings.iter().map(|t| t.busy_seconds).sum();
     eprintln!("# timing (jobs = {jobs})");
-    eprintln!("# id    runs  wall_s   busy_s  mean_qdepth");
+    eprintln!("# id    runs  wall_s   busy_s");
     for t in &timings {
         eprintln!(
-            "# {:<5} {:>4}  {:>7.3}  {:>7.3}  {:>11.2}",
-            t.id, t.runs, t.wall_seconds, t.busy_seconds, t.mean_queue_depth
+            "# {:<5} {:>4}  {:>7.3}  {:>7.3}",
+            t.id, t.runs, t.wall_seconds, t.busy_seconds
         );
     }
     eprintln!("# total {total_runs:>4}  {total_wall:>7.3}  {total_busy:>7.3}");

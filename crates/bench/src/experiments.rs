@@ -920,7 +920,7 @@ pub fn e12_core_lifecycle(scale: Scale, jobs: usize) -> Vec<E12Row> {
             }
         }
     }
-    let (outcomes, _) = batch.run_outcomes(jobs);
+    let outcomes = batch.run_outcomes(jobs);
     let failures = failure_table(&outcomes);
     assert!(failures.is_empty(), "e12 sweep had failed jobs:\n{failures}");
     let mut reports = outcomes.into_iter().map(|o| o.ok().expect("no failures"));

@@ -14,7 +14,6 @@ pub mod diff;
 pub mod events;
 pub mod experiments;
 pub mod kernels;
-pub mod progress;
 pub mod regress;
 pub mod report;
 pub mod runner;

@@ -28,19 +28,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Jobs executed by all batches since process start (used by `repro` to
-/// attribute serial-equivalent run counts to each experiment).
-static TOTAL_JOBS: AtomicU64 = AtomicU64::new(0);
-
 /// Monotone id generator for batch jobs; feeds the per-job RNG audit
 /// scope so a `SimRng` handle leaking across two jobs is caught in debug
 /// builds (see `manytest_sim::enter_job_scope`).
 static JOB_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// Total number of batch jobs executed so far in this process.
-pub fn jobs_executed() -> u64 {
-    TOTAL_JOBS.load(Ordering::Relaxed)
-}
 
 /// Cumulative per-job accounting across every batch this process ran.
 ///
@@ -52,15 +43,11 @@ pub struct JobStats {
     pub jobs: u64,
     /// Summed per-job wall-clock seconds (serial-equivalent busy time).
     pub busy_seconds: f64,
-    /// Summed queue depth observed as each job was claimed (jobs still
-    /// waiting behind it); divide by `jobs` for the mean depth.
-    pub queue_depth_sum: f64,
 }
 
 static JOB_STATS: Mutex<JobStats> = Mutex::new(JobStats {
     jobs: 0,
     busy_seconds: 0.0,
-    queue_depth_sum: 0.0,
 });
 
 /// Snapshot of the cumulative [`JobStats`] for this process.
@@ -68,11 +55,10 @@ pub fn job_stats() -> JobStats {
     *JOB_STATS.lock().expect("job stats lock")
 }
 
-fn record_job(busy_seconds: f64, queue_depth: f64) {
+fn record_job(busy_seconds: f64) {
     let mut stats = JOB_STATS.lock().expect("job stats lock");
     stats.jobs += 1;
     stats.busy_seconds += busy_seconds;
-    stats.queue_depth_sum += queue_depth;
 }
 
 /// The worker count used when a batch is run with `jobs = 0`: the
@@ -88,25 +74,6 @@ pub fn default_jobs() -> usize {
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-}
-
-/// Wall-clock accounting for one executed batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchStats {
-    /// Number of jobs the batch contained (serial-equivalent runs).
-    pub runs: usize,
-    /// Worker threads actually used.
-    pub workers: usize,
-    /// Wall-clock seconds from first launch to last completion.
-    pub wall_seconds: f64,
-    /// Summed per-job wall-clock seconds; `busy_seconds / wall_seconds`
-    /// approximates the speedup actually achieved.
-    pub busy_seconds: f64,
-    /// The slowest single job, seconds (the critical path floor).
-    pub max_job_seconds: f64,
-    /// Mean number of jobs still queued as each job started (0 for the
-    /// last job; deterministic, derived from submission index).
-    pub mean_queue_depth: f64,
 }
 
 struct Job<'scope, R> {
@@ -179,19 +146,15 @@ pub fn failure_table<R>(outcomes: &[JobOutcome<R>]) -> String {
     out
 }
 
-/// Builds and runs one simulation, attaching the surrounding batch job's
-/// progress counters (if any) so `--progress` heartbeats see live epoch
-/// counts. Every experiment, probe and ablation run goes through here.
+/// Builds and runs one simulation. Every experiment, probe and ablation
+/// run goes through here, so an invalid experiment config fails with one
+/// message.
 ///
 /// # Panics
 ///
 /// Panics if `builder` holds an invalid configuration.
 pub fn run_system(builder: SystemBuilder) -> Report {
-    let mut system = builder.build().expect("experiment configs are valid");
-    if let Some(counters) = crate::progress::with_current(|slot| slot.counters()) {
-        system.set_progress(counters);
-    }
-    system.run()
+    builder.build().expect("experiment configs are valid").run()
 }
 
 /// Renders a panic payload the way the default hook would.
@@ -212,8 +175,8 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// of the output corresponding to the `i`-th `push`. A panicking job does
 /// not poison the others — every job still runs. [`Batch::run_outcomes`]
 /// surfaces each panic as a [`JobOutcome::Failed`] in its slot;
-/// [`Batch::run`]/[`Batch::run_timed`] instead re-raise the first panic
-/// (in submission order) with the job's label logged to stderr.
+/// [`Batch::run`] instead re-raises the first panic (in submission
+/// order) with the job's label logged to stderr.
 pub struct Batch<'scope, R> {
     jobs: Vec<Job<'scope, R>>,
 }
@@ -256,12 +219,7 @@ impl<'scope, R: Send> Batch<'scope, R> {
     ///
     /// Re-raises the first (by submission order) panic of any job.
     pub fn run(self, jobs: usize) -> Vec<R> {
-        self.run_timed(jobs).0
-    }
-
-    /// Like [`Batch::run`], additionally reporting wall-clock stats.
-    pub fn run_timed(self, jobs: usize) -> (Vec<R>, BatchStats) {
-        let (outcomes, stats) = self.execute(jobs);
+        let outcomes = self.execute(jobs);
         let mut out = Vec::with_capacity(outcomes.len());
         let mut first_panic = None;
         for outcome in outcomes {
@@ -278,16 +236,15 @@ impl<'scope, R: Send> Batch<'scope, R> {
         if let Some(payload) = first_panic {
             resume_unwind(payload);
         }
-        (out, stats)
+        out
     }
 
-    /// Like [`Batch::run_timed`], but panics are *isolated*: each job's
-    /// slot holds either its result or a [`JobOutcome::Failed`] carrying
-    /// the label and stringified panic payload. Nothing is re-raised —
-    /// the caller decides how to render and whether to fail the process.
-    pub fn run_outcomes(self, jobs: usize) -> (Vec<JobOutcome<R>>, BatchStats) {
-        let (outcomes, stats) = self.execute(jobs);
-        let outcomes = outcomes
+    /// Like [`Batch::run`], but panics are *isolated*: each job's slot
+    /// holds either its result or a [`JobOutcome::Failed`] carrying the
+    /// label and stringified panic payload. Nothing is re-raised — the
+    /// caller decides how to render and whether to fail the process.
+    pub fn run_outcomes(self, jobs: usize) -> Vec<JobOutcome<R>> {
+        self.execute(jobs)
             .into_iter()
             .map(|outcome| match outcome {
                 Ok(r) => JobOutcome::Ok(r),
@@ -296,57 +253,29 @@ impl<'scope, R: Send> Batch<'scope, R> {
                     payload: panic_message(payload.as_ref()),
                 },
             })
-            .collect();
-        (outcomes, stats)
+            .collect()
     }
 
     /// Shared engine: runs every job under `catch_unwind`, keyed by
     /// submission index.
     #[allow(clippy::type_complexity)]
-    fn execute(
-        self,
-        jobs: usize,
-    ) -> (
-        Vec<Result<R, (String, Box<dyn Any + Send>)>>,
-        BatchStats,
-    ) {
+    fn execute(self, jobs: usize) -> Vec<Result<R, (String, Box<dyn Any + Send>)>> {
         let n = self.jobs.len();
-        TOTAL_JOBS.fetch_add(n as u64, Ordering::Relaxed);
         let requested = if jobs == 0 { default_jobs() } else { jobs };
         let workers = requested.min(n.max(1));
-        let start = Instant::now();
-        // Per-batch accounting: (busy sum, slowest job, queue-depth sum).
-        let accum = Mutex::new((0.0f64, 0.0f64, 0.0f64));
-        // Runs one job inside its own RNG-audit scope with timing. The
-        // queue depth is derived from the submission index (jobs still
-        // waiting behind this one), so it is identical on every schedule.
-        let run_one = |i: usize, job: Job<'scope, R>| {
-            let depth = (n - 1 - i) as f64;
+        // Runs one job inside its own RNG-audit scope, charging its wall
+        // time to the process-wide [`JobStats`].
+        let run_one = |job: Job<'scope, R>| {
             let _scope = enter_job_scope(JOB_IDS.fetch_add(1, Ordering::Relaxed));
-            // Progress registration: [`run_system`] attaches this slot's
-            // counters to the simulation, and the `--progress` heartbeat
-            // renderer watches them.
-            let progress = crate::progress::job_started(&job.label);
             let t0 = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(job.run)).map_err(|p| (job.label, p));
-            drop(progress);
-            let secs = t0.elapsed().as_secs_f64();
-            record_job(secs, depth);
-            let mut a = accum.lock().expect("batch stats lock");
-            a.0 += secs;
-            a.1 = a.1.max(secs);
-            a.2 += depth;
-            drop(a);
+            record_job(t0.elapsed().as_secs_f64());
             outcome
         };
-        let outcomes = if workers <= 1 || n <= 1 {
+        if workers <= 1 || n <= 1 {
             // Serial path: run inline on the caller's thread. This is the
             // reference behaviour the parallel path must reproduce.
-            self.jobs
-                .into_iter()
-                .enumerate()
-                .map(|(i, job)| run_one(i, job))
-                .collect::<Vec<_>>()
+            self.jobs.into_iter().map(run_one).collect()
         } else {
             // Parallel path: a shared cursor hands out job indices; each
             // result lands in its submission slot, so completion order is
@@ -367,7 +296,7 @@ impl<'scope, R: Send> Batch<'scope, R> {
                             .expect("job slot lock")
                             .take()
                             .expect("each index is claimed exactly once");
-                        *results[i].lock().expect("result slot lock") = Some(run_one(i, job));
+                        *results[i].lock().expect("result slot lock") = Some(run_one(job));
                     });
                 }
             });
@@ -379,18 +308,7 @@ impl<'scope, R: Send> Batch<'scope, R> {
                         .expect("every job ran to completion")
                 })
                 .collect()
-        };
-        let (busy_seconds, max_job_seconds, depth_sum) =
-            accum.into_inner().expect("batch stats lock");
-        let stats = BatchStats {
-            runs: n,
-            workers,
-            wall_seconds: start.elapsed().as_secs_f64(),
-            busy_seconds,
-            max_job_seconds,
-            mean_queue_depth: if n == 0 { 0.0 } else { depth_sum / n as f64 },
-        };
-        (outcomes, stats)
+        }
     }
 }
 
@@ -403,36 +321,44 @@ mod tests {
         assert!(default_jobs() >= 1);
     }
 
+    /// Every job of a batch is counted in [`job_stats`]. Other tests in
+    /// this binary run batches concurrently, so the growth is a floor.
     #[test]
     fn counter_tracks_jobs() {
-        let before = jobs_executed();
+        let before = job_stats().jobs;
         let mut batch = Batch::new();
         for i in 0..5u64 {
             batch.push(format!("j{i}"), move || i);
         }
         batch.run(2);
-        assert!(jobs_executed() >= before + 5);
+        assert!(job_stats().jobs >= before + 5);
     }
 
+    /// A panicking job is charged to [`job_stats`] like any other, and
+    /// the surviving results keep their submission slots.
     #[test]
     fn batch_stats_account_for_every_job() {
         let before = job_stats();
         let mut batch = Batch::new();
         for i in 0..6u64 {
-            batch.push(format!("j{i}"), move || i * i);
+            batch.push(format!("j{i}"), move || {
+                assert!(i != 4, "job 4 exploded");
+                i * i
+            });
         }
-        let (results, stats) = batch.run_timed(3);
-        assert_eq!(results, vec![0, 1, 4, 9, 16, 25]);
-        assert_eq!(stats.runs, 6);
-        assert_eq!(stats.workers, 3);
-        assert!(stats.busy_seconds >= 0.0);
-        assert!(stats.max_job_seconds <= stats.busy_seconds + 1e-12);
-        // Depths are 5,4,3,2,1,0 regardless of schedule → mean 2.5.
-        assert!((stats.mean_queue_depth - 2.5).abs() < 1e-12);
+        assert_eq!(batch.len(), 6);
+        let results: Vec<_> = batch
+            .run_outcomes(3)
+            .into_iter()
+            .map(JobOutcome::ok)
+            .collect();
+        assert_eq!(
+            results,
+            vec![Some(0), Some(1), Some(4), Some(9), None, Some(25)]
+        );
         let after = job_stats();
-        assert_eq!(after.jobs, before.jobs + 6);
+        assert!(after.jobs >= before.jobs + 6);
         assert!(after.busy_seconds >= before.busy_seconds);
-        assert!((after.queue_depth_sum - before.queue_depth_sum - 15.0).abs() < 1e-9);
     }
 
     /// A job that panics mid-batch becomes a `Failed` slot; every other
@@ -446,8 +372,7 @@ mod tests {
                 i * 10
             });
         }
-        let (outcomes, stats) = batch.run_outcomes(1);
-        assert_eq!(stats.runs, 6);
+        let outcomes = batch.run_outcomes(1);
         assert_eq!(outcomes.len(), 6);
         for (i, outcome) in outcomes.iter().enumerate() {
             if i == 2 {
@@ -478,8 +403,8 @@ mod tests {
             }
             batch
         };
-        let (serial, _) = build().run_outcomes(1);
-        let (parallel, _) = build().run_outcomes(4);
+        let serial = build().run_outcomes(1);
+        let parallel = build().run_outcomes(4);
         assert_eq!(serial, parallel);
         assert_eq!(serial.iter().filter(|o| o.is_failed()).count(), 3);
     }

@@ -66,13 +66,44 @@ fn regress_gate_passes_clean_and_fails_on_injected_drift() {
 
 #[test]
 fn unknown_flags_are_rejected_by_name() {
-    let out = repro(&["e3", "--quick", "--ledger"]);
+    for flag in ["--ledger", "--progress"] {
+        let out = repro(&["e3", "--quick", flag]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "unknown flag {flag} must exit 2: {out:?}"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("'{flag}'")),
+            "flag not named:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "ran anyway:\n{}", stdout_of(&out));
+    }
+}
+
+#[test]
+fn unknown_experiment_ids_are_rejected_by_name() {
+    // Its own empty directory, so "wrote nothing" is checkable: other
+    // tests leave `BENCH_repro.json` in the shared tmpdir.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("unknown_experiment_id");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    let out = repro_cmd(&["e99", "--quick"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
     assert_eq!(
         out.status.code(),
         Some(2),
-        "unknown flag must exit 2: {out:?}"
+        "unknown id must exit 2: {out:?}"
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("'--ledger'"), "flag not named:\n{stderr}");
+    assert!(stderr.contains("'e99'"), "id not named:\n{stderr}");
     assert!(out.stdout.is_empty(), "ran anyway:\n{}", stdout_of(&out));
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read test dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .collect();
+    assert!(left.is_empty(), "wrote files: {left:?}");
 }

@@ -19,12 +19,10 @@ use manytest_sbst::{
 use manytest_sim::{
     emit_record, AbortReason, CauseKind, CauseLink, CoreState, Epoch, EventId, EventLog,
     EventQueue, HealthCode, NullObserver, NullPhaseObserver, Observer, Phase, PhaseObserver,
-    PhaseProfile, ProgressCounters, SimEvent, SimRng, SimTime, StateRecorder, StateSnapshot,
-    Trace,
+    PhaseProfile, SimEvent, SimRng, SimTime, StateRecorder, StateSnapshot, Trace,
 };
 use manytest_workload::{AppId, Application, ArrivalProcess, TaskId, WorkloadMix};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 /// Manifestation probability of an intermittent fault on any single
 /// observation (solid faults re-fire with probability 1).
@@ -441,9 +439,6 @@ pub struct System {
     /// Probation rounds currently holding a lane-budget slot.
     probes_inflight: u32,
     phase_obs: Box<dyn PhaseObserver>,
-    /// Live progress counters published once per control epoch (never
-    /// read by the simulation — pure telemetry out).
-    progress: Option<Arc<ProgressCounters>>,
     profile: PhaseProfile,
     recorder: Option<StateRecorder>,
     // Scratch buffers for the epoch control loop: rebuilt in place every
@@ -616,7 +611,6 @@ impl System {
             probe_gen: vec![0; n],
             probes_inflight: 0,
             phase_obs: Box::new(NullPhaseObserver),
-            progress: None,
             profile: PhaseProfile::default(),
             recorder: config
                 .state_snapshot_max
@@ -653,16 +647,6 @@ impl System {
     /// a job, which stays off the (deterministic) report.
     pub fn set_phase_observer(&mut self, observer: Box<dyn PhaseObserver>) {
         self.phase_obs = observer;
-    }
-
-    /// Installs shared live-progress counters. [`System::run`] publishes
-    /// deterministic epoch/event counts into them once per control epoch
-    /// (and a final update at finalize); the simulation never reads them
-    /// back, so attaching counters cannot change any result. The bench
-    /// harness pairs the counters with its own wall clock to render
-    /// heartbeat frames and detect stalls.
-    pub fn set_progress(&mut self, progress: Arc<ProgressCounters>) {
-        self.progress = Some(progress);
     }
 
     /// Emits one *root* telemetry event (no cause link) through the
@@ -708,9 +692,6 @@ impl System {
         let first_gap = self.arrivals.next_interarrival(&mut self.rng_workload);
         self.queue.schedule(SimTime::ZERO + first_gap, Ev::Arrival);
         let epochs = self.config.epoch_count();
-        if let Some(p) = &self.progress {
-            p.begin(epochs);
-        }
         // Completions cluster at shared timestamps (synchronised task
         // graphs, epoch-aligned launches); draining each cluster in one
         // heap pass skips the per-event sift-down of the old
@@ -735,9 +716,6 @@ impl System {
             self.phase_obs.enter(Phase::Thermal);
             self.close_epoch(t1.as_secs_f64());
             self.phase_obs.exit(Phase::Thermal);
-            if let Some(p) = &self.progress {
-                p.tick(e + 1, self.next_event_id, self.observer.dropped_records());
-            }
         }
         self.finalize()
     }
@@ -2250,9 +2228,6 @@ impl System {
     // ----- report ----------------------------------------------------------
 
     fn finalize(mut self) -> Report {
-        if let Some(p) = &self.progress {
-            p.finish(self.observer.dropped_records());
-        }
         let events = self.observer.take_log().unwrap_or_default();
         let sim_seconds = self.meter.total_seconds();
         let n = self.store.len();

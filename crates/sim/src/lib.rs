@@ -53,8 +53,8 @@ pub use engine::{Event, EventQueue};
 pub use obs::{
     emit_record, jsonl_kind_counts, write_json_str, AbortReason, CauseKind, CauseLink, CoreState,
     CounterRegistry, EventId, EventLog, EventRecord, HealthCode, JsonlWriter, NullObserver,
-    NullPhaseObserver, Observer, Phase, PhaseObserver, PhaseProfile, ProgressCounters,
-    ProgressSnapshot, SimEvent, StateRecorder, StateSnapshot, StateTimeline,
+    NullPhaseObserver, Observer, Phase, PhaseObserver, PhaseProfile, SimEvent, StateRecorder,
+    StateSnapshot, StateTimeline,
 };
 pub use provenance::{ChainSummary, ProvenanceGraph};
 pub use rng::{enter_job_scope, JobScopeGuard, SimRng};
@@ -68,8 +68,8 @@ pub mod prelude {
     pub use crate::obs::{
         emit_record, jsonl_kind_counts, write_json_str, AbortReason, CauseKind, CauseLink,
         CoreState, CounterRegistry, EventId, EventLog, EventRecord, HealthCode, JsonlWriter,
-        NullObserver, NullPhaseObserver, Observer, Phase, PhaseObserver, PhaseProfile,
-        ProgressCounters, ProgressSnapshot, SimEvent, StateRecorder, StateSnapshot, StateTimeline,
+        NullObserver, NullPhaseObserver, Observer, Phase, PhaseObserver, PhaseProfile, SimEvent,
+        StateRecorder, StateSnapshot, StateTimeline,
     };
     pub use crate::provenance::{ChainSummary, ProvenanceGraph};
     pub use crate::rng::{enter_job_scope, JobScopeGuard, SimRng};

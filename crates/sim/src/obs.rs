@@ -25,7 +25,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why an SBST session was torn down before completing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -734,8 +733,8 @@ pub fn emit_record(
 
 /// A decision-event sink. The control loop calls [`Observer::on_event`]
 /// once per decision with the full provenance envelope (id, time, cause
-/// link, payload); the default implementation of every other method is
-/// a no-op so trivial sinks stay trivial.
+/// link, payload); [`Observer::take_log`] defaults to `None`, so a
+/// trivial sink implements `on_event` alone.
 pub trait Observer {
     /// Receives one emitted event record.
     fn on_event(&mut self, rec: &EventRecord);
@@ -744,13 +743,6 @@ pub trait Observer {
     /// (called once, when a run finalizes its report).
     fn take_log(&mut self) -> Option<EventLog> {
         None
-    }
-
-    /// Records dropped so far by a saturated bounded sink (0 for
-    /// unbounded or non-accumulating observers). Polled once per epoch
-    /// to feed live [`ProgressCounters`] saturation telemetry.
-    fn dropped_records(&self) -> u64 {
-        0
     }
 }
 
@@ -983,10 +975,6 @@ impl Observer for EventLog {
 
     fn take_log(&mut self) -> Option<EventLog> {
         Some(std::mem::take(self))
-    }
-
-    fn dropped_records(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -1671,87 +1659,6 @@ impl PhaseProfile {
     #[inline]
     pub fn raise(slot: &mut u64, depth: usize) {
         *slot = (*slot).max(depth as u64);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Live progress counters: deterministic epoch/event counters a running
-// simulation publishes for out-of-band heartbeat rendering.
-// ---------------------------------------------------------------------------
-
-/// Lock-free progress counters a running [`System`] publishes once per
-/// control epoch (installed via `System::set_progress`). The counters
-/// carry only *deterministic* quantities — epoch and event counts, never
-/// wall-clock — so attaching them cannot perturb a run; the bench-side
-/// heartbeat renderer pairs them with its own wall clock to compute
-/// percent/ETA and to flag stalls. All accesses are `Relaxed`: the
-/// reader only ever renders a recent-enough snapshot.
-///
-/// [`System`]: https://docs.rs/ — `manytest_core::System`
-#[derive(Debug, Default)]
-pub struct ProgressCounters {
-    /// Control epochs the run will execute (0 until the run starts).
-    pub epochs_total: AtomicU64,
-    /// Control epochs closed so far.
-    pub epochs_done: AtomicU64,
-    /// Telemetry events emitted so far (ids minted, stored or not).
-    pub events_emitted: AtomicU64,
-    /// Event records dropped so far by a saturated bounded [`EventLog`].
-    pub events_dropped: AtomicU64,
-    /// 1 once the run finalized its report.
-    pub finished: AtomicU64,
-}
-
-/// One coherent-enough reading of a [`ProgressCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProgressSnapshot {
-    /// Control epochs the run will execute.
-    pub epochs_total: u64,
-    /// Control epochs closed so far.
-    pub epochs_done: u64,
-    /// Telemetry events emitted so far.
-    pub events_emitted: u64,
-    /// Event records dropped by a saturated bounded log.
-    pub events_dropped: u64,
-    /// Whether the run finalized.
-    pub finished: bool,
-}
-
-impl ProgressCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the run as started with `total` control epochs ahead.
-    pub fn begin(&self, total: u64) {
-        self.epochs_total.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes one epoch close: epochs done, events emitted and events
-    /// dropped so far.
-    pub fn tick(&self, done: u64, emitted: u64, dropped: u64) {
-        self.epochs_done.store(done, Ordering::Relaxed);
-        self.events_emitted.store(emitted, Ordering::Relaxed);
-        self.events_dropped.store(dropped, Ordering::Relaxed);
-    }
-
-    /// Marks the run finished, recording the final dropped-record count.
-    pub fn finish(&self, dropped: u64) {
-        self.events_dropped.store(dropped, Ordering::Relaxed);
-        self.finished.store(1, Ordering::Relaxed);
-    }
-
-    /// Reads all counters (each individually `Relaxed`; the combination
-    /// may mix adjacent epochs, which heartbeat rendering tolerates).
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        ProgressSnapshot {
-            epochs_total: self.epochs_total.load(Ordering::Relaxed),
-            epochs_done: self.epochs_done.load(Ordering::Relaxed),
-            events_emitted: self.events_emitted.load(Ordering::Relaxed),
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
-            finished: self.finished.load(Ordering::Relaxed) != 0,
-        }
     }
 }
 
