@@ -88,6 +88,22 @@ impl CriticalityModel {
         self.stress_weight * stress_term + self.time_weight * time_term
     }
 
+    /// An upper bound on how much any core's criticality can grow over
+    /// `dt` seconds during which its `damage_since_test` grows by at most
+    /// `damage`.
+    ///
+    /// The staleness term grows by exactly `time_weight·dt/target_period`
+    /// on every core, tested or not, and the stress term by at most
+    /// `damage`'s share of it. NBTI recovery and a completed test only
+    /// lower criticality, so neither can break the bound. This is what
+    /// lets the test scheduler predict, for a core below its threshold,
+    /// the earliest time the core can reach it.
+    pub fn rise_bound(&self, dt: f64, damage: f64) -> f64 {
+        let reference_damage_per_period = self.reference_wear_rate * self.target_period;
+        self.stress_weight * (damage / reference_damage_per_period)
+            + self.time_weight * (dt / self.target_period)
+    }
+
     /// True if the core is overdue: criticality exceeds `threshold`.
     pub fn is_overdue(&self, stress: &CoreStress, now: f64, threshold: f64) -> bool {
         self.criticality(stress, now) >= threshold
@@ -177,6 +193,28 @@ mod tests {
         let m = CriticalityModel::new(0.0, 1.0, 1.0, 1.0);
         let never = CoreStress::default();
         assert_eq!(m.criticality(&never, 7.0), 7.0);
+    }
+
+    #[test]
+    fn rise_bound_covers_staleness_and_wear() {
+        let m = CriticalityModel::default();
+        let dt = 0.001;
+        let damage = 0.002;
+        let mut s = stressed(0.3, 0.05);
+        for step in 1..=50 {
+            let now = 0.1 + step as f64 * dt;
+            let before = m.criticality(&s, now - dt);
+            s.damage_since_test += damage * (step % 3) as f64 / 2.0;
+            let rise = m.criticality(&s, now) - before;
+            assert!(
+                rise <= m.rise_bound(dt, damage) * (1.0 + 1e-9),
+                "step {step}"
+            );
+        }
+        // A never-tested idle core rises by exactly the staleness slope.
+        let never = CoreStress::default();
+        let rise = m.criticality(&never, 0.5 + dt) - m.criticality(&never, 0.5);
+        assert!((rise - m.rise_bound(dt, 0.0)).abs() < 1e-12);
     }
 
     #[test]

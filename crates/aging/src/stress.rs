@@ -126,6 +126,13 @@ impl StressTracker {
     /// power: the pass evaluates [`AgingModel::damage`] (one `exp`) only
     /// when a core's power bits differ from the previous evaluation's.
     ///
+    /// Returns the largest damage charged to any core, before NBTI
+    /// recovery: no core's `damage_since_test` grew by more this epoch.
+    /// Damage rises with power, so it is evaluated once more, at the
+    /// highest power the memo evaluated (a hit repeats the previous
+    /// power). A running maximum of the damages themselves slowed the
+    /// per-core loop measurably.
+    ///
     /// # Panics
     ///
     /// Panics if a slice's length differs from the core count, or if a
@@ -136,10 +143,10 @@ impl StressTracker {
         energy: &mut [f64],
         busy: &mut [f64],
         dt: f64,
-    ) {
+    ) -> f64 {
         assert_eq!(energy.len(), self.cores.len(), "one energy per core");
         assert_eq!(busy.len(), self.cores.len(), "one busy time per core");
-        let mut memo = LastEval::default();
+        let mut memo = LastEval::new();
         for ((c, e), b) in self.cores.iter_mut().zip(energy).zip(busy) {
             let busy = (*b / dt).clamp(0.0, 1.0);
             let power = *e / dt;
@@ -149,6 +156,7 @@ impl StressTracker {
             *b = 0.0;
             *e = 0.0;
         }
+        aging.damage(memo.max_input, dt)
     }
 
     /// Charges one epoch's `damage` to `c` and folds `busy` into its
@@ -204,7 +212,9 @@ impl StressTracker {
     /// [`Self::record_epoch_all`] for the transient thermal path: core
     /// `i` sat at `temps[i]` kelvin. Bit for bit the same as calling
     /// [`Self::record_epoch_at_temperature`] in core order, with one
-    /// Arrhenius evaluation per change of temperature bits.
+    /// Arrhenius evaluation per change of temperature bits. Returns the
+    /// largest damage charged to any core, as [`Self::record_epoch_all`]
+    /// does: the damage at the highest temperature.
     ///
     /// # Panics
     ///
@@ -217,13 +227,13 @@ impl StressTracker {
         energy: &mut [f64],
         busy: &mut [f64],
         dt: f64,
-    ) {
+    ) -> f64 {
         assert_eq!(temps.len(), self.cores.len(), "one temperature per core");
         assert_eq!(energy.len(), self.cores.len(), "one energy per core");
         assert_eq!(busy.len(), self.cores.len(), "one busy time per core");
         assert!(dt >= 0.0, "time must be non-negative");
         let arrhenius = aging.arrhenius();
-        let mut memo = LastEval::default();
+        let mut memo = LastEval::new();
         let cores = self.cores.iter_mut().zip(temps).zip(energy).zip(busy);
         for (((c, &temperature), e), b) in cores {
             let busy = (*b / dt).clamp(0.0, 1.0);
@@ -235,6 +245,7 @@ impl StressTracker {
             *b = 0.0;
             *e = 0.0;
         }
+        aging.base_rate * arrhenius.at(memo.max_input) * dt
     }
 
     /// Marks a completed test on `core` at time `now` (seconds): the
@@ -302,17 +313,29 @@ fn idle_power_proxy(busy: f64) -> f64 {
 /// One-entry memo of a pure `f64 → f64` function, keyed by the input's
 /// exact bits. It starts empty, so no sentinel input can match, and it
 /// only ever holds inputs the function accepted: an input the function
-/// rejects (a negative or NaN power) always reaches it and panics.
-#[derive(Default)]
-struct LastEval(Option<(u64, f64)>);
+/// rejects (a negative or NaN power) always reaches it and panics. It
+/// also keeps the largest input it evaluated, which only a miss can
+/// raise.
+struct LastEval {
+    last: Option<(u64, f64)>,
+    max_input: f64,
+}
 
 impl LastEval {
+    fn new() -> Self {
+        LastEval {
+            last: None,
+            max_input: f64::NEG_INFINITY,
+        }
+    }
+
     fn get_or_eval(&mut self, x: f64, f: impl FnOnce(f64) -> f64) -> f64 {
-        match self.0 {
+        match self.last {
             Some((bits, y)) if bits == x.to_bits() => y,
             _ => {
                 let y = f(x);
-                self.0 = Some((x.to_bits(), y));
+                self.last = Some((x.to_bits(), y));
+                self.max_input = self.max_input.max(x);
                 y
             }
         }
@@ -515,12 +538,15 @@ mod tests {
                 let mut slow = fast.clone();
                 for epoch in 0..20 {
                     let (mut energy, mut busy) = random_epoch(&mut rng, n);
+                    let mut largest = 0.0f64;
                     for core in 0..n {
                         let b = (busy[core] / DT).clamp(0.0, 1.0);
                         slow.record_epoch(core, &aging, energy[core] / DT, b, DT);
+                        largest = largest.max(aging.damage(energy[core] / DT, DT));
                     }
-                    fast.record_epoch_all(&aging, &mut energy, &mut busy, DT);
+                    let max = fast.record_epoch_all(&aging, &mut energy, &mut busy, DT);
                     assert_eq!(state_bits(&fast), state_bits(&slow), "n {n}, epoch {epoch}");
+                    assert_eq!(max.to_bits(), largest.to_bits(), "n {n}, epoch {epoch}");
                     assert!(energy.iter().chain(&busy).all(|v| v.to_bits() == 0));
                     if epoch % 7 == 3 {
                         let core = rng.gen_range(n as u64) as usize;
@@ -548,11 +574,14 @@ mod tests {
                             _ => rng.gen_f64_range(300.0, 400.0),
                         })
                         .collect();
+                    let mut largest = 0.0f64;
                     for core in 0..n {
                         let b = (busy[core] / DT).clamp(0.0, 1.0);
                         slow.record_epoch_at_temperature(core, &aging, temps[core], b, DT);
+                        let damage = aging.base_rate * aging.acceleration_at(temps[core]) * DT;
+                        largest = largest.max(damage);
                     }
-                    fast.record_epoch_all_at_temperature(
+                    let max = fast.record_epoch_all_at_temperature(
                         &aging,
                         &temps,
                         &mut energy,
@@ -560,6 +589,7 @@ mod tests {
                         DT,
                     );
                     assert_eq!(state_bits(&fast), state_bits(&slow), "n {n}, epoch {epoch}");
+                    assert_eq!(max.to_bits(), largest.to_bits(), "n {n}, epoch {epoch}");
                     assert!(energy.iter().chain(&busy).all(|v| v.to_bits() == 0));
                 }
             }

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Error returned by [`crate::system::SystemBuilder::build`] when the
 /// configuration is inconsistent.
-// Not `Eq`: `InvalidFaultFraction` carries the rejected f64.
+// Not `Eq`: two variants carry the rejected f64.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
     /// The epoch length is zero.
@@ -29,6 +29,16 @@ pub enum BuildError {
     /// Faults were requested but the horizon is zero, so no injection
     /// time exists (faults spread over the first half of the run).
     FaultsNeedHorizon,
+    /// A criticality-metric or test-scheduler setting is NaN, infinite
+    /// or out of range.
+    InvalidSchedulerSetting {
+        /// The offending configuration field.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+        /// What the field must satisfy.
+        requirement: &'static str,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -50,6 +60,11 @@ impl fmt::Display for BuildError {
             BuildError::FaultsNeedHorizon => {
                 write!(f, "fault injection needs a positive horizon to place faults in")
             }
+            BuildError::InvalidSchedulerSetting {
+                field,
+                value,
+                requirement,
+            } => write!(f, "{field} must be {requirement}, got {value}"),
         }
     }
 }
@@ -74,6 +89,11 @@ mod tests {
                 value: f64::NAN,
             },
             BuildError::FaultsNeedHorizon,
+            BuildError::InvalidSchedulerSetting {
+                field: "test_scheduler.ipc",
+                value: 0.0,
+                requirement: "finite and positive",
+            },
         ] {
             let s = e.to_string();
             assert!(!s.is_empty());

@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+mod calendar;
 pub mod config;
 pub mod error;
 pub mod exec;

@@ -1,5 +1,6 @@
 //! The integrated system: builder, epoch loop and event handlers.
 
+use crate::calendar::WakeCalendar;
 use crate::config::{FaultResponsePolicy, GovernorKind, MapperKind, SystemConfig};
 use crate::error::BuildError;
 use crate::exec::{CoreMode, RunningApp, TaskState};
@@ -441,6 +442,9 @@ pub struct System {
     phase_obs: Box<dyn PhaseObserver>,
     profile: PhaseProfile,
     recorder: Option<StateRecorder>,
+    /// When each core can next reach the test threshold; the schedule
+    /// phase evaluates only the cores that are due.
+    calendar: WakeCalendar,
     // Scratch buffers for the epoch control loop: rebuilt in place every
     // tick so the steady-state hot path never touches the heap.
     ctx_scratch: MapContext,
@@ -490,6 +494,40 @@ impl System {
         }
         if config.dvfs_levels < 2 {
             return Err(BuildError::TooFewDvfsLevels);
+        }
+        // The criticality metric must stay finite and non-negative: the
+        // mapper asserts that, the ranking panics on NaN, and the wake-up
+        // calendar's bound assumes it.
+        let crit = config.criticality;
+        let sched = config.test_scheduler;
+        for (field, value, positive) in [
+            ("criticality.stress_weight", crit.stress_weight, false),
+            ("criticality.time_weight", crit.time_weight, false),
+            ("criticality.target_period", crit.target_period, true),
+            ("criticality.reference_wear_rate", crit.reference_wear_rate, true),
+            ("test_scheduler.ipc", sched.ipc, true),
+        ] {
+            let in_range = if positive { value > 0.0 } else { value >= 0.0 };
+            if !(value.is_finite() && in_range) {
+                let requirement =
+                    if positive { "finite and positive" } else { "finite and non-negative" };
+                return Err(BuildError::InvalidSchedulerSetting { field, value, requirement });
+            }
+        }
+        if !sched.criticality_threshold.is_finite() {
+            return Err(BuildError::InvalidSchedulerSetting {
+                field: "test_scheduler.criticality_threshold",
+                value: sched.criticality_threshold,
+                requirement: "finite",
+            });
+        }
+        let outside_ladder = |&level: &u8| usize::from(level) >= config.dvfs_levels;
+        if let Some(level) = sched.fixed_level.filter(outside_ladder) {
+            return Err(BuildError::InvalidSchedulerSetting {
+                field: "test_scheduler.fixed_level",
+                value: f64::from(level),
+                requirement: "below dvfs_levels",
+            });
         }
         if mix.is_empty() {
             return Err(BuildError::EmptyWorkloadMix);
@@ -615,6 +653,11 @@ impl System {
             recorder: config
                 .state_snapshot_max
                 .map(|cap| StateRecorder::with_capacity(cap.max(2))),
+            calendar: WakeCalendar::new(
+                config.criticality,
+                config.test_scheduler.criticality_threshold,
+                config.epoch.as_secs_f64(),
+            ),
             ctx_scratch: MapContext::all_free(mesh),
             candidates_scratch: Vec::with_capacity(n),
             retests_scratch: Vec::with_capacity(n),
@@ -1033,31 +1076,32 @@ impl System {
         // exempt from the criticality threshold, served first.
         let mut retests = std::mem::take(&mut self.retests_scratch);
         retests.clear();
-        // One walk over the maintained test-candidate bitset replaces the
-        // two full-array filter scans; set bits come out in ascending
-        // core order, so both vectors are built in the exact order the
-        // old scans produced. A core is healthy or suspect, never both,
-        // so a single visit can feed both lanes. Criticality is
-        // time-dependent (it grows with time-since-last-test), so the
-        // *values* are recomputed for each candidate each tick — only the
-        // candidate *set* is maintained incrementally.
+        // One walk over the testable cores the wake-up calendar has due,
+        // in ascending core order. A healthy core below the threshold
+        // can never launch or be denied, so only the cores at or above it
+        // become candidates, and the ranking sees exactly the full
+        // scan's list. Non-healthy cores never leave the due set, so the
+        // retest lane is the full scan's too.
         let mut scanned = 0u64;
+        self.calendar.ensure_len(self.store.len());
         for (w, &word) in self.store.testable_words().iter().enumerate() {
-            let mut bits = word;
+            let mut bits = if word == 0 { 0 } else { word & self.calendar.due_word(w) };
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 scanned += 1;
                 if self.health.is_healthy(i) {
-                    candidates.push(TestCandidate {
-                        core: i,
-                        criticality: self.criticality.criticality(self.stress.core(i), now),
-                    });
+                    let criticality = self.criticality.criticality(self.stress.core(i), now);
+                    if self.calendar.offer(i, criticality) {
+                        candidates.push(TestCandidate { core: i, criticality });
+                    }
                 } else if let Some(level) = self.health.suspect_level(i) {
                     retests.push(RetestRequest { core: i, level });
                 }
             }
         }
+        #[cfg(test)]
+        self.assert_matches_full_scan(now, &candidates, &retests);
         self.profile.candidates_scanned += scanned;
         self.profile.sched_calls += 1;
         self.profile.retests_planned += retests.len() as u64;
@@ -1391,7 +1435,7 @@ impl System {
         self.scheduler
             .on_session_complete(core, session.routine(), session.level());
         self.stress.note_test_complete(core, now);
-        let routine = self.scheduler.library().routine(session.routine()).clone();
+        let routine = self.scheduler.library().routine(session.routine());
         let respond = !matches!(self.config.fault_response, FaultResponsePolicy::Ignore);
         let is_retest = respond && self.health.is_suspect(core);
         // Id of a FaultDetected emitted by this completion, if any: the
@@ -1406,7 +1450,7 @@ impl System {
             // compares failure signatures, which a spurious pass/fail
             // flip cannot fake twice.
             self.faults
-                .confirm(core, &routine, session.level(), now, &mut self.rng_faults)
+                .confirm(core, routine, session.level(), now, &mut self.rng_faults)
         } else {
             let detected = {
                 let obs = self.observer.as_mut();
@@ -1415,7 +1459,7 @@ impl System {
                 let detect_slot = &mut detect_id;
                 self.faults.on_test_complete_with(
                     core,
-                    &routine,
+                    routine,
                     session.level(),
                     now,
                     &mut self.rng_faults,
@@ -2149,23 +2193,25 @@ impl System {
             powers.extend(self.epoch_energy.iter().map(|&e| e / epoch_secs));
             grid.step(powers, epoch_secs);
             self.profile.thermal_steps += 1;
-            self.stress.record_epoch_all_at_temperature(
+            let max_damage = self.stress.record_epoch_all_at_temperature(
                 &self.aging,
                 grid.temperatures(),
                 &mut self.epoch_energy,
                 &mut self.epoch_busy,
                 epoch_secs,
             );
+            self.calendar.close_epoch(max_damage);
             self.trace
                 .series_mut("max_temp_k")
                 .push(t1, grid.max_temperature());
         } else {
-            self.stress.record_epoch_all(
+            let max_damage = self.stress.record_epoch_all(
                 &self.aging,
                 &mut self.epoch_energy,
                 &mut self.epoch_busy,
                 epoch_secs,
             );
+            self.calendar.close_epoch(max_damage);
         }
         self.trace
             .series_mut("mean_utilization")
@@ -2314,6 +2360,40 @@ mod tests {
         SystemBuilder::new(node).seed(11).sim_time_ms(160).arrival_rate(200.0)
     }
 
+    impl System {
+        /// The oracle for the wake-up calendar: the schedule walk as it
+        /// was before it, which evaluates every testable core every
+        /// epoch. In unit-test builds every schedule call checks that
+        /// the calendar produced the same ranked candidates (cores,
+        /// criticality bits and order) and the same retests.
+        pub(super) fn assert_matches_full_scan(
+            &self,
+            now: f64,
+            candidates: &[TestCandidate],
+            retests: &[RetestRequest],
+        ) {
+            let threshold = self.scheduler.config().criticality_threshold;
+            let mut full = Vec::new();
+            let mut full_retests = Vec::new();
+            self.store.for_each_testable(|i| {
+                if self.health.is_healthy(i) {
+                    let criticality = self.criticality.criticality(self.stress.core(i), now);
+                    if criticality >= threshold {
+                        full.push((i, criticality.to_bits()));
+                    }
+                } else if let Some(level) = self.health.suspect_level(i) {
+                    full_retests.push(RetestRequest { core: i, level });
+                }
+            });
+            let walked: Vec<_> = candidates
+                .iter()
+                .map(|c| (c.core, c.criticality.to_bits()))
+                .collect();
+            assert_eq!(walked, full, "ranked candidates at t = {now}");
+            assert_eq!(retests, full_retests, "retests at t = {now}");
+        }
+    }
+
     #[test]
     fn run_produces_activity() {
         let r = quick(TechNode::N16).build().unwrap().run();
@@ -2430,6 +2510,75 @@ mod tests {
             SystemBuilder::from_config(cfg).build().err(),
             Some(BuildError::FaultsNeedHorizon)
         );
+    }
+
+    /// Builds the default config after `mutate`; the build must fail
+    /// with the scheduler-setting error naming `field`.
+    fn assert_rejects(mutate: impl FnOnce(&mut SystemConfig), field: &str) {
+        let mut cfg = SystemConfig::for_node(TechNode::N16);
+        mutate(&mut cfg);
+        match SystemBuilder::from_config(cfg).build().err() {
+            Some(BuildError::InvalidSchedulerSetting { field: f, .. }) => assert_eq!(f, field),
+            other => panic!("expected InvalidSchedulerSetting for {field}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn negative_stress_weight_is_rejected() {
+        assert_rejects(|c| c.criticality.stress_weight = -0.1, "criticality.stress_weight");
+    }
+
+    #[test]
+    fn nan_time_weight_is_rejected() {
+        assert_rejects(|c| c.criticality.time_weight = f64::NAN, "criticality.time_weight");
+    }
+
+    #[test]
+    fn zero_target_period_is_rejected() {
+        assert_rejects(|c| c.criticality.target_period = 0.0, "criticality.target_period");
+    }
+
+    #[test]
+    fn infinite_reference_wear_rate_is_rejected() {
+        assert_rejects(
+            |c| c.criticality.reference_wear_rate = f64::INFINITY,
+            "criticality.reference_wear_rate",
+        );
+    }
+
+    #[test]
+    fn nan_criticality_threshold_is_rejected() {
+        assert_rejects(
+            |c| c.test_scheduler.criticality_threshold = f64::NAN,
+            "test_scheduler.criticality_threshold",
+        );
+    }
+
+    #[test]
+    fn zero_ipc_is_rejected() {
+        assert_rejects(|c| c.test_scheduler.ipc = 0.0, "test_scheduler.ipc");
+    }
+
+    #[test]
+    fn fixed_level_outside_the_ladder_is_rejected() {
+        assert_rejects(|c| c.test_scheduler.fixed_level = Some(9), "test_scheduler.fixed_level");
+        assert_rejects(
+            |c| c.test_scheduler.fixed_level = Some(c.dvfs_levels as u8),
+            "test_scheduler.fixed_level",
+        );
+    }
+
+    #[test]
+    fn boundary_scheduler_settings_stay_valid() {
+        // A2's single-term weights, a zero threshold and the top level.
+        for (w_stress, w_time) in [(1.0, 0.0), (0.0, 1.0)] {
+            let model = CriticalityModel::new(w_stress, w_time, 0.1, 1.0);
+            assert!(quick(TechNode::N16).criticality(model).build().is_ok());
+        }
+        let mut cfg = SystemConfig::for_node(TechNode::N16);
+        cfg.test_scheduler.criticality_threshold = 0.0;
+        cfg.test_scheduler.fixed_level = Some(cfg.dvfs_levels as u8 - 1);
+        assert!(SystemBuilder::from_config(cfg).build().is_ok());
     }
 
     #[test]
@@ -3050,5 +3199,97 @@ mod tests {
             .unwrap()
             .run();
         assert_eq!(r.apps_checkpointed, 0, "only MigrateRegion replays checkpoints");
+    }
+
+    // ----- wake-up calendar ------------------------------------------------
+
+    /// Whole runs across the configurations that move criticality in
+    /// different ways. Every schedule call of every run checks the
+    /// calendar against the full scan (`assert_matches_full_scan`); the
+    /// totals below make sure the runs reach the lanes that matter.
+    #[test]
+    fn wake_calendar_matches_the_full_scan() {
+        use manytest_aging::RecoveryParams;
+        use manytest_sbst::TestSchedulerConfig;
+        type Scenario = fn(SystemBuilder) -> SystemBuilder;
+        let scenarios: [(&str, Scenario); 12] = [
+            ("steady", |b| b),
+            ("transient", |b| b.transient_thermal(true).arrival_rate(2_000.0)),
+            ("stress-only", |b| b.criticality(CriticalityModel::new(1.0, 0.0, 0.1, 1.0))),
+            ("time-only", |b| b.criticality(CriticalityModel::new(0.0, 1.0, 0.1, 1.0))),
+            ("nbti", |b| {
+                b.aging(AgingModel::default().with_recovery(RecoveryParams::default()))
+            }),
+            ("faults", |b| {
+                b.injected_faults(8).intermittent_faults(0.5).test_false_positives(0.05)
+            }),
+            ("lifecycle", |b| {
+                b.injected_faults(8)
+                    .intermittent_faults(1.0)
+                    .intermittent_cooldown(0.25)
+                    .fault_response(FaultResponsePolicy::MigrateRegion)
+                    .probe_cadence_us(3_000)
+            }),
+            ("fixed level", |b| {
+                b.test_scheduler(TestSchedulerConfig {
+                    fixed_level: Some(2),
+                    ..TestSchedulerConfig::default()
+                })
+            }),
+            ("threshold 0", |b| {
+                b.test_scheduler(TestSchedulerConfig {
+                    criticality_threshold: 0.0,
+                    ..TestSchedulerConfig::default()
+                })
+            }),
+            ("high threshold", |b| {
+                b.test_scheduler(TestSchedulerConfig {
+                    criticality_threshold: 1.5,
+                    ..TestSchedulerConfig::default()
+                })
+            }),
+            ("launch cap 1", |b| {
+                b.test_scheduler(TestSchedulerConfig {
+                    max_launches_per_epoch: 1,
+                    ..TestSchedulerConfig::default()
+                })
+            }),
+            ("denials", |b| b.arrival_rate(6_000.0).governor(GovernorKind::Naive)),
+        ];
+        let mut rng = SimRng::seed_from(1717);
+        let (mut denials, mut retests, mut probes, mut launches) = (0, 0, 0, 0);
+        for (name, scenario) in scenarios {
+            for _ in 0..2 {
+                let edge = *rng.choose(&[4u16, 6, 8, 12, 16]).expect("non-empty");
+                let builder = SystemBuilder::new(TechNode::N16)
+                    .seed(rng.next_u64())
+                    .mesh_edge(edge)
+                    .sim_time_ms(160 + rng.gen_range(240))
+                    .arrival_rate(rng.gen_f64_range(100.0, 3_000.0));
+                let r = scenario(builder).build().expect("valid config").run();
+                assert!(r.tests_completed > 0 || name == "high threshold", "{name}, edge {edge}");
+                denials += r.tests_denied_power;
+                retests += r.confirmation_retests;
+                probes += r.probes_launched;
+                launches += r.profile.sched_launches;
+            }
+        }
+        // The largest mesh, short: steady and transient.
+        for transient in [false, true] {
+            let r = SystemBuilder::new(TechNode::N16)
+                .seed(rng.next_u64())
+                .mesh_edge(64)
+                .sim_time_ms(150)
+                .arrival_rate(50.0)
+                .transient_thermal(transient)
+                .build()
+                .expect("valid config")
+                .run();
+            launches += r.profile.sched_launches;
+        }
+        assert!(denials > 0, "some run must be denied power");
+        assert!(retests > 0, "some run must confirm a suspicion");
+        assert!(probes > 0, "some run must probe a quarantined core");
+        assert!(launches > 0);
     }
 }

@@ -1594,7 +1594,8 @@ pub struct PhaseProfile {
     pub pending_high_water: u64,
     /// Largest running-application table.
     pub running_high_water: u64,
-    /// Largest scheduler candidate scratch.
+    /// Largest ranked-candidate list handed to the scheduler: the healthy
+    /// testable cores at or above the criticality threshold in one call.
     pub candidates_high_water: u64,
     /// Largest per-epoch launch plan.
     pub launches_high_water: u64,
@@ -1607,8 +1608,10 @@ pub struct PhaseProfile {
     /// In-place mapper-snapshot patches applied between admissions of
     /// one tick instead of full rebuilds.
     pub ctx_delta_updates: u64,
-    /// Test-candidate bitset bits visited by scheduling passes (the
-    /// replacement for the two full-array candidate/retest scans).
+    /// Testable cores the scheduling passes visited: the cores the
+    /// wake-up calendar had due, each a criticality evaluation or a
+    /// retest-lane check. Cores that provably stay below the threshold
+    /// are not visited.
     pub candidates_scanned: u64,
     /// Scheduler ranked-lane heap pops (lazy partial selection; the
     /// replacement for the full criticality sort).
