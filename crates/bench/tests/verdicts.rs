@@ -1,10 +1,15 @@
-//! The scheduler verdicts of EXPERIMENTS.md, asserted at quick scale.
+//! The scheduler, mapping and fault-response verdicts of EXPERIMENTS.md,
+//! asserted at quick scale.
 //!
 //! Each test checks the shape a verdict states, with a band wide enough
 //! to survive model tuning but narrow enough to fail if the behaviour it
 //! describes goes away.
 
-use manytest_bench::{e4_test_interval_vs_load, e6_criticality_adaptation, Scale};
+use manytest_bench::{
+    e11_fault_response, e4_test_interval_vs_load, e5_mapping_compare, e6_criticality_adaptation,
+    Scale,
+};
+use manytest_core::{FaultResponsePolicy, MapperKind};
 
 /// E4: test intervals degrade gracefully with load (≈ 1.6× from idle to
 /// saturation) instead of collapsing, and every core keeps being tested
@@ -46,4 +51,80 @@ fn e6_tests_follow_stress() {
         "r(damage, tests) = {:.3}",
         a.correlation
     );
+}
+
+/// E5: contiguity (CoNA vs first-fit) cuts the hop cost by about 43 %
+/// and leaves no core untested, and test awareness (TUM) bounds the
+/// worst-case test interval best of the three mappers.
+#[test]
+fn e5_contiguity_cuts_hops_and_tum_bounds_staleness() {
+    let sides = e5_mapping_compare(Scale::Quick, 2);
+    let [first_fit, cona, tum] = &sides[..] else {
+        panic!("expected three mappers, got {}", sides.len());
+    };
+    assert_eq!(
+        [first_fit.mapper, cona.mapper, tum.mapper],
+        [
+            MapperKind::FirstFit,
+            MapperKind::Baseline,
+            MapperKind::TestAware
+        ]
+    );
+    assert!(
+        cona.hop_cost <= 0.75 * first_fit.hop_cost,
+        "CoNA hop cost {:.3e} vs first-fit {:.3e}",
+        cona.hop_cost,
+        first_fit.hop_cost
+    );
+    for side in [cona, tum] {
+        assert!(
+            side.min_tests >= 1.0,
+            "{:?} left a core untested ({} min tests)",
+            side.mapper,
+            side.min_tests
+        );
+    }
+    assert!(
+        tum.max_interval < cona.max_interval && tum.max_interval < first_fit.max_interval,
+        "max test interval: TUM {:.1} ms, CoNA {:.1} ms, first-fit {:.1} ms",
+        tum.max_interval * 1e3,
+        cona.max_interval * 1e3,
+        first_fit.max_interval * 1e3
+    );
+}
+
+/// E11: every quarantining policy isolates the faulty cores and cuts the
+/// corruption exposure of `ignore` by at least 60 % for at most 6 % of
+/// its throughput.
+#[test]
+fn e11_quarantine_cuts_exposure_at_small_throughput_cost() {
+    let rows = e11_fault_response(Scale::Quick, 2);
+    let ignore = rows
+        .iter()
+        .find(|r| r.policy == FaultResponsePolicy::Ignore)
+        .expect("the ignore baseline runs");
+    assert!(ignore.exposure > 0.0, "no exposure to cut: {ignore:?}");
+    let quarantining: Vec<_> = rows.iter().filter(|r| r.policy != ignore.policy).collect();
+    assert_eq!(quarantining.len(), 3);
+    for r in quarantining {
+        let cut = 1.0 - r.exposure / ignore.exposure;
+        let cost = 1.0 - r.mips / ignore.mips;
+        assert!(
+            r.quarantined >= 1.0,
+            "{} quarantined nothing",
+            r.policy.as_str()
+        );
+        assert!(
+            cut >= 0.60,
+            "{} cut exposure by {:.1} %",
+            r.policy.as_str(),
+            cut * 100.0
+        );
+        assert!(
+            cost <= 0.06,
+            "{} cost {:.1} % throughput",
+            r.policy.as_str(),
+            cost * 100.0
+        );
+    }
 }

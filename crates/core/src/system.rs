@@ -904,12 +904,20 @@ impl System {
     /// allocations** — `crates/bench/benches/kernels.rs` and the
     /// `map_context_allocs` integration test hold it to that.
     pub fn map_context(&mut self, now: f64) -> &MapContext {
-        let n = self.mesh.node_count();
+        self.fill_map_context(now, None);
+        &self.ctx_scratch
+    }
+
+    /// Rebuilds the mapper's snapshot in place. The nodes of `offer_back`
+    /// (an app being remapped) count as free, so the mapper may keep them.
+    fn fill_map_context(&mut self, now: f64, offer_back: Option<AppId>) {
         self.profile.ctx_rebuilds += 1;
         let ctx = &mut self.ctx_scratch;
         ctx.reset(self.mesh);
-        for i in 0..n {
+        for i in 0..self.mesh.node_count() {
             let s = self.stress.core(i);
+            let offered =
+                offer_back.is_some_and(|id| self.store.owner(i).is_some_and(|(app, _)| app == id));
             // A core with a session in flight is about to *complete* a
             // test: mapping onto it wastes the invested test energy, so it
             // is maximally undesirable to a test-aware mapper.
@@ -918,14 +926,13 @@ impl System {
             // mapped onto a core between quarantine and `CoreReadmitted`
             // (the audit's lifecycle sequence invariant).
             ctx.push_node_health(
-                self.store.is_free_for_mapping(i),
+                self.store.is_free_for_mapping(i) || offered,
                 !self.health.is_withdrawn(i),
                 s.utilization.clamp(0.0, 1.0),
                 self.criticality.criticality(s, now).max(0.0) + in_test,
             );
         }
         debug_assert!(ctx.is_complete());
-        &self.ctx_scratch
     }
 
     fn admit_pending(&mut self, now: f64) {
@@ -1964,26 +1971,7 @@ impl System {
     fn migrate_app(&mut self, app_id: u64, bad_core: usize, now: f64, qid: EventId) {
         // Remap context: the app's own nodes are offered back as free;
         // the quarantined node (like every unhealthy node) is excluded.
-        {
-            let n = self.mesh.node_count();
-            self.profile.ctx_rebuilds += 1;
-            let ctx = &mut self.ctx_scratch;
-            ctx.reset(self.mesh);
-            for i in 0..n {
-                let mine = self
-                    .store
-                    .owner(i)
-                    .map_or(false, |(a, _)| a.0 == app_id);
-                let s = self.stress.core(i);
-                let in_test = if self.store.has_session(i) { 5.0 } else { 0.0 };
-                ctx.push_node_health(
-                    self.store.is_free_for_mapping(i) || mine,
-                    !self.health.is_withdrawn(i),
-                    s.utilization.clamp(0.0, 1.0),
-                    self.criticality.criticality(s, now).max(0.0) + in_test,
-                );
-            }
-        }
+        self.fill_map_context(now, Some(AppId(app_id)));
         // Work on the entry by value (same pattern as task completion):
         // one invariant-checked removal replaces every panicking lookup
         // below, and the entry goes back into the map before the

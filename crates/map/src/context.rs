@@ -101,6 +101,7 @@ impl MapContext {
 
     /// [`MapContext::push_node`] with an explicit health bit: quarantined
     /// nodes push `healthy = false` and are invisible to mappers.
+    #[inline]
     pub fn push_node_health(
         &mut self,
         free: bool,
@@ -130,6 +131,7 @@ impl MapContext {
     }
 
     /// Whether the node at `c` is mappable: unoccupied *and* healthy.
+    #[inline]
     pub fn is_free(&self, c: Coord) -> bool {
         let i = self.mesh.node_id(c).index();
         self.free[i] && self.healthy[i]
@@ -151,6 +153,7 @@ impl MapContext {
     }
 
     /// Whether the node at `c` is healthy (not quarantined).
+    #[inline]
     pub fn is_healthy(&self, c: Coord) -> bool {
         self.healthy[self.mesh.node_id(c).index()]
     }
@@ -171,6 +174,7 @@ impl MapContext {
     }
 
     /// Recent utilisation of the node at `c`, in `[0, 1]`.
+    #[inline]
     pub fn utilization(&self, c: Coord) -> f64 {
         self.utilization[self.mesh.node_id(c).index()]
     }
@@ -187,6 +191,7 @@ impl MapContext {
     }
 
     /// Test criticality of the node at `c` (≥ 0; higher = more urgent).
+    #[inline]
     pub fn criticality(&self, c: Coord) -> f64 {
         self.criticality[self.mesh.node_id(c).index()]
     }

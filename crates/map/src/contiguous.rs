@@ -88,16 +88,17 @@ fn placement_order(app: &TaskGraph) -> Vec<TaskId> {
 /// passes a constant, the test-aware mapper passes utilisation/criticality
 /// pressure. Returns `None` if fewer free cores exist than tasks.
 ///
-/// `node_penalty` is called once per free core. Each task walks the free
+/// `node_penalty` is called once per free core, in one pass that also
+/// takes the penalties' minimum and finiteness. Each task walks the free
 /// cores ring by ring outward from the region centre (a ring being a
-/// Chebyshev distance) and evaluates each candidate's cost once. Past the
-/// region border every cost term but the penalty is ≥ 0 and the outside
-/// term is `outside_unit` per ring, so a core in ring `d` costs at least
-/// `outside_unit * (d - radius) + min_penalty` — f64 rounding is monotone.
-/// Once that bound exceeds the best cost found, no core further out can
-/// win or tie, and the walk stops. The bound needs finite penalties and
-/// finite, non-negative edge volumes; without them the walk visits every
-/// free core.
+/// Chebyshev distance), up to the farthest mesh corner, and evaluates each
+/// candidate's cost once. Past the region border every cost term but the
+/// penalty is ≥ 0 and the outside term is `outside_unit` per ring, so a
+/// core in ring `d` costs at least `outside_unit * (d - radius) +
+/// min_penalty` — f64 rounding is monotone. Once that bound exceeds the
+/// best cost found, no core further out can win or tie, and the walk
+/// stops. The bound needs finite penalties and finite, non-negative edge
+/// volumes; without them the walk visits every free core.
 pub fn place(
     ctx: &MapContext,
     region: Region,
@@ -113,25 +114,28 @@ pub fn place(
     let outside_unit = (10.0 * mean_edge_bits(app)).max(OUTSIDE_REGION_PENALTY_FLOOR);
     let radius = u32::from(region.radius);
     // Per node id: the penalty of a free core not yet placed on, else `None`.
-    let mut penalties: Vec<Option<f64>> = mesh
-        .coords()
-        .map(|c| ctx.is_free(c).then(|| node_penalty(c)))
-        .collect();
-    let min_penalty = penalties
-        .iter()
-        .flatten()
-        .fold(f64::INFINITY, |m, &p| m.min(p));
-    let bounded = penalties.iter().flatten().all(|p| p.is_finite())
+    let mut penalties: Vec<Option<f64>> = Vec::with_capacity(mesh.node_count());
+    let (mut min_penalty, mut finite) = (f64::INFINITY, true);
+    for c in mesh.coords() {
+        let penalty = ctx.is_free(c).then(|| node_penalty(c));
+        if let Some(p) = penalty {
+            min_penalty = min_penalty.min(p);
+            finite &= p.is_finite();
+        }
+        penalties.push(penalty);
+    }
+    let bounded = finite
         && app
             .edges()
             .iter()
             .all(|e| e.bits.is_finite() && e.bits >= 0.0);
-    // The farthest ring that still holds a mesh node.
-    let last_ring = mesh
-        .coords()
-        .map(|c| region.center.chebyshev(c))
-        .max()
-        .unwrap_or(0);
+    // The farthest ring that still holds a mesh node: the one through the
+    // farthest corner, wherever the centre lies.
+    let (right, top) = (mesh.width() - 1, mesh.height() - 1);
+    let last_ring = [(0, 0), (right, 0), (0, top), (right, top)]
+        .into_iter()
+        .map(|(x, y)| region.center.chebyshev(Coord::new(x, y)))
+        .fold(0, u32::max);
     let mut slots: Vec<Option<Coord>> = vec![None; n];
     for (rank, &task) in order.iter().enumerate() {
         // Placed communication partners, in edge order.
@@ -216,7 +220,7 @@ fn ring(mesh: Mesh2D, center: Coord, d: u32) -> impl Iterator<Item = Coord> {
 /// Placement as first written: every free core rescanned per task, with
 /// each comparison recomputing both costs. [`place`] must match it exactly.
 #[cfg(test)]
-fn place_reference(
+pub(crate) fn place_reference(
     ctx: &MapContext,
     region: Region,
     app: &TaskGraph,
@@ -539,11 +543,21 @@ mod tests {
         let ctx = random_context(rng, mesh);
         let app = random_graph(rng, max_tasks);
         let penalties = random_penalties(rng, &ctx, &app);
-        let region = random_region(rng, &ctx, &app, &penalties);
+        assert_place_matches_reference(rng, &ctx, &app, &penalties);
+    }
+
+    fn assert_place_matches_reference(
+        rng: &mut SimRng,
+        ctx: &MapContext,
+        app: &TaskGraph,
+        penalties: &[f64],
+    ) {
+        let mesh = ctx.mesh();
+        let region = random_region(rng, ctx, app, penalties);
         let penalty = |c: Coord| penalties[mesh.node_id(c).index()];
         assert_eq!(
-            place(&ctx, region, &app, penalty),
-            place_reference(&ctx, region, &app, penalty),
+            place(ctx, region, app, penalty),
+            place_reference(ctx, region, app, penalty),
             "{mesh:?}, {region:?}, {} tasks",
             app.task_count()
         );
@@ -564,6 +578,34 @@ mod tests {
         let mut rng = SimRng::seed_from(6464);
         for _ in 0..6 {
             assert_matches_reference(&mut rng, Mesh2D::new(64, 64), 16);
+        }
+        // The region search's sensitive states, as placement sees them:
+        // square and non-square meshes, a mostly free die and one with a
+        // busy column every eight, under all-equal nonzero penalties
+        // (every idle core before its first test), quantised ties and
+        // explicit -0.0 penalties.
+        for (w, h) in [(64, 64), (63, 65), (65, 63)] {
+            let mesh = Mesh2D::new(w, h);
+            for boundary_columns in [false, true] {
+                let mut ctx = MapContext::all_free(mesh);
+                for c in mesh.coords() {
+                    let column_busy = boundary_columns && c.x % 8 == 0;
+                    ctx.set_free(c, !column_busy && rng.next_f64() >= 0.03);
+                }
+                for style in 0..3 {
+                    let app = random_graph(&mut rng, 16);
+                    let penalties: Vec<f64> = mesh
+                        .coords()
+                        .map(|_| match style {
+                            0 => 0.75,
+                            1 => rng.gen_range(3) as f64,
+                            _ if rng.gen_bool(0.5) => -0.0,
+                            _ => 0.0,
+                        })
+                        .collect();
+                    assert_place_matches_reference(&mut rng, &ctx, &app, &penalties);
+                }
+            }
         }
     }
 }

@@ -108,6 +108,7 @@ impl Mapper for TestAwareMapper {
 mod tests {
     use super::*;
     use manytest_noc::{Coord, Mesh2D};
+    use manytest_sim::SimRng;
     use manytest_workload::presets;
 
     #[test]
@@ -189,6 +190,53 @@ mod tests {
     #[test]
     fn name_is_stable() {
         assert_eq!(TestAwareMapper::default().name(), "test-aware-utilization");
+    }
+
+    /// `map` is the region search followed by placement under the
+    /// mapper's own penalty, scaled by the app's mean edge volume. The
+    /// placement is checked against its reference here; the search against
+    /// its own in `manytest-noc`.
+    #[test]
+    fn map_matches_search_plus_reference_placement() {
+        let mut rng = SimRng::seed_from(1818);
+        let mesh = Mesh2D::new(64, 64);
+        let tum = TestAwareMapper::default();
+        // Idle cores before their first test all tie on criticality;
+        // later the pressure spreads over a continuous range.
+        for (busy, tied) in [
+            (0.03, true),
+            (0.0, false),
+            (0.03, false),
+            (0.5, false),
+            (0.9, false),
+        ] {
+            let mut ctx = MapContext::all_free(mesh);
+            for c in mesh.coords() {
+                ctx.set_free(c, rng.next_f64() >= busy);
+                if tied {
+                    ctx.set_criticality(c, 0.125);
+                } else {
+                    ctx.set_utilization(c, rng.next_f64());
+                    ctx.set_criticality(c, rng.gen_f64_range(0.0, 3.0));
+                }
+            }
+            let penalty = |c: Coord| {
+                tum.utilization_weight * ctx.utilization(c)
+                    + tum.criticality_weight * ctx.criticality(c)
+            };
+            for app in presets::all() {
+                let scale = contiguous::mean_edge_bits(&app);
+                let expected = RegionSearch::new(mesh)
+                    .find(app.task_count(), |c| ctx.is_free(c), penalty)
+                    .and_then(|choice| {
+                        contiguous::place_reference(&ctx, choice.region, &app, |c| {
+                            penalty(c) * scale
+                        })
+                    });
+                assert!(expected.is_some(), "{} found no placement", app.name());
+                assert_eq!(tum.map(&ctx, &app), expected, "{}, busy {busy}", app.name());
+            }
+        }
     }
 
     #[test]

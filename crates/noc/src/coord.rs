@@ -40,12 +40,14 @@ impl Coord {
     }
 
     /// Manhattan (hop) distance to `other`.
+    #[inline]
     pub fn manhattan(self, other: Coord) -> u32 {
         self.x.abs_diff(other.x) as u32 + self.y.abs_diff(other.y) as u32
     }
 
     /// Chebyshev distance to `other` (radius of the smallest covering
     /// square), used by the square-region first-node search.
+    #[inline]
     pub fn chebyshev(self, other: Coord) -> u32 {
         (self.x.abs_diff(other.x) as u32).max(self.y.abs_diff(other.y) as u32)
     }

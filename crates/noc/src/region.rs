@@ -65,6 +65,13 @@ pub struct RegionChoice {
     pub score: f64,
 }
 
+/// Adjacent centres of a row whose exact score sums accumulate together,
+/// one lane each. Eight `f64` lanes fill four SSE2 registers, so the add
+/// over lanes vectorises into four independent chains. Sixteen lanes were
+/// no faster on a sparse 64×64 mesh and slower on a half-busy one, where
+/// more of each group is not a contender.
+const LANES: usize = 8;
+
 /// Square-region first-node search over a mesh.
 ///
 /// # Examples
@@ -107,13 +114,24 @@ impl RegionSearch {
     /// determinism. Returns `None` when fewer than `required` nodes are free
     /// in the whole mesh.
     ///
-    /// One row-major pass calls `is_free` once per node and `node_score`
-    /// once per free node. An integer summed-area table over the free mask
-    /// then gives any square's free count in O(1): a centre that cannot
-    /// collect `required` nodes within the best radius so far is skipped
-    /// unscored, and every other centre sums its cached scores in the
-    /// region's row-major order, so the score bits match a rescan.
-    // lint:effect(alloc, reason = "the call graph resolves every `.find(` call to this fn by name, Iterator::find included; the score cache and summed-area table are per-search scratch")
+    /// `is_free` is called once per node, in one row-major pass that
+    /// builds an integer summed-area table of the free mask and the list
+    /// of free centres, and `node_score` once per free node, after the
+    /// radius is known. The minimal radius is found level by level:
+    /// starting at the smallest square that can hold `required` nodes, each
+    /// level marks the free centres whose square holds `required` free
+    /// nodes, and the first level that marks any is the winning radius.
+    /// Only the marked centres can win. Their exact score sums run eight
+    /// adjacent centres of a row at a time over rows of scores padded with
+    /// `+0.0` (busy and off-mesh nodes), each lane adding its own square in
+    /// the region's row-major order. A running sum that starts at `+0.0`
+    /// is never `-0.0` under round-to-nearest, so adding `+0.0` changes no
+    /// bit and the score bits match a rescan. A sum that meets a NaN stays
+    /// NaN, so the ranking holds there too, but Rust leaves the sign and
+    /// payload of a NaN result unspecified, and a NaN winner's bits may
+    /// differ. The contenders then fold in ascending id, so a tie keeps
+    /// the lowest id.
+    // lint:effect(alloc, reason = "the call graph resolves every `.find(` call to this fn by name, Iterator::find included; the summed-area table, centre list and padded score rows are per-search scratch")
     pub fn find<F, S>(&self, required: usize, is_free: F, node_score: S) -> Option<RegionChoice>
     where
         F: Fn(Coord) -> bool,
@@ -129,67 +147,96 @@ impl RegionSearch {
         }
         let mesh = self.mesh;
         let (w, h) = (usize::from(mesh.width()), usize::from(mesh.height()));
-        let scores: Vec<Option<f64>> = mesh
-            .coords()
-            .map(|c| is_free(c).then(|| node_score(c)))
-            .collect();
-        // sat[y * stride + x] counts the free nodes in rows < y, columns < x.
+        // sat[y * stride + x] counts the free nodes in rows < y, columns
+        // < x (at most 65535², so a u32 holds it); free centres in id order.
         let stride = w + 1;
-        let mut sat = vec![0usize; stride * (h + 1)];
-        for (i, s) in scores.iter().enumerate() {
-            let (x, y) = (i % w, i / w);
-            sat[(y + 1) * stride + x + 1] =
-                usize::from(s.is_some()) + sat[y * stride + x + 1] + sat[(y + 1) * stride + x]
-                    - sat[y * stride + x];
+        let mut sat = vec![0u32; stride * (h + 1)];
+        let mut centres: Vec<Coord> = Vec::with_capacity(w * h);
+        for y in 0..h {
+            let mut row_free = 0;
+            for x in 0..w {
+                let c = Coord::new(x as u16, y as u16);
+                let free = is_free(c);
+                if free {
+                    centres.push(c);
+                }
+                row_free += u32::from(free);
+                sat[(y + 1) * stride + x + 1] = sat[y * stride + x + 1] + row_free;
+            }
         }
-        if sat[h * stride + w] < required {
+        if centres.len() < required {
             return None;
         }
-        // The square of `radius` around `c`, clipped: columns x0..x1 and
-        // rows y0..y1, end-exclusive.
-        let square = |c: Coord, radius: usize| {
+        let free_within = |c: Coord, radius: usize| -> usize {
             let (cx, cy) = (usize::from(c.x), usize::from(c.y));
             let (x0, y0) = (cx.saturating_sub(radius), cy.saturating_sub(radius));
             let (x1, y1) = ((cx + radius + 1).min(w), (cy + radius + 1).min(h));
-            (x0, x1, y0, y1)
+            // Free nodes in rows y0..y1, columns < x: no term can overflow.
+            let strip = |x: usize| sat[y1 * stride + x] - sat[y0 * stride + x];
+            (strip(x1) - strip(x0)) as usize
         };
-        let free_within = |c: Coord, radius: usize| -> usize {
-            let (x0, x1, y0, y1) = square(c, radius);
-            sat[y1 * stride + x1] + sat[y0 * stride + x0]
-                - sat[y0 * stride + x1]
-                - sat[y1 * stride + x0]
-        };
-        // A square of this radius covers the mesh from any centre, so every
-        // free centre reaches `required` within it.
-        let max_radius = w.max(h);
+        // No square smaller than this holds `required` nodes. The levels
+        // end by a radius whose square covers the mesh from every centre.
+        let mut radius = 0;
+        while (2 * radius + 1) * (2 * radius + 1) < required {
+            radius += 1;
+        }
+        let mut contender = vec![false; centres.len()];
+        loop {
+            let mut any = false;
+            for (mark, &c) in contender.iter_mut().zip(&centres) {
+                *mark = free_within(c, radius) >= required;
+                any |= *mark;
+            }
+            if any {
+                break;
+            }
+            radius += 1;
+        }
+        // Scores in rows padded with `radius` zeros on the left and enough
+        // on the right for the last lane group's squares; +0.0 where busy.
+        let side = 2 * radius + 1;
+        let padded_w = w + side - 1 + LANES;
+        let mut padded = vec![0.0; padded_w * h];
+        for &c in &centres {
+            padded[usize::from(c.y) * padded_w + radius + usize::from(c.x)] = node_score(c);
+        }
         let mut best: Option<RegionChoice> = None;
-        for (center, own) in mesh.coords().zip(&scores) {
-            let limit = best.map_or(max_radius, |b| usize::from(b.region.radius));
-            if own.is_none() || free_within(center, limit) < required {
+        let mut i = 0;
+        while i < centres.len() {
+            if !contender[i] {
+                i += 1;
                 continue;
             }
-            let mut radius = 0;
-            while free_within(center, radius) < required {
-                radius += 1;
-            }
-            // Summed row by row, like `Region::iter`, so the bits match.
-            let (x0, x1, y0, y1) = square(center, radius);
-            let mut score = 0.0;
-            for row in scores[y0 * w..y1 * w].chunks_exact(w) {
-                for s in row[x0..x1].iter().flatten() {
-                    score += s;
+            // The lane group holding this contender: columns x0..x0 + LANES
+            // of row `cy`. Lane `l`'s square starts at padded column x0 + l.
+            let (cx, cy) = (usize::from(centres[i].x), usize::from(centres[i].y));
+            let x0 = cx - cx % LANES;
+            let (y0, y1) = (cy.saturating_sub(radius), (cy + radius + 1).min(h));
+            let mut sums = [0.0; LANES];
+            for row in padded[y0 * padded_w..y1 * padded_w].chunks_exact(padded_w) {
+                let row = &row[x0..x0 + side - 1 + LANES];
+                for dx in 0..side {
+                    let cells = &row[dx..dx + LANES];
+                    for (sum, cell) in sums.iter_mut().zip(cells) {
+                        *sum += cell;
+                    }
                 }
             }
-            let region = Region::new(center, radius as u16);
-            // Centres arrive in ascending id order, so a tie keeps the
-            // earlier, lower-id centre.
-            let better = best.is_none_or(|b| (region.radius, score) < (b.region.radius, b.score));
-            if better {
-                best = Some(RegionChoice {
-                    region,
-                    available: free_within(center, radius),
-                    score,
-                });
+            // Contenders in ascending id: a tie keeps the earlier one.
+            while let Some(&c) = centres
+                .get(i)
+                .filter(|c| usize::from(c.y) == cy && usize::from(c.x) < x0 + LANES)
+            {
+                let score = sums[usize::from(c.x) - x0];
+                if contender[i] && best.is_none_or(|b| score < b.score) {
+                    best = Some(RegionChoice {
+                        region: Region::new(c, radius as u16),
+                        available: free_within(c, radius),
+                        score,
+                    });
+                }
+                i += 1;
             }
         }
         best
@@ -380,6 +427,10 @@ mod tests {
     /// mapper weights it), signed noise, or all zero.
     fn random_scores(rng: &mut SimRng, n: usize) -> Vec<f64> {
         let style = rng.gen_range(4);
+        random_scores_of_style(rng, n, style)
+    }
+
+    fn random_scores_of_style(rng: &mut SimRng, n: usize, style: u64) -> Vec<f64> {
         (0..n)
             .map(|_| match style {
                 0 => 2.0 * (rng.gen_range(5) as f64 / 4.0) + 6.0 * rng.gen_range(3) as f64,
@@ -461,6 +512,45 @@ mod tests {
             let scores = random_scores(&mut rng, mesh.node_count());
             let required = rng.gen_range_inclusive(1, 16) as usize;
             assert_matches_reference(mesh, required, &free, &scores);
+        }
+        // The states the lane sums are sensitive to: square and non-square
+        // meshes (the last lane group of a row partial), a mostly free die
+        // and one with a busy column at every lane-group boundary, under
+        // all-equal nonzero scores (every idle core before its first
+        // test), quantised ties, explicit -0.0 scores and continuous
+        // scores, whose sum bits depend on the summation order.
+        for (w, h) in [(64, 64), (63, 65), (65, 63)] {
+            let mesh = Mesh2D::new(w, h);
+            let n = mesh.node_count();
+            for boundary_columns in [false, true] {
+                let free: Vec<bool> = mesh
+                    .coords()
+                    .map(|c| {
+                        let column_busy = boundary_columns && usize::from(c.x) % LANES == 0;
+                        !column_busy && rng.next_f64() >= 0.03
+                    })
+                    .collect();
+                let tied = vec![0.75; n];
+                let quantised: Vec<f64> = (0..n).map(|_| rng.gen_range(3) as f64).collect();
+                let signed_zeros: Vec<f64> = (0..n)
+                    .map(|_| match rng.gen_range(3) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => rng.gen_range(2) as f64,
+                    })
+                    .collect();
+                let continuous = random_scores_of_style(&mut rng, n, 1);
+                for scores in [
+                    &tied,
+                    &quantised,
+                    &signed_zeros,
+                    &vec![-0.0; n],
+                    &continuous,
+                ] {
+                    let required = rng.gen_range_inclusive(1, 22) as usize;
+                    assert_matches_reference(mesh, required, &free, scores);
+                }
+            }
         }
     }
 }

@@ -61,6 +61,7 @@ impl Mesh2D {
     /// # Panics
     ///
     /// Panics if `c` is outside the mesh.
+    #[inline]
     pub fn node_id(self, c: Coord) -> NodeId {
         assert!(self.contains(c), "coordinate {c} outside {self:?}");
         NodeId(c.y as u32 * self.width as u32 + c.x as u32)
@@ -71,6 +72,7 @@ impl Mesh2D {
     /// # Panics
     ///
     /// Panics if `id` is out of range for this mesh.
+    #[inline]
     pub fn coord(self, id: NodeId) -> Coord {
         assert!(
             (id.index()) < self.node_count(),
