@@ -53,6 +53,22 @@ impl CoreStress {
     }
 }
 
+/// What one wear pass over every core ([`StressTracker::record_epoch_all`]
+/// or [`StressTracker::record_epoch_all_at_temperature`]) reports, so the
+/// epoch close needs no second pass over the cores.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EpochWear {
+    /// Largest damage charged to any core, before NBTI recovery: no
+    /// core's `damage_since_test` grew by more this epoch.
+    pub max_damage: f64,
+    /// Mean utilisation after the pass, bit for bit
+    /// [`StressTracker::mean_utilization`].
+    pub mean_utilization: f64,
+    /// Largest power (steady-state pass) or temperature (transient pass)
+    /// any core was charged at.
+    pub max_input: f64,
+}
+
 /// Stress bookkeeping for a fixed population of cores.
 ///
 /// # Examples
@@ -125,38 +141,70 @@ impl StressTracker {
     /// Power-gated cores draw exactly 0 W, so runs of cores share one
     /// power: the pass evaluates [`AgingModel::damage`] (one `exp`) only
     /// when a core's power bits differ from the previous evaluation's.
+    /// For `dt > 0` a core whose accumulators are both `+0.0` (bits) has
+    /// power and busy fraction `+0.0`, so it skips the divisions, the
+    /// memo and the zeroing and is charged the zero-power damage,
+    /// evaluated once, at the first such core.
     ///
-    /// Returns the largest damage charged to any core, before NBTI
-    /// recovery: no core's `damage_since_test` grew by more this epoch.
-    /// Damage rises with power, so it is evaluated once more, at the
-    /// highest power the memo evaluated (a hit repeats the previous
-    /// power). A running maximum of the damages themselves slowed the
-    /// per-core loop measurably.
+    /// `max_damage` is evaluated once more, at the highest power the pass
+    /// charged: damage rises with power, and a running maximum of the
+    /// damages themselves slowed the per-core loop measurably. The mean
+    /// utilisation is summed in core order, as
+    /// [`Self::mean_utilization`] sums it.
     ///
     /// # Panics
     ///
-    /// Panics if a slice's length differs from the core count, or if a
-    /// power is negative or NaN (with [`AgingModel::damage`]'s message).
+    /// Panics if a slice's length differs from the core count, if a
+    /// busy fraction is outside `[0, 1]` (NaN included), or if a power is
+    /// negative or NaN (with [`AgingModel::damage`]'s message).
     pub fn record_epoch_all(
         &mut self,
         aging: &AgingModel,
         energy: &mut [f64],
         busy: &mut [f64],
         dt: f64,
-    ) -> f64 {
+    ) -> EpochWear {
         assert_eq!(energy.len(), self.cores.len(), "one energy per core");
         assert_eq!(busy.len(), self.cores.len(), "one busy time per core");
+        let n = self.cores.len();
+        let fast_path = dt > 0.0;
+        let gated = |e: f64, b: f64| fast_path && (e.to_bits() | b.to_bits()) == 0;
+        let mut gated_damage: Option<f64> = None;
         let mut memo = LastEval::new();
-        for ((c, e), b) in self.cores.iter_mut().zip(energy).zip(busy) {
-            let busy = (*b / dt).clamp(0.0, 1.0);
-            let power = *e / dt;
-            assert_busy_fraction(busy);
+        let mut utilization = UTILIZATION_SUM_START;
+        let mut i = 0;
+        while i < n {
+            if gated(energy[i], busy[i]) {
+                // A run of gated cores: one damage, no divisions, no memo
+                // probe, and accumulators that are already zero.
+                let damage = *gated_damage.get_or_insert_with(|| aging.damage(0.0, dt));
+                while i < n && gated(energy[i], busy[i]) {
+                    let c = &mut self.cores[i];
+                    Self::charge_epoch(c, aging, self.ema_alpha, damage, 0.0, 0.0, dt);
+                    utilization += c.utilization;
+                    i += 1;
+                }
+                continue;
+            }
+            let c = &mut self.cores[i];
+            let busy_fraction = (busy[i] / dt).clamp(0.0, 1.0);
+            let power = energy[i] / dt;
+            assert_busy_fraction(busy_fraction);
             let damage = memo.get_or_eval(power, |p| aging.damage(p, dt));
-            Self::charge_epoch(c, aging, self.ema_alpha, damage, power, busy, dt);
-            *b = 0.0;
-            *e = 0.0;
+            Self::charge_epoch(c, aging, self.ema_alpha, damage, power, busy_fraction, dt);
+            busy[i] = 0.0;
+            energy[i] = 0.0;
+            utilization += c.utilization;
+            i += 1;
         }
-        aging.damage(memo.max_input, dt)
+        if gated_damage.is_some() {
+            memo.max_input = memo.max_input.max(0.0);
+        }
+        EpochWear {
+            max_damage: aging.damage(memo.max_input, dt),
+            mean_utilization: utilization / n as f64,
+            max_input: memo.max_input,
+        }
     }
 
     /// Charges one epoch's `damage` to `c` and folds `busy` into its
@@ -212,9 +260,10 @@ impl StressTracker {
     /// [`Self::record_epoch_all`] for the transient thermal path: core
     /// `i` sat at `temps[i]` kelvin. Bit for bit the same as calling
     /// [`Self::record_epoch_at_temperature`] in core order, with one
-    /// Arrhenius evaluation per change of temperature bits. Returns the
-    /// largest damage charged to any core, as [`Self::record_epoch_all`]
-    /// does: the damage at the highest temperature.
+    /// Arrhenius evaluation per change of temperature bits. Reports the
+    /// highest temperature as `max_input` (a memo hit repeats an
+    /// evaluated temperature, so the memo's maximum is the fold over all
+    /// of them) and the damage there as `max_damage`.
     ///
     /// # Panics
     ///
@@ -227,13 +276,14 @@ impl StressTracker {
         energy: &mut [f64],
         busy: &mut [f64],
         dt: f64,
-    ) -> f64 {
+    ) -> EpochWear {
         assert_eq!(temps.len(), self.cores.len(), "one temperature per core");
         assert_eq!(energy.len(), self.cores.len(), "one energy per core");
         assert_eq!(busy.len(), self.cores.len(), "one busy time per core");
         assert!(dt >= 0.0, "time must be non-negative");
         let arrhenius = aging.arrhenius();
         let mut memo = LastEval::new();
+        let mut utilization = UTILIZATION_SUM_START;
         let cores = self.cores.iter_mut().zip(temps).zip(energy).zip(busy);
         for (((c, &temperature), e), b) in cores {
             let busy = (*b / dt).clamp(0.0, 1.0);
@@ -244,8 +294,13 @@ impl StressTracker {
             Self::charge_epoch(c, aging, self.ema_alpha, damage, power, busy, dt);
             *b = 0.0;
             *e = 0.0;
+            utilization += c.utilization;
         }
-        aging.base_rate * arrhenius.at(memo.max_input) * dt
+        EpochWear {
+            max_damage: aging.base_rate * arrhenius.at(memo.max_input) * dt,
+            mean_utilization: utilization / self.cores.len() as f64,
+            max_input: memo.max_input,
+        }
     }
 
     /// Marks a completed test on `core` at time `now` (seconds): the
@@ -294,6 +349,10 @@ impl StressTracker {
         self.cores.iter().map(|c| c.utilization).sum::<f64>() / self.cores.len() as f64
     }
 }
+
+/// The value `Iterator::sum` starts an `f64` sum from, so the wear
+/// passes' fused sum is bit for bit [`StressTracker::mean_utilization`]'s.
+const UTILIZATION_SUM_START: f64 = -0.0;
 
 fn assert_busy_fraction(busy: f64) {
     assert!((0.0..=1.0).contains(&busy), "busy fraction must be in [0,1]");
@@ -492,26 +551,62 @@ mod tests {
         [plain, plain.with_recovery(RecoveryParams::default())]
     }
 
-    /// Per-core accumulators shaped like a dark-silicon epoch: mostly
-    /// gated cores at exactly 0 J, a few repeated wattages, continuous
-    /// values, and busy times at 0, inside the epoch and past it.
-    fn random_epoch(rng: &mut SimRng, n: usize) -> (Vec<f64>, Vec<f64>) {
+    /// The accumulator patterns the wear-pass oracles draw epochs from.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        /// Mostly gated cores at exactly `+0.0`, a few repeated
+        /// wattages, continuous values, and busy times at 0, inside the
+        /// epoch and past it.
+        Mixed,
+        /// Every accumulator `+0.0`: a fully dark epoch.
+        Dark,
+        /// `+0.0` and `-0.0` side by side, in energies and busy times:
+        /// the gated fast path keys on bits, so `-0.0` takes the memo.
+        SignedZeros,
+    }
+
+    impl Shape {
+        fn of_epoch(epoch: usize) -> Self {
+            match epoch % 5 {
+                1 => Shape::Dark,
+                3 => Shape::SignedZeros,
+                _ => Shape::Mixed,
+            }
+        }
+    }
+
+    /// Per-core accumulators for one epoch of the given shape.
+    fn random_epoch(rng: &mut SimRng, n: usize, shape: Shape) -> (Vec<f64>, Vec<f64>) {
         let wattages = [0.35, 1.2, 2.5];
-        let energy = (0..n)
-            .map(|_| match rng.gen_range(10) {
-                0..=5 => 0.0,
-                6 | 7 => *rng.choose(&wattages).expect("non-empty") * DT,
-                _ => rng.gen_f64_range(0.0, 3.0) * DT,
-            })
-            .collect();
-        let busy = (0..n)
-            .map(|_| match rng.gen_range(3) {
-                0 => 0.0,
-                1 => rng.gen_f64_range(0.0, DT),
-                _ => rng.gen_f64_range(DT, 2.0 * DT),
-            })
-            .collect();
-        (energy, busy)
+        match shape {
+            Shape::Mixed => (
+                (0..n)
+                    .map(|_| match rng.gen_range(10) {
+                        0..=5 => 0.0,
+                        6 | 7 => *rng.choose(&wattages).expect("non-empty") * DT,
+                        _ => rng.gen_f64_range(0.0, 3.0) * DT,
+                    })
+                    .collect(),
+                (0..n)
+                    .map(|_| match rng.gen_range(3) {
+                        0 => 0.0,
+                        1 => rng.gen_f64_range(0.0, DT),
+                        _ => rng.gen_f64_range(DT, 2.0 * DT),
+                    })
+                    .collect(),
+            ),
+            Shape::Dark => (vec![0.0; n], vec![0.0; n]),
+            Shape::SignedZeros => {
+                let zero_or = |rng: &mut SimRng, v: f64| match rng.gen_range(4) {
+                    0 => 0.0,
+                    1 | 2 => -0.0,
+                    _ => v,
+                };
+                let energy = (0..n).map(|_| zero_or(rng, 1.2 * DT)).collect();
+                let busy = (0..n).map(|_| zero_or(rng, 0.5 * DT)).collect();
+                (energy, busy)
+            }
+        }
     }
 
     fn state_bits(t: &StressTracker) -> Vec<[u64; 6]> {
@@ -533,20 +628,32 @@ mod tests {
     fn record_epoch_all_matches_per_core_loop() {
         let mut rng = SimRng::seed_from(2024);
         for aging in models() {
-            for n in [1, 2, 7, 64, 333] {
+            for n in [1, 2, 7, 64, 333, 4096] {
                 let mut fast = StressTracker::new(n, 0.1);
                 let mut slow = fast.clone();
                 for epoch in 0..20 {
-                    let (mut energy, mut busy) = random_epoch(&mut rng, n);
+                    let shape = Shape::of_epoch(epoch);
+                    let (mut energy, mut busy) = random_epoch(&mut rng, n, shape);
                     let mut largest = 0.0f64;
+                    let mut hottest = f64::NEG_INFINITY;
                     for core in 0..n {
                         let b = (busy[core] / DT).clamp(0.0, 1.0);
                         slow.record_epoch(core, &aging, energy[core] / DT, b, DT);
                         largest = largest.max(aging.damage(energy[core] / DT, DT));
+                        hottest = hottest.max(energy[core] / DT);
                     }
-                    let max = fast.record_epoch_all(&aging, &mut energy, &mut busy, DT);
-                    assert_eq!(state_bits(&fast), state_bits(&slow), "n {n}, epoch {epoch}");
-                    assert_eq!(max.to_bits(), largest.to_bits(), "n {n}, epoch {epoch}");
+                    let wear = fast.record_epoch_all(&aging, &mut energy, &mut busy, DT);
+                    let at = format!("n {n}, epoch {epoch} ({shape:?})");
+                    assert_eq!(state_bits(&fast), state_bits(&slow), "{at}");
+                    assert_eq!(wear.max_damage.to_bits(), largest.to_bits(), "{at}");
+                    assert_eq!(
+                        wear.mean_utilization.to_bits(),
+                        slow.mean_utilization().to_bits(),
+                        "{at}"
+                    );
+                    // Compared as values: a pass may see `-0.0` and
+                    // `+0.0` powers in either order.
+                    assert_eq!(wear.max_input, hottest, "{at}");
                     assert!(energy.iter().chain(&busy).all(|v| v.to_bits() == 0));
                     if epoch % 7 == 3 {
                         let core = rng.gen_range(n as u64) as usize;
@@ -562,15 +669,16 @@ mod tests {
     fn record_epoch_all_at_temperature_matches_per_core_loop() {
         let mut rng = SimRng::seed_from(2025);
         for aging in models() {
-            for n in [1, 2, 7, 64, 333] {
+            for n in [1, 2, 7, 64, 333, 4096] {
                 let mut fast = StressTracker::new(n, 0.1);
                 let mut slow = fast.clone();
                 for epoch in 0..20 {
-                    let (mut energy, mut busy) = random_epoch(&mut rng, n);
+                    let shape = Shape::of_epoch(epoch);
+                    let (mut energy, mut busy) = random_epoch(&mut rng, n, shape);
                     let temps: Vec<f64> = (0..n)
-                        .map(|_| match rng.gen_range(4) {
-                            0 | 1 => aging.t_ambient,
-                            2 => *rng.choose(&[330.0, 345.5]).expect("non-empty"),
+                        .map(|_| match (shape, rng.gen_range(4)) {
+                            (Shape::Dark, _) | (_, 0 | 1) => aging.t_ambient,
+                            (_, 2) => *rng.choose(&[330.0, 345.5]).expect("non-empty"),
                             _ => rng.gen_f64_range(300.0, 400.0),
                         })
                         .collect();
@@ -581,19 +689,48 @@ mod tests {
                         let damage = aging.base_rate * aging.acceleration_at(temps[core]) * DT;
                         largest = largest.max(damage);
                     }
-                    let max = fast.record_epoch_all_at_temperature(
+                    let wear = fast.record_epoch_all_at_temperature(
                         &aging,
                         &temps,
                         &mut energy,
                         &mut busy,
                         DT,
                     );
-                    assert_eq!(state_bits(&fast), state_bits(&slow), "n {n}, epoch {epoch}");
-                    assert_eq!(max.to_bits(), largest.to_bits(), "n {n}, epoch {epoch}");
+                    let at = format!("n {n}, epoch {epoch} ({shape:?})");
+                    let hottest = temps.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+                    assert_eq!(state_bits(&fast), state_bits(&slow), "{at}");
+                    assert_eq!(wear.max_damage.to_bits(), largest.to_bits(), "{at}");
+                    assert_eq!(
+                        wear.mean_utilization.to_bits(),
+                        slow.mean_utilization().to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(wear.max_input.to_bits(), hottest.to_bits(), "{at}");
                     assert!(energy.iter().chain(&busy).all(|v| v.to_bits() == 0));
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "busy fraction")]
+    fn record_epoch_all_zero_dt_panics_on_busy_fraction() {
+        // `dt = 0` skips the gated fast path: `0 / 0` is NaN, as before.
+        let mut t = StressTracker::new(4, 0.1);
+        t.record_epoch_all(&AgingModel::default(), &mut [0.0; 4], &mut [0.0; 4], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "busy fraction")]
+    fn record_epoch_all_at_temperature_zero_dt_panics_on_busy_fraction() {
+        let mut t = StressTracker::new(2, 0.1);
+        t.record_epoch_all_at_temperature(
+            &AgingModel::default(),
+            &[320.0; 2],
+            &mut [0.0; 2],
+            &mut [0.0; 2],
+            0.0,
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Error returned by [`crate::system::SystemBuilder::build`] when the
 /// configuration is inconsistent.
-// Not `Eq`: two variants carry the rejected f64.
+// Not `Eq`: three variants carry the rejected f64.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
     /// The epoch length is zero.
@@ -39,6 +39,15 @@ pub enum BuildError {
         /// What the field must satisfy.
         requirement: &'static str,
     },
+    /// An aging-model parameter is NaN, infinite or out of range.
+    InvalidAgingModel {
+        /// The offending field of the aging model.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+        /// What the field must satisfy.
+        requirement: &'static str,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -61,6 +70,11 @@ impl fmt::Display for BuildError {
                 write!(f, "fault injection needs a positive horizon to place faults in")
             }
             BuildError::InvalidSchedulerSetting {
+                field,
+                value,
+                requirement,
+            }
+            | BuildError::InvalidAgingModel {
                 field,
                 value,
                 requirement,
@@ -92,6 +106,11 @@ mod tests {
             BuildError::InvalidSchedulerSetting {
                 field: "test_scheduler.ipc",
                 value: 0.0,
+                requirement: "finite and positive",
+            },
+            BuildError::InvalidAgingModel {
+                field: "aging.t_ambient",
+                value: -5.0,
                 requirement: "finite and positive",
             },
         ] {

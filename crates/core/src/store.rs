@@ -16,6 +16,8 @@
 //! - `testable` bitset — cores the test scheduler may rank (no session,
 //!   not `Busy`/`Testing`); the scheduler walks set bits in ascending
 //!   core order instead of scanning every slot.
+//! - `powered` bitset — cores not `CoreMode::Off`; the epoch close
+//!   charges only these, since a gated core draws exactly 0 W.
 //!
 //! A generation/dirty-set scheme stamps which cores changed policy-
 //! relevant state (mode, owner, session, health) since the last epoch
@@ -35,7 +37,7 @@ use manytest_power::Reservation;
 use manytest_sbst::TestSession;
 use manytest_workload::{AppId, TaskId};
 
-/// Bits per word of the `testable` bitset.
+/// Bits per word of the `testable` and `powered` bitsets.
 const WORD_BITS: usize = u64::BITS as usize;
 
 /// Hot per-core state as parallel flat arrays, plus incrementally
@@ -75,7 +77,10 @@ pub struct CoreStore {
     // --- maintained derived views ---
     mappable: usize,
     testing: usize,
-    testable: Vec<u64>,
+    /// The `testable` bitset, then the `powered` one, `words` each: one
+    /// allocation for both.
+    bitsets: Vec<u64>,
+    words: usize,
     // --- generation / dirty set ---
     generation: u64,
     dirty_stamp: Vec<u64>,
@@ -94,6 +99,8 @@ pub struct StoreViews {
     pub testing: usize,
     /// Bitset of test-candidate cores (no session, not busy/testing).
     pub testable: Vec<u64>,
+    /// Bitset of cores not `CoreMode::Off`.
+    pub powered: Vec<u64>,
 }
 
 impl CoreStore {
@@ -101,8 +108,9 @@ impl CoreStore {
     /// test candidates.
     pub fn new(n: usize) -> Self {
         let words = n.div_ceil(WORD_BITS);
-        let mut testable = vec![u64::MAX; words];
-        Self::clear_tail_bits(&mut testable, n);
+        let mut bitsets = vec![0; 2 * words];
+        bitsets[..words].fill(u64::MAX);
+        Self::clear_tail_bits(&mut bitsets[..words], n);
         CoreStore {
             mode: vec![CoreMode::Off; n],
             accrued_since: vec![0.0; n],
@@ -114,7 +122,8 @@ impl CoreStore {
             test_times: vec![Vec::new(); n],
             mappable: n,
             testing: 0,
-            testable,
+            bitsets,
+            words,
             generation: 1,
             dirty_stamp: vec![0; n],
             dirty: Vec::new(),
@@ -139,10 +148,18 @@ impl CoreStore {
         self.mode[core]
     }
 
-    /// Sets the mode of `core`, updating the testable view and dirty set.
+    /// Sets the mode of `core`, updating the testable and powered views
+    /// and the dirty set.
     pub fn set_mode(&mut self, core: usize, mode: CoreMode) {
         self.mode[core] = mode;
         self.refresh_testable(core);
+        let word = self.words + core / WORD_BITS;
+        let bit = 1u64 << (core % WORD_BITS);
+        if matches!(mode, CoreMode::Off) {
+            self.bitsets[word] &= !bit;
+        } else {
+            self.bitsets[word] |= bit;
+        }
         self.mark_dirty(core);
     }
 
@@ -300,12 +317,27 @@ impl CoreStore {
     /// in ascending core order — the same order the old full scan
     /// produced.
     pub fn testable_words(&self) -> &[u64] {
-        &self.testable
+        &self.bitsets[..self.words]
     }
 
     /// Calls `f(core)` for every test candidate, ascending core order.
-    pub fn for_each_testable(&self, mut f: impl FnMut(usize)) {
-        for (w, &word) in self.testable.iter().enumerate() {
+    pub fn for_each_testable(&self, f: impl FnMut(usize)) {
+        Self::for_each_set_bit(self.testable_words(), f);
+    }
+
+    /// The powered-core bitset (cores not `CoreMode::Off`), laid out
+    /// like [`CoreStore::testable_words`].
+    pub fn powered_words(&self) -> &[u64] {
+        &self.bitsets[self.words..]
+    }
+
+    /// Calls `f(core)` for every powered core, ascending core order.
+    pub fn for_each_powered(&self, f: impl FnMut(usize)) {
+        Self::for_each_set_bit(self.powered_words(), f);
+    }
+
+    fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+        for (w, &word) in words.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
@@ -355,9 +387,9 @@ impl CoreStore {
         let word = core / WORD_BITS;
         let bit = 1u64 << (core % WORD_BITS);
         if self.is_test_candidate(core) {
-            self.testable[word] |= bit;
+            self.bitsets[word] |= bit;
         } else {
-            self.testable[word] &= !bit;
+            self.bitsets[word] &= !bit;
         }
     }
 
@@ -373,11 +405,13 @@ impl CoreStore {
     // --- consistency checking ---
 
     /// The maintained derived views, cloned.
+    // lint:effect(alloc, reason = "consistency-audit path: copies the maintained views out to compare them with a from-scratch rebuild")
     pub fn current_views(&self) -> StoreViews {
         StoreViews {
             mappable: self.mappable,
             testing: self.testing,
-            testable: self.testable.clone(),
+            testable: self.testable_words().to_vec(),
+            powered: self.powered_words().to_vec(),
         }
     }
 
@@ -386,6 +420,7 @@ impl CoreStore {
     pub fn rebuild_views(&self) -> StoreViews {
         let n = self.len();
         let mut testable = vec![0u64; n.div_ceil(WORD_BITS)];
+        let mut powered = testable.clone();
         let mut mappable = 0;
         let mut testing = 0;
         for core in 0..n {
@@ -395,14 +430,19 @@ impl CoreStore {
             if self.session[core].is_some() {
                 testing += 1;
             }
+            let bit = 1u64 << (core % WORD_BITS);
             if self.is_test_candidate(core) {
-                testable[core / WORD_BITS] |= 1u64 << (core % WORD_BITS);
+                testable[core / WORD_BITS] |= bit;
+            }
+            if !matches!(self.mode[core], CoreMode::Off) {
+                powered[core / WORD_BITS] |= bit;
             }
         }
         StoreViews {
             mappable,
             testing,
             testable,
+            powered,
         }
     }
 
@@ -550,6 +590,38 @@ mod tests {
         store.set_mode(4, CoreMode::Off);
         assert!(store.views_consistent());
         assert_eq!(store.current_views(), store.rebuild_views());
+    }
+
+    #[test]
+    fn powered_walk_visits_exactly_the_non_off_cores_in_order() {
+        // 130 cores: three words, the last one ragged.
+        let mut store = CoreStore::new(130);
+        let op = ladder_op();
+        for (core, mode) in [
+            (129, CoreMode::Idle(op)),
+            (3, CoreMode::Busy(op)),
+            (64, CoreMode::Testing(op, 0.7)),
+            (63, CoreMode::Idle(op)),
+            (3, CoreMode::Idle(op)),
+            (0, CoreMode::Busy(op)),
+            (64, CoreMode::Off),
+            (100, CoreMode::Testing(op, 0.2)),
+            (0, CoreMode::Off),
+            (65, CoreMode::Busy(op)),
+        ] {
+            store.set_mode(core, mode);
+            let mut walked = Vec::new();
+            store.for_each_powered(|c| walked.push(c));
+            let scan: Vec<usize> = (0..store.len())
+                .filter(|&c| !matches!(store.mode(c), CoreMode::Off))
+                .collect();
+            assert_eq!(walked, scan, "after setting core {core}");
+            assert!(store.views_consistent());
+        }
+        let mut walked = Vec::new();
+        store.for_each_powered(|c| walked.push(c));
+        assert_eq!(walked, vec![3, 63, 65, 100, 129]);
+        assert_eq!(store.powered_words().len(), store.testable_words().len());
     }
 
     #[test]

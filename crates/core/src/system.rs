@@ -467,6 +467,17 @@ impl std::fmt::Debug for System {
     }
 }
 
+/// The requirement `value` fails, if any: finite and positive, or finite
+/// and non-negative when `positive` is false.
+fn failed_requirement(value: f64, positive: bool) -> Option<&'static str> {
+    let in_range = if positive { value > 0.0 } else { value >= 0.0 };
+    match (value.is_finite() && in_range, positive) {
+        (true, _) => None,
+        (false, true) => Some("finite and positive"),
+        (false, false) => Some("finite and non-negative"),
+    }
+}
+
 impl System {
     fn new(config: SystemConfig, mix: WorkloadMix) -> Result<Self, BuildError> {
         for (field, value) in [
@@ -507,10 +518,7 @@ impl System {
             ("criticality.reference_wear_rate", crit.reference_wear_rate, true),
             ("test_scheduler.ipc", sched.ipc, true),
         ] {
-            let in_range = if positive { value > 0.0 } else { value >= 0.0 };
-            if !(value.is_finite() && in_range) {
-                let requirement =
-                    if positive { "finite and positive" } else { "finite and non-negative" };
+            if let Some(requirement) = failed_requirement(value, positive) {
                 return Err(BuildError::InvalidSchedulerSetting { field, value, requirement });
             }
         }
@@ -528,6 +536,51 @@ impl System {
                 value: f64::from(level),
                 requirement: "below dvfs_levels",
             });
+        }
+        // Every damage the aging model charges must be finite and non-
+        // negative: a non-positive temperature panics in the Arrhenius
+        // factor, an infinite one panics in the criticality metric, and
+        // a NaN or negative one silently stops testing.
+        let aging = config.aging;
+        for (field, value, positive) in [
+            ("aging.t_ambient", aging.t_ambient, true),
+            ("aging.t_reference", aging.t_reference, true),
+            ("aging.activation_energy", aging.activation_energy, false),
+            ("aging.base_rate", aging.base_rate, false),
+            ("aging.r_thermal", aging.r_thermal, false),
+        ] {
+            if let Some(requirement) = failed_requirement(value, positive) {
+                return Err(BuildError::InvalidAgingModel {
+                    field,
+                    value,
+                    requirement,
+                });
+            }
+        }
+        if let Some(rec) = aging.recovery {
+            if !(0.0..=1.0).contains(&rec.recoverable_fraction) {
+                return Err(BuildError::InvalidAgingModel {
+                    field: "aging.recovery.recoverable_fraction",
+                    value: rec.recoverable_fraction,
+                    requirement: "in [0, 1]",
+                });
+            }
+            for (field, value, positive) in [
+                ("aging.recovery.time_constant", rec.time_constant, true),
+                (
+                    "aging.recovery.idle_power_threshold",
+                    rec.idle_power_threshold,
+                    false,
+                ),
+            ] {
+                if let Some(requirement) = failed_requirement(value, positive) {
+                    return Err(BuildError::InvalidAgingModel {
+                        field,
+                        value,
+                        requirement,
+                    });
+                }
+            }
         }
         if mix.is_empty() {
             return Err(BuildError::EmptyWorkloadMix);
@@ -595,7 +648,7 @@ impl System {
             budget: PowerBudget::new(params.tdp),
             governor,
             meter: PowerMeter::new(),
-            aging: config.aging,
+            aging,
             criticality: config.criticality,
             stress: StressTracker::new(n, 0.1),
             thermal: config.transient_thermal.then(|| {
@@ -2118,18 +2171,21 @@ impl System {
     // ----- epoch close ----------------------------------------------------
 
     fn close_epoch(&mut self, t1: f64) {
-        // One cache-linear pass over the mode array. Power-gated cores
-        // draw exactly 0 W, so charging them adds 0.0 joules everywhere —
-        // a float no-op (all accumulators are non-negative, so `x + 0.0`
-        // cannot even flip a `-0.0`). Skipping them leaves their
-        // accounting watermark stale, which the next `set_mode` settles
-        // by charging the whole gated span at 0 W: identical arithmetic,
-        // fewer meter calls.
-        for core in 0..self.store.len() {
-            if matches!(self.store.mode(core), CoreMode::Off) {
-                continue;
+        // Charge the powered cores only, walking the store's powered
+        // bitset in ascending core order (the meter sums in the order a
+        // full scan would). Power-gated cores draw exactly 0 W, so
+        // charging them adds 0.0 joules everywhere — a float no-op (all
+        // accumulators are non-negative, so `x + 0.0` cannot even flip a
+        // `-0.0`). Skipping them leaves their accounting watermark stale,
+        // which the next `set_mode` settles by charging the whole gated
+        // span at 0 W: identical arithmetic, fewer meter calls.
+        for w in 0..self.store.powered_words().len() {
+            let mut bits = self.store.powered_words()[w];
+            while bits != 0 {
+                let core = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.charge_core(core, t1);
             }
-            self.charge_core(core, t1);
         }
         let epoch_secs = self.config.epoch.as_secs_f64();
         let measured = self.meter.epoch_power(epoch_secs);
@@ -2170,7 +2226,10 @@ impl System {
             t1,
             (self.store.len() - self.health.withdrawn_count()) as f64,
         );
-        if let Some(grid) = &mut self.thermal {
+        // The wear pass is the close's one pass over every core; it also
+        // reports the mean utilisation and, on the transient path, the
+        // hottest tile.
+        let wear = if let Some(grid) = &mut self.thermal {
             // Transient thermal path: advance the RC grid with this
             // epoch's per-tile powers, then charge damage at the *actual*
             // tile temperature. The power vector lives in a scratch
@@ -2181,29 +2240,29 @@ impl System {
             powers.extend(self.epoch_energy.iter().map(|&e| e / epoch_secs));
             grid.step(powers, epoch_secs);
             self.profile.thermal_steps += 1;
-            let max_damage = self.stress.record_epoch_all_at_temperature(
+            let wear = self.stress.record_epoch_all_at_temperature(
                 &self.aging,
                 grid.temperatures(),
                 &mut self.epoch_energy,
                 &mut self.epoch_busy,
                 epoch_secs,
             );
-            self.calendar.close_epoch(max_damage);
-            self.trace
-                .series_mut("max_temp_k")
-                .push(t1, grid.max_temperature());
+            self.trace.series_mut("max_temp_k").push(t1, wear.max_input);
+            wear
         } else {
-            let max_damage = self.stress.record_epoch_all(
+            self.stress.record_epoch_all(
                 &self.aging,
                 &mut self.epoch_energy,
                 &mut self.epoch_busy,
                 epoch_secs,
-            );
-            self.calendar.close_epoch(max_damage);
-        }
+            )
+        };
+        self.calendar.close_epoch(wear.max_damage);
+        #[cfg(test)]
+        self.assert_close_matches_scans(wear);
         self.trace
             .series_mut("mean_utilization")
-            .push(t1, self.stress.mean_utilization());
+            .push(t1, wear.mean_utilization);
         if self.config.model_contention {
             let loads = LinkLoads::from_traffic(
                 &self.epoch_traffic,
@@ -2341,6 +2400,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manytest_aging::{EpochWear, RecoveryParams};
     use manytest_power::TechNode;
     use manytest_sim::TraceSeries;
 
@@ -2379,6 +2439,39 @@ mod tests {
                 .collect();
             assert_eq!(walked, full, "ranked candidates at t = {now}");
             assert_eq!(retests, full_retests, "retests at t = {now}");
+        }
+
+        /// The oracle for the epoch close's bookkeeping: the full scans
+        /// it replaced. In unit-test builds every close checks that the
+        /// powered walk visits exactly the cores a `CoreMode` scan finds,
+        /// in ascending order; that the withdrawn counter equals the two
+        /// state scans; and that the wear pass's fused mean utilisation
+        /// and hottest tile equal `mean_utilization()` and
+        /// `max_temperature()`, bit for bit.
+        pub(super) fn assert_close_matches_scans(&self, wear: EpochWear) {
+            let mut walked = Vec::new();
+            self.store.for_each_powered(|core| walked.push(core));
+            let powered: Vec<usize> = (0..self.store.len())
+                .filter(|&core| !matches!(self.store.mode(core), CoreMode::Off))
+                .collect();
+            assert_eq!(walked, powered, "powered walk");
+            assert_eq!(
+                self.health.withdrawn_count(),
+                self.health.quarantined_count() + self.health.probation_count(),
+                "withdrawn count"
+            );
+            assert_eq!(
+                wear.mean_utilization.to_bits(),
+                self.stress.mean_utilization().to_bits(),
+                "fused mean utilisation"
+            );
+            if let Some(grid) = &self.thermal {
+                assert_eq!(
+                    wear.max_input.to_bits(),
+                    grid.max_temperature().to_bits(),
+                    "fused hottest tile"
+                );
+            }
         }
     }
 
@@ -2567,6 +2660,102 @@ mod tests {
         cfg.test_scheduler.criticality_threshold = 0.0;
         cfg.test_scheduler.fixed_level = Some(cfg.dvfs_levels as u8 - 1);
         assert!(SystemBuilder::from_config(cfg).build().is_ok());
+    }
+
+    /// Builds the default config with its aging model changed by
+    /// `mutate`; the build must fail with the aging-model error naming
+    /// `field`.
+    fn assert_rejects_aging(mutate: impl FnOnce(&mut AgingModel), field: &str) {
+        let mut cfg = SystemConfig::for_node(TechNode::N16);
+        mutate(&mut cfg.aging);
+        match SystemBuilder::from_config(cfg).build().err() {
+            Some(BuildError::InvalidAgingModel { field: f, .. }) => assert_eq!(f, field),
+            other => panic!("expected InvalidAgingModel for {field}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_positive_ambient_temperature_is_rejected() {
+        assert_rejects_aging(|a| a.t_ambient = 0.0, "aging.t_ambient");
+        assert_rejects_aging(|a| a.t_ambient = -5.0, "aging.t_ambient");
+    }
+
+    #[test]
+    fn zero_reference_temperature_is_rejected() {
+        assert_rejects_aging(|a| a.t_reference = 0.0, "aging.t_reference");
+    }
+
+    #[test]
+    fn nan_activation_energy_is_rejected() {
+        assert_rejects_aging(
+            |a| a.activation_energy = f64::NAN,
+            "aging.activation_energy",
+        );
+    }
+
+    #[test]
+    fn non_finite_or_negative_base_rate_is_rejected() {
+        for rate in [f64::INFINITY, f64::NAN, -1.0] {
+            assert_rejects_aging(|a| a.base_rate = rate, "aging.base_rate");
+        }
+    }
+
+    #[test]
+    fn negative_thermal_resistance_is_rejected() {
+        assert_rejects_aging(|a| a.r_thermal = -100.0, "aging.r_thermal");
+    }
+
+    #[test]
+    fn recoverable_fraction_outside_unit_interval_is_rejected() {
+        for fraction in [1.5, -0.1, f64::NAN] {
+            assert_rejects_aging(
+                |a| {
+                    a.recovery = Some(RecoveryParams {
+                        recoverable_fraction: fraction,
+                        ..RecoveryParams::default()
+                    })
+                },
+                "aging.recovery.recoverable_fraction",
+            );
+        }
+    }
+
+    #[test]
+    fn non_positive_recovery_time_constant_is_rejected() {
+        assert_rejects_aging(
+            |a| {
+                a.recovery = Some(RecoveryParams {
+                    time_constant: 0.0,
+                    ..RecoveryParams::default()
+                })
+            },
+            "aging.recovery.time_constant",
+        );
+    }
+
+    #[test]
+    fn negative_idle_power_threshold_is_rejected() {
+        assert_rejects_aging(
+            |a| {
+                a.recovery = Some(RecoveryParams {
+                    idle_power_threshold: -0.01,
+                    ..RecoveryParams::default()
+                })
+            },
+            "aging.recovery.idle_power_threshold",
+        );
+    }
+
+    #[test]
+    fn the_shipped_aging_models_stay_valid() {
+        for aging in [
+            AgingModel::default(),
+            AgingModel::default().with_recovery(RecoveryParams::default()),
+        ] {
+            let mut cfg = SystemConfig::for_node(TechNode::N16);
+            cfg.aging = aging;
+            assert!(SystemBuilder::from_config(cfg).build().is_ok());
+        }
     }
 
     #[test]

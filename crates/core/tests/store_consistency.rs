@@ -1,8 +1,8 @@
 //! Property check for the struct-of-arrays store: the incrementally
 //! maintained derived views (mappable count, testing count, testable
-//! bitset) must equal a from-scratch rebuild after *any* mutation
-//! sequence. Sequences are driven by [`SimRng`] so failures replay
-//! exactly from the printed seed.
+//! and powered bitsets) must equal a from-scratch rebuild after *any*
+//! mutation sequence. Sequences are driven by [`SimRng`] so failures
+//! replay exactly from the printed seed.
 
 use manytest_core::exec::CoreMode;
 use manytest_core::store::CoreStore;

@@ -92,6 +92,9 @@ pub enum CoreHealth {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthBoard {
     states: Vec<CoreHealth>,
+    /// Cores `Quarantined` or on `Probation`, maintained by [`Self::set`]
+    /// so the per-epoch [`Self::withdrawn_count`] needs no scan.
+    withdrawn: usize,
 }
 
 impl HealthBoard {
@@ -104,7 +107,28 @@ impl HealthBoard {
         assert!(cores > 0, "need at least one core");
         HealthBoard {
             states: vec![CoreHealth::Healthy; cores],
+            withdrawn: 0,
         }
+    }
+
+    /// The one state write: moves `core` to `state`, counting it in or
+    /// out of the withdrawn set when it crosses that boundary.
+    fn set(&mut self, core: usize, state: CoreHealth) {
+        let was = Self::withdrawn_state(self.states[core]);
+        let is = Self::withdrawn_state(state);
+        self.states[core] = state;
+        match (was, is) {
+            (false, true) => self.withdrawn += 1,
+            (true, false) => self.withdrawn -= 1,
+            _ => {}
+        }
+    }
+
+    fn withdrawn_state(state: CoreHealth) -> bool {
+        matches!(
+            state,
+            CoreHealth::Quarantined { .. } | CoreHealth::Probation { .. }
+        )
     }
 
     /// The health state of `core`.
@@ -137,10 +161,7 @@ impl HealthBoard {
     /// quarantined or on probation. Until `readmit` fires, the mapper
     /// must treat both the same.
     pub fn is_withdrawn(&self, core: usize) -> bool {
-        matches!(
-            self.states[core],
-            CoreHealth::Quarantined { .. } | CoreHealth::Probation { .. }
-        )
+        Self::withdrawn_state(self.states[core])
     }
 
     /// The pinned retest level of a suspect core.
@@ -157,11 +178,14 @@ impl HealthBoard {
     /// only comes back through probation).
     pub fn mark_suspect(&mut self, core: usize, level: VfLevel, retests: u8) {
         if matches!(self.states[core], CoreHealth::Healthy) {
-            self.states[core] = CoreHealth::Suspect {
-                level,
-                remaining: retests,
-                used: 0,
-            };
+            self.set(
+                core,
+                CoreHealth::Suspect {
+                    level,
+                    remaining: retests,
+                    used: 0,
+                },
+            );
         }
     }
 
@@ -169,11 +193,21 @@ impl HealthBoard {
     /// Returns `(used, remaining)` after the decrement; `(0, 0)` if the
     /// core was not suspect.
     pub fn note_retest_complete(&mut self, core: usize) -> (u8, u8) {
-        match &mut self.states[core] {
-            CoreHealth::Suspect { remaining, used, .. } => {
-                *remaining = remaining.saturating_sub(1);
-                *used = used.saturating_add(1);
-                (*used, *remaining)
+        match self.states[core] {
+            CoreHealth::Suspect {
+                level,
+                remaining,
+                used,
+            } => {
+                let remaining = remaining.saturating_sub(1);
+                let used = used.saturating_add(1);
+                let state = CoreHealth::Suspect {
+                    level,
+                    remaining,
+                    used,
+                };
+                self.set(core, state);
+                (used, remaining)
             }
             _ => (0, 0),
         }
@@ -188,7 +222,7 @@ impl HealthBoard {
             CoreHealth::Suspect { used, .. } => used,
             _ => 0,
         };
-        self.states[core] = CoreHealth::Quarantined { backoff: 0 };
+        self.set(core, CoreHealth::Quarantined { backoff: 0 });
         used
     }
 
@@ -198,7 +232,7 @@ impl HealthBoard {
     pub fn begin_probation(&mut self, core: usize) -> u8 {
         match self.states[core] {
             CoreHealth::Quarantined { backoff } => {
-                self.states[core] = CoreHealth::Probation { streak: 0, backoff };
+                self.set(core, CoreHealth::Probation { streak: 0, backoff });
                 backoff
             }
             _ => 0,
@@ -208,10 +242,11 @@ impl HealthBoard {
     /// Records one clean probe on a probation `core`. Returns the new
     /// streak length; 0 if the core was not on probation.
     pub fn note_probe_pass(&mut self, core: usize) -> u8 {
-        match &mut self.states[core] {
-            CoreHealth::Probation { streak, .. } => {
-                *streak = streak.saturating_add(1);
-                *streak
+        match self.states[core] {
+            CoreHealth::Probation { streak, backoff } => {
+                let streak = streak.saturating_add(1);
+                self.set(core, CoreHealth::Probation { streak, backoff });
+                streak
             }
             _ => 0,
         }
@@ -223,7 +258,7 @@ impl HealthBoard {
     pub fn readmit(&mut self, core: usize) -> u8 {
         match self.states[core] {
             CoreHealth::Probation { streak, .. } => {
-                self.states[core] = CoreHealth::Healthy;
+                self.set(core, CoreHealth::Healthy);
                 streak
             }
             _ => 0,
@@ -237,7 +272,7 @@ impl HealthBoard {
         match self.states[core] {
             CoreHealth::Probation { backoff, .. } => {
                 let bumped = backoff.saturating_add(1);
-                self.states[core] = CoreHealth::Quarantined { backoff: bumped };
+                self.set(core, CoreHealth::Quarantined { backoff: bumped });
                 bumped
             }
             _ => 0,
@@ -267,7 +302,7 @@ impl HealthBoard {
     pub fn clear(&mut self, core: usize) -> u8 {
         match self.states[core] {
             CoreHealth::Suspect { used, .. } => {
-                self.states[core] = CoreHealth::Healthy;
+                self.set(core, CoreHealth::Healthy);
                 used
             }
             _ => 0,
@@ -313,9 +348,15 @@ impl HealthBoard {
             .count()
     }
 
-    /// Cores withdrawn from mapping (`Quarantined` + `Probation`).
+    /// Cores withdrawn from mapping (`Quarantined` + `Probation`), O(1):
+    /// a maintained count that must equal the sum of the two scans above.
     pub fn withdrawn_count(&self) -> usize {
-        self.quarantined_count() + self.probation_count()
+        debug_assert_eq!(
+            self.withdrawn,
+            self.quarantined_count() + self.probation_count(),
+            "withdrawn counter drifted from the state scans"
+        );
+        self.withdrawn
     }
 }
 
@@ -425,6 +466,51 @@ mod tests {
         let mut board = HealthBoard::new(2);
         assert_eq!(board.note_retest_complete(0), (0, 0));
         assert!(board.is_healthy(0));
+    }
+
+    #[test]
+    fn withdrawn_counter_follows_every_transition() {
+        let mut board = HealthBoard::new(4);
+        let check = |board: &HealthBoard, step: &str, expected: usize| {
+            let scans = board.quarantined_count() + board.probation_count();
+            assert_eq!(board.withdrawn_count(), scans, "after {step}");
+            assert_eq!(scans, expected, "after {step}");
+        };
+        check(&board, "new", 0);
+        board.mark_suspect(0, VfLevel(1), 2);
+        check(&board, "mark_suspect", 0);
+        board.note_retest_complete(0);
+        check(&board, "note_retest_complete", 0);
+        board.clear(0);
+        check(&board, "clear of a suspect", 0);
+        board.mark_suspect(0, VfLevel(1), 2);
+        board.quarantine(0);
+        check(&board, "quarantine of a suspect", 1);
+        board.quarantine(0);
+        check(&board, "quarantine of a quarantined core", 1);
+        board.quarantine(1);
+        check(&board, "quarantine of a healthy core", 2);
+        board.clear(1);
+        check(&board, "clear of a quarantined core", 2);
+        board.begin_probation(0);
+        check(&board, "begin_probation", 2);
+        board.quarantine(0);
+        check(&board, "quarantine of a probation core", 2);
+        board.begin_probation(0);
+        board.note_probe_pass(0);
+        check(&board, "note_probe_pass", 2);
+        board.fail_probation(0);
+        check(&board, "fail_probation", 2);
+        board.begin_probation(0);
+        board.readmit(0);
+        check(&board, "readmit", 1);
+        board.readmit(0);
+        board.fail_probation(1);
+        board.begin_probation(2);
+        check(&board, "no-op transitions", 1);
+        board.begin_probation(1);
+        board.readmit(1);
+        check(&board, "readmit of the last withdrawn core", 0);
     }
 
     #[test]
