@@ -83,6 +83,62 @@ impl RunningApp {
         self.done_count == self.tasks.len()
     }
 
+    /// The time the last input message for `task` arrives, or `None`
+    /// while a predecessor is not done.
+    ///
+    /// One pass over `task`'s in-edges in edge order folds `f64::max`
+    /// from `started_at` over each predecessor's completion time plus
+    /// `edge_latency(predecessor, bits)`. A graph may repeat a pair; every
+    /// copy then uses the first edge's `bits`.
+    pub fn ready_time(
+        &self,
+        task: TaskId,
+        edge_latency: impl Fn(TaskId, f64) -> f64,
+    ) -> Option<f64> {
+        let edges = self.graph.edges();
+        let mut first_in = None;
+        let mut ready = self.started_at;
+        for (k, e) in edges.iter().enumerate() {
+            if e.to != task {
+                continue;
+            }
+            let TaskState::Done { at } = self.tasks[e.from.index()] else {
+                return None;
+            };
+            let first = *first_in.get_or_insert(k);
+            let bits = edges[first..k]
+                .iter()
+                .find(|f| f.from == e.from && f.to == task)
+                .map_or(e.bits, |f| f.bits);
+            ready = ready.max(at + edge_latency(e.from, bits));
+        }
+        Some(ready)
+    }
+
+    /// The successors whose last input `task`'s completion delivered, in
+    /// out-edge order (a repeated edge repeats its successor), each with
+    /// its [`RunningApp::ready_time`]; `edge_latency` is called as
+    /// `(predecessor, successor, bits)`.
+    pub fn woken_by<'a>(
+        &'a self,
+        task: TaskId,
+        edge_latency: impl Fn(TaskId, TaskId, f64) -> f64 + 'a,
+    ) -> impl Iterator<Item = (TaskId, f64)> + 'a {
+        self.graph
+            .out_edges(task)
+            .filter(|e| matches!(self.tasks[e.to.index()], TaskState::Waiting))
+            .filter_map(move |e| {
+                self.ready_time(e.to, |p, bits| edge_latency(p, e.to, bits))
+                    .map(|ready| (e.to, ready))
+            })
+    }
+}
+
+/// The readiness test as first written: a predecessor scan, then a second
+/// scan that finds each predecessor's edge from the front of the edge
+/// list. [`RunningApp::ready_time`] must match the two, bit for bit.
+#[cfg(test)]
+impl RunningApp {
     /// True if every predecessor of `task` is done.
     pub fn predecessors_done(&self, task: TaskId) -> bool {
         self.graph
@@ -109,6 +165,28 @@ impl RunningApp {
                 done_at + edge_latency(p, task)
             })
             .fold(self.started_at, f64::max)
+    }
+
+    /// [`RunningApp::ready_time`] by the two scans above, with
+    /// `edge_latency` called as `(predecessor, bits)` on the first
+    /// matching edge's volume.
+    pub fn ready_time_reference(
+        &self,
+        task: TaskId,
+        edge_latency: impl Fn(TaskId, f64) -> f64,
+    ) -> Option<f64> {
+        self.predecessors_done(task).then(|| {
+            self.input_ready_time(task, |p, t| {
+                let bits = self
+                    .graph
+                    .edges()
+                    .iter()
+                    .find(|e| e.from == p && e.to == t)
+                    .map(|e| e.bits)
+                    .unwrap_or(0.0);
+                edge_latency(p, bits)
+            })
+        })
     }
 }
 
@@ -190,6 +268,76 @@ mod tests {
         assert!(app.predecessors_done(TaskId(0)));
         let ready = app.input_ready_time(TaskId(0), |_, _| 1.0);
         assert_eq!(ready, app.started_at);
+    }
+
+    /// Random DAGs (edges only from lower to higher ids, pairs repeated
+    /// at times, volumes tie-heavy or continuous) in random task states:
+    /// the fused readiness test must match the two scans it replaced, in
+    /// outcome and ready-time bits, and so must the woken successors.
+    #[test]
+    fn ready_time_matches_reference() {
+        use manytest_sim::SimRng;
+        let mut rng = SimRng::seed_from(4242);
+        for _ in 0..2_000 {
+            let n = rng.gen_range_inclusive(1, 12) as u32;
+            let mut graph = TaskGraph::new("random");
+            for _ in 0..n {
+                graph.add_task(Task { instructions: 1 });
+            }
+            for _ in 0..rng.gen_range(3 * u64::from(n) + 1) {
+                let a = rng.gen_range(u64::from(n)) as u32;
+                let b = rng.gen_range(u64::from(n)) as u32;
+                if a == b {
+                    continue;
+                }
+                let bits = if rng.gen_bool(0.5) {
+                    64.0 * rng.gen_range(3) as f64
+                } else {
+                    rng.gen_f64_range(0.0, 1.0e6)
+                };
+                graph.add_edge(TaskId(a.min(b)), TaskId(a.max(b)), bits);
+                if rng.gen_bool(0.2) {
+                    // A repeated pair with its own volume.
+                    graph.add_edge(TaskId(a.min(b)), TaskId(a.max(b)), bits + 64.0);
+                }
+            }
+            let mut app = running(some_reservation());
+            app.tasks = (0..n)
+                .map(|_| match rng.gen_range(3) {
+                    0 => TaskState::Waiting,
+                    1 => TaskState::Running { finish: 1.0 },
+                    _ => TaskState::Done {
+                        at: rng.gen_f64_range(0.0, 0.01),
+                    },
+                })
+                .collect();
+            app.graph = graph;
+            app.started_at = rng.gen_f64_range(0.0, 0.005);
+            let latency = |p: TaskId, bits: f64| 1.0e-6 * f64::from(p.0) + bits * 1.0e-9;
+            for t in 0..n {
+                let task = TaskId(t);
+                assert_eq!(
+                    app.ready_time(task, latency).map(f64::to_bits),
+                    app.ready_time_reference(task, latency).map(f64::to_bits),
+                    "task {task} of {:?}",
+                    app.graph.edges()
+                );
+                let woken: Vec<_> = app
+                    .woken_by(task, |p, _, bits| latency(p, bits))
+                    .map(|(to, ready)| (to, ready.to_bits()))
+                    .collect();
+                let reference: Vec<_> = app
+                    .graph
+                    .out_edges(task)
+                    .filter(|e| matches!(app.tasks[e.to.index()], TaskState::Waiting))
+                    .filter_map(|e| {
+                        app.ready_time_reference(e.to, latency)
+                            .map(|ready| (e.to, ready.to_bits()))
+                    })
+                    .collect();
+                assert_eq!(woken, reference, "successors of {task}");
+            }
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub struct CoreStore {
     /// the mappable count updates without consulting another crate.
     healthy: Vec<bool>,
     // --- cold per-core state (touched only at test completion) ---
-    test_times: Vec<Vec<f64>>,
+    last_test: Vec<Option<f64>>,
     // --- maintained derived views ---
     mappable: usize,
     testing: usize,
@@ -119,7 +119,7 @@ impl CoreStore {
             session_reservation: vec![None; n],
             session_gen: vec![0; n],
             healthy: vec![true; n],
-            test_times: vec![Vec::new(); n],
+            last_test: vec![None; n],
             mappable: n,
             testing: 0,
             bitsets,
@@ -277,12 +277,13 @@ impl CoreStore {
 
     /// Completion time of the most recent test on `core`, if any.
     pub fn last_test_time(&self, core: usize) -> Option<f64> {
-        self.test_times[core].last().copied()
+        self.last_test[core]
     }
 
-    /// Records a test completion on `core` at `now` seconds.
+    /// Records a test completion on `core` at `now` seconds; only the
+    /// most recent one is kept.
     pub fn push_test_time(&mut self, core: usize, now: f64) {
-        self.test_times[core].push(now);
+        self.last_test[core] = Some(now);
     }
 
     // --- derived predicates (same definitions CoreSlot carried) ---

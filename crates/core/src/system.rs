@@ -8,7 +8,7 @@ use crate::metrics::{MetricsCollector, Report};
 use crate::store::CoreStore;
 use manytest_aging::{AgingModel, CriticalityModel, StressTracker, ThermalGrid, ThermalParams};
 use manytest_map::{ConaMapper, FirstFitMapper, MapContext, Mapper, TestAwareMapper};
-use manytest_noc::{ContentionModel, LinkEnergyModel, LinkLoads, Mesh2D, TrafficMatrix};
+use manytest_noc::{ContentionModel, Coord, LinkEnergyModel, LinkLoads, Mesh2D, TrafficMatrix};
 use manytest_power::{
     NaiveTdpPolicy, OperatingPoint, PidController, PowerBudget, PowerCategory, PowerGovernor,
     PowerMeter, PowerModel, VfLadder, VfLevel,
@@ -388,7 +388,6 @@ pub struct System {
     store: CoreStore,
     epoch_busy: Vec<f64>,
     epoch_energy: Vec<f64>,
-    traffic: TrafficMatrix,
     epoch_traffic: TrafficMatrix,
     link_loads: Option<LinkLoads>,
     contention: ContentionModel,
@@ -464,6 +463,26 @@ impl std::fmt::Debug for System {
             .field("pending", &self.pending.len())
             .field("running", &self.running.len())
             .finish()
+    }
+}
+
+/// The NoC models a message's latency needs, borrowed apart from the
+/// running-app map so a handler can wake tasks while it holds an app.
+struct Links<'a> {
+    model: &'a LinkEnergyModel,
+    loads: Option<&'a LinkLoads>,
+    contention: &'a ContentionModel,
+}
+
+impl Links<'_> {
+    /// Latency of a `bits`-bit message from `src` to `dst`, inflated by
+    /// the route's contention when link loads are modelled.
+    fn latency(&self, src: Coord, dst: Coord, bits: f64) -> f64 {
+        let base = self.model.message_cost(src, dst, bits).latency;
+        match self.loads {
+            Some(loads) => base * self.contention.route_factor(loads, src, dst),
+            None => base,
+        }
     }
 }
 
@@ -667,7 +686,6 @@ impl System {
             store: CoreStore::new(n),
             epoch_busy: vec![0.0; n],
             epoch_energy: vec![0.0; n],
-            traffic: TrafficMatrix::new(mesh),
             epoch_traffic: TrafficMatrix::new(mesh),
             link_loads: None,
             contention: ContentionModel::new(),
@@ -1377,85 +1395,66 @@ impl System {
     }
 
     fn on_task_finish(&mut self, app_id: u64, task: TaskId, inc: u64, now: f64) {
-        match self.running.get(&app_id) {
-            Some(app) if app.inc == inc => {}
+        let coord = match self.running.get(&app_id) {
+            Some(app) if app.inc == inc => app.mapping.coord_of(task),
             _ => return, // stale: the app was torn down or re-placed
-        }
-        // Work on the entry by value: one invariant-checked removal up
-        // front replaces every panicking lookup below; the entry goes
-        // back into the map at the end unless the app completed.
-        let Some(mut app) = self.running.remove(&app_id) else { return };
+        };
         // Release the core first.
-        let coord = app.mapping.coord_of(task);
         let core = self.mesh.node_id(coord).index();
         self.store.set_owner(core, None);
         self.set_mode(core, now, CoreMode::Off);
+        let links = Links {
+            model: &self.link_model,
+            loads: self.link_loads.as_ref(),
+            contention: &self.contention,
+        };
+        let Some(app) = self.running.get_mut(&app_id) else {
+            debug_assert!(false, "app {app_id} was checked running above");
+            return;
+        };
         // Record completion and instructions, and hand the task's share of
         // the power reservation back so later admissions (and tests) can
         // use it.
         self.metrics.instructions += app.graph.task(task).instructions;
         app.tasks[task.index()] = TaskState::Done { at: now };
         app.done_count += 1;
-        if !app.is_complete() {
+        let complete = app.is_complete();
+        if !complete {
             let shrunk = (app.reservation.watts() - app.per_task_watts).max(0.0);
             let resized = self.budget.resize(&mut app.reservation, shrunk);
             debug_assert!(resized.is_ok(), "shrinking a reservation cannot fail");
         }
+        let app = &*app;
         // Send output messages: charge NoC traffic + energy.
-        let out_edges: Vec<(TaskId, f64)> = app
-            .graph
-            .out_edges(task)
-            .map(|e| (e.to, e.bits))
-            // lint:allow(hot-path-purity, reason = "borrow split: charging traffic needs &mut self while app.graph is borrowed; the buffer is degree-bounded")
-            .collect();
-        for (to, bits) in &out_edges {
-            let dst = app.mapping.coord_of(*to);
-            self.traffic.charge_route(coord, dst, *bits);
+        for e in app.graph.out_edges(task) {
+            let dst = app.mapping.coord_of(e.to);
             if self.config.model_contention {
-                self.epoch_traffic.charge_route(coord, dst, *bits);
+                self.epoch_traffic.charge_route(coord, dst, e.bits);
             }
-            let cost = self.link_model.message_cost(coord, dst, *bits);
+            let cost = self.link_model.message_cost(coord, dst, e.bits);
             self.meter.add_energy(PowerCategory::Noc, cost.energy);
         }
         // Wake successors whose inputs are now complete.
-        let newly_ready: Vec<(TaskId, f64)> = out_edges
-            .iter()
-            .map(|&(to, _)| to)
-            .filter(|&to| {
-                matches!(app.tasks[to.index()], TaskState::Waiting)
-                    && app.predecessors_done(to)
-            })
-            .map(|to| {
-                let ready = app.input_ready_time(to, |p, t| {
-                    let bits = app
-                        .graph
-                        .edges()
-                        .iter()
-                        .find(|e| e.from == p && e.to == t)
-                        .map(|e| e.bits)
-                        .unwrap_or(0.0);
-                    let src = app.mapping.coord_of(p);
-                    let dst = app.mapping.coord_of(t);
-                    let base = self.link_model.message_cost(src, dst, bits).latency;
-                    match &self.link_loads {
-                        Some(loads) => {
-                            base * self.contention.route_factor(loads, src, dst)
-                        }
-                        None => base,
-                    }
-                });
-                (to, ready.max(now))
-            })
-            // lint:allow(hot-path-purity, reason = "borrow split: scheduling needs &mut self.queue while app is borrowed; the ready set is degree-bounded")
-            .collect();
-        for (to, ready) in newly_ready {
+        let latency = |p: TaskId, t: TaskId, bits| {
+            links.latency(app.mapping.coord_of(p), app.mapping.coord_of(t), bits)
+        };
+        for (to, ready) in app.woken_by(task, latency) {
+            let ready = ready.max(now);
+            #[cfg(test)]
+            tests::note_wake(to, ready);
             self.queue.schedule(
                 SimTime::from_ns((ready * 1e9).round() as u64),
                 Ev::TaskReady { app: app_id, task: to, inc },
             );
         }
+        #[cfg(test)]
+        self.assert_wakes_match_reference(app_id, task, now);
         // Application completion.
-        if app.is_complete() {
+        if complete {
+            let Some(app) = self.running.remove(&app_id) else {
+                debug_assert!(false, "app {app_id} was checked running above");
+                return;
+            };
             self.budget.release(app.reservation);
             self.metrics.apps_completed += 1;
             let latency = now - app.arrived_at;
@@ -1469,9 +1468,6 @@ impl System {
                     latency,
                 },
             );
-        } else {
-            // lint:allow(hot-path-purity, reason = "re-keys the entry removed at the top of the handler; bounded by the workload's completion rate")
-            self.running.insert(app_id, app);
         }
     }
 
@@ -1866,9 +1862,13 @@ impl System {
     /// re-issued under a fresh instance counter exactly like a
     /// migration), the dirty span resets, and `AppCheckpointed` chains
     /// back to the placement it protects.
-    // lint:effect(alloc, reason = "checkpoint lane: re-keying the running map is checkpoint-proportional, paid only on the migration policy's cadence")
     fn checkpoint_app(&mut self, app_id: u64, now: f64) {
-        let Some(mut app) = self.running.remove(&app_id) else {
+        let links = Links {
+            model: &self.link_model,
+            loads: self.link_loads.as_ref(),
+            contention: &self.contention,
+        };
+        let Some(app) = self.running.get_mut(&app_id) else {
             debug_assert!(false, "checkpoint target {app_id} is not running");
             return;
         };
@@ -1880,7 +1880,6 @@ impl System {
         if live == 0 {
             // Fully computed; only the completion event is in flight.
             app.last_checkpoint = now;
-            self.running.insert(app_id, app);
             return;
         }
         let pause = self.config.migration_delay.as_secs_f64() * CHECKPOINT_PAUSE_FRACTION;
@@ -1898,40 +1897,25 @@ impl System {
                         Ev::TaskFinish { app: app_id, task, inc },
                     );
                 }
-                TaskState::Waiting if app.predecessors_done(task) => {
-                    let ready = app.input_ready_time(task, |p, to| {
-                        let bits = app
-                            .graph
-                            .edges()
-                            .iter()
-                            .find(|e| e.from == p && e.to == to)
-                            .map(|e| e.bits)
-                            .unwrap_or(0.0);
-                        let src = app.mapping.coord_of(p);
-                        let dst = app.mapping.coord_of(to);
-                        let base = self.link_model.message_cost(src, dst, bits).latency;
-                        match &self.link_loads {
-                            Some(loads) => {
-                                base * self.contention.route_factor(loads, src, dst)
-                            }
-                            None => base,
-                        }
+                TaskState::Waiting => {
+                    let ready = app.ready_time(task, |p, bits| {
+                        links.latency(app.mapping.coord_of(p), app.mapping.coord_of(task), bits)
                     });
+                    // Still waiting on predecessors: their completion
+                    // wakes it under the new counter.
+                    let Some(ready) = ready else { continue };
                     let ready = ready.max(now) + pause;
                     self.queue.schedule(
                         SimTime::from_ns((ready * 1e9).round() as u64),
                         Ev::TaskReady { app: app_id, task, inc },
                     );
                 }
-                // Still waiting on predecessors (their completion wakes
-                // it under the new counter), or already done.
-                TaskState::Waiting | TaskState::Done { .. } => {}
+                TaskState::Done { .. } => {}
             }
         }
         app.last_checkpoint = now;
         self.metrics.apps_checkpointed += 1;
         let mapped_event = app.mapped_event;
-        self.running.insert(app_id, app);
         self.emit_caused(
             now,
             CauseKind::Checkpoint,
@@ -2025,8 +2009,9 @@ impl System {
         // Remap context: the app's own nodes are offered back as free;
         // the quarantined node (like every unhealthy node) is excluded.
         self.fill_map_context(now, Some(AppId(app_id)));
-        // Work on the entry by value (same pattern as task completion):
-        // one invariant-checked removal replaces every panicking lookup
+        // Work on the entry by value: the remap calls `&mut self` methods
+        // (`set_mode`, `abort_session`) while it holds the app, so one
+        // invariant-checked removal replaces every panicking lookup
         // below, and the entry goes back into the map before the
         // migration event fires.
         let Some(mut app) = self.running.remove(&app_id) else {
@@ -2101,7 +2086,6 @@ impl System {
             };
             self.set_mode(nc, now, mode);
             // The state transfer crosses the NoC like any other message.
-            self.traffic.charge_route(old, new, state_bits);
             if self.config.model_contention {
                 self.epoch_traffic.charge_route(old, new, state_bits);
             }
@@ -2110,6 +2094,11 @@ impl System {
         }
         // Re-issue the in-flight timing under the new instance counter;
         // moved tasks finish (or become ready) one transfer-delay late.
+        let links = Links {
+            model: &self.link_model,
+            loads: self.link_loads.as_ref(),
+            contention: &self.contention,
+        };
         for t in 0..task_count {
             let task = TaskId(t as u32);
             let moved = old_mapping.coord_of(task) != app.mapping.coord_of(task);
@@ -2123,34 +2112,20 @@ impl System {
                         Ev::TaskFinish { app: app_id, task, inc },
                     );
                 }
-                TaskState::Waiting if app.predecessors_done(task) => {
-                    let ready = app.input_ready_time(task, |p, to| {
-                        let bits = app
-                            .graph
-                            .edges()
-                            .iter()
-                            .find(|e| e.from == p && e.to == to)
-                            .map(|e| e.bits)
-                            .unwrap_or(0.0);
-                        let src = app.mapping.coord_of(p);
-                        let dst = app.mapping.coord_of(to);
-                        let base = self.link_model.message_cost(src, dst, bits).latency;
-                        match &self.link_loads {
-                            Some(loads) => {
-                                base * self.contention.route_factor(loads, src, dst)
-                            }
-                            None => base,
-                        }
+                TaskState::Waiting => {
+                    let ready = app.ready_time(task, |p, bits| {
+                        links.latency(app.mapping.coord_of(p), app.mapping.coord_of(task), bits)
                     });
+                    // Still waiting on predecessors: their completion
+                    // will wake it under the new counter.
+                    let Some(ready) = ready else { continue };
                     let ready = ready.max(now) + penalty;
                     self.queue.schedule(
                         SimTime::from_ns((ready * 1e9).round() as u64),
                         Ev::TaskReady { app: app_id, task, inc },
                     );
                 }
-                // Still waiting on predecessors (their completion will
-                // wake it under the new counter), or already done.
-                TaskState::Waiting | TaskState::Done { .. } => {}
+                TaskState::Done { .. } => {}
             }
         }
         self.running.insert(app_id, app);
@@ -2408,6 +2383,17 @@ mod tests {
         SystemBuilder::new(node).seed(11).sim_time_ms(160).arrival_rate(200.0)
     }
 
+    thread_local! {
+        /// The wake-ups the current task completion scheduled: each
+        /// successor with its ready-time bits.
+        static WAKES: std::cell::RefCell<Vec<(TaskId, u64)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn note_wake(task: TaskId, ready: f64) {
+        WAKES.with(|w| w.borrow_mut().push((task, ready.to_bits())));
+    }
+
     impl System {
         /// The oracle for the wake-up calendar: the schedule walk as it
         /// was before it, which evaluates every testable core every
@@ -2439,6 +2425,46 @@ mod tests {
                 .collect();
             assert_eq!(walked, full, "ranked candidates at t = {now}");
             assert_eq!(retests, full_retests, "retests at t = {now}");
+        }
+
+        /// The oracle for the task lane: the wake-up computation as it
+        /// was before `RunningApp::ready_time` fused it, a predecessor
+        /// scan and then an input-ready fold that finds each edge from
+        /// the front of the edge list. In unit-test builds every task
+        /// completion checks that it scheduled the same successors, in
+        /// the same order, at the same ready-time bits.
+        pub(super) fn assert_wakes_match_reference(&self, app_id: u64, task: TaskId, now: f64) {
+            let app = &self.running[&app_id];
+            let woken = WAKES.with(|w| std::mem::take(&mut *w.borrow_mut()));
+            let reference: Vec<(TaskId, u64)> = app
+                .graph
+                .out_edges(task)
+                .map(|e| e.to)
+                .filter(|&to| {
+                    matches!(app.tasks[to.index()], TaskState::Waiting)
+                        && app.predecessors_done(to)
+                })
+                .map(|to| {
+                    let ready = app.input_ready_time(to, |p, t| {
+                        let bits = app
+                            .graph
+                            .edges()
+                            .iter()
+                            .find(|e| e.from == p && e.to == t)
+                            .map(|e| e.bits)
+                            .unwrap_or(0.0);
+                        let src = app.mapping.coord_of(p);
+                        let dst = app.mapping.coord_of(t);
+                        let base = self.link_model.message_cost(src, dst, bits).latency;
+                        match &self.link_loads {
+                            Some(loads) => base * self.contention.route_factor(loads, src, dst),
+                            None => base,
+                        }
+                    });
+                    (to, ready.max(now).to_bits())
+                })
+                .collect();
+            assert_eq!(woken, reference, "app {app_id} task {task} at t = {now}");
         }
 
         /// The oracle for the epoch close's bookkeeping: the full scans

@@ -10,7 +10,7 @@
 
 use crate::context::MapContext;
 use crate::mapping::Mapping;
-use manytest_noc::{Coord, Mesh2D, Region};
+use manytest_noc::{Coord, Mesh2D, NodeId, Region};
 use manytest_workload::{TaskGraph, TaskId};
 
 /// Floor of the per-excess-hop cost for leaving the chosen region (hops
@@ -30,9 +30,293 @@ pub fn mean_edge_bits(app: &TaskGraph) -> f64 {
     }
 }
 
+/// The value `Iterator::sum` starts an `f64` sum from, so the sums built
+/// edge by edge below are bit for bit the ones a per-task `sum()` gives.
+const SUM_START: f64 = -0.0;
+
 /// Orders tasks by descending attachment to the already-placed set, seeded
-/// with the most communication-heavy task.
+/// with the most communication-heavy task (ties: lowest id).
+///
+/// Each step sums every task's attachment in one pass over the edges in
+/// edge order, so each task's sum gets the same additions in the same
+/// order as summing its own matching edges, and the comparator picks the
+/// same task.
 fn placement_order(app: &TaskGraph) -> Vec<TaskId> {
+    let n = app.task_count();
+    let mut order: Vec<TaskId> = Vec::with_capacity(n);
+    let mut placed = vec![false; n];
+    // Seed: every edge counts once towards each of its ends.
+    let mut sums = vec![SUM_START; n];
+    for e in app.edges() {
+        sums[e.from.index()] += e.bits;
+        if e.to != e.from {
+            sums[e.to.index()] += e.bits;
+        }
+    }
+    let heaviest = |sums: &[f64], placed: &[bool]| {
+        (0..n as u32)
+            .map(TaskId)
+            .filter(|t| !placed[t.index()])
+            .max_by(|&a, &b| {
+                sums[a.index()]
+                    .partial_cmp(&sums[b.index()])
+                    .expect("volumes are finite")
+                    .then(b.0.cmp(&a.0))
+            })
+    };
+    let seed = heaviest(&sums, &placed).expect("graph is non-empty");
+    order.push(seed);
+    placed[seed.index()] = true;
+    while order.len() < n {
+        // Attachment: edges between an unplaced task and the placed set.
+        sums.fill(SUM_START);
+        for e in app.edges() {
+            let (from, to) = (e.from.index(), e.to.index());
+            if placed[to] && !placed[from] {
+                sums[from] += e.bits;
+            } else if placed[from] && !placed[to] {
+                sums[to] += e.bits;
+            }
+        }
+        let next = heaviest(&sums, &placed).expect("some task remains");
+        order.push(next);
+        placed[next.index()] = true;
+    }
+    order
+}
+
+/// Places `app` contiguously inside (preferably) `region`.
+///
+/// `node_penalty` is added to each candidate core's cost; the baseline
+/// passes a constant, the test-aware mapper passes utilisation/criticality
+/// pressure. Returns `None` if fewer free cores exist than tasks.
+///
+/// `node_penalty` is called once per free core, in one pass over the
+/// mesh. Each task then takes the free core of least (cost, node id),
+/// found one of two ways:
+///
+/// * **Ring walk.** The prologue pass also takes the penalties' minimum
+///   and finiteness. The free cores are walked ring by ring outward from
+///   the region centre (a ring being a Chebyshev distance), up to the
+///   farthest mesh corner, and each candidate's cost is evaluated once.
+///   Past the region border every cost term but the penalty is ≥ 0 and
+///   the outside term is `outside_unit` per ring, so a core in ring `d`
+///   costs at least `outside_unit * (d - radius) + min_penalty` — f64
+///   rounding is monotone. Once that bound exceeds the best cost found,
+///   no core further out can win or tie, and the walk stops. The bound
+///   needs finite penalties and finite, non-negative edge volumes;
+///   without them the walk visits every free core.
+/// * **Free-set scan.** On a saturated mesh, where fewer cores are free
+///   than there are mesh nodes within `radius + 2` of the centre (rings
+///   the walk would visit), the free cores are scanned directly. The walk
+///   returns the strict (cost, node id) minimum over every free core, and
+///   the scan evaluates the same cost expression on each, so it returns
+///   the same core.
+pub fn place(
+    ctx: &MapContext,
+    region: Region,
+    app: &TaskGraph,
+    node_penalty: impl Fn(Coord) -> f64,
+) -> Option<Mapping> {
+    let mesh = ctx.mesh();
+    let n = app.task_count();
+    if ctx.free_count() < n {
+        return None;
+    }
+    let order = placement_order(app);
+    let terms = Cost {
+        center: region.center,
+        radius: u32::from(region.radius),
+        outside_unit: (10.0 * mean_edge_bits(app)).max(OUTSIDE_REGION_PENALTY_FLOOR),
+    };
+    let scan_free = ctx.free_count() < ball_len(mesh, region.center, terms.radius + 2);
+    #[cfg(test)]
+    tests::note_strategy(scan_free);
+    let mut slots: Vec<Option<Coord>> = vec![None; n];
+    // Placed communication partners of the current task, in edge order.
+    let mut partners: Vec<(f64, Coord)> = Vec::with_capacity(app.edges().len());
+    if scan_free {
+        // The free cores in node-id order, with their penalties.
+        let mut free: Vec<(NodeId, Coord, f64)> = Vec::with_capacity(ctx.free_count());
+        for c in mesh.coords() {
+            if ctx.is_free(c) {
+                free.push((mesh.node_id(c), c, node_penalty(c)));
+            }
+        }
+        for (rank, &task) in order.iter().enumerate() {
+            gather_partners(app, task, &slots, &mut partners);
+            let mut best: Option<(f64, NodeId, usize)> = None;
+            for (i, &(id, c, penalty)) in free.iter().enumerate() {
+                let d = region.center.chebyshev(c);
+                let cost = terms.of(c, rank, &partners, terms.outside(d), penalty);
+                if beats(cost, id, best.map(|(cost, id, _)| (cost, id))) {
+                    best = Some((cost, id, i));
+                }
+            }
+            let (_, _, i) = best?;
+            // The minimum is order-free, so the list may reorder.
+            slots[task.index()] = Some(free.swap_remove(i).1);
+        }
+    } else {
+        // Per node id: the penalty of a free core not yet placed on, else `None`.
+        let mut penalties: Vec<Option<f64>> = Vec::with_capacity(mesh.node_count());
+        let (mut min_penalty, mut finite) = (f64::INFINITY, true);
+        for c in mesh.coords() {
+            let penalty = ctx.is_free(c).then(|| node_penalty(c));
+            if let Some(p) = penalty {
+                min_penalty = min_penalty.min(p);
+                finite &= p.is_finite();
+            }
+            penalties.push(penalty);
+        }
+        let bounded = finite
+            && app
+                .edges()
+                .iter()
+                .all(|e| e.bits.is_finite() && e.bits >= 0.0);
+        // The farthest ring that still holds a mesh node: the one through the
+        // farthest corner, wherever the centre lies.
+        let (right, top) = (mesh.width() - 1, mesh.height() - 1);
+        let last_ring = [(0, 0), (right, 0), (0, top), (right, top)]
+            .into_iter()
+            .map(|(x, y)| region.center.chebyshev(Coord::new(x, y)))
+            .fold(0, u32::max);
+        for (rank, &task) in order.iter().enumerate() {
+            gather_partners(app, task, &slots, &mut partners);
+            let mut best: Option<(f64, NodeId)> = None;
+            for d in 0..=last_ring {
+                let outside = terms.outside(d);
+                if bounded && outside + min_penalty > best.map_or(f64::INFINITY, |(cost, _)| cost) {
+                    break;
+                }
+                for c in ring(mesh, region.center, d) {
+                    let id = mesh.node_id(c);
+                    let Some(penalty) = penalties[id.index()] else {
+                        continue;
+                    };
+                    let cost = terms.of(c, rank, &partners, outside, penalty);
+                    if beats(cost, id, best) {
+                        best = Some((cost, id));
+                    }
+                }
+            }
+            let (_, chosen) = best?;
+            penalties[chosen.index()] = None;
+            slots[task.index()] = Some(mesh.coord(chosen));
+        }
+    }
+    let coords: Vec<Coord> = slots
+        .into_iter()
+        .map(|s| s.expect("every task placed"))
+        .collect();
+    Some(Mapping::new(coords))
+}
+
+/// Collects `task`'s placed communication partners, in edge order.
+fn gather_partners(
+    app: &TaskGraph,
+    task: TaskId,
+    slots: &[Option<Coord>],
+    partners: &mut Vec<(f64, Coord)>,
+) {
+    partners.clear();
+    partners.extend(app.edges().iter().filter_map(|e| {
+        let partner = if e.from == task {
+            slots[e.to.index()]
+        } else if e.to == task {
+            slots[e.from.index()]
+        } else {
+            None
+        };
+        partner.map(|p| (e.bits, p))
+    }));
+}
+
+/// The terms of a candidate core's cost that depend on the region.
+struct Cost {
+    center: Coord,
+    radius: u32,
+    outside_unit: f64,
+}
+
+impl Cost {
+    /// The outside-region term of a core in ring `d`.
+    #[inline]
+    fn outside(&self, d: u32) -> f64 {
+        if d > self.radius {
+            self.outside_unit * (d - self.radius) as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// The cost of placing the task of placement rank `rank` on `c`:
+    /// attraction towards its placed `partners` (summed in edge order),
+    /// then the first task's anchor at the centre, the outside term and the
+    /// penalty, added in that order.
+    #[inline]
+    fn of(
+        &self,
+        c: Coord,
+        rank: usize,
+        partners: &[(f64, Coord)],
+        outside: f64,
+        penalty: f64,
+    ) -> f64 {
+        let partner_cost: f64 = partners
+            .iter()
+            .map(|&(bits, p)| bits * c.manhattan(p) as f64)
+            .sum();
+        let anchor_cost = if rank == 0 {
+            c.manhattan(self.center) as f64
+        } else {
+            0.0
+        };
+        partner_cost + anchor_cost + outside + penalty
+    }
+}
+
+/// True if (`cost`, `id`) is strictly below `best` (no best yet: true).
+#[inline]
+fn beats(cost: f64, id: NodeId, best: Option<(f64, NodeId)>) -> bool {
+    best.is_none_or(|(best_cost, best_id)| {
+        cost.partial_cmp(&best_cost)
+            .expect("costs are finite")
+            .then(id.cmp(&best_id))
+            .is_lt()
+    })
+}
+
+/// The number of mesh nodes within Chebyshev distance `d` of `center`,
+/// which may lie off the mesh.
+fn ball_len(mesh: Mesh2D, center: Coord, d: u32) -> usize {
+    let span = |c: u16, len: u16| {
+        let (c, d, len) = (i64::from(c), i64::from(d), i64::from(len));
+        ((c + d).min(len - 1) - (c - d).max(0) + 1).max(0) as usize
+    };
+    span(center.x, mesh.width()) * span(center.y, mesh.height())
+}
+
+/// The mesh nodes at Chebyshev distance `d` from `center`, which may lie
+/// off the mesh.
+fn ring(mesh: Mesh2D, center: Coord, d: u32) -> impl Iterator<Item = Coord> {
+    let (cx, cy, d) = (i64::from(center.x), i64::from(center.y), i64::from(d));
+    let (w, h) = (i64::from(mesh.width()), i64::from(mesh.height()));
+    ((cy - d).max(0)..=(cy + d).min(h - 1)).flat_map(move |y| {
+        // The top and bottom rows are whole; the rows between hold only
+        // the two side columns.
+        let step = if (y - cy).abs() == d { 1 } else { 2 * d };
+        (cx - d..=cx + d)
+            .step_by(step as usize)
+            .filter(move |x| (0..w).contains(x))
+            .map(move |x| Coord::new(x as u16, y as u16))
+    })
+}
+
+/// Placement order as first written: each comparison recomputes both
+/// tasks' sums from scratch. [`placement_order`] must match it exactly.
+#[cfg(test)]
+fn placement_order_reference(app: &TaskGraph) -> Vec<TaskId> {
     let n = app.task_count();
     let traffic_of = |t: TaskId| -> f64 {
         app.edges()
@@ -82,141 +366,6 @@ fn placement_order(app: &TaskGraph) -> Vec<TaskId> {
     order
 }
 
-/// Places `app` contiguously inside (preferably) `region`.
-///
-/// `node_penalty` is added to each candidate core's cost; the baseline
-/// passes a constant, the test-aware mapper passes utilisation/criticality
-/// pressure. Returns `None` if fewer free cores exist than tasks.
-///
-/// `node_penalty` is called once per free core, in one pass that also
-/// takes the penalties' minimum and finiteness. Each task walks the free
-/// cores ring by ring outward from the region centre (a ring being a
-/// Chebyshev distance), up to the farthest mesh corner, and evaluates each
-/// candidate's cost once. Past the region border every cost term but the
-/// penalty is ≥ 0 and the outside term is `outside_unit` per ring, so a
-/// core in ring `d` costs at least `outside_unit * (d - radius) +
-/// min_penalty` — f64 rounding is monotone. Once that bound exceeds the
-/// best cost found, no core further out can win or tie, and the walk
-/// stops. The bound needs finite penalties and finite, non-negative edge
-/// volumes; without them the walk visits every free core.
-pub fn place(
-    ctx: &MapContext,
-    region: Region,
-    app: &TaskGraph,
-    node_penalty: impl Fn(Coord) -> f64,
-) -> Option<Mapping> {
-    let mesh = ctx.mesh();
-    let n = app.task_count();
-    if ctx.free_count() < n {
-        return None;
-    }
-    let order = placement_order(app);
-    let outside_unit = (10.0 * mean_edge_bits(app)).max(OUTSIDE_REGION_PENALTY_FLOOR);
-    let radius = u32::from(region.radius);
-    // Per node id: the penalty of a free core not yet placed on, else `None`.
-    let mut penalties: Vec<Option<f64>> = Vec::with_capacity(mesh.node_count());
-    let (mut min_penalty, mut finite) = (f64::INFINITY, true);
-    for c in mesh.coords() {
-        let penalty = ctx.is_free(c).then(|| node_penalty(c));
-        if let Some(p) = penalty {
-            min_penalty = min_penalty.min(p);
-            finite &= p.is_finite();
-        }
-        penalties.push(penalty);
-    }
-    let bounded = finite
-        && app
-            .edges()
-            .iter()
-            .all(|e| e.bits.is_finite() && e.bits >= 0.0);
-    // The farthest ring that still holds a mesh node: the one through the
-    // farthest corner, wherever the centre lies.
-    let (right, top) = (mesh.width() - 1, mesh.height() - 1);
-    let last_ring = [(0, 0), (right, 0), (0, top), (right, top)]
-        .into_iter()
-        .map(|(x, y)| region.center.chebyshev(Coord::new(x, y)))
-        .fold(0, u32::max);
-    let mut slots: Vec<Option<Coord>> = vec![None; n];
-    for (rank, &task) in order.iter().enumerate() {
-        // Placed communication partners, in edge order.
-        let partners: Vec<(f64, Coord)> = app
-            .edges()
-            .iter()
-            .filter_map(|e| {
-                let partner = if e.from == task {
-                    slots[e.to.index()]
-                } else if e.to == task {
-                    slots[e.from.index()]
-                } else {
-                    None
-                };
-                partner.map(|p| (e.bits, p))
-            })
-            .collect();
-        let mut best: Option<(f64, Coord)> = None;
-        for d in 0..=last_ring {
-            let outside = if d > radius {
-                outside_unit * (d - radius) as f64
-            } else {
-                0.0
-            };
-            if bounded && outside + min_penalty > best.map_or(f64::INFINITY, |(cost, _)| cost) {
-                break;
-            }
-            for c in ring(mesh, region.center, d) {
-                let Some(penalty) = penalties[mesh.node_id(c).index()] else {
-                    continue;
-                };
-                // Attraction towards placed communication partners.
-                let partner_cost: f64 = partners
-                    .iter()
-                    .map(|&(bits, p)| bits * c.manhattan(p) as f64)
-                    .sum();
-                // The first task anchors at the region centre.
-                let anchor_cost = if rank == 0 {
-                    c.manhattan(region.center) as f64
-                } else {
-                    0.0
-                };
-                let cost = partner_cost + anchor_cost + outside + penalty;
-                let wins = best.is_none_or(|(best_cost, b)| {
-                    cost.partial_cmp(&best_cost)
-                        .expect("costs are finite")
-                        .then(mesh.node_id(c).cmp(&mesh.node_id(b)))
-                        .is_lt()
-                });
-                if wins {
-                    best = Some((cost, c));
-                }
-            }
-        }
-        let (_, chosen) = best?;
-        penalties[mesh.node_id(chosen).index()] = None;
-        slots[task.index()] = Some(chosen);
-    }
-    let coords: Vec<Coord> = slots
-        .into_iter()
-        .map(|s| s.expect("every task placed"))
-        .collect();
-    Some(Mapping::new(coords))
-}
-
-/// The mesh nodes at Chebyshev distance `d` from `center`, which may lie
-/// off the mesh.
-fn ring(mesh: Mesh2D, center: Coord, d: u32) -> impl Iterator<Item = Coord> {
-    let (cx, cy, d) = (i64::from(center.x), i64::from(center.y), i64::from(d));
-    let (w, h) = (i64::from(mesh.width()), i64::from(mesh.height()));
-    ((cy - d).max(0)..=(cy + d).min(h - 1)).flat_map(move |y| {
-        // The top and bottom rows are whole; the rows between hold only
-        // the two side columns.
-        let step = if (y - cy).abs() == d { 1 } else { 2 * d };
-        (cx - d..=cx + d)
-            .step_by(step as usize)
-            .filter(move |x| (0..w).contains(x))
-            .map(move |x| Coord::new(x as u16, y as u16))
-    })
-}
-
 /// Placement as first written: every free core rescanned per task, with
 /// each comparison recomputing both costs. [`place`] must match it exactly.
 #[cfg(test)]
@@ -231,7 +380,7 @@ pub(crate) fn place_reference(
     if ctx.free_count() < n {
         return None;
     }
-    let order = placement_order(app);
+    let order = placement_order_reference(app);
     let outside_unit = (10.0 * mean_edge_bits(app)).max(OUTSIDE_REGION_PENALTY_FLOOR);
     let mut slots: Vec<Option<Coord>> = vec![None; n];
     let mut used: Vec<Coord> = Vec::with_capacity(n);
@@ -290,7 +439,26 @@ mod tests {
     use super::*;
     use manytest_noc::RegionSearch;
     use manytest_sim::SimRng;
-    use manytest_workload::{presets, Task};
+    use manytest_workload::{presets, Task, TaskGraphGenerator};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Placements this thread ran, per strategy: ring walks, then
+        /// free-set scans.
+        static STRATEGIES: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    pub(super) fn note_strategy(scan_free: bool) {
+        STRATEGIES.with(|s| {
+            let mut counts = s.get();
+            counts[usize::from(scan_free)] += 1;
+            s.set(counts);
+        });
+    }
+
+    fn strategy_counts() -> [u64; 2] {
+        STRATEGIES.with(Cell::get)
+    }
 
     fn chain(n: usize) -> TaskGraph {
         let mut g = TaskGraph::new("chain");
@@ -607,5 +775,122 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A star: one hub and `n - 1` spokes, every edge the same volume so
+    /// the order comes down to the id tie-break.
+    fn star(n: usize, hub_sends: bool) -> TaskGraph {
+        let mut g = TaskGraph::new("star");
+        let ids: Vec<TaskId> = (0..n)
+            .map(|_| g.add_task(Task { instructions: 1 }))
+            .collect();
+        for &spoke in &ids[1..] {
+            if hub_sends {
+                g.add_edge(ids[0], spoke, 256.0);
+            } else {
+                g.add_edge(spoke, ids[0], 256.0);
+            }
+        }
+        g
+    }
+
+    /// A random layered graph from the workload generator, with one of its
+    /// shapes: default, width 1 (a chain), in-degree 1 (a forest) or
+    /// equal volumes on every edge.
+    fn generated_graph(rng: &mut SimRng) -> TaskGraph {
+        let base = TaskGraphGenerator {
+            max_tasks: 16,
+            ..TaskGraphGenerator::default()
+        };
+        let gen = match rng.gen_range(4) {
+            0 => base,
+            1 => TaskGraphGenerator {
+                max_layer_width: 1,
+                ..base
+            },
+            2 => TaskGraphGenerator {
+                max_in_degree: 1,
+                ..base
+            },
+            _ => TaskGraphGenerator {
+                min_bits: 4096.0,
+                max_bits: 4096.0,
+                ..base
+            },
+        };
+        gen.generate(rng, "generated")
+    }
+
+    /// A random graph whose volumes mix 1, 2 and values near 2^53, so a
+    /// task's sum rounds differently in another addition order and sums
+    /// often tie.
+    fn rounding_graph(rng: &mut SimRng) -> TaskGraph {
+        let n = rng.gen_range_inclusive(2, 10);
+        let mut g = TaskGraph::new("rounding");
+        for _ in 0..n {
+            g.add_task(Task { instructions: 1 });
+        }
+        let big = 2f64.powi(53);
+        for _ in 0..rng.gen_range_inclusive(n, 4 * n) {
+            let from = TaskId(rng.gen_range(n) as u32);
+            let to = TaskId(rng.gen_range(n) as u32);
+            let bits = [1.0, 1.0, 2.0, big, big + 2.0, big + 4.0][rng.gen_range(6) as usize];
+            g.add_edge(from, to, bits);
+        }
+        g
+    }
+
+    #[test]
+    fn placement_order_matches_reference() {
+        let mut graphs: Vec<TaskGraph> = presets::all();
+        graphs.extend((1..=16).map(chain));
+        for n in 1..=12 {
+            graphs.push(star(n, true));
+            graphs.push(star(n, false));
+        }
+        let mut single = TaskGraph::new("single");
+        single.add_task(Task { instructions: 1 });
+        graphs.push(single);
+        let mut rng = SimRng::seed_from(1717);
+        for _ in 0..3_000 {
+            graphs.push(generated_graph(&mut rng));
+            graphs.push(random_graph(&mut rng, 16));
+            graphs.push(rounding_graph(&mut rng));
+        }
+        for g in &graphs {
+            assert_eq!(
+                placement_order(g),
+                placement_order_reference(g),
+                "{} tasks, edges {:?}",
+                g.task_count(),
+                g.edges()
+            );
+        }
+    }
+
+    #[test]
+    fn place_matches_reference_on_saturated_meshes() {
+        let mut rng = SimRng::seed_from(9696);
+        let before = strategy_counts();
+        for side in 6..=16 {
+            for _ in 0..12 {
+                let mesh = Mesh2D::new(side, side + rng.gen_range(2) as u16);
+                let busy = 0.6 + 0.39 * rng.next_f64();
+                let mut ctx = random_context(&mut rng, mesh);
+                for c in mesh.coords() {
+                    ctx.set_free(c, rng.next_f64() >= busy);
+                }
+                let app = if rng.gen_bool(0.5) {
+                    generated_graph(&mut rng)
+                } else {
+                    random_graph(&mut rng, 12)
+                };
+                let penalties = random_penalties(&mut rng, &ctx, &app);
+                assert_place_matches_reference(&mut rng, &ctx, &app, &penalties);
+            }
+        }
+        let after = strategy_counts();
+        assert!(after[0] > before[0], "no ring walk ran: {before:?} -> {after:?}");
+        assert!(after[1] > before[1], "no free-set scan ran: {before:?} -> {after:?}");
     }
 }

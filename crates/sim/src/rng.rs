@@ -196,20 +196,26 @@ impl SimRng {
     /// Panics if `bound` is zero.
     pub fn gen_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "gen_range bound must be positive");
-        // Lemire-style rejection-free-enough reduction; bias is < 2^-64 * bound
-        // which is irrelevant for simulation workloads, but we still reject
-        // the biased zone to keep the distribution exact.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let r = self.next_u64();
-            let (hi, lo) = {
-                let wide = u128::from(r) * u128::from(bound);
-                ((wide >> 64) as u64, wide as u64)
-            };
-            if lo >= threshold {
-                return hi;
+        // Lemire's nearly-divisionless reduction: the high word of
+        // `r * bound` is the draw, and a low word below
+        // `threshold = 2^64 mod bound` marks the biased zone, which is
+        // rejected to keep the distribution exact. `threshold < bound`,
+        // so a low word of at least `bound` is accepted without the
+        // 64-bit division that computes it.
+        let (mut hi, mut lo) = Self::widening_mul(self.next_u64(), bound);
+        if lo < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while lo < threshold {
+                (hi, lo) = Self::widening_mul(self.next_u64(), bound);
             }
         }
+        hi
+    }
+
+    /// The high and low words of the 128-bit product `r * bound`.
+    fn widening_mul(r: u64, bound: u64) -> (u64, u64) {
+        let wide = u128::from(r) * u128::from(bound);
+        ((wide >> 64) as u64, wide as u64)
     }
 
     /// Uniform integer in the inclusive range `[lo, hi]`.
@@ -356,6 +362,60 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "all values should occur");
+    }
+
+    /// `gen_range` as first written: the rejection threshold computed by
+    /// a 64-bit division on every call.
+    fn gen_range_reference(rng: &mut SimRng, bound: u64) -> u64 {
+        assert!(bound > 0, "gen_range bound must be positive");
+        let threshold = bound.wrapping_neg() % bound;
+        loop {
+            let r = rng.next_u64();
+            let (hi, lo) = {
+                let wide = u128::from(r) * u128::from(bound);
+                ((wide >> 64) as u64, wide as u64)
+            };
+            if lo >= threshold {
+                return hi;
+            }
+        }
+    }
+
+    #[test]
+    fn gen_range_matches_reference() {
+        let mut bounds: Vec<u64> = vec![
+            1,
+            2,
+            3,
+            5,
+            7,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            (1 << 63) + (1 << 62),
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        bounds.extend((0..64).map(|k| 1u64 << k));
+        let mut picker = SimRng::seed_from(31337);
+        for _ in 0..2_000 {
+            // Random bounds of every magnitude.
+            let bits = picker.gen_range(64) as u32 + 1;
+            bounds.push((picker.next_u64() >> (64 - bits)).max(1));
+        }
+        for (i, &bound) in bounds.iter().enumerate() {
+            let mut fast = SimRng::seed_from(i as u64);
+            let mut reference = fast.clone();
+            for _ in 0..200 {
+                assert_eq!(
+                    fast.gen_range(bound),
+                    gen_range_reference(&mut reference, bound),
+                    "bound {bound}"
+                );
+                assert_eq!(fast, reference, "generator state after bound {bound}");
+            }
+        }
     }
 
     #[test]

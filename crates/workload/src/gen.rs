@@ -7,7 +7,7 @@
 //! draws edges from the previous layers, and compute/communication volumes
 //! are drawn log-uniformly from configured ranges.
 
-use crate::task::{Task, TaskGraph};
+use crate::task::{Task, TaskGraph, TaskId};
 use manytest_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -68,11 +68,9 @@ impl Default for TaskGraphGenerator {
 
 impl TaskGraphGenerator {
     /// Draws `x` log-uniformly in `[lo, hi]`.
+    #[cfg(test)]
     fn log_uniform(rng: &mut SimRng, lo: f64, hi: f64) -> f64 {
-        if lo >= hi {
-            return lo;
-        }
-        (rng.gen_f64_range(lo.ln(), hi.ln())).exp()
+        LogUniform::new(lo, hi).draw(rng)
     }
 
     /// Generates one random task graph named `name`.
@@ -86,6 +84,57 @@ impl TaskGraphGenerator {
     /// `min_tasks > max_tasks`, zero `max_layer_width`, volume ranges
     /// inverted).
     pub fn generate(&self, rng: &mut SimRng, name: impl Into<String>) -> TaskGraph {
+        self.check();
+        let instructions =
+            LogUniform::new(self.min_instructions as f64, self.max_instructions as f64);
+        let bits = LogUniform::new(self.min_bits.max(1.0), self.max_bits);
+        let n = rng.gen_range_inclusive(self.min_tasks as u64, self.max_tasks as u64) as usize;
+        let mut graph = TaskGraph::new(name);
+        graph.reserve(n, 0);
+        // Assign tasks to layers; tasks get ids in layer order, so layer
+        // `l` holds the ids `starts[l]..starts[l + 1]`.
+        let mut starts: Vec<u32> = Vec::with_capacity(n + 1);
+        starts.push(0);
+        while graph.task_count() < n {
+            let width = rng
+                .gen_range_inclusive(1, self.max_layer_width as u64)
+                .min((n - graph.task_count()) as u64);
+            for _ in 0..width {
+                let instructions = instructions.draw(rng).round().max(1.0) as u64;
+                graph.add_task(Task { instructions });
+            }
+            starts.push(graph.task_count() as u32);
+        }
+        // Each child takes at most `max_in_degree` of its layer's parents.
+        let max_edges: usize = starts
+            .windows(3)
+            .map(|l| (l[2] - l[1]) as usize * self.max_in_degree.min((l[1] - l[0]) as usize))
+            .sum();
+        graph.reserve(0, max_edges);
+        // Wire each non-root task to 1..=max_in_degree parents from the
+        // previous layer (guaranteeing acyclicity and connectivity between
+        // consecutive layers).
+        let mut pool: Vec<TaskId> = Vec::with_capacity(self.max_layer_width.min(n));
+        for layer in starts.windows(3) {
+            let parents = layer[0]..layer[1];
+            for child in (layer[1]..layer[2]).map(TaskId) {
+                let degree = rng
+                    .gen_range_inclusive(1, self.max_in_degree as u64)
+                    .min(parents.len() as u64) as usize;
+                pool.clear();
+                pool.extend(parents.clone().map(TaskId));
+                rng.shuffle(&mut pool);
+                for &parent in pool.iter().take(degree) {
+                    graph.add_edge(parent, child, bits.draw(rng));
+                }
+            }
+        }
+        debug_assert!(graph.validate().is_ok());
+        graph
+    }
+
+    /// The configuration checks [`TaskGraphGenerator::generate`] panics on.
+    fn check(&self) {
         assert!(self.min_tasks >= 1, "graphs need at least one task");
         assert!(self.min_tasks <= self.max_tasks, "task range inverted");
         assert!(self.max_layer_width >= 1, "layer width must be positive");
@@ -97,51 +146,35 @@ impl TaskGraphGenerator {
             self.min_bits >= 0.0 && self.min_bits <= self.max_bits,
             "bit range invalid"
         );
-        let n = rng.gen_range_inclusive(self.min_tasks as u64, self.max_tasks as u64) as usize;
-        let mut graph = TaskGraph::new(name);
-        // Assign tasks to layers.
-        let mut layers: Vec<Vec<crate::task::TaskId>> = Vec::new();
-        let mut placed = 0usize;
-        while placed < n {
-            let width = rng
-                .gen_range_inclusive(1, self.max_layer_width as u64)
-                .min((n - placed) as u64) as usize;
-            let layer: Vec<crate::task::TaskId> = (0..width)
-                .map(|_| {
-                    let instructions = Self::log_uniform(
-                        rng,
-                        self.min_instructions as f64,
-                        self.max_instructions as f64,
-                    )
-                    .round()
-                    .max(1.0) as u64;
-                    graph.add_task(Task { instructions })
-                })
-                .collect();
-            placed += width;
-            layers.push(layer);
+    }
+}
+
+/// A log-uniform distribution on `[lo, hi]` with its bounds' logarithms
+/// taken once; a degenerate range (`lo >= hi`) always yields `lo` and
+/// draws nothing.
+#[derive(Debug, Clone, Copy)]
+struct LogUniform {
+    lo: f64,
+    ln_range: Option<(f64, f64)>,
+}
+
+impl LogUniform {
+    fn new(lo: f64, hi: f64) -> Self {
+        LogUniform {
+            lo,
+            ln_range: if lo >= hi {
+                None
+            } else {
+                Some((lo.ln(), hi.ln()))
+            },
         }
-        // Wire each non-root task to 1..=max_in_degree parents from the
-        // previous layer (guaranteeing acyclicity and connectivity between
-        // consecutive layers).
-        for li in 1..layers.len() {
-            // Clone the parent layer ids (cheap Copy ids) to appease borrows.
-            let parents: Vec<crate::task::TaskId> = layers[li - 1].clone();
-            let children: Vec<crate::task::TaskId> = layers[li].clone();
-            for child in children {
-                let degree = rng
-                    .gen_range_inclusive(1, self.max_in_degree as u64)
-                    .min(parents.len() as u64) as usize;
-                let mut pool = parents.clone();
-                rng.shuffle(&mut pool);
-                for &parent in pool.iter().take(degree) {
-                    let bits = Self::log_uniform(rng, self.min_bits.max(1.0), self.max_bits);
-                    graph.add_edge(parent, child, bits);
-                }
-            }
+    }
+
+    fn draw(self, rng: &mut SimRng) -> f64 {
+        match self.ln_range {
+            Some((ln_lo, ln_hi)) => rng.gen_f64_range(ln_lo, ln_hi).exp(),
+            None => self.lo,
         }
-        debug_assert!(graph.validate().is_ok());
-        graph
     }
 }
 
@@ -151,6 +184,111 @@ mod tests {
 
     fn rng() -> SimRng {
         SimRng::seed_from(0xC0FFEE)
+    }
+
+    /// `generate` as first written: one `Vec` per layer, cloned parent
+    /// and child lists, a fresh pool per child and both logarithms taken
+    /// per draw.
+    fn generate_reference(gen: &TaskGraphGenerator, rng: &mut SimRng, name: &str) -> TaskGraph {
+        fn log_uniform(rng: &mut SimRng, lo: f64, hi: f64) -> f64 {
+            if lo >= hi {
+                return lo;
+            }
+            (rng.gen_f64_range(lo.ln(), hi.ln())).exp()
+        }
+        gen.check();
+        let n = rng.gen_range_inclusive(gen.min_tasks as u64, gen.max_tasks as u64) as usize;
+        let mut graph = TaskGraph::new(name);
+        let mut layers: Vec<Vec<TaskId>> = Vec::new();
+        let mut placed = 0usize;
+        while placed < n {
+            let width = rng
+                .gen_range_inclusive(1, gen.max_layer_width as u64)
+                .min((n - placed) as u64) as usize;
+            let layer: Vec<TaskId> = (0..width)
+                .map(|_| {
+                    let instructions = log_uniform(
+                        rng,
+                        gen.min_instructions as f64,
+                        gen.max_instructions as f64,
+                    )
+                    .round()
+                    .max(1.0) as u64;
+                    graph.add_task(Task { instructions })
+                })
+                .collect();
+            placed += width;
+            layers.push(layer);
+        }
+        for li in 1..layers.len() {
+            let parents: Vec<TaskId> = layers[li - 1].clone();
+            let children: Vec<TaskId> = layers[li].clone();
+            for child in children {
+                let degree = rng
+                    .gen_range_inclusive(1, gen.max_in_degree as u64)
+                    .min(parents.len() as u64) as usize;
+                let mut pool = parents.clone();
+                rng.shuffle(&mut pool);
+                for &parent in pool.iter().take(degree) {
+                    let bits = log_uniform(rng, gen.min_bits.max(1.0), gen.max_bits);
+                    graph.add_edge(parent, child, bits);
+                }
+            }
+        }
+        graph
+    }
+
+    /// A graph's every field, with volumes as bits.
+    fn graph_bits(g: &TaskGraph) -> (String, Vec<u64>, Vec<(u32, u32, u64)>) {
+        (
+            g.name().to_string(),
+            g.tasks().iter().map(|t| t.instructions).collect(),
+            g.edges()
+                .iter()
+                .map(|e| (e.from.0, e.to.0, e.bits.to_bits()))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn generate_matches_reference() {
+        let base = TaskGraphGenerator::default();
+        let configs = [
+            base,
+            TaskGraphGenerator {
+                max_layer_width: 1,
+                ..base
+            },
+            TaskGraphGenerator {
+                max_in_degree: 1,
+                ..base
+            },
+            TaskGraphGenerator {
+                min_bits: 65_536.0,
+                max_bits: 65_536.0,
+                ..base
+            },
+            TaskGraphGenerator {
+                min_tasks: 1,
+                max_tasks: 40,
+                max_layer_width: 9,
+                max_in_degree: 7,
+                min_instructions: 5,
+                max_instructions: 5,
+                min_bits: 0.0,
+                max_bits: 0.5,
+            },
+        ];
+        for (i, gen) in configs.iter().enumerate() {
+            let mut rng = SimRng::seed_from(0x5EED + i as u64);
+            let mut reference = rng.clone();
+            for k in 0..10_000 {
+                let g = gen.generate(&mut rng, "g");
+                let r = generate_reference(gen, &mut reference, "g");
+                assert_eq!(graph_bits(&g), graph_bits(&r), "config {i}, graph {k}");
+                assert_eq!(rng, reference, "config {i}, RNG state after graph {k}");
+            }
+        }
     }
 
     #[test]

@@ -121,6 +121,13 @@ impl TaskGraph {
         &self.name
     }
 
+    /// Reserves room for at least `tasks` more tasks and `edges` more
+    /// edges, so that many additions do not reallocate.
+    pub fn reserve(&mut self, tasks: usize, edges: usize) {
+        self.tasks.reserve(tasks);
+        self.edges.reserve(edges);
+    }
+
     /// Adds a task, returning its id.
     pub fn add_task(&mut self, task: Task) -> TaskId {
         let id = TaskId(self.tasks.len() as u32);
