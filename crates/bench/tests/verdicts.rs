@@ -6,10 +6,38 @@
 //! describes goes away.
 
 use manytest_bench::{
-    e11_fault_response, e4_test_interval_vs_load, e5_mapping_compare, e6_criticality_adaptation,
-    Scale,
+    e11_fault_response, e2_power_trace, e4_test_interval_vs_load, e5_mapping_compare,
+    e6_criticality_adaptation, Scale,
 };
 use manytest_core::{FaultResponsePolicy, MapperKind};
+
+/// E2: reservation-based admission keeps the chip under its TDP while
+/// tests draw power: no epoch above the TDP, the peak at most the TDP,
+/// and test power in at least one sample. Reservations are taken at
+/// projected power, so the peak also keeps a margin below the TDP
+/// (60.3 W of 80 W today); admitting without reservations at this load
+/// leaves it at 78 W, still under the TDP itself.
+#[test]
+fn e2_power_stays_under_the_tdp() {
+    let t = e2_power_trace(Scale::Quick, 1);
+    assert_eq!(t.violations, 0, "epochs above the {} W TDP", t.tdp);
+    assert!(
+        t.peak <= t.tdp,
+        "peak {} W above the {} W TDP",
+        t.peak,
+        t.tdp
+    );
+    assert!(
+        t.peak <= 0.85 * t.tdp,
+        "peak {} W leaves under 15 % of the {} W TDP",
+        t.peak,
+        t.tdp
+    );
+    assert!(
+        t.samples.iter().any(|&(_, _, test_w, _, _)| test_w > 0.0),
+        "no sample drew test power"
+    );
+}
 
 /// E4: test intervals degrade gracefully with load (≈ 1.6× from idle to
 /// saturation) instead of collapsing, and every core keeps being tested

@@ -1,7 +1,7 @@
 //! The baseline contiguous mapper (CoNA / SHiC style).
 
 use crate::context::MapContext;
-use crate::contiguous;
+use crate::contiguous::{self, PenaltyBound};
 use crate::mapping::Mapping;
 use crate::Mapper;
 use manytest_noc::RegionSearch;
@@ -43,7 +43,12 @@ impl Mapper for ConaMapper {
     fn map(&self, ctx: &MapContext, app: &TaskGraph) -> Option<Mapping> {
         let search = RegionSearch::new(ctx.mesh());
         let choice = search.find(app.task_count(), |c| ctx.is_free(c), |_| 0.0)?;
-        contiguous::place(ctx, choice.region, app, |_| 0.0)
+        // The constant zero penalty is its own bound.
+        let bound = PenaltyBound {
+            least: 0.0,
+            finite: true,
+        };
+        contiguous::place_with_bound(ctx, choice.region, app, |_| 0.0, Some(bound))
     }
 
     fn name(&self) -> &str {
@@ -55,6 +60,7 @@ impl Mapper for ConaMapper {
 mod tests {
     use super::*;
     use manytest_noc::{Coord, Mesh2D};
+    use manytest_sim::SimRng;
     use manytest_workload::presets;
 
     #[test]
@@ -116,6 +122,30 @@ mod tests {
     #[test]
     fn name_is_stable() {
         assert_eq!(ConaMapper::new().name(), "cona-baseline");
+    }
+
+    /// `map` is the region search followed by placement under a zero
+    /// penalty, whose bound it supplies itself.
+    #[test]
+    fn map_matches_search_plus_reference_placement() {
+        let mut rng = SimRng::seed_from(1919);
+        let mesh = Mesh2D::new(64, 64);
+        for busy in [0.0, 0.03, 0.5, 0.9] {
+            let mut ctx = MapContext::all_free(mesh);
+            for c in mesh.coords() {
+                ctx.set_free(c, rng.next_f64() >= busy);
+            }
+            for app in presets::all() {
+                let expected = RegionSearch::new(mesh)
+                    .find(app.task_count(), |c| ctx.is_free(c), |_| 0.0)
+                    .and_then(|choice| {
+                        contiguous::place_reference(&ctx, choice.region, &app, |_| 0.0)
+                    });
+                assert!(expected.is_some(), "{} found no placement", app.name());
+                let got = ConaMapper::new().map(&ctx, &app);
+                assert_eq!(got, expected, "{}, busy {busy}", app.name());
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::context::MapContext;
 use crate::mapping::Mapping;
-use manytest_noc::{Coord, Mesh2D, NodeId, Region};
+use manytest_noc::{Coord, Mesh2D, NodeId, Region, ScoreRange};
 use manytest_workload::{TaskGraph, TaskId};
 
 /// Floor of the per-excess-hop cost for leaving the chosen region (hops
@@ -91,32 +91,101 @@ fn placement_order(app: &TaskGraph) -> Vec<TaskId> {
 /// passes a constant, the test-aware mapper passes utilisation/criticality
 /// pressure. Returns `None` if fewer free cores exist than tasks.
 ///
-/// `node_penalty` is called once per free core, in one pass over the
-/// mesh. Each task then takes the free core of least (cost, node id),
-/// found one of two ways:
+/// Each task takes the free core of least (cost, node id), found one of
+/// two ways:
 ///
-/// * **Ring walk.** The prologue pass also takes the penalties' minimum
-///   and finiteness. The free cores are walked ring by ring outward from
+/// * **Ring walk.** The free cores are walked ring by ring outward from
 ///   the region centre (a ring being a Chebyshev distance), up to the
-///   farthest mesh corner, and each candidate's cost is evaluated once.
-///   Past the region border every cost term but the penalty is ≥ 0 and
-///   the outside term is `outside_unit` per ring, so a core in ring `d`
-///   costs at least `outside_unit * (d - radius) + min_penalty` — f64
-///   rounding is monotone. Once that bound exceeds the best cost found,
-///   no core further out can win or tie, and the walk stops. The bound
-///   needs finite penalties and finite, non-negative edge volumes;
-///   without them the walk visits every free core.
+///   farthest mesh corner. `node_penalty` is called when the walk visits
+///   a free core not yet placed on, once per task that visits it. Past
+///   the region border every cost term but the penalty is ≥ 0 and the
+///   outside term is `outside_unit` per ring, so a core in ring `d` costs
+///   at least `outside_unit * (d - radius) + least penalty` — f64 rounding
+///   is monotone. Once that bound exceeds the best cost found, no core
+///   further out can win or tie, and the walk stops. The bound needs
+///   finite penalties and finite, non-negative edge volumes; without them
+///   the walk visits every free core. This function takes the least
+///   penalty and the finiteness in one pass that calls `node_penalty` on
+///   every free core first; the mappers take them from the region
+///   search, which has already scored every free core.
 /// * **Free-set scan.** On a saturated mesh, where fewer cores are free
 ///   than there are mesh nodes within `radius + 2` of the centre (rings
-///   the walk would visit), the free cores are scanned directly. The walk
-///   returns the strict (cost, node id) minimum over every free core, and
-///   the scan evaluates the same cost expression on each, so it returns
-///   the same core.
+///   the walk would visit), one pass collects the free cores with their
+///   penalties, calling `node_penalty` once per free core, and each task
+///   scans that list. The walk returns the strict (cost, node id) minimum
+///   over every free core, and the scan evaluates the same cost
+///   expression on each, so it returns the same core.
 pub fn place(
     ctx: &MapContext,
     region: Region,
     app: &TaskGraph,
     node_penalty: impl Fn(Coord) -> f64,
+) -> Option<Mapping> {
+    place_with_bound(ctx, region, app, node_penalty, None)
+}
+
+/// What the ring walk's stopping bound needs to know of the penalties of
+/// the free cores: the least of them and whether every one is finite.
+/// The least penalty is only compared, so any value equal to it will do.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PenaltyBound {
+    pub(crate) least: f64,
+    pub(crate) finite: bool,
+}
+
+impl PenaltyBound {
+    /// The bound of penalties `score * scale`, where the scores of the
+    /// free cores span `range`.
+    ///
+    /// For a finite `scale > 0` rounding is monotone in the score, so the
+    /// least scaled penalty is `min * scale` as a value, and every scaled
+    /// penalty lies between `min * scale` and `max * scale`: all are
+    /// finite exactly when every score and both ends are. `None` for any
+    /// other scale.
+    pub(crate) fn scaled(range: ScoreRange, scale: f64) -> Option<PenaltyBound> {
+        if !(scale.is_finite() && scale > 0.0) {
+            return None;
+        }
+        let (least, greatest) = (range.min * scale, range.max * scale);
+        Some(PenaltyBound {
+            least,
+            finite: range.all_finite && least.is_finite() && greatest.is_finite(),
+        })
+    }
+
+    /// The bound taken in one pass over the free cores.
+    fn of_free_cores(ctx: &MapContext, node_penalty: impl Fn(Coord) -> f64) -> PenaltyBound {
+        let mut bound = PenaltyBound {
+            least: f64::INFINITY,
+            finite: true,
+        };
+        let mesh = ctx.mesh();
+        for y in 0..mesh.height() {
+            for x in 0..mesh.width() {
+                let c = Coord::new(x, y);
+                if ctx.is_free(c) {
+                    let penalty = node_penalty(c);
+                    // NaN fails the comparison and clears the flag.
+                    if penalty < bound.least {
+                        bound.least = penalty;
+                    }
+                    bound.finite &= penalty.is_finite();
+                }
+            }
+        }
+        bound
+    }
+}
+
+/// [`place`], with the ring walk's penalty bound supplied by the caller
+/// (`None`: taken from the free cores, if the walk runs). A supplied
+/// bound must hold for `node_penalty` over every free core.
+pub(crate) fn place_with_bound(
+    ctx: &MapContext,
+    region: Region,
+    app: &TaskGraph,
+    node_penalty: impl Fn(Coord) -> f64,
+    bound: Option<PenaltyBound>,
 ) -> Option<Mapping> {
     let mesh = ctx.mesh();
     let n = app.task_count();
@@ -158,17 +227,8 @@ pub fn place(
             slots[task.index()] = Some(free.swap_remove(i).1);
         }
     } else {
-        // Per node id: the penalty of a free core not yet placed on, else `None`.
-        let mut penalties: Vec<Option<f64>> = Vec::with_capacity(mesh.node_count());
-        let (mut min_penalty, mut finite) = (f64::INFINITY, true);
-        for c in mesh.coords() {
-            let penalty = ctx.is_free(c).then(|| node_penalty(c));
-            if let Some(p) = penalty {
-                min_penalty = min_penalty.min(p);
-                finite &= p.is_finite();
-            }
-            penalties.push(penalty);
-        }
+        let PenaltyBound { least, finite } =
+            bound.unwrap_or_else(|| PenaltyBound::of_free_cores(ctx, &node_penalty));
         let bounded = finite
             && app
                 .edges()
@@ -181,27 +241,29 @@ pub fn place(
             .into_iter()
             .map(|(x, y)| region.center.chebyshev(Coord::new(x, y)))
             .fold(0, u32::max);
+        // One bit per node id: set once a task is placed there.
+        let mut placed = vec![0u64; mesh.node_count().div_ceil(64)];
         for (rank, &task) in order.iter().enumerate() {
             gather_partners(app, task, &slots, &mut partners);
             let mut best: Option<(f64, NodeId)> = None;
             for d in 0..=last_ring {
                 let outside = terms.outside(d);
-                if bounded && outside + min_penalty > best.map_or(f64::INFINITY, |(cost, _)| cost) {
+                if bounded && outside + least > best.map_or(f64::INFINITY, |(cost, _)| cost) {
                     break;
                 }
                 for c in ring(mesh, region.center, d) {
                     let id = mesh.node_id(c);
-                    let Some(penalty) = penalties[id.index()] else {
+                    if !ctx.is_free(c) || placed[id.index() / 64] & (1 << (id.index() % 64)) != 0 {
                         continue;
-                    };
-                    let cost = terms.of(c, rank, &partners, outside, penalty);
+                    }
+                    let cost = terms.of(c, rank, &partners, outside, node_penalty(c));
                     if beats(cost, id, best) {
                         best = Some((cost, id));
                     }
                 }
             }
             let (_, chosen) = best?;
-            penalties[chosen.index()] = None;
+            placed[chosen.index() / 64] |= 1 << (chosen.index() % 64);
             slots[task.index()] = Some(mesh.coord(chosen));
         }
     }
@@ -865,6 +927,131 @@ mod tests {
                 g.task_count(),
                 g.edges()
             );
+        }
+    }
+
+    /// Places under penalties `score * scale` with the bound derived from
+    /// the region search's score range, as the test-aware mapper does, and
+    /// checks the bound against the scaled penalties and the placement
+    /// against the reference. Returns the placement.
+    fn assert_range_fed_matches_reference(
+        ctx: &MapContext,
+        app: &TaskGraph,
+        scores: &[f64],
+        scale: f64,
+    ) -> Option<Mapping> {
+        let mesh = ctx.mesh();
+        let score = |c: Coord| scores[mesh.node_id(c).index()];
+        let penalty = |c: Coord| score(c) * scale;
+        let (choice, range) =
+            RegionSearch::new(mesh).find_with_range(app.task_count(), |c| ctx.is_free(c), score)?;
+        let bound = PenaltyBound::scaled(range, scale);
+        match bound {
+            Some(bound) => {
+                let scaled: Vec<f64> = mesh
+                    .coords()
+                    .filter(|&c| ctx.is_free(c))
+                    .map(penalty)
+                    .collect();
+                let least = scaled.iter().copied().fold(f64::INFINITY, f64::min);
+                let finite = scaled.iter().all(|p| p.is_finite());
+                assert!(
+                    bound.least == least && bound.finite == finite,
+                    "scale {scale}: {bound:?}, want ({least}, {finite})"
+                );
+            }
+            None => assert!(!(scale.is_finite() && scale > 0.0), "scale {scale}"),
+        }
+        let placed = place_with_bound(ctx, choice.region, app, penalty, bound);
+        assert_eq!(
+            placed,
+            place_reference(ctx, choice.region, app, penalty),
+            "{mesh:?}, {:?}, scale {scale}, {} tasks",
+            choice.region,
+            app.task_count()
+        );
+        placed
+    }
+
+    #[test]
+    fn range_fed_walk_matches_reference() {
+        let mut rng = SimRng::seed_from(2121);
+        let before = strategy_counts();
+        for (w, h) in [(64, 64), (63, 65), (65, 63)] {
+            let mesh = Mesh2D::new(w, h);
+            for busy in [0.0, 0.03, 0.5, 0.9] {
+                let mut ctx = MapContext::all_free(mesh);
+                for c in mesh.coords() {
+                    ctx.set_free(c, rng.next_f64() >= busy);
+                }
+                // Every idle core before its first test ties; later the
+                // pressure spreads over a continuous range.
+                for tied in [true, false] {
+                    let scores: Vec<f64> = mesh
+                        .coords()
+                        .map(|_| {
+                            if tied {
+                                0.75
+                            } else {
+                                rng.gen_f64_range(0.0, 20.0)
+                            }
+                        })
+                        .collect();
+                    let app = random_graph(&mut rng, 12);
+                    // The last scale overflows the greater scores to +∞.
+                    for scale in [1.0, 1024.0, 1.0 / 3.0, f64::MAX / 4.0] {
+                        assert_range_fed_matches_reference(&ctx, &app, &scores, scale);
+                    }
+                }
+            }
+        }
+        let after = strategy_counts();
+        assert!(
+            after[0] > before[0],
+            "no ring walk ran: {before:?} -> {after:?}"
+        );
+    }
+
+    #[test]
+    fn range_fed_walk_falls_back_to_a_bound_pass() {
+        let mut rng = SimRng::seed_from(2222);
+        for (w, h) in [(64, 64), (63, 65), (65, 63)] {
+            let mesh = Mesh2D::new(w, h);
+            let mut ctx = MapContext::all_free(mesh);
+            for c in mesh.coords() {
+                ctx.set_free(c, rng.next_f64() >= 0.03);
+            }
+            let positive: Vec<f64> = mesh
+                .coords()
+                .map(|_| rng.gen_f64_range(0.5, 20.0))
+                .collect();
+            let app = random_graph(&mut rng, 12);
+            // No bound from the range: zero and infinite scales (a NaN
+            // scale makes every cost NaN, which no placement accepts).
+            for scale in [0.0, f64::INFINITY] {
+                assert_range_fed_matches_reference(&ctx, &app, &positive, scale);
+            }
+            let range = RegionSearch::new(mesh)
+                .find_with_range(1, |c| ctx.is_free(c), |c| positive[mesh.node_id(c).index()])
+                .map(|(_, range)| range)
+                .expect("the mesh has a free core");
+            assert!(PenaltyBound::scaled(range, f64::NAN).is_none());
+            // A non-finite penalty: the walk visits every free core.
+            let mut infinite = positive.clone();
+            for _ in 0..8 {
+                let i = rng.gen_range(infinite.len() as u64) as usize;
+                infinite[i] = if rng.gen_bool(0.5) {
+                    f64::INFINITY
+                } else {
+                    f64::NEG_INFINITY
+                };
+            }
+            assert_range_fed_matches_reference(&ctx, &app, &infinite, 1.0);
+            // A negative edge volume: the same.
+            let mut negative = chain(6);
+            negative.add_edge(TaskId(5), TaskId(0), -300.0);
+            assert_range_fed_matches_reference(&ctx, &negative, &positive, 1.0)
+                .expect("the mesh has room");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The paper's test-aware utilization-oriented mapping (TUM).
 
 use crate::context::MapContext;
-use crate::contiguous;
+use crate::contiguous::{self, PenaltyBound};
 use crate::mapping::Mapping;
 use crate::Mapper;
 use manytest_noc::RegionSearch;
@@ -85,7 +85,7 @@ impl Mapper for TestAwareMapper {
     // lint:effect(alloc+panic, reason = "mapping lane materializes one placement per admitted app; placement expects hold on the searched region")
     fn map(&self, ctx: &MapContext, app: &TaskGraph) -> Option<Mapping> {
         let search = RegionSearch::new(ctx.mesh());
-        let choice = search.find(
+        let (choice, range) = search.find_with_range(
             app.task_count(),
             |c| ctx.is_free(c),
             |c| self.node_penalty(ctx, c),
@@ -94,9 +94,15 @@ impl Mapper for TestAwareMapper {
         // traffic", otherwise the communication attraction (bits × hops)
         // numerically drowns them.
         let scale = contiguous::mean_edge_bits(app);
-        contiguous::place(ctx, choice.region, app, |c| {
-            self.node_penalty(ctx, c) * scale
-        })
+        // The search scored every free core, so placement's bound comes
+        // from its range.
+        contiguous::place_with_bound(
+            ctx,
+            choice.region,
+            app,
+            |c| self.node_penalty(ctx, c) * scale,
+            PenaltyBound::scaled(range, scale),
+        )
     }
 
     fn name(&self) -> &str {
@@ -193,7 +199,8 @@ mod tests {
     }
 
     /// `map` is the region search followed by placement under the
-    /// mapper's own penalty, scaled by the app's mean edge volume. The
+    /// mapper's own penalty, scaled by the app's mean edge volume, with
+    /// the placement's bound taken from the search's score range. The
     /// placement is checked against its reference here; the search against
     /// its own in `manytest-noc`.
     #[test]

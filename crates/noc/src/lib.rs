@@ -42,7 +42,7 @@ pub mod traffic;
 pub use contention::{ContentionModel, LinkLoads};
 pub use coord::{Coord, NodeId};
 pub use energy::{LinkEnergyModel, NocEnergy};
-pub use region::{Region, RegionSearch};
+pub use region::{Region, RegionSearch, ScoreRange};
 pub use routing::{xy_route, Direction, Hop};
 pub use topology::Mesh2D;
 pub use traffic::TrafficMatrix;

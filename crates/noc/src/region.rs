@@ -65,6 +65,32 @@ pub struct RegionChoice {
     pub score: f64,
 }
 
+/// The least and the greatest of the scores a region search evaluated, and
+/// whether every one of them was finite.
+///
+/// `min` and `max` skip NaN scores, which clear `all_finite` instead. A
+/// search that evaluated no score reports `min = +∞`, `max = -∞` and
+/// `all_finite = true`. Of two scores that compare equal (`-0.0` and
+/// `+0.0`), either may be the one reported.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScoreRange {
+    /// The least score evaluated.
+    pub min: f64,
+    /// The greatest score evaluated.
+    pub max: f64,
+    /// True if no score evaluated was infinite or NaN.
+    pub all_finite: bool,
+}
+
+impl ScoreRange {
+    /// The range of no scores.
+    const EMPTY: ScoreRange = ScoreRange {
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        all_finite: true,
+    };
+}
+
 /// Adjacent centres of a row whose exact score sums accumulate together,
 /// one lane each. Eight `f64` lanes fill four SSE2 registers, so the add
 /// over lanes vectorises into four independent chains. Sixteen lanes were
@@ -131,19 +157,50 @@ impl RegionSearch {
     /// payload of a NaN result unspecified, and a NaN winner's bits may
     /// differ. The contenders then fold in ascending id, so a tie keeps
     /// the lowest id.
+    ///
+    /// `node_score` is called only when a region is found, and neither
+    /// closure for a request of no nodes. [`RegionSearch::find_with_range`]
+    /// runs the same search and also reports the range of the scores.
     // lint:effect(alloc, reason = "the call graph resolves every `.find(` call to this fn by name, Iterator::find included; the summed-area table, centre list and padded score rows are per-search scratch")
     pub fn find<F, S>(&self, required: usize, is_free: F, node_score: S) -> Option<RegionChoice>
     where
         F: Fn(Coord) -> bool,
         S: Fn(Coord) -> f64,
     {
+        self.find_with_range(required, is_free, node_score)
+            .map(|(choice, _)| choice)
+    }
+
+    /// [`RegionSearch::find`], plus the [`ScoreRange`] of every
+    /// `node_score` value the search evaluated.
+    ///
+    /// `node_score` runs once per free node whenever a region is found,
+    /// so the range then covers every free node; a request for no nodes
+    /// evaluates nothing and reports the empty range. The range is folded
+    /// in the pass that stores the scores, with no extra pass. A caller
+    /// that later weighs the same free nodes by a monotone function of
+    /// their scores, as the test-aware mapper's placement does, can take
+    /// the least weight and its finiteness from the range without
+    /// evaluating another node.
+    // lint:effect(alloc, reason = "the summed-area table, centre list and padded score rows are per-search scratch")
+    pub fn find_with_range<F, S>(
+        &self,
+        required: usize,
+        is_free: F,
+        node_score: S,
+    ) -> Option<(RegionChoice, ScoreRange)>
+    where
+        F: Fn(Coord) -> bool,
+        S: Fn(Coord) -> f64,
+    {
         if required == 0 {
             // Degenerate but well-defined: an empty application fits anywhere.
-            return Some(RegionChoice {
+            let choice = RegionChoice {
                 region: Region::new(Coord::new(0, 0), 0),
                 available: 0,
                 score: 0.0,
-            });
+            };
+            return Some((choice, ScoreRange::EMPTY));
         }
         let mesh = self.mesh;
         let (w, h) = (usize::from(mesh.width()), usize::from(mesh.height()));
@@ -198,8 +255,18 @@ impl RegionSearch {
         let side = 2 * radius + 1;
         let padded_w = w + side - 1 + LANES;
         let mut padded = vec![0.0; padded_w * h];
+        let mut range = ScoreRange::EMPTY;
         for &c in &centres {
-            padded[usize::from(c.y) * padded_w + radius + usize::from(c.x)] = node_score(c);
+            let score = node_score(c);
+            padded[usize::from(c.y) * padded_w + radius + usize::from(c.x)] = score;
+            // NaN fails both comparisons and clears the flag.
+            if score < range.min {
+                range.min = score;
+            }
+            if score > range.max {
+                range.max = score;
+            }
+            range.all_finite &= score.is_finite();
         }
         let mut best: Option<RegionChoice> = None;
         let mut i = 0;
@@ -239,7 +306,7 @@ impl RegionSearch {
                 i += 1;
             }
         }
-        best
+        best.map(|choice| (choice, range))
     }
 }
 
@@ -478,6 +545,100 @@ mod tests {
             key(find_reference(mesh, required, is_free, node_score)),
             "{mesh:?}, required {required}"
         );
+    }
+
+    /// Scores for the range checks: explicit `-0.0` mixed with `+0.0`,
+    /// all equal, subnormal of both signs, scattered ±∞, scattered NaN,
+    /// or continuous pressure.
+    fn range_scores(rng: &mut SimRng, n: usize, style: u64) -> Vec<f64> {
+        let tiny = f64::MIN_POSITIVE / 4.0;
+        (0..n)
+            .map(|_| match style {
+                0 if rng.gen_bool(0.5) => -0.0,
+                0 => 0.0,
+                1 => 0.75,
+                2 => tiny * (rng.gen_range(5) as f64 - 2.0),
+                3 => match rng.gen_range(20) {
+                    0 => f64::INFINITY,
+                    1 => f64::NEG_INFINITY,
+                    _ => rng.gen_f64_range(-5.0, 5.0),
+                },
+                4 if rng.gen_bool(0.05) => f64::NAN,
+                4 => rng.gen_f64_range(-5.0, 5.0),
+                _ => 2.0 * rng.next_f64() + 6.0 * rng.gen_f64_range(0.0, 3.0),
+            })
+            .collect()
+    }
+
+    /// `find_with_range` returns `find`'s choice, and a range equal in
+    /// value to a fold over the score of every free node (nothing for a
+    /// request of no nodes).
+    fn assert_range_matches(mesh: Mesh2D, required: usize, free: &[bool], scores: &[f64]) {
+        let is_free = |c: Coord| free[mesh.node_id(c).index()];
+        let node_score = |c: Coord| scores[mesh.node_id(c).index()];
+        let search = RegionSearch::new(mesh);
+        let found = search.find_with_range(required, is_free, node_score);
+        let key = |r: Option<RegionChoice>| r.map(|r| (r.region, r.available, r.score.to_bits()));
+        assert_eq!(
+            key(found.map(|(choice, _)| choice)),
+            key(search.find(required, is_free, node_score)),
+            "{mesh:?}, required {required}"
+        );
+        let n_free = free.iter().filter(|&&f| f).count();
+        let Some((_, range)) = found else {
+            assert!(
+                n_free < required,
+                "{mesh:?}: {n_free} free, required {required}"
+            );
+            return;
+        };
+        let scored = free
+            .iter()
+            .zip(scores)
+            .filter(|&(&f, _)| f && required > 0)
+            .map(|(_, &s)| s);
+        let (min, max, all_finite) = scored.fold(
+            (f64::INFINITY, f64::NEG_INFINITY, true),
+            |(min, max, finite), s| (min.min(s), max.max(s), finite && s.is_finite()),
+        );
+        // Compared as values: -0.0 and +0.0 are the same least score.
+        assert!(
+            range.min == min && range.max == max && range.all_finite == all_finite,
+            "{mesh:?}, required {required}: {range:?}, want ({min}, {max}, {all_finite})"
+        );
+    }
+
+    #[test]
+    fn find_range_matches_a_fold_over_every_free_node() {
+        let mut rng = SimRng::seed_from(3131);
+        for w in 1..=24 {
+            for h in 1..=24 {
+                let mesh = Mesh2D::new(w, h);
+                let free = random_free(&mut rng, mesh.node_count());
+                let n_free = free.iter().filter(|&&f| f).count();
+                for style in 0..6 {
+                    let scores = range_scores(&mut rng, mesh.node_count(), style);
+                    let required = random_required(&mut rng, mesh.node_count(), n_free);
+                    assert_range_matches(mesh, required, &free, &scores);
+                }
+                // One node too many: no region, so no range.
+                let scores = range_scores(&mut rng, mesh.node_count(), 5);
+                assert_range_matches(mesh, n_free + 1, &free, &scores);
+            }
+        }
+        for (w, h) in [(64, 64), (63, 65), (65, 63)] {
+            let mesh = Mesh2D::new(w, h);
+            for busy in [0.0, 0.03, 0.5, 0.9] {
+                let free: Vec<bool> = (0..mesh.node_count())
+                    .map(|_| rng.next_f64() >= busy)
+                    .collect();
+                for style in 0..6 {
+                    let scores = range_scores(&mut rng, mesh.node_count(), style);
+                    let required = rng.gen_range_inclusive(0, 22) as usize;
+                    assert_range_matches(mesh, required, &free, &scores);
+                }
+            }
+        }
     }
 
     #[test]
