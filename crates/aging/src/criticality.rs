@@ -132,7 +132,6 @@ mod tests {
             damage_since_test,
             utilization: 0.5,
             last_test_time,
-            tests_completed: 1,
             recoverable_damage: 0.0,
         }
     }

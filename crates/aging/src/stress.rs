@@ -21,8 +21,6 @@ pub struct CoreStress {
     /// Simulation time (seconds) when the core last completed a test;
     /// negative infinity-like sentinel (−1) if never tested.
     pub last_test_time: f64,
-    /// Number of completed tests.
-    pub tests_completed: u64,
     /// Portion of `total_damage` that can still heal (NBTI recovery);
     /// zero unless the aging model enables recovery.
     pub recoverable_damage: f64,
@@ -35,7 +33,6 @@ impl Default for CoreStress {
             damage_since_test: 0.0,
             utilization: 0.0,
             last_test_time: -1.0,
-            tests_completed: 0,
             recoverable_damage: 0.0,
         }
     }
@@ -304,7 +301,7 @@ impl StressTracker {
     }
 
     /// Marks a completed test on `core` at time `now` (seconds): the
-    /// since-test damage resets, the test counter increments.
+    /// since-test damage resets and the test time is recorded.
     ///
     /// # Panics
     ///
@@ -313,7 +310,6 @@ impl StressTracker {
         let c = &mut self.cores[core];
         c.damage_since_test = 0.0;
         c.last_test_time = now;
-        c.tests_completed += 1;
     }
 
     /// Read-only view of one core's state.
@@ -446,7 +442,6 @@ mod tests {
         t.note_test_complete(0, 0.005);
         assert_eq!(t.core(0).damage_since_test, 0.0);
         assert_eq!(t.core(0).total_damage, total_before);
-        assert_eq!(t.core(0).tests_completed, 1);
         assert_eq!(t.core(0).last_test_time, 0.005);
     }
 
@@ -609,7 +604,7 @@ mod tests {
         }
     }
 
-    fn state_bits(t: &StressTracker) -> Vec<[u64; 6]> {
+    fn state_bits(t: &StressTracker) -> Vec<[u64; 5]> {
         t.iter()
             .map(|c| {
                 [
@@ -617,7 +612,6 @@ mod tests {
                     c.damage_since_test.to_bits(),
                     c.utilization.to_bits(),
                     c.last_test_time.to_bits(),
-                    c.tests_completed,
                     c.recoverable_damage.to_bits(),
                 ]
             })

@@ -32,7 +32,6 @@ proptest! {
             damage_since_test: damage,
             utilization: 0.5,
             last_test_time: 0.0,
-            tests_completed: 1,
             recoverable_damage: 0.0,
         };
         prop_assert!(

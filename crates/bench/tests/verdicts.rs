@@ -7,9 +7,9 @@
 
 use manytest_bench::{
     e11_fault_response, e2_power_trace, e4_test_interval_vs_load, e5_mapping_compare,
-    e6_criticality_adaptation, Scale,
+    e6_criticality_adaptation, e7_vf_coverage, e8_pid_vs_naive, Scale,
 };
-use manytest_core::{FaultResponsePolicy, MapperKind};
+use manytest_core::{FaultResponsePolicy, GovernorKind, MapperKind};
 
 /// E2: reservation-based admission keeps the chip under its TDP while
 /// tests draw power: no epoch above the TDP, the peak at most the TDP,
@@ -119,6 +119,53 @@ fn e5_contiguity_cuts_hops_and_tum_bounds_staleness() {
         cona.max_interval * 1e3,
         first_fit.max_interval * 1e3
     );
+}
+
+/// E7: the staggered least-tested-level rotation spreads tests evenly over
+/// the DVFS ladder: every level is tested, and the per-level counts differ
+/// by at most one (256/255/256/256/256 today). A pick that ignores the
+/// counts, such as pinning each core to level `core % 5`, reads
+/// 260/255/255/255/255 and fails.
+#[test]
+fn e7_tests_spread_evenly_over_levels() {
+    let c = e7_vf_coverage(Scale::Quick, 1);
+    let per_level = &c.tests_per_level;
+    assert_eq!(per_level.len(), 5);
+    let (Some(&least), Some(&most)) = (per_level.iter().min(), per_level.iter().max()) else {
+        panic!("no levels");
+    };
+    assert!(least > 0, "an untested level: {per_level:?}");
+    assert!(most - least <= 1, "uneven levels: {per_level:?}");
+}
+
+/// E8: under saturating demand the PID governor beats the naive
+/// bang-bang policy on throughput (140,110 vs 126,069 MIPS) and on
+/// completed tests (479 vs 248), and no governor breaks the TDP.
+#[test]
+fn e8_pid_beats_naive() {
+    let rows = e8_pid_vs_naive(Scale::Quick, 2);
+    assert_eq!(rows.len(), 3);
+    let row = |g: GovernorKind| {
+        rows.iter()
+            .find(|r| r.governor == g)
+            .unwrap_or_else(|| panic!("{g:?} runs"))
+    };
+    let (pid, naive) = (row(GovernorKind::Pid), row(GovernorKind::Naive));
+    assert!(
+        pid.mips > naive.mips,
+        "PID {:.0} MIPS vs naive {:.0}",
+        pid.mips,
+        naive.mips
+    );
+    assert!(
+        pid.tests > naive.tests,
+        "PID {} tests vs naive {}",
+        pid.tests,
+        naive.tests
+    );
+    for r in &rows {
+        assert_eq!(r.violations, 0, "{:?} broke the TDP", r.governor);
+    }
 }
 
 /// E11: every quarantining policy isolates the faulty cores and cuts the

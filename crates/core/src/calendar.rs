@@ -91,7 +91,32 @@ impl WakeCalendar {
 
     /// The due cores among `64·word .. 64·word + 64`, as a bit mask in
     /// the layout of [`crate::store::CoreStore::testable_words`].
+    ///
+    /// The compares fill one byte per core, 0 or 1, which vectorise; one
+    /// multiply then gathers each 8 bytes into a byte of the mask. In
+    /// `v · 0x0102_0408_1020_4080` byte `j` of `v` lands on bits
+    /// `8j + 7k + 7` for `k` in `0..8`: distinct for every `(j, k)`, so
+    /// nothing carries, and bit `56 + j` comes from `k = 7 − j` alone.
     pub(crate) fn due_word(&self, word: usize) -> u64 {
+        const GATHER: u64 = 0x0102_0408_1020_4080;
+        let epoch = self.epoch;
+        let mut due = [[0u8; 8]; 8];
+        for (d, &wake) in due
+            .as_flattened_mut()
+            .iter_mut()
+            .zip(&self.wake[word * 64..])
+        {
+            *d = u8::from(wake <= epoch);
+        }
+        due.iter().enumerate().fold(0, |mask, (byte, &bits)| {
+            mask | (u64::from_le_bytes(bits).wrapping_mul(GATHER) >> 56) << (8 * byte)
+        })
+    }
+
+    /// [`Self::due_word`] as it was written first: a 64-step shift-or
+    /// fold. The oracle for the byte-parallel mask.
+    #[cfg(test)]
+    fn due_word_reference(&self, word: usize) -> u64 {
         let epoch = self.epoch;
         self.wake[word * 64..]
             .iter()
@@ -143,6 +168,43 @@ mod tests {
             0b11,
             "tail word covers cores 128 and 129 only"
         );
+    }
+
+    #[test]
+    fn due_word_matches_reference() {
+        // Wake epochs at, just before and just after the current epoch,
+        // at 0 and u32::MAX, and random, on every tail-word length.
+        let mut rng = manytest_sim::SimRng::seed_from(64);
+        for cores in (1..=130).chain([192, 200, 4096]) {
+            for _ in 0..8 {
+                let mut c = calendar(0.5);
+                c.ensure_len(cores);
+                let epoch = match rng.gen_range(4) {
+                    0 => 0,
+                    1 => u32::MAX,
+                    2 => u32::MAX - 1,
+                    _ => rng.next_u64() as u32,
+                };
+                c.epoch = epoch;
+                for wake in &mut c.wake {
+                    *wake = match rng.gen_range(6) {
+                        0 => 0,
+                        1 => u32::MAX,
+                        2 => epoch,
+                        3 => epoch.saturating_add(1),
+                        4 => epoch.saturating_sub(1),
+                        _ => rng.next_u64() as u32,
+                    };
+                }
+                for word in 0..cores.div_ceil(64) {
+                    assert_eq!(
+                        c.due_word(word),
+                        c.due_word_reference(word),
+                        "{cores} cores, word {word}, epoch {epoch}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -72,8 +72,6 @@ pub struct CoreStore {
     /// the source of truth for suspect/retest detail; this bit exists so
     /// the mappable count updates without consulting another crate.
     healthy: Vec<bool>,
-    // --- cold per-core state (touched only at test completion) ---
-    last_test: Vec<Option<f64>>,
     // --- maintained derived views ---
     mappable: usize,
     testing: usize,
@@ -119,7 +117,6 @@ impl CoreStore {
             session_reservation: vec![None; n],
             session_gen: vec![0; n],
             healthy: vec![true; n],
-            last_test: vec![None; n],
             mappable: n,
             testing: 0,
             bitsets,
@@ -271,19 +268,6 @@ impl CoreStore {
             self.mark_dirty(core);
         }
         (session, reservation)
-    }
-
-    // --- test-interval statistics (cold) ---
-
-    /// Completion time of the most recent test on `core`, if any.
-    pub fn last_test_time(&self, core: usize) -> Option<f64> {
-        self.last_test[core]
-    }
-
-    /// Records a test completion on `core` at `now` seconds; only the
-    /// most recent one is kept.
-    pub fn push_test_time(&mut self, core: usize, now: f64) {
-        self.last_test[core] = Some(now);
     }
 
     // --- derived predicates (same definitions CoreSlot carried) ---
@@ -623,15 +607,5 @@ mod tests {
         store.for_each_powered(|c| walked.push(c));
         assert_eq!(walked, vec![3, 63, 65, 100, 129]);
         assert_eq!(store.powered_words().len(), store.testable_words().len());
-    }
-
-    #[test]
-    fn test_times_record_last_completion() {
-        let mut store = CoreStore::new(2);
-        assert_eq!(store.last_test_time(1), None);
-        store.push_test_time(1, 0.25);
-        store.push_test_time(1, 0.75);
-        assert_eq!(store.last_test_time(1), Some(0.75));
-        assert_eq!(store.last_test_time(0), None);
     }
 }

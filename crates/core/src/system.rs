@@ -1490,6 +1490,8 @@ impl System {
         }
         self.scheduler
             .on_session_complete(core, session.routine(), session.level());
+        // −1 until the core's first completion.
+        let prev_test = self.stress.core(core).last_test_time;
         self.stress.note_test_complete(core, now);
         let routine = self.scheduler.library().routine(session.routine());
         let respond = !matches!(self.config.fault_response, FaultResponsePolicy::Ignore);
@@ -1543,14 +1545,12 @@ impl System {
                     && self.rng_faults.gen_bool(routine.false_positive_rate))
         };
         self.metrics.tests_completed += 1;
-        let interval = match self.store.last_test_time(core) {
-            Some(prev) => {
-                self.metrics.test_interval.push(now - prev);
-                now - prev
-            }
-            None => -1.0, // first completion on this core
+        let interval = if prev_test >= 0.0 {
+            self.metrics.test_interval.push(now - prev_test);
+            now - prev_test
+        } else {
+            -1.0 // first completion on this core
         };
-        self.store.push_test_time(core, now);
         let ledger = self.scheduler.ledger();
         let covered_levels = (0..ledger.level_count())
             .filter(|&l| ledger.tests_at(core, VfLevel(l as u8)) > 0)

@@ -63,7 +63,9 @@ impl Mesh2D {
     /// Panics if `c` is outside the mesh.
     #[inline]
     pub fn node_id(self, c: Coord) -> NodeId {
-        assert!(self.contains(c), "coordinate {c} outside {self:?}");
+        if !self.contains(c) {
+            self.coord_outside(c);
+        }
         NodeId(c.y as u32 * self.width as u32 + c.x as u32)
     }
 
@@ -74,14 +76,29 @@ impl Mesh2D {
     /// Panics if `id` is out of range for this mesh.
     #[inline]
     pub fn coord(self, id: NodeId) -> Coord {
-        assert!(
-            (id.index()) < self.node_count(),
-            "node id {id} outside {self:?}"
-        );
+        if id.index() >= self.node_count() {
+            self.id_outside(id);
+        }
         Coord {
             x: (id.0 % self.width as u32) as u16,
             y: (id.0 / self.width as u32) as u16,
         }
+    }
+
+    // The two panics live out of line, so an inlined `node_id` or `coord`
+    // costs its callers one compare and branch, not the message set-up.
+
+    #[cold]
+    #[inline(never)]
+    fn coord_outside(self, c: Coord) -> ! {
+        // lint:allow(hot-path-purity, reason = "the bounds check node_id always made, moved out of line; callers pass in-mesh coordinates")
+        panic!("coordinate {c} outside {self:?}")
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn id_outside(self, id: NodeId) -> ! {
+        panic!("node id {id} outside {self:?}")
     }
 
     /// Iterates over all coordinates in row-major order.
@@ -184,6 +201,12 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn node_id_panics_outside() {
         Mesh2D::new(2, 2).node_id(Coord::new(5, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "node id n4 outside Mesh2D { width: 2, height: 2 }")]
+    fn coord_panics_outside() {
+        Mesh2D::new(2, 2).coord(NodeId(4));
     }
 
     #[test]

@@ -108,7 +108,34 @@ impl VfCoverageLedger {
     /// first". Staggering each core's starting level spreads the
     /// population's first tests across the whole ladder, so even short
     /// runs exercise every V/f level somewhere on the die.
+    ///
+    /// The walk visits the levels in order of cyclic distance from the
+    /// offset and keeps the first strictly smaller count: the least count
+    /// at the least distance, which is the least `(count, distance)` key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    #[inline]
     pub fn next_level_staggered(&self, core: usize) -> VfLevel {
+        let levels = self.levels;
+        let row = &self.counts[core * levels..][..levels];
+        let mut level = core % levels;
+        let (mut best, mut fewest) = (level, row[level]);
+        for _ in 1..levels {
+            level = if level + 1 == levels { 0 } else { level + 1 };
+            if row[level] < fewest {
+                (best, fewest) = (level, row[level]);
+            }
+        }
+        VfLevel(best as u8)
+    }
+
+    /// [`Self::next_level_staggered`] as it was written first: one `%`
+    /// per level and a `min_by_key` over `(count, distance)`. The oracle
+    /// for the walk.
+    #[cfg(test)]
+    pub(crate) fn next_level_staggered_reference(&self, core: usize) -> VfLevel {
         let offset = core % self.levels;
         (0..self.levels)
             .map(|l| VfLevel(l as u8))
@@ -116,7 +143,6 @@ impl VfCoverageLedger {
                 let distance = (l.0 as usize + self.levels - offset) % self.levels;
                 (self.tests_at(core, l), distance)
             })
-            // lint:allow(hot-path-purity, reason = "ledger is constructed with at least one level")
             .expect("ledger has at least one level")
     }
 
@@ -178,6 +204,35 @@ mod tests {
         l.record(0, VfLevel(2));
         l.record(0, VfLevel(2));
         assert_eq!(l.next_level(0), VfLevel(0));
+    }
+
+    #[test]
+    fn next_level_staggered_matches_reference() {
+        // Tie-heavy counts (0 to 3 tests per cell, all 0 in a quarter of
+        // the ledgers) at every offset of ladders of 1 to 9 and 255 levels.
+        let mut rng = manytest_sim::SimRng::seed_from(23);
+        for levels in (1..=9).chain([255]) {
+            let cores = levels + 3;
+            for _ in 0..if levels < 10 { 60 } else { 3 } {
+                let mut l = VfCoverageLedger::new(cores, levels);
+                let spread = rng.gen_range(4);
+                for core in 0..cores {
+                    for level in 0..levels {
+                        for _ in 0..rng.gen_range(spread + 1) {
+                            l.record(core, VfLevel(level as u8));
+                        }
+                    }
+                }
+                for core in 0..cores {
+                    assert_eq!(
+                        l.next_level_staggered(core),
+                        l.next_level_staggered_reference(core),
+                        "{levels} levels, core {core}: {:?}",
+                        &l.counts[core * levels..][..levels]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@ use crate::coverage::VfCoverageLedger;
 use crate::routine::{RoutineId, RoutineLibrary};
 use manytest_power::{PowerModel, TechNode, VfLadder, VfLevel};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// An idle core offered to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -130,11 +132,15 @@ impl Default for TestSchedulerConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TestScheduler {
     config: TestSchedulerConfig,
-    model: PowerModel,
     ladder: VfLadder,
     library: RoutineLibrary,
     cursors: Vec<RoutineId>,
     ledger: VfCoverageLedger,
+    /// Projected session power per routine and level, routine-major:
+    /// `ladder_levels` entries per routine, each computed once by
+    /// [`PowerModel::core_power`], so every read has the same bits as a
+    /// fresh evaluation.
+    power_table: Vec<f64>,
     launches_attempted: u64,
     launches_denied_power: u64,
     /// Ranked-lane heap pops over the scheduler's lifetime (the lazy
@@ -142,7 +148,7 @@ pub struct TestScheduler {
     heap_pops: u64,
     /// Reused ranking buffer for [`TestScheduler::plan_into`]; always
     /// empty between calls (so equality/serialisation see no difference).
-    rank_scratch: Vec<TestCandidate>,
+    rank_scratch: Vec<Reverse<u128>>,
 }
 
 impl TestScheduler {
@@ -173,13 +179,19 @@ impl TestScheduler {
                 "fixed level outside the ladder"
             );
         }
+        let model = PowerModel::for_node(node);
+        let ladder = VfLadder::for_node(node, config.ladder_levels);
+        let mut power_table = Vec::with_capacity(library.len() * ladder.len());
+        for (_, routine) in library.iter() {
+            power_table.extend(ladder.iter().map(|op| model.core_power(op, routine.activity)));
+        }
         TestScheduler {
             config,
-            model: PowerModel::for_node(node),
-            ladder: VfLadder::for_node(node, config.ladder_levels),
+            ladder,
             library,
             cursors: vec![RoutineId(0); core_count],
             ledger: VfCoverageLedger::new(core_count, config.ladder_levels),
+            power_table,
             launches_attempted: 0,
             launches_denied_power: 0,
             heap_pops: 0,
@@ -209,8 +221,8 @@ impl TestScheduler {
 
     /// Projected power of testing at `level` with routine `routine`.
     pub fn session_power(&self, routine: RoutineId, level: VfLevel) -> f64 {
-        let op = self.ladder.point(level);
-        self.model.core_power(op, self.library.routine(routine).activity)
+        let levels = self.ladder.len();
+        self.power_table[routine.index() * levels..][..levels][level.0 as usize]
     }
 
     /// Plans this epoch's launches: candidates above the criticality
@@ -259,123 +271,192 @@ impl TestScheduler {
             if launches.len() >= self.config.max_launches_per_epoch {
                 break;
             }
-            let routine_id = self.cursors[req.core];
-            let routine = self.library.routine(routine_id);
-            let op = self.ladder.point(req.level);
-            let power = self.model.core_power(op, routine.activity);
-            self.launches_attempted += 1;
-            if power <= remaining {
-                remaining -= power;
-                launches.push(TestLaunch {
-                    core: req.core,
-                    routine: routine_id,
-                    level: req.level,
-                    power,
-                    rate: op.frequency * self.config.ipc,
-                    instructions: routine.instructions,
-                });
-            } else {
-                self.launches_denied_power += 1;
-                denials.push(TestDenial {
-                    core: req.core,
-                    level: req.level,
-                    power,
-                    headroom: remaining,
-                });
-            }
+            self.launch_or_deny(req.core, req.level, &mut remaining, launches, denials);
         }
+        let threshold = self.config.criticality_threshold;
         let mut ranked = std::mem::take(&mut self.rank_scratch);
         // lint:allow(hot-path-purity, reason = "rank scratch reuses its capacity across scheduling rounds; extend allocates only until the high-water mark")
         ranked.extend(
             candidates
                 .iter()
-                .copied()
-                .filter(|c| c.criticality >= self.config.criticality_threshold),
+                .filter(|c| c.criticality >= threshold)
+                .map(|c| Reverse(Self::rank_key(c))),
         );
-        // Deterministic top-k partial selection: build a max-heap in
-        // O(n) and pop ranks lazily instead of fully sorting. Core ids
-        // are unique within a call, so the ordering is strictly total
-        // and the pop sequence reproduces the old stable sort exactly —
-        // but ranks beyond the launch cap are never ordered at all.
+        // Deterministic top-k partial selection: heapify in O(n) and pop
+        // ranks lazily, so ranks beyond the launch cap are never ordered.
+        // The keys are distinct, so the pop sequence is the full sort's.
+        let mut heap = BinaryHeap::from(ranked);
+        while launches.len() < self.config.max_launches_per_epoch {
+            let Some(Reverse(key)) = heap.pop() else {
+                break;
+            };
+            self.heap_pops += 1;
+            let core = key as u64 as usize;
+            let level = match self.config.fixed_level {
+                Some(l) => VfLevel(l),
+                None => self.ledger.next_level_staggered(core),
+            };
+            self.launch_or_deny(core, level, &mut remaining, launches, denials);
+        }
+        let mut ranked = heap.into_vec();
+        ranked.clear();
+        self.rank_scratch = ranked;
+    }
+
+    /// The ranked lane's order as one integer: smaller keys rank first.
+    /// The high half is the criticality's total-order bits, complemented
+    /// so that higher criticality gives a smaller key; the low half is
+    /// the core id, so ties go to the lower core. `+ 0.0` folds `-0.0`
+    /// into `+0.0`, so the keys order every non-NaN criticality exactly
+    /// as `partial_cmp` does, ties included. Core ids are unique per
+    /// call, so no two keys are equal. NaN never gets here: it fails the
+    /// `criticality >= threshold` filter, which also kept the f64 heap's
+    /// NaN panic unreachable.
+    fn rank_key(c: &TestCandidate) -> u128 {
+        let bits = (c.criticality + 0.0).to_bits();
+        let ord = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+        u128::from(!ord) << 64 | c.core as u128
+    }
+
+    /// Launches a session on `core` at `level` with its next routine if
+    /// the session's power fits `remaining`, else records a denial.
+    fn launch_or_deny(
+        &mut self,
+        core: usize,
+        level: VfLevel,
+        remaining: &mut f64,
+        launches: &mut Vec<TestLaunch>,
+        denials: &mut Vec<TestDenial>,
+    ) {
+        let routine = self.cursors[core];
+        let power = self.session_power(routine, level);
+        self.launches_attempted += 1;
+        if power <= *remaining {
+            *remaining -= power;
+            launches.push(TestLaunch {
+                core,
+                routine,
+                level,
+                power,
+                rate: self.ladder.point(level).frequency * self.config.ipc,
+                instructions: self.library.routine(routine).instructions,
+            });
+        } else {
+            self.launches_denied_power += 1;
+            denials.push(TestDenial {
+                core,
+                level,
+                power,
+                headroom: *remaining,
+            });
+        }
+    }
+
+    /// [`Self::plan_with_retests_into`] as it was written first: an f64
+    /// max-heap over the candidates, the ledger's reference level pick
+    /// and a fresh `model.core_power` per candidate. The oracle for the
+    /// integer-key heap and the power table.
+    #[cfg(test)]
+    fn plan_reference(
+        &mut self,
+        model: &PowerModel,
+        retests: &[RetestRequest],
+        candidates: &[TestCandidate],
+        headroom_watts: f64,
+        launches: &mut Vec<TestLaunch>,
+        denials: &mut Vec<TestDenial>,
+    ) {
+        fn ranks_before(a: &TestCandidate, b: &TestCandidate) -> bool {
+            match a.criticality.partial_cmp(&b.criticality) {
+                Some(std::cmp::Ordering::Greater) => true,
+                Some(std::cmp::Ordering::Less) => false,
+                Some(std::cmp::Ordering::Equal) => a.core < b.core,
+                None => panic!("criticality is never NaN"),
+            }
+        }
+        fn sift_down(heap: &mut [TestCandidate], len: usize, mut i: usize) {
+            loop {
+                let left = 2 * i + 1;
+                if left >= len {
+                    break;
+                }
+                let mut best = left;
+                let right = left + 1;
+                if right < len && ranks_before(&heap[right], &heap[best]) {
+                    best = right;
+                }
+                if ranks_before(&heap[best], &heap[i]) {
+                    heap.swap(i, best);
+                    i = best;
+                } else {
+                    break;
+                }
+            }
+        }
+        let offer = |s: &mut Self,
+                     core: usize,
+                     level: VfLevel,
+                     remaining: &mut f64,
+                     launches: &mut Vec<TestLaunch>,
+                     denials: &mut Vec<TestDenial>| {
+            let routine_id = s.cursors[core];
+            let routine = s.library.routine(routine_id);
+            let op = s.ladder.point(level);
+            let power = model.core_power(op, routine.activity);
+            s.launches_attempted += 1;
+            if power <= *remaining {
+                *remaining -= power;
+                launches.push(TestLaunch {
+                    core,
+                    routine: routine_id,
+                    level,
+                    power,
+                    rate: op.frequency * s.config.ipc,
+                    instructions: routine.instructions,
+                });
+            } else {
+                s.launches_denied_power += 1;
+                denials.push(TestDenial {
+                    core,
+                    level,
+                    power,
+                    headroom: *remaining,
+                });
+            }
+        };
+        launches.clear();
+        denials.clear();
+        let mut remaining = headroom_watts;
+        let cap = self.config.max_launches_per_epoch;
+        for req in retests {
+            if launches.len() >= cap {
+                break;
+            }
+            offer(self, req.core, req.level, &mut remaining, launches, denials);
+        }
+        let mut ranked: Vec<TestCandidate> = candidates
+            .iter()
+            .copied()
+            .filter(|c| c.criticality >= self.config.criticality_threshold)
+            .collect();
         let mut heap_len = ranked.len();
         for i in (0..heap_len / 2).rev() {
-            Self::sift_down(&mut ranked, heap_len, i);
+            sift_down(&mut ranked, heap_len, i);
         }
         while heap_len > 0 {
-            if launches.len() >= self.config.max_launches_per_epoch {
+            if launches.len() >= cap {
                 break;
             }
             let cand = ranked[0];
             heap_len -= 1;
             ranked.swap(0, heap_len);
-            Self::sift_down(&mut ranked, heap_len, 0);
+            sift_down(&mut ranked, heap_len, 0);
             self.heap_pops += 1;
             let level = match self.config.fixed_level {
                 Some(l) => VfLevel(l),
-                None => self.ledger.next_level_staggered(cand.core),
+                None => self.ledger.next_level_staggered_reference(cand.core),
             };
-            let routine_id = self.cursors[cand.core];
-            let routine = self.library.routine(routine_id);
-            let op = self.ladder.point(level);
-            let power = self.model.core_power(op, routine.activity);
-            self.launches_attempted += 1;
-            if power <= remaining {
-                remaining -= power;
-                launches.push(TestLaunch {
-                    core: cand.core,
-                    routine: routine_id,
-                    level,
-                    power,
-                    rate: op.frequency * self.config.ipc,
-                    instructions: routine.instructions,
-                });
-            } else {
-                self.launches_denied_power += 1;
-                denials.push(TestDenial {
-                    core: cand.core,
-                    level,
-                    power,
-                    headroom: remaining,
-                });
-            }
-        }
-        ranked.clear();
-        self.rank_scratch = ranked;
-    }
-
-    /// Strict ranking order: higher criticality first, ties broken by
-    /// ascending core id. Candidate core ids are unique per planning
-    /// call, so no two distinct candidates compare equal — the property
-    /// that makes heap pops reproduce a stable sort's output.
-    fn ranks_before(a: &TestCandidate, b: &TestCandidate) -> bool {
-        match a.criticality.partial_cmp(&b.criticality) {
-            Some(std::cmp::Ordering::Greater) => true,
-            Some(std::cmp::Ordering::Less) => false,
-            Some(std::cmp::Ordering::Equal) => a.core < b.core,
-            // lint:allow(hot-path-purity, reason = "criticality is a product of finite clamped model inputs; NaN would corrupt the ranking silently, so fail loudly")
-            None => panic!("criticality is never NaN"),
-        }
-    }
-
-    /// Restores the max-heap property for the subtree at `i` within
-    /// `heap[..len]`.
-    fn sift_down(heap: &mut [TestCandidate], len: usize, mut i: usize) {
-        loop {
-            let left = 2 * i + 1;
-            if left >= len {
-                break;
-            }
-            let mut best = left;
-            let right = left + 1;
-            if right < len && Self::ranks_before(&heap[right], &heap[best]) {
-                best = right;
-            }
-            if Self::ranks_before(&heap[best], &heap[i]) {
-                heap.swap(i, best);
-                i = best;
-            } else {
-                break;
-            }
+            offer(self, cand.core, level, &mut remaining, launches, denials);
         }
     }
 
@@ -680,6 +761,113 @@ mod tests {
         );
         assert_eq!(launches.len(), 1);
         assert_eq!(launches[0].core, 3);
+    }
+
+    #[test]
+    fn power_table_matches_core_power() {
+        for node in [TechNode::N45, TechNode::N16] {
+            for levels in [2, 3, 5, 7] {
+                let cfg = TestSchedulerConfig {
+                    ladder_levels: levels,
+                    ..TestSchedulerConfig::default()
+                };
+                let s = TestScheduler::with_library(cfg, node, RoutineLibrary::standard(), 1);
+                let model = PowerModel::for_node(node);
+                for (id, routine) in s.library().iter() {
+                    for op in s.ladder().iter() {
+                        let fresh = model.core_power(op, routine.activity);
+                        assert_eq!(s.session_power(id, op.level).to_bits(), fresh.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_matches_reference() {
+        // The integer-key heap, the power table and the level walk against
+        // `plan_reference`, over 12 epochs per scheduler pair, with
+        // completions feeding back into the ledgers and cursors. The
+        // criticalities are tie-heavy and include ±0.0, subnormals, ±∞,
+        // NaN and f64::MAX; thresholds go down to −∞.
+        let crits = [
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            2.5,
+            -1.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+        ];
+        let thresholds = [0.5, 0.0, -0.0, -1.0, 5e-324, f64::NEG_INFINITY, 1.0, f64::NAN];
+        let caps = [0, 1, 2, 64, usize::MAX];
+        let mut rng = manytest_sim::SimRng::seed_from(2323);
+        let mut index = |len: usize| rng.gen_range(len as u64) as usize;
+        for case in 0..300 {
+            let node = [TechNode::N45, TechNode::N22, TechNode::N16][case % 3];
+            let levels = [2, 3, 5, 7][index(4)];
+            let cfg = TestSchedulerConfig {
+                criticality_threshold: thresholds[index(thresholds.len())],
+                max_launches_per_epoch: caps[index(caps.len())],
+                ladder_levels: levels,
+                fixed_level: (index(5) == 0).then(|| index(levels) as u8),
+                ..TestSchedulerConfig::default()
+            };
+            let cores = 1 + index(80);
+            let mut fast =
+                TestScheduler::with_library(cfg, node, RoutineLibrary::standard(), cores);
+            let mut slow = fast.clone();
+            let model = PowerModel::for_node(node);
+            let session = fast.session_power(RoutineId(0), VfLevel(0));
+            let (mut lf, mut df, mut ls, mut ds) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for epoch in 0..12 {
+                let mut ids: Vec<usize> = (0..cores).collect();
+                for i in (1..cores).rev() {
+                    ids.swap(i, index(i + 1));
+                }
+                let n = index(cores + 1);
+                let continuous = index(3) == 0;
+                let candidates: Vec<TestCandidate> = ids[..n]
+                    .iter()
+                    .map(|&core| match continuous {
+                        true => candidate(core, index(1 << 20) as f64 / 1e5),
+                        false => candidate(core, crits[index(crits.len())]),
+                    })
+                    .collect();
+                let retests: Vec<RetestRequest> = ids[n..]
+                    .iter()
+                    .take(index(3))
+                    .map(|&core| RetestRequest {
+                        core,
+                        level: VfLevel(index(levels) as u8),
+                    })
+                    .collect();
+                let headroom = match index(5) {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    k => session * (index(1000) * n * k) as f64 / 2000.0,
+                };
+                fast.plan_with_retests_into(&retests, &candidates, headroom, &mut lf, &mut df);
+                slow.plan_reference(&model, &retests, &candidates, headroom, &mut ls, &mut ds);
+                let what = format!("case {case} epoch {epoch}: {cfg:?}, headroom {headroom}");
+                // Debug text tells every f64 bit pattern apart but NaN's.
+                assert_eq!(format!("{lf:?}"), format!("{ls:?}"), "{what}");
+                assert_eq!(format!("{df:?}"), format!("{ds:?}"), "{what}");
+                assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{what}");
+                for l in &lf {
+                    if index(10) < 7 {
+                        fast.on_session_complete(l.core, l.routine, l.level);
+                        slow.on_session_complete(l.core, l.routine, l.level);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
