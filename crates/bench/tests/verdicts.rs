@@ -1,13 +1,14 @@
-//! The scheduler, mapping and fault-response verdicts of EXPERIMENTS.md,
-//! asserted at quick scale.
+//! The scheduler, mapping, dark-silicon and fault-response verdicts of
+//! EXPERIMENTS.md, asserted at quick scale.
 //!
 //! Each test checks the shape a verdict states, with a band wide enough
 //! to survive model tuning but narrow enough to fail if the behaviour it
 //! describes goes away.
 
 use manytest_bench::{
-    e11_fault_response, e2_power_trace, e4_test_interval_vs_load, e5_mapping_compare,
-    e6_criticality_adaptation, e7_vf_coverage, e8_pid_vs_naive, Scale,
+    e11_fault_response, e12_core_lifecycle, e2_power_trace, e4_test_interval_vs_load,
+    e5_mapping_compare, e6_criticality_adaptation, e7_vf_coverage, e8_pid_vs_naive,
+    e9_dark_silicon, Scale,
 };
 use manytest_core::{FaultResponsePolicy, GovernorKind, MapperKind};
 
@@ -202,4 +203,67 @@ fn e11_quarantine_cuts_exposure_at_small_throughput_cost() {
             cost * 100.0
         );
     }
+}
+
+/// E9: at fixed area and TDP the dark fraction rises with every node
+/// (12.2 → 25.6 → 50.6 → 59.2 % today), peak demand exceeds the TDP at
+/// every node, and the saturated chip's mean power stays under the TDP
+/// (16.0–56.9 W of 80 W).
+#[test]
+fn e9_dark_fraction_rises_with_every_node() {
+    let rows = e9_dark_silicon(Scale::Quick, 2);
+    assert_eq!(rows.len(), 4);
+    for pair in rows.windows(2) {
+        assert!(
+            pair[0].dark_fraction < pair[1].dark_fraction,
+            "dark fraction {:.3} at {} vs {:.3} at {}",
+            pair[0].dark_fraction,
+            pair[0].node,
+            pair[1].dark_fraction,
+            pair[1].node
+        );
+    }
+    for r in &rows {
+        assert!(
+            r.peak_demand > r.tdp,
+            "{}: demand {} W fits the TDP",
+            r.node,
+            r.peak_demand
+        );
+        assert!(
+            r.measured_mean > 0.0 && r.measured_mean < r.tdp,
+            "{}: saturated mean {} W vs the {} W TDP",
+            r.node,
+            r.measured_mean,
+            r.tdp
+        );
+    }
+}
+
+/// E12: with every fault intermittent and cooling, the re-admission lane
+/// restores all 144 cores at every checkpoint cadence and re-admits every
+/// core it quarantined, while terminal quarantine ends below 144 (138–139
+/// today). The 2-ms cadence checkpoints every running app each other
+/// epoch, so its row also depends on the checkpoint walk's order.
+#[test]
+fn e12_lane_restores_every_core() {
+    let rows = e12_core_lifecycle(Scale::Quick, 2);
+    assert_eq!(rows.len(), 6);
+    for r in &rows {
+        match r.lane_us {
+            Some(_) => {
+                assert_eq!(
+                    r.healthy_end, 144.0,
+                    "lane on, checkpoint {} us: {r:?}",
+                    r.checkpoint_us
+                );
+                assert_eq!(r.readmitted, r.quarantined, "lane on: {r:?}");
+                assert!(r.quarantined > 0.0, "nothing to restore: {r:?}");
+            }
+            None => assert!(r.healthy_end < 144.0, "lane off restored every core: {r:?}"),
+        }
+    }
+    assert!(rows
+        .iter()
+        .any(|r| r.checkpoint_us == 2_000 && r.checkpoints > 0.0));
 }

@@ -7,6 +7,7 @@
 use manytest_power::{OperatingPoint, Reservation};
 use manytest_workload::{AppId, Application, TaskGraph, TaskId};
 use manytest_map::Mapping;
+use std::collections::VecDeque;
 
 /// What a core is doing right now (drives its power draw).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,6 +191,125 @@ impl RunningApp {
     }
 }
 
+/// The running applications, indexed by app id.
+///
+/// Ids are minted in arrival order and admission is FIFO, so the live
+/// ids span a short window above the oldest live one. `window[k]` holds
+/// 1 + the slab slot of app `base + k`, or 0 when that id is not
+/// running; the entries live densely in `slab` with their ids. A lookup
+/// is two loads, and walking the window visits the live apps in
+/// ascending id, as a map keyed by id would. The window trims its dead
+/// ends on removal and grows at either end on insertion (restarts and
+/// migrations re-insert an id that may lie below `base`), so it spans
+/// only the live ids, at four bytes per id.
+///
+/// Generic over the entry so the oracle test can drive it with plain
+/// values; the system stores [`RunningApp`]s.
+#[derive(Debug)]
+pub(crate) struct AppTable<T> {
+    base: u64,
+    window: VecDeque<u32>,
+    slab: Vec<(u64, T)>,
+}
+
+impl<T> AppTable<T> {
+    /// An empty table.
+    pub(crate) fn new() -> Self {
+        AppTable {
+            base: 0,
+            window: VecDeque::new(),
+            slab: Vec::new(),
+        }
+    }
+
+    /// Number of running apps.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// The window position of `id`, if the window covers it.
+    #[inline]
+    fn position(&self, id: u64) -> Option<usize> {
+        let k = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        (k < self.window.len()).then_some(k)
+    }
+
+    /// The slab slot of `id`, if it is running.
+    #[inline]
+    fn slot(&self, id: u64) -> Option<usize> {
+        (self.window[self.position(id)?] as usize).checked_sub(1)
+    }
+
+    /// The app with id `id`, if it is running.
+    #[inline]
+    pub(crate) fn get_app(&self, id: u64) -> Option<&T> {
+        self.slot(id).map(|s| &self.slab[s].1)
+    }
+
+    /// The app with id `id`, mutably, if it is running.
+    #[inline]
+    pub(crate) fn get_app_mut(&mut self, id: u64) -> Option<&mut T> {
+        self.slot(id).map(|s| &mut self.slab[s].1)
+    }
+
+    /// Adds app `id`, returning the entry it replaces, if any.
+    pub(crate) fn insert_app(&mut self, id: u64, app: T) -> Option<T> {
+        if let Some(s) = self.slot(id) {
+            return Some(std::mem::replace(&mut self.slab[s].1, app));
+        }
+        self.slab.push((id, app));
+        // Live apps each hold a distinct core, far fewer than `u32::MAX`.
+        let entry = self.slab.len() as u32;
+        if self.window.is_empty() {
+            self.base = id;
+        }
+        while id < self.base {
+            self.base -= 1;
+            // lint:allow(hot-path-purity, reason = "the window reuses its capacity; growth allocates only until the high-water span of live ids")
+            self.window.push_front(0);
+        }
+        while self.position(id).is_none() {
+            // lint:allow(hot-path-purity, reason = "the window reuses its capacity; growth allocates only until the high-water span of live ids")
+            self.window.push_back(0);
+        }
+        let k = (id - self.base) as usize;
+        self.window[k] = entry;
+        None
+    }
+
+    /// Removes app `id` and returns it, if it is running.
+    pub(crate) fn remove_app(&mut self, id: u64) -> Option<T> {
+        let k = self.position(id)?;
+        let s = (self.window[k] as usize).checked_sub(1)?;
+        self.window[k] = 0;
+        let (_, app) = self.slab.swap_remove(s);
+        if let Some(&(moved, _)) = self.slab.get(s) {
+            let m = (moved - self.base) as usize;
+            self.window[m] = s as u32 + 1;
+        }
+        while self.window.front() == Some(&0) {
+            self.window.pop_front();
+            self.base += 1;
+        }
+        while self.window.back() == Some(&0) {
+            self.window.pop_back();
+        }
+        Some(app)
+    }
+
+    /// The running apps with their ids, in ascending id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
+        self.window
+            .iter()
+            .filter(|&&entry| entry != 0)
+            .map(|&entry| {
+                let (id, app) = &self.slab[entry as usize - 1];
+                (*id, app)
+            })
+    }
+}
+
 /// A queued application waiting for admission.
 #[derive(Debug, Clone)]
 pub struct PendingApp {
@@ -336,6 +456,90 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(woken, reference, "successors of {task}");
+            }
+        }
+    }
+
+    /// Random insert, re-insert-below-base, remove, lookup and iteration
+    /// sequences against a `BTreeMap` keyed by id, the structure the
+    /// table replaced: the same lookups, the same length and the same
+    /// ascending-id walk after every step. Ids arrive in minting order
+    /// with gaps; re-inserts bring back an id that was removed earlier,
+    /// often below the window's base.
+    #[test]
+    fn app_table_matches_btreemap() {
+        use manytest_sim::SimRng;
+        use std::collections::BTreeMap;
+        let mut rng = SimRng::seed_from(0xa9b7);
+        for round in 0..50 {
+            let mut table = AppTable::new();
+            let mut model = BTreeMap::new();
+            let mut next_id = rng.gen_range(1000);
+            let mut removed: Vec<u64> = Vec::new();
+            for step in 0..500 {
+                let ctx = format!("round {round} step {step}");
+                match rng.gen_range(10) {
+                    0..=3 => {
+                        next_id += 1 + rng.gen_range(3);
+                        let value = rng.next_u64();
+                        assert_eq!(
+                            table.insert_app(next_id, value),
+                            model.insert(next_id, value),
+                            "{ctx}"
+                        );
+                    }
+                    4 if !removed.is_empty() => {
+                        let id = removed.swap_remove(rng.gen_range(removed.len() as u64) as usize);
+                        let value = rng.next_u64();
+                        assert_eq!(
+                            table.insert_app(id, value),
+                            model.insert(id, value),
+                            "{ctx}"
+                        );
+                    }
+                    5 if !model.is_empty() => {
+                        // Replace a live entry in place.
+                        let keys: Vec<u64> = model.keys().copied().collect();
+                        let id = keys[rng.gen_range(keys.len() as u64) as usize];
+                        let value = rng.next_u64();
+                        assert_eq!(
+                            table.insert_app(id, value),
+                            model.insert(id, value),
+                            "{ctx}"
+                        );
+                    }
+                    6..=8 if !model.is_empty() => {
+                        // Mostly the oldest apps, as FIFO admission makes it.
+                        let keys: Vec<u64> = model.keys().copied().collect();
+                        let k = rng.gen_range(keys.len().min(4) as u64) as usize;
+                        let id = if rng.gen_bool(0.7) {
+                            keys[k]
+                        } else {
+                            keys[keys.len() - 1 - k]
+                        };
+                        assert_eq!(table.remove_app(id), model.remove(&id), "{ctx}");
+                        removed.push(id);
+                    }
+                    _ => {
+                        let id = rng.gen_range(next_id + 3);
+                        assert_eq!(table.remove_app(id), model.remove(&id), "{ctx}");
+                    }
+                }
+                let probe = rng.gen_range(next_id + 5);
+                assert_eq!(table.get_app(probe), model.get(&probe), "{ctx}");
+                if let (Some(a), Some(b)) = (table.get_app_mut(probe), model.get_mut(&probe)) {
+                    *a = a.wrapping_add(1);
+                    *b = b.wrapping_add(1);
+                }
+                assert_eq!(table.len(), model.len(), "{ctx}");
+                let walked: Vec<(u64, u64)> = table.iter().map(|(id, &v)| (id, v)).collect();
+                let expected: Vec<(u64, u64)> = model.iter().map(|(&id, &v)| (id, v)).collect();
+                assert_eq!(walked, expected, "{ctx}");
+                let span = match (model.keys().next(), model.keys().next_back()) {
+                    (Some(&lo), Some(&hi)) => hi - lo + 1,
+                    _ => 0,
+                };
+                assert_eq!(table.window.len() as u64, span, "{ctx}: window span");
             }
         }
     }

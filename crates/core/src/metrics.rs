@@ -1,6 +1,6 @@
 //! Run-level metrics and the final report.
 
-use manytest_sim::{EventLog, OnlineStats, PhaseProfile, StateTimeline, Trace};
+use manytest_sim::{EventLog, OnlineStats, PhaseProfile, StateTimeline, Trace, TraceSeries};
 use serde::{Deserialize, Serialize};
 
 /// Everything a finished run reports; the bench harness regenerates the
@@ -287,6 +287,91 @@ pub struct MetricsCollector {
     pub apps_checkpointed: u64,
     /// Core-seconds of app work on fault-active, not-yet-quarantined cores.
     pub corruption_exposure: f64,
+}
+
+/// The trace series the epoch close records, one sample per epoch each.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EpochSeries {
+    PowerW,
+    TestPowerW,
+    WorkloadPowerW,
+    CapW,
+    TdpW,
+    PendingApps,
+    ActiveTests,
+    HealthyCores,
+    MaxTempK,
+    MeanUtilization,
+    PeakLinkLoad,
+}
+
+/// [`EpochSeries`] names in the report's trace, by slot.
+const EPOCH_SERIES_NAMES: [&str; 11] = [
+    "power_w",
+    "test_power_w",
+    "workload_power_w",
+    "cap_w",
+    "tdp_w",
+    "pending_apps",
+    "active_tests",
+    "healthy_cores",
+    "max_temp_k",
+    "mean_utilization",
+    "peak_link_load",
+];
+
+/// The epoch close's trace series in fixed slots, so a push indexes an
+/// array instead of looking the series up by name. A slot is created on
+/// its first push with the trace's bound, as [`Trace::series_mut`]
+/// creates a missing series, and [`EpochTrace::into_trace`] folds the
+/// created ones into the report's trace by name.
+#[derive(Debug)]
+pub(crate) struct EpochTrace {
+    bound: Option<usize>,
+    slots: [Option<TraceSeries>; EPOCH_SERIES_NAMES.len()],
+    /// The same pushes through [`Trace::series_mut`]; every unit-test
+    /// run checks the folded trace against it.
+    #[cfg(test)]
+    shadow: Trace,
+}
+
+impl EpochTrace {
+    /// Empty slots whose series store at most `bound` points, if any.
+    pub(crate) fn new(bound: Option<usize>) -> Self {
+        EpochTrace {
+            bound,
+            slots: Default::default(),
+            #[cfg(test)]
+            shadow: bound.map_or_else(Trace::new, Trace::bounded),
+        }
+    }
+
+    /// Appends a sample at time `t` to `series`.
+    #[inline]
+    pub(crate) fn push(&mut self, series: EpochSeries, t: f64, value: f64) {
+        let bound = self.bound;
+        self.slots[series as usize]
+            .get_or_insert_with(|| bound.map_or_else(TraceSeries::new, TraceSeries::with_bound))
+            .push(t, value);
+        #[cfg(test)]
+        self.shadow
+            .series_mut(EPOCH_SERIES_NAMES[series as usize])
+            .push(t, value);
+    }
+
+    /// The report's trace: a trace with the slots' bound that holds every
+    /// created series under its name.
+    pub(crate) fn into_trace(self) -> Trace {
+        let mut trace = self.bound.map_or_else(Trace::new, Trace::bounded);
+        for (name, slot) in EPOCH_SERIES_NAMES.into_iter().zip(self.slots) {
+            if let Some(series) = slot {
+                *trace.series_mut(name) = series;
+            }
+        }
+        #[cfg(test)]
+        assert_eq!(trace, self.shadow, "epoch trace slots diverged");
+        trace
+    }
 }
 
 #[cfg(test)]

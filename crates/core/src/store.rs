@@ -147,6 +147,7 @@ impl CoreStore {
 
     /// Sets the mode of `core`, updating the testable and powered views
     /// and the dirty set.
+    #[inline]
     pub fn set_mode(&mut self, core: usize, mode: CoreMode) {
         self.mode[core] = mode;
         self.refresh_testable(core);
@@ -181,6 +182,7 @@ impl CoreStore {
 
     /// Sets or clears the owner of `core`, maintaining the mappable
     /// count.
+    #[inline]
     pub fn set_owner(&mut self, core: usize, owner: Option<(AppId, TaskId)>) {
         let was = self.owner[core].is_none() && self.healthy[core];
         self.owner[core] = owner;
@@ -238,6 +240,7 @@ impl CoreStore {
     /// Installs a session plus its backing reservation on `core` and
     /// returns the generation that identifies it. The caller must have
     /// checked there is no live session.
+    #[inline]
     pub fn begin_session(
         &mut self,
         core: usize,
@@ -258,6 +261,7 @@ impl CoreStore {
     /// Returns the session and its reservation; both are `None` when no
     /// session was live (the generation is then left untouched, exactly
     /// like the pre-SoA early-return path).
+    #[inline]
     pub fn end_session(&mut self, core: usize) -> (Option<TestSession>, Option<Reservation>) {
         let session = self.session[core].take();
         let reservation = self.session_reservation[core].take();
@@ -360,6 +364,7 @@ impl CoreStore {
         self.generation += 1;
     }
 
+    #[inline]
     fn mark_dirty(&mut self, core: usize) {
         if self.dirty_stamp[core] != self.generation {
             self.dirty_stamp[core] = self.generation;
@@ -368,6 +373,7 @@ impl CoreStore {
         }
     }
 
+    #[inline]
     fn refresh_testable(&mut self, core: usize) {
         let word = core / WORD_BITS;
         let bit = 1u64 << (core % WORD_BITS);

@@ -3,8 +3,8 @@
 use crate::calendar::WakeCalendar;
 use crate::config::{FaultResponsePolicy, GovernorKind, MapperKind, SystemConfig};
 use crate::error::BuildError;
-use crate::exec::{CoreMode, RunningApp, TaskState};
-use crate::metrics::{MetricsCollector, Report};
+use crate::exec::{AppTable, CoreMode, RunningApp, TaskState};
+use crate::metrics::{EpochSeries, EpochTrace, MetricsCollector, Report};
 use crate::store::CoreStore;
 use manytest_aging::{AgingModel, CriticalityModel, StressTracker, ThermalGrid, ThermalParams};
 use manytest_map::{ConaMapper, FirstFitMapper, MapContext, Mapper, TestAwareMapper};
@@ -20,7 +20,7 @@ use manytest_sbst::{
 use manytest_sim::{
     emit_record, AbortReason, CauseKind, CauseLink, CoreState, Epoch, EventId, EventLog,
     EventQueue, HealthCode, NullObserver, NullPhaseObserver, Observer, Phase, PhaseObserver,
-    PhaseProfile, SimEvent, SimRng, SimTime, StateRecorder, StateSnapshot, Trace,
+    PhaseProfile, SimEvent, SimRng, SimTime, StateRecorder, StateSnapshot,
 };
 use manytest_workload::{AppId, Application, ArrivalProcess, TaskId, WorkloadMix};
 use std::collections::{BTreeMap, VecDeque};
@@ -384,7 +384,7 @@ pub struct System {
     mix: WorkloadMix,
     arrivals: ArrivalProcess,
     pending: VecDeque<Application>,
-    running: BTreeMap<u64, RunningApp>,
+    running: AppTable<RunningApp>,
     store: CoreStore,
     epoch_busy: Vec<f64>,
     epoch_energy: Vec<f64>,
@@ -397,7 +397,7 @@ pub struct System {
     faults: FaultLog,
     health: HealthBoard,
     metrics: MetricsCollector,
-    trace: Trace,
+    epoch_trace: EpochTrace,
     next_app_id: u64,
     next_inc: u64,
     apps_rejected: u64,
@@ -467,7 +467,7 @@ impl std::fmt::Debug for System {
 }
 
 /// The NoC models a message's latency needs, borrowed apart from the
-/// running-app map so a handler can wake tasks while it holds an app.
+/// running-app table so a handler can wake tasks while it holds an app.
 struct Links<'a> {
     model: &'a LinkEnergyModel,
     loads: Option<&'a LinkLoads>,
@@ -682,7 +682,7 @@ impl System {
                 ArrivalProcess::poisson(config.arrival_rate)
             },
             pending: VecDeque::new(),
-            running: BTreeMap::new(),
+            running: AppTable::new(),
             store: CoreStore::new(n),
             epoch_busy: vec![0.0; n],
             epoch_energy: vec![0.0; n],
@@ -695,10 +695,7 @@ impl System {
             faults,
             health: HealthBoard::new(n),
             metrics: MetricsCollector::default(),
-            trace: match config.trace_max_samples {
-                Some(max) => Trace::bounded(max.max(2)),
-                None => Trace::new(),
-            },
+            epoch_trace: EpochTrace::new(config.trace_max_samples.map(|max| max.max(2))),
             next_app_id: 0,
             next_inc: 0,
             apps_rejected: 0,
@@ -1132,8 +1129,7 @@ impl System {
                 inc,
                 mapped_event,
             };
-            // lint:allow(hot-path-purity, reason = "admission re-keys the running map once per admitted app, not per epoch")
-            self.running.insert(id.0, running);
+            self.running.insert_app(id.0, running);
             PhaseProfile::raise(&mut self.profile.running_high_water, self.running.len());
             for root in roots {
                 self.queue.schedule(
@@ -1297,9 +1293,10 @@ impl System {
     }
 
     fn owner_op(&self, core: usize) -> Option<OperatingPoint> {
-        self.store
-            .owner(core)
-            .map(|(app, _)| self.running[&app.0].op)
+        let (app, _) = self.store.owner(core)?;
+        let op = self.running.get_app(app.0).map(|app| app.op);
+        debug_assert!(op.is_some(), "owner {app} of core {core} is not running");
+        op
     }
 
     // ----- event handlers -------------------------------------------------
@@ -1345,7 +1342,7 @@ impl System {
             // Stale events outlive their app (abort) or its placement
             // (restart, migration): drop anything whose instance counter
             // no longer matches.
-            let Some(app) = self.running.get(&app_id) else { return };
+            let Some(app) = self.running.get_app(app_id) else { return };
             if app.inc != inc {
                 return;
             }
@@ -1383,7 +1380,7 @@ impl System {
         );
         self.set_mode(core, now, CoreMode::Busy(op));
         let finish = now + duration;
-        let Some(app) = self.running.get_mut(&app_id) else {
+        let Some(app) = self.running.get_app_mut(app_id) else {
             debug_assert!(false, "app {app_id} was checked running above");
             return;
         };
@@ -1395,7 +1392,7 @@ impl System {
     }
 
     fn on_task_finish(&mut self, app_id: u64, task: TaskId, inc: u64, now: f64) {
-        let coord = match self.running.get(&app_id) {
+        let coord = match self.running.get_app(app_id) {
             Some(app) if app.inc == inc => app.mapping.coord_of(task),
             _ => return, // stale: the app was torn down or re-placed
         };
@@ -1408,7 +1405,7 @@ impl System {
             loads: self.link_loads.as_ref(),
             contention: &self.contention,
         };
-        let Some(app) = self.running.get_mut(&app_id) else {
+        let Some(app) = self.running.get_app_mut(app_id) else {
             debug_assert!(false, "app {app_id} was checked running above");
             return;
         };
@@ -1451,7 +1448,7 @@ impl System {
         self.assert_wakes_match_reference(app_id, task, now);
         // Application completion.
         if complete {
-            let Some(app) = self.running.remove(&app_id) else {
+            let Some(app) = self.running.remove_app(app_id) else {
                 debug_assert!(false, "app {app_id} was checked running above");
                 return;
             };
@@ -1849,7 +1846,7 @@ impl System {
             self.running
                 .iter()
                 .filter(|(_, a)| now - a.last_checkpoint >= interval)
-                .map(|(&id, _)| id),
+                .map(|(id, _)| id),
         );
         for app_id in due.drain(..) {
             self.checkpoint_app(app_id, now);
@@ -1868,7 +1865,7 @@ impl System {
             loads: self.link_loads.as_ref(),
             contention: &self.contention,
         };
-        let Some(app) = self.running.get_mut(&app_id) else {
+        let Some(app) = self.running.get_app_mut(app_id) else {
             debug_assert!(false, "checkpoint target {app_id} is not running");
             return;
         };
@@ -1940,7 +1937,7 @@ impl System {
         app_id: u64,
         now: f64,
     ) -> Option<(AppId, manytest_workload::TaskGraph, f64)> {
-        let app = self.running.remove(&app_id)?;
+        let app = self.running.remove_app(app_id)?;
         for t in 0..app.tasks.len() {
             let task = TaskId(t as u32);
             let core = self.mesh.node_id(app.mapping.coord_of(task)).index();
@@ -2014,14 +2011,14 @@ impl System {
         // invariant-checked removal replaces every panicking lookup
         // below, and the entry goes back into the map before the
         // migration event fires.
-        let Some(mut app) = self.running.remove(&app_id) else {
+        let Some(mut app) = self.running.remove_app(app_id) else {
             debug_assert!(false, "quarantine victim {app_id} is not running");
             return;
         };
         let new_mapping = match self.mapper.remap(&self.ctx_scratch, &app.graph) {
             Some(m) => m,
             None => {
-                self.running.insert(app_id, app);
+                self.running.insert_app(app_id, app);
                 self.restart_app(app_id, bad_core, now, qid);
                 return;
             }
@@ -2128,7 +2125,7 @@ impl System {
                 TaskState::Done { .. } => {}
             }
         }
-        self.running.insert(app_id, app);
+        self.running.insert_app(app_id, app);
         self.metrics.apps_migrated += 1;
         self.emit_caused(
             now,
@@ -2183,21 +2180,19 @@ impl System {
                 // lint:allow(hot-path-purity, reason = "scratch buffer reuses its capacity across epochs; extend allocates only until the high-water mark")
                 .extend(self.epoch_energy.iter().map(|&e| e / epoch_secs));
         }
-        self.trace.series_mut("power_w").push(t1, measured);
-        self.trace.series_mut("test_power_w").push(t1, test_w);
-        self.trace.series_mut("workload_power_w").push(t1, workload_w);
-        self.trace.series_mut("cap_w").push(t1, self.budget.cap());
-        self.trace.series_mut("tdp_w").push(t1, self.tdp);
-        self.trace
-            .series_mut("pending_apps")
-            .push(t1, self.pending.len() as f64);
+        let trace = &mut self.epoch_trace;
+        trace.push(EpochSeries::PowerW, t1, measured);
+        trace.push(EpochSeries::TestPowerW, t1, test_w);
+        trace.push(EpochSeries::WorkloadPowerW, t1, workload_w);
+        trace.push(EpochSeries::CapW, t1, self.budget.cap());
+        trace.push(EpochSeries::TdpW, t1, self.tdp);
+        trace.push(EpochSeries::PendingApps, t1, self.pending.len() as f64);
         let testing = self.store.testing_count();
-        self.trace
-            .series_mut("active_tests")
-            .push(t1, testing as f64);
+        trace.push(EpochSeries::ActiveTests, t1, testing as f64);
         // Graceful-degradation trajectory: capacity outside withdrawal
         // (quarantine + probation) — re-admission shows up as recovery.
-        self.trace.series_mut("healthy_cores").push(
+        trace.push(
+            EpochSeries::HealthyCores,
             t1,
             (self.store.len() - self.health.withdrawn_count()) as f64,
         );
@@ -2222,7 +2217,8 @@ impl System {
                 &mut self.epoch_busy,
                 epoch_secs,
             );
-            self.trace.series_mut("max_temp_k").push(t1, wear.max_input);
+            self.epoch_trace
+                .push(EpochSeries::MaxTempK, t1, wear.max_input);
             wear
         } else {
             self.stress.record_epoch_all(
@@ -2235,16 +2231,16 @@ impl System {
         self.calendar.close_epoch(wear.max_damage);
         #[cfg(test)]
         self.assert_close_matches_scans(wear);
-        self.trace
-            .series_mut("mean_utilization")
-            .push(t1, wear.mean_utilization);
+        self.epoch_trace
+            .push(EpochSeries::MeanUtilization, t1, wear.mean_utilization);
         if self.config.model_contention {
             let loads = LinkLoads::from_traffic(
                 &self.epoch_traffic,
                 epoch_secs,
                 self.link_model.link_bandwidth,
             );
-            self.trace.series_mut("peak_link_load").push(t1, loads.peak());
+            self.epoch_trace
+                .push(EpochSeries::PeakLinkLoad, t1, loads.peak());
             self.link_loads = Some(loads);
             self.epoch_traffic.clear();
         }
@@ -2366,7 +2362,7 @@ impl System {
                 .take()
                 .map(StateRecorder::into_timeline)
                 .unwrap_or_default(),
-            trace: self.trace,
+            trace: self.epoch_trace.into_trace(),
             events,
         }
     }
@@ -2434,7 +2430,10 @@ mod tests {
         /// completion checks that it scheduled the same successors, in
         /// the same order, at the same ready-time bits.
         pub(super) fn assert_wakes_match_reference(&self, app_id: u64, task: TaskId, now: f64) {
-            let app = &self.running[&app_id];
+            let app = self
+                .running
+                .get_app(app_id)
+                .expect("the completing app is running");
             let woken = WAKES.with(|w| std::mem::take(&mut *w.borrow_mut()));
             let reference: Vec<(TaskId, u64)> = app
                 .graph

@@ -30,6 +30,7 @@ impl PowerCategory {
         PowerCategory::Noc,
     ];
 
+    #[inline]
     fn index(self) -> usize {
         match self {
             PowerCategory::Workload => 0,
@@ -86,6 +87,7 @@ impl PowerMeter {
     /// # Panics
     ///
     /// Panics if `watts` or `seconds` is negative.
+    #[inline]
     pub fn add(&mut self, category: PowerCategory, watts: f64, seconds: f64) {
         assert!(watts >= 0.0 && seconds >= 0.0, "negative power or time");
         let joules = watts * seconds;
@@ -99,6 +101,7 @@ impl PowerMeter {
     /// # Panics
     ///
     /// Panics if `joules` is negative.
+    #[inline]
     pub fn add_energy(&mut self, category: PowerCategory, joules: f64) {
         assert!(joules >= 0.0, "negative energy");
         self.epoch_joules[category.index()] += joules;

@@ -55,6 +55,7 @@ impl PowerModel {
     /// # Panics
     ///
     /// Panics if `activity` is outside `[0, 1]`.
+    #[inline]
     pub fn dynamic_power(&self, op: OperatingPoint, activity: f64) -> f64 {
         assert!(
             (0.0..=1.0).contains(&activity),
@@ -67,12 +68,14 @@ impl PowerModel {
     ///
     /// Leakage current scales with voltage (a linearised DIBL term):
     /// `I_leak(V) = I_leak,nom · (V / V_nom)`.
+    #[inline]
     pub fn leakage_power(&self, op: OperatingPoint) -> f64 {
         let i = self.params.i_leak * (op.voltage / self.params.v_nominal);
         op.voltage * i
     }
 
     /// Total power of a powered-on core at `op` with activity `activity`.
+    #[inline]
     pub fn core_power(&self, op: OperatingPoint, activity: f64) -> f64 {
         self.dynamic_power(op, activity) + self.leakage_power(op)
     }

@@ -34,6 +34,7 @@ impl OnlineStats {
     }
 
     /// Adds one sample.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         self.count += 1;
         self.sum += x;

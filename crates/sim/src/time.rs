@@ -58,19 +58,19 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates a time from microseconds.
+    /// Creates a time from microseconds, saturating at [`SimTime::MAX`].
     pub const fn from_us(us: u64) -> Self {
-        SimTime(us * 1_000)
+        SimTime(us.saturating_mul(1_000))
     }
 
-    /// Creates a time from milliseconds.
+    /// Creates a time from milliseconds, saturating at [`SimTime::MAX`].
     pub const fn from_ms(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
+        SimTime(ms.saturating_mul(1_000_000))
     }
 
-    /// Creates a time from whole seconds.
+    /// Creates a time from whole seconds, saturating at [`SimTime::MAX`].
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
+        SimTime(s.saturating_mul(1_000_000_000))
     }
 
     /// Raw nanosecond count.
@@ -110,19 +110,19 @@ impl Duration {
         Duration(ns)
     }
 
-    /// Creates a duration from microseconds.
+    /// Creates a duration from microseconds, saturating at [`Duration::MAX`].
     pub const fn from_us(us: u64) -> Self {
-        Duration(us * 1_000)
+        Duration(us.saturating_mul(1_000))
     }
 
-    /// Creates a duration from milliseconds.
+    /// Creates a duration from milliseconds, saturating at [`Duration::MAX`].
     pub const fn from_ms(ms: u64) -> Self {
-        Duration(ms * 1_000_000)
+        Duration(ms.saturating_mul(1_000_000))
     }
 
-    /// Creates a duration from whole seconds.
+    /// Creates a duration from whole seconds, saturating at [`Duration::MAX`].
     pub const fn from_secs(s: u64) -> Self {
-        Duration(s * 1_000_000_000)
+        Duration(s.saturating_mul(1_000_000_000))
     }
 
     /// Creates a duration from floating point seconds, rounding to the
@@ -332,6 +332,18 @@ mod tests {
     #[should_panic(expected = "epoch length must be positive")]
     fn zero_epoch_len_panics() {
         let _ = SimTime::ZERO.epoch(Duration::ZERO);
+    }
+
+    #[test]
+    fn unit_constructors_saturate() {
+        assert_eq!(Duration::from_us(u64::MAX), Duration::MAX);
+        assert_eq!(Duration::from_ms(u64::MAX / 1_000_000 + 1), Duration::MAX);
+        assert_eq!(Duration::from_secs(u64::MAX), Duration::MAX);
+        assert_eq!(SimTime::from_us(u64::MAX / 1_000 + 1), SimTime::MAX);
+        assert_eq!(
+            Duration::from_us(u64::MAX / 1_000).as_ns(),
+            u64::MAX / 1_000 * 1_000
+        );
     }
 
     #[test]

@@ -45,6 +45,7 @@ impl VfCoverageLedger {
         }
     }
 
+    #[inline]
     fn idx(&self, core: usize, level: VfLevel) -> usize {
         assert!(core < self.cores, "core {core} out of range");
         assert!(
@@ -66,12 +67,14 @@ impl VfCoverageLedger {
     }
 
     /// Records one completed routine on `core` at `level`.
+    #[inline]
     pub fn record(&mut self, core: usize, level: VfLevel) {
         let i = self.idx(core, level);
         self.counts[i] += 1;
     }
 
     /// Completed routines on `core` at `level`.
+    #[inline]
     pub fn tests_at(&self, core: usize, level: VfLevel) -> u64 {
         self.counts[self.idx(core, level)]
     }

@@ -11,7 +11,6 @@ use crate::routine::TestRoutine;
 use manytest_power::VfLevel;
 use manytest_sim::SimRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A [`Fault::try_with_level_window`] rejection: the observability window
 /// was inverted (`from > to`).
@@ -193,6 +192,9 @@ impl Fault {
 
 /// The set of injected faults and their detection statistics.
 ///
+/// A dense per-core index finds a core's faults in O(1); it holds four
+/// bytes per core id up to the highest core a fault was injected on.
+///
 /// # Examples
 ///
 /// ```
@@ -213,22 +215,74 @@ impl Fault {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultLog {
     faults: Vec<Fault>,
-    /// Per-core indices into `faults`, in injection order. Keeps
+    /// Per-core fault lists and cool-down clocks. Keeps
     /// [`FaultLog::on_test_complete`] from scanning every injected fault
-    /// on every test completion; because each core's index list preserves
-    /// the global injection order, the RNG draw sequence is identical to
-    /// the full scan it replaced.
-    by_core: BTreeMap<usize, Vec<usize>>,
+    /// on every test completion; because each core's list preserves the
+    /// global injection order, the RNG draw sequence is identical to the
+    /// full scan it replaced.
+    index: CoreIndex,
     /// Detection *occurrences*: incremented on every detection, never
     /// decremented. [`FaultLog::demote_to_latent`] can return a fault to
     /// `Latent` (a cleared suspect), so this counter — not
     /// [`FaultLog::detected_count`] — reconciles with `FaultDetected`
     /// telemetry events.
     detections: u64,
-    /// Per-core cool-down clock: the last time any fault on the core
+}
+
+/// One faulty core's entry in the [`CoreIndex`].
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct CoreFaults {
+    /// Indices into `FaultLog::faults`, in injection order.
+    faults: Vec<usize>,
+    /// The cool-down clock: the last time any fault on the core
     /// manifested to a test, retest or probe. The re-admission lane uses
-    /// this to wait out an intermittent's refire streak before probing.
-    last_refire: BTreeMap<usize, f64>,
+    /// it to wait out an intermittent's refire streak before probing.
+    /// Only a fault can manifest, so only a faulty core has a clock.
+    last_refire: Option<f64>,
+}
+
+/// Dense per-core index over the faulty cores: one `u32` per core id up
+/// to the highest indexed faulty core (1 + its entry in `cores`, 0 for a
+/// core without faults), so a lookup is one bounds-checked load; core
+/// ids past its end have no indexed faults. It covers
+/// `faults[..indexed]`. Injection only appends the fault, and the next
+/// `&mut` call that reads per-core state indexes it, so building a
+/// system allocates nothing here.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct CoreIndex {
+    slot: Vec<u32>,
+    cores: Vec<CoreFaults>,
+    indexed: usize,
+}
+
+impl CoreIndex {
+    /// Appends fault `fault` to `core`'s list.
+    fn add(&mut self, core: usize, fault: usize) {
+        if core >= self.slot.len() {
+            self.slot.resize(core + 1, 0);
+        }
+        if self.slot[core] == 0 {
+            self.cores.push(CoreFaults::default());
+            // At most one entry per injected fault.
+            self.slot[core] = self.cores.len() as u32;
+        }
+        self.cores[self.slot[core] as usize - 1].faults.push(fault);
+    }
+
+    /// `core`'s entry in `cores`, if it has faults.
+    #[inline]
+    fn entry_of(&self, core: usize) -> Option<usize> {
+        match self.slot.get(core) {
+            Some(&slot) if slot != 0 => Some(slot as usize - 1),
+            _ => None,
+        }
+    }
+
+    /// `core`'s entry, if it has faults.
+    #[inline]
+    fn faults_on(&self, core: usize) -> Option<&CoreFaults> {
+        self.entry_of(core).map(|e| &self.cores[e])
+    }
 }
 
 impl FaultLog {
@@ -238,9 +292,27 @@ impl FaultLog {
     }
 
     fn push_fault(&mut self, fault: Fault) {
-        let idx = self.faults.len();
-        self.by_core.entry(fault.core).or_default().push(idx);
         self.faults.push(fault);
+    }
+
+    /// Indexes every fault injected since the last call.
+    fn index_all(&mut self) {
+        for i in self.index.indexed..self.faults.len() {
+            self.index.add(self.faults[i].core, i);
+        }
+        self.index.indexed = self.faults.len();
+    }
+
+    /// The indices of `core`'s faults in injection order: the indexed
+    /// ones, then any injected since the index last caught up.
+    fn fault_indices(&self, core: usize) -> impl Iterator<Item = usize> + '_ {
+        let indexed = self
+            .index
+            .faults_on(core)
+            .map_or(&[][..], |entry| entry.faults.as_slice());
+        let unindexed = (self.index.indexed..self.faults.len())
+            .filter(move |&i| self.faults[i].core == core);
+        indexed.iter().copied().chain(unindexed)
     }
 
     /// Schedules a fault on `core` at `inject_at` seconds, observable at
@@ -269,6 +341,9 @@ impl FaultLog {
     /// [`FaultLog::activate_due`] with a telemetry hook: `on_activate`
     /// receives the core of every fault promoted by this call.
     pub fn activate_due_with(&mut self, now: f64, mut on_activate: impl FnMut(usize)) {
+        // The simulator calls this first in every epoch, so its lookups
+        // through `&self` find every fault indexed.
+        self.index_all();
         for f in &mut self.faults {
             if matches!(f.state, FaultState::Pending) && f.inject_at <= now {
                 f.state = FaultState::Latent;
@@ -304,14 +379,16 @@ impl FaultLog {
         rng: &mut SimRng,
         mut on_detect: impl FnMut(usize, f64),
     ) -> bool {
-        let Some(indices) = self.by_core.get(&core) else {
+        self.index_all();
+        let Some(e) = self.index.entry_of(core) else {
             return false;
         };
+        let entry = &mut self.index.cores[e];
         let mut any = false;
         // Indices are in injection order, so the RNG draws happen in the
         // same sequence as the historical whole-log scan (which consumed a
         // draw only for latent, level-visible faults on this core).
-        for &i in indices {
+        for &i in &entry.faults {
             let f = &mut self.faults[i];
             if matches!(f.state, FaultState::Latent)
                 && f.visible_at(level)
@@ -324,8 +401,7 @@ impl FaultLog {
             }
         }
         if any {
-            // lint:allow(hot-path-purity, reason = "BTreeMap keyed by core: first touch per core allocates its node once; refires overwrite in place")
-            self.last_refire.insert(core, now);
+            entry.last_refire = Some(now);
         }
         any
     }
@@ -350,11 +426,13 @@ impl FaultLog {
         now: f64,
         rng: &mut SimRng,
     ) -> bool {
-        let Some(indices) = self.by_core.get(&core) else {
+        self.index_all();
+        let Some(e) = self.index.entry_of(core) else {
             return false;
         };
+        let entry = &mut self.index.cores[e];
         let mut any = false;
-        for &i in indices {
+        for &i in &entry.faults {
             let f = &mut self.faults[i];
             let present = matches!(f.state, FaultState::Latent | FaultState::Detected { .. });
             if present
@@ -368,8 +446,7 @@ impl FaultLog {
             }
         }
         if any {
-            // lint:allow(hot-path-purity, reason = "BTreeMap keyed by core: first touch per core allocates its node once; refires overwrite in place")
-            self.last_refire.insert(core, now);
+            entry.last_refire = Some(now);
         }
         any
     }
@@ -389,11 +466,13 @@ impl FaultLog {
         now: f64,
         rng: &mut SimRng,
     ) -> bool {
-        let Some(indices) = self.by_core.get(&core) else {
+        self.index_all();
+        let Some(e) = self.index.entry_of(core) else {
             return false;
         };
+        let entry = &mut self.index.cores[e];
         let mut any = false;
-        for &i in indices {
+        for &i in &entry.faults {
             let f = &self.faults[i];
             let present = matches!(f.state, FaultState::Latent | FaultState::Detected { .. });
             if present && f.visible_at(level) && rng.gen_bool(coverage * f.effective_refire(now))
@@ -402,8 +481,7 @@ impl FaultLog {
             }
         }
         if any {
-            // lint:allow(hot-path-purity, reason = "BTreeMap keyed by core: first touch per core allocates its node once; refires overwrite in place")
-            self.last_refire.insert(core, now);
+            entry.last_refire = Some(now);
         }
         any
     }
@@ -411,7 +489,9 @@ impl FaultLog {
     /// The last time any fault on `core` manifested to a test, retest or
     /// probe (the cool-down clock the re-admission lane waits on).
     pub fn last_refire_at(&self, core: usize) -> Option<f64> {
-        self.last_refire.get(&core).copied()
+        self.index
+            .faults_on(core)
+            .and_then(|entry| entry.last_refire)
     }
 
     /// Returns every detected fault on `core` to `Latent`, forgetting its
@@ -419,8 +499,9 @@ impl FaultLog {
     /// a symptom and the core is cleared back to healthy — the fault (if
     /// any) is still there, still undetected as far as the platform knows.
     pub fn demote_to_latent(&mut self, core: usize) {
-        if let Some(indices) = self.by_core.get(&core) {
-            for &i in indices {
+        self.index_all();
+        if let Some(entry) = self.index.faults_on(core) {
+            for &i in &entry.faults {
                 let f = &mut self.faults[i];
                 if matches!(f.state, FaultState::Detected { .. }) {
                     f.state = FaultState::Latent;
@@ -432,11 +513,9 @@ impl FaultLog {
     /// True if `core` carries at least one fault already injected by
     /// `now` (latent or detected).
     pub fn has_active_fault(&self, core: usize, now: f64) -> bool {
-        self.by_core.get(&core).is_some_and(|idx| {
-            idx.iter().any(|&i| {
-                let f = &self.faults[i];
-                f.inject_at <= now && !matches!(f.state, FaultState::Pending)
-            })
+        self.fault_indices(core).any(|i| {
+            let f = &self.faults[i];
+            f.inject_at <= now && !matches!(f.state, FaultState::Pending)
         })
     }
 
@@ -444,11 +523,9 @@ impl FaultLog {
     /// by `now`. Quarantining a core whose only faults are intermittent
     /// is counted as a *false quarantine* by the degradation report.
     pub fn has_solid_active_fault(&self, core: usize, now: f64) -> bool {
-        self.by_core.get(&core).is_some_and(|idx| {
-            idx.iter().any(|&i| {
-                let f = &self.faults[i];
-                f.inject_at <= now && !matches!(f.state, FaultState::Pending) && f.is_solid()
-            })
+        self.fault_indices(core).any(|i| {
+            let f = &self.faults[i];
+            f.inject_at <= now && !matches!(f.state, FaultState::Pending) && f.is_solid()
         })
     }
 
@@ -460,14 +537,21 @@ impl FaultLog {
     /// Up to 8 faults per core are merged exactly (zero allocations);
     /// beyond that the convex hull is used, which can only over-count —
     /// the conservative direction for an exposure metric.
+    #[inline]
     pub fn corrupting_overlap(&self, core: usize, t0: f64, t1: f64) -> f64 {
-        let Some(indices) = self.by_core.get(&core) else {
+        // Most cores carry no fault: answer them without a call.
+        if self.index.entry_of(core).is_none() && self.index.indexed == self.faults.len() {
             return 0.0;
-        };
+        }
+        self.merged_overlap(core, t0, t1)
+    }
+
+    /// [`FaultLog::corrupting_overlap`] past the no-fault check.
+    fn merged_overlap(&self, core: usize, t0: f64, t1: f64) -> f64 {
         let mut spans = [(0.0f64, 0.0f64); 8];
         let mut n = 0usize;
         let (mut hull_lo, mut hull_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &i in indices {
+        for i in self.fault_indices(core) {
             let f = &self.faults[i];
             let lo = f.inject_at.max(t0);
             let hi = f.corrupting_until().min(t1);
@@ -503,11 +587,9 @@ impl FaultLog {
 
     /// Earliest injection time of any fault on `core`, if one exists.
     pub fn first_inject_at(&self, core: usize) -> Option<f64> {
-        self.by_core.get(&core).and_then(|idx| {
-            idx.iter()
-                .map(|&i| self.faults[i].inject_at)
-                .fold(None, |acc: Option<f64>, t| Some(acc.map_or(t, |a| a.min(t))))
-        })
+        self.fault_indices(core)
+            .map(|i| self.faults[i].inject_at)
+            .fold(None, |acc: Option<f64>, t| Some(acc.map_or(t, |a| a.min(t))))
     }
 
     /// Total detection occurrences (see the field doc on why this can
@@ -888,6 +970,91 @@ mod tests {
         log.inject_fault(Fault::new(0, 1.0).with_refire_until(4.0));
         log.inject_fault(Fault::new(0, 2.0).with_refire_until(6.0));
         assert!((log.corrupting_overlap(0, 0.0, 10.0) - 5.0).abs() < 1e-12);
+    }
+
+    /// The per-core index the dense one replaced: fault lists and
+    /// cool-down clocks in maps keyed by core. Kept as the oracle for
+    /// `dense_index_matches_map_index`.
+    #[derive(Default)]
+    struct MapIndex {
+        by_core: std::collections::BTreeMap<usize, Vec<usize>>,
+        last_refire: std::collections::BTreeMap<usize, f64>,
+    }
+
+    /// Random injections (windowed, intermittent and cooling faults on
+    /// scattered cores, interleaved with the run) and random tests,
+    /// retests, probes and demotions: after every step each core's
+    /// faults in injection order (indexed, then not yet indexed) and its
+    /// cool-down clock equal the map index's, and so does the dense
+    /// index itself whenever it has caught up, for faulty cores, clean
+    /// cores and ids past the index.
+    #[test]
+    fn dense_index_matches_map_index() {
+        let mut rng = SimRng::seed_from(0xfa17);
+        for round in 0..20 {
+            let cores = 1 + rng.gen_range(40) as usize;
+            let mut log = FaultLog::new();
+            let mut map = MapIndex::default();
+            let mut draws = SimRng::seed_from(round);
+            for step in 0..300 {
+                let now = step as f64 * 0.01;
+                let core = rng.gen_range(cores as u64) as usize;
+                let level = VfLevel(rng.gen_range(4) as u8);
+                let fired = match rng.gen_range(8) {
+                    0 | 1 => {
+                        let at = now + rng.next_f64();
+                        let mut fault = if rng.gen_bool(0.3) {
+                            Fault::with_level_window(core, at, level, level)
+                        } else {
+                            Fault::new(core, at)
+                        };
+                        if rng.gen_bool(0.4) {
+                            fault = fault
+                                .with_refire(0.35)
+                                .with_refire_until(at + rng.next_f64());
+                        }
+                        map.by_core.entry(core).or_default().push(log.len());
+                        log.inject_fault(fault);
+                        false
+                    }
+                    2 => {
+                        log.activate_due(now);
+                        false
+                    }
+                    3 => log.on_test_complete(core, &routine(), level, now, &mut draws),
+                    4 => log.confirm(core, &routine(), level, now, &mut draws),
+                    5 => log.probe(core, 0.9, level, now, &mut draws),
+                    6 => {
+                        log.demote_to_latent(core);
+                        false
+                    }
+                    _ => log.corrupting_overlap(core, now - 0.5, now) < 0.0,
+                };
+                if fired {
+                    map.last_refire.insert(core, now);
+                }
+                for c in 0..cores + 3 {
+                    let expected = map.by_core.get(&c).cloned().unwrap_or_default();
+                    assert_eq!(
+                        log.fault_indices(c).collect::<Vec<_>>(),
+                        expected,
+                        "round {round} step {step} core {c}"
+                    );
+                    if log.index.indexed == log.len() {
+                        assert_eq!(
+                            log.index.faults_on(c).map(|e| e.faults.clone()),
+                            map.by_core.get(&c).cloned(),
+                            "round {round} step {step} core {c}"
+                        );
+                    }
+                    assert_eq!(
+                        log.last_refire_at(c),
+                        map.last_refire.get(&c).copied(),
+                        "round {round} step {step} core {c}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

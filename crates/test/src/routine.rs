@@ -162,6 +162,7 @@ impl RoutineLibrary {
     }
 
     /// The routine after `id` in the rotation (wraps to the first).
+    #[inline]
     pub fn next_in_rotation(&self, id: RoutineId) -> RoutineId {
         RoutineId(((id.0 as usize + 1) % self.routines.len()) as u16)
     }

@@ -467,6 +467,7 @@ impl TestScheduler {
 
     /// Records a completed session: coverage advances and the core's
     /// routine cursor rotates.
+    #[inline]
     pub fn on_session_complete(&mut self, core: usize, routine: RoutineId, level: VfLevel) {
         self.ledger.record(core, level);
         self.cursors[core] = self.library.next_in_rotation(routine);

@@ -52,6 +52,7 @@ impl TestSession {
     ///
     /// Panics if `total_instructions` is zero or `rate` is not strictly
     /// positive.
+    #[inline]
     pub fn new(
         core: usize,
         routine: RoutineId,
