@@ -6,9 +6,9 @@
 //! describes goes away.
 
 use manytest_bench::{
-    e11_fault_response, e12_core_lifecycle, e2_power_trace, e4_test_interval_vs_load,
-    e5_mapping_compare, e6_criticality_adaptation, e7_vf_coverage, e8_pid_vs_naive,
-    e9_dark_silicon, Scale,
+    e11_fault_response, e12_core_lifecycle, e2_power_trace, e3_test_power_share,
+    e4_test_interval_vs_load, e5_mapping_compare, e6_criticality_adaptation, e7_vf_coverage,
+    e8_pid_vs_naive, e9_dark_silicon, Scale,
 };
 use manytest_core::{FaultResponsePolicy, GovernorKind, MapperKind};
 
@@ -38,6 +38,34 @@ fn e2_power_stays_under_the_tdp() {
         t.samples.iter().any(|&(_, _, test_w, _, _)| test_w > 0.0),
         "no sample drew test power"
     );
+}
+
+/// E3: testing takes a small share of consumed energy at realistic load.
+/// Every rate completes tests, the share falls from 250 to 2000 apps/s
+/// (11.19 → 6.35 → 3.46 → 0.77 % today; 4000 apps/s reads 0.79 %), and
+/// from 1000 apps/s up it sits in 0.5–4 %, a band that the full-scale
+/// run (3.36 / 0.92 / 1.32 %) also meets.
+#[test]
+fn e3_test_share_falls_with_load_into_a_low_band() {
+    let rows = e3_test_power_share(Scale::Quick, 1);
+    let rates: Vec<f64> = rows.iter().map(|r| r.rate).collect();
+    assert_eq!(rates, [250.0, 500.0, 1_000.0, 2_000.0, 4_000.0]);
+    for r in &rows {
+        assert!(r.tests > 0, "no tests completed at {} apps/s", r.rate);
+    }
+    let shares: Vec<f64> = rows.iter().map(|r| r.test_share * 100.0).collect();
+    assert!(
+        shares[..4].windows(2).all(|w| w[1] < w[0]),
+        "share does not fall from 250 to 2000 apps/s: {shares:?} %"
+    );
+    for r in rows.iter().filter(|r| r.rate >= 1_000.0) {
+        assert!(
+            (0.005..=0.04).contains(&r.test_share),
+            "share {:.2} % at {} apps/s is outside 0.5-4 %",
+            r.test_share * 100.0,
+            r.rate
+        );
+    }
 }
 
 /// E4: test intervals degrade gracefully with load (≈ 1.6× from idle to

@@ -497,6 +497,13 @@ fn failed_requirement(value: f64, positive: bool) -> Option<&'static str> {
     }
 }
 
+/// The probation cadence multiplier, exactly `2^exp`: `powi` only
+/// multiplies powers of two, which is exact for every `u8` exponent,
+/// while a `u64` shift overflows from 64 up.
+fn backoff_multiplier(exp: u8) -> f64 {
+    2f64.powi(i32::from(exp))
+}
+
 impl System {
     fn new(config: SystemConfig, mix: WorkloadMix) -> Result<Self, BuildError> {
         for (field, value) in [
@@ -1792,8 +1799,7 @@ impl System {
             self.quarantine_event[core] = Some(rid);
             if let Some(cadence) = self.config.probe_cadence {
                 let exp = backoff.min(self.config.probe_backoff_cap);
-                let mult = (1u64 << u32::from(exp)) as f64;
-                self.probe_next_at[core] = now + cadence.as_secs_f64() * mult;
+                self.probe_next_at[core] = now + cadence.as_secs_f64() * backoff_multiplier(exp);
             }
             self.probes_inflight -= 1;
             self.set_mode(core, now, CoreMode::Off);
@@ -3358,6 +3364,18 @@ mod tests {
             r.cores_requarantined > 0,
             "failed probation rounds must be recorded"
         );
+    }
+
+    #[test]
+    fn backoff_multiplier_matches_the_shift_and_stays_exact_past_it() {
+        for exp in 0..64u8 {
+            let shifted = (1u64 << u32::from(exp)) as f64;
+            assert_eq!(backoff_multiplier(exp).to_bits(), shifted.to_bits(), "2^{exp}");
+        }
+        for exp in 64..=u8::MAX {
+            let exact = f64::from_bits((1023 + u64::from(exp)) << 52);
+            assert_eq!(backoff_multiplier(exp).to_bits(), exact.to_bits(), "2^{exp}");
+        }
     }
 
     #[test]

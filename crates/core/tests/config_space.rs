@@ -159,3 +159,44 @@ fn random_configs_build_or_run_with_a_clean_audit() {
         "quarantines, restarts, migrations, checkpoints, re-admissions: {lanes:?}"
     );
 }
+
+/// A solid fault fails every probation round, and with a zero cadence a
+/// quarantined core is re-probed at once, so in 400 ms one core fails
+/// more than 64 rounds. Under a backoff cap of 255 the cadence multiplier
+/// reaches `2^64` and beyond, which a `u64` shift cannot represent.
+#[test]
+fn backoff_past_64_failed_probation_rounds_runs_clean() {
+    let report = SystemBuilder::new(TechNode::N16)
+        .mesh_edge(2)
+        .seed(3)
+        .sim_time_ms(400)
+        .arrival_rate(10.0)
+        .injected_faults(4)
+        .confirmation_retests(0)
+        .fault_response(FaultResponsePolicy::Abort)
+        .probe_cadence_us(0)
+        .probe_backoff_cap(255)
+        .probe_budget(4)
+        .capture_events(1 << 20)
+        .test_scheduler(TestSchedulerConfig {
+            criticality_threshold: -1.0,
+            ..TestSchedulerConfig::default()
+        })
+        .build()
+        .expect("valid config")
+        .run();
+    validate_events(&report).expect("run audits clean");
+    let most_rounds = report
+        .events
+        .events()
+        .iter()
+        .filter_map(|r| match r.ev {
+            SimEvent::CoreRequarantined { backoff, .. } => Some(backoff),
+            _ => None,
+        })
+        .max();
+    assert!(
+        most_rounds > Some(64),
+        "some core must fail more than 64 probation rounds, got {most_rounds:?}"
+    );
+}

@@ -63,6 +63,10 @@ impl CallGraph {
     pub fn build(ws: &Workspace, table: &SymbolTable) -> CallGraph {
         let mut sites = Vec::new();
         let mut sites_of = vec![Vec::new(); table.fns.len()];
+        // The table lists fns file by file, so each file's code tokens
+        // are collected once, not once per fn.
+        let mut code: Vec<&Token> = Vec::new();
+        let mut code_file = None;
         for (fi, f) in table.fns.iter().enumerate() {
             if f.is_test {
                 continue;
@@ -70,8 +74,10 @@ impl CallGraph {
             let Some((body_start, body_end)) = f.body else {
                 continue;
             };
-            let file = &ws.files[f.file];
-            let code: Vec<&Token> = file.code_tokens().collect();
+            if code_file != Some(f.file) {
+                code = ws.files[f.file].code_tokens().collect();
+                code_file = Some(f.file);
+            }
             // Token ranges of *other* fns nested inside this body are
             // their own nodes — exclude them so a nested helper's sinks
             // are not double-attributed to the outer fn.

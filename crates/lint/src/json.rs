@@ -1,12 +1,10 @@
-//! A minimal recursive-descent JSON parser.
+//! A minimal recursive-descent JSON parser, compiled for tests only.
 //!
-//! The analyzer is dependency-free, but two subsystems need to *read*
-//! JSON it (or a previous run of it) wrote: the incremental cache
-//! ([`crate::cache`]) reloads `target/lint-cache.json`, and the SARIF
-//! tests structurally validate `lint.sarif`. This is a full JSON value
-//! parser that handles nesting, but it stays deliberately small: objects
-//! preserve key order as a `Vec`, numbers are `f64`, and errors carry a
-//! byte offset rather than a line/column.
+//! The analyzer writes JSON but never reads it; the SARIF tests read
+//! back what `render_sarif` wrote to validate its structure. This is a
+//! full JSON value parser that handles nesting, but it stays
+//! deliberately small: objects preserve key order as a `Vec`, numbers
+//! are `f64`, and errors carry a byte offset rather than a line/column.
 
 /// One parsed JSON value. Object keys keep their source order.
 #[derive(Debug, Clone, PartialEq)]

@@ -20,11 +20,11 @@
 //! See the README's "Static analysis" section for the rule table.
 
 pub mod allow;
-pub mod cache;
 pub mod callgraph;
 pub mod diag;
 pub mod effects;
-pub mod json;
+#[cfg(test)]
+mod json;
 pub mod lexer;
 pub mod rules;
 pub mod sarif;
@@ -113,9 +113,8 @@ fn run_inner(ws: &Workspace, workspace_rules: bool) -> LintReport {
 }
 
 /// The per-file pass: every file rule plus the `malformed-effect` meta
-/// audit. Pure in the file's content — the incremental cache
-/// ([`cache`]) keys its result on the file's content hash.
-pub fn run_file_rules(file: &SourceFile) -> Vec<Finding> {
+/// audit.
+fn run_file_rules(file: &SourceFile) -> Vec<Finding> {
     let registry = rules::registry();
     let mut findings = Vec::new();
     for rule in &registry {
@@ -137,10 +136,8 @@ pub fn run_file_rules(file: &SourceFile) -> Vec<Finding> {
     findings
 }
 
-/// The cross-file pass (call-graph rules, trace/doc coherence). Never
-/// cached: it also reads the docs and trace exports, which the per-file
-/// cache ([`cache`]) does not hash.
-pub fn run_workspace_rules(ws: &Workspace) -> Vec<Finding> {
+/// The cross-file pass (call-graph rules, trace/doc coherence).
+fn run_workspace_rules(ws: &Workspace) -> Vec<Finding> {
     let registry = rules::registry();
     let mut findings = Vec::new();
     for rule in &registry {
@@ -154,11 +151,7 @@ pub fn run_workspace_rules(ws: &Workspace) -> Vec<Finding> {
 /// is `Some`, allow-audit findings are only reported for files in the
 /// scope (suppression still considers every file) — `--changed` mode
 /// must not blame unchanged files for allows it did not re-evaluate.
-pub(crate) fn audit_allows(
-    ws: &Workspace,
-    findings: Vec<Finding>,
-    scope: Option<&[String]>,
-) -> Vec<Finding> {
+fn audit_allows(ws: &Workspace, findings: Vec<Finding>, scope: Option<&[String]>) -> Vec<Finding> {
     // (file index, allow index) → times used.
     let mut used: Vec<Vec<u32>> = ws
         .files

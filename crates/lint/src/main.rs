@@ -9,7 +9,6 @@
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
-use manytest_lint::cache::lint_workspace_cached;
 use manytest_lint::diag::{render_human, render_json};
 use manytest_lint::rules::{registry, META_RULES};
 use manytest_lint::sarif::render_sarif;
@@ -29,13 +28,11 @@ fn run() -> i32 {
     let mut root_flag: Option<PathBuf> = None;
     let mut sarif_path: Option<PathBuf> = None;
     let mut changed_ref: Option<String> = None;
-    let mut no_cache = false;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" | "--workspace" | "--rules" => {}
-            "--no-cache" => no_cache = true,
             "--root" => match it.next() {
                 Some(v) => root_flag = Some(PathBuf::from(v)),
                 None => return usage("--root needs a directory"),
@@ -89,10 +86,8 @@ fn run() -> i32 {
                     return 2;
                 }
             }
-        } else if no_cache {
-            lint_workspace(&root)
         } else {
-            lint_workspace_cached(&root).map(|(r, _)| r)
+            lint_workspace(&root)
         };
         match run {
             Ok(r) => r,
@@ -220,7 +215,6 @@ usage: manytest-lint --workspace [--json] [--sarif FILE] [--root DIR]
                  dirty or untracked)
   --json         machine-readable output to stdout (CI artifact)
   --sarif FILE   additionally write SARIF 2.1.0 to FILE (code scanning)
-  --no-cache     skip the incremental cache (target/lint-cache.json)
   --root DIR     workspace root (default: walk up from the current dir)
   --rules        list registered rules and exit
 

@@ -4,7 +4,7 @@
 //! so findings annotate pull requests inline. The document is built by
 //! deterministic string concatenation — keys in a fixed order, findings
 //! pre-sorted by the engine — so the same findings always render to the
-//! same bytes (the cold-vs-warm cache test relies on this).
+//! same bytes and the CI artifact does not churn between runs.
 
 use crate::diag::{escape, Finding};
 use crate::rules::{registry, META_RULES};
@@ -103,6 +103,7 @@ pub fn render_sarif(findings: &[Finding]) -> String {
 mod tests {
     use super::*;
     use crate::json;
+    use crate::source::{SourceFile, Workspace};
 
     fn finding() -> Finding {
         Finding {
@@ -147,6 +148,57 @@ mod tests {
             rules[idx].get("id").and_then(|v| v.as_str()),
             Some("wall-clock")
         );
+    }
+
+    #[test]
+    fn written_sarif_validates_against_the_2_1_0_shape() {
+        // One violating and one clean file, linted in memory.
+        let ws = Workspace::from_sources(
+            "/nonexistent",
+            vec![
+                SourceFile::from_source(
+                    "crates/core/src/bad.rs",
+                    "use std::collections::HashMap;\npub type T = HashMap<u32, u32>;\n",
+                ),
+                SourceFile::from_source(
+                    "crates/core/src/good.rs",
+                    "pub fn id(x: u32) -> u32 {\n    x\n}\n",
+                ),
+            ],
+        );
+        let report = crate::run(&ws);
+        assert!(!report.findings.is_empty(), "fixture must produce findings");
+        let doc = json::parse(&render_sarif(&report.findings)).expect("SARIF is valid JSON");
+        assert_eq!(
+            doc.get("$schema").and_then(|v| v.as_str()),
+            Some("https://json.schemastore.org/sarif-2.1.0.json")
+        );
+        assert_eq!(doc.get("version").and_then(|v| v.as_str()), Some("2.1.0"));
+        let run = &doc.get("runs").and_then(|v| v.as_arr()).expect("runs array")[0];
+        let driver = run
+            .get("tool")
+            .and_then(|t| t.get("driver"))
+            .expect("tool.driver");
+        assert_eq!(driver.get("name").and_then(|v| v.as_str()), Some("manytest-lint"));
+        let rules = driver.get("rules").and_then(|v| v.as_arr()).expect("rules");
+        assert!(!rules.is_empty());
+        for result in run.get("results").and_then(|v| v.as_arr()).expect("results") {
+            // Every result points at a declared rule and a real location.
+            let idx = result
+                .get("ruleIndex")
+                .and_then(|v| v.as_num())
+                .expect("ruleIndex") as usize;
+            assert_eq!(
+                rules[idx].get("id").and_then(|v| v.as_str()),
+                result.get("ruleId").and_then(|v| v.as_str())
+            );
+            let region = result.get("locations").and_then(|v| v.as_arr()).expect("locations")[0]
+                .get("physicalLocation")
+                .and_then(|p| p.get("region"))
+                .expect("region");
+            assert!(region.get("startLine").and_then(|v| v.as_num()).unwrap_or(0.0) >= 1.0);
+            assert!(region.get("startColumn").and_then(|v| v.as_num()).unwrap_or(0.0) >= 1.0);
+        }
     }
 
     #[test]

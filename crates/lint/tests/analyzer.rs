@@ -391,7 +391,7 @@ fn golden_schema_catches_unknown_doc_probe_ids() {
     std::fs::create_dir_all(&root).expect("tmpdir");
     std::fs::write(
         root.join("README.md"),
-        "Run `repro explain e99` to inspect a probe.\nRun `repro explain e3` too.\n",
+        "Run `repro explain e3` to inspect a probe.\nRun `repro explain e99` too.\n",
     )
     .expect("write");
     let events = SourceFile::from_source(
@@ -400,15 +400,18 @@ fn golden_schema_catches_unknown_doc_probe_ids() {
     );
     let ws = Workspace::from_sources(root, vec![events]);
     let report = run(&ws);
-    let golden_findings: Vec<&str> = report
+    let golden_findings: Vec<(&str, u32, &str)> = report
         .findings
         .iter()
         .filter(|f| f.rule == "golden-schema")
-        .map(|f| f.message.as_str())
+        .map(|f| (f.file.as_str(), f.line, f.message.as_str()))
         .collect();
-    // Only the unknown id is flagged; `explain e3` names a real probe.
+    // Only the unknown id is flagged, at its own README line;
+    // `explain e3` names a real probe.
     assert_eq!(golden_findings.len(), 1, "{golden_findings:?}");
-    assert!(golden_findings[0].contains("`e99`"), "{golden_findings:?}");
+    let (file, line, message) = golden_findings[0];
+    assert_eq!((file, line), ("README.md", 2), "{golden_findings:?}");
+    assert!(message.contains("`e99`"), "{golden_findings:?}");
 }
 
 #[test]
