@@ -4,7 +4,7 @@
 //! Each experiment is a pure function from a [`Scale`] (how long/heavy to
 //! run) to a structured result with a `print()` method that emits the
 //! series/rows the paper reports. The `repro` binary runs them all at
-//! [`Scale::Full`]; the criterion benches time them at [`Scale::Quick`].
+//! [`Scale::Full`], or at [`Scale::Quick`] with `--quick`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +25,8 @@ pub use experiments::*;
 /// How big to run an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Short horizons for criterion timing and CI.
+    /// Short horizons for `repro --quick`, the golden store and the
+    /// verdict tests.
     Quick,
     /// The horizons used for the reported numbers.
     Full,

@@ -1,12 +1,12 @@
-//! The scheduler, mapping, dark-silicon and fault-response verdicts of
-//! EXPERIMENTS.md, asserted at quick scale.
+//! The scheduler, mapping, dark-silicon, lifetime and fault-response
+//! verdicts of EXPERIMENTS.md, asserted at quick scale.
 //!
 //! Each test checks the shape a verdict states, with a band wide enough
 //! to survive model tuning but narrow enough to fail if the behaviour it
 //! describes goes away.
 
 use manytest_bench::{
-    e11_fault_response, e12_core_lifecycle, e2_power_trace, e3_test_power_share,
+    e10_lifetime, e11_fault_response, e12_core_lifecycle, e2_power_trace, e3_test_power_share,
     e4_test_interval_vs_load, e5_mapping_compare, e6_criticality_adaptation, e7_vf_coverage,
     e8_pid_vs_naive, e9_dark_silicon, Scale,
 };
@@ -266,6 +266,27 @@ fn e9_dark_fraction_rises_with_every_node() {
             r.tdp
         );
     }
+}
+
+/// E10: TUM steers work away from recently busy cores and cores overdue
+/// for a test, which levels wear: the most worn core ages more slowly than
+/// under the baseline (0.6506 vs 0.6591 damage/s today, a +1.3 %
+/// weakest-link lifetime gain) and the damage spread narrows (5.4 → 3.9 %).
+#[test]
+fn e10_tum_levels_wear_and_extends_weakest_link_life() {
+    let l = e10_lifetime(Scale::Quick, 2);
+    assert!(
+        l.tum_worst_rate < l.baseline_worst_rate,
+        "worst core wears at {:.4}/s under TUM vs {:.4}/s under the baseline",
+        l.tum_worst_rate,
+        l.baseline_worst_rate
+    );
+    assert!(
+        l.tum_spread < l.baseline_spread,
+        "damage spread {:.1} % under TUM vs {:.1} % under the baseline",
+        l.tum_spread * 100.0,
+        l.baseline_spread * 100.0
+    );
 }
 
 /// E12: with every fault intermittent and cooling, the re-admission lane

@@ -976,8 +976,8 @@ impl System {
     /// Rebuilds the mapper's platform snapshot for time `now` and returns
     /// it. The snapshot lives in a scratch buffer owned by the system, so
     /// after the first control tick this performs **zero heap
-    /// allocations** — `crates/bench/benches/kernels.rs` and the
-    /// `map_context_allocs` integration test hold it to that.
+    /// allocations**: the `map_context_allocs` integration test in
+    /// `crates/bench/tests/` holds it to that.
     pub fn map_context(&mut self, now: f64) -> &MapContext {
         self.fill_map_context(now, None);
         &self.ctx_scratch

@@ -1,11 +1,9 @@
-//! `wall-clock`: no `Instant`/`SystemTime` outside `crates/bench` and
-//! `crates/shims`.
+//! `wall-clock`: no `Instant`/`SystemTime` outside `crates/bench`.
 //!
 //! Simulated time is the only clock the simulation crates may read;
 //! a wall-clock read anywhere in the model would couple results to host
 //! speed and scheduling. Timing the *harness* is legitimate, so `bench`
-//! (whose runner reports wall seconds) and the dependency shims are
-//! exempt.
+//! (whose runner reports wall seconds) is exempt.
 
 use super::Rule;
 use crate::diag::Finding;
@@ -21,11 +19,11 @@ impl Rule for WallClock {
     }
 
     fn description(&self) -> &'static str {
-        "Instant/SystemTime are banned outside crates/bench and crates/shims"
+        "Instant/SystemTime are banned outside crates/bench"
     }
 
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.crate_name() == "bench" || file.rel_path.starts_with("crates/shims/") {
+        if file.crate_name() == "bench" {
             return;
         }
         for tok in file.code_tokens() {

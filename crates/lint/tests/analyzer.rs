@@ -56,11 +56,13 @@ fn nondet_collections_is_scoped_to_sim_crates() {
 
 #[test]
 fn wall_clock_flags_instant_outside_bench() {
-    let report = lint_fixture("crates/core/src/x.rs", "wall_clock_violating.rs");
-    assert_eq!(rules_of(&report), vec!["wall-clock"; 2]);
-    let lines: Vec<u32> = report.findings.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![1, 4]);
-    assert_eq!(report.findings[0].col, 16); // `use std::time::Instant;`
+    for path in ["crates/core/src/x.rs", "crates/shims/serde/src/x.rs"] {
+        let report = lint_fixture(path, "wall_clock_violating.rs");
+        assert_eq!(rules_of(&report), vec!["wall-clock"; 2], "{path}");
+        let lines: Vec<u32> = report.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![1, 4], "{path}");
+        assert_eq!(report.findings[0].col, 16, "{path}"); // `use std::time::Instant;`
+    }
 }
 
 #[test]

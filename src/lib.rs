@@ -37,9 +37,8 @@
 //!
 //! Every figure and table of the evaluation has a generator in the
 //! `manytest-bench` crate: `cargo run -p manytest-bench --bin repro --release`
-//! prints every series; `cargo bench` runs the criterion benches. See
-//! `EXPERIMENTS.md` at the repository root for the experiment index and
-//! DESIGN.md for the system inventory.
+//! prints every series. See `EXPERIMENTS.md` at the repository root for the
+//! experiment index and DESIGN.md for the system inventory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
