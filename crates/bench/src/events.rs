@@ -395,7 +395,7 @@ pub fn explain(id: &str, scale: Scale) -> Option<String> {
     let mut interval = OnlineStats::new();
     let mut cap = OnlineStats::new();
     for rec in events {
-        registry.on_event(rec);
+        registry.incr(rec.ev.kind());
         match rec.ev {
             SimEvent::AppMapped { queue_wait: w, .. } => queue_wait.push(w * 1e3),
             SimEvent::FaultDetected { latency, .. } => detection.push(latency * 1e3),

@@ -5,7 +5,7 @@
 //! back in submission order, so the folded tables are identical for any
 //! `jobs` value (`1` reproduces the old serial loops exactly).
 
-use crate::runner::{failure_table, Batch};
+use crate::runner::Batch;
 use crate::Scale;
 use manytest_core::prelude::*;
 use manytest_power::TechNode;
@@ -890,8 +890,6 @@ pub struct E12Row {
 /// checkpoint interval trades migration debt against pause overhead.
 ///
 /// Submission order: lane-major, then checkpoint interval, then seed.
-/// Runs through [`Batch::run_outcomes`]: a panicking cell surfaces as a
-/// failure table instead of tearing down the sweep.
 pub fn e12_core_lifecycle(scale: Scale, jobs: usize) -> Vec<E12Row> {
     let ms = scale.ms(400);
     let seeds = scale.seeds(3);
@@ -920,10 +918,7 @@ pub fn e12_core_lifecycle(scale: Scale, jobs: usize) -> Vec<E12Row> {
             }
         }
     }
-    let outcomes = batch.run_outcomes(jobs);
-    let failures = failure_table(&outcomes);
-    assert!(failures.is_empty(), "e12 sweep had failed jobs:\n{failures}");
-    let mut reports = outcomes.into_iter().map(|o| o.ok().expect("no failures"));
+    let mut reports = batch.run(jobs).into_iter();
     let mut rows = Vec::new();
     for &lane in &E12_LANES {
         for &ck in &E12_CHECKPOINTS {

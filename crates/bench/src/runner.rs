@@ -81,71 +81,6 @@ struct Job<'scope, R> {
     run: Box<dyn FnOnce() -> R + Send + 'scope>,
 }
 
-/// The result of one batch job under panic isolation.
-///
-/// Returned by [`Batch::run_outcomes`]: a panicking job becomes a
-/// `Failed` entry in its submission slot instead of tearing down the
-/// batch, so a sweep's remaining jobs still complete (and stay
-/// deterministic — the failure lands at the same index on any worker
-/// count).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobOutcome<R> {
-    /// The job returned normally.
-    Ok(R),
-    /// The job panicked; the rest of the batch kept going.
-    Failed {
-        /// The label the job was pushed with.
-        label: String,
-        /// The panic payload rendered to text (non-string payloads
-        /// render as a placeholder).
-        payload: String,
-    },
-}
-
-impl<R> JobOutcome<R> {
-    /// The result, if the job completed.
-    pub fn ok(self) -> Option<R> {
-        match self {
-            JobOutcome::Ok(r) => Some(r),
-            JobOutcome::Failed { .. } => None,
-        }
-    }
-
-    /// Whether the job panicked.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, JobOutcome::Failed { .. })
-    }
-}
-
-/// Renders the `Failed` entries of an outcome slice as a fixed-width
-/// failure table (empty when every job succeeded). Derived only from the
-/// submission-ordered outcomes, so the text is byte-identical across
-/// worker counts.
-pub fn failure_table<R>(outcomes: &[JobOutcome<R>]) -> String {
-    use std::fmt::Write as _;
-    let failed: Vec<(&str, &str)> = outcomes
-        .iter()
-        .filter_map(|o| match o {
-            JobOutcome::Failed { label, payload } => Some((label.as_str(), payload.as_str())),
-            JobOutcome::Ok(_) => None,
-        })
-        .collect();
-    if failed.is_empty() {
-        return String::new();
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "## failed jobs ({} of {})", failed.len(), outcomes.len());
-    let width = failed.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    for (label, payload) in failed {
-        let _ = writeln!(
-            out,
-            "{label:<width$}  {}",
-            payload.lines().next().unwrap_or("<empty panic payload>")
-        );
-    }
-    out
-}
-
 /// Builds and runs one simulation. Every experiment, probe and ablation
 /// run goes through here, so an invalid experiment config fails with one
 /// message.
@@ -173,10 +108,9 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// `push` order defines result order; [`Batch::run`] executes the jobs on
 /// up to `jobs` scoped threads and returns one result per job, index `i`
 /// of the output corresponding to the `i`-th `push`. A panicking job does
-/// not poison the others — every job still runs. [`Batch::run_outcomes`]
-/// surfaces each panic as a [`JobOutcome::Failed`] in its slot;
-/// [`Batch::run`] instead re-raises the first panic (in submission
-/// order) with the job's label logged to stderr.
+/// not poison the others — every job still runs, and `run` then re-raises
+/// the first panic (in submission order) with each failed job's label
+/// logged to stderr.
 pub struct Batch<'scope, R> {
     jobs: Vec<Job<'scope, R>>,
 }
@@ -213,53 +147,13 @@ impl<'scope, R: Send> Batch<'scope, R> {
 
     /// Executes all jobs on up to `jobs` worker threads (`0` = the
     /// [`default_jobs`] parallelism) and returns the results in
-    /// submission order.
+    /// submission order. Each job runs under `catch_unwind`, keyed by its
+    /// submission index.
     ///
     /// # Panics
     ///
     /// Re-raises the first (by submission order) panic of any job.
     pub fn run(self, jobs: usize) -> Vec<R> {
-        let outcomes = self.execute(jobs);
-        let mut out = Vec::with_capacity(outcomes.len());
-        let mut first_panic = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok(r) => out.push(r),
-                Err((label, payload)) => {
-                    eprintln!("batch job '{label}' panicked");
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        out
-    }
-
-    /// Like [`Batch::run`], but panics are *isolated*: each job's slot
-    /// holds either its result or a [`JobOutcome::Failed`] carrying the
-    /// label and stringified panic payload. Nothing is re-raised — the
-    /// caller decides how to render and whether to fail the process.
-    pub fn run_outcomes(self, jobs: usize) -> Vec<JobOutcome<R>> {
-        self.execute(jobs)
-            .into_iter()
-            .map(|outcome| match outcome {
-                Ok(r) => JobOutcome::Ok(r),
-                Err((label, payload)) => JobOutcome::Failed {
-                    label,
-                    payload: panic_message(payload.as_ref()),
-                },
-            })
-            .collect()
-    }
-
-    /// Shared engine: runs every job under `catch_unwind`, keyed by
-    /// submission index.
-    #[allow(clippy::type_complexity)]
-    fn execute(self, jobs: usize) -> Vec<Result<R, (String, Box<dyn Any + Send>)>> {
         let n = self.jobs.len();
         let requested = if jobs == 0 { default_jobs() } else { jobs };
         let workers = requested.min(n.max(1));
@@ -272,7 +166,7 @@ impl<'scope, R: Send> Batch<'scope, R> {
             record_job(t0.elapsed().as_secs_f64());
             outcome
         };
-        if workers <= 1 || n <= 1 {
+        let outcomes: Vec<_> = if workers <= 1 || n <= 1 {
             // Serial path: run inline on the caller's thread. This is the
             // reference behaviour the parallel path must reproduce.
             self.jobs.into_iter().map(run_one).collect()
@@ -308,7 +202,24 @@ impl<'scope, R: Send> Batch<'scope, R> {
                         .expect("every job ran to completion")
                 })
                 .collect()
+        };
+        let mut out = Vec::with_capacity(n);
+        let mut first_panic = None;
+        for outcome in outcomes {
+            match outcome {
+                Ok(r) => out.push(r),
+                Err((label, payload)) => {
+                    eprintln!("batch job '{label}' panicked");
+                    if first_panic.is_none() {
+                        first_panic = Some(payload);
+                    }
+                }
+            }
         }
+        if let Some(payload) = first_panic {
+            resume_unwind(payload);
+        }
+        out
     }
 }
 
@@ -334,8 +245,7 @@ mod tests {
         assert!(job_stats().jobs >= before + 5);
     }
 
-    /// A panicking job is charged to [`job_stats`] like any other, and
-    /// the surviving results keep their submission slots.
+    /// A panicking job is charged to [`job_stats`] like any other.
     #[test]
     fn batch_stats_account_for_every_job() {
         let before = job_stats();
@@ -347,66 +257,11 @@ mod tests {
             });
         }
         assert_eq!(batch.len(), 6);
-        let results: Vec<_> = batch
-            .run_outcomes(3)
-            .into_iter()
-            .map(JobOutcome::ok)
-            .collect();
-        assert_eq!(
-            results,
-            vec![Some(0), Some(1), Some(4), Some(9), None, Some(25)]
-        );
+        let err = catch_unwind(AssertUnwindSafe(|| batch.run(3))).expect_err("job 4 panics");
+        assert_eq!(panic_message(err.as_ref()), "job 4 exploded");
         let after = job_stats();
         assert!(after.jobs >= before.jobs + 6);
         assert!(after.busy_seconds >= before.busy_seconds);
-    }
-
-    /// A job that panics mid-batch becomes a `Failed` slot; every other
-    /// job still runs and lands at its submission index.
-    #[test]
-    fn panicking_job_is_isolated_and_ordering_is_preserved() {
-        let mut batch = Batch::new();
-        for i in 0..6u64 {
-            batch.push(format!("j{i}"), move || {
-                assert!(i != 2, "job 2 exploded");
-                i * 10
-            });
-        }
-        let outcomes = batch.run_outcomes(1);
-        assert_eq!(outcomes.len(), 6);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            if i == 2 {
-                let JobOutcome::Failed { label, payload } = outcome else {
-                    panic!("job 2 should have failed, got {outcome:?}");
-                };
-                assert_eq!(label, "j2");
-                assert!(payload.contains("job 2 exploded"), "got: {payload}");
-            } else {
-                assert_eq!(*outcome, JobOutcome::Ok(i as u64 * 10));
-            }
-        }
-    }
-
-    /// The failure table is schedule-independent: one worker and four
-    /// workers produce byte-identical outcome vectors.
-    #[test]
-    fn failure_outcomes_are_identical_across_worker_counts() {
-        let build = || {
-            let mut batch = Batch::new();
-            for i in 0..8u64 {
-                batch.push(format!("sweep/{i}"), move || {
-                    if i % 3 == 1 {
-                        panic!("deterministic failure in job {i}");
-                    }
-                    i + 100
-                });
-            }
-            batch
-        };
-        let serial = build().run_outcomes(1);
-        let parallel = build().run_outcomes(4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.iter().filter(|o| o.is_failed()).count(), 3);
     }
 
     /// `run` keeps the historical contract: the first panic in submission

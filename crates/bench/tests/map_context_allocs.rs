@@ -77,8 +77,8 @@ fn map_context_allocates_nothing_after_the_first_tick() {
         t += 1e-4;
         std::hint::black_box(system.map_context(t).free_count());
         // Telemetry shares the guarantee: events are stack-only values and
-        // the default null observer must discard them without touching the
-        // heap, so emission can sit on the control loop's hot path.
+        // a run without an event log only mints their ids, without touching
+        // the heap, so emission can sit on the control loop's hot path.
         system.observe(
             t,
             SimEvent::CapAdjusted {

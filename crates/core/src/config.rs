@@ -172,7 +172,7 @@ pub struct SystemConfig {
     pub trace_max_samples: Option<usize>,
     /// Capture decision telemetry: keep up to this many structured events
     /// in an in-memory log returned on the report (`None` = no capture;
-    /// the control loop then runs with the zero-cost null observer).
+    /// the control loop then keeps no log and emission only mints ids).
     pub event_capacity: Option<usize>,
     /// Flight recorder: keep up to this many per-epoch state snapshots
     /// in a bounded ring returned on the report, decimated with the same

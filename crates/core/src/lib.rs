@@ -70,6 +70,6 @@ pub mod prelude {
     pub use manytest_power::TechNode;
     pub use manytest_sim::{
         jsonl_kind_counts, AbortReason, CauseKind, CauseLink, CounterRegistry, EventId, EventLog,
-        EventRecord, JsonlWriter, NullObserver, Observer, ProvenanceGraph, SimEvent,
+        EventRecord, ProvenanceGraph, SimEvent,
     };
 }

@@ -19,8 +19,8 @@ use manytest_sbst::{
 };
 use manytest_sim::{
     emit_record, AbortReason, CauseKind, CauseLink, CoreState, Epoch, EventId, EventLog,
-    EventQueue, HealthCode, NullObserver, NullPhaseObserver, Observer, Phase, PhaseObserver,
-    PhaseProfile, SimEvent, SimRng, SimTime, StateRecorder, StateSnapshot,
+    EventQueue, HealthCode, NullPhaseObserver, Phase, PhaseObserver, PhaseProfile, SimEvent,
+    SimRng, SimTime, StateRecorder, StateSnapshot,
 };
 use manytest_workload::{AppId, Application, ArrivalProcess, TaskId, WorkloadMix};
 use std::collections::{BTreeMap, VecDeque};
@@ -323,7 +323,7 @@ impl SystemBuilder {
     /// Captures structured decision telemetry: the control loop records
     /// up to `capacity` events into an in-memory log returned on
     /// [`Report::events`] (per-kind counts stay exact past the cap).
-    /// Without this call the run uses the zero-cost null observer.
+    /// Without this call the run keeps no log: emission only mints ids.
     pub fn capture_events(mut self, capacity: usize) -> Self {
         self.config.event_capacity = Some(capacity);
         self
@@ -403,7 +403,9 @@ pub struct System {
     apps_rejected: u64,
     measured_last: f64,
     tdp: f64,
-    observer: Box<dyn Observer>,
+    /// The decision log, attached only by
+    /// [`SystemBuilder::capture_events`].
+    events: Option<EventLog>,
     /// Next [`EventId`] to mint: a per-run emission sequence number, so
     /// ids are strictly increasing and `cause.id < id` holds by
     /// construction (which is what makes the provenance graph a DAG).
@@ -708,10 +710,7 @@ impl System {
             apps_rejected: 0,
             measured_last: 0.0,
             tdp: params.tdp,
-            observer: match config.event_capacity {
-                Some(cap) => Box::new(EventLog::bounded(cap)),
-                None => Box::new(NullObserver),
-            },
+            events: config.event_capacity.map(EventLog::bounded),
             next_event_id: 0,
             pending_cause: BTreeMap::new(),
             fault_cause: vec![None; n],
@@ -749,14 +748,6 @@ impl System {
         &self.config
     }
 
-    /// Replaces the decision-telemetry observer (e.g. with a streaming
-    /// JSONL writer). Call before [`System::run`]; the observer installed
-    /// at finalize time supplies [`Report::events`] via
-    /// [`Observer::take_log`].
-    pub fn set_observer(&mut self, observer: Box<dyn Observer>) {
-        self.observer = observer;
-    }
-
     /// Replaces the phase-boundary observer. The control loop brackets
     /// every phase (PID, fault sweep, mapping, test scheduling, event
     /// drain, epoch close) with `enter`/`exit` calls; the simulator
@@ -767,13 +758,13 @@ impl System {
         self.phase_obs = observer;
     }
 
-    /// Emits one *root* telemetry event (no cause link) through the
-    /// installed observer, minting the run's next sequential [`EventId`].
-    /// Root emissions are audited sites: the emission-coverage lint
-    /// requires a `lint:allow` naming why the event has no cause.
-    /// With the default [`NullObserver`] this is a no-op apart from the
-    /// id increment, and the `map_context_allocs` counting-allocator
-    /// test holds it to zero heap allocations.
+    /// Emits one *root* telemetry event (no cause link), minting the
+    /// run's next sequential [`EventId`] and appending the record to the
+    /// event log if the run captures one. Root emissions are audited
+    /// sites: the emission-coverage lint requires a `lint:allow` naming
+    /// why the event has no cause. Without a log this only increments
+    /// the id, and the `map_context_allocs` counting-allocator test holds
+    /// it to zero heap allocations.
     #[inline]
     pub fn observe(&mut self, now: f64, ev: SimEvent) -> EventId {
         self.observe_linked(now, None, ev)
@@ -781,8 +772,9 @@ impl System {
 
     /// Emits one telemetry event with an optional provenance link. This
     /// is the single choke point every control-loop emission funnels
-    /// through (the emission-coverage lint bans direct `on_event` calls
-    /// in this file), so every event gets a deterministic id.
+    /// through (the emission-coverage lint bans direct `push_record` and
+    /// `push_caused` calls in this file), so every event gets a
+    /// deterministic id.
     #[inline]
     pub fn observe_linked(
         &mut self,
@@ -791,7 +783,7 @@ impl System {
         ev: SimEvent,
     ) -> EventId {
         // lint:allow(event-emission-coverage, reason = "the id-minting funnel itself: this is the one audited raw emit_record every helper routes through")
-        emit_record(self.observer.as_mut(), &mut self.next_event_id, now, cause, ev)
+        emit_record(self.events.as_mut(), &mut self.next_event_id, now, cause, ev)
     }
 
     /// Emits one telemetry event caused by `cause` via a `kind` link.
@@ -937,7 +929,7 @@ impl System {
         self.phase_obs.enter(Phase::Fault);
         self.profile.fault_sweeps += 1;
         {
-            let obs = self.observer.as_mut();
+            let log = &mut self.events;
             let next_id = &mut self.next_event_id;
             let fault_cause = &mut self.fault_cause;
             let activations = &mut self.metrics.fault_activations;
@@ -945,9 +937,9 @@ impl System {
             self.faults.activate_due_with(now, |core| {
                 *activations += 1;
                 *profiled += 1;
-                // lint:allow(event-emission-coverage, reason = "genuine root: fault injection is exogenous; raw emit_record because the fault-log callback borrow-splits the observer")
+                // lint:allow(event-emission-coverage, reason = "genuine root: fault injection is exogenous; raw emit_record because the fault-log callback borrow-splits the event log")
                 let id = emit_record(
-                    &mut *obs,
+                    log.as_mut(),
                     next_id,
                     now,
                     None,
@@ -1515,7 +1507,7 @@ impl System {
                 .confirm(core, routine, session.level(), now, &mut self.rng_faults)
         } else {
             let detected = {
-                let obs = self.observer.as_mut();
+                let log = &mut self.events;
                 let next_id = &mut self.next_event_id;
                 let fault_cause = &self.fault_cause;
                 let detect_slot = &mut detect_id;
@@ -1528,9 +1520,9 @@ impl System {
                     |faulty_core, latency| {
                         let cause = fault_cause[faulty_core]
                             .map(|id| CauseLink::new(CauseKind::Activation, id));
-                        // lint:allow(event-emission-coverage, reason = "cause set inline (activation link); raw emit_record because the fault-log callback borrow-splits the observer")
+                        // lint:allow(event-emission-coverage, reason = "cause set inline (activation link); raw emit_record because the fault-log callback borrow-splits the event log")
                         *detect_slot = Some(emit_record(
-                            &mut *obs,
+                            log.as_mut(),
                             next_id,
                             now,
                             cause,
@@ -2298,7 +2290,7 @@ impl System {
     // ----- report ----------------------------------------------------------
 
     fn finalize(mut self) -> Report {
-        let events = self.observer.take_log().unwrap_or_default();
+        let events = self.events.take().unwrap_or_default();
         let sim_seconds = self.meter.total_seconds();
         let n = self.store.len();
         let ledger = self.scheduler.ledger();
@@ -3140,32 +3132,36 @@ mod tests {
 
     #[test]
     fn captured_events_reconcile_with_the_report() {
-        let r = quick(TechNode::N16)
-            .capture_events(1 << 16)
-            .injected_faults(4)
-            .build()
-            .unwrap()
-            .run();
-        assert!(!r.events.is_empty(), "capture must record events");
-        assert_eq!(r.events.dropped(), 0, "capacity must suffice for this run");
-        crate::audit::validate_events(&r).expect("event counts reconcile with aggregates");
-        // Spot-check the two invariants the paper's control loop lives by.
-        assert_eq!(r.events.count("TestDeniedPower"), r.tests_denied_power);
-        assert_eq!(
-            r.events.count("TestLaunched"),
-            r.tests_completed + r.tests_aborted + r.tests_in_flight
-        );
-        // Capture must not perturb the simulation itself.
         let plain = quick(TechNode::N16).injected_faults(4).build().unwrap().run();
-        assert_eq!(plain.instructions_executed, r.instructions_executed);
-        assert_eq!(plain.tests_completed, r.tests_completed);
-        assert_eq!(plain.trace, r.trace);
+        // An empty, a saturated and an ample log.
+        for capacity in [0, 64, 1 << 16] {
+            let mut r = quick(TechNode::N16)
+                .capture_events(capacity)
+                .injected_faults(4)
+                .build()
+                .unwrap()
+                .run();
+            let total = r.events.total();
+            assert!(total > 64, "the run must saturate the two small logs");
+            assert_eq!(r.events.len() as u64, total.min(capacity as u64));
+            assert_eq!(r.events.dropped(), total - r.events.len() as u64);
+            crate::audit::validate_events(&r).expect("event counts reconcile with aggregates");
+            // Spot-check the two invariants the paper's control loop lives by.
+            assert_eq!(r.events.count("TestDeniedPower"), r.tests_denied_power);
+            assert_eq!(
+                r.events.count("TestLaunched"),
+                r.tests_completed + r.tests_aborted + r.tests_in_flight
+            );
+            // Capture must change nothing but the log.
+            r.events = EventLog::default();
+            assert_eq!(r, plain, "capacity {capacity}");
+        }
     }
 
     #[test]
     fn default_runs_capture_no_events() {
         let r = quick(TechNode::N16).build().unwrap().run();
-        assert!(r.events.is_empty(), "null observer must keep the log empty");
+        assert!(r.events.is_empty(), "a run without capture keeps no log");
         assert_eq!(r.events.total(), 0);
     }
 

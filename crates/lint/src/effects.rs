@@ -7,7 +7,7 @@
 //! dispatch and deliberate effects are handled by audited annotations:
 //!
 //! ```text
-//! // lint:effect(none,  reason = "dyn Observer impls are effect-free by contract")
+//! // lint:effect(none,  reason = "dyn PhaseObserver impls are effect-free by contract")
 //! // lint:effect(warmup, reason = "allocates once while building the mesh")
 //! // lint:effect(alloc+panic, reason = "arrival lane owns the session Vec")
 //! ```

@@ -21,9 +21,9 @@
 //!
 //! The provenance half guards `crates/core/src/system.rs`:
 //!
-//! * calling `on_event` directly is banned — raw observer calls bypass
-//!   [`EventId`] minting, so the record would fall outside the DAG the
-//!   audit validates;
+//! * calling `EventLog::push_record` or `push_caused` directly is banned
+//!   — a raw log write bypasses the run's [`EventId`] minting, so the
+//!   record would fall outside the DAG the audit validates;
 //! * each call site of the *uncaused* emitters (`observe`, raw
 //!   `emit_record`) mints a potential DAG root and must carry an audited
 //!   `// lint:allow(event-emission-coverage, reason = "…")` naming why
@@ -49,6 +49,9 @@ const SYSTEM_FILE: &str = "crates/core/src/system.rs";
 /// Emitters that mint root events (no cause link): call sites must
 /// justify root status with an audited allow.
 const ROOT_EMITTERS: [&str; 2] = ["observe", "emit_record"];
+/// `EventLog` writes that skip the run's id counter: banned in the
+/// control loop.
+const RAW_LOG_WRITES: [&str; 2] = ["push_record", "push_caused"];
 
 impl Rule for EventEmissionCoverage {
     fn id(&self) -> &'static str {
@@ -152,8 +155,8 @@ impl Rule for EventEmissionCoverage {
     }
 }
 
-/// Enforces the provenance half on the control loop: no raw `on_event`
-/// calls, and an audited allow on every root-emitter call site. The
+/// Enforces the provenance half on the control loop: no raw event-log
+/// writes, and an audited allow on every root-emitter call site. The
 /// findings this emits are the hooks the `lint:allow` comments in
 /// `system.rs` attach to — an uncaused emission without a justification
 /// surfaces here, and a stale justification surfaces as `unused-allow`.
@@ -164,16 +167,16 @@ fn check_emission_sites(rule_id: &'static str, file: &SourceFile, out: &mut Vec<
         if tok.kind != TokenKind::Ident || file.is_test_line(tok.line) {
             continue;
         }
-        if tok.text == "on_event" {
+        if RAW_LOG_WRITES.contains(&tok.text.as_str()) {
             out.push(Finding {
                 rule: rule_id,
                 file: file.rel_path.clone(),
                 line: tok.line,
                 col: tok.col,
-                message: "direct `on_event` call bypasses event-id minting".into(),
-                rationale: "records emitted outside observe/observe_linked/emit_caused/\
-                            emit_record carry no EventId and fall outside the provenance \
-                            DAG the audit validates",
+                message: format!("direct `{}` call bypasses event-id minting", tok.text),
+                rationale: "records written outside observe/observe_linked/emit_caused/\
+                            emit_record skip the run's EventId counter and fall outside the \
+                            provenance DAG the audit validates",
             });
             continue;
         }

@@ -354,7 +354,7 @@ fn uncaused_emission_sites_require_an_audited_allow() {
 #[test]
 fn raw_on_event_and_emit_record_calls_are_flagged() {
     let report = run(&system_workspace(
-        "fn f(obs: &mut dyn Observer) {\n    obs.on_event(&rec);\n    emit_record(obs, id, t, None, ev);\n}\n",
+        "fn f(log: &mut EventLog) {\n    log.push_record(rec);\n    log.push_caused(t, None, ev);\n    emit_record(Some(log), id, t, None, ev);\n}\n",
     ));
     let messages: Vec<&str> = report
         .findings
@@ -362,10 +362,12 @@ fn raw_on_event_and_emit_record_calls_are_flagged() {
         .filter(|f| f.rule == "event-emission-coverage")
         .map(|f| f.message.as_str())
         .collect();
-    assert!(
-        messages.iter().any(|m| m.contains("on_event")),
-        "raw on_event: {messages:?}"
-    );
+    for raw in ["push_record", "push_caused"] {
+        assert!(
+            messages.iter().any(|m| m.contains(raw)),
+            "raw {raw}: {messages:?}"
+        );
+    }
     assert!(
         messages.iter().any(|m| m.contains("emit_record")),
         "raw emit_record: {messages:?}"

@@ -17,10 +17,10 @@
 //!   histograms, time-weighted averages) used by the metrics layer.
 //! * [`trace`] — a lightweight trace sink for time-series output (power
 //!   traces, utilisation traces) consumed by the bench harness.
-//! * [`obs`] — structured decision telemetry: the [`Observer`] hook the
-//!   control loop emits typed [`SimEvent`]s through, plus concrete sinks
-//!   (bounded [`EventLog`], streaming JSONL writer, [`CounterRegistry`]).
-//!   Every emission carries a deterministic [`EventId`] and an optional
+//! * [`obs`] — structured decision telemetry: the typed [`SimEvent`]s the
+//!   control loop emits through [`emit_record`] into an optional bounded
+//!   [`EventLog`], plus a [`CounterRegistry`] for summaries. Every
+//!   emission carries a deterministic [`EventId`] and an optional
 //!   [`CauseLink`] back to the decision that triggered it.
 //! * [`provenance`] — causal-chain reconstruction over the record
 //!   stream: walk any event back to its root or forward to everything
@@ -51,10 +51,9 @@ pub mod trace;
 
 pub use engine::{Event, EventQueue};
 pub use obs::{
-    emit_record, jsonl_kind_counts, write_json_str, AbortReason, CauseKind, CauseLink, CoreState,
-    CounterRegistry, EventId, EventLog, EventRecord, HealthCode, JsonlWriter, NullObserver,
-    NullPhaseObserver, Observer, Phase, PhaseObserver, PhaseProfile, SimEvent, StateRecorder,
-    StateSnapshot, StateTimeline,
+    emit_record, jsonl_kind_counts, AbortReason, CauseKind, CauseLink, CoreState, CounterRegistry,
+    EventId, EventLog, EventRecord, HealthCode, NullPhaseObserver, Phase, PhaseObserver,
+    PhaseProfile, SimEvent, StateRecorder, StateSnapshot, StateTimeline,
 };
 pub use provenance::{ChainSummary, ProvenanceGraph};
 pub use rng::{enter_job_scope, JobScopeGuard, SimRng};
@@ -66,10 +65,9 @@ pub use trace::{Trace, TraceSeries};
 pub mod prelude {
     pub use crate::engine::{Event, EventQueue};
     pub use crate::obs::{
-        emit_record, jsonl_kind_counts, write_json_str, AbortReason, CauseKind, CauseLink,
-        CoreState, CounterRegistry, EventId, EventLog, EventRecord, HealthCode, JsonlWriter,
-        NullObserver, NullPhaseObserver, Observer, Phase, PhaseObserver, PhaseProfile, SimEvent,
-        StateRecorder, StateSnapshot, StateTimeline,
+        emit_record, jsonl_kind_counts, AbortReason, CauseKind, CauseLink, CoreState,
+        CounterRegistry, EventId, EventLog, EventRecord, HealthCode, NullPhaseObserver, Phase,
+        PhaseObserver, PhaseProfile, SimEvent, StateRecorder, StateSnapshot, StateTimeline,
     };
     pub use crate::provenance::{ChainSummary, ProvenanceGraph};
     pub use crate::rng::{enter_job_scope, JobScopeGuard, SimRng};

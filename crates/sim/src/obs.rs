@@ -1,24 +1,22 @@
-//! Structured decision telemetry: observer hooks, typed events, sinks.
+//! Structured decision telemetry: typed events, the event log, counters.
 //!
 //! End-of-run aggregates tell you *what* a run produced; they cannot tell
 //! you *why* — which epoch denied a test for power, what the headroom was
 //! at that instant, which application displaced a session. This module is
 //! the telemetry backbone: the control loop emits one [`SimEvent`] per
-//! decision through an [`Observer`], and sinks turn the stream into
-//! whatever a consumer needs:
+//! decision through [`emit_record`], which mints its [`EventId`] and, when
+//! the run captures events, appends it to an [`EventLog`]. Without a log
+//! emission only mints the id, so the hot path stays allocation-free.
 //!
-//! * [`NullObserver`] — the default; every hook compiles to a no-op so
-//!   the hot path stays allocation-free.
-//! * [`EventLog`] — a bounded in-memory sink returned on the report.
+//! * [`EventLog`] — a bounded in-memory log returned on the report.
 //!   Per-kind counts stay **exact** even when the sample buffer is full,
 //!   so aggregate invariants can always be checked against the report.
-//! * [`JsonlWriter`] — streams one JSON object per event to any
-//!   [`std::io::Write`] (files, pipes, test buffers).
+//!   It renders itself as JSON Lines ([`EventLog::write_jsonl`]).
 //! * [`CounterRegistry`] — named counters plus fixed-bucket
 //!   [`Histogram`]s with deterministic iteration order, for summaries.
 //!
 //! Events are plain `Copy` data: emitting one never touches the heap, and
-//! JSON is rendered only inside sinks that asked for it.
+//! JSON is rendered only when a consumer asks for it.
 
 use crate::stats::Histogram;
 use serde::{Deserialize, Serialize};
@@ -49,8 +47,8 @@ impl AbortReason {
 /// the event plane. Stack-only (`Copy`): constructing and emitting an
 /// event allocates nothing.
 ///
-/// Times are *not* part of the payload — every observer hook receives the
-/// event's timestamp separately, so sinks that do not need it pay nothing.
+/// Times are *not* part of the payload — the [`EventRecord`] envelope
+/// carries the event's timestamp beside it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SimEvent {
     /// An application entered the pending queue.
@@ -683,8 +681,8 @@ impl CauseLink {
 }
 
 /// One emitted event with its full provenance envelope: identity,
-/// timestamp, optional cause link, payload. This is what observers
-/// receive and what the [`EventLog`] stores.
+/// timestamp, optional cause link, payload. This is what the [`EventLog`]
+/// stores.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EventRecord {
     /// Emission-order identity (unique within a run).
@@ -713,13 +711,15 @@ impl EventRecord {
     }
 }
 
-/// Emits one event through an observer, assigning the next sequential
-/// [`EventId`] from `next_id`. This is the one place records are minted:
-/// the control loop (and its borrow-split closures) routes every
-/// emission through here so ids stay gapless and monotonic.
+/// Mints the next sequential [`EventId`] from `next_id` and, when a log
+/// is attached, appends the record to it. This is the one place records
+/// are minted: the control loop (and its borrow-split closures) routes
+/// every emission through here so ids stay gapless and monotonic whether
+/// or not the run captures events. Without a log nothing is built or
+/// stored, so the emission path stays allocation-free.
 #[inline]
 pub fn emit_record(
-    obs: &mut dyn Observer,
+    log: Option<&mut EventLog>,
     next_id: &mut u64,
     t: f64,
     cause: Option<CauseLink>,
@@ -727,38 +727,13 @@ pub fn emit_record(
 ) -> EventId {
     let id = EventId(*next_id);
     *next_id += 1;
-    obs.on_event(&EventRecord { id, t, cause, ev });
+    if let Some(log) = log {
+        log.push_record(EventRecord { id, t, cause, ev });
+    }
     id
 }
 
-/// A decision-event sink. The control loop calls [`Observer::on_event`]
-/// once per decision with the full provenance envelope (id, time, cause
-/// link, payload); [`Observer::take_log`] defaults to `None`, so a
-/// trivial sink implements `on_event` alone.
-pub trait Observer {
-    /// Receives one emitted event record.
-    fn on_event(&mut self, rec: &EventRecord);
-
-    /// Hands over an [`EventLog`] if this observer accumulated one
-    /// (called once, when a run finalizes its report).
-    fn take_log(&mut self) -> Option<EventLog> {
-        None
-    }
-}
-
-/// The default observer: drops every event. Keeps the epoch control loop
-/// free of observer overhead — the counting-allocator test in
-/// `crates/bench/tests/map_context_allocs.rs` holds the emission path to
-/// zero heap allocations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    #[inline]
-    fn on_event(&mut self, _rec: &EventRecord) {}
-}
-
-/// A bounded in-memory event sink.
+/// A bounded in-memory event log.
 ///
 /// Stores up to `capacity` timestamped events; further events are counted
 /// but not stored (`dropped`). Per-kind counts are maintained for **all**
@@ -825,9 +800,9 @@ impl EventLog {
         id
     }
 
-    /// Records one fully-formed record (as received from an emitter).
+    /// Records one fully-formed record (as minted by [`emit_record`]).
     /// The log's id counter is advanced past the record's id so manual
-    /// pushes and observed records can interleave without collisions.
+    /// pushes and minted records can interleave without collisions.
     pub fn push_record(&mut self, rec: EventRecord) {
         self.next_id = self.next_id.max(rec.id.0 + 1);
         self.kind_counts[rec.ev.kind_index()] += 1;
@@ -956,141 +931,11 @@ impl EventLog {
         }
         Ok(())
     }
-
-    /// Renders the stored samples as a two-column CSV (`t,kind`), a
-    /// compact form for spreadsheet-side counting.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("t,kind\n");
-        for rec in &self.events {
-            let _ = writeln!(out, "{},{}", rec.t, rec.ev.kind());
-        }
-        out
-    }
-}
-
-impl Observer for EventLog {
-    fn on_event(&mut self, rec: &EventRecord) {
-        self.push_record(*rec);
-    }
-
-    fn take_log(&mut self) -> Option<EventLog> {
-        Some(std::mem::take(self))
-    }
-}
-
-/// Streams each event as one JSON line into any writer the moment it is
-/// emitted (no buffering of the run in memory). The first I/O error is
-/// latched: later events are dropped silently and the error surfaces
-/// exactly once — through [`JsonlWriter::flush`] or
-/// [`JsonlWriter::finish`], or as a single stderr line on drop if
-/// neither was called. Writes themselves never panic mid-run.
-#[derive(Debug)]
-pub struct JsonlWriter<W: io::Write> {
-    inner: Option<W>,
-    line: String,
-    error: Option<io::Error>,
-}
-
-impl<W: io::Write> JsonlWriter<W> {
-    /// Wraps a writer.
-    pub fn new(inner: W) -> Self {
-        JsonlWriter {
-            inner: Some(inner),
-            line: String::with_capacity(128),
-            error: None,
-        }
-    }
-
-    /// Flushes the inner writer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the latched streaming error if one is pending (clearing
-    /// the latch — it surfaces once), otherwise any flush error.
-    pub fn flush(&mut self) -> io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        match self.inner.as_mut() {
-            Some(w) => w.flush(),
-            None => Ok(()),
-        }
-    }
-
-    /// Unwraps the inner writer, reporting any deferred I/O error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first write error encountered while streaming.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        match self.inner.take() {
-            Some(w) => Ok(w),
-            None => Err(io::Error::other("inner writer already taken")),
-        }
-    }
-}
-
-impl<W: io::Write> Drop for JsonlWriter<W> {
-    /// Last-chance surfacing: a latched error nobody collected (or a
-    /// flush failure on the way out) is reported once to stderr rather
-    /// than vanishing with the buffered tail of the stream.
-    fn drop(&mut self) {
-        if self.error.is_none() {
-            if let Some(w) = self.inner.as_mut() {
-                if let Err(e) = w.flush() {
-                    self.error = Some(e);
-                }
-            }
-        }
-        if let Some(e) = self.error.take() {
-            eprintln!("manytest: event stream truncated by I/O error: {e}");
-        }
-    }
-}
-
-impl<W: io::Write> JsonlWriter<W> {
-    /// Writes one out-of-band annotation line (`{"t":…,"note":"…"}`).
-    ///
-    /// Unlike event kinds, a note is free-form text and is escaped with
-    /// [`write_json_str`], so control characters, quotes and backslashes
-    /// survive the round trip. Lines without a `"kind"` field are ignored
-    /// by [`jsonl_kind_counts`], so notes never perturb count validation.
-    pub fn note(&mut self, t: f64, text: &str) {
-        let Some(w) = self.inner.as_mut() else { return };
-        if self.error.is_some() {
-            return;
-        }
-        self.line.clear();
-        let _ = write!(self.line, "{{\"t\":{t},\"note\":");
-        write_json_str(&mut self.line, text);
-        self.line.push_str("}\n");
-        if let Err(e) = w.write_all(self.line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-}
-
-impl<W: io::Write> Observer for JsonlWriter<W> {
-    fn on_event(&mut self, rec: &EventRecord) {
-        let Some(w) = self.inner.as_mut() else { return };
-        if self.error.is_some() {
-            return;
-        }
-        self.line.clear();
-        rec.write_json(&mut self.line);
-        self.line.push('\n');
-        if let Err(e) = w.write_all(self.line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
 }
 
 /// Named counters plus named fixed-bucket histograms with deterministic
-/// (sorted) iteration order. As an [`Observer`] it counts events by kind;
-/// richer consumers record derived quantities through
+/// (sorted) iteration order. Consumers count events by kind with
+/// [`CounterRegistry::incr`] and record derived quantities through
 /// [`CounterRegistry::record`].
 ///
 /// # Examples
@@ -1206,12 +1051,6 @@ impl CounterRegistry {
     }
 }
 
-impl Observer for CounterRegistry {
-    fn on_event(&mut self, rec: &EventRecord) {
-        self.incr(rec.ev.kind());
-    }
-}
-
 /// Counts `"kind"` occurrences per line of a JSON-Lines event stream
 /// (the inverse of [`EventLog::to_jsonl`], good enough for validation
 /// without a JSON parser — the workspace deliberately has none).
@@ -1226,27 +1065,6 @@ pub fn jsonl_kind_counts(text: &str) -> BTreeMap<String, u64> {
         *counts.entry(rest[..end].to_owned()).or_insert(0) += 1;
     }
     counts
-}
-
-/// Appends `s` as a JSON string literal (with surrounding quotes),
-/// escaping quotes, backslashes and control characters per RFC 8259.
-/// Non-ASCII characters pass through as raw UTF-8, which JSON permits.
-pub fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------------
@@ -1767,98 +1585,16 @@ mod tests {
             log.push(t, ev);
         }
         let from_jsonl = jsonl_kind_counts(&log.to_jsonl());
-        // CSV rows carry the same kinds; count them independently.
-        let csv = log.to_csv();
-        let mut from_csv: BTreeMap<String, u64> = BTreeMap::new();
-        for line in csv.lines().skip(1) {
-            let kind = line.split(',').nth(1).expect("t,kind row");
-            *from_csv.entry(kind.to_owned()).or_insert(0) += 1;
-        }
-        assert_eq!(from_jsonl, from_csv);
         for (kind, n) in log.kind_counts() {
             assert_eq!(from_jsonl.get(kind).copied().unwrap_or(0), n, "kind {kind}");
         }
     }
 
     #[test]
-    fn jsonl_writer_streams_identical_bytes() {
-        let mut log = EventLog::new();
-        let mut sink = JsonlWriter::new(Vec::new());
-        for (i, (t, ev)) in sample_events().into_iter().enumerate() {
-            log.push(t, ev);
-            sink.on_event(&EventRecord {
-                id: EventId(i as u64),
-                t,
-                cause: None,
-                ev,
-            });
-        }
-        let streamed = sink.finish().expect("vec never fails");
-        assert_eq!(String::from_utf8(streamed).unwrap(), log.to_jsonl());
-    }
-
-    /// Writer that accepts `ok_writes` writes, then fails every write
-    /// with `BrokenPipe`.
-    #[derive(Debug)]
-    struct FailAfter(usize);
-
-    impl io::Write for FailAfter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self.0 == 0 {
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
-            }
-            self.0 -= 1;
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_writer_latches_the_first_io_error_and_surfaces_it_once() {
-        let mut sink = JsonlWriter::new(FailAfter(1));
-        sink.note(0.0, "written");
-        sink.note(1.0, "latches the error");
-        sink.note(2.0, "dropped silently, no panic");
-        let err = sink.flush().expect_err("latched error surfaces on flush");
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        // The latch surfaces exactly once: a second flush is clean.
-        assert!(sink.flush().is_ok());
-    }
-
-    #[test]
-    fn jsonl_writer_finish_reports_the_latched_error() {
-        let mut sink = JsonlWriter::new(FailAfter(0));
-        sink.on_event(&EventRecord {
-            id: EventId(0),
-            t: 0.0,
-            cause: None,
-            ev: SimEvent::FaultActivated { core: 1 },
-        });
-        let err = sink.finish().expect_err("streaming error reaches finish");
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-    }
-
-    #[test]
-    fn take_log_drains_the_observer() {
-        let mut log = EventLog::new();
-        log.push(1.0, SimEvent::FaultActivated { core: 1 });
-        let taken = log.take_log().expect("event log yields itself");
-        assert_eq!(taken.len(), 1);
-        assert_eq!(log.len(), 0, "taking must leave an empty log behind");
-    }
-
-    #[test]
     fn registry_counts_events_and_renders_summary() {
         let mut reg = CounterRegistry::new();
-        for (i, (t, ev)) in sample_events().into_iter().enumerate() {
-            reg.on_event(&EventRecord {
-                id: EventId(i as u64),
-                t,
-                cause: None,
-                ev,
-            });
+        for (_, ev) in sample_events() {
+            reg.incr(ev.kind());
         }
         assert_eq!(reg.counter("AppArrived"), 1);
         assert_eq!(reg.counter("nonexistent"), 0);
@@ -1874,18 +1610,6 @@ mod tests {
     #[should_panic(expected = "never declared")]
     fn recording_into_undeclared_histogram_panics() {
         CounterRegistry::new().record("missing", 1.0);
-    }
-
-    #[test]
-    fn null_observer_is_a_noop() {
-        let mut obs = NullObserver;
-        obs.on_event(&EventRecord {
-            id: EventId(0),
-            t: 0.0,
-            cause: None,
-            ev: SimEvent::FaultActivated { core: 0 },
-        });
-        assert!(obs.take_log().is_none());
     }
 
     #[test]
@@ -1967,18 +1691,25 @@ mod tests {
     fn emit_record_mints_gapless_ids() {
         let mut log = EventLog::new();
         let mut next_id = 0u64;
-        let a = emit_record(&mut log, &mut next_id, 1.0, None, SimEvent::FaultActivated {
+        let a = emit_record(Some(&mut log), &mut next_id, 1.0, None, SimEvent::FaultActivated {
             core: 0,
         });
+        // Without a log the id still advances, so a capturing run and a
+        // plain one mint the same ids.
+        let skipped = emit_record(None, &mut next_id, 1.5, None, SimEvent::FaultActivated {
+            core: 1,
+        });
         let b = emit_record(
-            &mut log,
+            Some(&mut log),
             &mut next_id,
             2.0,
             Some(CauseLink::new(CauseKind::Activation, a)),
             SimEvent::FaultDetected { core: 0, latency: 1.0 },
         );
-        assert_eq!((a, b), (EventId(0), EventId(1)));
-        assert_eq!(next_id, 2);
+        assert_eq!((a, skipped, b), (EventId(0), EventId(1), EventId(2)));
+        assert_eq!(next_id, 3);
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.events()[1].id, b);
         assert_eq!(log.events()[1].cause.unwrap().id, a);
     }
 
@@ -1993,45 +1724,6 @@ mod tests {
         assert_eq!(log.total(), 11);
         assert_eq!(log.count("TestLaunched"), 1);
         assert_eq!(log.count("CoreSuspected"), 1);
-    }
-
-    #[test]
-    fn json_str_escapes_quotes_backslashes_and_control_chars() {
-        let mut out = String::new();
-        write_json_str(&mut out, "a\"b\\c\nd\te\r\x01f");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\r\\u0001f\"");
-    }
-
-    #[test]
-    fn json_str_passes_non_ascii_through() {
-        let mut out = String::new();
-        write_json_str(&mut out, "温度 π ≈ 3.14");
-        assert_eq!(out, "\"温度 π ≈ 3.14\"");
-    }
-
-    #[test]
-    fn jsonl_writer_note_escapes_and_skips_kind_counting() {
-        let mut sink = JsonlWriter::new(Vec::new());
-        sink.note(0.5, "header \"v1\"\npath=C:\\tmp");
-        sink.on_event(&EventRecord {
-            id: EventId(0),
-            t: 1.0,
-            cause: None,
-            ev: SimEvent::FaultActivated { core: 2 },
-        });
-        sink.note(2.0, "done 完了");
-        let bytes = sink.finish().expect("vec never fails");
-        let text = String::from_utf8(bytes).unwrap();
-        assert!(text.contains("\"note\":\"header \\\"v1\\\"\\npath=C:\\\\tmp\""));
-        assert!(text.contains("完了"));
-        // Notes carry no "kind": count validation must ignore them.
-        let counts = jsonl_kind_counts(&text);
-        assert_eq!(counts.len(), 1);
-        assert_eq!(counts.get("FaultActivated"), Some(&1));
-        // Every line is still a well-formed single JSON object.
-        for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
     }
 
     #[test]
