@@ -2,8 +2,8 @@
 //! ingredient of the proposed scheme is worth.
 //!
 //! Like the experiments, every driver takes a `jobs` worker count and
-//! funnels its runs through one [`Batch`](crate::runner::Batch), so the
-//! tables are identical for any `jobs` value.
+//! funnels its runs through one [`Batch`], so the tables are identical
+//! for any `jobs` value.
 
 use crate::runner::Batch;
 use crate::Scale;

@@ -44,10 +44,11 @@
 //! at quick scale and exits nonzero if any pinned value drifted;
 //! `MANYTEST_UPDATE_GOLDEN=1 repro regress` regenerates the store.
 //!
-//! Any other `--` flag, and any experiment id outside e1..e12 and
-//! a1..a6, is an error (exit 2) raised before anything prints or is
-//! written, so a misspelt or retired name never silently changes what
-//! runs.
+//! Any other `--` flag, a value flag without its value, a `--jobs`
+//! value that is not an unsigned integer, and any experiment id outside
+//! e1..e12 and a1..a6 is an error (exit 2) raised before anything prints
+//! or is written, so a misspelt or retired name never silently changes
+//! what runs.
 
 use manytest_bench::diff::{run_diff, DiffTarget};
 use manytest_bench::events::{explain, write_event_logs, PROBE_IDS};
@@ -78,87 +79,86 @@ const SWITCHES: [&str; 2] = ["--quick", "--inject-drift"];
 /// Flags that take a value, as `--flag VALUE` or `--flag=VALUE`.
 const VALUE_FLAGS: [&str; 6] = ["--jobs", "--events", "--out", "--grids", "--grid", "--seed2"];
 
-fn parse_jobs(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            return it.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().ok();
-        }
-    }
-    None
+/// Exits 2 after printing `message`.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
 }
 
-fn parse_events_dir(args: &[String]) -> Option<PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--events" {
-            return it.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--events=") {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
+/// The command line, split once into positional words and flag values.
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    /// `(flag, value)` pairs in command-line order.
+    values: Vec<(&'a str, &'a str)>,
 }
 
-/// `--grids 8,16,32` / `--grids=8,16,32` / `--grid 64` (one edge).
-/// Exits with usage on an unparsable edge list.
-fn parse_grids(args: &[String]) -> Option<Vec<u16>> {
-    let mut list: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--grids" || a == "--grid" {
-            list = it.next().map(String::as_str);
-        } else if let Some(v) = a.strip_prefix("--grids=").or_else(|| a.strip_prefix("--grid=")) {
-            list = Some(v);
+impl<'a> Args<'a> {
+    /// Splits `args`. Exits 2, naming the flag, on an unknown flag and on
+    /// a value flag without its value (given last, followed by another
+    /// flag, or as `--flag=`).
+    fn parse(args: &'a [String]) -> Self {
+        let mut positional = Vec::new();
+        let mut values = Vec::new();
+        let mut it = args.iter().map(String::as_str);
+        while let Some(a) = it.next() {
+            if !a.starts_with("--") {
+                positional.push(a);
+                continue;
+            }
+            if SWITCHES.contains(&a) {
+                continue;
+            }
+            let (flag, inline) = match a.split_once('=') {
+                Some((flag, value)) => (flag, Some(value)),
+                None => (a, None),
+            };
+            if !VALUE_FLAGS.contains(&flag) {
+                eprintln!("error: unknown flag '{a}'");
+                eprintln!(
+                    "known flags: {}; with a value (--flag V or --flag=V): {}",
+                    SWITCHES.join(" "),
+                    VALUE_FLAGS.join(" ")
+                );
+                std::process::exit(2);
+            }
+            match inline.or_else(|| it.next()) {
+                Some(value) if !value.is_empty() && !value.starts_with("--") => {
+                    values.push((flag, value));
+                }
+                _ => usage_error(&format!("{flag} wants a value")),
+            }
         }
+        Args { positional, values }
     }
-    let list = list?;
+
+    /// The value given last to any of `flags`.
+    fn value(&self, flags: &[&str]) -> Option<&'a str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(f, _)| flags.contains(f))
+            .map(|&(_, v)| v)
+    }
+
+    /// `flag`'s value parsed as `T`. Exits 2 on a malformed value, saying
+    /// what the flag wants.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str, wants: &str) -> Option<T> {
+        let raw = self.value(&[flag])?;
+        let parsed = raw.parse().ok();
+        Some(parsed.unwrap_or_else(|| usage_error(&format!("{flag} wants {wants}, got '{raw}'"))))
+    }
+}
+
+/// `--grids 8,16,32` or `--grid 64`: a list of mesh edges >= 2. Exits 2
+/// on a malformed list.
+fn parse_grids(list: &str) -> Vec<u16> {
     let grids: Result<Vec<u16>, _> = list.split(',').map(|g| g.trim().parse::<u16>()).collect();
     match grids {
-        Ok(g) if !g.is_empty() && g.iter().all(|&e| e >= 2) => Some(g),
-        _ => {
-            eprintln!("error: --grids wants a comma-separated list of mesh edges >= 2, got '{list}'");
-            std::process::exit(2);
-        }
+        Ok(g) if !g.is_empty() && g.iter().all(|&e| e >= 2) => g,
+        _ => usage_error(&format!(
+            "--grids wants a comma-separated list of mesh edges >= 2, got '{list}'"
+        )),
     }
-}
-
-/// `--seed2 S` / `--seed2=S`. Exits with usage on an unparsable seed.
-fn parse_seed2(args: &[String]) -> Option<u64> {
-    let mut raw: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed2" {
-            raw = it.next().map(String::as_str);
-        } else if let Some(v) = a.strip_prefix("--seed2=") {
-            raw = Some(v);
-        }
-    }
-    let raw = raw?;
-    match raw.parse() {
-        Ok(s) => Some(s),
-        Err(_) => {
-            eprintln!("error: --seed2 wants an unsigned integer seed, got '{raw}'");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_out_dir(args: &[String]) -> Option<PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--out" {
-            return it.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--out=") {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
 }
 
 fn write_bench_json(path: &str, jobs: usize, scale: Scale, timings: &[Timing]) {
@@ -195,37 +195,19 @@ fn write_bench_json(path: &str, jobs: usize, scale: Scale, timings: &[Timing]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let raw_args: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&raw_args);
+    let quick = raw_args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
     // 0 would mean "decide per batch"; resolving here keeps the footer and
     // JSON honest about the worker count actually used everywhere.
-    let jobs = parse_jobs(&args).filter(|&n| n > 0).unwrap_or_else(default_jobs);
-    let mut positional: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            it.next(); // the flag's value is not an experiment id
-        } else if a.starts_with("--") {
-            let known = match a.split_once('=') {
-                Some((name, _)) => VALUE_FLAGS.contains(&name),
-                None => SWITCHES.contains(&a.as_str()),
-            };
-            if !known {
-                eprintln!("error: unknown flag '{a}'");
-                eprintln!(
-                    "known flags: {}; with a value (--flag V or --flag=V): {}",
-                    SWITCHES.join(" "),
-                    VALUE_FLAGS.join(" ")
-                );
-                std::process::exit(2);
-            }
-        } else {
-            positional.push(a.as_str());
-        }
-    }
-    let events_dir = parse_events_dir(&args);
-    let out_dir = parse_out_dir(&args);
+    let jobs = args
+        .parsed("--jobs", "an unsigned integer worker count")
+        .filter(|&n| n > 0)
+        .unwrap_or_else(default_jobs);
+    let positional = &args.positional;
+    let events_dir = args.value(&["--events"]).map(PathBuf::from);
+    let out_dir = args.value(&["--out"]).map(PathBuf::from);
 
     // `repro explain <id>`: one probe, human-readable decision timeline.
     if positional.first() == Some(&"explain") {
@@ -304,7 +286,7 @@ fn main() {
     // `repro diff <a> <b>` / `repro diff <id> --seed2 S`: first-divergence
     // run diff with causal chains and downstream drift.
     if positional.first() == Some(&"diff") {
-        let seed2 = parse_seed2(&args);
+        let seed2 = args.parsed("--seed2", "an unsigned integer seed");
         let (id, target) = match (positional.get(1), positional.get(2), seed2) {
             (Some(&id), None, Some(s)) => (id, DiffTarget::Seed(s)),
             (Some(&id), Some(&other), None) => (id, DiffTarget::Probe(other)),
@@ -330,7 +312,7 @@ fn main() {
     // nonzero on drift so CI can gate on it; `--inject-drift` is the
     // self-test hook proving the gate can fail.
     if positional.first() == Some(&"regress") {
-        let inject = args.iter().any(|a| a == "--inject-drift");
+        let inject = raw_args.iter().any(|a| a == "--inject-drift");
         let ok = regress::run_regress(jobs, inject);
         std::process::exit(if ok { 0 } else { 1 });
     }
@@ -344,7 +326,7 @@ fn main() {
             eprintln!("usage: repro bench kernels [--grids N,N,...] [--grid N] [--quick]");
             std::process::exit(2);
         }
-        let grids: Vec<u16> = parse_grids(&args).unwrap_or_else(|| {
+        let grids = args.value(&["--grids", "--grid"]).map(parse_grids).unwrap_or_else(|| {
             if quick {
                 QUICK_GRIDS.to_vec()
             } else {

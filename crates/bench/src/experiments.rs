@@ -1,9 +1,9 @@
-//! The nine experiments (E1–E9) of the reconstructed evaluation.
+//! The twelve experiments (E1–E12) of the reconstructed evaluation.
 //!
 //! Every driver takes a `jobs` worker count and submits its independent
-//! simulation runs to one [`Batch`](crate::runner::Batch); results come
-//! back in submission order, so the folded tables are identical for any
-//! `jobs` value (`1` reproduces the old serial loops exactly).
+//! simulation runs to one [`Batch`]; results come back in submission
+//! order, so the folded tables are identical for any `jobs` value (`1`
+//! reproduces the old serial loops exactly).
 
 use crate::runner::Batch;
 use crate::Scale;

@@ -83,6 +83,43 @@ fn unknown_flags_are_rejected_by_name() {
 }
 
 #[test]
+fn malformed_and_missing_flag_values_are_rejected_by_name() {
+    // Its own empty directory, so "wrote nothing" is checkable.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bad_flag_values");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    let cases: [(&[&str], &str); 3] = [
+        (&["e3", "--quick", "--jobs", "abc"], "--jobs"),
+        // The experiment id is not a worker count.
+        (&["--jobs", "e3"], "--jobs"),
+        // A trailing value flag has no value: no silent self-diff.
+        (&["diff", "e11", "--quick", "--seed2"], "--seed2"),
+    ];
+    for (args, flag) in cases {
+        let out = repro_cmd(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag),
+            "{args:?}: {flag} not named:\n{stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} ran anyway:\n{}",
+            stdout_of(&out)
+        );
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read test dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .collect();
+    assert!(left.is_empty(), "wrote files: {left:?}");
+}
+
+#[test]
 fn unknown_experiment_ids_are_rejected_by_name() {
     // Its own empty directory, so "wrote nothing" is checkable: other
     // tests leave `BENCH_repro.json` in the shared tmpdir.

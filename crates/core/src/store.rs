@@ -21,7 +21,7 @@
 //!
 //! A generation/dirty-set scheme stamps which cores changed policy-
 //! relevant state (mode, owner, session, health) since the last epoch
-//! boundary: every mutator funnels through [`CoreStore::mark_dirty`],
+//! boundary: every mutator funnels through `CoreStore::mark_dirty`,
 //! and [`CoreStore::advance_generation`] opens a fresh epoch without
 //! touching the per-core stamps (the stamp comparison makes old marks
 //! stale implicitly). Consumers that cache per-core derived data can

@@ -13,7 +13,9 @@
 //! (`crates/bench/src/events.rs`), and any `manytest_*` metric name they
 //! quote must be declared in `METRIC_KEYS` (`crates/bench/src/report.rs`)
 //! — a documented Prometheus metric that the report renderer no longer
-//! emits would silently break scrapes.
+//! emits would silently break scrapes. Every `*Verdict:*` paragraph must
+//! name, in backticks, a `#[test]` fn that exists in the workspace: a
+//! verdict no test asserts can go stale without failing anything.
 //!
 //! The golden store (`crates/bench/tests/golden/quick.json`) needs no
 //! lint: `repro regress` fails on a store that does not parse and on any
@@ -23,6 +25,7 @@ use super::Rule;
 use crate::diag::Finding;
 use crate::lexer::TokenKind;
 use crate::source::Workspace;
+use std::collections::BTreeSet;
 
 pub struct GoldenSchema;
 
@@ -52,13 +55,15 @@ impl Rule for GoldenSchema {
     }
 
     fn description(&self) -> &'static str {
-        "Perfetto traces must match the trace-event schema; doc probe ids and metric names must exist"
+        "Perfetto traces must match the trace-event schema; doc probe ids, metric names and \
+         verdict tests must exist"
     }
 
     fn check_workspace(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         self.check_trace_files(ws, out);
         self.check_doc_probe_ids(ws, &string_array(ws, EVENTS_FILE, "PROBE_IDS"), out);
         self.check_doc_metric_keys(ws, &string_array(ws, REPORT_FILE, "METRIC_KEYS"), out);
+        self.check_doc_verdict_tests(ws, out);
     }
 }
 
@@ -216,6 +221,67 @@ impl GoldenSchema {
             }
         }
     }
+
+    /// Every `*Verdict:*` paragraph (up to the next blank line) must name
+    /// a workspace `#[test]` fn in backticks.
+    fn check_doc_verdict_tests(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let tests = test_fn_names(ws);
+        for doc in DOC_FILES {
+            let Ok(text) = std::fs::read_to_string(ws.root.join(doc)) else {
+                continue;
+            };
+            let lines: Vec<&str> = text.lines().collect();
+            for (start, line) in lines.iter().enumerate() {
+                if !line.starts_with("*Verdict:*") {
+                    continue;
+                }
+                let len = lines[start..]
+                    .iter()
+                    .position(|l| l.trim().is_empty())
+                    .unwrap_or(lines.len() - start);
+                let paragraph = lines[start..start + len].join("\n");
+                // Odd segments between backticks are code spans.
+                let mut spans = paragraph.split('`').skip(1).step_by(2);
+                if spans.any(|span| tests.contains(span)) {
+                    continue;
+                }
+                out.push(Finding {
+                    rule: self.id(),
+                    file: doc.to_string(),
+                    line: (start + 1) as u32,
+                    col: 1,
+                    message: "verdict names no workspace `#[test]` fn in backticks".into(),
+                    rationale: "a verdict must name, in backticks, the test that keeps it \
+                                true; name the test or write one",
+                });
+            }
+        }
+    }
+}
+
+/// Names of every `#[test]` fn in the workspace (the first `fn` after a
+/// `#[test]` attribute, skipping any attributes stacked between).
+fn test_fn_names(ws: &Workspace) -> BTreeSet<&str> {
+    let mut names = BTreeSet::new();
+    for file in &ws.files {
+        let code: Vec<_> = file.code_tokens().collect();
+        for (i, window) in code.windows(4).enumerate() {
+            let is_test_attr = window[0].is_punct('#')
+                && window[1].is_punct('[')
+                && window[2].is_ident("test")
+                && window[3].is_punct(']');
+            if !is_test_attr {
+                continue;
+            }
+            let rest = &code[i + 4..];
+            if let Some(at) = rest.iter().position(|t| t.is_ident("fn")) {
+                if let Some(name) = rest.get(at + 1) {
+                    names.insert(name.text.as_str());
+                }
+            }
+        }
+    }
+    names
 }
 
 const TRACE_RATIONALE: &str =

@@ -530,6 +530,40 @@ fn golden_schema_checks_doc_metric_names_against_metric_keys() {
     assert!(metric_findings[0].contains("`manytest_bogus_metric`"));
 }
 
+#[test]
+fn golden_schema_requires_every_verdict_to_name_an_existing_test() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-verdict-fixture");
+    std::fs::create_dir_all(&root).expect("tmpdir");
+    std::fs::write(
+        root.join("EXPERIMENTS.md"),
+        "*Verdict:* reproduced; nothing asserts it.\n\n\
+         *Verdict:* reproduced. `e1_gone` (`crates/bench/tests/verdicts.rs`)\n\
+         asserts it.\n\n\
+         *Verdict:* reproduced. `e2_holds`\n\
+         (`crates/bench/tests/verdicts.rs`) asserts it.\n",
+    )
+    .expect("write");
+    let verdicts = SourceFile::from_source(
+        "crates/bench/tests/verdicts.rs",
+        "#[test]\n#[ignore]\nfn e2_holds() {}\n\nfn e1_gone() {}\n",
+    );
+    let ws = Workspace::from_sources(root, vec![verdicts]);
+    let report = run(&ws);
+    let flagged: Vec<(&str, u32)> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "golden-schema" && f.message.contains("verdict"))
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    // The verdict naming no test and the one naming a fn that is not a
+    // test are flagged at their first lines; `e2_holds` is a real test.
+    assert_eq!(
+        flagged,
+        [("EXPERIMENTS.md", 1), ("EXPERIMENTS.md", 3)],
+        "{flagged:?}"
+    );
+}
+
 // ----- acceptance: seeded violations fail, the real tree passes --------
 
 #[test]

@@ -1,13 +1,12 @@
-//! Property tests of the mapping strategies.
+//! Property tests of the mapping strategies. Each property runs 96 cases
+//! drawn from `SimRng::seed_from(seed)`; a failure names its seed.
 
 use manytest_map::prelude::*;
 use manytest_noc::Mesh2D;
 use manytest_sim::SimRng;
 use manytest_workload::TaskGraphGenerator;
-use proptest::prelude::*;
 
-fn random_context(mesh: Mesh2D, seed: u64, occupancy: f64) -> MapContext {
-    let mut rng = SimRng::seed_from(seed);
+fn random_context(mesh: Mesh2D, rng: &mut SimRng, occupancy: f64) -> MapContext {
     let mut ctx = MapContext::all_free(mesh);
     for c in mesh.coords() {
         if rng.gen_bool(occupancy) {
@@ -19,71 +18,85 @@ fn random_context(mesh: Mesh2D, seed: u64, occupancy: f64) -> MapContext {
     ctx
 }
 
-proptest! {
-    #[test]
-    fn mappings_are_always_valid_or_absent(
-        seed in any::<u64>(),
-        edge in 4u16..12,
-        occupancy in 0.0f64..0.9,
-    ) {
+#[test]
+fn mappings_are_always_valid_or_absent() {
+    for seed in 0..96 {
+        let mut rng = SimRng::seed_from(seed);
+        let edge = 4 + rng.gen_range(8) as u16;
+        let occupancy = rng.gen_f64_range(0.0, 0.9);
         let mesh = Mesh2D::new(edge, edge);
-        let ctx = random_context(mesh, seed, occupancy);
-        let mut rng = SimRng::seed_from(seed ^ 0xABCD);
+        let ctx = random_context(mesh, &mut rng, occupancy);
         let app = TaskGraphGenerator::default().generate(&mut rng, "prop");
-        for mapper in [&ConaMapper::new() as &dyn Mapper, &TestAwareMapper::default()] {
+        for mapper in [
+            &ConaMapper::new() as &dyn Mapper,
+            &TestAwareMapper::default(),
+        ] {
             match mapper.map(&ctx, &app) {
                 Some(m) => {
-                    prop_assert!(m.is_valid_for(mesh, &app));
+                    assert!(
+                        m.is_valid_for(mesh, &app),
+                        "seed {seed}: {} invalid",
+                        mapper.name()
+                    );
                     for &c in m.coords() {
-                        prop_assert!(ctx.is_free(c), "{} used occupied {c}", mapper.name());
+                        assert!(
+                            ctx.is_free(c),
+                            "seed {seed}: {} used occupied {c}",
+                            mapper.name()
+                        );
                     }
                 }
-                None => {
-                    prop_assert!(
-                        ctx.free_count() < app.task_count(),
-                        "{} refused although {} cores were free for {} tasks",
-                        mapper.name(),
-                        ctx.free_count(),
-                        app.task_count()
-                    );
-                }
+                None => assert!(
+                    ctx.free_count() < app.task_count(),
+                    "seed {seed}: {} refused although {} cores were free for {} tasks",
+                    mapper.name(),
+                    ctx.free_count(),
+                    app.task_count()
+                ),
             }
         }
     }
+}
 
-    #[test]
-    fn mapping_is_deterministic(seed in any::<u64>(), edge in 4u16..10) {
+#[test]
+fn mapping_is_deterministic() {
+    let tum = TestAwareMapper::default();
+    for seed in 0..96 {
+        let mut rng = SimRng::seed_from(seed);
+        let edge = 4 + rng.gen_range(6) as u16;
         let mesh = Mesh2D::new(edge, edge);
-        let ctx = random_context(mesh, seed, 0.3);
-        let mut rng = SimRng::seed_from(seed);
+        let ctx = random_context(mesh, &mut rng, 0.3);
         let app = TaskGraphGenerator::default().generate(&mut rng, "prop");
-        let tum = TestAwareMapper::default();
-        prop_assert_eq!(tum.map(&ctx, &app), tum.map(&ctx, &app));
+        assert_eq!(tum.map(&ctx, &app), tum.map(&ctx, &app), "seed {seed}");
     }
+}
 
-    #[test]
-    fn hop_cost_is_nonnegative_and_zero_only_for_trivial(
-        seed in any::<u64>(),
-    ) {
-        let mesh = Mesh2D::new(10, 10);
-        let ctx = MapContext::all_free(mesh);
-        let mut rng = SimRng::seed_from(seed);
-        let app = TaskGraphGenerator::default().generate(&mut rng, "prop");
-        let m = ConaMapper::new().map(&ctx, &app).unwrap();
-        let cost = m.weighted_hop_cost(&app);
-        prop_assert!(cost >= 0.0);
+#[test]
+fn hop_cost_is_nonnegative_and_zero_only_for_trivial() {
+    let ctx = MapContext::all_free(Mesh2D::new(10, 10));
+    for seed in 0..96 {
+        let app = TaskGraphGenerator::default().generate(&mut SimRng::seed_from(seed), "prop");
+        let cost = ConaMapper::new()
+            .map(&ctx, &app)
+            .unwrap()
+            .weighted_hop_cost(&app);
+        assert!(cost >= 0.0, "seed {seed}: cost {cost}");
         if app.edges().is_empty() {
-            prop_assert_eq!(cost, 0.0);
+            assert_eq!(cost, 0.0, "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn tum_penalty_never_picks_strictly_dominated_cores(
-        seed in any::<u64>(),
-    ) {
-        // One-task app, all free, uniform utilisation: the chosen core must
-        // be among the minimum-criticality cores.
-        let mesh = Mesh2D::new(6, 6);
+#[test]
+fn tum_penalty_never_picks_strictly_dominated_cores() {
+    // One-task app, all free, uniform utilisation: the chosen core must
+    // be among the minimum-criticality cores.
+    let mesh = Mesh2D::new(6, 6);
+    let mut g = manytest_workload::TaskGraph::new("solo");
+    g.add_task(manytest_workload::Task {
+        instructions: 1_000,
+    });
+    for seed in 0..96 {
         let mut ctx = MapContext::all_free(mesh);
         let mut rng = SimRng::seed_from(seed);
         let mut min_crit = f64::INFINITY;
@@ -92,24 +105,21 @@ proptest! {
             ctx.set_criticality(c, crit);
             min_crit = min_crit.min(crit);
         }
-        let mut g = manytest_workload::TaskGraph::new("solo");
-        g.add_task(manytest_workload::Task { instructions: 1_000 });
         let m = TestAwareMapper::new(0.0, 1.0).map(&ctx, &g).unwrap();
-        let chosen = m.coords()[0];
-        prop_assert!(
-            (ctx.criticality(chosen) - min_crit).abs() < 1e-9,
-            "picked criticality {} but minimum was {min_crit}",
-            ctx.criticality(chosen)
+        let chosen = ctx.criticality(m.coords()[0]);
+        assert!(
+            (chosen - min_crit).abs() < 1e-9,
+            "seed {seed}: picked criticality {chosen} but minimum was {min_crit}"
         );
     }
+}
 
-    #[test]
-    fn bounding_box_contains_all_tasks(seed in any::<u64>()) {
-        let mesh = Mesh2D::new(12, 12);
-        let ctx = MapContext::all_free(mesh);
-        let mut rng = SimRng::seed_from(seed);
-        let app = TaskGraphGenerator::default().generate(&mut rng, "prop");
+#[test]
+fn bounding_box_contains_all_tasks() {
+    let ctx = MapContext::all_free(Mesh2D::new(12, 12));
+    for seed in 0..96 {
+        let app = TaskGraphGenerator::default().generate(&mut SimRng::seed_from(seed), "prop");
         let m = TestAwareMapper::default().map(&ctx, &app).unwrap();
-        prop_assert!(m.bounding_box_area() >= app.task_count());
+        assert!(m.bounding_box_area() >= app.task_count(), "seed {seed}");
     }
 }

@@ -1,9 +1,9 @@
 //! Causal-chain reconstruction over a run's [`EventRecord`] stream.
 //!
 //! The control loop stamps every emitted event with a monotonic
-//! [`EventId`] and an optional [`CauseLink`] back to the event that
-//! triggered it. This module turns the flat, time-ordered record slice
-//! into a navigable provenance DAG:
+//! [`EventId`] and an optional [`CauseLink`](crate::obs::CauseLink) back to
+//! the event that triggered it. This module turns the flat, time-ordered
+//! record slice into a navigable provenance DAG:
 //!
 //! * [`ProvenanceGraph::chain_to_root`] — walk any event back through
 //!   its cause links to the root decision that started the chain.

@@ -1,34 +1,40 @@
-//! Property tests of the simulation kernel.
+//! Property tests of the simulation kernel. Each property runs 96 cases
+//! drawn from `SimRng::seed_from(seed)`; a failure names its seed.
 
 use manytest_sim::prelude::*;
-use proptest::prelude::*;
 
-proptest! {
-    #[test]
-    fn event_queue_pops_sorted_stable(times in prop::collection::vec(0u64..1_000, 1..200)) {
+#[test]
+fn event_queue_pops_sorted_stable() {
+    for seed in 0..96 {
+        let mut rng = SimRng::seed_from(seed);
+        let n = 1 + rng.gen_range(199) as usize;
         let mut queue = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            queue.schedule(SimTime::from_ns(t), i);
+        for i in 0..n {
+            queue.schedule(SimTime::from_ns(rng.gen_range(1_000)), i);
         }
         let mut popped: Vec<(SimTime, usize)> = Vec::new();
         while let Some(ev) = queue.pop() {
             popped.push((ev.time, ev.payload));
         }
-        prop_assert_eq!(popped.len(), times.len());
+        assert_eq!(popped.len(), n, "seed {seed}");
         // Sorted by time; FIFO among equals (payload = insertion index).
         for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
+            assert!(w[0].0 <= w[1].0, "seed {seed}: {w:?}");
             if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1);
+                assert!(w[0].1 < w[1].1, "seed {seed}: {w:?}");
             }
         }
     }
+}
 
-    #[test]
-    fn pop_before_partitions_the_timeline(
-        times in prop::collection::vec(0u64..1_000, 1..100),
-        deadline in 0u64..1_000,
-    ) {
+#[test]
+fn pop_before_partitions_the_timeline() {
+    for seed in 0..96 {
+        let mut rng = SimRng::seed_from(seed);
+        let times: Vec<u64> = (0..1 + rng.gen_range(99))
+            .map(|_| rng.gen_range(1_000))
+            .collect();
+        let deadline = rng.gen_range(1_000);
         let mut queue = EventQueue::new();
         for &t in &times {
             queue.schedule(SimTime::from_ns(t), t);
@@ -37,102 +43,125 @@ proptest! {
         while let Some(ev) = queue.pop_before(SimTime::from_ns(deadline)) {
             before.push(ev.payload);
         }
-        prop_assert!(before.iter().all(|&t| t < deadline));
-        prop_assert_eq!(before.len(), times.iter().filter(|&&t| t < deadline).count());
-        prop_assert_eq!(queue.len(), times.len() - before.len());
+        assert!(before.iter().all(|&t| t < deadline), "seed {seed}");
+        let due = times.iter().filter(|&&t| t < deadline).count();
+        assert_eq!(before.len(), due, "seed {seed}");
+        assert_eq!(queue.len(), times.len() - before.len(), "seed {seed}");
     }
+}
 
-    #[test]
-    fn histogram_conserves_every_sample(
-        samples in prop::collection::vec(-100.0f64..200.0, 0..300),
-    ) {
+#[test]
+fn histogram_conserves_every_sample() {
+    for seed in 0..96 {
+        let mut rng = SimRng::seed_from(seed);
+        let samples = rng.gen_range(300);
         let mut h = Histogram::new(0.0, 100.0, 10);
-        for &s in &samples {
-            h.push(s);
+        for _ in 0..samples {
+            h.push(rng.gen_f64_range(-100.0, 200.0));
         }
-        prop_assert_eq!(h.total(), samples.len() as u64);
+        assert_eq!(h.total(), samples, "seed {seed}");
         let binned: u64 = h.bins().iter().sum();
-        prop_assert_eq!(
+        assert_eq!(
             binned + h.underflow() + h.overflow(),
-            samples.len() as u64
+            samples,
+            "seed {seed}"
         );
     }
+}
 
-    #[test]
-    fn time_weighted_matches_manual_integration(
-        segments in prop::collection::vec((1u64..1_000, 0.0f64..100.0), 1..50),
-    ) {
+#[test]
+fn time_weighted_matches_manual_integration() {
+    for seed in 0..96 {
+        let mut rng = SimRng::seed_from(seed);
         let mut tw = TimeWeighted::new();
         let mut t = 0.0;
         let mut manual = 0.0;
-        for &(dt_ms, v) in &segments {
+        for _ in 0..1 + rng.gen_range(49) {
+            let dt = (1 + rng.gen_range(999)) as f64 / 1e3;
+            let v = rng.gen_f64_range(0.0, 100.0);
             tw.record(t, v);
-            let dt = dt_ms as f64 / 1e3;
             manual += v * dt;
             t += dt;
         }
         tw.finish(t);
-        prop_assert!((tw.integral() - manual).abs() < 1e-9 * (1.0 + manual));
-        prop_assert!((tw.mean() - manual / t).abs() < 1e-9 * (1.0 + manual));
+        let tolerance = 1e-9 * (1.0 + manual);
+        assert!((tw.integral() - manual).abs() < tolerance, "seed {seed}");
+        assert!((tw.mean() - manual / t).abs() < tolerance, "seed {seed}");
     }
+}
 
-    #[test]
-    fn downsample_preserves_endpoints_and_bounds(
-        n_points in 2usize..500,
-        target in 2usize..64,
-    ) {
+#[test]
+fn downsample_preserves_endpoints_and_bounds() {
+    for seed in 0..96 {
+        let mut rng = SimRng::seed_from(seed);
+        let n_points = 2 + rng.gen_range(498) as usize;
+        let target = 2 + rng.gen_range(62) as usize;
         let mut s = TraceSeries::new();
         for i in 0..n_points {
             s.push(i as f64, (i * 7 % 13) as f64);
         }
         let d = s.downsample(target);
-        prop_assert!(d.len() <= n_points.max(target));
-        prop_assert_eq!(d.points()[0], s.points()[0]);
-        prop_assert_eq!(*d.points().last().unwrap(), *s.points().last().unwrap());
+        assert!(
+            d.len() <= n_points.max(target),
+            "seed {seed}: {} points",
+            d.len()
+        );
+        assert_eq!(d.points()[0], s.points()[0], "seed {seed}");
+        assert_eq!(d.points().last(), s.points().last(), "seed {seed}");
     }
+}
 
-    #[test]
-    fn stats_merge_is_associative_enough(
-        a in prop::collection::vec(-1e3f64..1e3, 1..50),
-        b in prop::collection::vec(-1e3f64..1e3, 1..50),
-        c in prop::collection::vec(-1e3f64..1e3, 1..50),
-    ) {
-        let build = |xs: &[f64]| {
+#[test]
+fn stats_merge_is_associative_enough() {
+    for seed in 0..96 {
+        let mut rng = SimRng::seed_from(seed);
+        let mut build = || {
             let mut s = OnlineStats::new();
-            for &x in xs {
-                s.push(x);
+            for _ in 0..1 + rng.gen_range(49) {
+                s.push(rng.gen_f64_range(-1e3, 1e3));
             }
             s
         };
+        let (a, b, c) = (build(), build(), build());
         // (a ∪ b) ∪ c vs a ∪ (b ∪ c)
-        let mut left = build(&a);
-        left.merge(&build(&b));
-        left.merge(&build(&c));
-        let mut bc = build(&b);
-        bc.merge(&build(&c));
-        let mut right = build(&a);
+        let mut left = a.clone();
+        left.merge(&b);
+        left.merge(&c);
+        let mut bc = b;
+        bc.merge(&c);
+        let mut right = a;
         right.merge(&bc);
-        prop_assert_eq!(left.count(), right.count());
-        prop_assert!((left.mean() - right.mean()).abs() < 1e-9);
-        prop_assert!((left.variance() - right.variance()).abs() < 1e-6);
+        assert_eq!(left.count(), right.count(), "seed {seed}");
+        assert!((left.mean() - right.mean()).abs() < 1e-9, "seed {seed}");
+        assert!(
+            (left.variance() - right.variance()).abs() < 1e-6,
+            "seed {seed}"
+        );
     }
+}
 
-    #[test]
-    fn gen_exp_is_positive_and_finite(seed in any::<u64>(), rate in 0.001f64..1e6) {
+#[test]
+fn gen_exp_is_positive_and_finite() {
+    for seed in 0..96 {
         let mut rng = SimRng::seed_from(seed);
+        let rate = rng.gen_f64_range(0.001, 1e6);
         for _ in 0..50 {
             let x = rng.gen_exp(rate);
-            prop_assert!(x.is_finite());
-            prop_assert!(x > 0.0);
+            assert!(x.is_finite() && x > 0.0, "seed {seed}: {x} at rate {rate}");
         }
     }
+}
 
-    #[test]
-    fn epoch_partition_is_exact(ns in 0u64..1u64 << 50, epoch_ms in 1u64..100) {
-        let len = Duration::from_ms(epoch_ms);
-        let t = SimTime::from_ns(ns);
+#[test]
+fn epoch_partition_is_exact() {
+    for seed in 0..96 {
+        let mut rng = SimRng::seed_from(seed);
+        let t = SimTime::from_ns(rng.gen_range(1 << 50));
+        let len = Duration::from_ms(1 + rng.gen_range(99));
         let e = t.epoch(len);
-        prop_assert!(e.start(len) <= t);
-        prop_assert!(t < e.end(len));
+        assert!(
+            e.start(len) <= t && t < e.end(len),
+            "seed {seed}: {t:?} in {e:?}"
+        );
     }
 }
