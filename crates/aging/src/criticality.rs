@@ -94,10 +94,10 @@ impl CriticalityModel {
     ///
     /// The staleness term grows by exactly `time_weight·dt/target_period`
     /// on every core, tested or not, and the stress term by at most
-    /// `damage`'s share of it. NBTI recovery and a completed test only
-    /// lower criticality, so neither can break the bound. This is what
-    /// lets the test scheduler predict, for a core below its threshold,
-    /// the earliest time the core can reach it.
+    /// `damage`'s share of it. A completed test only lowers criticality,
+    /// so it cannot break the bound. This is what lets the test scheduler
+    /// predict, for a core below its threshold, the earliest time the
+    /// core can reach it.
     pub fn rise_bound(&self, dt: f64, damage: f64) -> f64 {
         let reference_damage_per_period = self.reference_wear_rate * self.target_period;
         self.stress_weight * (damage / reference_damage_per_period)
@@ -132,7 +132,6 @@ mod tests {
             damage_since_test,
             utilization: 0.5,
             last_test_time,
-            recoverable_damage: 0.0,
         }
     }
 

@@ -42,14 +42,14 @@ pub mod stress;
 pub mod thermal;
 
 pub use criticality::CriticalityModel;
-pub use model::{AgingModel, RecoveryParams};
+pub use model::AgingModel;
 pub use stress::{CoreStress, EpochWear, StressTracker};
 pub use thermal::{ThermalGrid, ThermalParams};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::criticality::CriticalityModel;
-    pub use crate::model::{AgingModel, RecoveryParams};
+    pub use crate::model::AgingModel;
     pub use crate::stress::{CoreStress, EpochWear, StressTracker};
     pub use crate::thermal::{ThermalGrid, ThermalParams};
 }

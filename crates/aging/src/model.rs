@@ -13,42 +13,6 @@ use serde::{Deserialize, Serialize};
 /// Boltzmann constant in eV/K.
 const BOLTZMANN_EV: f64 = 8.617e-5;
 
-/// Parameters of (partial) NBTI-style stress recovery.
-///
-/// NBTI damage has a *recoverable* component: interface traps partially
-/// anneal while the transistor is unstressed. When enabled, a fraction of
-/// newly accumulated damage is recoverable and decays exponentially during
-/// low-power epochs — which rewards policies (like the test-aware mapper)
-/// that grant cores genuine rest periods.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryParams {
-    /// Fraction of new damage that is recoverable, in `[0, 1]`.
-    pub recoverable_fraction: f64,
-    /// Time constant of the healing exponential, seconds.
-    pub time_constant: f64,
-    /// A core heals only while drawing less than this, watts.
-    pub idle_power_threshold: f64,
-}
-
-impl RecoveryParams {
-    /// Typical NBTI-flavoured values at this simulator's compressed
-    /// timescale: 30 % of damage recoverable with a 200 ms time constant,
-    /// healing below 0.05 W.
-    pub fn new() -> Self {
-        RecoveryParams {
-            recoverable_fraction: 0.3,
-            time_constant: 0.2,
-            idle_power_threshold: 0.05,
-        }
-    }
-}
-
-impl Default for RecoveryParams {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Maps per-core power to a wear rate (damage units per second).
 ///
 /// # Examples
@@ -76,8 +40,6 @@ pub struct AgingModel {
     pub t_reference: f64,
     /// Base wear rate at the reference temperature, damage/second.
     pub base_rate: f64,
-    /// Optional NBTI-style partial recovery (None = damage is permanent).
-    pub recovery: Option<RecoveryParams>,
 }
 
 impl AgingModel {
@@ -90,20 +52,7 @@ impl AgingModel {
             activation_energy: 0.6,
             t_reference: 333.15,   // 60 °C
             base_rate: 1.0,
-            recovery: None,
         }
-    }
-
-    /// Enables NBTI-style partial recovery with the given parameters.
-    #[must_use]
-    pub fn with_recovery(mut self, params: RecoveryParams) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&params.recoverable_fraction),
-            "recoverable fraction must be in [0,1]"
-        );
-        assert!(params.time_constant > 0.0, "time constant must be positive");
-        self.recovery = Some(params);
-        self
     }
 
     /// Steady-state temperature of a core drawing `power` watts, kelvin.
@@ -237,23 +186,5 @@ mod tests {
     #[test]
     fn default_equals_new() {
         assert_eq!(AgingModel::default(), AgingModel::new());
-        assert!(AgingModel::default().recovery.is_none());
-    }
-
-    #[test]
-    fn with_recovery_stores_params() {
-        let m = AgingModel::default().with_recovery(RecoveryParams::default());
-        let r = m.recovery.expect("recovery enabled");
-        assert!((0.0..=1.0).contains(&r.recoverable_fraction));
-        assert!(r.time_constant > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "recoverable fraction")]
-    fn bad_recovery_fraction_panics() {
-        let _ = AgingModel::default().with_recovery(RecoveryParams {
-            recoverable_fraction: 1.5,
-            ..RecoveryParams::default()
-        });
     }
 }

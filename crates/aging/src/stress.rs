@@ -21,9 +21,6 @@ pub struct CoreStress {
     /// Simulation time (seconds) when the core last completed a test;
     /// negative infinity-like sentinel (−1) if never tested.
     pub last_test_time: f64,
-    /// Portion of `total_damage` that can still heal (NBTI recovery);
-    /// zero unless the aging model enables recovery.
-    pub recoverable_damage: f64,
 }
 
 impl Default for CoreStress {
@@ -33,7 +30,6 @@ impl Default for CoreStress {
             damage_since_test: 0.0,
             utilization: 0.0,
             last_test_time: -1.0,
-            recoverable_damage: 0.0,
         }
     }
 }
@@ -55,8 +51,8 @@ impl CoreStress {
 /// epoch close needs no second pass over the cores.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochWear {
-    /// Largest damage charged to any core, before NBTI recovery: no
-    /// core's `damage_since_test` grew by more this epoch.
+    /// Largest damage charged to any core: no core's
+    /// `damage_since_test` grew by more this epoch.
     pub max_damage: f64,
     /// Mean utilisation after the pass, bit for bit
     /// [`StressTracker::mean_utilization`].
@@ -126,7 +122,7 @@ impl StressTracker {
     ) {
         assert_busy_fraction(busy);
         let damage = aging.damage(power, dt);
-        Self::charge_epoch(&mut self.cores[core], aging, self.ema_alpha, damage, power, busy, dt);
+        Self::charge_epoch(&mut self.cores[core], self.ema_alpha, damage, busy);
     }
 
     /// Records one epoch for every core from its raw accumulators, then
@@ -177,7 +173,7 @@ impl StressTracker {
                 let damage = *gated_damage.get_or_insert_with(|| aging.damage(0.0, dt));
                 while i < n && gated(energy[i], busy[i]) {
                     let c = &mut self.cores[i];
-                    Self::charge_epoch(c, aging, self.ema_alpha, damage, 0.0, 0.0, dt);
+                    Self::charge_epoch(c, self.ema_alpha, damage, 0.0);
                     utilization += c.utilization;
                     i += 1;
                 }
@@ -188,7 +184,7 @@ impl StressTracker {
             let power = energy[i] / dt;
             assert_busy_fraction(busy_fraction);
             let damage = memo.get_or_eval(power, |p| aging.damage(p, dt));
-            Self::charge_epoch(c, aging, self.ema_alpha, damage, power, busy_fraction, dt);
+            Self::charge_epoch(c, self.ema_alpha, damage, busy_fraction);
             busy[i] = 0.0;
             energy[i] = 0.0;
             utilization += c.utilization;
@@ -205,30 +201,10 @@ impl StressTracker {
     }
 
     /// Charges one epoch's `damage` to `c` and folds `busy` into its
-    /// utilisation average. When the aging model enables NBTI recovery,
-    /// part of the recoverable pool heals if `power` is below the idle
-    /// threshold.
-    fn charge_epoch(
-        c: &mut CoreStress,
-        aging: &AgingModel,
-        ema_alpha: f64,
-        damage: f64,
-        power: f64,
-        busy: f64,
-        dt: f64,
-    ) {
+    /// utilisation average.
+    fn charge_epoch(c: &mut CoreStress, ema_alpha: f64, damage: f64, busy: f64) {
         c.total_damage += damage;
         c.damage_since_test += damage;
-        if let Some(rec) = aging.recovery {
-            c.recoverable_damage += damage * rec.recoverable_fraction;
-            if power < rec.idle_power_threshold {
-                let healed =
-                    c.recoverable_damage * (1.0 - (-dt / rec.time_constant).exp());
-                c.recoverable_damage -= healed;
-                c.total_damage = (c.total_damage - healed).max(0.0);
-                c.damage_since_test = (c.damage_since_test - healed).max(0.0);
-            }
-        }
         c.utilization = (1.0 - ema_alpha) * c.utilization + ema_alpha * busy;
     }
 
@@ -250,8 +226,7 @@ impl StressTracker {
         assert_busy_fraction(busy);
         assert!(dt >= 0.0, "time must be non-negative");
         let damage = aging.base_rate * aging.acceleration_at(temperature) * dt;
-        let power = idle_power_proxy(busy);
-        Self::charge_epoch(&mut self.cores[core], aging, self.ema_alpha, damage, power, busy, dt);
+        Self::charge_epoch(&mut self.cores[core], self.ema_alpha, damage, busy);
     }
 
     /// [`Self::record_epoch_all`] for the transient thermal path: core
@@ -287,8 +262,7 @@ impl StressTracker {
             assert_busy_fraction(busy);
             let damage =
                 memo.get_or_eval(temperature, |t| aging.base_rate * arrhenius.at(t) * dt);
-            let power = idle_power_proxy(busy);
-            Self::charge_epoch(c, aging, self.ema_alpha, damage, power, busy, dt);
+            Self::charge_epoch(c, self.ema_alpha, damage, busy);
             *b = 0.0;
             *e = 0.0;
             utilization += c.utilization;
@@ -354,17 +328,6 @@ fn assert_busy_fraction(busy: f64) {
     assert!((0.0..=1.0).contains(&busy), "busy fraction must be in [0,1]");
 }
 
-/// Recovery keys off power; the temperature path approximates
-/// "unstressed" as `busy == 0` by translating idleness into a nominal
-/// power below any plausible threshold.
-fn idle_power_proxy(busy: f64) -> f64 {
-    if busy == 0.0 {
-        0.0
-    } else {
-        f64::INFINITY
-    }
-}
-
 /// One-entry memo of a pure `f64 → f64` function, keyed by the input's
 /// exact bits. It starts empty, so no sentinel input can match, and it
 /// only ever holds inputs the function accepted: an input the function
@@ -400,7 +363,6 @@ impl LastEval {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::RecoveryParams;
     use manytest_sim::SimRng;
 
     fn tracker() -> (AgingModel, StressTracker) {
@@ -491,48 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_heals_idle_cores_only() {
-        let aging = AgingModel::default().with_recovery(RecoveryParams::default());
-        let mut t = StressTracker::new(2, 0.2);
-        // Both cores accumulate identical stress while busy.
-        for _ in 0..100 {
-            t.record_epoch(0, &aging, 1.0, 1.0, 0.001);
-            t.record_epoch(1, &aging, 1.0, 1.0, 0.001);
-        }
-        let loaded = t.core(0).total_damage;
-        let pool_after_load = t.core(0).recoverable_damage;
-        assert!(pool_after_load > 0.0);
-        // Core 0 rests (power-gated); core 1 keeps working.
-        for _ in 0..500 {
-            t.record_epoch(0, &aging, 0.0, 0.0, 0.001);
-            t.record_epoch(1, &aging, 1.0, 1.0, 0.001);
-        }
-        // The rested core healed: its damage grew by less than the idle
-        // wear it accrued (healing offset part of it)...
-        let idle_wear = aging.damage(0.0, 0.5);
-        assert!(t.core(0).total_damage < loaded + idle_wear);
-        // ...and far less than the still-working core.
-        assert!(t.core(1).total_damage > t.core(0).total_damage + 0.5 * idle_wear);
-        // The recoverable pool drains towards its idle equilibrium.
-        assert!(t.core(0).recoverable_damage < 0.5 * pool_after_load);
-    }
-
-    #[test]
-    fn no_recovery_without_opt_in() {
-        let aging = AgingModel::default();
-        let mut t = StressTracker::new(1, 0.2);
-        for _ in 0..50 {
-            t.record_epoch(0, &aging, 1.0, 1.0, 0.001);
-        }
-        let peak = t.core(0).total_damage;
-        for _ in 0..50 {
-            t.record_epoch(0, &aging, 0.0, 0.0, 0.001);
-        }
-        assert!(t.core(0).total_damage >= peak, "permanent damage never heals");
-        assert_eq!(t.core(0).recoverable_damage, 0.0);
-    }
-
-    #[test]
     fn iter_visits_all_cores() {
         let (_, t) = tracker();
         assert_eq!(t.iter().count(), 4);
@@ -540,11 +460,6 @@ mod tests {
     }
 
     const DT: f64 = 0.001;
-
-    fn models() -> [AgingModel; 2] {
-        let plain = AgingModel::default();
-        [plain, plain.with_recovery(RecoveryParams::default())]
-    }
 
     /// The accumulator patterns the wear-pass oracles draw epochs from.
     #[derive(Clone, Copy, Debug)]
@@ -604,7 +519,7 @@ mod tests {
         }
     }
 
-    fn state_bits(t: &StressTracker) -> Vec<[u64; 5]> {
+    fn state_bits(t: &StressTracker) -> Vec<[u64; 4]> {
         t.iter()
             .map(|c| {
                 [
@@ -612,7 +527,6 @@ mod tests {
                     c.damage_since_test.to_bits(),
                     c.utilization.to_bits(),
                     c.last_test_time.to_bits(),
-                    c.recoverable_damage.to_bits(),
                 ]
             })
             .collect()
@@ -621,39 +535,38 @@ mod tests {
     #[test]
     fn record_epoch_all_matches_per_core_loop() {
         let mut rng = SimRng::seed_from(2024);
-        for aging in models() {
-            for n in [1, 2, 7, 64, 333, 4096] {
-                let mut fast = StressTracker::new(n, 0.1);
-                let mut slow = fast.clone();
-                for epoch in 0..20 {
-                    let shape = Shape::of_epoch(epoch);
-                    let (mut energy, mut busy) = random_epoch(&mut rng, n, shape);
-                    let mut largest = 0.0f64;
-                    let mut hottest = f64::NEG_INFINITY;
-                    for core in 0..n {
-                        let b = (busy[core] / DT).clamp(0.0, 1.0);
-                        slow.record_epoch(core, &aging, energy[core] / DT, b, DT);
-                        largest = largest.max(aging.damage(energy[core] / DT, DT));
-                        hottest = hottest.max(energy[core] / DT);
-                    }
-                    let wear = fast.record_epoch_all(&aging, &mut energy, &mut busy, DT);
-                    let at = format!("n {n}, epoch {epoch} ({shape:?})");
-                    assert_eq!(state_bits(&fast), state_bits(&slow), "{at}");
-                    assert_eq!(wear.max_damage.to_bits(), largest.to_bits(), "{at}");
-                    assert_eq!(
-                        wear.mean_utilization.to_bits(),
-                        slow.mean_utilization().to_bits(),
-                        "{at}"
-                    );
-                    // Compared as values: a pass may see `-0.0` and
-                    // `+0.0` powers in either order.
-                    assert_eq!(wear.max_input, hottest, "{at}");
-                    assert!(energy.iter().chain(&busy).all(|v| v.to_bits() == 0));
-                    if epoch % 7 == 3 {
-                        let core = rng.gen_range(n as u64) as usize;
-                        fast.note_test_complete(core, epoch as f64 * DT);
-                        slow.note_test_complete(core, epoch as f64 * DT);
-                    }
+        let aging = AgingModel::default();
+        for n in [1, 2, 7, 64, 333, 4096] {
+            let mut fast = StressTracker::new(n, 0.1);
+            let mut slow = fast.clone();
+            for epoch in 0..20 {
+                let shape = Shape::of_epoch(epoch);
+                let (mut energy, mut busy) = random_epoch(&mut rng, n, shape);
+                let mut largest = 0.0f64;
+                let mut hottest = f64::NEG_INFINITY;
+                for core in 0..n {
+                    let b = (busy[core] / DT).clamp(0.0, 1.0);
+                    slow.record_epoch(core, &aging, energy[core] / DT, b, DT);
+                    largest = largest.max(aging.damage(energy[core] / DT, DT));
+                    hottest = hottest.max(energy[core] / DT);
+                }
+                let wear = fast.record_epoch_all(&aging, &mut energy, &mut busy, DT);
+                let at = format!("n {n}, epoch {epoch} ({shape:?})");
+                assert_eq!(state_bits(&fast), state_bits(&slow), "{at}");
+                assert_eq!(wear.max_damage.to_bits(), largest.to_bits(), "{at}");
+                assert_eq!(
+                    wear.mean_utilization.to_bits(),
+                    slow.mean_utilization().to_bits(),
+                    "{at}"
+                );
+                // Compared as values: a pass may see `-0.0` and
+                // `+0.0` powers in either order.
+                assert_eq!(wear.max_input, hottest, "{at}");
+                assert!(energy.iter().chain(&busy).all(|v| v.to_bits() == 0));
+                if epoch % 7 == 3 {
+                    let core = rng.gen_range(n as u64) as usize;
+                    fast.note_test_complete(core, epoch as f64 * DT);
+                    slow.note_test_complete(core, epoch as f64 * DT);
                 }
             }
         }
@@ -662,46 +575,45 @@ mod tests {
     #[test]
     fn record_epoch_all_at_temperature_matches_per_core_loop() {
         let mut rng = SimRng::seed_from(2025);
-        for aging in models() {
-            for n in [1, 2, 7, 64, 333, 4096] {
-                let mut fast = StressTracker::new(n, 0.1);
-                let mut slow = fast.clone();
-                for epoch in 0..20 {
-                    let shape = Shape::of_epoch(epoch);
-                    let (mut energy, mut busy) = random_epoch(&mut rng, n, shape);
-                    let temps: Vec<f64> = (0..n)
-                        .map(|_| match (shape, rng.gen_range(4)) {
-                            (Shape::Dark, _) | (_, 0 | 1) => aging.t_ambient,
-                            (_, 2) => *rng.choose(&[330.0, 345.5]).expect("non-empty"),
-                            _ => rng.gen_f64_range(300.0, 400.0),
-                        })
-                        .collect();
-                    let mut largest = 0.0f64;
-                    for core in 0..n {
-                        let b = (busy[core] / DT).clamp(0.0, 1.0);
-                        slow.record_epoch_at_temperature(core, &aging, temps[core], b, DT);
-                        let damage = aging.base_rate * aging.acceleration_at(temps[core]) * DT;
-                        largest = largest.max(damage);
-                    }
-                    let wear = fast.record_epoch_all_at_temperature(
-                        &aging,
-                        &temps,
-                        &mut energy,
-                        &mut busy,
-                        DT,
-                    );
-                    let at = format!("n {n}, epoch {epoch} ({shape:?})");
-                    let hottest = temps.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-                    assert_eq!(state_bits(&fast), state_bits(&slow), "{at}");
-                    assert_eq!(wear.max_damage.to_bits(), largest.to_bits(), "{at}");
-                    assert_eq!(
-                        wear.mean_utilization.to_bits(),
-                        slow.mean_utilization().to_bits(),
-                        "{at}"
-                    );
-                    assert_eq!(wear.max_input.to_bits(), hottest.to_bits(), "{at}");
-                    assert!(energy.iter().chain(&busy).all(|v| v.to_bits() == 0));
+        let aging = AgingModel::default();
+        for n in [1, 2, 7, 64, 333, 4096] {
+            let mut fast = StressTracker::new(n, 0.1);
+            let mut slow = fast.clone();
+            for epoch in 0..20 {
+                let shape = Shape::of_epoch(epoch);
+                let (mut energy, mut busy) = random_epoch(&mut rng, n, shape);
+                let temps: Vec<f64> = (0..n)
+                    .map(|_| match (shape, rng.gen_range(4)) {
+                        (Shape::Dark, _) | (_, 0 | 1) => aging.t_ambient,
+                        (_, 2) => *rng.choose(&[330.0, 345.5]).expect("non-empty"),
+                        _ => rng.gen_f64_range(300.0, 400.0),
+                    })
+                    .collect();
+                let mut largest = 0.0f64;
+                for core in 0..n {
+                    let b = (busy[core] / DT).clamp(0.0, 1.0);
+                    slow.record_epoch_at_temperature(core, &aging, temps[core], b, DT);
+                    let damage = aging.base_rate * aging.acceleration_at(temps[core]) * DT;
+                    largest = largest.max(damage);
                 }
+                let wear = fast.record_epoch_all_at_temperature(
+                    &aging,
+                    &temps,
+                    &mut energy,
+                    &mut busy,
+                    DT,
+                );
+                let at = format!("n {n}, epoch {epoch} ({shape:?})");
+                let hottest = temps.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+                assert_eq!(state_bits(&fast), state_bits(&slow), "{at}");
+                assert_eq!(wear.max_damage.to_bits(), largest.to_bits(), "{at}");
+                assert_eq!(
+                    wear.mean_utilization.to_bits(),
+                    slow.mean_utilization().to_bits(),
+                    "{at}"
+                );
+                assert_eq!(wear.max_input.to_bits(), hottest.to_bits(), "{at}");
+                assert!(energy.iter().chain(&busy).all(|v| v.to_bits() == 0));
             }
         }
     }

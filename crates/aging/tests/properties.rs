@@ -44,7 +44,6 @@ fn criticality_is_monotone_in_both_pressures() {
         damage_since_test: damage,
         utilization: 0.5,
         last_test_time: 0.0,
-        recoverable_damage: 0.0,
     };
     for seed in 0..96 {
         let mut rng = SimRng::seed_from(seed);

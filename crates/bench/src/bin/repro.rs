@@ -44,11 +44,14 @@
 //! at quick scale and exits nonzero if any pinned value drifted;
 //! `MANYTEST_UPDATE_GOLDEN=1 repro regress` regenerates the store.
 //!
-//! Any other `--` flag, a value flag without its value, a `--jobs`
-//! value that is not an unsigned integer, and any experiment id outside
-//! e1..e12 and a1..a6 is an error (exit 2) raised before anything prints
-//! or is written, so a misspelt or retired name never silently changes
-//! what runs.
+//! Any other `--` flag, a flag the chosen command does not read, a value
+//! flag without its value, a `--jobs` value that is not an unsigned
+//! integer, and any experiment id outside e1..e12 and a1..a6 is an error
+//! (exit 2) raised before anything prints or is written, so a misspelt,
+//! misplaced or retired name never silently changes what runs. Every
+//! command reads `--jobs` and `--quick`; `--events` is read by the table
+//! runs, `--out` by `report` and `trace`, `--grids` and `--grid` by
+//! `bench kernels`, `--seed2` by `diff` and `--inject-drift` by `regress`.
 
 use manytest_bench::diff::{run_diff, DiffTarget};
 use manytest_bench::events::{explain, write_event_logs, PROBE_IDS};
@@ -79,25 +82,44 @@ const SWITCHES: [&str; 2] = ["--quick", "--inject-drift"];
 /// Flags that take a value, as `--flag VALUE` or `--flag=VALUE`.
 const VALUE_FLAGS: [&str; 6] = ["--jobs", "--events", "--out", "--grids", "--grid", "--seed2"];
 
+/// The subcommands, named by the first positional word. Any other
+/// command line runs experiment tables.
+const SUBCOMMANDS: [&str; 6] = ["explain", "report", "trace", "diff", "regress", "bench"];
+
+/// Flags that only some commands read, with those commands (`tables` is
+/// the experiment-table run). Every command reads `--jobs` and `--quick`.
+const FLAG_READERS: [(&str, &[&str]); 6] = [
+    ("--events", &["tables"]),
+    ("--out", &["report", "trace"]),
+    ("--grids", &["bench"]),
+    ("--grid", &["bench"]),
+    ("--seed2", &["diff"]),
+    ("--inject-drift", &["regress"]),
+];
+
 /// Exits 2 after printing `message`.
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
 }
 
-/// The command line, split once into positional words and flag values.
+/// The command line, split once into positional words, switches and
+/// flag values.
 struct Args<'a> {
     positional: Vec<&'a str>,
+    /// The switches given, in command-line order.
+    switches: Vec<&'a str>,
     /// `(flag, value)` pairs in command-line order.
     values: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Args<'a> {
-    /// Splits `args`. Exits 2, naming the flag, on an unknown flag and on
-    /// a value flag without its value (given last, followed by another
-    /// flag, or as `--flag=`).
+    /// Splits `args`. Exits 2, naming the flag, on an unknown flag, on a
+    /// value flag without its value (given last, followed by another
+    /// flag, or as `--flag=`) and on a flag the command does not read.
     fn parse(args: &'a [String]) -> Self {
         let mut positional = Vec::new();
+        let mut switches = Vec::new();
         let mut values = Vec::new();
         let mut it = args.iter().map(String::as_str);
         while let Some(a) = it.next() {
@@ -106,6 +128,7 @@ impl<'a> Args<'a> {
                 continue;
             }
             if SWITCHES.contains(&a) {
+                switches.push(a);
                 continue;
             }
             let (flag, inline) = match a.split_once('=') {
@@ -128,7 +151,39 @@ impl<'a> Args<'a> {
                 _ => usage_error(&format!("{flag} wants a value")),
             }
         }
-        Args { positional, values }
+        let args = Args { positional, switches, values };
+        let command = args.command();
+        let name = |command: &str| match command {
+            "tables" => "the table runs".to_owned(),
+            _ => format!("`repro {command}`"),
+        };
+        let given = args.switches.iter().chain(args.values.iter().map(|(f, _)| f));
+        for flag in given {
+            let readers = FLAG_READERS.iter().find(|(f, _)| f == flag).map(|&(_, r)| r);
+            if let Some(readers) = readers.filter(|r| !r.contains(&command)) {
+                let readers: Vec<String> = readers.iter().map(|r| name(r)).collect();
+                usage_error(&format!(
+                    "{flag} is not read by {}, only by {}",
+                    name(command),
+                    readers.join(" and ")
+                ));
+            }
+        }
+        args
+    }
+
+    /// The command this line runs: its first positional word if that is
+    /// a subcommand, else `tables`.
+    fn command(&self) -> &'a str {
+        match self.positional.first() {
+            Some(&word) if SUBCOMMANDS.contains(&word) => word,
+            _ => "tables",
+        }
+    }
+
+    /// True if `switch` was given.
+    fn switch(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
     }
 
     /// The value given last to any of `flags`.
@@ -197,7 +252,7 @@ fn write_bench_json(path: &str, jobs: usize, scale: Scale, timings: &[Timing]) {
 fn main() {
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(&raw_args);
-    let quick = raw_args.iter().any(|a| a == "--quick");
+    let quick = args.switch("--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
     // 0 would mean "decide per batch"; resolving here keeps the footer and
     // JSON honest about the worker count actually used everywhere.
@@ -312,8 +367,7 @@ fn main() {
     // nonzero on drift so CI can gate on it; `--inject-drift` is the
     // self-test hook proving the gate can fail.
     if positional.first() == Some(&"regress") {
-        let inject = raw_args.iter().any(|a| a == "--inject-drift");
-        let ok = regress::run_regress(jobs, inject);
+        let ok = regress::run_regress(jobs, args.switch("--inject-drift"));
         std::process::exit(if ok { 0 } else { 1 });
     }
 

@@ -88,12 +88,17 @@ fn malformed_and_missing_flag_values_are_rejected_by_name() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bad_flag_values");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create test dir");
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["e3", "--quick", "--jobs", "abc"], "--jobs"),
         // The experiment id is not a worker count.
         (&["--jobs", "e3"], "--jobs"),
         // A trailing value flag has no value: no silent self-diff.
         (&["diff", "e11", "--quick", "--seed2"], "--seed2"),
+        // Flags the table runs do not read, so their values would be
+        // silently ignored.
+        (&["e3", "--quick", "--seed2", "abc"], "--seed2"),
+        (&["e3", "--quick", "--grids", "x"], "--grids"),
+        (&["e3", "--quick", "--out", "somedir"], "--out"),
     ];
     for (args, flag) in cases {
         let out = repro_cmd(args)

@@ -10,10 +10,10 @@
 //! The prediction is exact because of how criticality moves
 //! ([`CriticalityModel::rise_bound`]): the staleness term grows at the
 //! same slope on every core, `damage_since_test` grows by at most one
-//! epoch's damage increment per epoch, and NBTI recovery and a completed
-//! test only lower it. So with `R` bounding every core's per-epoch damage
-//! increment, busy or idle, a core at criticality `c < θ` cannot reach `θ`
-//! within `(θ − c) / rise` epochs. The bound is adaptive: it starts at
+//! epoch's damage increment per epoch, and a completed test only lowers
+//! it. So with `R` bounding every core's per-epoch damage increment, busy
+//! or idle, a core at criticality `c < θ` cannot reach `θ` within
+//! `(θ − c) / rise` epochs. The bound is adaptive: it starts at
 //! zero, and when the wear pass reports a larger increment the calendar
 //! raises it and wakes every core, so a wrong bound costs evaluations,
 //! never launches. A core below the threshold never becomes a launch or a

@@ -1,6 +1,6 @@
 //! Full system configuration.
 
-use manytest_aging::{AgingModel, CriticalityModel};
+use manytest_aging::CriticalityModel;
 use manytest_power::TechNode;
 use manytest_sbst::TestSchedulerConfig;
 use manytest_sim::Duration;
@@ -63,6 +63,11 @@ impl std::fmt::Display for FaultResponsePolicy {
     }
 }
 
+/// Length of one control epoch. The control plane (governor, mapper,
+/// test scheduler) runs once per epoch, and the epoch close charges
+/// power, wear and the trace series once per epoch.
+pub const EPOCH: Duration = Duration::from_ms(1);
+
 /// Everything a [`crate::System`] needs to run.
 ///
 /// Construct through [`crate::SystemBuilder`]; the fields are public so
@@ -71,30 +76,22 @@ impl std::fmt::Display for FaultResponsePolicy {
 pub struct SystemConfig {
     /// Technology node (fixes mesh size, power params, TDP).
     pub node: TechNode,
-    /// Control epoch length.
-    pub epoch: Duration,
     /// Total simulated time.
     pub horizon: Duration,
     /// RNG seed for the whole run.
     pub seed: u64,
     /// Mean application arrival rate, apps/second.
     pub arrival_rate: f64,
-    /// Deterministic evenly-spaced arrivals instead of Poisson.
-    pub periodic_arrivals: bool,
-    /// Number of DVFS levels in the ladder.
-    pub dvfs_levels: usize,
-    /// Instructions per cycle of workload code.
-    pub workload_ipc: f64,
     /// Online testing enabled at all (off = the "no test" baseline).
     pub testing_enabled: bool,
-    /// Test scheduler tuning.
+    /// Test scheduler tuning. Its `ladder_levels` sizes the one DVFS
+    /// ladder of the run: admission, testing and the windowed-fault
+    /// level draw all use it.
     pub test_scheduler: TestSchedulerConfig,
     /// Governor choice.
     pub governor: GovernorKind,
     /// Mapper choice.
     pub mapper: MapperKind,
-    /// Aging model parameters.
-    pub aging: AgingModel,
     /// Criticality metric parameters.
     pub criticality: CriticalityModel,
     /// Number of latent faults to inject, spread uniformly over the first
@@ -109,11 +106,6 @@ pub struct SystemConfig {
     pub vf_windowed_fault_fraction: f64,
     /// What happens to applications on a quarantined core.
     pub fault_response: FaultResponsePolicy,
-    /// Confirmation retests (K) a detection must survive before the core
-    /// is quarantined; 0 disables confirmation (first detection
-    /// quarantines immediately). Any retest that reproduces the symptom
-    /// confirms; K retests with no reproduction clear the core.
-    pub confirmation_retests: u8,
     /// Fraction of injected faults that are *intermittent* — they
     /// manifest on any given observation with reduced probability, so
     /// confirmation retests may clear them (and quarantine them late).
@@ -128,11 +120,6 @@ pub struct SystemConfig {
     /// core (applied to every routine in the library). Exercises the
     /// suspect→cleared path.
     pub test_false_positive_rate: f64,
-    /// Architectural-state transfer time charged per *checkpoint image*
-    /// of each moved task under [`FaultResponsePolicy::MigrateRegion`].
-    /// The actual per-task charge scales with the dirty span since the
-    /// task's last checkpoint (see [`SystemConfig::checkpoint_interval`]).
-    pub migration_delay: Duration,
     /// Cadence at which running applications checkpoint their task state
     /// under [`FaultResponsePolicy::MigrateRegion`]. Each checkpoint
     /// pauses the app's tasks briefly (the image write) but caps the
@@ -146,13 +133,6 @@ pub struct SystemConfig {
     /// effective per-core cadence is multiplied by `2^backoff` after each
     /// failed probation round.
     pub probe_cadence: Option<Duration>,
-    /// Clean probes in a row required to re-admit a quarantined core.
-    pub probe_passes: u8,
-    /// Maximum probe sessions in flight at once (the lane budget).
-    pub probe_budget: u32,
-    /// Cap on the probation-retry backoff exponent (the cadence
-    /// multiplier saturates at `2^cap`).
-    pub probe_backoff_cap: u8,
     /// Mesh edge override (None = the node's edge at reference area).
     pub mesh_edge_override: Option<u16>,
     /// Model NoC link contention: message latencies are inflated by a
@@ -166,58 +146,45 @@ pub struct SystemConfig {
     /// is non-intrusive (false); intrusive mode quantifies what that
     /// property is worth.
     pub intrusive_testing: bool,
-    /// Cap on samples stored per trace series; once full a series halves
-    /// itself and doubles its sampling stride (`None` = keep every epoch
-    /// sample, the historical behaviour).
-    pub trace_max_samples: Option<usize>,
     /// Capture decision telemetry: keep up to this many structured events
     /// in an in-memory log returned on the report (`None` = no capture;
     /// the control loop then keeps no log and emission only mints ids).
     pub event_capacity: Option<usize>,
     /// Flight recorder: keep up to this many per-epoch state snapshots
-    /// in a bounded ring returned on the report, decimated with the same
-    /// stride-doubling scheme as bounded traces (`None` = no recording).
+    /// in a bounded ring returned on the report, decimated by halving
+    /// the ring and doubling the sampling stride whenever it fills
+    /// (`None` = no recording).
     pub state_snapshot_max: Option<usize>,
 }
 
 impl SystemConfig {
-    /// The evaluation's default configuration for `node`: 1 ms epochs,
-    /// 500 ms horizon, PID governor, test-aware mapper, testing on.
+    /// The evaluation's default configuration for `node`: a 500 ms
+    /// horizon (500 epochs of [`EPOCH`]), PID governor, test-aware
+    /// mapper, testing on.
     pub fn for_node(node: TechNode) -> Self {
         SystemConfig {
             node,
-            epoch: Duration::from_ms(1),
             horizon: Duration::from_ms(500),
             seed: 1,
             arrival_rate: 200.0,
-            periodic_arrivals: false,
-            dvfs_levels: 5,
-            workload_ipc: 1.0,
             testing_enabled: true,
             test_scheduler: TestSchedulerConfig::default(),
             governor: GovernorKind::Pid,
             mapper: MapperKind::TestAware,
-            aging: AgingModel::default(),
             criticality: CriticalityModel::default(),
             injected_faults: 0,
             vf_windowed_fault_fraction: 0.0,
             fault_response: FaultResponsePolicy::RestartElsewhere,
-            confirmation_retests: 3,
             intermittent_fault_fraction: 0.0,
             intermittent_cooldown_fraction: 0.0,
             test_false_positive_rate: 0.0,
-            migration_delay: Duration::from_us(200),
             checkpoint_interval: Duration::from_ms(10),
             probe_cadence: None,
-            probe_passes: 3,
-            probe_budget: 2,
-            probe_backoff_cap: 4,
             mesh_edge_override: None,
             model_contention: false,
             transient_thermal: false,
             abort_overhead: Duration::from_us(50),
             intrusive_testing: false,
-            trace_max_samples: None,
             event_capacity: None,
             state_snapshot_max: None,
         }
@@ -225,7 +192,7 @@ impl SystemConfig {
 
     /// Number of control epochs the horizon covers.
     pub fn epoch_count(&self) -> u64 {
-        self.horizon.as_ns() / self.epoch.as_ns().max(1)
+        self.horizon.as_ns() / EPOCH.as_ns()
     }
 }
 
@@ -247,7 +214,6 @@ mod tests {
     fn epoch_count_rounds_down() {
         let mut c = SystemConfig::for_node(TechNode::N45);
         c.horizon = Duration::from_us(2_500);
-        c.epoch = Duration::from_ms(1);
         assert_eq!(c.epoch_count(), 2);
     }
 

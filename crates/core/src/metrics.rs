@@ -322,12 +322,11 @@ const EPOCH_SERIES_NAMES: [&str; 11] = [
 
 /// The epoch close's trace series in fixed slots, so a push indexes an
 /// array instead of looking the series up by name. A slot is created on
-/// its first push with the trace's bound, as [`Trace::series_mut`]
-/// creates a missing series, and [`EpochTrace::into_trace`] folds the
-/// created ones into the report's trace by name.
-#[derive(Debug)]
+/// its first push, as [`Trace::series_mut`] creates a missing series,
+/// and [`EpochTrace::into_trace`] folds the created ones into the
+/// report's trace by name.
+#[derive(Debug, Default)]
 pub(crate) struct EpochTrace {
-    bound: Option<usize>,
     slots: [Option<TraceSeries>; EPOCH_SERIES_NAMES.len()],
     /// The same pushes through [`Trace::series_mut`]; every unit-test
     /// run checks the folded trace against it.
@@ -336,22 +335,11 @@ pub(crate) struct EpochTrace {
 }
 
 impl EpochTrace {
-    /// Empty slots whose series store at most `bound` points, if any.
-    pub(crate) fn new(bound: Option<usize>) -> Self {
-        EpochTrace {
-            bound,
-            slots: Default::default(),
-            #[cfg(test)]
-            shadow: bound.map_or_else(Trace::new, Trace::bounded),
-        }
-    }
-
     /// Appends a sample at time `t` to `series`.
     #[inline]
     pub(crate) fn push(&mut self, series: EpochSeries, t: f64, value: f64) {
-        let bound = self.bound;
         self.slots[series as usize]
-            .get_or_insert_with(|| bound.map_or_else(TraceSeries::new, TraceSeries::with_bound))
+            .get_or_insert_with(TraceSeries::new)
             .push(t, value);
         #[cfg(test)]
         self.shadow
@@ -359,10 +347,9 @@ impl EpochTrace {
             .push(t, value);
     }
 
-    /// The report's trace: a trace with the slots' bound that holds every
-    /// created series under its name.
+    /// The report's trace: every created series under its name.
     pub(crate) fn into_trace(self) -> Trace {
-        let mut trace = self.bound.map_or_else(Trace::new, Trace::bounded);
+        let mut trace = Trace::new();
         for (name, slot) in EPOCH_SERIES_NAMES.into_iter().zip(self.slots) {
             if let Some(series) = slot {
                 *trace.series_mut(name) = series;

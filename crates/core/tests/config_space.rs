@@ -3,11 +3,12 @@
 //! and with a clean event audit.
 //!
 //! The draws cover mesh edges 0–24, invalid and extreme arrival rates,
-//! fault counts up to 10,000, probe, checkpoint and migration settings up
-//! to `u64::MAX` microseconds, and every policy, governor and mapper, at
-//! millisecond horizons. Fault-heavy draws quarantine, restart, migrate,
-//! checkpoint and re-admit, so the fuzz also drives the running-app
-//! table, the power ledger and the fault index through those lanes.
+//! fault counts up to 10,000, probe and checkpoint cadences up to
+//! `u64::MAX` microseconds, DVFS ladders of 0–7 levels, and every
+//! policy, governor and mapper, at millisecond horizons. Fault-heavy
+//! draws quarantine, restart, migrate, checkpoint and re-admit, so the
+//! fuzz also drives the running-app table, the power ledger and the
+//! fault index through those lanes.
 
 use manytest_core::prelude::*;
 use manytest_sbst::TestSchedulerConfig;
@@ -85,23 +86,13 @@ fn random_builder(rng: &mut SimRng) -> SystemBuilder {
         .intermittent_faults(fraction(rng))
         .intermittent_cooldown(fraction(rng))
         .test_false_positives(fraction(rng))
-        .confirmation_retests(rng.gen_range(4) as u8)
         .checkpoint_interval_us(edgy_u64(rng, &big_us, 3_000))
-        .migration_delay_us(edgy_u64(rng, &big_us, 500))
-        .periodic_arrivals(rng.gen_bool(0.2))
         .model_contention(rng.gen_bool(0.3))
         .transient_thermal(rng.gen_bool(0.2))
         .intrusive_testing(rng.gen_bool(0.1))
         .capture_events(1 << 20);
     if rng.gen_bool(0.5) {
-        b = b
-            .probe_cadence_us(edgy_u64(rng, &big_us, 3_000))
-            .probe_passes(rng.gen_range(4) as u8)
-            .probe_budget(rng.gen_range(4) as u32)
-            .probe_backoff_cap(rng.gen_range(8) as u8);
-    }
-    if rng.gen_bool(0.2) {
-        b = b.trace_bound(rng.gen_range(8) as usize);
+        b = b.probe_cadence_us(edgy_u64(rng, &big_us, 3_000));
     }
     // A low threshold tests every idle core at once, so short runs reach
     // the detection, quarantine and re-admission lanes.
@@ -115,6 +106,7 @@ fn random_builder(rng: &mut SimRng) -> SystemBuilder {
         criticality_threshold: threshold,
         max_launches_per_epoch: edgy_u64(rng, &[0, 1, u64::MAX], 128) as usize,
         fixed_level: rng.gen_bool(0.2).then(|| rng.gen_range(6) as u8),
+        ladder_levels: rng.gen_bool(0.2).then(|| rng.gen_range(8) as usize).unwrap_or(5),
         ..TestSchedulerConfig::default()
     })
 }
@@ -162,8 +154,9 @@ fn random_configs_build_or_run_with_a_clean_audit() {
 
 /// A solid fault fails every probation round, and with a zero cadence a
 /// quarantined core is re-probed at once, so in 400 ms one core fails
-/// more than 64 rounds. Under a backoff cap of 255 the cadence multiplier
-/// reaches `2^64` and beyond, which a `u64` shift cannot represent.
+/// more than 64 rounds. The backoff exponent keeps counting past 64,
+/// where a `u64` shift of the cadence multiplier would overflow, while
+/// the multiplier itself saturates at the lane's backoff cap.
 #[test]
 fn backoff_past_64_failed_probation_rounds_runs_clean() {
     let report = SystemBuilder::new(TechNode::N16)
@@ -172,11 +165,8 @@ fn backoff_past_64_failed_probation_rounds_runs_clean() {
         .sim_time_ms(400)
         .arrival_rate(10.0)
         .injected_faults(4)
-        .confirmation_retests(0)
         .fault_response(FaultResponsePolicy::Abort)
         .probe_cadence_us(0)
-        .probe_backoff_cap(255)
-        .probe_budget(4)
         .capture_events(1 << 20)
         .test_scheduler(TestSchedulerConfig {
             criticality_threshold: -1.0,

@@ -1142,10 +1142,9 @@ pub struct StateSnapshot {
 
 /// Bounded flight-recorder ring for [`StateSnapshot`]s.
 ///
-/// Uses the same stride-doubling decimation as
-/// [`TraceSeries`](crate::trace::TraceSeries): when the ring fills it
-/// halves itself (keeping every second snapshot) and doubles the sampling
-/// stride, so an arbitrarily long run keeps a uniform thinning of its
+/// Decimates by stride doubling: when the ring fills it halves itself
+/// (keeping every second snapshot) and doubles the sampling stride, so
+/// an arbitrarily long run keeps a uniform thinning of its
 /// state history in bounded memory. The thinning is a function of the
 /// push count alone — never of time or memory — so recordings are
 /// byte-identical across worker counts. The most recent snapshot is
@@ -1778,19 +1777,27 @@ mod tests {
 
     #[test]
     fn state_recorder_decimation_matches_trace_series() {
-        // The recorder must thin exactly like TraceSeries with the same
-        // bound: identical retained offer-indices for any push count.
-        for pushes in [1usize, 7, 8, 9, 16, 33, 100, 257] {
+        // The recorder keeps exactly the points of the full trace series
+        // that fall on its final stride: the smallest power of two that
+        // fits every offer into the ring.
+        for pushes in [1u64, 7, 8, 9, 16, 33, 100, 257] {
             let mut rec = StateRecorder::with_capacity(8);
-            let mut series = crate::trace::TraceSeries::with_bound(8);
+            let mut series = crate::trace::TraceSeries::new();
             for i in 0..pushes {
                 rec.push(snap(i as f64));
                 series.push(i as f64, i as f64);
             }
+            let stride = pushes.div_ceil(8).next_power_of_two() as usize;
             let rec_times: Vec<f64> = rec.snapshots().iter().map(|s| s.t).collect();
-            let series_times: Vec<f64> = series.points().iter().map(|&(t, _)| t).collect();
+            let series_times: Vec<f64> = series
+                .points()
+                .iter()
+                .step_by(stride)
+                .map(|&(t, _)| t)
+                .collect();
             assert_eq!(rec_times, series_times, "pushes = {pushes}");
-            assert_eq!(rec.seen(), pushes as u64);
+            assert_eq!(rec.seen(), pushes);
+            assert_eq!(rec.last().map(|s| s.t), Some((pushes - 1) as f64));
         }
     }
 

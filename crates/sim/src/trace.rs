@@ -9,55 +9,21 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A single named series of `(time, value)` samples.
-///
-/// A series is unbounded by default. [`TraceSeries::with_bound`] caps the
-/// stored sample count: when the cap is reached the series halves itself
-/// (keeping every second point) and doubles its sampling stride, so a
-/// multi-second run records a uniform thinning of the full signal in
-/// bounded memory instead of growing without limit.
+/// A single named series of `(time, value)` samples. It keeps every
+/// sample it is given; [`TraceSeries::downsample`] thins a copy for
+/// plotting.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceSeries {
     points: Vec<(f64, f64)>,
-    bound: Option<usize>,
-    /// Keep one sample out of every `stride` offered (power of two).
-    stride: u64,
-    /// Samples offered via `push` over the series' lifetime.
-    seen: u64,
 }
 
 impl TraceSeries {
-    /// Creates an empty, unbounded series.
+    /// Creates an empty series.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty series that stores at most `max_samples` points,
-    /// decimating on insert once the cap is reached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_samples < 2` — a bounded series must at least be
-    /// able to retain a first and a latest sample.
-    pub fn with_bound(max_samples: usize) -> Self {
-        assert!(
-            max_samples >= 2,
-            "trace bound must be at least 2, got {max_samples}"
-        );
-        TraceSeries {
-            bound: Some(max_samples),
-            ..Self::default()
-        }
-    }
-
-    /// The sample cap, if this series is bounded.
-    pub fn bound(&self) -> Option<usize> {
-        self.bound
-    }
-
-    /// Appends a sample at time `t` (seconds). On a bounded series the
-    /// sample may be decimated away; the thinning is deterministic (a
-    /// function of the push count alone, never of time or memory).
+    /// Appends a sample at time `t` (seconds).
     ///
     /// # Panics
     ///
@@ -65,28 +31,6 @@ impl TraceSeries {
     pub fn push(&mut self, t: f64, value: f64) {
         if let Some(&(last, _)) = self.points.last() {
             assert!(t >= last, "trace time must be monotone: {t} < {last}");
-        }
-        let stride = self.stride.max(1);
-        let keep = self.seen % stride == 0;
-        self.seen += 1;
-        if !keep {
-            return;
-        }
-        if let Some(bound) = self.bound {
-            if self.points.len() >= bound {
-                // Halve: keep even indices (offered-index multiples of the
-                // doubled stride), then record every second sample onward.
-                let mut i = 0;
-                self.points.retain(|_| {
-                    let keep = i % 2 == 0;
-                    i += 1;
-                    keep
-                });
-                self.stride = stride * 2;
-                if (self.seen - 1) % self.stride != 0 {
-                    return; // this sample falls off the coarser grid
-                }
-            }
         }
         self.points.push((t, value));
     }
@@ -142,10 +86,7 @@ impl TraceSeries {
                 prev = idx;
             }
         }
-        TraceSeries {
-            points,
-            ..Self::default()
-        }
+        TraceSeries { points }
     }
 }
 
@@ -164,42 +105,21 @@ impl TraceSeries {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     series: BTreeMap<String, TraceSeries>,
-    default_bound: Option<usize>,
 }
 
 impl Trace {
-    /// Creates an empty trace; series created through it are unbounded.
+    /// Creates an empty trace.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty trace whose series each store at most
-    /// `max_samples` points (decimating on insert once full).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_samples < 2` (see [`TraceSeries::with_bound`]).
-    pub fn bounded(max_samples: usize) -> Self {
-        assert!(
-            max_samples >= 2,
-            "trace bound must be at least 2, got {max_samples}"
-        );
-        Trace {
-            series: BTreeMap::new(),
-            default_bound: Some(max_samples),
-        }
-    }
-
-    /// Returns the series with the given name, creating it if absent
-    /// (with this trace's default sample bound, if any). Only a missing
-    /// name allocates: an existing series is found by `&str` lookup.
-    // lint:effect(warmup, reason = "first touch of a series name allocates its key and buffer once; steady-state epochs append into bounded storage")
+    /// Returns the series with the given name, creating it if absent.
+    /// Only a missing name allocates: an existing series is found by
+    /// `&str` lookup.
+    // lint:effect(warmup, reason = "first touch of a series name allocates its key once; later calls find the series by &str lookup")
     pub fn series_mut(&mut self, name: &str) -> &mut TraceSeries {
         if !self.series.contains_key(name) {
-            let series = self
-                .default_bound
-                .map_or_else(TraceSeries::new, TraceSeries::with_bound);
-            self.series.insert(name.to_owned(), series);
+            self.series.insert(name.to_owned(), TraceSeries::new());
         }
         self.series.get_mut(name).expect("series inserted above")
     }
@@ -253,6 +173,7 @@ impl fmt::Display for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::{StateRecorder, StateSnapshot};
 
     #[test]
     fn push_and_read_back() {
@@ -373,55 +294,74 @@ mod tests {
         assert_eq!(d.points(), &[(0.0, 0.0)]);
     }
 
+    // Trace series keep every sample. The stride-doubling decimation that
+    // bounded series used to apply lives on in the flight recorder,
+    // `StateRecorder`, so the specs below pin it there.
+
+    /// Offers snapshots at times `i * dt`, for each `i` in `offers`, to
+    /// `rec`, and returns the times it retains.
+    fn offer(rec: &mut StateRecorder, offers: std::ops::Range<u64>, dt: f64) -> Vec<f64> {
+        for i in offers {
+            rec.push(StateSnapshot {
+                t: i as f64 * dt,
+                cap_w: 0.0,
+                headroom_w: 0.0,
+                power_w: 0.0,
+                test_power_w: 0.0,
+                reservations: 0,
+                pending_apps: 0,
+                running_apps: 0,
+                active_tests: 0,
+                cores: Vec::new(),
+            });
+        }
+        rec.snapshots().iter().map(|s| s.t).collect()
+    }
+
     #[test]
     fn bounded_series_caps_length_and_keeps_endpoint_spread() {
-        let mut s = TraceSeries::with_bound(8);
-        for i in 0..100 {
-            s.push(i as f64, i as f64);
-        }
-        assert!(s.len() <= 8, "len {} exceeds bound", s.len());
-        assert!(s.len() >= 4, "decimation should not empty the series");
-        assert_eq!(s.points()[0], (0.0, 0.0), "first sample survives");
-        // Samples stay uniformly strided over the offered index space.
-        let times: Vec<f64> = s.points().iter().map(|&(t, _)| t).collect();
+        let mut rec = StateRecorder::with_capacity(8);
+        let times = offer(&mut rec, 0..100, 1.0);
+        assert!(times.len() <= 8, "len {} exceeds capacity", times.len());
+        assert!(times.len() >= 4, "decimation should not empty the recorder");
+        assert_eq!(times[0], 0.0, "first snapshot survives");
+        // Snapshots stay uniformly strided over the offered index space.
         let stride = times[1] - times[0];
         for w in times.windows(2) {
             assert_eq!(w[1] - w[0], stride, "uniform stride");
         }
-        assert_eq!(s.bound(), Some(8));
+        assert_eq!(rec.into_timeline().capacity(), 8);
     }
 
     #[test]
     fn bounded_series_is_deterministic_in_push_count_only() {
-        let run = || {
-            let mut s = TraceSeries::with_bound(4);
-            for i in 0..33 {
-                s.push(i as f64 * 0.5, i as f64);
-            }
-            s
+        let run = |dt: f64| {
+            let mut rec = StateRecorder::with_capacity(4);
+            offer(&mut rec, 0..33, dt);
+            rec
         };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2")]
-    fn trace_bound_below_two_panics() {
-        let _ = TraceSeries::with_bound(1);
+        assert_eq!(run(0.5), run(0.5));
+        // The time scale never enters the thinning: the same offers survive.
+        let halves = offer(&mut StateRecorder::with_capacity(4), 0..33, 0.5);
+        let units = offer(&mut StateRecorder::with_capacity(4), 0..33, 1.0);
+        assert_eq!(halves.iter().map(|t| t * 2.0).collect::<Vec<_>>(), units);
+        assert_eq!(units, vec![0.0, 16.0, 32.0]);
     }
 
     #[test]
     fn decimation_at_exact_power_of_two_boundaries() {
-        // Push exactly 2^k samples into a bound-8 series for each k and
-        // pin the retained contents: on the boundary the series holds
-        // every stride-th offer-index starting at 0, with stride equal to
-        // the smallest power of two that fits 2^k offers into 8 slots.
+        // Offer exactly 2^k snapshots to a capacity-8 recorder for each k
+        // and pin the retained contents: on the boundary the recorder
+        // holds every stride-th offer-index starting at 0, with stride
+        // equal to the smallest power of two that fits 2^k offers into 8
+        // slots.
         for k in 3..=10u32 {
             let n = 2u64.pow(k);
-            let mut s = TraceSeries::with_bound(8);
-            for i in 0..n {
-                s.push(i as f64, i as f64);
-            }
-            let times: Vec<u64> = s.points().iter().map(|&(t, _)| t as u64).collect();
+            let mut rec = StateRecorder::with_capacity(8);
+            let times: Vec<u64> = offer(&mut rec, 0..n, 1.0)
+                .iter()
+                .map(|&t| t as u64)
+                .collect();
             let stride = if n <= 8 { 1 } else { n / 8 };
             let expected: Vec<u64> = (0..n).step_by(stride as usize).collect();
             assert_eq!(times, expected, "n = {n}");
@@ -431,49 +371,28 @@ mod tests {
 
     #[test]
     fn decimation_one_past_power_of_two_halves_once() {
-        // The 2^k-th push (0-indexed offer 2^k) lands exactly when the
-        // series is full: it must trigger one halving, leaving bound/2
-        // survivors plus the new sample iff it falls on the doubled grid.
-        let mut s = TraceSeries::with_bound(8);
-        for i in 0..=8u64 {
-            s.push(i as f64, i as f64);
-        }
-        // Offers 0..8 filled the ring; offer 8 halves to {0,2,4,6},
+        // The offer at index 2^k lands exactly when the ring is full: it
+        // must trigger one halving, leaving capacity/2 survivors plus the
+        // new snapshot iff it falls on the doubled grid.
+        let mut rec = StateRecorder::with_capacity(8);
+        // Offers 0..8 filled the ring; offer 8 halves it to {0,2,4,6},
         // doubles the stride to 2, and 8 % 2 == 0 so it is retained.
-        let times: Vec<u64> = s.points().iter().map(|&(t, _)| t as u64).collect();
-        assert_eq!(times, vec![0, 2, 4, 6, 8]);
+        assert_eq!(offer(&mut rec, 0..9, 1.0), vec![0.0, 2.0, 4.0, 6.0, 8.0]);
         // The next odd offer falls off the coarser grid…
-        s.push(9.0, 9.0);
-        let times: Vec<u64> = s.points().iter().map(|&(t, _)| t as u64).collect();
-        assert_eq!(times, vec![0, 2, 4, 6, 8]);
+        assert_eq!(offer(&mut rec, 9..10, 1.0), vec![0.0, 2.0, 4.0, 6.0, 8.0]);
         // …and the next even offer lands on it.
-        s.push(10.0, 10.0);
-        let times: Vec<u64> = s.points().iter().map(|&(t, _)| t as u64).collect();
-        assert_eq!(times, vec![0, 2, 4, 6, 8, 10]);
+        assert_eq!(
+            offer(&mut rec, 10..11, 1.0),
+            vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        );
     }
 
     #[test]
     fn minimum_bound_of_two_survives_power_of_two_sweep() {
-        let mut s = TraceSeries::with_bound(2);
-        for i in 0..1024u64 {
-            s.push(i as f64, i as f64);
-        }
-        assert!(s.len() <= 2);
-        assert_eq!(s.points()[0].0, 0.0, "first sample survives");
-    }
-
-    #[test]
-    fn bounded_trace_applies_bound_to_new_series() {
-        let mut t = Trace::bounded(4);
-        for i in 0..50 {
-            t.series_mut("p").push(i as f64, 1.0);
-        }
-        assert!(t.series("p").unwrap().len() <= 4);
-        // Unbounded traces stay unbounded.
-        let mut u = Trace::new();
-        for i in 0..50 {
-            u.series_mut("p").push(i as f64, 1.0);
-        }
-        assert_eq!(u.series("p").unwrap().len(), 50);
+        let mut rec = StateRecorder::with_capacity(2);
+        let times = offer(&mut rec, 0..1024, 1.0);
+        assert!(times.len() <= 2);
+        assert_eq!(times[0], 0.0, "first snapshot survives");
+        assert_eq!(rec.last().map(|s| s.t), Some(1023.0), "latest stays exact");
     }
 }

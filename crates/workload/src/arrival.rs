@@ -144,9 +144,7 @@ impl WorkloadMix {
     }
 }
 
-/// An application-arrival process: Poisson (the evaluation's default,
-/// modelling independent users) or periodic (for controlled experiments
-/// where arrival jitter would be noise).
+/// An application-arrival process: Poisson, modelling independent users.
 ///
 /// # Examples
 ///
@@ -158,16 +156,10 @@ impl WorkloadMix {
 /// let mut rng = SimRng::seed_from(3);
 /// let gap = arrivals.next_interarrival(&mut rng);
 /// assert!(gap.as_ns() > 0);
-///
-/// let mut clockwork = ArrivalProcess::periodic(100.0);
-/// let g1 = clockwork.next_interarrival(&mut rng);
-/// let g2 = clockwork.next_interarrival(&mut rng);
-/// assert_eq!(g1, g2); // no jitter
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ArrivalProcess {
     rate_per_sec: f64,
-    periodic: bool,
 }
 
 impl ArrivalProcess {
@@ -181,27 +173,7 @@ impl ArrivalProcess {
             rate_per_sec > 0.0 && rate_per_sec.is_finite(),
             "arrival rate must be positive"
         );
-        ArrivalProcess {
-            rate_per_sec,
-            periodic: false,
-        }
-    }
-
-    /// A deterministic process with exactly `rate_per_sec` arrivals per
-    /// second, evenly spaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is not strictly positive and finite.
-    pub fn periodic(rate_per_sec: f64) -> Self {
-        assert!(
-            rate_per_sec > 0.0 && rate_per_sec.is_finite(),
-            "arrival rate must be positive"
-        );
-        ArrivalProcess {
-            rate_per_sec,
-            periodic: true,
-        }
+        ArrivalProcess { rate_per_sec }
     }
 
     /// The configured mean rate, arrivals per second.
@@ -209,20 +181,9 @@ impl ArrivalProcess {
         self.rate_per_sec
     }
 
-    /// True for the deterministic (periodic) variant.
-    pub fn is_periodic(&self) -> bool {
-        self.periodic
-    }
-
-    /// Draws the next inter-arrival gap (never zero). Periodic processes
-    /// ignore the RNG.
+    /// Draws the next inter-arrival gap (never zero).
     pub fn next_interarrival(&mut self, rng: &mut SimRng) -> Duration {
-        let secs = if self.periodic {
-            1.0 / self.rate_per_sec
-        } else {
-            rng.gen_exp(self.rate_per_sec)
-        };
-        Duration::from_secs_f64(secs).max(Duration::from_ns(1))
+        Duration::from_secs_f64(rng.gen_exp(self.rate_per_sec)).max(Duration::from_ns(1))
     }
 }
 
@@ -256,26 +217,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_rate_panics() {
         ArrivalProcess::poisson(0.0);
-    }
-
-    #[test]
-    fn periodic_gaps_are_exact_and_rng_free() {
-        let mut p = ArrivalProcess::periodic(250.0);
-        assert!(p.is_periodic());
-        let mut rng_a = SimRng::seed_from(1);
-        let mut rng_b = SimRng::seed_from(2);
-        let g1 = p.next_interarrival(&mut rng_a);
-        let g2 = p.next_interarrival(&mut rng_b);
-        assert_eq!(g1, g2);
-        assert_eq!(g1, Duration::from_ms(4));
-        // The RNG streams were never touched.
-        assert_eq!(rng_a.next_u64(), SimRng::seed_from(1).next_u64());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn periodic_zero_rate_panics() {
-        ArrivalProcess::periodic(f64::NAN);
     }
 
     #[test]

@@ -23,7 +23,9 @@ fn inputs() -> Vec<(&'static str, f64)> {
         let t = 300.0 + 120.0 * f64::from(i) / 63.0;
         v.push(("exp", 0.6 / 8.617e-5 * (1.0 / 333.15 - 1.0 / t)));
     }
-    // NBTI recovery's `−dt/τ`.
+    // A grid of small negative exponents `−dt/τ` (dt 0.1–100 ms, τ 50 ms
+    // to 2 s), denser near zero: the Arrhenius exponent of a tile between
+    // 304 K and the 333 K reference, idle tiles at 318 K included.
     for dt in [1e-4, 2.5e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 0.1] {
         for tau in [0.05, 0.1, 0.2, 0.5, 1.0, 2.0] {
             v.push(("exp", -dt / tau));
