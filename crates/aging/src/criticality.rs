@@ -103,11 +103,6 @@ impl CriticalityModel {
         self.stress_weight * (damage / reference_damage_per_period)
             + self.time_weight * (dt / self.target_period)
     }
-
-    /// True if the core is overdue: criticality exceeds `threshold`.
-    pub fn is_overdue(&self, stress: &CoreStress, now: f64, threshold: f64) -> bool {
-        self.criticality(stress, now) >= threshold
-    }
 }
 
 impl Default for CriticalityModel {
@@ -164,8 +159,8 @@ mod tests {
         let m = CriticalityModel::default();
         // Zero stress, tested at t=0; only staleness drives criticality.
         let idle = stressed(0.0, 0.0);
-        assert!(!m.is_overdue(&idle, 0.01, 1.0));
-        assert!(m.is_overdue(&idle, 10.0, 1.0));
+        assert!(m.criticality(&idle, 0.01) < 1.0);
+        assert!(m.criticality(&idle, 10.0) >= 1.0);
     }
 
     #[test]

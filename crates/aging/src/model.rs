@@ -25,8 +25,7 @@ const BOLTZMANN_EV: f64 = 8.617e-5;
 /// let hot = m.wear_rate(1.0);
 /// assert!(hot > cool);
 /// // At reference conditions the acceleration factor is exactly 1.
-/// let t_ref = m.reference_temperature();
-/// assert!((m.acceleration_at(t_ref) - 1.0).abs() < 1e-12);
+/// assert!((m.acceleration_at(m.t_reference) - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AgingModel {
@@ -88,11 +87,6 @@ impl AgingModel {
     pub fn damage(&self, power: f64, seconds: f64) -> f64 {
         assert!(seconds >= 0.0, "time must be non-negative");
         self.wear_rate(power) * seconds
-    }
-
-    /// The reference temperature (where acceleration = 1), kelvin.
-    pub fn reference_temperature(&self) -> f64 {
-        self.t_reference
     }
 }
 

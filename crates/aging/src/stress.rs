@@ -71,8 +71,10 @@ pub struct EpochWear {
 ///
 /// let aging = AgingModel::default();
 /// let mut tracker = StressTracker::new(4, 0.1);
-/// tracker.record_epoch(0, &aging, 1.5, 1.0, 0.001);
-/// tracker.record_epoch(1, &aging, 0.0, 0.0, 0.001);
+/// // Core 0 drew 1.5 W through a whole 1 ms epoch; the others idled.
+/// let mut energy = [1.5e-3, 0.0, 0.0, 0.0];
+/// let mut busy = [1e-3, 0.0, 0.0, 0.0];
+/// tracker.record_epoch_all(&aging, &mut energy, &mut busy, 0.001);
 /// assert!(tracker.core(0).total_damage > tracker.core(1).total_damage);
 /// assert!(tracker.core(0).utilization > tracker.core(1).utilization);
 /// ```
@@ -101,17 +103,14 @@ impl StressTracker {
         }
     }
 
-    /// Number of tracked cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Records one epoch of operation for `core`: it drew `power` watts and
     /// was busy for fraction `busy` of the epoch of length `dt` seconds.
+    /// The reference that [`Self::record_epoch_all`] must match bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range or `busy` is outside `[0, 1]`.
+    #[cfg(test)]
     pub fn record_epoch(
         &mut self,
         core: usize,
@@ -128,7 +127,8 @@ impl StressTracker {
     /// Records one epoch for every core from its raw accumulators, then
     /// zeroes them: core `i` drew `energy[i]` joules and was busy for
     /// `busy[i]` seconds of the epoch of length `dt`. Bit for bit the
-    /// same as calling [`Self::record_epoch`] in core order with power
+    /// same as calling the single-core loop `record_epoch` (kept as the
+    /// test oracle) in core order with power
     /// `energy[i] / dt` and busy fraction `(busy[i] / dt).clamp(0, 1)`.
     ///
     /// Power-gated cores draw exactly 0 W, so runs of cores share one
@@ -211,10 +211,13 @@ impl StressTracker {
     /// Records one epoch like [`Self::record_epoch`], but with the
     /// temperature supplied directly (e.g. from the transient
     /// [`crate::thermal::ThermalGrid`]) instead of the steady-state proxy.
+    /// The reference that [`Self::record_epoch_all_at_temperature`] must
+    /// match bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range or `busy` is outside `[0, 1]`.
+    #[cfg(test)]
     pub fn record_epoch_at_temperature(
         &mut self,
         core: usize,
@@ -230,8 +233,9 @@ impl StressTracker {
     }
 
     /// [`Self::record_epoch_all`] for the transient thermal path: core
-    /// `i` sat at `temps[i]` kelvin. Bit for bit the same as calling
-    /// [`Self::record_epoch_at_temperature`] in core order, with one
+    /// `i` sat at `temps[i]` kelvin. Bit for bit the same as calling the
+    /// single-core loop `record_epoch_at_temperature` (kept as the test
+    /// oracle) in core order, with one
     /// Arrhenius evaluation per change of temperature bits. Reports the
     /// highest temperature as `max_input` (a memo hit repeats an
     /// evaluated temperature, so the memo's maximum is the fold over all
@@ -298,20 +302,6 @@ impl StressTracker {
     /// Iterates over all cores' states in index order.
     pub fn iter(&self) -> impl Iterator<Item = &CoreStress> {
         self.cores.iter()
-    }
-
-    /// The core with the highest lifetime damage.
-    pub fn most_worn(&self) -> usize {
-        self.cores
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                a.total_damage
-                    .partial_cmp(&b.total_damage)
-                    .expect("damage is never NaN")
-            })
-            .map(|(i, _)| i)
-            .expect("tracker has at least one core")
     }
 
     /// Mean utilisation over all cores.
@@ -418,14 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn most_worn_finds_hot_core() {
-        let (aging, mut t) = tracker();
-        t.record_epoch(2, &aging, 2.0, 1.0, 0.01);
-        t.record_epoch(1, &aging, 0.5, 1.0, 0.01);
-        assert_eq!(t.most_worn(), 2);
-    }
-
-    #[test]
     fn mean_utilization_averages() {
         let (aging, mut t) = tracker();
         // Single epoch with alpha 0.2: util = 0.2 on one of four cores.
@@ -456,7 +438,6 @@ mod tests {
     fn iter_visits_all_cores() {
         let (_, t) = tracker();
         assert_eq!(t.iter().count(), 4);
-        assert_eq!(t.core_count(), 4);
     }
 
     const DT: f64 = 0.001;
@@ -493,7 +474,7 @@ mod tests {
                 (0..n)
                     .map(|_| match rng.gen_range(10) {
                         0..=5 => 0.0,
-                        6 | 7 => *rng.choose(&wattages).expect("non-empty") * DT,
+                        6 | 7 => wattages[rng.gen_range(3) as usize] * DT,
                         _ => rng.gen_f64_range(0.0, 3.0) * DT,
                     })
                     .collect(),
@@ -585,7 +566,7 @@ mod tests {
                 let temps: Vec<f64> = (0..n)
                     .map(|_| match (shape, rng.gen_range(4)) {
                         (Shape::Dark, _) | (_, 0 | 1) => aging.t_ambient,
-                        (_, 2) => *rng.choose(&[330.0, 345.5]).expect("non-empty"),
+                        (_, 2) => [330.0, 345.5][rng.gen_range(2) as usize],
                         _ => rng.gen_f64_range(300.0, 400.0),
                     })
                     .collect();

@@ -124,21 +124,6 @@ impl ThermalGrid {
         }
     }
 
-    /// Number of tiles.
-    pub fn len(&self) -> usize {
-        self.temps.len()
-    }
-
-    /// A grid is never empty; provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The model parameters.
-    pub fn params(&self) -> &ThermalParams {
-        &self.params
-    }
-
     /// Temperature of tile `i`, kelvin.
     ///
     /// # Panics
@@ -156,11 +141,6 @@ impl ThermalGrid {
     /// Hottest tile temperature, kelvin.
     pub fn max_temperature(&self) -> f64 {
         self.temps.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b))
-    }
-
-    /// Mean tile temperature, kelvin.
-    pub fn mean_temperature(&self) -> f64 {
-        self.temps.iter().sum::<f64>() / self.temps.len() as f64
     }
 
     /// Advances the grid by `dt` seconds with the given per-tile powers
@@ -221,12 +201,6 @@ impl ThermalGrid {
             }
             std::mem::swap(&mut self.temps, &mut self.scratch);
         }
-    }
-
-    /// The steady-state temperature an *isolated* tile would reach at
-    /// `power` watts (for cross-checking against the proxy model).
-    pub fn isolated_steady_state(&self, power: f64) -> f64 {
-        self.params.t_ambient + self.params.r_vertical * power
     }
 }
 
@@ -293,9 +267,8 @@ mod tests {
     fn starts_at_ambient() {
         let g = grid(3, 3);
         for i in 0..9 {
-            assert_eq!(g.temperature(i), g.params().t_ambient);
+            assert_eq!(g.temperature(i), ThermalParams::default().t_ambient);
         }
-        assert!((g.mean_temperature() - g.params().t_ambient).abs() < 1e-9);
     }
 
     #[test]
@@ -306,7 +279,8 @@ mod tests {
             g.step(&powers, 1e-3);
         }
         // Uniform heating: no lateral flow, every tile at T_amb + R_v·P.
-        let expected = g.isolated_steady_state(1.0);
+        let p = ThermalParams::default();
+        let expected = p.t_ambient + p.r_vertical * 1.0;
         for i in 0..16 {
             assert!(
                 (g.temperature(i) - expected).abs() < 0.01,
@@ -319,11 +293,11 @@ mod tests {
     #[test]
     fn heating_follows_an_exponential_transient() {
         let mut g = grid(1, 1);
-        let tau = g.params().r_vertical * g.params().capacitance;
+        let tau = ThermalParams::default().r_vertical * ThermalParams::default().capacitance;
         let powers = vec![1.0];
         g.step(&powers, tau); // one time constant
-        let rise = g.temperature(0) - g.params().t_ambient;
-        let full = g.params().r_vertical * 1.0;
+        let rise = g.temperature(0) - ThermalParams::default().t_ambient;
+        let full = ThermalParams::default().r_vertical * 1.0;
         let expected = full * (1.0 - (-1.0f64).exp());
         assert!(
             (rise - expected).abs() < 0.05 * full,
@@ -346,17 +320,17 @@ mod tests {
                 "temperature must decay with distance"
             );
         }
-        assert!(g.temperature(4) > g.params().t_ambient);
+        assert!(g.temperature(4) > ThermalParams::default().t_ambient);
     }
 
     #[test]
     fn cooling_returns_to_ambient() {
         let mut g = grid(2, 2);
         g.step(&vec![5.0; 4], 0.5);
-        assert!(g.max_temperature() > g.params().t_ambient + 1.0);
+        assert!(g.max_temperature() > ThermalParams::default().t_ambient + 1.0);
         g.step(&vec![0.0; 4], 5.0);
         assert!(
-            (g.max_temperature() - g.params().t_ambient).abs() < 0.01,
+            (g.max_temperature() - ThermalParams::default().t_ambient).abs() < 0.01,
             "die must cool back to ambient"
         );
     }
@@ -366,7 +340,8 @@ mod tests {
         // Temperatures never exceed the hottest achievable steady state.
         let mut g = grid(3, 3);
         let powers = vec![2.0; 9];
-        let t_max = g.isolated_steady_state(2.0);
+        let p = ThermalParams::default();
+        let t_max = p.t_ambient + p.r_vertical * 2.0;
         for _ in 0..10_000 {
             g.step(&powers, 1e-3);
             assert!(g.max_temperature() <= t_max + 0.01);
@@ -448,7 +423,7 @@ mod tests {
         let mut slow = fast.clone();
         for _ in 0..steps {
             let powers = random_powers(rng, w * h);
-            let dt = *rng.choose(&[1e-3, 0.05, tau]).expect("non-empty");
+            let dt = [1e-3, 0.05, tau][rng.gen_range(3) as usize];
             fast.step(&powers, dt);
             slow.step_reference(&powers, dt);
             let bits = |g: &ThermalGrid| g.temps.iter().map(|t| t.to_bits()).collect::<Vec<_>>();

@@ -75,7 +75,8 @@ fn tracker_utilization_stays_in_unit_interval() {
         for _ in 0..epochs {
             let power = rng.gen_f64_range(0.0, 2.0);
             let busy = rng.gen_f64_range(0.0, 1.0);
-            tracker.record_epoch(0, &aging, power, busy, 0.001);
+            let dt = 0.001;
+            tracker.record_epoch_all(&aging, &mut [power * dt], &mut [busy * dt], dt);
             let u = tracker.core(0).utilization;
             assert!((0.0..=1.0).contains(&u), "seed {seed}: utilization {u}");
         }
@@ -91,7 +92,7 @@ fn damage_since_test_never_exceeds_total() {
         let mut t = 0.0;
         for _ in 0..1 + rng.gen_range(99) {
             let power = rng.gen_f64_range(0.0, 2.0);
-            tracker.record_epoch(0, &aging, power, 1.0, 0.001);
+            tracker.record_epoch_all(&aging, &mut [power * 0.001], &mut [0.001], 0.001);
             t += 0.001;
             if rng.gen_bool(0.5) {
                 tracker.note_test_complete(0, t);
@@ -116,8 +117,9 @@ fn test_completion_resets_criticality_pressure() {
         let damage = rng.gen_f64_range(0.1, 10.0);
         let now = rng.gen_f64_range(0.1, 10.0);
         let mut tracker = StressTracker::new(1, 0.2);
-        // Build up damage proportional to the drawn value.
-        tracker.record_epoch(0, &aging, 1.0, 1.0, damage);
+        // Build up damage proportional to the drawn value: 1 W, busy
+        // throughout, for `damage` seconds.
+        tracker.record_epoch_all(&aging, &mut [damage], &mut [damage], damage);
         let before = model.criticality(tracker.core(0), now);
         tracker.note_test_complete(0, now);
         let after = model.criticality(tracker.core(0), now);

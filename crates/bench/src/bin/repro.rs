@@ -15,9 +15,9 @@
 //! cargo run -p manytest-bench --bin repro --release -- regress
 //! ```
 //!
-//! Worker count: `--jobs N` (or `--jobs=N`) > the `MANYTEST_JOBS`
-//! environment variable > the machine's available parallelism. Tables go
-//! to stdout and are byte-identical for every worker count; the timing
+//! Worker count of the table runs and `regress`: `--jobs N` (or
+//! `--jobs=N`), else the machine's available parallelism. Tables go to
+//! stdout and are byte-identical for every worker count; the timing
 //! footer goes to stderr and `BENCH_repro.json`.
 //!
 //! `--events DIR` additionally runs one instrumented probe per selected
@@ -28,13 +28,12 @@
 //! counter/histogram summaries.
 //! `report <id> [--out DIR]` runs the probe with the flight recorder on
 //! and renders `DIR/<id>.html` (SVG panels) plus `DIR/metrics.prom`,
-//! both byte-identical across worker counts; per-phase wall times land
-//! on stderr.
+//! both byte-identical across reruns; per-phase wall times land on
+//! stderr.
 //! `trace <id> [--out DIR]` exports the probe's event stream as a
 //! Perfetto/Chrome trace (`DIR/<id>.trace.json`): one track per core,
 //! one per control-loop phase, SBST sessions as duration slices, and a
-//! flow arrow along every cause link. Byte-identical across worker
-//! counts.
+//! flow arrow along every cause link. Byte-identical across reruns.
 //! `diff <a> <b>` (or `diff <id> --seed2 S`) runs two probes and reports
 //! the first diverging event with both causal chains, then the
 //! downstream per-kind and aggregate drift. Identical runs print an
@@ -48,9 +47,10 @@
 //! flag without its value, a `--jobs` value that is not an unsigned
 //! integer, and any experiment id outside e1..e12 and a1..a6 is an error
 //! (exit 2) raised before anything prints or is written, so a misspelt,
-//! misplaced or retired name never silently changes what runs. Every
-//! command reads `--jobs` and `--quick`; `--events` is read by the table
-//! runs, `--out` by `report` and `trace`, `--grids` and `--grid` by
+//! misplaced or retired name never silently changes what runs. `--jobs`
+//! is read by the table runs and `regress`, `--quick` by every command
+//! but `regress` (which always runs at quick scale), `--events` by the
+//! table runs, `--out` by `report` and `trace`, `--grids` and `--grid` by
 //! `bench kernels`, `--seed2` by `diff` and `--inject-drift` by `regress`.
 
 use manytest_bench::diff::{run_diff, DiffTarget};
@@ -87,8 +87,10 @@ const VALUE_FLAGS: [&str; 6] = ["--jobs", "--events", "--out", "--grids", "--gri
 const SUBCOMMANDS: [&str; 6] = ["explain", "report", "trace", "diff", "regress", "bench"];
 
 /// Flags that only some commands read, with those commands (`tables` is
-/// the experiment-table run). Every command reads `--jobs` and `--quick`.
-const FLAG_READERS: [(&str, &[&str]); 6] = [
+/// the experiment-table run).
+const FLAG_READERS: [(&str, &[&str]); 8] = [
+    ("--jobs", &["tables", "regress"]),
+    ("--quick", &["tables", "explain", "report", "trace", "diff", "bench"]),
     ("--events", &["tables"]),
     ("--out", &["report", "trace"]),
     ("--grids", &["bench"]),

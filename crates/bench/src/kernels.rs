@@ -298,9 +298,8 @@ mod tests {
 
     #[test]
     fn kernels_builder_overrides_the_mesh_edge() {
-        let system = kernels_builder(8, Scale::Quick)
-            .build()
-            .expect("valid config");
-        assert_eq!(system.mesh().node_count(), 64);
+        let builder = kernels_builder(8, Scale::Quick);
+        assert_eq!(builder.config().mesh_edge_override, Some(8));
+        builder.build().expect("valid config");
     }
 }

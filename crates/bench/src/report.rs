@@ -67,11 +67,6 @@ pub fn report_builder(id: &str, scale: Scale) -> Option<SystemBuilder> {
     Some(probe_builder(id, scale)?.record_state(REPORT_SNAPSHOT_CAPACITY))
 }
 
-/// Runs the report probe for `id` to completion. `None` for unknown ids.
-pub fn run_report_probe(id: &str, scale: Scale) -> Option<Report> {
-    Some(crate::runner::run_system(report_builder(id, scale)?))
-}
-
 /// Wall-clock phase timer, bench-side only: implements [`PhaseObserver`]
 /// so the control loop's `enter`/`exit` brackets accumulate real seconds
 /// per [`Phase`]. The accumulator is shared out through an `Arc` because
@@ -646,7 +641,7 @@ mod tests {
 
     #[test]
     fn html_report_renders_every_panel() {
-        let report = run_report_probe("e3", Scale::Quick).expect("e3 is a known probe");
+        let (report, _) = run_report_probe_timed("e3", Scale::Quick).expect("e3 is a known probe");
         let html = render_html("e3", &report);
         for needle in [
             "power vs. TDP",
@@ -664,7 +659,6 @@ mod tests {
 
     #[test]
     fn unknown_probe_id_yields_none() {
-        assert!(run_report_probe("zz", Scale::Quick).is_none());
         assert!(run_report_probe_timed("zz", Scale::Quick).is_none());
     }
 

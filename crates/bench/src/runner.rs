@@ -62,18 +62,11 @@ fn record_job(busy_seconds: f64) {
 }
 
 /// The worker count used when a batch is run with `jobs = 0`: the
-/// `MANYTEST_JOBS` environment variable if set to a positive integer,
-/// otherwise the machine's available parallelism.
+/// machine's available parallelism.
 pub fn default_jobs() -> usize {
-    std::env::var("MANYTEST_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 struct Job<'scope, R> {
@@ -133,16 +126,6 @@ impl<'scope, R: Send> Batch<'scope, R> {
             label: label.into(),
             run: Box::new(run),
         });
-    }
-
-    /// Number of queued jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether the batch holds no jobs.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
     }
 
     /// Executes all jobs on up to `jobs` worker threads (`0` = the
@@ -256,7 +239,6 @@ mod tests {
                 i * i
             });
         }
-        assert_eq!(batch.len(), 6);
         let err = catch_unwind(AssertUnwindSafe(|| batch.run(3))).expect_err("job 4 panics");
         assert_eq!(panic_message(err.as_ref()), "job 4 exploded");
         let after = job_stats();

@@ -10,7 +10,7 @@
 //!
 //! The export is derived *purely* from the captured [`EventRecord`]
 //! stream — no wall-clock, no worker-count-dependent state — so the file
-//! is byte-identical across `--jobs` values and reruns (CI diffs it).
+//! is byte-identical across reruns (CI diffs two).
 //!
 //! Schema (checked by `manytest-lint`'s golden-schema rule):
 //! * every entry has `name`, `ph`, `ts`, `pid`, `tid`;
@@ -235,16 +235,27 @@ pub fn write_trace_file(dir: &Path, id: &str, report: &Report) -> io::Result<(Pa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manytest_sim::emit_record;
 
     fn sample_report() -> Report {
         let mut r = Report::default();
+        let mut next_id = 0;
         r.fault_activations = 1;
         r.fault_detections = 1;
         r.tests_completed = 1;
         r.cores_suspected = 1;
-        let fault = r.events.push(0.10, SimEvent::FaultActivated { core: 3 });
-        let launch = r.events.push(
+        let fault = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.10,
+            None,
+            SimEvent::FaultActivated { core: 3 },
+        );
+        let launch = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.15,
+            None,
             SimEvent::TestLaunched {
                 core: 3,
                 routine: 0,
@@ -253,12 +264,16 @@ mod tests {
                 headroom: 4.0,
             },
         );
-        let detect = r.events.push_caused(
+        let detect = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.30,
             Some(CauseLink::new(CauseKind::Activation, fault)),
             SimEvent::FaultDetected { core: 3, latency: 0.20 },
         );
-        let completed = r.events.push_caused(
+        let completed = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.30,
             Some(CauseLink::new(CauseKind::Session, launch)),
             SimEvent::TestCompleted {
@@ -270,7 +285,9 @@ mod tests {
             },
         );
         let _ = (detect, completed);
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.30,
             Some(CauseLink::new(CauseKind::Detection, detect)),
             SimEvent::CoreSuspected { core: 3, level: 2 },

@@ -7,13 +7,11 @@ use std::path::Path;
 use std::process::{Command, Output};
 
 /// The `repro` binary in the target tmpdir with a scrubbed environment
-/// (no inherited jobs/golden variables).
+/// (no inherited golden variable).
 fn repro_cmd(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.args(args).current_dir(env!("CARGO_TARGET_TMPDIR"));
-    for var in ["MANYTEST_JOBS", "MANYTEST_UPDATE_GOLDEN"] {
-        cmd.env_remove(var);
-    }
+    cmd.env_remove("MANYTEST_UPDATE_GOLDEN");
     cmd
 }
 
@@ -88,7 +86,7 @@ fn malformed_and_missing_flag_values_are_rejected_by_name() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bad_flag_values");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create test dir");
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["e3", "--quick", "--jobs", "abc"], "--jobs"),
         // The experiment id is not a worker count.
         (&["--jobs", "e3"], "--jobs"),
@@ -99,6 +97,11 @@ fn malformed_and_missing_flag_values_are_rejected_by_name() {
         (&["e3", "--quick", "--seed2", "abc"], "--seed2"),
         (&["e3", "--quick", "--grids", "x"], "--grids"),
         (&["e3", "--quick", "--out", "somedir"], "--out"),
+        // A probe is one run, so a worker count would be ignored.
+        (&["report", "e11", "--quick", "--jobs", "4"], "--jobs"),
+        (&["trace", "e3", "--quick", "--jobs", "1"], "--jobs"),
+        // `regress` always runs at quick scale.
+        (&["regress", "--quick"], "--quick"),
     ];
     for (args, flag) in cases {
         let out = repro_cmd(args)

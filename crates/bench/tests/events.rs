@@ -45,8 +45,9 @@ fn event_counts_reconcile_with_reports_and_jsonl() {
             report.tests_completed + report.tests_aborted + report.tests_in_flight,
             "probe {id}: launch accounting"
         );
-        let text = report.events.to_jsonl();
-        let parsed = jsonl_kind_counts(&text);
+        let mut jsonl = Vec::new();
+        report.events.write_jsonl(&mut jsonl).expect("writing to a Vec cannot fail");
+        let parsed = jsonl_kind_counts(&String::from_utf8(jsonl).expect("JSONL is UTF-8"));
         for (kind, count) in report.events.kind_counts() {
             assert_eq!(
                 parsed.get(kind).copied().unwrap_or(0),

@@ -112,7 +112,7 @@ fn map_context_allocates_nothing_after_the_first_tick() {
     // control loop's per-epoch store traffic is alloc-free once warm.
     let n = 64;
     let mut store = CoreStore::new(n);
-    let op = VfLadder::for_node(TechNode::N16, 5).max();
+    let op = VfLadder::for_node(TechNode::N16, 5).point(VfLevel(4));
     let session = TestSession::new(0, RoutineId(0), VfLevel(0), 100, 1.0e9, 0.0);
     let mut budget = PowerBudget::new(10.0);
     let reservation = budget.reserve(1.0).expect("budget has headroom");
@@ -141,8 +141,7 @@ fn map_context_allocates_nothing_after_the_first_tick() {
         std::hint::black_box((s.is_some(), r.is_some()));
         store.set_accrued_since(core, tick as f64 * 1e-4);
         // The maintained views the phase loops read every epoch.
-        let mut visited = 0usize;
-        store.for_each_testable(|c| visited += c);
+        let visited: u32 = store.testable_words().iter().map(|w| w.count_ones()).sum();
         std::hint::black_box((
             store.mappable_count(),
             store.testing_count(),
@@ -169,9 +168,7 @@ fn map_context_allocates_nothing_after_the_first_tick() {
         let c = Coord::new((tick % 8) as u16, (tick / 8 % 8) as u16);
         ctx.set_free(c, false);
         ctx.set_criticality(c, (tick % 7) as f64);
-        ctx.set_healthy(c, tick % 3 != 0);
         std::hint::black_box(ctx.free_count());
-        ctx.set_healthy(c, true);
         ctx.set_free(c, true);
     }
     let allocations = ALLOC_CALLS.load(Ordering::Relaxed) - before;

@@ -4,23 +4,23 @@
 //! wall-clock phase timer never leaks into the deterministic outputs.
 
 use manytest_bench::report::{
-    render_html, render_prometheus, run_report_probe, run_report_probe_timed, write_report_files,
+    render_html, render_prometheus, report_builder, run_report_probe_timed, write_report_files,
     METRIC_KEYS, REPORT_SNAPSHOT_CAPACITY,
 };
+use manytest_bench::runner::run_system;
 use manytest_bench::Scale;
 use manytest_core::prelude::*;
 
 /// Two independent report generations must produce the same bytes — the
 /// renderer consumes only the deterministic report, and the report is
-/// reproducible. Worker counts cannot matter (a probe is a single run),
-/// but CI additionally diffs the `repro report` output across `--jobs 1`
-/// and `--jobs 4` at the binary level.
+/// reproducible. CI additionally diffs the output of two `repro report`
+/// reruns at the binary level.
 #[test]
 fn report_files_are_byte_identical_across_runs() {
     let dir = std::env::temp_dir().join(format!("manytest-report-{}", std::process::id()));
     let (a_dir, b_dir) = (dir.join("a"), dir.join("b"));
-    let a = run_report_probe("e11", Scale::Quick).expect("known id");
-    let b = run_report_probe("e11", Scale::Quick).expect("known id");
+    let (a, _) = run_report_probe_timed("e11", Scale::Quick).expect("known id");
+    let (b, _) = run_report_probe_timed("e11", Scale::Quick).expect("known id");
     write_report_files(&a_dir, "e11", &a).expect("first report");
     write_report_files(&b_dir, "e11", &b).expect("second report");
     for name in ["e11.html", "metrics.prom"] {
@@ -37,7 +37,7 @@ fn report_files_are_byte_identical_across_runs() {
 /// recorded.
 #[test]
 fn wall_phase_timer_does_not_perturb_the_report() {
-    let plain = run_report_probe("e3", Scale::Quick).expect("known id");
+    let plain = run_system(report_builder("e3", Scale::Quick).expect("known id"));
     let (timed, wall) = run_report_probe_timed("e3", Scale::Quick).expect("known id");
     assert_eq!(plain, timed, "the phase timer must be a pure observer");
     assert_eq!(render_html("e3", &plain), render_html("e3", &timed));
@@ -52,7 +52,7 @@ fn wall_phase_timer_does_not_perturb_the_report() {
 /// aggregates and respect its configured bound.
 #[test]
 fn flight_recording_reconciles_and_respects_its_bound() {
-    let report = run_report_probe("e11", Scale::Quick).expect("known id");
+    let (report, _) = run_report_probe_timed("e11", Scale::Quick).expect("known id");
     validate_events(&report).expect("audit reconciles profile, state and events");
     assert!(!report.state.is_empty(), "report probes must record state");
     assert!(
@@ -73,7 +73,7 @@ fn flight_recording_reconciles_and_respects_its_bound() {
 /// the probe label, and nothing undeclared sneaks in.
 #[test]
 fn prometheus_file_matches_the_declared_schema() {
-    let report = run_report_probe("e3", Scale::Quick).expect("known id");
+    let (report, _) = run_report_probe_timed("e3", Scale::Quick).expect("known id");
     let text = render_prometheus("e3", &report);
     let mut sample_lines = 0;
     for line in text.lines() {

@@ -19,7 +19,6 @@ fn results_follow_submission_order_not_completion_order() {
             i
         });
     }
-    assert_eq!(batch.len(), n as usize);
     let results = batch.run(4);
     assert_eq!(results, (0..n).collect::<Vec<_>>());
 }
@@ -87,7 +86,6 @@ fn more_workers_than_jobs_is_fine() {
 #[test]
 fn empty_batch_returns_empty() {
     let batch: Batch<'_, u8> = Batch::new();
-    assert!(batch.is_empty());
     assert_eq!(batch.run(4), Vec::<u8>::new());
 }
 

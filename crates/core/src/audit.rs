@@ -627,7 +627,7 @@ fn validate_provenance(report: &Report, errors: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manytest_sim::{CauseKind, CauseLink, EventId, EventRecord, SimEvent};
+    use manytest_sim::{emit_record, CauseKind, CauseLink, EventId, EventRecord, SimEvent};
 
     #[test]
     fn empty_report_passes() {
@@ -637,13 +637,17 @@ mod tests {
     #[test]
     fn consistent_counts_pass() {
         let mut r = Report::default();
+        let mut next_id = 0;
         r.tests_completed = 2;
         r.tests_aborted = 1;
         r.apps_arrived = 1;
         let mut launches = Vec::new();
         for _ in 0..3 {
-            launches.push(r.events.push(
+            launches.push(emit_record(
+                Some(&mut r.events),
+                &mut next_id,
                 0.0,
+                None,
                 SimEvent::TestLaunched {
                     core: 0,
                     routine: 0,
@@ -654,7 +658,9 @@ mod tests {
             ));
         }
         for &launch in &launches[..2] {
-            r.events.push_caused(
+            emit_record(
+                Some(&mut r.events),
+                &mut next_id,
                 0.0,
                 Some(CauseLink::new(CauseKind::Session, launch)),
                 SimEvent::TestCompleted {
@@ -666,7 +672,9 @@ mod tests {
                 },
             );
         }
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.0,
             Some(CauseLink::new(CauseKind::Session, launches[2])),
             SimEvent::TestAborted {
@@ -674,14 +682,27 @@ mod tests {
                 reason: manytest_sim::AbortReason::MappedOver,
             },
         );
-        r.events.push(0.0, SimEvent::AppArrived { app: 0, tasks: 1 });
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.0,
+            None,
+            SimEvent::AppArrived { app: 0, tasks: 1 },
+        );
         validate_events(&r).expect("consistent counts");
     }
 
     #[test]
     fn divergent_counts_name_the_invariant() {
         let mut r = Report::default();
-        r.events.push(0.0, SimEvent::AppArrived { app: 0, tasks: 1 });
+        let mut next_id = 0;
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.0,
+            None,
+            SimEvent::AppArrived { app: 0, tasks: 1 },
+        );
         // apps_arrived stays 0 → mismatch.
         let err = validate_events(&r).unwrap_err();
         assert!(err.contains("AppArrived == apps_arrived"), "got: {err}");
@@ -691,6 +712,7 @@ mod tests {
     #[test]
     fn response_pipeline_counts_reconcile() {
         let mut r = Report::default();
+        let mut next_id = 0;
         r.apps_arrived = 1;
         r.cores_suspected = 2;
         r.cores_quarantined = 1;
@@ -698,11 +720,19 @@ mod tests {
         r.apps_restarted = 1;
         r.fault_activations = 1;
         r.fault_detections = 1;
-        r.tests_completed = 1;
+        r.tests_completed = 2;
         // The restarted app was mapped once before its restart; its
         // second placement is still pending, so AppMapped totals 1.
-        let arrived = r.events.push(0.01, SimEvent::AppArrived { app: 7, tasks: 2 });
-        r.events.push_caused(
+        let arrived = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.01,
+            None,
+            SimEvent::AppArrived { app: 7, tasks: 2 },
+        );
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.05,
             Some(CauseLink::new(CauseKind::Arrival, arrived)),
             SimEvent::AppMapped {
@@ -717,9 +747,18 @@ mod tests {
                 headroom: 5.0,
             },
         );
-        let fault = r.events.push(0.08, SimEvent::FaultActivated { core: 3 });
-        let launch = r.events.push(
+        let fault = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.08,
+            None,
+            SimEvent::FaultActivated { core: 3 },
+        );
+        let launch = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.09,
+            None,
             SimEvent::TestLaunched {
                 core: 3,
                 routine: 0,
@@ -728,12 +767,16 @@ mod tests {
                 headroom: 4.0,
             },
         );
-        let detect = r.events.push_caused(
+        let detect = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.1,
             Some(CauseLink::new(CauseKind::Activation, fault)),
             SimEvent::FaultDetected { core: 3, latency: 0.1 },
         );
-        let completed = r.events.push_caused(
+        let completed = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.1,
             Some(CauseLink::new(CauseKind::Session, launch)),
             SimEvent::TestCompleted {
@@ -744,30 +787,67 @@ mod tests {
                 interval: -1.0,
             },
         );
-        let suspect = r.events.push_caused(
+        let suspect = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.1,
             Some(CauseLink::new(CauseKind::Detection, detect)),
             SimEvent::CoreSuspected { core: 3, level: 2 },
         );
         // A false alarm on a second core, later cleared by its retests.
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.2,
             Some(CauseLink::new(CauseKind::FalseAlarm, completed)),
             SimEvent::CoreSuspected { core: 5, level: 0 },
         );
-        let q = r.events.push_caused(
+        // The confirmation retest the priority lane plans for the suspect.
+        let retest = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.25,
+            Some(CauseLink::new(CauseKind::RetestLane, suspect)),
+            SimEvent::TestLaunched {
+                core: 3,
+                routine: 0,
+                level: 2,
+                power: 0.4,
+                headroom: 4.0,
+            },
+        );
+        let verdict = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.28,
+            Some(CauseLink::new(CauseKind::Session, retest)),
+            SimEvent::TestCompleted {
+                core: 3,
+                routine: 0,
+                level: 2,
+                covered_levels: 1,
+                interval: -1.0,
+            },
+        );
+        let q = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.3,
-            Some(CauseLink::new(CauseKind::Suspicion, suspect)),
+            Some(CauseLink::new(CauseKind::RetestFailed, verdict)),
             SimEvent::CoreQuarantined { core: 3, retests: 1 },
         );
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.3,
             Some(CauseLink::new(CauseKind::Quarantine, q)),
             SimEvent::AppRestarted { app: 7, core: 3 },
         );
         r.apps_pending = 1;
         r.apps_in_flight = 1;
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.4,
             Some(CauseLink::new(CauseKind::RetestPassed, completed)),
             SimEvent::CoreCleared { core: 5, retests: 3 },
@@ -778,8 +858,15 @@ mod tests {
     #[test]
     fn suspicion_inequality_is_enforced() {
         let mut r = Report::default();
+        let mut next_id = 0;
         r.cores_quarantined = 1;
-        r.events.push(0.3, SimEvent::CoreQuarantined { core: 3, retests: 0 });
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.3,
+            None,
+            SimEvent::CoreQuarantined { core: 3, retests: 0 },
+        );
         let err = validate_events(&r).unwrap_err();
         assert!(
             err.contains("CoreSuspected >= CoreQuarantined + CoreCleared"),
@@ -790,14 +877,30 @@ mod tests {
     #[test]
     fn activity_on_a_quarantined_core_is_flagged() {
         let mut r = Report::default();
+        let mut next_id = 0;
         r.cores_suspected = 1;
         r.cores_quarantined = 1;
         r.tests_completed = 0;
         r.tests_in_flight = 1;
-        r.events.push(0.1, SimEvent::CoreSuspected { core: 2, level: 1 });
-        r.events.push(0.2, SimEvent::CoreQuarantined { core: 2, retests: 1 });
-        r.events.push(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.1,
+            None,
+            SimEvent::CoreSuspected { core: 2, level: 1 },
+        );
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.2,
+            None,
+            SimEvent::CoreQuarantined { core: 2, retests: 1 },
+        );
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.3,
+            None,
             SimEvent::TestLaunched {
                 core: 2,
                 routine: 0,
@@ -814,29 +917,82 @@ mod tests {
 
         // Powering the core back on is flagged too; gating (to = −1) is not.
         let mut r = Report::default();
+        let mut next_id = 0;
         r.cores_suspected = 1;
         r.cores_quarantined = 1;
         r.fault_activations = 1;
         r.fault_detections = 1;
-        let fault = r.events.push(0.05, SimEvent::FaultActivated { core: 4 });
-        let detect = r.events.push_caused(
+        r.tests_completed = 1;
+        let fault = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.05,
+            None,
+            SimEvent::FaultActivated { core: 4 },
+        );
+        let detect = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.08,
             Some(CauseLink::new(CauseKind::Activation, fault)),
             SimEvent::FaultDetected { core: 4, latency: 0.03 },
         );
-        let suspect = r.events.push_caused(
+        let suspect = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.1,
             Some(CauseLink::new(CauseKind::Detection, detect)),
             SimEvent::CoreSuspected { core: 4, level: 0 },
         );
-        r.events.push_caused(
+        // The confirmation retest the priority lane plans for the suspect.
+        let retest = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.12,
+            Some(CauseLink::new(CauseKind::RetestLane, suspect)),
+            SimEvent::TestLaunched {
+                core: 4,
+                routine: 0,
+                level: 0,
+                power: 0.4,
+                headroom: 4.0,
+            },
+        );
+        let verdict = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.15,
+            Some(CauseLink::new(CauseKind::Session, retest)),
+            SimEvent::TestCompleted {
+                core: 4,
+                routine: 0,
+                level: 0,
+                covered_levels: 1,
+                interval: -1.0,
+            },
+        );
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.2,
-            Some(CauseLink::new(CauseKind::Suspicion, suspect)),
+            Some(CauseLink::new(CauseKind::RetestFailed, verdict)),
             SimEvent::CoreQuarantined { core: 4, retests: 2 },
         );
-        r.events.push(0.2, SimEvent::DvfsTransition { core: 4, from: 3, to: -1 });
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.2,
+            None,
+            SimEvent::DvfsTransition { core: 4, from: 3, to: -1 },
+        );
         validate_events(&r).expect("gating a quarantined core is fine");
-        r.events.push(0.5, SimEvent::DvfsTransition { core: 4, from: -1, to: 2 });
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.5,
+            None,
+            SimEvent::DvfsTransition { core: 4, from: -1, to: 2 },
+        );
         let err = validate_events(&r).unwrap_err();
         assert!(
             err.contains("quarantined core 4 powered back on"),
@@ -847,8 +1003,15 @@ mod tests {
     #[test]
     fn missing_cause_on_a_required_kind_is_flagged() {
         let mut r = Report::default();
+        let mut next_id = 0;
         r.fault_detections = 1;
-        r.events.push(0.1, SimEvent::FaultDetected { core: 2, latency: 0.05 });
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.1,
+            None,
+            SimEvent::FaultDetected { core: 2, latency: 0.05 },
+        );
         let err = validate_events(&r).unwrap_err();
         assert!(
             err.contains("FaultDetected #0 must carry a cause link"),
@@ -859,11 +1022,20 @@ mod tests {
     #[test]
     fn link_table_violations_are_flagged() {
         let mut r = Report::default();
+        let mut next_id = 0;
         r.fault_activations = 1;
         r.cores_suspected = 1;
-        let fault = r.events.push(0.1, SimEvent::FaultActivated { core: 2 });
+        let fault = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.1,
+            None,
+            SimEvent::FaultActivated { core: 2 },
+        );
         // Activation links terminate at FaultDetected, never CoreSuspected.
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.2,
             Some(CauseLink::new(CauseKind::Activation, fault)),
             SimEvent::CoreSuspected { core: 2, level: 1 },
@@ -907,8 +1079,11 @@ mod tests {
 
         // A dangling link (id never stored, nothing dropped) is flagged.
         let mut r = Report::default();
+        let mut next_id = 0;
         r.tests_denied_power = 1;
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.1,
             Some(CauseLink::new(CauseKind::CapMove, EventId(77))),
             SimEvent::TestDeniedPower {
@@ -924,28 +1099,63 @@ mod tests {
         );
     }
 
-    /// Pushes a fully-caused fault → detect → suspect → quarantine chain
-    /// for `core` and bumps the matching aggregates; returns the
-    /// `CoreQuarantined` event id for probe-lane links.
-    fn quarantined(r: &mut Report, core: u32, t: f64) -> EventId {
+    /// Pushes a fully-caused fault → detect → suspect → retest →
+    /// quarantine chain for `core` and bumps the matching aggregates;
+    /// returns the `CoreQuarantined` event id for probe-lane links.
+    fn quarantined(r: &mut Report, next_id: &mut u64, core: u32, t: f64) -> EventId {
         r.fault_activations += 1;
         r.fault_detections += 1;
         r.cores_suspected += 1;
         r.cores_quarantined += 1;
-        let fault = r.events.push(t, SimEvent::FaultActivated { core });
-        let detect = r.events.push_caused(
+        r.tests_completed += 1;
+        let fault =
+            emit_record(Some(&mut r.events), next_id, t, None, SimEvent::FaultActivated { core });
+        let detect = emit_record(
+            Some(&mut r.events),
+            next_id,
             t,
             Some(CauseLink::new(CauseKind::Activation, fault)),
             SimEvent::FaultDetected { core, latency: 0.01 },
         );
-        let suspect = r.events.push_caused(
+        let suspect = emit_record(
+            Some(&mut r.events),
+            next_id,
             t,
             Some(CauseLink::new(CauseKind::Detection, detect)),
             SimEvent::CoreSuspected { core, level: 1 },
         );
-        r.events.push_caused(
+        // The confirmation retest the priority lane plans for the suspect.
+        let retest = emit_record(
+            Some(&mut r.events),
+            next_id,
             t,
-            Some(CauseLink::new(CauseKind::Suspicion, suspect)),
+            Some(CauseLink::new(CauseKind::RetestLane, suspect)),
+            SimEvent::TestLaunched {
+                core,
+                routine: 0,
+                level: 1,
+                power: 0.4,
+                headroom: 4.0,
+            },
+        );
+        let verdict = emit_record(
+            Some(&mut r.events),
+            next_id,
+            t,
+            Some(CauseLink::new(CauseKind::Session, retest)),
+            SimEvent::TestCompleted {
+                core,
+                routine: 0,
+                level: 1,
+                covered_levels: 1,
+                interval: -1.0,
+            },
+        );
+        emit_record(
+            Some(&mut r.events),
+            next_id,
+            t,
+            Some(CauseLink::new(CauseKind::RetestFailed, verdict)),
             SimEvent::CoreQuarantined { core, retests: 1 },
         )
     }
@@ -953,34 +1163,68 @@ mod tests {
     #[test]
     fn full_probe_lifecycle_passes() {
         let mut r = Report::default();
-        let q = quarantined(&mut r, 6, 0.08);
+        let mut next_id = 0;
+        let q = quarantined(&mut r, &mut next_id, 6, 0.08);
         r.probes_launched = 2;
         r.cores_readmitted = 1;
         r.probe_budget = 2;
         r.tests_in_flight = 1;
-        r.events.push(0.08, SimEvent::DvfsTransition { core: 6, from: 2, to: -1 });
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.08,
+            None,
+            SimEvent::DvfsTransition { core: 6, from: 2, to: -1 },
+        );
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.12,
             Some(CauseLink::new(CauseKind::ProbeLane, q)),
             SimEvent::CoreProbeLaunched { core: 6, streak: 0, inflight: 1 },
         );
         // The lane clocks the core at the probe level: allowed while probing.
-        r.events.push(0.12, SimEvent::DvfsTransition { core: 6, from: -1, to: 0 });
-        let p2 = r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.12,
+            None,
+            SimEvent::DvfsTransition { core: 6, from: -1, to: 0 },
+        );
+        let p2 = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.13,
             Some(CauseLink::new(CauseKind::ProbeLane, q)),
             SimEvent::CoreProbeLaunched { core: 6, streak: 1, inflight: 1 },
         );
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.14,
             Some(CauseLink::new(CauseKind::ProbePassed, p2)),
             SimEvent::CoreReadmitted { core: 6, probes: 2 },
         );
-        r.events.push(0.14, SimEvent::DvfsTransition { core: 6, from: 0, to: -1 });
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.14,
+            None,
+            SimEvent::DvfsTransition { core: 6, from: 0, to: -1 },
+        );
         // Re-admitted: the core may power up and host tests again.
-        r.events.push(0.20, SimEvent::DvfsTransition { core: 6, from: -1, to: 3 });
-        r.events.push(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.20,
+            None,
+            SimEvent::DvfsTransition { core: 6, from: -1, to: 3 },
+        );
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.21,
+            None,
             SimEvent::TestLaunched {
                 core: 6,
                 routine: 0,
@@ -995,25 +1239,48 @@ mod tests {
     #[test]
     fn requarantine_keeps_the_core_withdrawn() {
         let mut r = Report::default();
-        let q = quarantined(&mut r, 4, 0.1);
+        let mut next_id = 0;
+        let q = quarantined(&mut r, &mut next_id, 4, 0.1);
         r.probes_launched = 1;
         r.cores_requarantined = 1;
         r.probe_budget = 2;
-        let p = r.events.push_caused(
+        let p = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.2,
             Some(CauseLink::new(CauseKind::ProbeLane, q)),
             SimEvent::CoreProbeLaunched { core: 4, streak: 0, inflight: 1 },
         );
-        r.events.push(0.2, SimEvent::DvfsTransition { core: 4, from: -1, to: 0 });
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.2,
+            None,
+            SimEvent::DvfsTransition { core: 4, from: -1, to: 0 },
+        );
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.21,
             Some(CauseLink::new(CauseKind::ProbeFailed, p)),
             SimEvent::CoreRequarantined { core: 4, backoff: 1 },
         );
-        r.events.push(0.21, SimEvent::DvfsTransition { core: 4, from: 0, to: -1 });
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.21,
+            None,
+            SimEvent::DvfsTransition { core: 4, from: 0, to: -1 },
+        );
         validate_events(&r).expect("failed probation audits clean");
         // Powering the core up after the failed probation is a violation.
-        r.events.push(0.5, SimEvent::DvfsTransition { core: 4, from: -1, to: 2 });
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.5,
+            None,
+            SimEvent::DvfsTransition { core: 4, from: -1, to: 2 },
+        );
         let err = validate_events(&r).unwrap_err();
         assert!(
             err.contains("quarantined core 4 powered back on"),
@@ -1024,8 +1291,15 @@ mod tests {
     #[test]
     fn readmission_without_quarantine_is_flagged() {
         let mut r = Report::default();
+        let mut next_id = 0;
         r.cores_readmitted = 1;
-        r.events.push(0.1, SimEvent::CoreReadmitted { core: 9, probes: 3 });
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.1,
+            None,
+            SimEvent::CoreReadmitted { core: 9, probes: 3 },
+        );
         let err = validate_events(&r).unwrap_err();
         assert!(
             err.contains("CoreReadmitted for never-quarantined core 9"),
@@ -1040,18 +1314,24 @@ mod tests {
     #[test]
     fn activity_during_probation_is_flagged() {
         let mut r = Report::default();
-        let q = quarantined(&mut r, 2, 0.1);
+        let mut next_id = 0;
+        let q = quarantined(&mut r, &mut next_id, 2, 0.1);
         r.probes_launched = 1;
         r.probe_budget = 1;
         r.tests_in_flight = 1;
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.2,
             Some(CauseLink::new(CauseKind::ProbeLane, q)),
             SimEvent::CoreProbeLaunched { core: 2, streak: 0, inflight: 1 },
         );
         // Probation is not re-admission: the scheduler must still stay away.
-        r.events.push(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.25,
+            None,
             SimEvent::TestLaunched {
                 core: 2,
                 routine: 0,
@@ -1070,10 +1350,13 @@ mod tests {
     #[test]
     fn probe_budget_overrun_is_flagged() {
         let mut r = Report::default();
-        let q = quarantined(&mut r, 3, 0.1);
+        let mut next_id = 0;
+        let q = quarantined(&mut r, &mut next_id, 3, 0.1);
         r.probes_launched = 1;
         r.probe_budget = 1;
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.2,
             Some(CauseLink::new(CauseKind::ProbeLane, q)),
             SimEvent::CoreProbeLaunched { core: 3, streak: 0, inflight: 2 },
@@ -1085,11 +1368,20 @@ mod tests {
     #[test]
     fn checkpoint_counts_reconcile() {
         let mut r = Report::default();
+        let mut next_id = 0;
         r.apps_arrived = 1;
         r.apps_in_flight = 1;
         r.apps_checkpointed = 1;
-        let arrived = r.events.push(0.01, SimEvent::AppArrived { app: 1, tasks: 2 });
-        let mapped = r.events.push_caused(
+        let arrived = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
+            0.01,
+            None,
+            SimEvent::AppArrived { app: 1, tasks: 2 },
+        );
+        let mapped = emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.02,
             Some(CauseLink::new(CauseKind::Arrival, arrived)),
             SimEvent::AppMapped {
@@ -1104,7 +1396,9 @@ mod tests {
                 headroom: 5.0,
             },
         );
-        r.events.push_caused(
+        emit_record(
+            Some(&mut r.events),
+            &mut next_id,
             0.1,
             Some(CauseLink::new(CauseKind::Checkpoint, mapped)),
             SimEvent::AppCheckpointed { app: 1, tasks: 2, bytes: 2048 },

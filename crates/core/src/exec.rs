@@ -321,11 +321,11 @@ pub struct PendingApp {
 mod tests {
     use super::*;
     use manytest_noc::Coord;
-    use manytest_power::{TechNode, VfLadder};
+    use manytest_power::{TechNode, VfLadder, VfLevel};
     use manytest_workload::Task;
 
     fn ladder_op() -> OperatingPoint {
-        VfLadder::for_node(TechNode::N16, 5).max()
+        VfLadder::for_node(TechNode::N16, 5).point(VfLevel(4))
     }
 
     fn two_task_app() -> (TaskGraph, Mapping) {

@@ -197,11 +197,6 @@ impl CoreStore {
 
     // --- health mirror ---
 
-    /// Whether `core` is still healthy (not quarantined).
-    pub fn is_healthy(&self, core: usize) -> bool {
-        self.healthy[core]
-    }
-
     /// Marks `core` quarantined, removing it from the mappable set.
     pub fn set_quarantined(&mut self, core: usize) {
         self.set_healthy(core, false);
@@ -309,22 +304,28 @@ impl CoreStore {
         &self.bitsets[..self.words]
     }
 
-    /// Calls `f(core)` for every test candidate, ascending core order.
-    pub fn for_each_testable(&self, f: impl FnMut(usize)) {
-        Self::for_each_set_bit(self.testable_words(), f);
-    }
-
     /// The powered-core bitset (cores not `CoreMode::Off`), laid out
     /// like [`CoreStore::testable_words`].
     pub fn powered_words(&self) -> &[u64] {
         &self.bitsets[self.words..]
     }
 
-    /// Calls `f(core)` for every powered core, ascending core order.
-    pub fn for_each_powered(&self, f: impl FnMut(usize)) {
+    /// Calls `f(core)` for every test candidate, ascending core order:
+    /// the full walk the schedule oracle compares the wake-up calendar
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn for_each_testable(&self, f: impl FnMut(usize)) {
+        Self::for_each_set_bit(self.testable_words(), f);
+    }
+
+    /// Calls `f(core)` for every powered core, ascending core order: the
+    /// full walk the epoch-close oracle compares against.
+    #[cfg(test)]
+    pub(crate) fn for_each_powered(&self, f: impl FnMut(usize)) {
         Self::for_each_set_bit(self.powered_words(), f);
     }
 
+    #[cfg(test)]
     fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
         for (w, &word) in words.iter().enumerate() {
             let mut bits = word;
@@ -337,11 +338,6 @@ impl CoreStore {
     }
 
     // --- generation / dirty set ---
-
-    /// The current epoch generation (starts at 1).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
 
     /// Cores whose policy state changed since the last
     /// [`CoreStore::advance_generation`], in first-touch order, each at
@@ -450,7 +446,7 @@ mod tests {
     use manytest_sbst::RoutineId;
 
     fn ladder_op() -> OperatingPoint {
-        VfLadder::for_node(TechNode::N16, 5).max()
+        VfLadder::for_node(TechNode::N16, 5).point(VfLevel(4))
     }
 
     fn session_at(core: usize) -> TestSession {
@@ -527,7 +523,7 @@ mod tests {
         let mut store = CoreStore::new(4);
         store.set_quarantined(2);
         assert_eq!(store.mappable_count(), 3);
-        assert!(!store.is_healthy(2));
+        assert!(!store.healthy[2]);
         // Quarantining again changes nothing.
         store.set_quarantined(2);
         assert_eq!(store.mappable_count(), 3);
@@ -543,14 +539,14 @@ mod tests {
     #[test]
     fn dirty_set_dedups_within_a_generation() {
         let mut store = CoreStore::new(4);
-        assert_eq!(store.generation(), 1);
+        assert_eq!(store.generation, 1);
         store.set_mode(0, CoreMode::Idle(ladder_op()));
         store.set_mode(0, CoreMode::Busy(ladder_op()));
         store.set_owner(3, Some((AppId(1), TaskId(0))));
         assert_eq!(store.dirty_cores(), &[0, 3]);
         assert_eq!(store.dirty_marks(), 2);
         store.advance_generation();
-        assert_eq!(store.generation(), 2);
+        assert_eq!(store.generation, 2);
         assert!(store.dirty_cores().is_empty());
         // The same core dirties again in the new generation.
         store.set_mode(0, CoreMode::Off);

@@ -271,12 +271,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Overrides the test-scheduler tuning.
-    pub fn test_scheduler(mut self, cfg: manytest_sbst::TestSchedulerConfig) -> Self {
-        self.config.test_scheduler = cfg;
-        self
-    }
-
     /// Overrides the criticality metric.
     pub fn criticality(mut self, model: CriticalityModel) -> Self {
         self.config.criticality = model;
@@ -649,11 +643,6 @@ impl System {
         })
     }
 
-    /// The configuration the system runs under.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
     /// Replaces the phase-boundary observer. The control loop brackets
     /// every phase (PID, fault sweep, mapping, test scheduling, event
     /// drain, epoch close) with `enter`/`exit` calls; the simulator
@@ -696,11 +685,6 @@ impl System {
     #[inline]
     fn emit_caused(&mut self, now: f64, kind: CauseKind, cause: EventId, ev: SimEvent) -> EventId {
         self.observe_linked(now, Some(CauseLink::new(kind, cause)), ev)
-    }
-
-    /// The platform mesh.
-    pub fn mesh(&self) -> Mesh2D {
-        self.mesh
     }
 
     /// Runs the full horizon and produces the report.
@@ -2272,6 +2256,17 @@ mod tests {
         SystemBuilder::new(node).seed(11).sim_time_ms(160).arrival_rate(200.0)
     }
 
+    /// `b` with its test-scheduler tuning adjusted, through the
+    /// `SystemConfig` the ablations build systems from.
+    fn with_scheduler(
+        b: SystemBuilder,
+        tune: impl FnOnce(&mut manytest_sbst::TestSchedulerConfig),
+    ) -> SystemBuilder {
+        let mut config = b.config().clone();
+        tune(&mut config.test_scheduler);
+        SystemBuilder::from_config(config)
+    }
+
     thread_local! {
         /// The wake-ups the current task completion scheduled: each
         /// successor with its ready-time bits.
@@ -2295,7 +2290,7 @@ mod tests {
             candidates: &[TestCandidate],
             retests: &[RetestRequest],
         ) {
-            let threshold = self.scheduler.config().criticality_threshold;
+            let threshold = self.config.test_scheduler.criticality_threshold;
             let mut full = Vec::new();
             let mut full_retests = Vec::new();
             self.store.for_each_testable(|i| {
@@ -2576,16 +2571,13 @@ mod tests {
 
     #[test]
     fn the_scheduler_ladder_sizes_the_platform_ladder() {
-        let three = manytest_sbst::TestSchedulerConfig {
-            ladder_levels: 3,
-            ..manytest_sbst::TestSchedulerConfig::default()
-        };
-        let r = quick(TechNode::N16).test_scheduler(three).build().unwrap().run();
+        let builder = with_scheduler(quick(TechNode::N16), |s| s.ladder_levels = 3);
+        let r = builder.build().unwrap().run();
         assert_eq!(r.tests_per_level.len(), 3, "one coverage column per level");
         assert!(r.tests_completed > 0);
         assert_rejects(
             |c| {
-                c.test_scheduler = three;
+                c.test_scheduler.ladder_levels = 3;
                 c.test_scheduler.fixed_level = Some(3);
             },
             "test_scheduler.fixed_level",
@@ -3163,7 +3155,6 @@ mod tests {
     /// totals below make sure the runs reach the lanes that matter.
     #[test]
     fn wake_calendar_matches_the_full_scan() {
-        use manytest_sbst::TestSchedulerConfig;
         type Scenario = fn(SystemBuilder) -> SystemBuilder;
         let scenarios: [(&str, Scenario); 11] = [
             ("steady", |b| b),
@@ -3180,37 +3171,17 @@ mod tests {
                     .fault_response(FaultResponsePolicy::MigrateRegion)
                     .probe_cadence_us(3_000)
             }),
-            ("fixed level", |b| {
-                b.test_scheduler(TestSchedulerConfig {
-                    fixed_level: Some(2),
-                    ..TestSchedulerConfig::default()
-                })
-            }),
-            ("threshold 0", |b| {
-                b.test_scheduler(TestSchedulerConfig {
-                    criticality_threshold: 0.0,
-                    ..TestSchedulerConfig::default()
-                })
-            }),
-            ("high threshold", |b| {
-                b.test_scheduler(TestSchedulerConfig {
-                    criticality_threshold: 1.5,
-                    ..TestSchedulerConfig::default()
-                })
-            }),
-            ("launch cap 1", |b| {
-                b.test_scheduler(TestSchedulerConfig {
-                    max_launches_per_epoch: 1,
-                    ..TestSchedulerConfig::default()
-                })
-            }),
+            ("fixed level", |b| with_scheduler(b, |s| s.fixed_level = Some(2))),
+            ("threshold 0", |b| with_scheduler(b, |s| s.criticality_threshold = 0.0)),
+            ("high threshold", |b| with_scheduler(b, |s| s.criticality_threshold = 1.5)),
+            ("launch cap 1", |b| with_scheduler(b, |s| s.max_launches_per_epoch = 1)),
             ("denials", |b| b.arrival_rate(6_000.0).governor(GovernorKind::Naive)),
         ];
         let mut rng = SimRng::seed_from(1717);
         let (mut denials, mut retests, mut probes, mut launches) = (0, 0, 0, 0);
         for (name, scenario) in scenarios {
             for _ in 0..2 {
-                let edge = *rng.choose(&[4u16, 6, 8, 12, 16]).expect("non-empty");
+                let edge = [4u16, 6, 8, 12, 16][rng.gen_range(5) as usize];
                 let builder = SystemBuilder::new(TechNode::N16)
                     .seed(rng.next_u64())
                     .mesh_edge(edge)

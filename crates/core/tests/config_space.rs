@@ -102,13 +102,15 @@ fn random_builder(rng: &mut SimRng) -> SystemBuilder {
         2..=11 => 0.5,
         _ => rng.gen_f64_range(-1.0, 0.1),
     };
-    b.test_scheduler(TestSchedulerConfig {
+    let mut config = b.config().clone();
+    config.test_scheduler = TestSchedulerConfig {
         criticality_threshold: threshold,
         max_launches_per_epoch: edgy_u64(rng, &[0, 1, u64::MAX], 128) as usize,
         fixed_level: rng.gen_bool(0.2).then(|| rng.gen_range(6) as u8),
         ladder_levels: rng.gen_bool(0.2).then(|| rng.gen_range(8) as usize).unwrap_or(5),
         ..TestSchedulerConfig::default()
-    })
+    };
+    SystemBuilder::from_config(config)
 }
 
 #[test]
@@ -159,7 +161,7 @@ fn random_configs_build_or_run_with_a_clean_audit() {
 /// the multiplier itself saturates at the lane's backoff cap.
 #[test]
 fn backoff_past_64_failed_probation_rounds_runs_clean() {
-    let report = SystemBuilder::new(TechNode::N16)
+    let mut config = SystemBuilder::new(TechNode::N16)
         .mesh_edge(2)
         .seed(3)
         .sim_time_ms(400)
@@ -168,10 +170,10 @@ fn backoff_past_64_failed_probation_rounds_runs_clean() {
         .fault_response(FaultResponsePolicy::Abort)
         .probe_cadence_us(0)
         .capture_events(1 << 20)
-        .test_scheduler(TestSchedulerConfig {
-            criticality_threshold: -1.0,
-            ..TestSchedulerConfig::default()
-        })
+        .config()
+        .clone();
+    config.test_scheduler.criticality_threshold = -1.0;
+    let report = SystemBuilder::from_config(config)
         .build()
         .expect("valid config")
         .run();

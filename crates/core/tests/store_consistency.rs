@@ -14,7 +14,7 @@ use manytest_workload::{AppId, TaskId};
 fn random_mutation(store: &mut CoreStore, rng: &mut SimRng, budget: &mut PowerBudget) {
     let n = store.len();
     let core = rng.gen_range(n as u64) as usize;
-    let op = VfLadder::for_node(TechNode::N16, 5).max();
+    let op = VfLadder::for_node(TechNode::N16, 5).point(VfLevel(4));
     match rng.gen_range(8) {
         0 => store.set_mode(core, CoreMode::Off),
         1 => store.set_mode(core, CoreMode::Idle(op)),
@@ -89,7 +89,7 @@ fn incremental_views_match_full_rebuild_under_random_mutations() {
 #[test]
 fn dirty_marks_count_exactly_the_distinct_cores_touched_per_epoch() {
     let mut store = CoreStore::new(32);
-    let op = VfLadder::for_node(TechNode::N16, 5).max();
+    let op = VfLadder::for_node(TechNode::N16, 5).point(VfLevel(4));
     // Touch three cores, one of them repeatedly: three marks.
     store.set_mode(3, CoreMode::Idle(op));
     store.set_mode(3, CoreMode::Busy(op));

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// let ctx = MapContext::all_free(Mesh2D::new(8, 8));
 /// let mapping = ConaMapper::new().map(&ctx, &presets::mwd()).unwrap();
-/// assert_eq!(mapping.len(), 12);
+/// assert_eq!(mapping.coords().len(), 12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConaMapper {
@@ -101,11 +101,8 @@ mod tests {
     fn ignores_utilization_and_criticality() {
         let mesh = Mesh2D::new(8, 8);
         let clean = MapContext::all_free(mesh);
-        let mut hot = MapContext::all_free(mesh);
-        for c in mesh.coords() {
-            hot.set_utilization(c, 0.9);
-            hot.set_criticality(c, 5.0);
-        }
+        let n = mesh.node_count();
+        let hot = MapContext::from_parts(mesh, vec![true; n], vec![0.9; n], vec![5.0; n]);
         let mapper = ConaMapper::new();
         let app = presets::pip();
         assert_eq!(mapper.map(&clean, &app), mapper.map(&hot, &app));
@@ -116,7 +113,9 @@ mod tests {
         let ctx = MapContext::all_free(Mesh2D::new(10, 10));
         let m = ConaMapper::new().map(&ctx, &presets::vopd()).unwrap();
         // 12 tasks should fit in a bounding box not much larger than 4x4.
-        assert!(m.bounding_box_area() <= 25, "area {}", m.bounding_box_area());
+        let (lo, hi) = m.bounding_box().expect("non-empty mapping");
+        let area = usize::from(hi.x - lo.x + 1) * usize::from(hi.y - lo.y + 1);
+        assert!(area <= 25, "area {area}");
     }
 
     #[test]

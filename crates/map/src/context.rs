@@ -79,7 +79,7 @@ impl MapContext {
     }
 
     /// Empties the context and re-targets it at `mesh`, keeping the
-    /// vectors' capacity. Together with [`MapContext::push_node`] this
+    /// vectors' capacity. Together with [`MapContext::push_node_health`] this
     /// lets a hot loop rebuild the snapshot every control tick without
     /// touching the heap.
     pub fn reset(&mut self, mesh: Mesh2D) {
@@ -91,16 +91,11 @@ impl MapContext {
         self.mappable = 0;
     }
 
-    /// Appends the state of the next node (dense-id order), assumed
-    /// healthy. Callers must push exactly `mesh.node_count()` entries
-    /// after a [`MapContext::reset`]; [`MapContext::is_complete`] checks
-    /// that.
-    pub fn push_node(&mut self, free: bool, utilization: f64, criticality: f64) {
-        self.push_node_health(free, true, utilization, criticality);
-    }
-
-    /// [`MapContext::push_node`] with an explicit health bit: quarantined
-    /// nodes push `healthy = false` and are invisible to mappers.
+    /// Appends the state of the next node (dense-id order). Callers must
+    /// push exactly `mesh.node_count()` entries after a
+    /// [`MapContext::reset`]; [`MapContext::is_complete`] checks that.
+    /// Quarantined nodes push `healthy = false` and are invisible to
+    /// mappers.
     #[inline]
     pub fn push_node_health(
         &mut self,
@@ -152,42 +147,10 @@ impl MapContext {
         }
     }
 
-    /// Whether the node at `c` is healthy (not quarantined).
-    #[inline]
-    pub fn is_healthy(&self, c: Coord) -> bool {
-        self.healthy[self.mesh.node_id(c).index()]
-    }
-
-    /// Marks the node at `c` healthy or quarantined.
-    pub fn set_healthy(&mut self, c: Coord, healthy: bool) {
-        let i = self.mesh.node_id(c).index();
-        if self.healthy[i] != healthy {
-            if self.free[i] {
-                if healthy {
-                    self.mappable += 1;
-                } else {
-                    self.mappable -= 1;
-                }
-            }
-            self.healthy[i] = healthy;
-        }
-    }
-
     /// Recent utilisation of the node at `c`, in `[0, 1]`.
     #[inline]
     pub fn utilization(&self, c: Coord) -> f64 {
         self.utilization[self.mesh.node_id(c).index()]
-    }
-
-    /// Sets the recent utilisation of the node at `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is outside `[0, 1]`.
-    pub fn set_utilization(&mut self, c: Coord, u: f64) {
-        assert!((0.0..=1.0).contains(&u), "utilization must be in [0,1]");
-        let i = self.mesh.node_id(c).index();
-        self.utilization[i] = u;
     }
 
     /// Test criticality of the node at `c` (≥ 0; higher = more urgent).
@@ -224,11 +187,6 @@ impl MapContext {
         );
         self.mappable
     }
-
-    /// Number of healthy nodes (occupied or not).
-    pub fn healthy_count(&self) -> usize {
-        self.healthy.iter().filter(|&&h| h).count()
-    }
 }
 
 #[cfg(test)]
@@ -248,10 +206,8 @@ mod tests {
         let mut ctx = MapContext::all_free(Mesh2D::new(3, 3));
         let c = Coord::new(2, 0);
         ctx.set_free(c, false);
-        ctx.set_utilization(Coord::new(0, 1), 0.75);
         ctx.set_criticality(Coord::new(1, 2), 3.5);
         assert!(!ctx.is_free(c));
-        assert_eq!(ctx.utilization(Coord::new(0, 1)), 0.75);
         assert_eq!(ctx.criticality(Coord::new(1, 2)), 3.5);
         assert_eq!(ctx.free_count(), 8);
     }
@@ -270,17 +226,15 @@ mod tests {
 
     #[test]
     fn quarantined_nodes_vanish_from_the_free_set() {
-        let mut ctx = MapContext::all_free(Mesh2D::new(3, 3));
+        let mesh = Mesh2D::new(3, 3);
+        let mut ctx = MapContext::all_free(mesh);
         let c = Coord::new(1, 1);
-        assert!(ctx.is_healthy(c));
-        ctx.set_healthy(c, false);
+        ctx.reset(mesh);
+        for n in mesh.coords() {
+            ctx.push_node_health(true, n != c, 0.0, 0.0);
+        }
         assert!(!ctx.is_free(c), "unhealthy implies unmappable");
-        assert!(!ctx.is_healthy(c));
         assert_eq!(ctx.free_count(), 8);
-        assert_eq!(ctx.healthy_count(), 8);
-        // Occupancy state is orthogonal and preserved.
-        ctx.set_healthy(c, true);
-        assert!(ctx.is_free(c));
     }
 
     #[test]
@@ -288,35 +242,38 @@ mod tests {
         let mesh = Mesh2D::new(2, 2);
         let mut ctx = MapContext::all_free(mesh);
         ctx.reset(mesh);
-        ctx.push_node(true, 0.0, 0.0);
+        ctx.push_node_health(true, true, 0.0, 0.0);
         ctx.push_node_health(true, false, 0.0, 0.0);
         ctx.push_node_health(false, true, 0.5, 1.0);
-        ctx.push_node(true, 0.0, 0.0);
+        ctx.push_node_health(true, true, 0.0, 0.0);
         assert!(ctx.is_complete());
         assert_eq!(ctx.free_count(), 2, "the quarantined free node does not count");
-        assert_eq!(ctx.healthy_count(), 3);
     }
 
     #[test]
     fn maintained_free_count_survives_redundant_mutations() {
-        let mut ctx = MapContext::all_free(Mesh2D::new(3, 3));
+        let mesh = Mesh2D::new(3, 3);
+        let mut ctx = MapContext::all_free(mesh);
         let c = Coord::new(0, 2);
         // Re-setting the same value must not double-count.
         ctx.set_free(c, false);
         ctx.set_free(c, false);
         assert_eq!(ctx.free_count(), 8);
-        // An occupied node leaving quarantine stays unmappable.
-        ctx.set_healthy(c, false);
-        ctx.set_healthy(c, true);
+        ctx.set_free(c, true);
+        ctx.set_free(c, true);
+        assert_eq!(ctx.free_count(), 9);
+        // Occupied-and-quarantined needs both bits back to count again:
+        // freeing the quarantined node alone leaves it unmappable.
+        ctx.reset(mesh);
+        for n in mesh.coords() {
+            ctx.push_node_health(n != c, n != c, 0.0, 0.0);
+        }
         assert_eq!(ctx.free_count(), 8);
-        // Occupied-and-quarantined needs both bits back to count again.
-        ctx.set_healthy(c, false);
         ctx.set_free(c, true);
         assert_eq!(ctx.free_count(), 8);
-        ctx.set_healthy(c, true);
-        assert_eq!(ctx.free_count(), 9);
+        ctx.set_free(c, false);
+        assert_eq!(ctx.free_count(), 8);
         // Rebuilding through reset + push keeps the count in lockstep.
-        let mesh = ctx.mesh();
         ctx.reset(mesh);
         for i in 0..9 {
             ctx.push_node_health(i % 2 == 0, i % 3 != 0, 0.0, 0.0);
@@ -330,12 +287,6 @@ mod tests {
     #[should_panic(expected = "one entry per node")]
     fn from_parts_rejects_short_vectors() {
         MapContext::from_parts(Mesh2D::new(2, 2), vec![true; 3], vec![0.0; 4], vec![0.0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "utilization must be in [0,1]")]
-    fn invalid_utilization_panics() {
-        MapContext::all_free(Mesh2D::new(2, 2)).set_utilization(Coord::new(0, 0), 1.2);
     }
 
     #[test]

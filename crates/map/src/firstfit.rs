@@ -122,11 +122,8 @@ mod tests {
     fn ignores_everything_but_availability() {
         let mesh = Mesh2D::new(6, 6);
         let clean = MapContext::all_free(mesh);
-        let mut pressured = MapContext::all_free(mesh);
-        for c in mesh.coords() {
-            pressured.set_utilization(c, 0.9);
-            pressured.set_criticality(c, 9.0);
-        }
+        let n = mesh.node_count();
+        let pressured = MapContext::from_parts(mesh, vec![true; n], vec![0.9; n], vec![9.0; n]);
         let app = presets::mwd();
         let ff = FirstFitMapper::new();
         assert_eq!(ff.map(&clean, &app), ff.map(&pressured, &app));

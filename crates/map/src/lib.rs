@@ -31,7 +31,7 @@
 //! let ctx = MapContext::all_free(mesh);
 //! let app = presets::pip();
 //! let mapping = ConaMapper::new().map(&ctx, &app).expect("fits");
-//! assert_eq!(mapping.len(), app.task_count());
+//! assert_eq!(mapping.coords().len(), app.task_count());
 //! ```
 
 #![forbid(unsafe_code)]

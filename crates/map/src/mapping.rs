@@ -42,16 +42,6 @@ impl Mapping {
         Mapping { slots }
     }
 
-    /// Number of mapped tasks (= cores occupied).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if no task is mapped.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// The core hosting `task`.
     ///
     /// # Panics
@@ -75,19 +65,6 @@ impl Mapping {
             .sum()
     }
 
-    /// Mean hop distance over edges (unweighted); 0 for edge-less apps.
-    pub fn mean_hop_distance(&self, app: &TaskGraph) -> f64 {
-        if app.edges().is_empty() {
-            return 0.0;
-        }
-        let total: u32 = app
-            .edges()
-            .iter()
-            .map(|e| self.coord_of(e.from).manhattan(self.coord_of(e.to)))
-            .sum();
-        total as f64 / app.edges().len() as f64
-    }
-
     /// The `(min, max)` corner coordinates of the mapping's bounding box,
     /// or `None` for an empty mapping.
     pub fn bounding_box(&self) -> Option<(Coord, Coord)> {
@@ -101,14 +78,6 @@ impl Mapping {
             max.y = max.y.max(c.y);
         }
         Some((min, max))
-    }
-
-    /// The bounding-box area of the mapping (dispersion proxy).
-    pub fn bounding_box_area(&self) -> usize {
-        match self.bounding_box() {
-            Some((min, max)) => (max.x - min.x + 1) as usize * (max.y - min.y + 1) as usize,
-            None => 0,
-        }
     }
 
     /// Checks the mapping against a mesh and application: right arity,
@@ -139,7 +108,6 @@ mod tests {
         let g = chain(3, 10.0);
         let m = Mapping::new(vec![Coord::new(0, 0), Coord::new(1, 0), Coord::new(2, 0)]);
         assert_eq!(m.weighted_hop_cost(&g), 20.0);
-        assert_eq!(m.mean_hop_distance(&g), 1.0);
     }
 
     #[test]
@@ -159,10 +127,8 @@ mod tests {
     #[test]
     fn bounding_box() {
         let m = Mapping::new(vec![Coord::new(1, 1), Coord::new(3, 2)]);
-        assert_eq!(m.bounding_box_area(), 6);
         assert_eq!(m.bounding_box(), Some((Coord::new(1, 1), Coord::new(3, 2))));
         let empty = Mapping::new(vec![]);
-        assert_eq!(empty.bounding_box_area(), 0);
         assert_eq!(empty.bounding_box(), None);
     }
 
@@ -183,7 +149,6 @@ mod tests {
         let mut g = TaskGraph::new("solo");
         g.add_task(Task { instructions: 1 });
         let m = Mapping::new(vec![Coord::new(2, 2)]);
-        assert_eq!(m.mean_hop_distance(&g), 0.0);
         assert_eq!(m.weighted_hop_cost(&g), 0.0);
     }
 }

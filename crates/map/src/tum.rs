@@ -137,10 +137,9 @@ mod tests {
     #[test]
     fn avoids_high_utilization_cores() {
         let mesh = Mesh2D::new(8, 8);
-        let mut ctx = MapContext::all_free(mesh);
-        for c in mesh.coords().filter(|c| c.y >= 4) {
-            ctx.set_utilization(c, 1.0);
-        }
+        let n = mesh.node_count();
+        let hot_half = mesh.coords().map(|c| if c.y >= 4 { 1.0 } else { 0.0 }).collect();
+        let ctx = MapContext::from_parts(mesh, vec![true; n], hot_half, vec![0.0; n]);
         let m = TestAwareMapper::new(5.0, 0.0).map(&ctx, &presets::pip()).unwrap();
         for &c in m.coords() {
             assert!(c.y < 4, "mapped onto hot core {c}");
@@ -217,16 +216,19 @@ mod tests {
             (0.5, false),
             (0.9, false),
         ] {
-            let mut ctx = MapContext::all_free(mesh);
-            for c in mesh.coords() {
-                ctx.set_free(c, rng.next_f64() >= busy);
+            let n = mesh.node_count();
+            let (mut free, mut utilization, mut criticality) =
+                (vec![true; n], vec![0.0; n], vec![0.0; n]);
+            for i in 0..n {
+                free[i] = rng.next_f64() >= busy;
                 if tied {
-                    ctx.set_criticality(c, 0.125);
+                    criticality[i] = 0.125;
                 } else {
-                    ctx.set_utilization(c, rng.next_f64());
-                    ctx.set_criticality(c, rng.gen_f64_range(0.0, 3.0));
+                    utilization[i] = rng.next_f64();
+                    criticality[i] = rng.gen_f64_range(0.0, 3.0);
                 }
             }
+            let ctx = MapContext::from_parts(mesh, free, utilization, criticality);
             let penalty = |c: Coord| {
                 tum.utilization_weight * ctx.utilization(c)
                     + tum.criticality_weight * ctx.criticality(c)
@@ -249,12 +251,13 @@ mod tests {
     #[test]
     fn mapping_remains_reasonably_compact() {
         let mesh = Mesh2D::new(10, 10);
-        let mut ctx = MapContext::all_free(mesh);
+        let n = mesh.node_count();
         // Light random-ish pressure should not destroy contiguity.
-        for (i, c) in mesh.coords().enumerate() {
-            ctx.set_utilization(c, ((i * 7) % 10) as f64 / 20.0);
-        }
+        let pressure = (0..n).map(|i| ((i * 7) % 10) as f64 / 20.0).collect();
+        let ctx = MapContext::from_parts(mesh, vec![true; n], pressure, vec![0.0; n]);
         let m = TestAwareMapper::default().map(&ctx, &presets::vopd()).unwrap();
-        assert!(m.bounding_box_area() <= 36, "area {}", m.bounding_box_area());
+        let (lo, hi) = m.bounding_box().expect("non-empty mapping");
+        let area = usize::from(hi.x - lo.x + 1) * usize::from(hi.y - lo.y + 1);
+        assert!(area <= 36, "area {area}");
     }
 }

@@ -7,15 +7,14 @@ use manytest_sim::SimRng;
 use manytest_workload::TaskGraphGenerator;
 
 fn random_context(mesh: Mesh2D, rng: &mut SimRng, occupancy: f64) -> MapContext {
-    let mut ctx = MapContext::all_free(mesh);
-    for c in mesh.coords() {
-        if rng.gen_bool(occupancy) {
-            ctx.set_free(c, false);
-        }
-        ctx.set_utilization(c, rng.next_f64());
-        ctx.set_criticality(c, rng.next_f64() * 4.0);
+    let n = mesh.node_count();
+    let (mut free, mut utilization, mut criticality) = (vec![true; n], vec![0.0; n], vec![0.0; n]);
+    for i in 0..n {
+        free[i] = !rng.gen_bool(occupancy);
+        utilization[i] = rng.next_f64();
+        criticality[i] = rng.next_f64() * 4.0;
     }
-    ctx
+    MapContext::from_parts(mesh, free, utilization, criticality)
 }
 
 #[test]
@@ -120,6 +119,8 @@ fn bounding_box_contains_all_tasks() {
     for seed in 0..96 {
         let app = TaskGraphGenerator::default().generate(&mut SimRng::seed_from(seed), "prop");
         let m = TestAwareMapper::default().map(&ctx, &app).unwrap();
-        assert!(m.bounding_box_area() >= app.task_count(), "seed {seed}");
+        let (lo, hi) = m.bounding_box().expect("non-empty mapping");
+        let area = usize::from(hi.x - lo.x + 1) * usize::from(hi.y - lo.y + 1);
+        assert!(area >= app.task_count(), "seed {seed}");
     }
 }

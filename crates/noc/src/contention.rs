@@ -59,11 +59,6 @@ impl LinkLoads {
         LinkLoads { mesh, utilization }
     }
 
-    /// The mesh these loads belong to.
-    pub fn mesh(&self) -> Mesh2D {
-        self.mesh
-    }
-
     /// Offered load of the link leaving `from` in direction `dir`.
     pub fn utilization(&self, from: Coord, dir: Direction) -> f64 {
         self.utilization[self.mesh.node_id(from).index() * 4 + dir_index(dir)]
@@ -75,11 +70,6 @@ impl LinkLoads {
         xy_route(src, dst)
             .map(|hop| self.utilization(hop.from, hop.dir))
             .fold(0.0, f64::max)
-    }
-
-    /// Mean load over all links.
-    pub fn mean(&self) -> f64 {
-        self.utilization.iter().sum::<f64>() / self.utilization.len() as f64
     }
 
     /// The single most loaded link on the chip.
@@ -195,13 +185,6 @@ mod tests {
         let cold = m.route_factor(&loads, Coord::new(0, 3), Coord::new(2, 3));
         assert!((hot - 2.0).abs() < 1e-9);
         assert_eq!(cold, 1.0);
-    }
-
-    #[test]
-    fn mean_load_is_small_for_one_hot_link() {
-        let tm = loaded_matrix();
-        let loads = LinkLoads::from_traffic(&tm, 1e-3, 128.0e9);
-        assert!(loads.mean() < 0.01);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl LinkEnergyModel {
             hops,
         }
     }
-
-    /// Average energy per bit for a route of `hops` hops.
-    pub fn energy_per_bit(&self, hops: u32) -> f64 {
-        hops as f64 * self.link_energy_per_bit + (hops as f64 + 1.0) * self.router_energy_per_bit
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +154,9 @@ mod tests {
     fn energy_per_bit_matches_message_cost() {
         let m = LinkEnergyModel::nominal_16nm();
         let c = m.message_cost(Coord::new(0, 0), Coord::new(2, 3), 1.0);
-        assert!((c.energy - m.energy_per_bit(5)).abs() < 1e-24);
+        // Five hops cross five links and six routers.
+        let per_bit = 5.0 * m.link_energy_per_bit + 6.0 * m.router_energy_per_bit;
+        assert!((c.energy - per_bit).abs() < 1e-24);
     }
 
     #[test]

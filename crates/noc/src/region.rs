@@ -27,31 +27,6 @@ impl Region {
     pub const fn new(center: Coord, radius: u16) -> Self {
         Region { center, radius }
     }
-
-    /// Iterates over the mesh nodes inside the region, row-major.
-    pub fn iter(self, mesh: Mesh2D) -> impl Iterator<Item = Coord> {
-        let x0 = self.center.x.saturating_sub(self.radius);
-        let y0 = self.center.y.saturating_sub(self.radius);
-        let x1 = (self.center.x + self.radius).min(mesh.width() - 1);
-        let y1 = (self.center.y + self.radius).min(mesh.height() - 1);
-        (y0..=y1).flat_map(move |y| (x0..=x1).map(move |x| Coord { x, y }))
-    }
-
-    /// Number of mesh nodes inside the region.
-    pub fn len(self, mesh: Mesh2D) -> usize {
-        self.iter(mesh).count()
-    }
-
-    /// True if the clipped region is empty (cannot happen for a centre
-    /// inside the mesh, but kept for API completeness).
-    pub fn is_empty(self, mesh: Mesh2D) -> bool {
-        !mesh.contains(self.center) && self.len(mesh) == 0
-    }
-
-    /// True if `c` lies inside the (clipped) region.
-    pub fn contains(self, mesh: Mesh2D, c: Coord) -> bool {
-        mesh.contains(c) && self.center.chebyshev(c) as u16 <= self.radius
-    }
 }
 
 /// Result of a region search: where to map and how dispersed the region is.
@@ -123,11 +98,6 @@ impl RegionSearch {
     /// Creates a search over `mesh`.
     pub fn new(mesh: Mesh2D) -> Self {
         RegionSearch { mesh }
-    }
-
-    /// The mesh being searched.
-    pub fn mesh(&self) -> Mesh2D {
-        self.mesh
     }
 
     /// Finds the best region holding at least `required` nodes for which
@@ -346,10 +316,14 @@ where
         // free nodes.
         let mut found: Option<(u16, usize, f64)> = None;
         for radius in 0..=max_radius {
-            let region = Region::new(center, radius);
+            // The square of Chebyshev radius `radius`, clipped to the
+            // mesh, walked row-major.
+            let (x0, y0) = (center.x.saturating_sub(radius), center.y.saturating_sub(radius));
+            let x1 = (center.x + radius).min(mesh.width() - 1);
+            let y1 = (center.y + radius).min(mesh.height() - 1);
             let mut avail = 0usize;
             let mut score = 0.0;
-            for c in region.iter(mesh) {
+            for c in (y0..=y1).flat_map(|y| (x0..=x1).map(move |x| Coord::new(x, y))) {
                 if is_free(c) {
                     avail += 1;
                     score += node_score(c);
@@ -360,7 +334,7 @@ where
                 break;
             }
             // Region already spans the whole mesh and still lacks nodes.
-            if region.len(mesh) == mesh.node_count() {
+            if usize::from(x1 - x0 + 1) * usize::from(y1 - y0 + 1) == mesh.node_count() {
                 break;
             }
         }
@@ -393,32 +367,6 @@ mod tests {
     use manytest_sim::SimRng;
 
     #[test]
-    fn region_iter_clips_to_mesh() {
-        let mesh = Mesh2D::new(4, 4);
-        let corner = Region::new(Coord::new(0, 0), 1);
-        assert_eq!(corner.len(mesh), 4); // 2x2 after clipping
-        let interior = Region::new(Coord::new(2, 2), 1);
-        assert_eq!(interior.len(mesh), 9);
-    }
-
-    #[test]
-    fn region_contains_matches_iter() {
-        let mesh = Mesh2D::new(5, 5);
-        let r = Region::new(Coord::new(1, 3), 2);
-        for c in mesh.coords() {
-            let by_iter = r.iter(mesh).any(|rc| rc == c);
-            assert_eq!(by_iter, r.contains(mesh, c), "mismatch at {c}");
-        }
-    }
-
-    #[test]
-    fn radius_zero_is_single_node() {
-        let mesh = Mesh2D::new(3, 3);
-        let r = Region::new(Coord::new(1, 1), 0);
-        assert_eq!(r.iter(mesh).collect::<Vec<_>>(), vec![Coord::new(1, 1)]);
-    }
-
-    #[test]
     fn search_prefers_smallest_radius() {
         let mesh = Mesh2D::new(8, 8);
         let search = RegionSearch::new(mesh);
@@ -436,10 +384,10 @@ mod tests {
         let is_free = |c: Coord| c.y == 3;
         let choice = search.find(3, is_free, |_| 0.0).unwrap();
         assert!(choice.available >= 3);
-        let free_in_region = choice
-            .region
-            .iter(mesh)
-            .filter(|&c| is_free(c))
+        let region = choice.region;
+        let free_in_region = mesh
+            .coords()
+            .filter(|&c| region.center.chebyshev(c) <= u32::from(region.radius) && is_free(c))
             .count();
         assert!(free_in_region >= 3);
     }
@@ -486,7 +434,8 @@ mod tests {
         let mesh = Mesh2D::new(4, 4);
         let choice = RegionSearch::new(mesh).find(16, |_| true, |_| 0.0).unwrap();
         assert_eq!(choice.available, 16);
-        assert_eq!(choice.region.len(mesh), 16);
+        let region = choice.region;
+        assert!(mesh.coords().all(|c| region.center.chebyshev(c) <= u32::from(region.radius)));
     }
 
     /// Per-node scores in one of four styles: tie-heavy quantised or
@@ -667,8 +616,8 @@ mod tests {
                 .map(|_| rng.next_f64() >= busy)
                 .collect();
             // A quarantined block in the middle of the die.
-            for c in Region::new(Coord::new(30, 30), 3).iter(mesh) {
-                free[mesh.node_id(c).index()] = false;
+            for (x, y) in (27..=33).flat_map(|y| (27..=33).map(move |x| (x, y))) {
+                free[mesh.node_id(Coord::new(x, y)).index()] = false;
             }
             let scores = random_scores(&mut rng, mesh.node_count());
             let required = rng.gen_range_inclusive(1, 16) as usize;

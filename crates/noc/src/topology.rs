@@ -107,30 +107,6 @@ impl Mesh2D {
         let h = self.height;
         (0..h).flat_map(move |y| (0..w).map(move |x| Coord { x, y }))
     }
-
-    /// Iterates over all node ids in ascending order.
-    pub fn node_ids(self) -> impl Iterator<Item = NodeId> {
-        (0..self.node_count() as u32).map(NodeId)
-    }
-
-    /// The 2–4 mesh neighbours of `c` (no wraparound).
-    pub fn neighbors(self, c: Coord) -> impl Iterator<Item = Coord> {
-        let candidates = [
-            (c.x.checked_sub(1), Some(c.y)),
-            (c.x.checked_add(1), Some(c.y)),
-            (Some(c.x), c.y.checked_sub(1)),
-            (Some(c.x), c.y.checked_add(1)),
-        ];
-        candidates
-            .into_iter()
-            .filter_map(|(x, y)| Some(Coord { x: x?, y: y? }))
-            .filter(move |&n| self.contains(n))
-    }
-
-    /// Diameter of the mesh (longest minimal route).
-    pub const fn diameter(self) -> u32 {
-        (self.width as u32 - 1) + (self.height as u32 - 1)
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +119,7 @@ mod tests {
         for c in mesh.coords() {
             assert_eq!(mesh.coord(mesh.node_id(c)), c);
         }
-        for id in mesh.node_ids() {
+        for id in (0..mesh.node_count() as u32).map(NodeId) {
             assert_eq!(mesh.node_id(mesh.coord(id)), id);
         }
     }
@@ -156,37 +132,6 @@ mod tests {
         assert_eq!(all[1], Coord::new(1, 0));
         assert_eq!(all[3], Coord::new(0, 1));
         assert_eq!(all.len(), 6);
-    }
-
-    #[test]
-    fn corner_has_two_neighbors() {
-        let mesh = Mesh2D::new(4, 4);
-        assert_eq!(mesh.neighbors(Coord::new(0, 0)).count(), 2);
-        assert_eq!(mesh.neighbors(Coord::new(3, 3)).count(), 2);
-    }
-
-    #[test]
-    fn edge_has_three_neighbors() {
-        let mesh = Mesh2D::new(4, 4);
-        assert_eq!(mesh.neighbors(Coord::new(1, 0)).count(), 3);
-        assert_eq!(mesh.neighbors(Coord::new(0, 2)).count(), 3);
-    }
-
-    #[test]
-    fn interior_has_four_neighbors() {
-        let mesh = Mesh2D::new(4, 4);
-        assert_eq!(mesh.neighbors(Coord::new(2, 2)).count(), 4);
-    }
-
-    #[test]
-    fn neighbors_are_adjacent_and_inside() {
-        let mesh = Mesh2D::new(6, 3);
-        for c in mesh.coords() {
-            for n in mesh.neighbors(c) {
-                assert!(mesh.contains(n));
-                assert_eq!(c.manhattan(n), 1);
-            }
-        }
     }
 
     #[test]
@@ -213,12 +158,5 @@ mod tests {
     #[should_panic(expected = "dimensions must be positive")]
     fn zero_dimension_panics() {
         Mesh2D::new(0, 4);
-    }
-
-    #[test]
-    fn diameter_of_known_meshes() {
-        assert_eq!(Mesh2D::new(1, 1).diameter(), 0);
-        assert_eq!(Mesh2D::new(4, 4).diameter(), 6);
-        assert_eq!(Mesh2D::new(12, 12).diameter(), 22);
     }
 }

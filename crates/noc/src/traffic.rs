@@ -20,15 +20,16 @@ use serde::{Deserialize, Serialize};
 /// let mesh = Mesh2D::new(4, 4);
 /// let mut tm = TrafficMatrix::new(mesh);
 /// tm.charge_route(Coord::new(0, 0), Coord::new(3, 0), 1_000.0);
-/// assert_eq!(tm.total_bits(), 3_000.0); // three hops
-/// assert!(tm.max_link_bits() >= 1_000.0);
+/// // Three hops east, each carrying the message.
+/// for x in 0..3 {
+///     assert_eq!(tm.link_bits(Coord::new(x, 0), Direction::East), 1_000.0);
+/// }
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficMatrix {
     mesh: Mesh2D,
     // One slot per (node, direction): index = node_id * 4 + dir.
     link_bits: Vec<f64>,
-    messages: u64,
 }
 
 fn dir_index(dir: Direction) -> usize {
@@ -46,7 +47,6 @@ impl TrafficMatrix {
         TrafficMatrix {
             mesh,
             link_bits: vec![0.0; mesh.node_count() * 4],
-            messages: 0,
         }
     }
 
@@ -67,7 +67,6 @@ impl TrafficMatrix {
             let idx = self.mesh.node_id(hop.from).index() * 4 + dir_index(hop.dir);
             self.link_bits[idx] += bits;
         }
-        self.messages += 1;
     }
 
     /// Bits accumulated on the link leaving `from` in direction `dir`.
@@ -75,40 +74,9 @@ impl TrafficMatrix {
         self.link_bits[self.mesh.node_id(from).index() * 4 + dir_index(dir)]
     }
 
-    /// Sum of bits over all links (total bit-hops).
-    pub fn total_bits(&self) -> f64 {
-        self.link_bits.iter().sum()
-    }
-
-    /// The most heavily loaded link's bits (0 for an empty matrix).
-    pub fn max_link_bits(&self) -> f64 {
-        self.link_bits.iter().fold(0.0, |a, &b| a.max(b))
-    }
-
-    /// Mean load over links that carried any traffic (0 if none did).
-    pub fn mean_active_link_bits(&self) -> f64 {
-        let active: Vec<f64> = self
-            .link_bits
-            .iter()
-            .copied()
-            .filter(|&b| b > 0.0)
-            .collect();
-        if active.is_empty() {
-            0.0
-        } else {
-            active.iter().sum::<f64>() / active.len() as f64
-        }
-    }
-
-    /// Number of messages charged so far.
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-
     /// Resets all accumulated traffic.
     pub fn clear(&mut self) {
         self.link_bits.iter_mut().for_each(|b| *b = 0.0);
-        self.messages = 0;
     }
 }
 
@@ -122,8 +90,7 @@ mod tests {
         let mut tm = TrafficMatrix::new(mesh);
         tm.charge_route(Coord::new(0, 0), Coord::new(1, 0), 64.0);
         assert_eq!(tm.link_bits(Coord::new(0, 0), Direction::East), 64.0);
-        assert_eq!(tm.total_bits(), 64.0);
-        assert_eq!(tm.messages(), 1);
+        assert_eq!(tm.link_bits(Coord::new(1, 0), Direction::West), 0.0);
     }
 
     #[test]
@@ -131,8 +98,7 @@ mod tests {
         let mesh = Mesh2D::new(3, 3);
         let mut tm = TrafficMatrix::new(mesh);
         tm.charge_route(Coord::new(1, 1), Coord::new(1, 1), 512.0);
-        assert_eq!(tm.total_bits(), 0.0);
-        assert_eq!(tm.messages(), 1);
+        assert_eq!(tm, TrafficMatrix::new(mesh));
     }
 
     #[test]
@@ -142,7 +108,11 @@ mod tests {
         let src = Coord::new(0, 0);
         let dst = Coord::new(4, 3);
         tm.charge_route(src, dst, 100.0);
-        assert_eq!(tm.total_bits(), 100.0 * src.manhattan(dst) as f64);
+        let route = xy_route(src, dst);
+        assert_eq!(route.len(), src.manhattan(dst) as usize);
+        for hop in route {
+            assert_eq!(tm.link_bits(hop.from, hop.dir), 100.0);
+        }
     }
 
     #[test]
@@ -153,16 +123,6 @@ mod tests {
         tm.charge_route(Coord::new(1, 0), Coord::new(3, 0), 10.0);
         // Link 1→2 East carries both.
         assert_eq!(tm.link_bits(Coord::new(1, 0), Direction::East), 20.0);
-        assert_eq!(tm.max_link_bits(), 20.0);
-    }
-
-    #[test]
-    fn mean_active_ignores_idle_links() {
-        let mesh = Mesh2D::new(4, 4);
-        let mut tm = TrafficMatrix::new(mesh);
-        assert_eq!(tm.mean_active_link_bits(), 0.0);
-        tm.charge_route(Coord::new(0, 0), Coord::new(2, 0), 30.0);
-        assert_eq!(tm.mean_active_link_bits(), 30.0);
     }
 
     #[test]
@@ -171,8 +131,7 @@ mod tests {
         let mut tm = TrafficMatrix::new(mesh);
         tm.charge_route(Coord::new(0, 0), Coord::new(2, 2), 5.0);
         tm.clear();
-        assert_eq!(tm.total_bits(), 0.0);
-        assert_eq!(tm.messages(), 0);
+        assert_eq!(tm, TrafficMatrix::new(mesh));
     }
 
     #[test]

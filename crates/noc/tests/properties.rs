@@ -21,21 +21,24 @@ fn traffic_total_equals_bits_times_hops() {
         let mesh = random_mesh(&mut rng);
         let messages = 1 + rng.gen_range(49);
         let mut tm = TrafficMatrix::new(mesh);
-        let mut manual = 0.0;
+        // Every message's bits on every hop of its route, summed per link
+        // (dense node id × direction) in charging order.
+        let link = |from: Coord, dir: Direction| mesh.node_id(from).index() * 4 + dir as usize;
+        let mut expected = vec![0.0; mesh.node_count() * 4];
         for _ in 0..messages {
             let src = random_node(&mut rng, mesh);
             let dst = random_node(&mut rng, mesh);
             let bits = rng.gen_f64_range(1.0, 1e6);
             tm.charge_route(src, dst, bits);
-            manual += bits * src.manhattan(dst) as f64;
+            for hop in xy_route(src, dst) {
+                expected[link(hop.from, hop.dir)] += bits;
+            }
         }
-        let total = tm.total_bits();
-        assert!(
-            (total - manual).abs() < 1e-6 * (1.0 + manual),
-            "seed {seed}: {total} vs {manual}"
-        );
-        assert_eq!(tm.messages(), messages, "seed {seed}");
-        assert!(tm.max_link_bits() <= total + 1e-9, "seed {seed}");
+        for c in mesh.coords() {
+            for dir in [Direction::West, Direction::East, Direction::South, Direction::North] {
+                assert_eq!(tm.link_bits(c, dir), expected[link(c, dir)], "seed {seed}: {c} {dir}");
+            }
+        }
     }
 }
 
@@ -73,9 +76,10 @@ fn region_choice_minimizes_radius() {
                 // the mesh could hold the request.
                 if choice.region.radius > 0 {
                     let r1 = choice.region.radius - 1;
-                    let some_smaller_fits = mesh
-                        .coords()
-                        .any(|c| Region::new(c, r1).len(mesh) >= required);
+                    let some_smaller_fits = mesh.coords().any(|c| {
+                        let within = |n: &Coord| c.chebyshev(*n) <= u32::from(r1);
+                        mesh.coords().filter(within).count() >= required
+                    });
                     assert!(!some_smaller_fits, "seed {seed}: radius not minimal");
                 }
                 assert!(choice.available >= required, "seed {seed}");
@@ -98,21 +102,6 @@ fn node_ids_are_dense_and_unique() {
 }
 
 #[test]
-fn neighbors_are_symmetric() {
-    for seed in 0..96 {
-        let mut rng = SimRng::seed_from(seed);
-        let mesh = random_mesh(&mut rng);
-        let c = random_node(&mut rng, mesh);
-        for n in mesh.neighbors(c) {
-            assert!(
-                mesh.neighbors(n).any(|back| back == c),
-                "seed {seed}: {n} of {c}"
-            );
-        }
-    }
-}
-
-#[test]
 fn route_hops_each_charge_exactly_one_link() {
     for seed in 0..96 {
         let mut rng = SimRng::seed_from(seed);
@@ -125,6 +114,5 @@ fn route_hops_each_charge_exactly_one_link() {
         for hop in xy_route(src, dst) {
             assert_eq!(tm.link_bits(hop.from, hop.dir), 1.0, "seed {seed}: {hop:?}");
         }
-        assert_eq!(tm.total_bits(), src.manhattan(dst) as f64, "seed {seed}");
     }
 }

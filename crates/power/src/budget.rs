@@ -121,11 +121,6 @@ impl PowerBudget {
         self.cap * self.derating
     }
 
-    /// Current derating factor, in `[0, 1]` (1 = no cores withdrawn).
-    pub fn derating(&self) -> f64 {
-        self.derating
-    }
-
     /// Sets the usable fraction of the cap (see the field doc). Existing
     /// reservations are never revoked: if the derated cap falls below the
     /// reserved total, headroom is zero until reservations drain.

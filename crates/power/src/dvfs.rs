@@ -46,12 +46,12 @@ pub struct OperatingPoint {
 /// # Examples
 ///
 /// ```
-/// use manytest_power::dvfs::VfLadder;
+/// use manytest_power::dvfs::{VfLadder, VfLevel};
 /// use manytest_power::tech::TechNode;
 ///
 /// let ladder = VfLadder::for_node(TechNode::N16, 5);
 /// assert_eq!(ladder.len(), 5);
-/// assert!(ladder.min().frequency < ladder.max().frequency);
+/// assert!(ladder.point(VfLevel(0)).frequency < ladder.point(VfLevel(4)).frequency);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VfLadder {
@@ -95,33 +95,6 @@ impl VfLadder {
         VfLadder { points }
     }
 
-    /// Builds a ladder from explicit `(voltage, frequency)` pairs, lowest
-    /// first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two points are given or the points are not
-    /// strictly increasing in both voltage and frequency.
-    pub fn from_points(pairs: &[(f64, f64)]) -> Self {
-        assert!(pairs.len() >= 2, "a ladder needs at least two levels");
-        assert!(
-            pairs
-                .windows(2)
-                .all(|w| w[1].0 > w[0].0 && w[1].1 > w[0].1),
-            "ladder points must be strictly increasing"
-        );
-        let points = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(voltage, frequency))| OperatingPoint {
-                voltage,
-                frequency,
-                level: VfLevel(i as u8),
-            })
-            .collect();
-        VfLadder { points }
-    }
-
     /// Number of levels.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -141,31 +114,9 @@ impl VfLadder {
         self.points[level.0 as usize]
     }
 
-    /// The lowest (near-threshold) point.
-    pub fn min(&self) -> OperatingPoint {
-        self.points[0]
-    }
-
-    /// The highest (nominal) point.
-    pub fn max(&self) -> OperatingPoint {
-        // lint:allow(hot-path-purity, reason = "ladder is validated non-empty at construction")
-        *self.points.last().expect("ladder is never empty")
-    }
-
     /// All points, lowest first.
     pub fn iter(&self) -> impl Iterator<Item = OperatingPoint> + '_ {
         self.points.iter().copied()
-    }
-
-    /// The next level down, if any.
-    pub fn step_down(&self, level: VfLevel) -> Option<VfLevel> {
-        level.0.checked_sub(1).map(VfLevel)
-    }
-
-    /// The next level up, if any.
-    pub fn step_up(&self, level: VfLevel) -> Option<VfLevel> {
-        let up = level.0 + 1;
-        ((up as usize) < self.points.len()).then_some(VfLevel(up))
     }
 
     /// The highest level whose point's dynamic+static power estimate (per
@@ -213,7 +164,7 @@ mod tests {
         for node in TechNode::ALL {
             let p = node.params();
             let ladder = VfLadder::for_node(node, 4);
-            let top = ladder.max();
+            let top = ladder.point(VfLevel(3));
             assert!((top.voltage - p.v_nominal).abs() < 1e-12);
             assert!((top.frequency - p.f_max).abs() < 1.0);
         }
@@ -224,7 +175,7 @@ mod tests {
         let node = TechNode::N16;
         let p = node.params();
         let ladder = VfLadder::for_node(node, 5);
-        let bottom = ladder.min();
+        let bottom = ladder.point(VfLevel(0));
         assert!((bottom.voltage - p.v_min).abs() < 1e-12);
         assert!(bottom.frequency > 0.0);
         assert!(bottom.frequency < 0.5 * p.f_max, "near-threshold is slow");
@@ -237,15 +188,6 @@ mod tests {
             assert_eq!(op.level, VfLevel(i as u8));
             assert_eq!(ladder.point(VfLevel(i as u8)), op);
         }
-    }
-
-    #[test]
-    fn step_up_and_down_are_bounded() {
-        let ladder = VfLadder::for_node(TechNode::N16, 3);
-        assert_eq!(ladder.step_down(VfLevel(0)), None);
-        assert_eq!(ladder.step_down(VfLevel(2)), Some(VfLevel(1)));
-        assert_eq!(ladder.step_up(VfLevel(2)), None);
-        assert_eq!(ladder.step_up(VfLevel(0)), Some(VfLevel(1)));
     }
 
     #[test]
@@ -264,19 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn from_points_validates_monotonicity() {
-        let ladder = VfLadder::from_points(&[(0.6, 0.5e9), (0.8, 1.0e9), (1.0, 2.0e9)]);
-        assert_eq!(ladder.len(), 3);
-        assert_eq!(ladder.max().frequency, 2.0e9);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn from_points_rejects_non_monotone() {
-        VfLadder::from_points(&[(0.8, 1.0e9), (0.6, 2.0e9)]);
-    }
-
-    #[test]
     #[should_panic(expected = "at least two levels")]
     fn tiny_ladder_panics() {
         VfLadder::for_node(TechNode::N16, 1);
@@ -285,7 +214,7 @@ mod tests {
     #[test]
     fn display_is_informative() {
         let ladder = VfLadder::for_node(TechNode::N16, 2);
-        let s = ladder.max().to_string();
+        let s = ladder.point(VfLevel(1)).to_string();
         assert!(s.contains("V"));
         assert!(s.contains("MHz"));
     }

@@ -29,8 +29,8 @@
 //! let node = TechNode::N16;
 //! let model = PowerModel::for_node(node);
 //! let ladder = VfLadder::for_node(node, 5);
-//! let busy = model.core_power(ladder.max(), 0.5);
-//! let dim = model.core_power(ladder.min(), 0.5);
+//! let busy = model.core_power(ladder.point(VfLevel(4)), 0.5);
+//! let dim = model.core_power(ladder.point(VfLevel(0)), 0.5);
 //! assert!(dim < busy, "near-threshold operation must save power");
 //! ```
 

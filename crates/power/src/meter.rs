@@ -108,11 +108,6 @@ impl PowerMeter {
         self.total_joules[category.index()] += joules;
     }
 
-    /// Energy charged to `category` in the current epoch, joules.
-    pub fn epoch_energy(&self, category: PowerCategory) -> f64 {
-        self.epoch_joules[category.index()]
-    }
-
     /// Mean power over the current epoch of length `epoch_seconds`, watts.
     ///
     /// # Panics
@@ -137,11 +132,6 @@ impl PowerMeter {
         self.peak_epoch_power = self.peak_epoch_power.max(p);
         self.total_seconds += epoch_seconds;
         self.epoch_joules = [0.0; 4];
-    }
-
-    /// Total energy charged to `category` over the whole run, joules.
-    pub fn total_energy(&self, category: PowerCategory) -> f64 {
-        self.total_joules[category.index()]
     }
 
     /// Total energy over all categories, joules.
@@ -189,8 +179,8 @@ mod tests {
         let mut m = PowerMeter::new();
         m.add(PowerCategory::Workload, 10.0, 2.0);
         m.add(PowerCategory::Workload, 5.0, 2.0);
-        assert_eq!(m.epoch_energy(PowerCategory::Workload), 30.0);
-        assert_eq!(m.total_energy(PowerCategory::Workload), 30.0);
+        assert_eq!(m.epoch_category_power(PowerCategory::Workload, 1.0), 30.0);
+        assert_eq!(m.total_energy_all(), 30.0);
     }
 
     #[test]
@@ -198,9 +188,9 @@ mod tests {
         let mut m = PowerMeter::new();
         m.add(PowerCategory::Test, 1.0, 1.0);
         m.add(PowerCategory::Noc, 2.0, 1.0);
-        assert_eq!(m.epoch_energy(PowerCategory::Test), 1.0);
-        assert_eq!(m.epoch_energy(PowerCategory::Noc), 2.0);
-        assert_eq!(m.epoch_energy(PowerCategory::Idle), 0.0);
+        assert_eq!(m.epoch_category_power(PowerCategory::Test, 1.0), 1.0);
+        assert_eq!(m.epoch_category_power(PowerCategory::Noc, 1.0), 2.0);
+        assert_eq!(m.epoch_category_power(PowerCategory::Idle, 1.0), 0.0);
     }
 
     #[test]
@@ -208,8 +198,8 @@ mod tests {
         let mut m = PowerMeter::new();
         m.add(PowerCategory::Workload, 50.0, 0.001);
         m.roll_epoch(0.001);
-        assert_eq!(m.epoch_energy(PowerCategory::Workload), 0.0);
-        assert!((m.total_energy(PowerCategory::Workload) - 0.05).abs() < 1e-12);
+        assert_eq!(m.epoch_category_power(PowerCategory::Workload, 0.001), 0.0);
+        assert!((m.total_energy_all() - 0.05).abs() < 1e-12);
         assert!((m.mean_power() - 50.0).abs() < 1e-9);
     }
 

@@ -20,10 +20,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// let model = PowerModel::for_node(TechNode::N16);
 /// let ladder = VfLadder::for_node(TechNode::N16, 5);
-/// let p_busy = model.core_power(ladder.max(), 0.5);
-/// let p_idle = model.core_power(ladder.max(), PowerModel::IDLE_ACTIVITY);
+/// let nominal = ladder.point(VfLevel(4));
+/// let p_busy = model.core_power(nominal, 0.5);
+/// let p_idle = model.core_power(nominal, PowerModel::IDLE_ACTIVITY);
 /// assert!(p_idle < p_busy);
-/// assert_eq!(model.gated_power(), 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PowerModel {
@@ -43,11 +43,6 @@ impl PowerModel {
         PowerModel {
             params: node.params(),
         }
-    }
-
-    /// The underlying technology parameters.
-    pub fn params(&self) -> &TechParams {
-        &self.params
     }
 
     /// Dynamic (switching) power at `op` with activity `activity`, watts.
@@ -79,32 +74,12 @@ impl PowerModel {
     pub fn core_power(&self, op: OperatingPoint, activity: f64) -> f64 {
         self.dynamic_power(op, activity) + self.leakage_power(op)
     }
-
-    /// Power of a power-gated (dark) core: zero by definition.
-    pub fn gated_power(&self) -> f64 {
-        0.0
-    }
-
-    /// Power of an idle-but-clocked core at `op`.
-    pub fn idle_power(&self, op: OperatingPoint) -> f64 {
-        self.core_power(op, Self::IDLE_ACTIVITY)
-    }
-
-    /// Power of a core executing an SBST routine at `op`.
-    pub fn test_power(&self, op: OperatingPoint) -> f64 {
-        self.core_power(op, Self::TEST_ACTIVITY)
-    }
-
-    /// Energy of running at `op`/`activity` for `seconds`, joules.
-    pub fn energy(&self, op: OperatingPoint, activity: f64, seconds: f64) -> f64 {
-        self.core_power(op, activity) * seconds
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dvfs::VfLadder;
+    use crate::dvfs::{VfLadder, VfLevel};
 
     fn model_and_ladder() -> (PowerModel, VfLadder) {
         (
@@ -116,7 +91,7 @@ mod tests {
     #[test]
     fn power_monotone_in_activity() {
         let (m, l) = model_and_ladder();
-        let op = l.max();
+        let op = l.point(VfLevel(4));
         let mut last = -1.0;
         for a in [0.0, 0.2, 0.5, 0.8, 1.0] {
             let p = m.core_power(op, a);
@@ -135,21 +110,17 @@ mod tests {
     #[test]
     fn test_routines_burn_more_than_workload() {
         let (m, l) = model_and_ladder();
-        let op = l.max();
-        assert!(m.test_power(op) > m.core_power(op, PowerModel::WORKLOAD_ACTIVITY));
-        assert!(m.core_power(op, PowerModel::WORKLOAD_ACTIVITY) > m.idle_power(op));
-    }
-
-    #[test]
-    fn gated_core_consumes_nothing() {
-        let (m, _) = model_and_ladder();
-        assert_eq!(m.gated_power(), 0.0);
+        let op = l.point(VfLevel(4));
+        let test = m.core_power(op, PowerModel::TEST_ACTIVITY);
+        let idle = m.core_power(op, PowerModel::IDLE_ACTIVITY);
+        assert!(test > m.core_power(op, PowerModel::WORKLOAD_ACTIVITY));
+        assert!(m.core_power(op, PowerModel::WORKLOAD_ACTIVITY) > idle);
     }
 
     #[test]
     fn zero_activity_is_pure_leakage() {
         let (m, l) = model_and_ladder();
-        let op = l.min();
+        let op = l.point(VfLevel(0));
         assert_eq!(m.core_power(op, 0.0), m.leakage_power(op));
         assert!(m.leakage_power(op) > 0.0);
     }
@@ -157,23 +128,14 @@ mod tests {
     #[test]
     fn leakage_shrinks_with_voltage() {
         let (m, l) = model_and_ladder();
-        assert!(m.leakage_power(l.min()) < m.leakage_power(l.max()));
-    }
-
-    #[test]
-    fn energy_scales_with_time() {
-        let (m, l) = model_and_ladder();
-        let op = l.max();
-        let e1 = m.energy(op, 0.5, 1.0);
-        let e2 = m.energy(op, 0.5, 2.0);
-        assert!((e2 - 2.0 * e1).abs() < 1e-12);
+        assert!(m.leakage_power(l.point(VfLevel(0))) < m.leakage_power(l.point(VfLevel(4))));
     }
 
     #[test]
     #[should_panic(expected = "activity must be in [0,1]")]
     fn invalid_activity_panics() {
         let (m, l) = model_and_ladder();
-        m.core_power(l.max(), 1.5);
+        m.core_power(l.point(VfLevel(4)), 1.5);
     }
 
     #[test]
@@ -182,7 +144,7 @@ mod tests {
         for node in TechNode::ALL {
             let m = PowerModel::for_node(node);
             let l = VfLadder::for_node(node, 5);
-            let per_core = m.core_power(l.max(), 1.0);
+            let per_core = m.core_power(l.point(VfLevel(4)), 1.0);
             let expected = node.peak_power_all_cores() / node.core_count() as f64;
             assert!(
                 (per_core - expected).abs() < 1e-9,
@@ -194,8 +156,8 @@ mod tests {
     #[test]
     fn near_threshold_saves_substantial_power() {
         let (m, l) = model_and_ladder();
-        let p_min = m.core_power(l.min(), 0.5);
-        let p_max = m.core_power(l.max(), 0.5);
+        let p_min = m.core_power(l.point(VfLevel(0)), 0.5);
+        let p_max = m.core_power(l.point(VfLevel(4)), 0.5);
         assert!(
             p_min < 0.3 * p_max,
             "near-threshold should cut power >3x: {p_min} vs {p_max}"

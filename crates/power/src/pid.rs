@@ -54,12 +54,15 @@ pub struct PidController {
     kd: f64,
     integral: f64,
     prev_error: Option<f64>,
-    integral_limit: f64,
-    cap_floor_fraction: f64,
-    cap_ceil_fraction: f64,
 }
 
 impl PidController {
+    /// Anti-windup clamp on the integral term, watt-epochs.
+    const INTEGRAL_LIMIT: f64 = 50.0;
+    /// The cap stays within `floor·target ..= ceil·target`.
+    const CAP_FLOOR_FRACTION: f64 = 0.2;
+    const CAP_CEIL_FRACTION: f64 = 1.25;
+
     /// Creates a controller with the given gains.
     ///
     /// # Panics
@@ -80,9 +83,6 @@ impl PidController {
             kd,
             integral: 0.0,
             prev_error: None,
-            integral_limit: 50.0,
-            cap_floor_fraction: 0.2,
-            cap_ceil_fraction: 1.25,
         }
     }
 
@@ -90,44 +90,16 @@ impl PidController {
     pub fn default_tuning() -> Self {
         PidController::new(0.5, 0.08, 0.1)
     }
-
-    /// Sets the anti-windup clamp on the integral term (in watt-epochs).
-    #[must_use]
-    pub fn with_integral_limit(mut self, limit: f64) -> Self {
-        assert!(limit >= 0.0, "integral limit must be non-negative");
-        self.integral_limit = limit;
-        self
-    }
-
-    /// Sets the cap clamp as fractions of the target
-    /// (`floor·target ..= ceil·target`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ floor ≤ ceil`.
-    #[must_use]
-    pub fn with_cap_bounds(mut self, floor: f64, ceil: f64) -> Self {
-        assert!(
-            (0.0..=ceil).contains(&floor),
-            "require 0 <= floor <= ceil"
-        );
-        self.cap_floor_fraction = floor;
-        self.cap_ceil_fraction = ceil;
-        self
-    }
 }
 
 impl PowerGovernor for PidController {
     fn next_cap(&mut self, target: f64, measured: f64) -> f64 {
         let error = target - measured;
-        self.integral = (self.integral + error).clamp(-self.integral_limit, self.integral_limit);
+        self.integral = (self.integral + error).clamp(-Self::INTEGRAL_LIMIT, Self::INTEGRAL_LIMIT);
         let derivative = self.prev_error.map_or(0.0, |prev| error - prev);
         self.prev_error = Some(error);
         let cap = target + self.kp * error + self.ki * self.integral + self.kd * derivative;
-        cap.clamp(
-            self.cap_floor_fraction * target,
-            self.cap_ceil_fraction * target,
-        )
+        cap.clamp(Self::CAP_FLOOR_FRACTION * target, Self::CAP_CEIL_FRACTION * target)
     }
 
     fn reset(&mut self) {
@@ -248,17 +220,18 @@ mod tests {
 
     #[test]
     fn pid_cap_respects_bounds() {
-        let mut pid = PidController::new(10.0, 5.0, 0.0).with_cap_bounds(0.5, 1.1);
+        let mut pid = PidController::new(10.0, 5.0, 0.0);
         for measured in [0.0, 40.0, 200.0, 500.0] {
             let cap = pid.next_cap(80.0, measured);
-            assert!((40.0..=88.0).contains(&cap), "cap {cap} out of bounds");
+            assert!((16.0..=100.0).contains(&cap), "cap {cap} out of bounds");
         }
     }
 
     #[test]
     fn integral_windup_is_clamped() {
-        let mut pid = PidController::new(0.0, 1.0, 0.0).with_integral_limit(10.0);
-        // Persistent large error would wind up without the clamp.
+        let mut pid = PidController::new(0.0, 0.2, 0.0);
+        // Persistent large error would wind up to the cap ceiling without
+        // the clamp; with it the integral term stays at 0.2 × 50 W.
         for _ in 0..100 {
             pid.next_cap(80.0, 0.0);
         }

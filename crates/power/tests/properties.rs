@@ -23,11 +23,11 @@ fn ladder_is_monotone_for_any_size() {
         }
         let p = node.params();
         assert!(
-            (ladder.max().voltage - p.v_nominal).abs() < 1e-12,
+            (ladder.point(VfLevel(levels as u8 - 1)).voltage - p.v_nominal).abs() < 1e-12,
             "seed {seed}"
         );
         assert!(
-            (ladder.min().voltage - p.v_min).abs() < 1e-12,
+            (ladder.point(VfLevel(0)).voltage - p.v_min).abs() < 1e-12,
             "seed {seed}"
         );
     }
@@ -141,12 +141,13 @@ fn highest_under_is_the_supremum() {
         let model = PowerModel::for_node(node);
         let ladder = VfLadder::for_node(node, 5);
         let power_of = |op: OperatingPoint| model.core_power(op, 0.5);
-        let cap = power_of(ladder.max()) * cap_scale;
+        let cap = power_of(ladder.point(VfLevel(4))) * cap_scale;
         match ladder.highest_under(cap, power_of) {
             Some(op) => {
                 assert!(power_of(op) <= cap, "seed {seed}");
                 // No higher level also fits.
-                if let Some(up) = ladder.step_up(op.level) {
+                if op.level.0 < 4 {
+                    let up = VfLevel(op.level.0 + 1);
                     assert!(
                         power_of(ladder.point(up)) > cap,
                         "seed {seed}: {up:?} fits too"
@@ -154,7 +155,7 @@ fn highest_under_is_the_supremum() {
                 }
             }
             None => assert!(
-                power_of(ladder.min()) > cap,
+                power_of(ladder.point(VfLevel(0))) > cap,
                 "seed {seed}: the lowest level fits"
             ),
         }

@@ -103,21 +103,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// The timestamp of the most recently popped event (simulation "now").
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `payload` to fire at absolute time `time`.
     ///
     /// Returns the sequence number assigned to the event, which can be used
@@ -189,17 +174,11 @@ impl<T> EventQueue<T> {
         }
         out.len()
     }
-
-    /// Drops all pending events, keeping the current time.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -222,15 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn now_advances_with_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(7), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_ns(7));
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_past_panics() {
         let mut q = EventQueue::new();
@@ -247,7 +217,7 @@ mod tests {
         let deadline = SimTime::from_ns(10);
         assert_eq!(q.pop_before(deadline).map(|e| e.payload), Some('a'));
         assert_eq!(q.pop_before(deadline), None);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(15)));
     }
 
     #[test]
@@ -256,20 +226,6 @@ mod tests {
         q.schedule(SimTime::from_ns(10), ());
         assert_eq!(q.pop_before(SimTime::from_ns(10)), None);
         assert!(q.pop_before(SimTime::from_ns(11)).is_some());
-    }
-
-    #[test]
-    fn clear_keeps_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(5), ());
-        q.pop();
-        q.schedule(SimTime::from_ns(9), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_ns(5));
-        // Scheduling after clear still honours monotone time.
-        q.schedule(q.now() + Duration::from_ns(1), ());
-        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -304,13 +260,13 @@ mod tests {
         let mut batch = Vec::new();
         assert_eq!(q.pop_batch_before(SimTime::from_ns(10), &mut batch), 2);
         assert_eq!(batch.iter().map(|e| e.payload).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(q.now(), SimTime::from_ns(5));
+        assert!(batch.iter().all(|e| e.time == SimTime::from_ns(5)));
         assert_eq!(q.pop_batch_before(SimTime::from_ns(10), &mut batch), 1);
         assert_eq!(batch[0].payload, 3);
         // The 15 ns event is at/after the deadline: batch is left empty.
         assert_eq!(q.pop_batch_before(SimTime::from_ns(10), &mut batch), 0);
         assert!(batch.is_empty());
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(15)));
     }
 
     #[test]

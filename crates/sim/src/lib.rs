@@ -13,8 +13,8 @@
 //! * [`rng`] — a splittable deterministic RNG ([`SimRng`]) so that every
 //!   subsystem (workload generator, fault injector, …) draws from an
 //!   independent, seed-derived stream.
-//! * [`stats`] — small online statistics helpers (mean/min/max/stddev,
-//!   histograms, time-weighted averages) used by the metrics layer.
+//! * [`stats`] — small online statistics helpers (mean/min/max and
+//!   histograms) used by the metrics layer.
 //! * [`trace`] — a lightweight trace sink for time-series output (power
 //!   traces, utilisation traces) consumed by the bench harness.
 //! * [`obs`] — structured decision telemetry: the typed [`SimEvent`]s the
@@ -23,8 +23,7 @@
 //!   emission carries a deterministic [`EventId`] and an optional
 //!   [`CauseLink`] back to the decision that triggered it.
 //! * [`provenance`] — causal-chain reconstruction over the record
-//!   stream: walk any event back to its root or forward to everything
-//!   it caused, with per-chain aggregates ([`ProvenanceGraph`]).
+//!   stream: walk any event back to its root ([`ProvenanceGraph`]).
 //!
 //! # Examples
 //!
@@ -32,8 +31,8 @@
 //! use manytest_sim::prelude::*;
 //!
 //! let mut queue = EventQueue::new();
-//! queue.schedule(SimTime::from_us(5), "five");
-//! queue.schedule(SimTime::from_us(1), "one");
+//! queue.schedule(SimTime::from_ns(5_000), "five");
+//! queue.schedule(SimTime::from_ns(1_000), "one");
 //! assert_eq!(queue.pop().map(|e| e.payload), Some("one"));
 //! assert_eq!(queue.pop().map(|e| e.payload), Some("five"));
 //! ```
@@ -55,9 +54,9 @@ pub use obs::{
     EventId, EventLog, EventRecord, HealthCode, NullPhaseObserver, Phase, PhaseObserver,
     PhaseProfile, SimEvent, StateRecorder, StateSnapshot, StateTimeline,
 };
-pub use provenance::{ChainSummary, ProvenanceGraph};
+pub use provenance::ProvenanceGraph;
 pub use rng::{enter_job_scope, JobScopeGuard, SimRng};
-pub use stats::{Histogram, OnlineStats, TimeWeighted};
+pub use stats::{Histogram, OnlineStats};
 pub use time::{Duration, Epoch, SimTime};
 pub use trace::{Trace, TraceSeries};
 
@@ -69,9 +68,9 @@ pub mod prelude {
         CounterRegistry, EventId, EventLog, EventRecord, HealthCode, NullPhaseObserver, Phase,
         PhaseObserver, PhaseProfile, SimEvent, StateRecorder, StateSnapshot, StateTimeline,
     };
-    pub use crate::provenance::{ChainSummary, ProvenanceGraph};
+    pub use crate::provenance::ProvenanceGraph;
     pub use crate::rng::{enter_job_scope, JobScopeGuard, SimRng};
-    pub use crate::stats::{Histogram, OnlineStats, TimeWeighted};
+    pub use crate::stats::{Histogram, OnlineStats};
     pub use crate::time::{Duration, Epoch, SimTime};
     pub use crate::trace::{Trace, TraceSeries};
 }

@@ -339,20 +339,8 @@ impl SimEvent {
         "FaultActivated",
     ];
 
-    /// Appends this event as one JSON object (no trailing newline) to
-    /// `out`. Floats use Rust's shortest-round-trip `Display`, which is
-    /// deterministic, so identical runs render byte-identical JSON.
-    // lint:effect(alloc, reason = "renders into the caller's String buffer — write! to String is an append, not I/O; callers reuse the buffer across epochs")
-    pub fn write_json(&self, t: f64, out: &mut String) {
-        let kind = self.kind();
-        let _ = write!(out, "{{\"t\":{t},\"kind\":\"{kind}\"");
-        self.write_json_fields(out);
-        out.push('}');
-    }
-
     /// Appends the per-variant payload fields (each preceded by a comma,
-    /// no braces) to `out` — the shared tail of [`SimEvent::write_json`]
-    /// and [`EventRecord::write_json`].
+    /// no braces) to `out` — the tail of [`EventRecord::write_json`].
     pub fn write_json_fields(&self, out: &mut String) {
         match *self {
             SimEvent::AppArrived { app, tasks } | SimEvent::AppRejected { app, tasks } => {
@@ -541,9 +529,6 @@ pub enum CauseKind {
     /// `TestCompleted` → `CoreCleared`: the last retest of a streak that
     /// failed to reproduce the detection.
     RetestPassed,
-    /// `CoreSuspected` → `CoreQuarantined`: immediate quarantine when
-    /// zero confirmation retests are configured.
-    Suspicion,
     /// `CoreQuarantined` → `AppAborted` / `AppRestarted` / `AppMigrated`:
     /// the victim-handling policy acting on the quarantine.
     Quarantine,
@@ -563,9 +548,9 @@ pub enum CauseKind {
 
 impl CauseKind {
     /// Number of link kinds (array size for per-kind counters).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 16;
 
-    /// All link kinds, in [`CauseKind::index`] order.
+    /// All link kinds.
     pub const ALL: [CauseKind; Self::COUNT] = [
         CauseKind::Arrival,
         CauseKind::Restart,
@@ -578,36 +563,12 @@ impl CauseKind {
         CauseKind::FalseAlarm,
         CauseKind::RetestFailed,
         CauseKind::RetestPassed,
-        CauseKind::Suspicion,
         CauseKind::Quarantine,
         CauseKind::ProbeLane,
         CauseKind::ProbePassed,
         CauseKind::ProbeFailed,
         CauseKind::Checkpoint,
     ];
-
-    /// Dense index of this link kind.
-    pub fn index(self) -> usize {
-        match self {
-            CauseKind::Arrival => 0,
-            CauseKind::Restart => 1,
-            CauseKind::Mapping => 2,
-            CauseKind::CapMove => 3,
-            CauseKind::RetestLane => 4,
-            CauseKind::Session => 5,
-            CauseKind::Activation => 6,
-            CauseKind::Detection => 7,
-            CauseKind::FalseAlarm => 8,
-            CauseKind::RetestFailed => 9,
-            CauseKind::RetestPassed => 10,
-            CauseKind::Suspicion => 11,
-            CauseKind::Quarantine => 12,
-            CauseKind::ProbeLane => 13,
-            CauseKind::ProbePassed => 14,
-            CauseKind::ProbeFailed => 15,
-            CauseKind::Checkpoint => 16,
-        }
-    }
 
     /// Stable lower-snake name used in JSON output.
     pub fn as_str(self) -> &'static str {
@@ -623,7 +584,6 @@ impl CauseKind {
             CauseKind::FalseAlarm => "false_alarm",
             CauseKind::RetestFailed => "retest_failed",
             CauseKind::RetestPassed => "retest_passed",
-            CauseKind::Suspicion => "suspicion",
             CauseKind::Quarantine => "quarantine",
             CauseKind::ProbeLane => "probe_lane",
             CauseKind::ProbePassed => "probe_passed",
@@ -649,7 +609,6 @@ impl CauseKind {
             CauseKind::FalseAlarm => (&["TestCompleted"], &["CoreSuspected"]),
             CauseKind::RetestFailed => (&["TestCompleted"], &["CoreQuarantined"]),
             CauseKind::RetestPassed => (&["TestCompleted"], &["CoreCleared"]),
-            CauseKind::Suspicion => (&["CoreSuspected"], &["CoreQuarantined"]),
             CauseKind::Quarantine => {
                 (&["CoreQuarantined"], &["AppAborted", "AppRestarted", "AppMigrated"])
             }
@@ -698,7 +657,8 @@ pub struct EventRecord {
 impl EventRecord {
     /// Appends this record as one JSON object (no trailing newline):
     /// `{"t":…,"id":…[,"cause":…,"link":"…"],"kind":"…",fields}`.
-    /// Deterministic byte-for-byte, like [`SimEvent::write_json`].
+    /// Floats use Rust's shortest-round-trip `Display`, which is
+    /// deterministic, so identical runs render byte-identical JSON.
     // lint:effect(alloc, reason = "renders into the caller's String buffer — write! to String is an append, not I/O; callers reuse the buffer across epochs")
     pub fn write_json(&self, out: &mut String) {
         let _ = write!(out, "{{\"t\":{},\"id\":{}", self.t, self.id.0);
@@ -744,12 +704,16 @@ pub fn emit_record(
 /// # Examples
 ///
 /// ```
-/// use manytest_sim::obs::{EventLog, SimEvent};
+/// use manytest_sim::obs::{emit_record, EventLog, SimEvent};
 ///
 /// let mut log = EventLog::bounded(16);
-/// log.push(0.5, SimEvent::FaultActivated { core: 3 });
+/// let mut next_id = 0;
+/// let ev = SimEvent::FaultActivated { core: 3 };
+/// emit_record(Some(&mut log), &mut next_id, 0.5, None, ev);
 /// assert_eq!(log.count("FaultActivated"), 1);
-/// assert!(log.to_jsonl().contains("\"kind\":\"FaultActivated\""));
+/// let mut jsonl = Vec::new();
+/// log.write_jsonl(&mut jsonl).unwrap();
+/// assert!(String::from_utf8(jsonl).unwrap().contains("\"kind\":\"FaultActivated\""));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventLog {
@@ -757,7 +721,6 @@ pub struct EventLog {
     capacity: usize,
     dropped: u64,
     kind_counts: [u64; SimEvent::KIND_COUNT],
-    next_id: u64,
 }
 
 impl Default for EventLog {
@@ -767,17 +730,11 @@ impl Default for EventLog {
             capacity: usize::MAX,
             dropped: 0,
             kind_counts: [0; SimEvent::KIND_COUNT],
-            next_id: 0,
         }
     }
 }
 
 impl EventLog {
-    /// An unbounded log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A log that stores at most `capacity` events (but counts them all).
     pub fn bounded(capacity: usize) -> Self {
         EventLog {
@@ -786,25 +743,8 @@ impl EventLog {
         }
     }
 
-    /// Records one root event (no cause), assigning the next sequential
-    /// id, and returns that id.
-    pub fn push(&mut self, t: f64, ev: SimEvent) -> EventId {
-        self.push_caused(t, None, ev)
-    }
-
-    /// Records one event with an optional cause link, assigning the next
-    /// sequential id, and returns that id.
-    pub fn push_caused(&mut self, t: f64, cause: Option<CauseLink>, ev: SimEvent) -> EventId {
-        let id = EventId(self.next_id);
-        self.push_record(EventRecord { id, t, cause, ev });
-        id
-    }
-
     /// Records one fully-formed record (as minted by [`emit_record`]).
-    /// The log's id counter is advanced past the record's id so manual
-    /// pushes and minted records can interleave without collisions.
     pub fn push_record(&mut self, rec: EventRecord) {
-        self.next_id = self.next_id.max(rec.id.0 + 1);
         self.kind_counts[rec.ev.kind_index()] += 1;
         if self.events.len() < self.capacity {
             self.events.push(rec);
@@ -881,11 +821,6 @@ impl EventLog {
         ))
     }
 
-    /// The configured sample capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Exact count of events of the named kind (stored *and* dropped).
     /// Unknown names count zero.
     pub fn count(&self, kind: &str) -> u64 {
@@ -903,17 +838,6 @@ impl EventLog {
     /// Total events observed (stored and dropped).
     pub fn total(&self) -> u64 {
         self.kind_counts.iter().sum()
-    }
-
-    /// Renders the stored samples as JSON Lines (one object per line),
-    /// carrying each record's id and cause link.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 64);
-        for rec in &self.events {
-            rec.write_json(&mut out);
-            out.push('\n');
-        }
-        out
     }
 
     /// Streams the stored samples as JSON Lines to `w`.
@@ -947,8 +871,8 @@ impl EventLog {
 /// reg.declare_histogram("queue_wait_ms", 0.0, 10.0, 5);
 /// reg.record("queue_wait_ms", 2.5);
 /// reg.incr("launches");
-/// assert_eq!(reg.counter("launches"), 1);
-/// assert_eq!(reg.histogram("queue_wait_ms").unwrap().total(), 1);
+/// assert!(reg.summary().contains("launches = 1"));
+/// assert_eq!(reg.histograms().map(|(_, h)| h.total()).sum::<u64>(), 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CounterRegistry {
@@ -977,11 +901,6 @@ impl CounterRegistry {
         }
     }
 
-    /// Current value of a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
     /// Declares (or replaces) a histogram spanning `[lo, hi)` with `bins`
     /// equal-width buckets.
     ///
@@ -1005,11 +924,6 @@ impl CounterRegistry {
             .get_mut(name)
             .unwrap_or_else(|| panic!("histogram '{name}' was never declared"))
             .push(x);
-    }
-
-    /// The named histogram, if declared.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// All counters, sorted by name.
@@ -1052,7 +966,7 @@ impl CounterRegistry {
 }
 
 /// Counts `"kind"` occurrences per line of a JSON-Lines event stream
-/// (the inverse of [`EventLog::to_jsonl`], good enough for validation
+/// (the inverse of [`EventLog::write_jsonl`], good enough for validation
 /// without a JSON parser — the workspace deliberately has none).
 pub fn jsonl_kind_counts(text: &str) -> BTreeMap<String, u64> {
     let mut counts = BTreeMap::new();
@@ -1083,18 +997,6 @@ pub enum HealthCode {
     Quarantined,
     /// Withdrawn from mapping but under active re-admission probing.
     Probation,
-}
-
-impl HealthCode {
-    /// Stable lower-snake name used in report output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HealthCode::Healthy => "healthy",
-            HealthCode::Suspect => "suspect",
-            HealthCode::Quarantined => "quarantined",
-            HealthCode::Probation => "probation",
-        }
-    }
 }
 
 /// The state of one core captured at an epoch boundary.
@@ -1182,7 +1084,7 @@ impl StateRecorder {
     }
 
     /// Offers one snapshot; it may be decimated away (the latest snapshot
-    /// is always retained separately, see [`StateRecorder::last`]).
+    /// is always retained separately, see [`StateTimeline::last`]).
     pub fn push(&mut self, snap: StateSnapshot) {
         let stride = self.stride.max(1);
         let keep = self.seen % stride == 0;
@@ -1209,21 +1111,6 @@ impl StateRecorder {
         self.snapshots.push(snap);
     }
 
-    /// The retained snapshots, oldest first.
-    pub fn snapshots(&self) -> &[StateSnapshot] {
-        &self.snapshots
-    }
-
-    /// Snapshots offered over the recorder's lifetime.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The most recent snapshot, exact (never decimated).
-    pub fn last(&self) -> Option<&StateSnapshot> {
-        self.last.as_ref()
-    }
-
     /// Finishes recording, yielding the timeline carried on the report.
     pub fn into_timeline(self) -> StateTimeline {
         StateTimeline {
@@ -1231,7 +1118,6 @@ impl StateRecorder {
             last: self.last,
             seen: self.seen,
             stride: self.stride.max(1),
-            capacity: self.bound,
         }
     }
 }
@@ -1245,7 +1131,6 @@ pub struct StateTimeline {
     last: Option<StateSnapshot>,
     seen: u64,
     stride: u64,
-    capacity: usize,
 }
 
 impl StateTimeline {
@@ -1267,11 +1152,6 @@ impl StateTimeline {
     /// Final sampling stride (1 = nothing was decimated).
     pub fn stride(&self) -> u64 {
         self.stride.max(1)
-    }
-
-    /// The configured ring capacity (0 when recording was disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// True when recording was disabled or the run closed no epochs.
@@ -1486,6 +1366,12 @@ impl PhaseProfile {
 mod tests {
     use super::*;
 
+    fn jsonl(log: &EventLog) -> String {
+        let mut out = Vec::new();
+        log.write_jsonl(&mut out).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("JSONL is UTF-8")
+    }
+
     fn sample_events() -> Vec<(f64, SimEvent)> {
         vec![
             (0.001, SimEvent::AppArrived { app: 0, tasks: 4 }),
@@ -1547,11 +1433,12 @@ mod tests {
 
     #[test]
     fn json_lines_carry_kind_and_fields() {
-        let mut log = EventLog::new();
+        let mut log = EventLog::default();
+        let mut next_id = 0;
         for (t, ev) in sample_events() {
-            log.push(t, ev);
+            emit_record(Some(&mut log), &mut next_id, t, None, ev);
         }
-        let jsonl = log.to_jsonl();
+        let jsonl = jsonl(&log);
         assert_eq!(jsonl.lines().count(), 11);
         assert!(jsonl.contains("\"kind\":\"AppMapped\""));
         assert!(jsonl.contains("\"region_w\":2"));
@@ -1568,8 +1455,15 @@ mod tests {
     #[test]
     fn bounded_log_keeps_exact_counts_while_dropping_samples() {
         let mut log = EventLog::bounded(2);
+        let mut next_id = 0;
         for _ in 0..10 {
-            log.push(1.0, SimEvent::FaultActivated { core: 0 });
+            emit_record(
+                Some(&mut log),
+                &mut next_id,
+                1.0,
+                None,
+                SimEvent::FaultActivated { core: 0 },
+            );
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 8);
@@ -1579,11 +1473,12 @@ mod tests {
 
     #[test]
     fn jsonl_and_csv_round_trip_the_kind_counts() {
-        let mut log = EventLog::new();
+        let mut log = EventLog::default();
+        let mut next_id = 0;
         for (t, ev) in sample_events() {
-            log.push(t, ev);
+            emit_record(Some(&mut log), &mut next_id, t, None, ev);
         }
-        let from_jsonl = jsonl_kind_counts(&log.to_jsonl());
+        let from_jsonl = jsonl_kind_counts(&jsonl(&log));
         for (kind, n) in log.kind_counts() {
             assert_eq!(from_jsonl.get(kind).copied().unwrap_or(0), n, "kind {kind}");
         }
@@ -1595,8 +1490,9 @@ mod tests {
         for (_, ev) in sample_events() {
             reg.incr(ev.kind());
         }
-        assert_eq!(reg.counter("AppArrived"), 1);
-        assert_eq!(reg.counter("nonexistent"), 0);
+        let counter = |name| reg.counters().find(|&(k, _)| k == name).map(|(_, v)| v);
+        assert_eq!(counter("AppArrived"), Some(1));
+        assert_eq!(counter("nonexistent"), None);
         reg.declare_histogram("wait_ms", 0.0, 4.0, 4);
         reg.record("wait_ms", 1.0);
         reg.record("wait_ms", 9.0); // overflow
@@ -1609,23 +1505,6 @@ mod tests {
     #[should_panic(expected = "never declared")]
     fn recording_into_undeclared_histogram_panics() {
         CounterRegistry::new().record("missing", 1.0);
-    }
-
-    #[test]
-    fn push_assigns_sequential_ids_and_records_causes() {
-        let mut log = EventLog::new();
-        let root = log.push(1.0, SimEvent::FaultActivated { core: 2 });
-        assert_eq!(root, EventId(0));
-        let detect = log.push_caused(
-            2.0,
-            Some(CauseLink::new(CauseKind::Activation, root)),
-            SimEvent::FaultDetected { core: 2, latency: 1.0 },
-        );
-        assert_eq!(detect, EventId(1));
-        let recs = log.events();
-        assert_eq!(recs[0].cause, None);
-        assert_eq!(recs[1].cause, Some(CauseLink::new(CauseKind::Activation, root)));
-        assert_eq!(recs[1].id, detect);
     }
 
     #[test]
@@ -1660,8 +1539,7 @@ mod tests {
 
     #[test]
     fn cause_kind_table_round_trips_and_names_real_kinds() {
-        for (i, k) in CauseKind::ALL.iter().enumerate() {
-            assert_eq!(k.index(), i);
+        for k in CauseKind::ALL {
             let (causes, effects) = k.expected();
             assert!(!causes.is_empty() && !effects.is_empty());
             for name in causes.iter().chain(effects) {
@@ -1688,7 +1566,7 @@ mod tests {
 
     #[test]
     fn emit_record_mints_gapless_ids() {
-        let mut log = EventLog::new();
+        let mut log = EventLog::default();
         let mut next_id = 0u64;
         let a = emit_record(Some(&mut log), &mut next_id, 1.0, None, SimEvent::FaultActivated {
             core: 0,
@@ -1716,8 +1594,9 @@ mod tests {
     fn kind_counts_survive_when_only_counts_remain() {
         // A log with capacity 0 stores nothing but still reconciles.
         let mut log = EventLog::bounded(0);
+        let mut next_id = 0;
         for (t, ev) in sample_events() {
-            log.push(t, ev);
+            emit_record(Some(&mut log), &mut next_id, t, None, ev);
         }
         assert!(log.is_empty());
         assert_eq!(log.total(), 11);
@@ -1728,11 +1607,24 @@ mod tests {
     #[test]
     fn saturation_warning_names_dropped_kinds() {
         let mut log = EventLog::bounded(2);
+        let mut next_id = 0;
         for _ in 0..5 {
-            log.push(1.0, SimEvent::FaultActivated { core: 0 });
+            emit_record(
+                Some(&mut log),
+                &mut next_id,
+                1.0,
+                None,
+                SimEvent::FaultActivated { core: 0 },
+            );
         }
         for _ in 0..2 {
-            log.push(2.0, SimEvent::FaultDetected { core: 0, latency: 1.0 });
+            emit_record(
+                Some(&mut log),
+                &mut next_id,
+                2.0,
+                None,
+                SimEvent::FaultDetected { core: 0, latency: 1.0 },
+            );
         }
         let drops = log.dropped_kind_counts();
         assert_eq!(drops.iter().sum::<u64>(), log.dropped());
@@ -1748,7 +1640,8 @@ mod tests {
     #[test]
     fn unsaturated_log_has_no_warning() {
         let mut log = EventLog::bounded(16);
-        log.push(1.0, SimEvent::FaultActivated { core: 0 });
+        let mut next_id = 0;
+        emit_record(Some(&mut log), &mut next_id, 1.0, None, SimEvent::FaultActivated { core: 0 });
         assert!(log.saturation_warning().is_none());
         assert_eq!(log.dropped_kind_counts(), [0; SimEvent::KIND_COUNT]);
     }
@@ -1788,7 +1681,8 @@ mod tests {
                 series.push(i as f64, i as f64);
             }
             let stride = pushes.div_ceil(8).next_power_of_two() as usize;
-            let rec_times: Vec<f64> = rec.snapshots().iter().map(|s| s.t).collect();
+            let tl = rec.into_timeline();
+            let rec_times: Vec<f64> = tl.snapshots().iter().map(|s| s.t).collect();
             let series_times: Vec<f64> = series
                 .points()
                 .iter()
@@ -1796,8 +1690,8 @@ mod tests {
                 .map(|&(t, _)| t)
                 .collect();
             assert_eq!(rec_times, series_times, "pushes = {pushes}");
-            assert_eq!(rec.seen(), pushes);
-            assert_eq!(rec.last().map(|s| s.t), Some((pushes - 1) as f64));
+            assert_eq!(tl.seen(), pushes);
+            assert_eq!(tl.last().map(|s| s.t), Some((pushes - 1) as f64));
         }
     }
 
@@ -1807,10 +1701,9 @@ mod tests {
         for i in 0..100 {
             rec.push(snap(i as f64));
         }
-        assert_eq!(rec.last().map(|s| s.t), Some(99.0));
-        assert!(rec.snapshots().len() <= 4);
         let tl = rec.into_timeline();
         assert_eq!(tl.last().map(|s| s.t), Some(99.0));
+        assert!(tl.snapshots().len() <= 4);
         assert_eq!(tl.seen(), 100);
         assert!(tl.stride() > 1);
         assert_eq!(tl.core_count(), 1);

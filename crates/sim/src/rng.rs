@@ -162,11 +162,6 @@ impl SimRng {
         SimRng::seed_from(h)
     }
 
-    /// The seed this generator (or stream) was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Next 64 uniformly distributed bits (xoshiro256** step).
     pub fn next_u64(&mut self) -> u64 {
         #[cfg(debug_assertions)]
@@ -264,38 +259,11 @@ impl SimRng {
         -u.ln() / rate
     }
 
-    /// Normally distributed draw (Box–Muller) with `mean` and `std_dev`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or non-finite.
-    pub fn gen_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0 && std_dev.is_finite(), "invalid std_dev");
-        let u1 = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let u2 = self.next_f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.gen_range(i as u64 + 1) as usize;
             items.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.gen_range(items.len() as u64) as usize])
         }
     }
 }
@@ -452,17 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments_are_plausible() {
-        let mut rng = SimRng::seed_from(23);
-        let n = 50_000;
-        let draws: Vec<f64> = (0..n).map(|_| rng.gen_normal(10.0, 2.0)).collect();
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        let var = draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean was {mean}");
-        assert!((var - 4.0).abs() < 0.2, "variance was {var}");
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut rng = SimRng::seed_from(29);
         let mut v: Vec<u32> = (0..50).collect();
@@ -470,15 +427,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_handles_empty_and_nonempty() {
-        let mut rng = SimRng::seed_from(31);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        let items = [1, 2, 3];
-        assert!(items.contains(rng.choose(&items).unwrap()));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Welford-style online mean/variance plus min/max.
+/// Welford-style online mean plus min/max.
 ///
 /// # Examples
 ///
@@ -21,10 +21,8 @@ use serde::{Deserialize, Serialize};
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
     min: Option<f64>,
     max: Option<f64>,
-    sum: f64,
 }
 
 impl OnlineStats {
@@ -37,10 +35,8 @@ impl OnlineStats {
     #[inline]
     pub fn push(&mut self, x: f64) {
         self.count += 1;
-        self.sum += x;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = Some(self.min.map_or(x, |m| m.min(x)));
         self.max = Some(self.max.map_or(x, |m| m.max(x)));
     }
@@ -55,25 +51,6 @@ impl OnlineStats {
         self.mean
     }
 
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample, if any.
     pub fn min(&self) -> Option<f64> {
         self.min
@@ -82,33 +59,6 @@ impl OnlineStats {
     /// Largest sample, if any.
     pub fn max(&self) -> Option<f64> {
         self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.mean = (n1 * self.mean + n2 * other.mean) / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
     }
 }
 
@@ -151,16 +101,6 @@ impl Histogram {
             let idx = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
             self.bins[idx] += 1;
         }
-    }
-
-    /// Lower bound of the binned range.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper bound of the binned range.
-    pub fn hi(&self) -> f64 {
-        self.hi
     }
 
     /// Per-bin counts.
@@ -238,73 +178,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. power,
-/// number-of-active-cores) sampled at irregular instants.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    last_t: Option<f64>,
-    last_v: f64,
-    weighted_sum: f64,
-    span: f64,
-    peak: Option<f64>,
-}
-
-impl TimeWeighted {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that the signal took value `v` starting at time `t` (seconds).
-    ///
-    /// The value is held constant until the next `record` call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` moves backwards.
-    pub fn record(&mut self, t: f64, v: f64) {
-        if let Some(last_t) = self.last_t {
-            assert!(t >= last_t, "time must be monotone");
-            let dt = t - last_t;
-            self.weighted_sum += self.last_v * dt;
-            self.span += dt;
-        }
-        self.last_t = Some(t);
-        self.last_v = v;
-        self.peak = Some(self.peak.map_or(v, |p: f64| p.max(v)));
-    }
-
-    /// Closes the signal at time `t` without starting a new segment.
-    pub fn finish(&mut self, t: f64) {
-        self.record(t, self.last_v);
-    }
-
-    /// Time-weighted mean over the recorded span (0 if the span is empty).
-    pub fn mean(&self) -> f64 {
-        if self.span > 0.0 {
-            self.weighted_sum / self.span
-        } else {
-            0.0
-        }
-    }
-
-    /// Largest recorded value, if any.
-    pub fn peak(&self) -> Option<f64> {
-        self.peak
-    }
-
-    /// Total observed span in seconds.
-    pub fn span(&self) -> f64 {
-        self.span
-    }
-
-    /// Integral of the signal over the span (`mean × span`), e.g. energy in
-    /// joules when the signal is power in watts.
-    pub fn integral(&self) -> f64 {
-        self.weighted_sum
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,11 +190,8 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-12);
     }
 
     #[test]
@@ -329,44 +199,8 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]
@@ -450,32 +284,5 @@ mod tests {
         // of the occupied fraction.
         let p50 = h.p50().unwrap();
         assert!((0.0..=1.0).contains(&p50));
-    }
-
-    #[test]
-    fn time_weighted_mean_of_step_signal() {
-        let mut tw = TimeWeighted::new();
-        tw.record(0.0, 10.0); // 10 W for 2 s
-        tw.record(2.0, 0.0); // 0 W for 2 s
-        tw.finish(4.0);
-        assert!((tw.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(tw.peak(), Some(10.0));
-        assert!((tw.span() - 4.0).abs() < 1e-12);
-        assert!((tw.integral() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_empty_is_zero() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.mean(), 0.0);
-        assert_eq!(tw.peak(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "monotone")]
-    fn time_weighted_rejects_backwards_time() {
-        let mut tw = TimeWeighted::new();
-        tw.record(5.0, 1.0);
-        tw.record(4.0, 1.0);
     }
 }

@@ -15,8 +15,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// ```
 /// use manytest_sim::time::{Duration, SimTime};
 ///
-/// let t = SimTime::from_ms(2) + Duration::from_us(500);
-/// assert_eq!(t.as_ns(), 2_500_000);
+/// let t = SimTime::from_ns(2_000_000) + Duration::from_us(500);
+/// assert_eq!(t, SimTime::from_ns(2_500_000));
 /// ```
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -58,44 +58,9 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates a time from microseconds, saturating at [`SimTime::MAX`].
-    pub const fn from_us(us: u64) -> Self {
-        SimTime(us.saturating_mul(1_000))
-    }
-
-    /// Creates a time from milliseconds, saturating at [`SimTime::MAX`].
-    pub const fn from_ms(ms: u64) -> Self {
-        SimTime(ms.saturating_mul(1_000_000))
-    }
-
-    /// Creates a time from whole seconds, saturating at [`SimTime::MAX`].
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s.saturating_mul(1_000_000_000))
-    }
-
-    /// Raw nanosecond count.
-    pub const fn as_ns(self) -> u64 {
-        self.0
-    }
-
     /// This time expressed in (floating point) seconds; for reporting only.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Time elapsed since `earlier`, saturating at zero.
-    pub fn since(self, earlier: SimTime) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The epoch this instant falls in, for epochs of length `epoch_len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch_len` is zero.
-    pub fn epoch(self, epoch_len: Duration) -> Epoch {
-        assert!(epoch_len.0 > 0, "epoch length must be positive");
-        Epoch(self.0 / epoch_len.0)
     }
 }
 
@@ -118,11 +83,6 @@ impl Duration {
     /// Creates a duration from milliseconds, saturating at [`Duration::MAX`].
     pub const fn from_ms(ms: u64) -> Self {
         Duration(ms.saturating_mul(1_000_000))
-    }
-
-    /// Creates a duration from whole seconds, saturating at [`Duration::MAX`].
-    pub const fn from_secs(s: u64) -> Self {
-        Duration(s.saturating_mul(1_000_000_000))
     }
 
     /// Creates a duration from floating point seconds, rounding to the
@@ -153,31 +113,11 @@ impl Duration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: Duration) -> Duration {
-        Duration(self.0.saturating_sub(other.0))
-    }
-
-    /// Integer division rounding up; how many `chunk`s cover this duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn div_ceil(self, chunk: Duration) -> u64 {
-        assert!(chunk.0 > 0, "chunk must be positive");
-        self.0.div_ceil(chunk.0)
-    }
 }
 
 impl Epoch {
     /// First epoch.
     pub const ZERO: Epoch = Epoch(0);
-
-    /// The next epoch.
-    pub const fn next(self) -> Epoch {
-        Epoch(self.0 + 1)
-    }
 
     /// Start time of this epoch for epochs of length `epoch_len`.
     pub fn start(self, epoch_len: Duration) -> SimTime {
@@ -187,11 +127,6 @@ impl Epoch {
     /// End time (exclusive) of this epoch for epochs of length `epoch_len`.
     pub fn end(self, epoch_len: Duration) -> SimTime {
         SimTime((self.0 + 1) * epoch_len.0)
-    }
-
-    /// Raw epoch index.
-    pub const fn index(self) -> u64 {
-        self.0
     }
 }
 
@@ -292,17 +227,13 @@ mod tests {
 
     #[test]
     fn constructors_scale_correctly() {
-        assert_eq!(SimTime::from_us(1).as_ns(), 1_000);
-        assert_eq!(SimTime::from_ms(1).as_ns(), 1_000_000);
-        assert_eq!(SimTime::from_secs(1).as_ns(), 1_000_000_000);
         assert_eq!(Duration::from_us(2).as_ns(), 2_000);
         assert_eq!(Duration::from_ms(2).as_ns(), 2_000_000);
-        assert_eq!(Duration::from_secs(2).as_ns(), 2_000_000_000);
     }
 
     #[test]
     fn arithmetic_roundtrips() {
-        let t0 = SimTime::from_ms(10);
+        let t0 = SimTime::from_ns(10_000_000);
         let d = Duration::from_us(250);
         let t1 = t0 + d;
         assert_eq!(t1 - t0, d);
@@ -311,35 +242,24 @@ mod tests {
 
     #[test]
     fn subtraction_saturates() {
-        let early = SimTime::from_ms(1);
-        let late = SimTime::from_ms(5);
+        let early = SimTime::from_ns(1_000_000);
+        let late = SimTime::from_ns(5_000_000);
         assert_eq!(early - late, Duration::ZERO);
-        assert_eq!(early.since(late), Duration::ZERO);
         assert_eq!(Duration::from_ns(3) - Duration::from_ns(10), Duration::ZERO);
     }
 
     #[test]
     fn epoch_boundaries() {
         let len = Duration::from_ms(1);
-        assert_eq!(SimTime::ZERO.epoch(len), Epoch(0));
-        assert_eq!(SimTime::from_ns(999_999).epoch(len), Epoch(0));
-        assert_eq!(SimTime::from_ms(1).epoch(len), Epoch(1));
-        assert_eq!(Epoch(3).start(len), SimTime::from_ms(3));
-        assert_eq!(Epoch(3).end(len), SimTime::from_ms(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "epoch length must be positive")]
-    fn zero_epoch_len_panics() {
-        let _ = SimTime::ZERO.epoch(Duration::ZERO);
+        assert_eq!(Epoch::ZERO.start(len), SimTime::ZERO);
+        assert_eq!(Epoch(3).start(len), SimTime::from_ns(3_000_000));
+        assert_eq!(Epoch(3).end(len), SimTime::from_ns(4_000_000));
     }
 
     #[test]
     fn unit_constructors_saturate() {
         assert_eq!(Duration::from_us(u64::MAX), Duration::MAX);
         assert_eq!(Duration::from_ms(u64::MAX / 1_000_000 + 1), Duration::MAX);
-        assert_eq!(Duration::from_secs(u64::MAX), Duration::MAX);
-        assert_eq!(SimTime::from_us(u64::MAX / 1_000 + 1), SimTime::MAX);
         assert_eq!(
             Duration::from_us(u64::MAX / 1_000).as_ns(),
             u64::MAX / 1_000 * 1_000
@@ -355,24 +275,10 @@ mod tests {
     }
 
     #[test]
-    fn div_ceil_covers() {
-        let d = Duration::from_ns(10);
-        assert_eq!(d.div_ceil(Duration::from_ns(3)), 4);
-        assert_eq!(d.div_ceil(Duration::from_ns(5)), 2);
-        assert_eq!(Duration::ZERO.div_ceil(Duration::from_ns(5)), 0);
-    }
-
-    #[test]
     fn display_is_nonempty() {
-        assert!(!format!("{}", SimTime::from_ms(1)).is_empty());
+        assert!(!format!("{}", SimTime::from_ns(1_000_000)).is_empty());
         assert!(!format!("{}", Duration::from_ms(1)).is_empty());
         assert!(!format!("{}", Epoch(7)).is_empty());
-    }
-
-    #[test]
-    fn epoch_next_and_index() {
-        assert_eq!(Epoch::ZERO.next(), Epoch(1));
-        assert_eq!(Epoch(41).next().index(), 42);
     }
 
     #[test]

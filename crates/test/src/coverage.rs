@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// ledger.record(0, VfLevel(1));
 /// assert_eq!(ledger.tests_at(0, VfLevel(1)), 1);
 /// // Rotation points at the least-tested level next.
-/// assert_ne!(ledger.next_level(0), VfLevel(1));
+/// assert_ne!(ledger.next_level_staggered(0), VfLevel(1));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VfCoverageLedger {
@@ -54,11 +54,6 @@ impl VfCoverageLedger {
             level.0
         );
         core * self.levels + level.0 as usize
-    }
-
-    /// Number of tracked cores.
-    pub fn core_count(&self) -> usize {
-        self.cores
     }
 
     /// Number of tracked levels.
@@ -97,18 +92,10 @@ impl VfCoverageLedger {
             .collect()
     }
 
-    /// The level `core` should test at next: its least-tested level
-    /// (lowest level wins ties), implementing round-robin V/f coverage.
-    pub fn next_level(&self, core: usize) -> VfLevel {
-        (0..self.levels)
-            .map(|l| VfLevel(l as u8))
-            .min_by_key(|&l| (self.tests_at(core, l), l.0))
-            .expect("ledger has at least one level")
-    }
-
-    /// Like [`Self::next_level`], but ties among equally-tested levels are
-    /// broken by cyclic distance from `core % levels` instead of "lowest
-    /// first". Staggering each core's starting level spreads the
+    /// The level `core` should test at next: its least-tested level,
+    /// implementing round-robin V/f coverage. Ties among equally-tested
+    /// levels are broken by cyclic distance from `core % levels`.
+    /// Staggering each core's starting level spreads the
     /// population's first tests across the whole ladder, so even short
     /// runs exercise every V/f level somewhere on the die.
     ///
@@ -159,13 +146,6 @@ impl VfCoverageLedger {
     pub fn fully_covered(&self) -> bool {
         (0..self.cores).all(|c| self.core_fully_covered(c))
     }
-
-    /// Cores ordered by ascending total test count (least-tested first).
-    pub fn least_tested_cores(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.cores).collect();
-        order.sort_by_key(|&c| (self.tests_on_core(c), c));
-        order
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +169,7 @@ mod tests {
         let mut l = VfCoverageLedger::new(1, 4);
         let mut seen = Vec::new();
         for _ in 0..4 {
-            let level = l.next_level(0);
+            let level = l.next_level_staggered(0);
             seen.push(level.0);
             l.record(0, level);
         }
@@ -203,10 +183,10 @@ mod tests {
         let mut l = VfCoverageLedger::new(1, 3);
         l.record(0, VfLevel(0));
         l.record(0, VfLevel(1));
-        assert_eq!(l.next_level(0), VfLevel(2));
+        assert_eq!(l.next_level_staggered(0), VfLevel(2));
         l.record(0, VfLevel(2));
         l.record(0, VfLevel(2));
-        assert_eq!(l.next_level(0), VfLevel(0));
+        assert_eq!(l.next_level_staggered(0), VfLevel(0));
     }
 
     #[test]
@@ -248,15 +228,6 @@ mod tests {
         assert!(!l.fully_covered());
         l.record(1, VfLevel(1));
         assert!(l.fully_covered());
-    }
-
-    #[test]
-    fn least_tested_ordering() {
-        let mut l = VfCoverageLedger::new(3, 1);
-        l.record(1, VfLevel(0));
-        l.record(1, VfLevel(0));
-        l.record(2, VfLevel(0));
-        assert_eq!(l.least_tested_cores(), vec![0, 2, 1]);
     }
 
     #[test]

@@ -198,25 +198,26 @@ impl Fault {
 /// # Examples
 ///
 /// ```
-/// use manytest_sbst::fault::{FaultLog, FaultState};
+/// use manytest_sbst::fault::{Fault, FaultLog, FaultState};
 /// use manytest_sbst::routine::RoutineLibrary;
 /// use manytest_sim::SimRng;
 ///
 /// let mut log = FaultLog::new();
-/// log.inject(2, 0.010);
-/// log.activate_due(0.020);
+/// log.inject_fault(Fault::new(2, 0.010));
+/// log.activate_due_with(0.020, |_| {});
 /// let lib = RoutineLibrary::standard();
 /// let mut rng = SimRng::seed_from(1);
 /// // A completed routine on the faulty core may detect it.
 /// let level = manytest_power::VfLevel(0);
-/// let detected = log.on_test_complete(2, lib.routine(manytest_sbst::routine::RoutineId(0)), level, 0.021, &mut rng);
+/// let routine = lib.routine(manytest_sbst::routine::RoutineId(0));
+/// let detected = log.on_test_complete_with(2, routine, level, 0.021, &mut rng, |_, _| {});
 /// assert_eq!(detected, log.detected_count() == 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultLog {
     faults: Vec<Fault>,
-    /// Per-core fault lists and cool-down clocks. Keeps
-    /// [`FaultLog::on_test_complete`] from scanning every injected fault
+    /// Per-core fault lists. Keeps
+    /// [`FaultLog::on_test_complete_with`] from scanning every injected fault
     /// on every test completion; because each core's list preserves the
     /// global injection order, the RNG draw sequence is identical to the
     /// full scan it replaced.
@@ -234,11 +235,6 @@ pub struct FaultLog {
 struct CoreFaults {
     /// Indices into `FaultLog::faults`, in injection order.
     faults: Vec<usize>,
-    /// The cool-down clock: the last time any fault on the core
-    /// manifested to a test, retest or probe. The re-admission lane uses
-    /// it to wait out an intermittent's refire streak before probing.
-    /// Only a fault can manifest, so only a faulty core has a clock.
-    last_refire: Option<f64>,
 }
 
 /// Dense per-core index over the faulty cores: one `u32` per core id up
@@ -315,31 +311,15 @@ impl FaultLog {
         indexed.iter().copied().chain(unindexed)
     }
 
-    /// Schedules a fault on `core` at `inject_at` seconds, observable at
-    /// every DVFS level.
-    pub fn inject(&mut self, core: usize, inject_at: f64) {
-        self.push_fault(Fault::new(core, inject_at));
-    }
-
-    /// Schedules a voltage-dependent fault observable only at levels in
-    /// `[from, to]`.
-    pub fn inject_windowed(&mut self, core: usize, inject_at: f64, from: VfLevel, to: VfLevel) {
-        self.push_fault(Fault::with_level_window(core, inject_at, from, to));
-    }
-
     /// Schedules an arbitrary pre-built fault (e.g. an intermittent one
     /// built with [`Fault::with_refire`]).
     pub fn inject_fault(&mut self, fault: Fault) {
         self.push_fault(fault);
     }
 
-    /// Promotes pending faults whose injection time has passed to latent.
-    pub fn activate_due(&mut self, now: f64) {
-        self.activate_due_with(now, |_| {});
-    }
-
-    /// [`FaultLog::activate_due`] with a telemetry hook: `on_activate`
-    /// receives the core of every fault promoted by this call.
+    /// Promotes pending faults whose injection time has passed to latent;
+    /// `on_activate` receives the core of every fault promoted by this
+    /// call.
     pub fn activate_due_with(&mut self, now: f64, mut on_activate: impl FnMut(usize)) {
         // The simulator calls this first in every epoch, so its lookups
         // through `&self` find every fault indexed.
@@ -355,21 +335,9 @@ impl FaultLog {
     /// Reports a completed `routine` on `core` at DVFS level `level` at
     /// time `now`: every latent fault on that core that is *visible at
     /// that level* is detected with probability `routine.coverage`.
-    /// Returns true if at least one fault was detected by this run.
-    pub fn on_test_complete(
-        &mut self,
-        core: usize,
-        routine: &TestRoutine,
-        level: VfLevel,
-        now: f64,
-        rng: &mut SimRng,
-    ) -> bool {
-        self.on_test_complete_with(core, routine, level, now, rng, |_, _| {})
-    }
-
-    /// [`FaultLog::on_test_complete`] with a telemetry hook: `on_detect`
-    /// receives `(core, detection_latency_seconds)` for every fault this
-    /// run detects. The RNG draw order is identical to the hook-less form.
+    /// `on_detect` receives `(core, detection_latency_seconds)` for every
+    /// fault this run detects. Returns true if at least one fault was
+    /// detected by this run.
     pub fn on_test_complete_with(
         &mut self,
         core: usize,
@@ -383,7 +351,7 @@ impl FaultLog {
         let Some(e) = self.index.entry_of(core) else {
             return false;
         };
-        let entry = &mut self.index.cores[e];
+        let entry = &self.index.cores[e];
         let mut any = false;
         // Indices are in injection order, so the RNG draws happen in the
         // same sequence as the historical whole-log scan (which consumed a
@@ -400,9 +368,6 @@ impl FaultLog {
                 any = true;
             }
         }
-        if any {
-            entry.last_refire = Some(now);
-        }
         any
     }
 
@@ -411,7 +376,7 @@ impl FaultLog {
     /// `level`, using the same `coverage * refire` probability as a
     /// regular test. Returns true if any fault manifested.
     ///
-    /// Unlike [`FaultLog::on_test_complete`], confirmation neither counts
+    /// Unlike [`FaultLog::on_test_complete_with`], confirmation neither counts
     /// toward [`FaultLog::detections`] nor reports detection telemetry —
     /// it answers one question: *does the symptom reproduce?* A latent
     /// fault that manifests here is promoted to `Detected` (the retest
@@ -430,7 +395,7 @@ impl FaultLog {
         let Some(e) = self.index.entry_of(core) else {
             return false;
         };
-        let entry = &mut self.index.cores[e];
+        let entry = &self.index.cores[e];
         let mut any = false;
         for &i in &entry.faults {
             let f = &mut self.faults[i];
@@ -445,19 +410,15 @@ impl FaultLog {
                 any = true;
             }
         }
-        if any {
-            entry.last_refire = Some(now);
-        }
         any
     }
 
     /// Runs one background re-admission *probe* on `core` at `level`:
     /// draws over every present fault visible at that level with
     /// probability `coverage * effective_refire(now)` — the same physics
-    /// as a confirmation retest. A manifest records the refire on the
-    /// core's cool-down clock but neither promotes fault state nor counts
-    /// as a detection: probation failures re-quarantine without opening a
-    /// new suspicion. Returns true if any fault manifested.
+    /// as a confirmation retest. A manifest neither promotes fault state
+    /// nor counts as a detection: probation failures re-quarantine
+    /// without opening a new suspicion. Returns true if any fault manifested.
     pub fn probe(
         &mut self,
         core: usize,
@@ -470,7 +431,7 @@ impl FaultLog {
         let Some(e) = self.index.entry_of(core) else {
             return false;
         };
-        let entry = &mut self.index.cores[e];
+        let entry = &self.index.cores[e];
         let mut any = false;
         for &i in &entry.faults {
             let f = &self.faults[i];
@@ -480,18 +441,7 @@ impl FaultLog {
                 any = true;
             }
         }
-        if any {
-            entry.last_refire = Some(now);
-        }
         any
-    }
-
-    /// The last time any fault on `core` manifested to a test, retest or
-    /// probe (the cool-down clock the re-admission lane waits on).
-    pub fn last_refire_at(&self, core: usize) -> Option<f64> {
-        self.index
-            .faults_on(core)
-            .and_then(|entry| entry.last_refire)
     }
 
     /// Returns every detected fault on `core` to `Latent`, forgetting its
@@ -508,15 +458,6 @@ impl FaultLog {
                 }
             }
         }
-    }
-
-    /// True if `core` carries at least one fault already injected by
-    /// `now` (latent or detected).
-    pub fn has_active_fault(&self, core: usize, now: f64) -> bool {
-        self.fault_indices(core).any(|i| {
-            let f = &self.faults[i];
-            f.inject_at <= now && !matches!(f.state, FaultState::Pending)
-        })
     }
 
     /// True if `core` carries an active **solid** fault (`refire == 1`)
@@ -585,22 +526,10 @@ impl FaultLog {
         total + (cur_hi - cur_lo)
     }
 
-    /// Earliest injection time of any fault on `core`, if one exists.
-    pub fn first_inject_at(&self, core: usize) -> Option<f64> {
-        self.fault_indices(core)
-            .map(|i| self.faults[i].inject_at)
-            .fold(None, |acc: Option<f64>, t| Some(acc.map_or(t, |a| a.min(t))))
-    }
-
     /// Total detection occurrences (see the field doc on why this can
     /// exceed [`FaultLog::detected_count`]).
     pub fn detections(&self) -> u64 {
         self.detections
-    }
-
-    /// All faults in injection order.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
     }
 
     /// Number of injected faults.
@@ -621,14 +550,6 @@ impl FaultLog {
             .count()
     }
 
-    /// Number of faults still latent at the end of the run.
-    pub fn latent_count(&self) -> usize {
-        self.faults
-            .iter()
-            .filter(|f| matches!(f.state, FaultState::Latent))
-            .count()
-    }
-
     /// Mean detection latency over detected faults, seconds.
     pub fn mean_detection_latency(&self) -> Option<f64> {
         let latencies: Vec<f64> = self
@@ -641,14 +562,6 @@ impl FaultLog {
         } else {
             Some(latencies.iter().sum::<f64>() / latencies.len() as f64)
         }
-    }
-
-    /// Worst detection latency over detected faults, seconds.
-    pub fn max_detection_latency(&self) -> Option<f64> {
-        self.faults
-            .iter()
-            .filter_map(Fault::detection_latency)
-            .fold(None, |acc, l| Some(acc.map_or(l, |a: f64| a.max(l))))
     }
 }
 
@@ -670,35 +583,50 @@ mod tests {
     #[test]
     fn lifecycle_pending_latent_detected() {
         let mut log = FaultLog::new();
-        log.inject(0, 1.0);
-        assert!(matches!(log.faults()[0].state, FaultState::Pending));
-        log.activate_due(0.5);
-        assert!(matches!(log.faults()[0].state, FaultState::Pending));
-        log.activate_due(1.0);
-        assert!(matches!(log.faults()[0].state, FaultState::Latent));
+        log.inject_fault(Fault::new(0, 1.0));
+        assert!(matches!(log.faults[0].state, FaultState::Pending));
+        log.activate_due_with(0.5, |_| {});
+        assert!(matches!(log.faults[0].state, FaultState::Pending));
+        log.activate_due_with(1.0, |_| {});
+        assert!(matches!(log.faults[0].state, FaultState::Latent));
         let mut rng = SimRng::seed_from(1);
-        let hit = log.on_test_complete(0, &certain_routine(), VfLevel(0), 2.5, &mut rng);
+        let hit =
+            log.on_test_complete_with(0, &certain_routine(), VfLevel(0), 2.5, &mut rng, |_, _| {});
         assert!(hit);
         assert_eq!(log.detected_count(), 1);
-        assert_eq!(log.faults()[0].detection_latency(), Some(1.5));
+        assert_eq!(log.faults[0].detection_latency(), Some(1.5));
     }
 
     #[test]
     fn tests_on_other_cores_do_not_detect() {
         let mut log = FaultLog::new();
-        log.inject(3, 0.0);
-        log.activate_due(1.0);
+        log.inject_fault(Fault::new(3, 0.0));
+        log.activate_due_with(1.0, |_| {});
         let mut rng = SimRng::seed_from(2);
-        assert!(!log.on_test_complete(4, &certain_routine(), VfLevel(0), 2.0, &mut rng));
-        assert_eq!(log.latent_count(), 1);
+        assert!(!log.on_test_complete_with(
+            4,
+            &certain_routine(),
+            VfLevel(0),
+            2.0,
+            &mut rng,
+            |_, _| {}
+        ));
+        assert_eq!(log.len() - log.detected_count(), 1);
     }
 
     #[test]
     fn pending_faults_are_not_detectable() {
         let mut log = FaultLog::new();
-        log.inject(0, 10.0);
+        log.inject_fault(Fault::new(0, 10.0));
         let mut rng = SimRng::seed_from(3);
-        assert!(!log.on_test_complete(0, &certain_routine(), VfLevel(0), 1.0, &mut rng));
+        assert!(!log.on_test_complete_with(
+            0,
+            &certain_routine(),
+            VfLevel(0),
+            1.0,
+            &mut rng,
+            |_, _| {}
+        ));
         assert_eq!(log.detected_count(), 0);
     }
 
@@ -709,10 +637,10 @@ mod tests {
         let mut hits = 0;
         for seed in 0..200 {
             let mut log = FaultLog::new();
-            log.inject(0, 0.0);
-            log.activate_due(0.0);
+            log.inject_fault(Fault::new(0, 0.0));
+            log.activate_due_with(0.0, |_| {});
             let mut rng = SimRng::seed_from(seed);
-            if log.on_test_complete(0, &routine(), VfLevel(0), 1.0, &mut rng) {
+            if log.on_test_complete_with(0, &routine(), VfLevel(0), 1.0, &mut rng, |_, _| {}) {
                 hits += 1;
             }
         }
@@ -723,14 +651,13 @@ mod tests {
     #[test]
     fn latency_statistics() {
         let mut log = FaultLog::new();
-        log.inject(0, 0.0);
-        log.inject(1, 0.0);
-        log.activate_due(0.0);
+        log.inject_fault(Fault::new(0, 0.0));
+        log.inject_fault(Fault::new(1, 0.0));
+        log.activate_due_with(0.0, |_| {});
         let mut rng = SimRng::seed_from(4);
-        log.on_test_complete(0, &certain_routine(), VfLevel(0), 1.0, &mut rng);
-        log.on_test_complete(1, &certain_routine(), VfLevel(0), 3.0, &mut rng);
+        log.on_test_complete_with(0, &certain_routine(), VfLevel(0), 1.0, &mut rng, |_, _| {});
+        log.on_test_complete_with(1, &certain_routine(), VfLevel(0), 3.0, &mut rng, |_, _| {});
         assert_eq!(log.mean_detection_latency(), Some(2.0));
-        assert_eq!(log.max_detection_latency(), Some(3.0));
     }
 
     #[test]
@@ -738,7 +665,6 @@ mod tests {
         let log = FaultLog::new();
         assert!(log.is_empty());
         assert_eq!(log.mean_detection_latency(), None);
-        assert_eq!(log.max_detection_latency(), None);
         assert_eq!(log.detected_count(), 0);
     }
 
@@ -746,14 +672,28 @@ mod tests {
     fn level_window_gates_detection() {
         let mut log = FaultLog::new();
         // Observable only at levels 0..=1 (a near-threshold-only fault).
-        log.inject_windowed(0, 0.0, VfLevel(0), VfLevel(1));
-        log.activate_due(0.0);
+        log.inject_fault(Fault::with_level_window(0, 0.0, VfLevel(0), VfLevel(1)));
+        log.activate_due_with(0.0, |_| {});
         let mut rng = SimRng::seed_from(9);
         // Testing at nominal (level 4) cannot see it.
-        assert!(!log.on_test_complete(0, &certain_routine(), VfLevel(4), 1.0, &mut rng));
-        assert_eq!(log.latent_count(), 1);
+        assert!(!log.on_test_complete_with(
+            0,
+            &certain_routine(),
+            VfLevel(4),
+            1.0,
+            &mut rng,
+            |_, _| {}
+        ));
+        assert_eq!(log.len() - log.detected_count(), 1);
         // Testing inside the window catches it.
-        assert!(log.on_test_complete(0, &certain_routine(), VfLevel(1), 2.0, &mut rng));
+        assert!(log.on_test_complete_with(
+            0,
+            &certain_routine(),
+            VfLevel(1),
+            2.0,
+            &mut rng,
+            |_, _| {}
+        ));
         assert_eq!(log.detected_count(), 1);
     }
 
@@ -774,8 +714,8 @@ mod tests {
     #[test]
     fn telemetry_hooks_see_activations_and_detections() {
         let mut log = FaultLog::new();
-        log.inject(2, 1.0);
-        log.inject(5, 3.0);
+        log.inject_fault(Fault::new(2, 1.0));
+        log.inject_fault(Fault::new(5, 3.0));
         let mut activated = Vec::new();
         log.activate_due_with(2.0, |core| activated.push(core));
         assert_eq!(activated, vec![2], "only the due fault activates");
@@ -829,10 +769,10 @@ mod tests {
         let mut indexed = FaultLog::new();
         let mut reference: Vec<Fault> = Vec::new();
         for &(core, at) in &plan {
-            indexed.inject(core, at);
+            indexed.inject_fault(Fault::new(core, at));
             reference.push(Fault::new(core, at));
         }
-        indexed.activate_due(1.0);
+        indexed.activate_due_with(1.0, |_| {});
         for f in &mut reference {
             f.state = FaultState::Latent;
         }
@@ -843,11 +783,11 @@ mod tests {
             let core = (step * 3) % 5;
             let level = VfLevel((step % 3) as u8);
             let now = 2.0 + step as f64;
-            let a = indexed.on_test_complete(core, &r, level, now, &mut rng_a);
+            let a = indexed.on_test_complete_with(core, &r, level, now, &mut rng_a, |_, _| {});
             let b = reference_full_scan(&mut reference, core, &r, level, now, &mut rng_b);
             assert_eq!(a, b, "outcome diverged at step {step}");
         }
-        assert_eq!(indexed.faults(), reference.as_slice(), "fault states diverged");
+        assert_eq!(indexed.faults, reference.as_slice(), "fault states diverged");
         for i in 0..16 {
             assert_eq!(rng_a.next_f64(), rng_b.next_f64(), "RNG stream diverged at draw {i}");
         }
@@ -866,22 +806,36 @@ mod tests {
         // refire 0.0: the fault never manifests, even to a perfect routine.
         let mut log = FaultLog::new();
         log.inject_fault(Fault::new(0, 0.0).with_refire(0.0));
-        log.activate_due(0.0);
+        log.activate_due_with(0.0, |_| {});
         let mut rng = SimRng::seed_from(7);
         for step in 0..20 {
-            assert!(!log.on_test_complete(0, &certain_routine(), VfLevel(0), 1.0 + step as f64, &mut rng));
+            assert!(!log.on_test_complete_with(
+                0,
+                &certain_routine(),
+                VfLevel(0),
+                1.0 + step as f64,
+                &mut rng,
+                |_, _| {}
+            ));
         }
-        assert_eq!(log.latent_count(), 1);
+        assert_eq!(log.len() - log.detected_count(), 1);
     }
 
     #[test]
     fn confirm_reproduces_solid_faults_and_never_fires_on_clean_cores() {
         let mut log = FaultLog::new();
-        log.inject(2, 0.0);
-        log.activate_due(0.0);
+        log.inject_fault(Fault::new(2, 0.0));
+        log.activate_due_with(0.0, |_| {});
         let mut rng = SimRng::seed_from(8);
         // Detected by a normal test, then confirmed by a retest.
-        assert!(log.on_test_complete(2, &certain_routine(), VfLevel(0), 1.0, &mut rng));
+        assert!(log.on_test_complete_with(
+            2,
+            &certain_routine(),
+            VfLevel(0),
+            1.0,
+            &mut rng,
+            |_, _| {}
+        ));
         assert!(log.confirm(2, &certain_routine(), VfLevel(0), 1.5, &mut rng));
         // A fault-free core cannot confirm, no matter the routine or seed.
         assert!(!log.confirm(3, &certain_routine(), VfLevel(0), 1.5, &mut rng));
@@ -891,33 +845,44 @@ mod tests {
     #[test]
     fn demote_returns_detected_faults_to_latent_but_keeps_the_occurrence_count() {
         let mut log = FaultLog::new();
-        log.inject(1, 0.0);
-        log.activate_due(0.0);
+        log.inject_fault(Fault::new(1, 0.0));
+        log.activate_due_with(0.0, |_| {});
         let mut rng = SimRng::seed_from(9);
-        assert!(log.on_test_complete(1, &certain_routine(), VfLevel(0), 1.0, &mut rng));
+        assert!(log.on_test_complete_with(
+            1,
+            &certain_routine(),
+            VfLevel(0),
+            1.0,
+            &mut rng,
+            |_, _| {}
+        ));
         assert_eq!((log.detected_count(), log.detections()), (1, 1));
         log.demote_to_latent(1);
         assert_eq!(log.detected_count(), 0);
-        assert_eq!(log.latent_count(), 1);
+        assert_eq!(log.len() - log.detected_count(), 1);
         assert_eq!(log.detections(), 1, "occurrences survive the demotion");
         // The fault can be re-detected later — a second occurrence.
-        assert!(log.on_test_complete(1, &certain_routine(), VfLevel(0), 2.0, &mut rng));
+        assert!(log.on_test_complete_with(
+            1,
+            &certain_routine(),
+            VfLevel(0),
+            2.0,
+            &mut rng,
+            |_, _| {}
+        ));
         assert_eq!(log.detections(), 2);
     }
 
     #[test]
     fn active_fault_queries_respect_time_and_solidity() {
         let mut log = FaultLog::new();
-        log.inject(0, 5.0);
+        log.inject_fault(Fault::new(0, 5.0));
         log.inject_fault(Fault::new(1, 0.0).with_refire(0.3));
-        log.activate_due(1.0);
-        assert!(!log.has_active_fault(0, 1.0), "not yet activated");
-        assert!(log.has_active_fault(1, 1.0));
+        log.activate_due_with(1.0, |_| {});
+        assert!(!log.has_solid_active_fault(0, 1.0), "not yet activated");
         assert!(!log.has_solid_active_fault(1, 1.0), "intermittent is not solid");
-        log.activate_due(6.0);
+        log.activate_due_with(6.0, |_| {});
         assert!(log.has_solid_active_fault(0, 6.0));
-        assert_eq!(log.first_inject_at(0), Some(5.0));
-        assert_eq!(log.first_inject_at(9), None);
     }
 
     #[test]
@@ -925,31 +890,35 @@ mod tests {
         let mut log = FaultLog::new();
         // An intermittent that burns in at t = 5.0.
         log.inject_fault(Fault::new(0, 0.0).with_refire(1.0).with_refire_until(5.0));
-        log.activate_due(0.0);
+        log.activate_due_with(0.0, |_| {});
         let mut rng = SimRng::seed_from(11);
         // Before the cool-down it manifests to probes (coverage 1).
         assert!(log.probe(0, 1.0, VfLevel(0), 1.0, &mut rng));
-        assert_eq!(log.last_refire_at(0), Some(1.0));
         assert_eq!(log.detections(), 0, "probes are not detections");
         assert_eq!(log.detected_count(), 0, "probes do not promote state");
         // After the cool-down it never manifests again, to probes or tests.
         for step in 0..20 {
             let t = 5.0 + step as f64;
             assert!(!log.probe(0, 1.0, VfLevel(0), t, &mut rng));
-            assert!(!log.on_test_complete(0, &certain_routine(), VfLevel(0), t, &mut rng));
+            assert!(!log.on_test_complete_with(
+                0,
+                &certain_routine(),
+                VfLevel(0),
+                t,
+                &mut rng,
+                |_, _| {}
+            ));
         }
-        assert_eq!(log.last_refire_at(0), Some(1.0), "clock untouched by quiet probes");
-        assert_eq!(log.latent_count(), 1);
+        assert_eq!(log.len() - log.detected_count(), 1);
     }
 
     #[test]
     fn probes_on_clean_cores_never_manifest() {
         let mut log = FaultLog::new();
-        log.inject(2, 0.0);
-        log.activate_due(0.0);
+        log.inject_fault(Fault::new(2, 0.0));
+        log.activate_due_with(0.0, |_| {});
         let mut rng = SimRng::seed_from(12);
         assert!(!log.probe(5, 1.0, VfLevel(0), 1.0, &mut rng));
-        assert_eq!(log.last_refire_at(5), None);
     }
 
     #[test]
@@ -959,7 +928,7 @@ mod tests {
         log.inject_fault(Fault::new(0, 1.0).with_refire_until(2.0));
         log.inject_fault(Fault::new(0, 5.0).with_refire_until(7.0));
         // One eternal fault on core 1.
-        log.inject(1, 3.0);
+        log.inject_fault(Fault::new(1, 3.0));
         assert!((log.corrupting_overlap(0, 0.0, 10.0) - 3.0).abs() < 1e-12);
         assert!((log.corrupting_overlap(0, 1.5, 5.5) - 1.0).abs() < 1e-12);
         assert_eq!(log.corrupting_overlap(0, 2.0, 5.0), 0.0);
@@ -972,20 +941,19 @@ mod tests {
         assert!((log.corrupting_overlap(0, 0.0, 10.0) - 5.0).abs() < 1e-12);
     }
 
-    /// The per-core index the dense one replaced: fault lists and
-    /// cool-down clocks in maps keyed by core. Kept as the oracle for
+    /// The per-core index the dense one replaced: fault lists in a map
+    /// keyed by core. Kept as the oracle for
     /// `dense_index_matches_map_index`.
     #[derive(Default)]
     struct MapIndex {
         by_core: std::collections::BTreeMap<usize, Vec<usize>>,
-        last_refire: std::collections::BTreeMap<usize, f64>,
     }
 
     /// Random injections (windowed, intermittent and cooling faults on
     /// scattered cores, interleaved with the run) and random tests,
     /// retests, probes and demotions: after every step each core's
-    /// faults in injection order (indexed, then not yet indexed) and its
-    /// cool-down clock equal the map index's, and so does the dense
+    /// faults in injection order (indexed, then not yet indexed) equal
+    /// the map index's, and so does the dense
     /// index itself whenever it has caught up, for faulty cores, clean
     /// cores and ids past the index.
     #[test]
@@ -1000,7 +968,7 @@ mod tests {
                 let now = step as f64 * 0.01;
                 let core = rng.gen_range(cores as u64) as usize;
                 let level = VfLevel(rng.gen_range(4) as u8);
-                let fired = match rng.gen_range(8) {
+                match rng.gen_range(8) {
                     0 | 1 => {
                         let at = now + rng.next_f64();
                         let mut fault = if rng.gen_bool(0.3) {
@@ -1015,23 +983,28 @@ mod tests {
                         }
                         map.by_core.entry(core).or_default().push(log.len());
                         log.inject_fault(fault);
-                        false
                     }
-                    2 => {
-                        log.activate_due(now);
-                        false
+                    2 => log.activate_due_with(now, |_| {}),
+                    3 => {
+                        log.on_test_complete_with(
+                            core,
+                            &routine(),
+                            level,
+                            now,
+                            &mut draws,
+                            |_, _| {},
+                        );
                     }
-                    3 => log.on_test_complete(core, &routine(), level, now, &mut draws),
-                    4 => log.confirm(core, &routine(), level, now, &mut draws),
-                    5 => log.probe(core, 0.9, level, now, &mut draws),
-                    6 => {
-                        log.demote_to_latent(core);
-                        false
+                    4 => {
+                        log.confirm(core, &routine(), level, now, &mut draws);
                     }
-                    _ => log.corrupting_overlap(core, now - 0.5, now) < 0.0,
-                };
-                if fired {
-                    map.last_refire.insert(core, now);
+                    5 => {
+                        log.probe(core, 0.9, level, now, &mut draws);
+                    }
+                    6 => log.demote_to_latent(core),
+                    _ => {
+                        log.corrupting_overlap(core, now - 0.5, now);
+                    }
                 }
                 for c in 0..cores + 3 {
                     let expected = map.by_core.get(&c).cloned().unwrap_or_default();
@@ -1047,11 +1020,6 @@ mod tests {
                             "round {round} step {step} core {c}"
                         );
                     }
-                    assert_eq!(
-                        log.last_refire_at(c),
-                        map.last_refire.get(&c).copied(),
-                        "round {round} step {step} core {c}"
-                    );
                 }
             }
         }
@@ -1060,11 +1028,11 @@ mod tests {
     #[test]
     fn already_detected_faults_stay_detected() {
         let mut log = FaultLog::new();
-        log.inject(0, 0.0);
-        log.activate_due(0.0);
+        log.inject_fault(Fault::new(0, 0.0));
+        log.activate_due_with(0.0, |_| {});
         let mut rng = SimRng::seed_from(5);
-        log.on_test_complete(0, &certain_routine(), VfLevel(0), 1.0, &mut rng);
-        log.on_test_complete(0, &certain_routine(), VfLevel(0), 9.0, &mut rng);
-        assert_eq!(log.faults()[0].detection_latency(), Some(1.0));
+        log.on_test_complete_with(0, &certain_routine(), VfLevel(0), 1.0, &mut rng, |_, _| {});
+        log.on_test_complete_with(0, &certain_routine(), VfLevel(0), 9.0, &mut rng, |_, _| {});
+        assert_eq!(log.faults[0].detection_latency(), Some(1.0));
     }
 }

@@ -82,7 +82,7 @@ pub enum CoreHealth {
 /// assert!(!board.is_healthy(2));
 /// let used = board.quarantine(2);
 /// assert_eq!(used, 0);
-/// assert_eq!(board.healthy_count(), 3);
+/// assert_eq!(board.quarantined_count(), 1);
 /// // The re-admission lane can probe the core back to health.
 /// board.begin_probation(2);
 /// assert_eq!(board.note_probe_pass(2), 1);
@@ -279,14 +279,6 @@ impl HealthBoard {
         }
     }
 
-    /// The backoff exponent of a withdrawn core (0 for other states).
-    pub fn backoff(&self, core: usize) -> u8 {
-        match self.states[core] {
-            CoreHealth::Quarantined { backoff } | CoreHealth::Probation { backoff, .. } => backoff,
-            _ => 0,
-        }
-    }
-
     /// The clean-probe streak of a probation core (0 for other states).
     pub fn probe_streak(&self, core: usize) -> u8 {
         match self.states[core] {
@@ -307,29 +299,6 @@ impl HealthBoard {
             }
             _ => 0,
         }
-    }
-
-    /// Number of cores.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Never true; provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Cores currently `Healthy`.
-    pub fn healthy_count(&self) -> usize {
-        self.states.iter().filter(|s| matches!(s, CoreHealth::Healthy)).count()
-    }
-
-    /// Cores currently `Suspect`.
-    pub fn suspect_count(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s, CoreHealth::Suspect { .. }))
-            .count()
     }
 
     /// Cores currently `Quarantined` (excluding probation).
@@ -367,9 +336,7 @@ mod tests {
     #[test]
     fn new_board_is_all_healthy() {
         let board = HealthBoard::new(8);
-        assert_eq!(board.len(), 8);
-        assert_eq!(board.healthy_count(), 8);
-        assert_eq!(board.suspect_count(), 0);
+        assert!((0..8).all(|c| board.is_healthy(c)));
         assert_eq!(board.quarantined_count(), 0);
         assert_eq!(board.probation_count(), 0);
     }
@@ -411,7 +378,7 @@ mod tests {
         assert!(board.is_quarantined(2));
         board.mark_suspect(2, VfLevel(0), 2);
         assert!(board.is_quarantined(2));
-        assert_eq!(board.healthy_count(), 2);
+        assert!(board.is_healthy(0) && board.is_healthy(1));
         // Probe passes and re-admission do.
         assert_eq!(board.begin_probation(2), 0);
         assert!(board.is_probation(2));
@@ -420,31 +387,28 @@ mod tests {
         assert_eq!(board.note_probe_pass(2), 1);
         assert_eq!(board.note_probe_pass(2), 2);
         assert_eq!(board.readmit(2), 2);
-        assert!(board.is_healthy(2));
-        assert_eq!(board.healthy_count(), 3);
+        assert!((0..3).all(|c| board.is_healthy(c)));
     }
 
     #[test]
     fn failed_probation_backs_off_exponentially() {
         let mut board = HealthBoard::new(2);
         board.quarantine(1);
-        assert_eq!(board.backoff(1), 0);
-        board.begin_probation(1);
+        assert_eq!(board.begin_probation(1), 0);
         board.note_probe_pass(1);
         // A probe reproducing the symptom wipes the streak and bumps
         // the backoff exponent.
         assert_eq!(board.fail_probation(1), 1);
         assert!(board.is_quarantined(1));
-        assert_eq!(board.backoff(1), 1);
         assert_eq!(board.begin_probation(1), 1);
         assert_eq!(board.probe_streak(1), 0);
         assert_eq!(board.fail_probation(1), 2);
-        assert_eq!(board.backoff(1), 2);
+        assert!(board.is_quarantined(1));
         // A fresh confirmed quarantine restarts the ladder.
         board.begin_probation(1);
         board.readmit(1);
         board.quarantine(1);
-        assert_eq!(board.backoff(1), 0);
+        assert_eq!(board.begin_probation(1), 0);
     }
 
     #[test]

@@ -35,13 +35,16 @@
 //! use manytest_power::prelude::*;
 //!
 //! let node = TechNode::N16;
-//! let mut scheduler = TestScheduler::new(TestSchedulerConfig::default(), node);
+//! let library = RoutineLibrary::standard();
+//! let config = TestSchedulerConfig::default();
+//! let mut scheduler = TestScheduler::with_library(config, node, library, node.core_count());
 //! // Two idle cores, plenty of headroom: both get a test session.
 //! let candidates = vec![
 //!     TestCandidate { core: 0, criticality: 2.0 },
 //!     TestCandidate { core: 1, criticality: 1.5 },
 //! ];
-//! let launches = scheduler.plan(&candidates, 10.0);
+//! let (mut launches, mut denials) = (Vec::new(), Vec::new());
+//! scheduler.plan_with_retests_into(&[], &candidates, 10.0, &mut launches, &mut denials);
 //! assert_eq!(launches.len(), 2);
 //! // The most critical core is served first.
 //! assert_eq!(launches[0].core, 0);

@@ -121,9 +121,13 @@ impl Default for TestSchedulerConfig {
 /// use manytest_sbst::prelude::*;
 /// use manytest_power::TechNode;
 ///
-/// let mut sched = TestScheduler::new(TestSchedulerConfig::default(), TechNode::N16);
+/// let config = TestSchedulerConfig::default();
+/// let cores = TechNode::N16.core_count();
+/// let mut sched =
+///     TestScheduler::with_library(config, TechNode::N16, RoutineLibrary::standard(), cores);
 /// let candidates = [TestCandidate { core: 7, criticality: 3.0 }];
-/// let launches = sched.plan(&candidates, 5.0);
+/// let (mut launches, mut denials) = (Vec::new(), Vec::new());
+/// sched.plan_with_retests_into(&[], &candidates, 5.0, &mut launches, &mut denials);
 /// assert_eq!(launches.len(), 1);
 /// let l = launches[0];
 /// sched.on_session_complete(l.core, l.routine, l.level);
@@ -141,7 +145,6 @@ pub struct TestScheduler {
     /// [`PowerModel::core_power`], so every read has the same bits as a
     /// fresh evaluation.
     power_table: Vec<f64>,
-    launches_attempted: u64,
     launches_denied_power: u64,
     /// Ranked-lane heap pops over the scheduler's lifetime (the lazy
     /// partial selection pops one rank per candidate considered).
@@ -152,12 +155,6 @@ pub struct TestScheduler {
 }
 
 impl TestScheduler {
-    /// Creates a scheduler for all cores of `node` with the standard
-    /// routine library.
-    pub fn new(config: TestSchedulerConfig, node: TechNode) -> Self {
-        Self::with_library(config, node, RoutineLibrary::standard(), node.core_count())
-    }
-
     /// Creates a scheduler with an explicit library and core count.
     ///
     /// # Panics
@@ -192,16 +189,10 @@ impl TestScheduler {
             cursors: vec![RoutineId(0); core_count],
             ledger: VfCoverageLedger::new(core_count, config.ladder_levels),
             power_table,
-            launches_attempted: 0,
             launches_denied_power: 0,
             heap_pops: 0,
             rank_scratch: Vec::new(),
         }
-    }
-
-    /// The scheduler's configuration.
-    pub fn config(&self) -> &TestSchedulerConfig {
-        &self.config
     }
 
     /// The coverage ledger (per core × V/f level).
@@ -227,19 +218,11 @@ impl TestScheduler {
 
     /// Plans this epoch's launches: candidates above the criticality
     /// threshold, most critical first, greedily admitted while their
-    /// projected power fits `headroom_watts`.
-    pub fn plan(&mut self, candidates: &[TestCandidate], headroom_watts: f64) -> Vec<TestLaunch> {
-        let mut launches = Vec::new();
-        let mut denials = Vec::new();
-        self.plan_into(candidates, headroom_watts, &mut launches, &mut denials);
-        launches
-    }
-
-    /// Allocation-reusing form of [`TestScheduler::plan`]: clears and
-    /// fills caller-owned buffers with this epoch's launches *and* the
-    /// power denials (core, level, needed watts, headroom at denial), so
-    /// the control loop can both act and emit telemetry without building
-    /// fresh vectors every epoch.
+    /// projected power fits `headroom_watts`. Clears and fills
+    /// caller-owned buffers with the launches *and* the power denials
+    /// (core, level, needed watts, headroom at denial), so the control
+    /// loop can both act and emit telemetry without building fresh
+    /// vectors every epoch.
     pub fn plan_into(
         &mut self,
         candidates: &[TestCandidate],
@@ -330,7 +313,6 @@ impl TestScheduler {
     ) {
         let routine = self.cursors[core];
         let power = self.session_power(routine, level);
-        self.launches_attempted += 1;
         if power <= *remaining {
             *remaining -= power;
             launches.push(TestLaunch {
@@ -403,7 +385,6 @@ impl TestScheduler {
             let routine = s.library.routine(routine_id);
             let op = s.ladder.point(level);
             let power = model.core_power(op, routine.activity);
-            s.launches_attempted += 1;
             if power <= *remaining {
                 *remaining -= power;
                 launches.push(TestLaunch {
@@ -481,11 +462,6 @@ impl TestScheduler {
     pub fn denied_for_power(&self) -> u64 {
         self.launches_denied_power
     }
-
-    /// Number of launches considered (admitted + denied).
-    pub fn attempts(&self) -> u64 {
-        self.launches_attempted
-    }
 }
 
 #[cfg(test)]
@@ -511,7 +487,9 @@ mod tests {
     #[test]
     fn most_critical_core_is_served_first() {
         let mut s = scheduler();
-        let launches = s.plan(&[candidate(0, 1.0), candidate(1, 5.0), candidate(2, 3.0)], 100.0);
+        let candidates = [candidate(0, 1.0), candidate(1, 5.0), candidate(2, 3.0)];
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &candidates, 100.0, &mut launches, &mut denials);
         let order: Vec<usize> = launches.iter().map(|l| l.core).collect();
         assert_eq!(order, vec![1, 2, 0]);
     }
@@ -549,7 +527,8 @@ mod tests {
             let mut s =
                 TestScheduler::with_library(cfg, TechNode::N16, RoutineLibrary::standard(), 64);
             let pops_before = s.heap_pops();
-            let launches = s.plan(&candidates, 1e9);
+            let (mut launches, mut denials) = (Vec::new(), Vec::new());
+            s.plan_with_retests_into(&[], &candidates, 1e9, &mut launches, &mut denials);
             let order: Vec<usize> = launches.iter().map(|l| l.core).collect();
             assert_eq!(order, expected);
             assert_eq!(s.heap_pops() - pops_before, n as u64);
@@ -559,7 +538,9 @@ mod tests {
     #[test]
     fn below_threshold_cores_are_skipped() {
         let mut s = scheduler();
-        let launches = s.plan(&[candidate(0, 0.2), candidate(1, 0.8)], 100.0);
+        let candidates = [candidate(0, 0.2), candidate(1, 0.8)];
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &candidates, 100.0, &mut launches, &mut denials);
         assert_eq!(launches.len(), 1);
         assert_eq!(launches[0].core, 1);
     }
@@ -567,7 +548,8 @@ mod tests {
     #[test]
     fn zero_headroom_launches_nothing() {
         let mut s = scheduler();
-        let launches = s.plan(&[candidate(0, 5.0)], 0.0);
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &[candidate(0, 5.0)], 0.0, &mut launches, &mut denials);
         assert!(launches.is_empty());
         assert_eq!(s.denied_for_power(), 1);
     }
@@ -580,7 +562,9 @@ mod tests {
         let one_session = s.session_power(RoutineId(0), VfLevel(0));
         let candidates: Vec<TestCandidate> =
             (0..16).step_by(5).map(|c| candidate(c, 1.0)).collect();
-        let launches = s.plan(&candidates, one_session * 2.5);
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        let headroom = one_session * 2.5;
+        s.plan_with_retests_into(&[], &candidates, headroom, &mut launches, &mut denials);
         assert_eq!(launches.len(), 2, "2.5 sessions of headroom admits 2");
         let total: f64 = launches.iter().map(|l| l.power).sum();
         assert!(total <= one_session * 2.5 + 1e-9);
@@ -592,15 +576,20 @@ mod tests {
         cfg.max_launches_per_epoch = 2;
         let mut s = TestScheduler::with_library(cfg, TechNode::N16, RoutineLibrary::standard(), 8);
         let candidates: Vec<TestCandidate> = (0..8).map(|c| candidate(c, 1.0)).collect();
-        assert_eq!(s.plan(&candidates, 1e9).len(), 2);
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &candidates, 1e9, &mut launches, &mut denials);
+        assert_eq!(launches.len(), 2);
     }
 
     #[test]
     fn completion_rotates_routines_and_levels() {
         let mut s = scheduler();
-        let first = s.plan(&[candidate(0, 1.0)], 100.0)[0];
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &[candidate(0, 1.0)], 100.0, &mut launches, &mut denials);
+        let first = launches[0];
         s.on_session_complete(first.core, first.routine, first.level);
-        let second = s.plan(&[candidate(0, 1.0)], 100.0)[0];
+        s.plan_with_retests_into(&[], &[candidate(0, 1.0)], 100.0, &mut launches, &mut denials);
+        let second = launches[0];
         assert_ne!(first.routine, second.routine, "routine must rotate");
         assert_ne!(first.level, second.level, "level must rotate");
         assert_eq!(s.ledger().tests_on_core(0), 1);
@@ -609,9 +598,12 @@ mod tests {
     #[test]
     fn abort_gives_no_credit_and_repeats_routine() {
         let mut s = scheduler();
-        let first = s.plan(&[candidate(0, 1.0)], 100.0)[0];
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &[candidate(0, 1.0)], 100.0, &mut launches, &mut denials);
+        let first = launches[0];
         s.on_session_aborted(first.core);
-        let retry = s.plan(&[candidate(0, 1.0)], 100.0)[0];
+        s.plan_with_retests_into(&[], &[candidate(0, 1.0)], 100.0, &mut launches, &mut denials);
+        let retry = launches[0];
         assert_eq!(first.routine, retry.routine);
         assert_eq!(s.ledger().tests_on_core(0), 0);
     }
@@ -619,9 +611,11 @@ mod tests {
     #[test]
     fn all_levels_get_covered_over_time() {
         let mut s = scheduler();
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
         for _ in 0..(5 * 5) {
             // 5 routines × 5 levels
-            let l = s.plan(&[candidate(3, 1.0)], 100.0)[0];
+            s.plan_with_retests_into(&[], &[candidate(3, 1.0)], 100.0, &mut launches, &mut denials);
+            let l = launches[0];
             s.on_session_complete(l.core, l.routine, l.level);
         }
         assert!(s.ledger().core_fully_covered(3));
@@ -638,7 +632,9 @@ mod tests {
     #[test]
     fn launch_duration_is_consistent() {
         let mut s = scheduler();
-        let l = s.plan(&[candidate(0, 1.0)], 100.0)[0];
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &[candidate(0, 1.0)], 100.0, &mut launches, &mut denials);
+        let l = launches[0];
         let expected = l.instructions as f64 / l.rate;
         assert!((l.duration() - expected).abs() < 1e-15);
         assert!(l.duration() > 0.0);
@@ -647,8 +643,9 @@ mod tests {
     #[test]
     fn denied_and_attempt_counters() {
         let mut s = scheduler();
-        s.plan(&[candidate(0, 1.0), candidate(1, 1.0)], 1e-6);
-        assert_eq!(s.attempts(), 2);
+        let candidates = [candidate(0, 1.0), candidate(1, 1.0)];
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &candidates, 1e-6, &mut launches, &mut denials);
         assert_eq!(s.denied_for_power(), 2);
     }
 
@@ -682,9 +679,9 @@ mod tests {
         let mut b = scheduler();
         let candidates: Vec<TestCandidate> = (0..16).map(|c| candidate(c, 1.0)).collect();
         let headroom = a.session_power(RoutineId(0), VfLevel(0)) * 3.2;
-        let via_plan = a.plan(&candidates, headroom);
+        let (mut via_plan, mut denials) = (Vec::new(), Vec::new());
+        a.plan_with_retests_into(&[], &candidates, headroom, &mut via_plan, &mut denials);
         let mut via_into = Vec::new();
-        let mut denials = Vec::new();
         b.plan_into(&candidates, headroom, &mut via_into, &mut denials);
         assert_eq!(via_plan, via_into);
         assert_eq!(a.denied_for_power(), b.denied_for_power());
@@ -699,9 +696,11 @@ mod tests {
             ..TestSchedulerConfig::default()
         };
         let mut s = TestScheduler::with_library(cfg, TechNode::N16, RoutineLibrary::standard(), 8);
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
         for round in 0..3 {
             let candidates: Vec<TestCandidate> = (0..8).map(|c| candidate(c, 1.0)).collect();
-            for l in s.plan(&candidates, 1e9) {
+            s.plan_with_retests_into(&[], &candidates, 1e9, &mut launches, &mut denials);
+            for &l in &launches {
                 assert_eq!(l.level, VfLevel(4), "round {round}");
                 s.on_session_complete(l.core, l.routine, l.level);
             }

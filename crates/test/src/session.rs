@@ -27,8 +27,9 @@ pub enum SessionOutcome {
 /// use manytest_power::VfLevel;
 ///
 /// let mut s = TestSession::new(3, RoutineId(0), VfLevel(2), 100_000, 1.2e9, 0.0);
+/// let before = s.remaining_seconds();
 /// s.advance(0.5e-4);
-/// assert!(s.progress() > 0.0);
+/// assert!(s.remaining_seconds() < before);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TestSession {
@@ -74,11 +75,6 @@ impl TestSession {
         }
     }
 
-    /// The core under test.
-    pub fn core(&self) -> usize {
-        self.core
-    }
-
     /// The routine being run.
     pub fn routine(&self) -> RoutineId {
         self.routine
@@ -87,11 +83,6 @@ impl TestSession {
     /// The V/f level the test runs at.
     pub fn level(&self) -> VfLevel {
         self.level
-    }
-
-    /// Instruction execution rate, instructions per second.
-    pub fn rate(&self) -> f64 {
-        self.rate
     }
 
     /// Session start time, seconds.
@@ -108,16 +99,6 @@ impl TestSession {
         assert!(dt >= 0.0, "time must advance forwards");
         self.executed_instructions =
             (self.executed_instructions + self.rate * dt).min(self.total_instructions as f64);
-    }
-
-    /// Fraction of the routine executed, `[0, 1]`.
-    pub fn progress(&self) -> f64 {
-        self.executed_instructions / self.total_instructions as f64
-    }
-
-    /// True once the full routine has executed.
-    pub fn is_complete(&self) -> bool {
-        self.executed_instructions >= self.total_instructions as f64
     }
 
     /// Seconds of execution remaining at the session's rate.
@@ -137,31 +118,25 @@ mod tests {
     #[test]
     fn fresh_session_state() {
         let s = session();
-        assert_eq!(s.core(), 1);
         assert_eq!(s.routine(), RoutineId(2));
         assert_eq!(s.level(), VfLevel(1));
-        assert_eq!(s.progress(), 0.0);
-        assert!(!s.is_complete());
         assert_eq!(s.started_at(), 0.5);
         assert!((s.remaining_seconds() - 0.5e-3).abs() < 1e-12);
-        assert_eq!(s.rate(), 2.0e9);
     }
 
     #[test]
     fn advance_accumulates_progress() {
         let mut s = session();
         s.advance(0.25e-3); // half the routine at 2 GIPS
-        assert!((s.progress() - 0.5).abs() < 1e-9);
+        assert!((s.remaining_seconds() - 0.25e-3).abs() < 1e-12);
         s.advance(0.25e-3);
-        assert!(s.is_complete());
-        assert_eq!(s.progress(), 1.0);
+        assert_eq!(s.remaining_seconds(), 0.0);
     }
 
     #[test]
     fn advance_clamps_at_completion() {
         let mut s = session();
         s.advance(10.0);
-        assert_eq!(s.progress(), 1.0);
         assert_eq!(s.remaining_seconds(), 0.0);
     }
 
@@ -169,7 +144,7 @@ mod tests {
     fn zero_advance_is_noop() {
         let mut s = session();
         s.advance(0.0);
-        assert_eq!(s.progress(), 0.0);
+        assert!((s.remaining_seconds() - 0.5e-3).abs() < 1e-12);
     }
 
     #[test]

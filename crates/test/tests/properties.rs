@@ -135,7 +135,9 @@ fn plan_never_exceeds_headroom() {
         let headroom = rng.gen_f64_range(0.0, 50.0);
         let len = 1 + rng.gen_range(63);
         let candidates = random_candidates(&mut rng, len, 0.0, 5.0);
-        let launches = scheduler(candidates.len(), 0.0).plan(&candidates, headroom);
+        let mut s = scheduler(candidates.len(), 0.0);
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &candidates, headroom, &mut launches, &mut denials);
         let total: f64 = launches.iter().map(|l| l.power).sum();
         assert!(
             total <= headroom + 1e-9,
@@ -155,7 +157,9 @@ fn plan_serves_descending_criticality() {
         let mut rng = SimRng::seed_from(seed);
         let len = 2 + rng.gen_range(30);
         let candidates = random_candidates(&mut rng, len, 0.5, 5.0);
-        let launches = scheduler(candidates.len(), 0.0).plan(&candidates, f64::INFINITY);
+        let mut s = scheduler(candidates.len(), 0.0);
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &candidates, f64::INFINITY, &mut launches, &mut denials);
         let served: Vec<f64> = launches
             .iter()
             .map(|l| candidates[l.core].criticality)
@@ -177,12 +181,13 @@ fn threshold_filters_exactly() {
         let len = 1 + rng.gen_range(39);
         let candidates = random_candidates(&mut rng, len, 0.0, 5.0);
         let mut s = scheduler(candidates.len(), threshold);
-        let launches = s.plan(&candidates, f64::INFINITY);
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
+        s.plan_with_retests_into(&[], &candidates, f64::INFINITY, &mut launches, &mut denials);
         let eligible = candidates
             .iter()
             .filter(|c| c.criticality >= threshold)
             .count();
-        let max = s.config().max_launches_per_epoch;
+        let max = TestSchedulerConfig::default().max_launches_per_epoch;
         assert_eq!(launches.len(), eligible.min(max), "seed {seed}");
         for l in &launches {
             assert!(
@@ -201,14 +206,10 @@ fn rotation_reaches_full_coverage() {
         let extra_rounds = rng.gen_range(3) as usize;
         let mut s = scheduler(16, 0.0);
         let rounds = s.library().len() * s.ladder().len() + extra_rounds;
+        let candidates = [TestCandidate { core, criticality: 1.0 }];
+        let (mut launches, mut denials) = (Vec::new(), Vec::new());
         for _ in 0..rounds {
-            let launches = s.plan(
-                &[TestCandidate {
-                    core,
-                    criticality: 1.0,
-                }],
-                f64::INFINITY,
-            );
+            s.plan_with_retests_into(&[], &candidates, f64::INFINITY, &mut launches, &mut denials);
             let l = launches[0];
             s.on_session_complete(l.core, l.routine, l.level);
         }
@@ -244,7 +245,7 @@ fn next_level_is_always_least_tested() {
         for _ in 0..rng.gen_range(60) {
             ledger.record(0, VfLevel(rng.gen_range(4) as u8));
         }
-        let chosen = ledger.next_level(0);
+        let chosen = ledger.next_level_staggered(0);
         let min = (0..4)
             .map(|l| ledger.tests_at(0, VfLevel(l)))
             .min()
@@ -265,10 +266,10 @@ fn detection_latency_is_nonnegative() {
         let inject_at = rng.gen_f64_range(0.0, 5.0);
         let test_at = rng.gen_f64_range(0.0, 10.0);
         let mut log = FaultLog::new();
-        log.inject(0, inject_at);
-        log.activate_due(test_at);
-        log.on_test_complete(0, &routine, VfLevel(0), test_at, &mut rng);
-        if let Some(latency) = log.faults()[0].detection_latency() {
+        log.inject_fault(Fault::new(0, inject_at));
+        log.activate_due_with(test_at, |_| {});
+        log.on_test_complete_with(0, &routine, VfLevel(0), test_at, &mut rng, |_, _| {});
+        if let Some(latency) = log.mean_detection_latency() {
             assert!(latency >= 0.0, "seed {seed}: latency {latency}");
             assert!(
                 test_at >= inject_at,
@@ -308,8 +309,8 @@ fn health_board_never_leaves_the_lifecycle_graph() {
             }
             // The four disjoint states partition the board, and the
             // derived counts reconcile with the per-core predicates.
-            let healthy = board.healthy_count();
-            let suspect = board.suspect_count();
+            let healthy = (0..cores).filter(|&c| board.is_healthy(c)).count();
+            let suspect = (0..cores).filter(|&c| board.is_suspect(c)).count();
             let quarantined = board.quarantined_count();
             let probation = board.probation_count();
             assert_eq!(
@@ -333,15 +334,15 @@ fn session_progress_is_monotone() {
     for seed in 0..96 {
         let mut rng = SimRng::seed_from(seed);
         let mut session = TestSession::new(0, RoutineId(0), VfLevel(0), 1_000_000, 1e9, 0.0);
-        let mut last = 0.0;
+        let mut last = session.remaining_seconds();
         for _ in 0..1 + rng.gen_range(49) {
             session.advance(rng.gen_f64_range(0.0, 1e-3));
-            let p = session.progress();
+            let left = session.remaining_seconds();
             assert!(
-                p >= last && p <= 1.0,
-                "seed {seed}: progress {p} after {last}"
+                left <= last && left >= 0.0,
+                "seed {seed}: {left} s left after {last} s"
             );
-            last = p;
+            last = left;
         }
     }
 }

@@ -105,16 +105,6 @@ impl WorkloadMix {
         self.sources.push((Source::Random(generator), weight));
     }
 
-    /// Number of sources in the mix.
-    pub fn len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// True if the mix has no sources.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
-    }
-
     /// Draws one application graph.
     ///
     /// # Panics
@@ -174,11 +164,6 @@ impl ArrivalProcess {
             "arrival rate must be positive"
         );
         ArrivalProcess { rate_per_sec }
-    }
-
-    /// The configured mean rate, arrivals per second.
-    pub fn rate(&self) -> f64 {
-        self.rate_per_sec
     }
 
     /// Draws the next inter-arrival gap (never zero).
@@ -265,7 +250,6 @@ mod tests {
     #[test]
     fn standard_mix_is_nonempty_and_valid() {
         let mut mix = WorkloadMix::standard();
-        assert_eq!(mix.len(), 5);
         let mut rng = SimRng::seed_from(30);
         for _ in 0..50 {
             assert!(mix.sample(&mut rng).validate().is_ok());

@@ -242,7 +242,9 @@ mod tests {
     fn graph_bits(g: &TaskGraph) -> (String, Vec<u64>, Vec<(u32, u32, u64)>) {
         (
             g.name().to_string(),
-            g.tasks().iter().map(|t| t.instructions).collect(),
+            (0..g.task_count() as u32)
+                .map(|t| g.task(TaskId(t)).instructions)
+                .collect(),
             g.edges()
                 .iter()
                 .map(|e| (e.from.0, e.to.0, e.bits.to_bits()))
@@ -326,8 +328,8 @@ mod tests {
         };
         let mut rng = rng();
         let graph = g.generate(&mut rng, "x");
-        for t in graph.tasks() {
-            assert!((1_000..=2_000).contains(&t.instructions));
+        for t in 0..graph.task_count() as u32 {
+            assert!((1_000..=2_000).contains(&graph.task(TaskId(t)).instructions));
         }
         for e in graph.edges() {
             assert!((100.0..=200.0).contains(&e.bits));

@@ -154,11 +154,6 @@ impl TaskGraph {
         &self.tasks[id.index()]
     }
 
-    /// All tasks in id order.
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
-    }
-
     /// All edges in insertion order.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
@@ -183,11 +178,6 @@ impl TaskGraph {
     /// Outgoing edges of `id`.
     pub fn out_edges(&self, id: TaskId) -> impl Iterator<Item = &Edge> {
         self.edges.iter().filter(move |e| e.from == id)
-    }
-
-    /// Total compute volume, instructions.
-    pub fn total_instructions(&self) -> u64 {
-        self.tasks.iter().map(|t| t.instructions).sum()
     }
 
     /// Total communication volume, bits.
@@ -267,22 +257,6 @@ impl TaskGraph {
             Err(GraphError::Cycle)
         }
     }
-
-    /// Length (in tasks) of the longest dependency chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is cyclic; validate first.
-    pub fn critical_path_len(&self) -> usize {
-        let order = self.topological_order().expect("graph must be a DAG");
-        let mut depth = vec![1usize; self.tasks.len()];
-        for &t in &order {
-            for s in self.successors(t) {
-                depth[s.index()] = depth[s.index()].max(depth[t.index()] + 1);
-            }
-        }
-        depth.into_iter().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +284,6 @@ mod tests {
     #[test]
     fn totals() {
         let g = diamond();
-        assert_eq!(g.total_instructions(), 400);
         assert_eq!(g.total_bits(), 100.0);
         assert_eq!(g.task_count(), 4);
     }
@@ -333,11 +306,6 @@ mod tests {
         for e in g.edges() {
             assert!(pos(e.from) < pos(e.to));
         }
-    }
-
-    #[test]
-    fn critical_path_of_diamond_is_three() {
-        assert_eq!(diamond().critical_path_len(), 3);
     }
 
     #[test]
@@ -399,7 +367,6 @@ mod tests {
         for _ in 0..5 {
             g.add_task(Task { instructions: 10 });
         }
-        assert_eq!(g.critical_path_len(), 1);
         assert_eq!(g.roots().len(), 5);
     }
 }

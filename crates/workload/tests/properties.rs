@@ -30,8 +30,8 @@ fn generator_respects_arbitrary_bounds() {
             (min_tasks..=max_tasks).contains(&g.task_count()),
             "seed {seed}"
         );
-        for t in g.tasks() {
-            let instructions = t.instructions;
+        for t in 0..g.task_count() as u32 {
+            let instructions = g.task(TaskId(t)).instructions;
             assert!(
                 (min_instructions..=max_instructions).contains(&instructions),
                 "seed {seed}: {instructions} instructions"
@@ -49,18 +49,6 @@ fn topological_order_is_a_valid_schedule() {
         for e in g.edges() {
             assert!(position(e.from) < position(e.to), "seed {seed}: {e:?}");
         }
-    }
-}
-
-#[test]
-fn critical_path_bounds() {
-    for seed in 0..96 {
-        let g = random_app(seed);
-        let cp = g.critical_path_len();
-        assert!(
-            (1..=g.task_count()).contains(&cp),
-            "seed {seed}: critical path {cp}"
-        );
     }
 }
 
@@ -105,8 +93,6 @@ fn mix_sampling_yields_valid_apps() {
 fn total_volumes_are_consistent() {
     for seed in 0..96 {
         let g = random_app(seed);
-        let manual_instr: u64 = g.tasks().iter().map(|t| t.instructions).sum();
-        assert_eq!(g.total_instructions(), manual_instr, "seed {seed}");
         let manual_bits: f64 = g.edges().iter().map(|e| e.bits).sum();
         assert!((g.total_bits() - manual_bits).abs() < 1e-9, "seed {seed}");
     }

@@ -1,12 +1,13 @@
 //! Canary for the host's libm.
 //!
-//! Every output of the simulator depends on the bits `exp`, `ln`, `cos`
-//! and `powf` return, and those are the host libm's: implementations
+//! Every output of the simulator depends on the bits `exp`, `ln` and
+//! `powf` return, and those are the host libm's: implementations
 //! round differently on about 0.07 % of inputs, and glibc picks its `exp`
 //! variant by CPU feature. This test pins the bits on a few hundred inputs
 //! drawn from the ranges the simulator evaluates, so a host whose libm
 //! disagrees fails here, naming the function and the input, instead of
-//! failing the golden gates with a drifted number.
+//! failing the golden gates with a drifted number. The `cos` pins stay
+//! from when a Box–Muller draw used it; no code calls `cos` now.
 //!
 //! The inputs are built with `+ − × ÷` only, which IEEE 754 rounds the
 //! same way everywhere.
@@ -35,8 +36,8 @@ fn inputs() -> Vec<(&'static str, f64)> {
     for i in 0..64 {
         v.push(("exp", 8.987 + (17.217 - 8.987) * f64::from(i) / 63.0));
     }
-    // `ln u` for the uniform draws behind Poisson arrivals and
-    // Box–Muller, then the generator's bounds.
+    // `ln u` for the uniform draws behind Poisson arrivals, then the
+    // generator's bounds.
     for i in 0..64 {
         v.push(("ln", (f64::from(i) + 0.5) / 64.0));
     }
@@ -50,7 +51,7 @@ fn inputs() -> Vec<(&'static str, f64)> {
     ] {
         v.push(("ln", x));
     }
-    // Box–Muller's `cos(τ·u)`.
+    // `cos(τ·u)`, pinned when a Box–Muller draw called it.
     for i in 0..64 {
         v.push(("cos", std::f64::consts::TAU * (f64::from(i) / 64.0)));
     }
