@@ -113,7 +113,7 @@ fn map_context_allocates_nothing_after_the_first_tick() {
     let n = 64;
     let mut store = CoreStore::new(n);
     let op = VfLadder::for_node(TechNode::N16, 5).point(VfLevel(4));
-    let session = TestSession::new(0, RoutineId(0), VfLevel(0), 100, 1.0e9, 0.0);
+    let session = TestSession::new(RoutineId(0), VfLevel(0), 100, 1.0e9, 0.0);
     let mut budget = PowerBudget::new(10.0);
     let reservation = budget.reserve(1.0).expect("budget has headroom");
     // Warm the dirty list to its full-mesh high-water capacity, then

@@ -18,6 +18,13 @@
 //! raises it and wakes every core, so a wrong bound costs evaluations,
 //! never launches. A core below the threshold never becomes a launch or a
 //! denial, so launches, denials and their order are the full scan's.
+//!
+//! On the steady thermal path a power-gated core's damage depends on
+//! nothing but its own power, exactly `AgingModel::damage(0, EPOCH)` per
+//! epoch, so a gated core sleeps on that bound as long as it stays gated
+//! ([`WakeCalendar::power_on`] drops it back to the global bound). The
+//! cores that have never been powered share one wear history there, and
+//! the calendar keeps one wake epoch for the whole class.
 
 use manytest_aging::CriticalityModel;
 
@@ -35,7 +42,8 @@ const RATE_MARGIN: f64 = 1.25;
 /// arithmetic). Waking early only costs one evaluation.
 const SLACK: f64 = 0.9;
 
-/// Per-core wake epochs under a global per-epoch damage bound.
+/// Per-core wake epochs under a global per-epoch damage bound, and under
+/// a gated core's own bound on the steady thermal path.
 #[derive(Debug, Clone)]
 pub(crate) struct WakeCalendar {
     model: CriticalityModel,
@@ -43,21 +51,36 @@ pub(crate) struct WakeCalendar {
     dt: f64,
     /// Epochs closed so far: the index of the current schedule call.
     epoch: u32,
-    /// Largest damage any core may gain per epoch. Every sleeping core's
-    /// wake epoch was computed under this value.
+    /// Largest damage any core may gain per epoch. Every wake epoch the
+    /// global bound gave was computed under this value.
     damage_bound: f64,
     /// Criticality rise per epoch under `damage_bound`.
     rise: f64,
-    /// Per-core first epoch at which the core must be evaluated again.
-    /// Empty until the first schedule call: runs with testing off never
-    /// size it.
+    /// Criticality rise per epoch of a power-gated core on the steady
+    /// thermal path; `None` on the transient path, where a gated tile
+    /// heats with its neighbours.
+    gated_rise: Option<f64>,
+    /// Per core, the first epoch at which the core must be evaluated
+    /// again; then per core, the wake epoch the global bound gave at the
+    /// same offer, never later than the first. Empty until the first
+    /// schedule call: runs with testing off never size it.
     wake: Vec<u32>,
+    /// The never-powered class's wake epoch and its global-bound wake.
+    class_wake: u32,
+    class_global: u32,
 }
 
 impl WakeCalendar {
     /// A calendar for a run with epochs of `dt` seconds that ranks cores
-    /// at or above `threshold` under `model`. Allocates nothing.
-    pub(crate) fn new(model: CriticalityModel, threshold: f64, dt: f64) -> Self {
+    /// at or above `threshold` under `model`. `gated_damage` is a gated
+    /// core's damage per epoch on the steady thermal path, `None` on the
+    /// transient path. Allocates nothing.
+    pub(crate) fn new(
+        model: CriticalityModel,
+        threshold: f64,
+        dt: f64,
+        gated_damage: Option<f64>,
+    ) -> Self {
         WakeCalendar {
             model,
             threshold,
@@ -65,7 +88,10 @@ impl WakeCalendar {
             epoch: 0,
             damage_bound: 0.0,
             rise: model.rise_bound(dt, 0.0),
+            gated_rise: gated_damage.map(|d| model.rise_bound(dt, RATE_MARGIN * d)),
             wake: Vec::new(),
+            class_wake: 0,
+            class_global: 0,
         }
     }
 
@@ -78,14 +104,16 @@ impl WakeCalendar {
             self.damage_bound = RATE_MARGIN * max_damage;
             self.rise = self.model.rise_bound(self.dt, self.damage_bound);
             self.wake.fill(0);
+            self.class_wake = 0;
+            self.class_global = 0;
         }
     }
 
     /// Sizes the calendar for `cores` cores, all due. Only the first
     /// schedule call allocates.
     pub(crate) fn ensure_len(&mut self, cores: usize) {
-        if self.wake.len() != cores {
-            self.wake.resize(cores, 0);
+        if self.wake.len() != 2 * cores {
+            self.wake.resize(2 * cores, 0);
         }
     }
 
@@ -104,7 +132,7 @@ impl WakeCalendar {
         for (d, &wake) in due
             .as_flattened_mut()
             .iter_mut()
-            .zip(&self.wake[word * 64..])
+            .zip(&self.wake[word * 64..self.wake.len() / 2])
         {
             *d = u8::from(wake <= epoch);
         }
@@ -118,7 +146,7 @@ impl WakeCalendar {
     #[cfg(test)]
     fn due_word_reference(&self, word: usize) -> u64 {
         let epoch = self.epoch;
-        self.wake[word * 64..]
+        self.wake[word * 64..self.wake.len() / 2]
             .iter()
             .take(64)
             .enumerate()
@@ -127,22 +155,80 @@ impl WakeCalendar {
             })
     }
 
-    /// Offers due core `core`'s current `criticality`. Returns true when
-    /// it has reached the threshold; the core then stays due. Otherwise
-    /// the core sleeps through every epoch in which it provably stays
-    /// below the threshold.
-    pub(crate) fn offer(&mut self, core: usize, criticality: f64) -> bool {
+    /// Offers due core `core`'s current `criticality`; `gated` says the
+    /// core is power-gated. Returns true when it has reached the
+    /// threshold; the core then stays due. Otherwise the core sleeps
+    /// through every epoch in which it provably stays below the
+    /// threshold.
+    pub(crate) fn offer(&mut self, core: usize, criticality: f64, gated: bool) -> bool {
         if criticality >= self.threshold {
             return true;
         }
-        // NaN (never, for a validated config) fails the comparison and
-        // keeps the core due; a zero rise sleeps the core until a raise.
-        let skip = (SLACK * (self.threshold - criticality) / self.rise).floor();
-        if skip >= 1.0 {
-            // `as` saturates, and so does the sum.
-            self.wake[core] = self.epoch.saturating_add(1).saturating_add(skip as u32);
+        let (wake, global) = self.wakes(criticality, gated);
+        let cores = self.wake.len() / 2;
+        if let Some(g) = global {
+            self.wake[cores + core] = g;
+        }
+        if let Some(w) = wake {
+            self.wake[core] = w;
         }
         false
+    }
+
+    /// Whether the never-powered class is due.
+    pub(crate) fn class_due(&self) -> bool {
+        self.class_wake <= self.epoch
+    }
+
+    /// [`Self::offer`] for the never-powered class, whose members are all
+    /// gated and share `criticality`.
+    pub(crate) fn offer_class(&mut self, criticality: f64) -> bool {
+        if criticality >= self.threshold {
+            return true;
+        }
+        let (wake, global) = self.wakes(criticality, true);
+        if let Some(g) = global {
+            self.class_global = g;
+        }
+        if let Some(w) = wake {
+            self.class_wake = w;
+        }
+        false
+    }
+
+    /// The wake epochs of a core at `criticality` below the threshold:
+    /// under its own bound (the later of the global and, for a gated core
+    /// on the steady path, the gated one) and under the global bound.
+    /// `None` keeps the core due.
+    fn wakes(&self, criticality: f64, gated: bool) -> (Option<u32>, Option<u32>) {
+        let after = |rise: f64| {
+            // NaN (never, for a validated config) fails the comparison
+            // and keeps the core due; a zero rise sleeps the core until a
+            // raise.
+            let skip = SLACK * (self.threshold - criticality) / rise;
+            // `skip` is positive, so `as` rounds it down as `floor` would,
+            // without a libm call; it saturates, and so does the sum.
+            (skip >= 1.0).then(|| self.epoch.saturating_add(1).saturating_add(skip as u32))
+        };
+        let global = after(self.rise);
+        let gated = self.gated_rise.filter(|_| gated).and_then(after);
+        (global.max(gated), global)
+    }
+
+    /// Drops `core`, which is leaving `CoreMode::Off`, back to the wake
+    /// epoch the global bound gave it; `never_powered` says it is leaving
+    /// the never-powered class. A gated core's own bound holds only while
+    /// it stays gated.
+    pub(crate) fn power_on(&mut self, core: usize, never_powered: bool) {
+        if self.gated_rise.is_none() || self.wake.is_empty() {
+            return;
+        }
+        let cores = self.wake.len() / 2;
+        let (wake, global) = self.wake.split_at_mut(cores);
+        if never_powered {
+            global[core] = self.class_global;
+        }
+        wake[core] = global[core];
     }
 }
 
@@ -152,10 +238,17 @@ mod tests {
 
     const DT: f64 = 0.001;
 
+    /// A gated core's damage per epoch in these tests.
+    const GATED: f64 = 2e-5;
+
     fn calendar(threshold: f64) -> WakeCalendar {
-        let mut c = WakeCalendar::new(CriticalityModel::default(), threshold, DT);
+        let mut c = WakeCalendar::new(CriticalityModel::default(), threshold, DT, Some(GATED));
         c.ensure_len(130);
         c
+    }
+
+    fn is_due(c: &WakeCalendar, core: usize) -> bool {
+        c.due_word(core / 64) >> (core % 64) & 1 == 1
     }
 
     #[test]
@@ -210,9 +303,9 @@ mod tests {
     #[test]
     fn cores_at_or_just_below_the_threshold_stay_due() {
         let mut c = calendar(0.5);
-        assert!(c.offer(3, 0.5));
-        assert!(c.offer(4, 7.0));
-        assert!(!c.offer(6, 0.5 - 1e-6));
+        assert!(c.offer(3, 0.5, false));
+        assert!(c.offer(4, 7.0, true));
+        assert!(!c.offer(6, 0.5 - 1e-6, true));
         c.close_epoch(0.0);
         assert_eq!(c.due_word(0) & 0b101_1000, 0b101_1000);
     }
@@ -225,7 +318,7 @@ mod tests {
         c.close_epoch(1e-4);
         let rise = model.rise_bound(DT, RATE_MARGIN * 1e-4);
         let crit = 0.2;
-        assert!(!c.offer(5, crit));
+        assert!(!c.offer(5, crit, false));
         let skip = (SLACK * (0.5 - crit) / rise).floor() as u32;
         assert!(skip >= 1);
         for epoch in 1..=skip {
@@ -242,7 +335,7 @@ mod tests {
     fn a_raised_bound_wakes_every_core() {
         let mut c = calendar(0.5);
         for core in 0..130 {
-            assert!(!c.offer(core, 0.0));
+            assert!(!c.offer(core, 0.0, core % 2 == 0));
         }
         c.close_epoch(0.0);
         assert_eq!(c.due_word(0) | c.due_word(1) | c.due_word(2), 0);
@@ -250,7 +343,7 @@ mod tests {
         assert_eq!(c.due_word(1), u64::MAX);
         // An increment within the bound wakes nobody.
         for core in 0..130 {
-            c.offer(core, 0.0);
+            c.offer(core, 0.0, core % 2 == 0);
         }
         c.close_epoch(1e-3);
         assert_eq!(c.due_word(1), 0);
@@ -260,9 +353,9 @@ mod tests {
     fn a_core_that_cannot_rise_sleeps_until_a_raise() {
         // Stress-only weights and no wear yet: criticality cannot grow.
         let model = CriticalityModel::new(1.0, 0.0, 0.1, 1.0);
-        let mut c = WakeCalendar::new(model, 0.5, DT);
+        let mut c = WakeCalendar::new(model, 0.5, DT, Some(0.0));
         c.ensure_len(1);
-        assert!(!c.offer(0, 0.0));
+        assert!(!c.offer(0, 0.0, true));
         assert_eq!(c.wake[0], u32::MAX);
         c.close_epoch(0.0);
         assert_eq!(c.due_word(0), 0);
@@ -272,10 +365,109 @@ mod tests {
 
     #[test]
     fn an_unsized_calendar_accepts_bound_updates() {
-        let mut c = WakeCalendar::new(CriticalityModel::default(), 0.5, DT);
+        let mut c = WakeCalendar::new(CriticalityModel::default(), 0.5, DT, None);
         c.close_epoch(1.0);
         c.close_epoch(2.0);
         c.ensure_len(3);
         assert_eq!(c.due_word(0), 0b111);
+    }
+
+    #[test]
+    fn a_gated_core_never_wakes_before_its_global_wake() {
+        // Criticalities across the gap, bounds below, at and far above
+        // the gated damage, and the first epoch's zero bound.
+        let mut rng = manytest_sim::SimRng::seed_from(33);
+        for case in 0..200 {
+            let mut c = calendar(0.5);
+            let mut transient = WakeCalendar::new(CriticalityModel::default(), 0.5, DT, None);
+            transient.ensure_len(130);
+            let bound = [0.0, GATED / 2.0, GATED, 40.0 * GATED][case % 4];
+            for _ in 0..rng.gen_range(3) {
+                c.close_epoch(bound);
+                transient.close_epoch(bound);
+            }
+            for core in 0..130 {
+                let crit = rng.gen_f64_range(-0.5, 0.6);
+                let gated = rng.gen_bool(0.5);
+                assert_eq!(c.offer(core, crit, gated), crit >= 0.5);
+                transient.offer(core, crit, gated);
+                let (wake, global) = (c.wake[core], c.wake[130 + core]);
+                assert!(wake >= global, "case {case} core {core}: {wake} < {global}");
+                if !gated {
+                    assert_eq!(wake, global, "case {case} core {core}: a powered core");
+                }
+                assert_eq!(transient.wake[core], transient.wake[130 + core]);
+                assert_eq!(
+                    transient.wake[130 + core],
+                    global,
+                    "case {case} core {core}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_gated_core_sleeps_longer_and_power_on_makes_it_due_at_its_global_wake() {
+        let mut c = calendar(0.5);
+        // A bound well above a gated core's damage.
+        c.close_epoch(40.0 * GATED);
+        assert!(!c.offer(7, 0.1, true));
+        assert!(!c.offer(8, 0.1, false));
+        let global = c.wake[130 + 7];
+        assert_eq!(c.wake[130 + 8], global);
+        assert_eq!(c.wake[8], global);
+        assert!(c.wake[7] > global + 1, "the gated bound sleeps longer");
+        while c.epoch + 1 < global {
+            c.close_epoch(0.0);
+        }
+        c.power_on(7, false);
+        assert!(!is_due(&c, 7) && !is_due(&c, 8));
+        c.close_epoch(0.0);
+        assert_eq!(c.epoch, global);
+        assert!(
+            is_due(&c, 7) && is_due(&c, 8),
+            "due exactly at the global wake"
+        );
+        // Powering on a due core keeps it due.
+        c.power_on(8, false);
+        assert!(is_due(&c, 8));
+    }
+
+    #[test]
+    fn the_class_sleeps_on_the_gated_bound_and_hands_leavers_its_global_wake() {
+        let mut c = calendar(0.5);
+        assert!(c.class_due());
+        assert!(c.offer_class(0.5));
+        assert!(c.class_due(), "a class at the threshold stays due");
+        c.close_epoch(40.0 * GATED);
+        assert!(!c.offer_class(0.1));
+        assert!(!c.offer(9, 0.1, true));
+        assert_eq!(c.class_wake, c.wake[9]);
+        assert_eq!(c.class_global, c.wake[130 + 9]);
+        assert!(c.class_wake > c.class_global);
+        assert!(!c.class_due());
+        // Core 20 leaves the class: it is due at the class's global wake.
+        c.power_on(20, true);
+        assert_eq!(
+            (c.wake[20], c.wake[130 + 20]),
+            (c.class_global, c.class_global)
+        );
+        // A raise wakes the class too.
+        c.close_epoch(80.0 * GATED);
+        assert!(c.class_due());
+        assert_eq!((c.class_wake, c.class_global), (0, 0));
+    }
+
+    #[test]
+    fn the_transient_path_keeps_the_global_bound() {
+        let mut c = WakeCalendar::new(CriticalityModel::default(), 0.5, DT, None);
+        c.ensure_len(10);
+        c.close_epoch(40.0 * GATED);
+        assert!(!c.offer(3, 0.1, true));
+        assert_eq!(c.wake[3], c.wake[10 + 3]);
+        let wake = c.wake[3];
+        c.wake[10 + 3] = 0;
+        c.power_on(3, false);
+        assert_eq!(c.wake[3], wake, "power-on is no hook on the transient path");
     }
 }

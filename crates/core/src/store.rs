@@ -18,6 +18,10 @@
 //!   core order instead of scanning every slot.
 //! - `powered` bitset — cores not `CoreMode::Off`; the epoch close
 //!   charges only these, since a gated core draws exactly 0 W.
+//! - `never_powered` bitset — cores that have never left `CoreMode::Off`.
+//!   The bits only ever clear. On the steady thermal path these cores
+//!   share one wear history, so the schedule phase ranks them as one
+//!   class.
 //!
 //! A generation/dirty-set scheme stamps which cores changed policy-
 //! relevant state (mode, owner, session, health) since the last epoch
@@ -37,7 +41,7 @@ use manytest_power::Reservation;
 use manytest_sbst::TestSession;
 use manytest_workload::{AppId, TaskId};
 
-/// Bits per word of the `testable` and `powered` bitsets.
+/// Bits per word of the `testable`, `powered` and `never_powered` bitsets.
 const WORD_BITS: usize = u64::BITS as usize;
 
 /// Hot per-core state as parallel flat arrays, plus incrementally
@@ -75,8 +79,8 @@ pub struct CoreStore {
     // --- maintained derived views ---
     mappable: usize,
     testing: usize,
-    /// The `testable` bitset, then the `powered` one, `words` each: one
-    /// allocation for both.
+    /// The `testable` bitset, then the `powered` one, then the
+    /// `never_powered` one, `words` each: one allocation for all three.
     bitsets: Vec<u64>,
     words: usize,
     // --- generation / dirty set ---
@@ -106,9 +110,10 @@ impl CoreStore {
     /// test candidates.
     pub fn new(n: usize) -> Self {
         let words = n.div_ceil(WORD_BITS);
-        let mut bitsets = vec![0; 2 * words];
-        bitsets[..words].fill(u64::MAX);
+        let mut bitsets = vec![u64::MAX; 3 * words];
+        bitsets[words..2 * words].fill(0);
         Self::clear_tail_bits(&mut bitsets[..words], n);
+        Self::clear_tail_bits(&mut bitsets[2 * words..], n);
         CoreStore {
             mode: vec![CoreMode::Off; n],
             accrued_since: vec![0.0; n],
@@ -145,8 +150,8 @@ impl CoreStore {
         self.mode[core]
     }
 
-    /// Sets the mode of `core`, updating the testable and powered views
-    /// and the dirty set.
+    /// Sets the mode of `core`, updating the testable, powered and
+    /// never-powered views and the dirty set.
     #[inline]
     pub fn set_mode(&mut self, core: usize, mode: CoreMode) {
         self.mode[core] = mode;
@@ -157,6 +162,7 @@ impl CoreStore {
             self.bitsets[word] &= !bit;
         } else {
             self.bitsets[word] |= bit;
+            self.bitsets[word + self.words] &= !bit;
         }
         self.mark_dirty(core);
     }
@@ -164,7 +170,7 @@ impl CoreStore {
     // --- accounting timestamp (not policy state: no dirty mark) ---
 
     /// Start of the unaccounted span on `core`, seconds.
-    pub fn accrued_since(&self, core: usize) -> f64 {
+    pub(crate) fn accrued_since(&self, core: usize) -> f64 {
         self.accrued_since[core]
     }
 
@@ -176,7 +182,7 @@ impl CoreStore {
     // --- ownership ---
 
     /// Owning application and task of `core`, if allocated.
-    pub fn owner(&self, core: usize) -> Option<(AppId, TaskId)> {
+    pub(crate) fn owner(&self, core: usize) -> Option<(AppId, TaskId)> {
         self.owner[core]
     }
 
@@ -223,12 +229,12 @@ impl CoreStore {
     }
 
     /// Copy of the live session on `core`, if any.
-    pub fn session(&self, core: usize) -> Option<TestSession> {
+    pub(crate) fn session(&self, core: usize) -> Option<TestSession> {
         self.session[core]
     }
 
     /// Session generation of `core` (stale-event filtering).
-    pub fn session_gen(&self, core: usize) -> u64 {
+    pub(crate) fn session_gen(&self, core: usize) -> u64 {
         self.session_gen[core]
     }
 
@@ -280,7 +286,7 @@ impl CoreStore {
 
     /// True if the runtime mapper may allocate this core (quarantine is
     /// layered on separately, as it always was).
-    pub fn is_free_for_mapping(&self, core: usize) -> bool {
+    pub(crate) fn is_free_for_mapping(&self, core: usize) -> bool {
         self.owner[core].is_none()
     }
 
@@ -307,7 +313,20 @@ impl CoreStore {
     /// The powered-core bitset (cores not `CoreMode::Off`), laid out
     /// like [`CoreStore::testable_words`].
     pub fn powered_words(&self) -> &[u64] {
-        &self.bitsets[self.words..]
+        &self.bitsets[self.words..2 * self.words]
+    }
+
+    /// The never-powered bitset (cores that have never left
+    /// `CoreMode::Off`), laid out like [`CoreStore::testable_words`]. A
+    /// bit only ever clears, and never overlaps
+    /// [`CoreStore::powered_words`].
+    pub fn never_powered_words(&self) -> &[u64] {
+        &self.bitsets[2 * self.words..]
+    }
+
+    /// Whether `core` has never left `CoreMode::Off`.
+    pub(crate) fn is_never_powered(&self, core: usize) -> bool {
+        self.never_powered_words()[core / WORD_BITS] >> (core % WORD_BITS) & 1 == 1
     }
 
     /// Calls `f(core)` for every test candidate, ascending core order:
@@ -323,6 +342,13 @@ impl CoreStore {
     #[cfg(test)]
     pub(crate) fn for_each_powered(&self, f: impl FnMut(usize)) {
         Self::for_each_set_bit(self.powered_words(), f);
+    }
+
+    /// Calls `f(core)` for every never-powered core, ascending core
+    /// order: the class the schedule oracle expands.
+    #[cfg(test)]
+    pub(crate) fn for_each_never_powered(&self, f: impl FnMut(usize)) {
+        Self::for_each_set_bit(self.never_powered_words(), f);
     }
 
     #[cfg(test)]
@@ -449,8 +475,8 @@ mod tests {
         VfLadder::for_node(TechNode::N16, 5).point(VfLevel(4))
     }
 
-    fn session_at(core: usize) -> TestSession {
-        TestSession::new(core, RoutineId(0), VfLevel(0), 100, 1.0e9, 0.0)
+    fn session() -> TestSession {
+        TestSession::new(RoutineId(0), VfLevel(0), 100, 1.0e9, 0.0)
     }
 
     fn reservation() -> Reservation {
@@ -499,7 +525,7 @@ mod tests {
     #[test]
     fn session_lifecycle_maintains_views_and_generation() {
         let mut store = CoreStore::new(3);
-        let gen = store.begin_session(1, session_at(1), reservation());
+        let gen = store.begin_session(1, session(), reservation());
         store.set_mode(1, CoreMode::Testing(ladder_op(), 0.8));
         assert_eq!(gen, 0);
         assert_eq!(store.testing_count(), 1);
@@ -563,6 +589,11 @@ mod tests {
         assert_eq!(seen.len(), 70);
         assert_eq!(seen.last(), Some(&69));
         assert!(store.views_consistent());
+        assert_eq!(
+            store.never_powered_words(),
+            store.testable_words(),
+            "every fresh core is never-powered, and so are no ghost cores"
+        );
     }
 
     #[test]
@@ -570,7 +601,7 @@ mod tests {
         let mut store = CoreStore::new(9);
         store.set_owner(0, Some((AppId(1), TaskId(0))));
         store.set_mode(0, CoreMode::Busy(ladder_op()));
-        store.begin_session(4, session_at(4), reservation());
+        store.begin_session(4, session(), reservation());
         store.set_mode(4, CoreMode::Testing(ladder_op(), 0.5));
         store.set_quarantined(7);
         store.end_session(4);

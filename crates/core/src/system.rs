@@ -14,8 +14,8 @@ use manytest_power::{
     PowerMeter, PowerModel, VfLadder, VfLevel,
 };
 use manytest_sbst::{
-    Fault, FaultLog, HealthBoard, RetestRequest, RoutineId, TestCandidate, TestDenial,
-    TestLaunch, TestScheduler, TestSession,
+    CandidateClass, Fault, FaultLog, HealthBoard, RetestRequest, RoutineId, TestCandidate,
+    TestDenial, TestLaunch, TestScheduler, TestSession,
 };
 use manytest_sim::{
     emit_record, AbortReason, CauseKind, CauseLink, CoreState, Epoch, EventId, EventLog,
@@ -457,13 +457,6 @@ fn failed_requirement(value: f64, positive: bool) -> Option<&'static str> {
     }
 }
 
-/// The probation cadence multiplier, exactly `2^exp`: `powi` only
-/// multiplies powers of two, which is exact for every `u8` exponent,
-/// while a `u64` shift overflows from 64 up.
-fn backoff_multiplier(exp: u8) -> f64 {
-    2f64.powi(i32::from(exp))
-}
-
 impl System {
     fn new(config: SystemConfig, mix: WorkloadMix) -> Result<Self, BuildError> {
         for (field, value) in [
@@ -545,6 +538,7 @@ impl System {
                 .with_false_positive_rate(config.test_false_positive_rate),
             n,
         );
+        let aging = AgingModel::default();
         let mut rng_faults = root.derive("faults");
         let mut faults = FaultLog::new();
         for _ in 0..config.injected_faults {
@@ -580,7 +574,7 @@ impl System {
             budget: PowerBudget::new(params.tdp),
             governor,
             meter: PowerMeter::new(),
-            aging: AgingModel::default(),
+            aging,
             criticality: config.criticality,
             stress: StressTracker::new(n, 0.1),
             thermal: config.transient_thermal.then(|| {
@@ -631,6 +625,9 @@ impl System {
                 config.criticality,
                 config.test_scheduler.criticality_threshold,
                 EPOCH.as_secs_f64(),
+                // A gated core's wear on the steady path: the wear pass
+                // charges it at 0 W.
+                (!config.transient_thermal).then(|| aging.damage(0.0, EPOCH.as_secs_f64())),
             ),
             ctx_scratch: MapContext::all_free(mesh),
             candidates_scratch: Vec::with_capacity(n),
@@ -791,6 +788,11 @@ impl System {
                     to,
                 },
             );
+            // Leaving `Off`: a gated core's own wake bound ends here.
+            if from == VfLevel::GATED {
+                let never_powered = self.store.is_never_powered(core);
+                self.calendar.power_on(core, never_powered);
+            }
         }
         self.store.set_mode(core, mode);
     }
@@ -1047,15 +1049,46 @@ impl System {
         // retest lane is the full scan's too.
         let mut scanned = 0u64;
         self.calendar.ensure_len(self.store.len());
+        // On the steady thermal path the cores that were never powered
+        // have one stress history, bit for bit: the wear pass charges
+        // each the same 0 W damage every epoch, and none was ever
+        // tested. So they are one class, healthy and testable, with one
+        // criticality and one wake epoch, and the walk skips them. The
+        // ranked lane expands the class from the never-powered bitset.
+        let steady = self.thermal.is_none();
+        let never_powered = self.store.never_powered_words();
+        let mut class = None;
+        if steady && self.calendar.class_due() {
+            if let Some(w) = never_powered.iter().position(|&word| word != 0) {
+                let first = w * 64 + never_powered[w].trailing_zeros() as usize;
+                scanned += 1;
+                let criticality = self.criticality.criticality(self.stress.core(first), now);
+                if self.calendar.offer_class(criticality) {
+                    class = Some(criticality);
+                }
+            }
+        }
+        let powered = self.store.powered_words();
         for (w, &word) in self.store.testable_words().iter().enumerate() {
-            let mut bits = if word == 0 { 0 } else { word & self.calendar.due_word(w) };
+            let word = if steady {
+                word & !never_powered[w]
+            } else {
+                word
+            };
+            let mut bits = if word == 0 {
+                0
+            } else {
+                word & self.calendar.due_word(w)
+            };
             while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
+                let bit = bits.trailing_zeros();
+                let i = w * 64 + bit as usize;
                 bits &= bits - 1;
                 scanned += 1;
                 if self.health.is_healthy(i) {
                     let criticality = self.criticality.criticality(self.stress.core(i), now);
-                    if self.calendar.offer(i, criticality) {
+                    let gated = powered[w] >> bit & 1 == 0;
+                    if self.calendar.offer(i, criticality, gated) {
                         candidates.push(TestCandidate { core: i, criticality });
                     }
                 } else if let Some(level) = self.health.suspect_level(i) {
@@ -1064,12 +1097,12 @@ impl System {
             }
         }
         #[cfg(test)]
-        self.assert_matches_full_scan(now, &candidates, &retests);
+        self.assert_matches_full_scan(now, &candidates, &retests, class);
         self.profile.candidates_scanned += scanned;
         self.profile.sched_calls += 1;
         self.profile.retests_planned += retests.len() as u64;
         PhaseProfile::raise(&mut self.profile.candidates_high_water, candidates.len());
-        if candidates.is_empty() && retests.is_empty() {
+        if candidates.is_empty() && retests.is_empty() && class.is_none() {
             self.candidates_scratch = candidates;
             self.retests_scratch = retests;
             return;
@@ -1077,8 +1110,18 @@ impl System {
         let headroom = self.budget.headroom();
         let mut launches = std::mem::take(&mut self.launches_scratch);
         let mut denials = std::mem::take(&mut self.denials_scratch);
-        self.scheduler
-            .plan_with_retests_into(&retests, &candidates, headroom, &mut launches, &mut denials);
+        let class = class.map(|criticality| CandidateClass {
+            criticality,
+            members: self.store.never_powered_words(),
+        });
+        self.scheduler.plan_with_retests_into(
+            &retests,
+            &candidates,
+            class,
+            headroom,
+            &mut launches,
+            &mut denials,
+        );
         self.candidates_scratch = candidates;
         self.retests_scratch = retests;
         self.profile.heap_pops = self.scheduler.heap_pops();
@@ -1106,7 +1149,6 @@ impl System {
             };
             let core = launch.core;
             let session = TestSession::new(
-                core,
                 launch.routine,
                 launch.level,
                 launch.instructions,
@@ -1670,8 +1712,9 @@ impl System {
             );
             self.quarantine_event[core] = Some(rid);
             if let Some(cadence) = self.config.probe_cadence {
+                // At most 2^4: the shift and the conversion are exact.
                 let exp = backoff.min(PROBE_BACKOFF_CAP);
-                self.probe_next_at[core] = now + cadence.as_secs_f64() * backoff_multiplier(exp);
+                self.probe_next_at[core] = now + cadence.as_secs_f64() * f64::from(1u8 << exp);
             }
             self.probes_inflight -= 1;
             self.set_mode(core, now, CoreMode::Off);
@@ -2249,7 +2292,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manytest_aging::EpochWear;
+    use manytest_aging::{CoreStress, EpochWear};
     use manytest_power::TechNode;
 
     fn quick(node: TechNode) -> SystemBuilder {
@@ -2283,12 +2326,17 @@ mod tests {
         /// was before it, which evaluates every testable core every
         /// epoch. In unit-test builds every schedule call checks that
         /// the calendar produced the same ranked candidates (cores,
-        /// criticality bits and order) and the same retests.
+        /// criticality bits and order), with the never-powered class's
+        /// members expanded at `class`'s criticality, and the same
+        /// retests. On the steady path it also checks the class: every
+        /// member is gated, healthy and testable, with the first
+        /// member's stress bit for bit.
         pub(super) fn assert_matches_full_scan(
             &self,
             now: f64,
             candidates: &[TestCandidate],
             retests: &[RetestRequest],
+            class: Option<f64>,
         ) {
             let threshold = self.config.test_scheduler.criticality_threshold;
             let mut full = Vec::new();
@@ -2303,10 +2351,43 @@ mod tests {
                     full_retests.push(RetestRequest { core: i, level });
                 }
             });
-            let walked: Vec<_> = candidates
+            let mut walked: Vec<_> = candidates
                 .iter()
                 .map(|c| (c.core, c.criticality.to_bits()))
                 .collect();
+            if self.thermal.is_some() {
+                assert_eq!(class, None, "no class on the transient path");
+            }
+            let bits = |s: &CoreStress| {
+                [
+                    s.total_damage,
+                    s.damage_since_test,
+                    s.utilization,
+                    s.last_test_time,
+                ]
+                .map(f64::to_bits)
+            };
+            let mut first = None;
+            self.store.for_each_never_powered(|i| {
+                assert!(
+                    matches!(self.store.mode(i), CoreMode::Off)
+                        && self.store.is_test_candidate(i)
+                        && self.health.is_healthy(i),
+                    "never-powered core {i} at t = {now}"
+                );
+                if self.thermal.is_none() {
+                    let stress = bits(self.stress.core(i));
+                    assert_eq!(
+                        stress,
+                        *first.get_or_insert(stress),
+                        "core {i} at t = {now}"
+                    );
+                }
+                if let Some(criticality) = class {
+                    walked.push((i, criticality.to_bits()));
+                }
+            });
+            walked.sort_unstable_by_key(|&(core, _)| core);
             assert_eq!(walked, full, "ranked candidates at t = {now}");
             assert_eq!(retests, full_retests, "retests at t = {now}");
         }
@@ -3093,18 +3174,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_multiplier_matches_the_shift_and_stays_exact_past_it() {
-        for exp in 0..64u8 {
-            let shifted = (1u64 << u32::from(exp)) as f64;
-            assert_eq!(backoff_multiplier(exp).to_bits(), shifted.to_bits(), "2^{exp}");
-        }
-        for exp in 64..=u8::MAX {
-            let exact = f64::from_bits((1023 + u64::from(exp)) << 52);
-            assert_eq!(backoff_multiplier(exp).to_bits(), exact.to_bits(), "2^{exp}");
-        }
-    }
-
-    #[test]
     fn lifecycle_runs_are_deterministic() {
         let build = || {
             lifecycle(TechNode::N22)
@@ -3156,7 +3225,7 @@ mod tests {
     #[test]
     fn wake_calendar_matches_the_full_scan() {
         type Scenario = fn(SystemBuilder) -> SystemBuilder;
-        let scenarios: [(&str, Scenario); 11] = [
+        let scenarios: [(&str, Scenario); 12] = [
             ("steady", |b| b),
             ("transient", |b| b.transient_thermal(true).arrival_rate(2_000.0)),
             ("stress-only", |b| b.criticality(CriticalityModel::new(1.0, 0.0, 0.1, 1.0))),
@@ -3176,6 +3245,15 @@ mod tests {
             ("high threshold", |b| with_scheduler(b, |s| s.criticality_threshold = 1.5)),
             ("launch cap 1", |b| with_scheduler(b, |s| s.max_launches_per_epoch = 1)),
             ("denials", |b| b.arrival_rate(6_000.0).governor(GovernorKind::Naive)),
+            // Wear alone moves criticality, and gated tiles next to busy
+            // ones run hotter than a gated core's steady-path wear: the
+            // gated bound would wake them too late here.
+            ("transient stress-only", |b| {
+                b.transient_thermal(true)
+                    .criticality(CriticalityModel::new(1.0, 0.0, 0.1, 1.0))
+                    .arrival_rate(4_000.0)
+                    .sim_time_ms(500)
+            }),
         ];
         let mut rng = SimRng::seed_from(1717);
         let (mut denials, mut retests, mut probes, mut launches) = (0, 0, 0, 0);

@@ -1,8 +1,9 @@
 //! Property check for the struct-of-arrays store: the incrementally
 //! maintained derived views (mappable count, testing count, testable
 //! and powered bitsets) must equal a from-scratch rebuild after *any*
-//! mutation sequence. Sequences are driven by [`SimRng`] so failures
-//! replay exactly from the printed seed.
+//! mutation sequence, and the never-powered bitset must follow the mode
+//! history. Sequences are driven by [`SimRng`] so failures replay
+//! exactly from the printed seed.
 
 use manytest_core::exec::CoreMode;
 use manytest_core::store::CoreStore;
@@ -11,7 +12,8 @@ use manytest_sbst::{RoutineId, TestSession};
 use manytest_sim::SimRng;
 use manytest_workload::{AppId, TaskId};
 
-fn random_mutation(store: &mut CoreStore, rng: &mut SimRng, budget: &mut PowerBudget) {
+/// Applies one random mutation and returns the core it touched.
+fn random_mutation(store: &mut CoreStore, rng: &mut SimRng, budget: &mut PowerBudget) -> usize {
     let n = store.len();
     let core = rng.gen_range(n as u64) as usize;
     let op = VfLadder::for_node(TechNode::N16, 5).point(VfLevel(4));
@@ -30,7 +32,7 @@ fn random_mutation(store: &mut CoreStore, rng: &mut SimRng, budget: &mut PowerBu
         }
         5 => {
             if !store.has_session(core) {
-                let session = TestSession::new(core, RoutineId(0), VfLevel(0), 100, 1.0e9, 0.0);
+                let session = TestSession::new(RoutineId(0), VfLevel(0), 100, 1.0e9, 0.0);
                 let reservation = budget.reserve(0.001).expect("tiny reservations always fit");
                 store.begin_session(core, session, reservation);
             }
@@ -49,6 +51,7 @@ fn random_mutation(store: &mut CoreStore, rng: &mut SimRng, budget: &mut PowerBu
             }
         }
     }
+    core
 }
 
 #[test]
@@ -102,4 +105,39 @@ fn dirty_marks_count_exactly_the_distinct_cores_touched_per_epoch() {
     store.set_mode(3, CoreMode::Off);
     assert_eq!(store.dirty_marks(), 4);
     assert_eq!(store.dirty_cores(), &[3]);
+}
+
+#[test]
+fn never_powered_bits_only_clear_and_never_overlap_powered() {
+    for trial in 0..32u64 {
+        let seed = 0x0FF0_0000 + trial;
+        let mut rng = SimRng::seed_from(seed);
+        let n = [16, 63, 64, 65, 100, 256][(trial % 6) as usize];
+        let mut store = CoreStore::new(n);
+        let mut budget = PowerBudget::new(1.0e6);
+        // The mode history the bits must follow: a core is never-powered
+        // until any mutation leaves it in a mode other than `Off`.
+        let mut ever_powered = vec![false; n];
+        let mut before = store.never_powered_words().to_vec();
+        for step in 0..rng.gen_range(8 * n as u64) {
+            let core = random_mutation(&mut store, &mut rng, &mut budget);
+            ever_powered[core] |= !matches!(store.mode(core), CoreMode::Off);
+            let after = store.never_powered_words();
+            let what = format!("seed {seed:#x} (n = {n}), step {step}");
+            for (w, (&was, &is)) in before.iter().zip(after).enumerate() {
+                assert_eq!(is & !was, 0, "{what}: a bit came back in word {w}");
+                assert_eq!(
+                    is & store.powered_words()[w],
+                    0,
+                    "{what}: word {w} overlaps"
+                );
+            }
+            let mut history = vec![0u64; n.div_ceil(64)];
+            for (c, &powered) in ever_powered.iter().enumerate() {
+                history[c / 64] |= u64::from(!powered) << (c % 64);
+            }
+            assert_eq!(after, history, "{what}");
+            before = after.to_vec();
+        }
+    }
 }

@@ -44,7 +44,7 @@
 //!     TestCandidate { core: 1, criticality: 1.5 },
 //! ];
 //! let (mut launches, mut denials) = (Vec::new(), Vec::new());
-//! scheduler.plan_with_retests_into(&[], &candidates, 10.0, &mut launches, &mut denials);
+//! scheduler.plan_with_retests_into(&[], &candidates, None, 10.0, &mut launches, &mut denials);
 //! assert_eq!(launches.len(), 2);
 //! // The most critical core is served first.
 //! assert_eq!(launches[0].core, 0);
@@ -65,7 +65,8 @@ pub use fault::{Fault, FaultLog, FaultState, LevelWindowInverted};
 pub use health::{CoreHealth, HealthBoard};
 pub use routine::{RoutineId, RoutineLibrary, TestRoutine};
 pub use scheduler::{
-    RetestRequest, TestCandidate, TestDenial, TestLaunch, TestScheduler, TestSchedulerConfig,
+    CandidateClass, RetestRequest, TestCandidate, TestDenial, TestLaunch, TestScheduler,
+    TestSchedulerConfig,
 };
 pub use session::{SessionOutcome, TestSession};
 
@@ -76,7 +77,8 @@ pub mod prelude {
     pub use crate::health::{CoreHealth, HealthBoard};
     pub use crate::routine::{RoutineId, RoutineLibrary, TestRoutine};
     pub use crate::scheduler::{
-        RetestRequest, TestCandidate, TestDenial, TestLaunch, TestScheduler, TestSchedulerConfig,
+        CandidateClass, RetestRequest, TestCandidate, TestDenial, TestLaunch, TestScheduler,
+        TestSchedulerConfig,
     };
     pub use crate::session::{SessionOutcome, TestSession};
 }

@@ -32,6 +32,17 @@ pub struct TestCandidate {
     pub criticality: f64,
 }
 
+/// Idle cores that share one criticality, ranked as if each member were a
+/// [`TestCandidate`] with it, without a candidate per member.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CandidateClass<'a> {
+    /// The members' shared criticality.
+    pub criticality: f64,
+    /// The members as a bitset: bit `b` of word `w` stands for core
+    /// `64·w + b`.
+    pub members: &'a [u64],
+}
+
 /// A priority confirmation retest ordered by the health state machine: a
 /// core in `Suspect` must re-run a test *at the level the detection
 /// happened at* before any routine testing is considered. Retests bypass
@@ -127,7 +138,7 @@ impl Default for TestSchedulerConfig {
 ///     TestScheduler::with_library(config, TechNode::N16, RoutineLibrary::standard(), cores);
 /// let candidates = [TestCandidate { core: 7, criticality: 3.0 }];
 /// let (mut launches, mut denials) = (Vec::new(), Vec::new());
-/// sched.plan_with_retests_into(&[], &candidates, 5.0, &mut launches, &mut denials);
+/// sched.plan_with_retests_into(&[], &candidates, None, 5.0, &mut launches, &mut denials);
 /// assert_eq!(launches.len(), 1);
 /// let l = launches[0];
 /// sched.on_session_complete(l.core, l.routine, l.level);
@@ -211,7 +222,7 @@ impl TestScheduler {
     }
 
     /// Projected power of testing at `level` with routine `routine`.
-    pub fn session_power(&self, routine: RoutineId, level: VfLevel) -> f64 {
+    pub(crate) fn session_power(&self, routine: RoutineId, level: VfLevel) -> f64 {
         let levels = self.ladder.len();
         self.power_table[routine.index() * levels..][..levels][level.0 as usize]
     }
@@ -230,7 +241,7 @@ impl TestScheduler {
         launches: &mut Vec<TestLaunch>,
         denials: &mut Vec<TestDenial>,
     ) {
-        self.plan_with_retests_into(&[], candidates, headroom_watts, launches, denials);
+        self.plan_with_retests_into(&[], candidates, None, headroom_watts, launches, denials);
     }
 
     /// [`TestScheduler::plan_into`] with a priority lane: every
@@ -239,10 +250,15 @@ impl TestScheduler {
     /// criticality threshold. Retests still compete for the same headroom
     /// and count against `max_launches_per_epoch` — confirmation is
     /// urgent, not free.
+    ///
+    /// `class`, when given, ranks each of its members as a candidate with
+    /// the class's criticality. Its members must be distinct from the
+    /// candidates and the retests.
     pub fn plan_with_retests_into(
         &mut self,
         retests: &[RetestRequest],
         candidates: &[TestCandidate],
+        class: Option<CandidateClass<'_>>,
         headroom_watts: f64,
         launches: &mut Vec<TestLaunch>,
         denials: &mut Vec<TestDenial>,
@@ -269,9 +285,32 @@ impl TestScheduler {
         // ranks lazily, so ranks beyond the launch cap are never ordered.
         // The keys are distinct, so the pop sequence is the full sort's.
         let mut heap = BinaryHeap::from(ranked);
+        // The class's keys share their high half, so they ascend with the
+        // member ids; merging them with the heap pops the sequence a heap
+        // of every member would.
+        let (high, members) = match class {
+            Some(c) if c.criticality >= threshold => (Self::rank_high(c.criticality), c.members),
+            _ => (0, &[][..]),
+        };
+        let mut class_keys = members.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors(Some(word), |&bits| Some(bits & bits.wrapping_sub(1)))
+                .take_while(|&bits| bits != 0)
+                .map(move |bits| {
+                    let core = w * 64 + bits.trailing_zeros() as usize;
+                    u128::from(high) << 64 | core as u128
+                })
+        });
+        let mut next_member = class_keys.next();
         while launches.len() < self.config.max_launches_per_epoch {
-            let Some(Reverse(key)) = heap.pop() else {
-                break;
+            let key = match next_member {
+                Some(member) if heap.peek().is_none_or(|&Reverse(top)| member < top) => {
+                    next_member = class_keys.next();
+                    member
+                }
+                _ => match heap.pop() {
+                    Some(Reverse(top)) => top,
+                    None => break,
+                },
             };
             self.heap_pops += 1;
             let core = key as u64 as usize;
@@ -296,9 +335,14 @@ impl TestScheduler {
     /// `criticality >= threshold` filter, which also kept the f64 heap's
     /// NaN panic unreachable.
     fn rank_key(c: &TestCandidate) -> u128 {
-        let bits = (c.criticality + 0.0).to_bits();
+        u128::from(Self::rank_high(c.criticality)) << 64 | c.core as u128
+    }
+
+    /// The high half of [`Self::rank_key`] for `criticality`.
+    fn rank_high(criticality: f64) -> u64 {
+        let bits = (criticality + 0.0).to_bits();
         let ord = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
-        u128::from(!ord) << 64 | c.core as u128
+        !ord
     }
 
     /// Launches a session on `core` at `level` with its next routine if
@@ -489,7 +533,7 @@ mod tests {
         let mut s = scheduler();
         let candidates = [candidate(0, 1.0), candidate(1, 5.0), candidate(2, 3.0)];
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &candidates, 100.0, &mut launches, &mut denials);
+        s.plan_with_retests_into(&[], &candidates, None, 100.0, &mut launches, &mut denials);
         let order: Vec<usize> = launches.iter().map(|l| l.core).collect();
         assert_eq!(order, vec![1, 2, 0]);
     }
@@ -528,7 +572,7 @@ mod tests {
                 TestScheduler::with_library(cfg, TechNode::N16, RoutineLibrary::standard(), 64);
             let pops_before = s.heap_pops();
             let (mut launches, mut denials) = (Vec::new(), Vec::new());
-            s.plan_with_retests_into(&[], &candidates, 1e9, &mut launches, &mut denials);
+            s.plan_with_retests_into(&[], &candidates, None, 1e9, &mut launches, &mut denials);
             let order: Vec<usize> = launches.iter().map(|l| l.core).collect();
             assert_eq!(order, expected);
             assert_eq!(s.heap_pops() - pops_before, n as u64);
@@ -540,7 +584,7 @@ mod tests {
         let mut s = scheduler();
         let candidates = [candidate(0, 0.2), candidate(1, 0.8)];
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &candidates, 100.0, &mut launches, &mut denials);
+        s.plan_with_retests_into(&[], &candidates, None, 100.0, &mut launches, &mut denials);
         assert_eq!(launches.len(), 1);
         assert_eq!(launches[0].core, 1);
     }
@@ -549,7 +593,14 @@ mod tests {
     fn zero_headroom_launches_nothing() {
         let mut s = scheduler();
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &[candidate(0, 5.0)], 0.0, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &[],
+            &[candidate(0, 5.0)],
+            None,
+            0.0,
+            &mut launches,
+            &mut denials,
+        );
         assert!(launches.is_empty());
         assert_eq!(s.denied_for_power(), 1);
     }
@@ -564,7 +615,14 @@ mod tests {
             (0..16).step_by(5).map(|c| candidate(c, 1.0)).collect();
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
         let headroom = one_session * 2.5;
-        s.plan_with_retests_into(&[], &candidates, headroom, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &[],
+            &candidates,
+            None,
+            headroom,
+            &mut launches,
+            &mut denials,
+        );
         assert_eq!(launches.len(), 2, "2.5 sessions of headroom admits 2");
         let total: f64 = launches.iter().map(|l| l.power).sum();
         assert!(total <= one_session * 2.5 + 1e-9);
@@ -577,7 +635,7 @@ mod tests {
         let mut s = TestScheduler::with_library(cfg, TechNode::N16, RoutineLibrary::standard(), 8);
         let candidates: Vec<TestCandidate> = (0..8).map(|c| candidate(c, 1.0)).collect();
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &candidates, 1e9, &mut launches, &mut denials);
+        s.plan_with_retests_into(&[], &candidates, None, 1e9, &mut launches, &mut denials);
         assert_eq!(launches.len(), 2);
     }
 
@@ -585,10 +643,24 @@ mod tests {
     fn completion_rotates_routines_and_levels() {
         let mut s = scheduler();
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &[candidate(0, 1.0)], 100.0, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &[],
+            &[candidate(0, 1.0)],
+            None,
+            100.0,
+            &mut launches,
+            &mut denials,
+        );
         let first = launches[0];
         s.on_session_complete(first.core, first.routine, first.level);
-        s.plan_with_retests_into(&[], &[candidate(0, 1.0)], 100.0, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &[],
+            &[candidate(0, 1.0)],
+            None,
+            100.0,
+            &mut launches,
+            &mut denials,
+        );
         let second = launches[0];
         assert_ne!(first.routine, second.routine, "routine must rotate");
         assert_ne!(first.level, second.level, "level must rotate");
@@ -599,10 +671,24 @@ mod tests {
     fn abort_gives_no_credit_and_repeats_routine() {
         let mut s = scheduler();
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &[candidate(0, 1.0)], 100.0, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &[],
+            &[candidate(0, 1.0)],
+            None,
+            100.0,
+            &mut launches,
+            &mut denials,
+        );
         let first = launches[0];
         s.on_session_aborted(first.core);
-        s.plan_with_retests_into(&[], &[candidate(0, 1.0)], 100.0, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &[],
+            &[candidate(0, 1.0)],
+            None,
+            100.0,
+            &mut launches,
+            &mut denials,
+        );
         let retry = launches[0];
         assert_eq!(first.routine, retry.routine);
         assert_eq!(s.ledger().tests_on_core(0), 0);
@@ -614,7 +700,14 @@ mod tests {
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
         for _ in 0..(5 * 5) {
             // 5 routines × 5 levels
-            s.plan_with_retests_into(&[], &[candidate(3, 1.0)], 100.0, &mut launches, &mut denials);
+            s.plan_with_retests_into(
+                &[],
+                &[candidate(3, 1.0)],
+                None,
+                100.0,
+                &mut launches,
+                &mut denials,
+            );
             let l = launches[0];
             s.on_session_complete(l.core, l.routine, l.level);
         }
@@ -633,7 +726,14 @@ mod tests {
     fn launch_duration_is_consistent() {
         let mut s = scheduler();
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &[candidate(0, 1.0)], 100.0, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &[],
+            &[candidate(0, 1.0)],
+            None,
+            100.0,
+            &mut launches,
+            &mut denials,
+        );
         let l = launches[0];
         let expected = l.instructions as f64 / l.rate;
         assert!((l.duration() - expected).abs() < 1e-15);
@@ -645,7 +745,7 @@ mod tests {
         let mut s = scheduler();
         let candidates = [candidate(0, 1.0), candidate(1, 1.0)];
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &candidates, 1e-6, &mut launches, &mut denials);
+        s.plan_with_retests_into(&[], &candidates, None, 1e-6, &mut launches, &mut denials);
         assert_eq!(s.denied_for_power(), 2);
     }
 
@@ -680,7 +780,14 @@ mod tests {
         let candidates: Vec<TestCandidate> = (0..16).map(|c| candidate(c, 1.0)).collect();
         let headroom = a.session_power(RoutineId(0), VfLevel(0)) * 3.2;
         let (mut via_plan, mut denials) = (Vec::new(), Vec::new());
-        a.plan_with_retests_into(&[], &candidates, headroom, &mut via_plan, &mut denials);
+        a.plan_with_retests_into(
+            &[],
+            &candidates,
+            None,
+            headroom,
+            &mut via_plan,
+            &mut denials,
+        );
         let mut via_into = Vec::new();
         b.plan_into(&candidates, headroom, &mut via_into, &mut denials);
         assert_eq!(via_plan, via_into);
@@ -699,7 +806,7 @@ mod tests {
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
         for round in 0..3 {
             let candidates: Vec<TestCandidate> = (0..8).map(|c| candidate(c, 1.0)).collect();
-            s.plan_with_retests_into(&[], &candidates, 1e9, &mut launches, &mut denials);
+            s.plan_with_retests_into(&[], &candidates, None, 1e9, &mut launches, &mut denials);
             for &l in &launches {
                 assert_eq!(l.level, VfLevel(4), "round {round}");
                 s.on_session_complete(l.core, l.routine, l.level);
@@ -716,7 +823,14 @@ mod tests {
         let candidates = [candidate(0, 5.0), candidate(7, 0.1)];
         let mut launches = Vec::new();
         let mut denials = Vec::new();
-        s.plan_with_retests_into(&retests, &candidates, 1e9, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &retests,
+            &candidates,
+            None,
+            1e9,
+            &mut launches,
+            &mut denials,
+        );
         assert_eq!(launches.len(), 2);
         assert_eq!(launches[0].core, 7, "retest comes before the ranked lane");
         assert_eq!(launches[0].level, VfLevel(3), "retest is pinned to the detecting level");
@@ -739,6 +853,7 @@ mod tests {
         s.plan_with_retests_into(
             &retests,
             &[candidate(0, 5.0)],
+            None,
             retest_power * 1.2,
             &mut launches,
             &mut denials,
@@ -755,6 +870,7 @@ mod tests {
         s.plan_with_retests_into(
             &[RetestRequest { core: 3, level: VfLevel(0) }],
             &[candidate(0, 5.0)],
+            None,
             1e9,
             &mut launches,
             &mut denials,
@@ -785,11 +901,12 @@ mod tests {
 
     #[test]
     fn plan_matches_reference() {
-        // The integer-key heap, the power table and the level walk against
-        // `plan_reference`, over 12 epochs per scheduler pair, with
-        // completions feeding back into the ledgers and cursors. The
-        // criticalities are tie-heavy and include ±0.0, subnormals, ±∞,
-        // NaN and f64::MAX; thresholds go down to −∞.
+        // The integer-key heap, the class merge, the power table and the
+        // level walk against `plan_reference`, over 12 epochs per
+        // scheduler pair, with completions feeding back into the ledgers
+        // and cursors. The criticalities are tie-heavy and include ±0.0,
+        // subnormals, ±∞, NaN and f64::MAX; thresholds go down to −∞. The
+        // reference ranks the class's members as plain candidates.
         let crits = [
             0.0,
             -0.0,
@@ -853,9 +970,44 @@ mod tests {
                     1 => f64::INFINITY,
                     k => session * (index(1000) * n * k) as f64 / 2000.0,
                 };
-                fast.plan_with_retests_into(&retests, &candidates, headroom, &mut lf, &mut df);
-                slow.plan_reference(&model, &retests, &candidates, headroom, &mut ls, &mut ds);
-                let what = format!("case {case} epoch {epoch}: {cfg:?}, headroom {headroom}");
+                // A class of the next cores, possibly empty: its shared
+                // criticality ties with a candidate's, is ±0.0, sits at
+                // or just below the threshold, or is drawn like one.
+                let rest = &ids[n + retests.len()..];
+                let members = &rest[..index(rest.len() + 1)];
+                let mut words = vec![0u64; cores.div_ceil(64)];
+                for &core in members {
+                    words[core / 64] |= 1 << (core % 64);
+                }
+                let threshold = cfg.criticality_threshold;
+                let shared = match index(6) {
+                    0 if n > 0 => candidates[index(n)].criticality,
+                    1 => 0.0,
+                    2 => -0.0,
+                    3 => threshold,
+                    4 => threshold.next_down(),
+                    _ => crits[index(crits.len())],
+                };
+                let class = (index(4) != 0).then_some(CandidateClass {
+                    criticality: shared,
+                    members: &words,
+                });
+                let mut expanded = candidates.clone();
+                if class.is_some() {
+                    expanded.extend(members.iter().map(|&core| candidate(core, shared)));
+                }
+                fast.plan_with_retests_into(
+                    &retests,
+                    &candidates,
+                    class,
+                    headroom,
+                    &mut lf,
+                    &mut df,
+                );
+                slow.plan_reference(&model, &retests, &expanded, headroom, &mut ls, &mut ds);
+                let what = format!(
+                    "case {case} epoch {epoch}: {cfg:?}, headroom {headroom}, class {class:?}"
+                );
                 // Debug text tells every f64 bit pattern apart but NaN's.
                 assert_eq!(format!("{lf:?}"), format!("{ls:?}"), "{what}");
                 assert_eq!(format!("{df:?}"), format!("{ds:?}"), "{what}");
@@ -881,7 +1033,7 @@ mod tests {
         let mut lb = Vec::new();
         let mut db = Vec::new();
         a.plan_into(&candidates, headroom, &mut la, &mut da);
-        b.plan_with_retests_into(&[], &candidates, headroom, &mut lb, &mut db);
+        b.plan_with_retests_into(&[], &candidates, None, headroom, &mut lb, &mut db);
         assert_eq!(la, lb);
         assert_eq!(da, db);
         assert_eq!(a, b);

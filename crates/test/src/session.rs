@@ -26,14 +26,13 @@ pub enum SessionOutcome {
 /// use manytest_sbst::routine::RoutineId;
 /// use manytest_power::VfLevel;
 ///
-/// let mut s = TestSession::new(3, RoutineId(0), VfLevel(2), 100_000, 1.2e9, 0.0);
+/// let mut s = TestSession::new(RoutineId(0), VfLevel(2), 100_000, 1.2e9, 0.0);
 /// let before = s.remaining_seconds();
 /// s.advance(0.5e-4);
 /// assert!(s.remaining_seconds() < before);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TestSession {
-    core: usize,
     routine: RoutineId,
     level: VfLevel,
     total_instructions: u64,
@@ -43,7 +42,7 @@ pub struct TestSession {
 }
 
 impl TestSession {
-    /// Creates a session for `core` running `routine` at `level`.
+    /// Creates a session running `routine` at `level`.
     ///
     /// `rate` is the core's execution rate at that level
     /// (`frequency × IPC`, instructions per second); `now` is the start
@@ -55,7 +54,6 @@ impl TestSession {
     /// positive.
     #[inline]
     pub fn new(
-        core: usize,
         routine: RoutineId,
         level: VfLevel,
         total_instructions: u64,
@@ -65,7 +63,6 @@ impl TestSession {
         assert!(total_instructions > 0, "session needs instructions");
         assert!(rate > 0.0, "execution rate must be positive");
         TestSession {
-            core,
             routine,
             level,
             total_instructions,
@@ -112,7 +109,7 @@ mod tests {
     use super::*;
 
     fn session() -> TestSession {
-        TestSession::new(1, RoutineId(2), VfLevel(1), 1_000_000, 2.0e9, 0.5)
+        TestSession::new(RoutineId(2), VfLevel(1), 1_000_000, 2.0e9, 0.5)
     }
 
     #[test]
@@ -150,13 +147,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "instructions")]
     fn zero_instructions_panics() {
-        TestSession::new(0, RoutineId(0), VfLevel(0), 0, 1.0, 0.0);
+        TestSession::new(RoutineId(0), VfLevel(0), 0, 1.0, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_panics() {
-        TestSession::new(0, RoutineId(0), VfLevel(0), 10, 0.0, 0.0);
+        TestSession::new(RoutineId(0), VfLevel(0), 10, 0.0, 0.0);
     }
 
     #[test]

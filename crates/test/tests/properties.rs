@@ -137,7 +137,14 @@ fn plan_never_exceeds_headroom() {
         let candidates = random_candidates(&mut rng, len, 0.0, 5.0);
         let mut s = scheduler(candidates.len(), 0.0);
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &candidates, headroom, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &[],
+            &candidates,
+            None,
+            headroom,
+            &mut launches,
+            &mut denials,
+        );
         let total: f64 = launches.iter().map(|l| l.power).sum();
         assert!(
             total <= headroom + 1e-9,
@@ -159,7 +166,14 @@ fn plan_serves_descending_criticality() {
         let candidates = random_candidates(&mut rng, len, 0.5, 5.0);
         let mut s = scheduler(candidates.len(), 0.0);
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &candidates, f64::INFINITY, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &[],
+            &candidates,
+            None,
+            f64::INFINITY,
+            &mut launches,
+            &mut denials,
+        );
         let served: Vec<f64> = launches
             .iter()
             .map(|l| candidates[l.core].criticality)
@@ -182,7 +196,14 @@ fn threshold_filters_exactly() {
         let candidates = random_candidates(&mut rng, len, 0.0, 5.0);
         let mut s = scheduler(candidates.len(), threshold);
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
-        s.plan_with_retests_into(&[], &candidates, f64::INFINITY, &mut launches, &mut denials);
+        s.plan_with_retests_into(
+            &[],
+            &candidates,
+            None,
+            f64::INFINITY,
+            &mut launches,
+            &mut denials,
+        );
         let eligible = candidates
             .iter()
             .filter(|c| c.criticality >= threshold)
@@ -209,7 +230,14 @@ fn rotation_reaches_full_coverage() {
         let candidates = [TestCandidate { core, criticality: 1.0 }];
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
         for _ in 0..rounds {
-            s.plan_with_retests_into(&[], &candidates, f64::INFINITY, &mut launches, &mut denials);
+            s.plan_with_retests_into(
+                &[],
+                &candidates,
+                None,
+                f64::INFINITY,
+                &mut launches,
+                &mut denials,
+            );
             let l = launches[0];
             s.on_session_complete(l.core, l.routine, l.level);
         }
@@ -333,7 +361,7 @@ fn health_board_never_leaves_the_lifecycle_graph() {
 fn session_progress_is_monotone() {
     for seed in 0..96 {
         let mut rng = SimRng::seed_from(seed);
-        let mut session = TestSession::new(0, RoutineId(0), VfLevel(0), 1_000_000, 1e9, 0.0);
+        let mut session = TestSession::new(RoutineId(0), VfLevel(0), 1_000_000, 1e9, 0.0);
         let mut last = session.remaining_seconds();
         for _ in 0..1 + rng.gen_range(49) {
             session.advance(rng.gen_f64_range(0.0, 1e-3));

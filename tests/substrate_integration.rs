@@ -92,7 +92,14 @@ fn scheduler_budget_loop_never_over_reserves() {
     // planned launch must fit.
     let (mut launches, mut denials) = (Vec::new(), Vec::new());
     let headroom = budget.headroom();
-    scheduler.plan_with_retests_into(&[], &candidates, headroom, &mut launches, &mut denials);
+    scheduler.plan_with_retests_into(
+        &[],
+        &candidates,
+        None,
+        headroom,
+        &mut launches,
+        &mut denials,
+    );
     assert!(!launches.is_empty());
     for launch in &launches {
         budget
@@ -130,7 +137,7 @@ fn aging_chain_prioritizes_the_stressed_core() {
         4,
     );
     let (mut launches, mut denials) = (Vec::new(), Vec::new());
-    scheduler.plan_with_retests_into(&[], &candidates, 100.0, &mut launches, &mut denials);
+    scheduler.plan_with_retests_into(&[], &candidates, None, 100.0, &mut launches, &mut denials);
     assert_eq!(launches[0].core, 2, "hot core must be tested first");
 }
 
