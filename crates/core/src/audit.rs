@@ -66,122 +66,46 @@ use std::fmt::Write as _;
 /// `SystemBuilder::capture_events`.
 pub fn validate_events(report: &Report) -> Result<(), String> {
     let ev = &report.events;
-    let checks: [(&str, u64, u64); 21] = [
+    let launched = report.tests_completed + report.tests_aborted + report.tests_in_flight;
+    let mapped = report.apps_completed + report.apps_in_flight - report.apps_pending
+        + report.apps_aborted
+        + report.apps_restarted;
+    // Each row: an event kind, the report aggregate its count must equal
+    // (as named in the invariant), and that aggregate's value.
+    let checks: [(&str, &str, u64); 21] = [
+        ("CapAdjusted", "cap_adjustments", report.cap_adjustments),
+        ("FaultActivated", "fault_activations", report.fault_activations),
+        ("TestLaunched", "tests_completed + tests_aborted + tests_in_flight", launched),
+        ("TestCompleted", "tests_completed", report.tests_completed),
+        ("TestAborted", "tests_aborted", report.tests_aborted),
+        ("TestDeniedPower", "tests_denied_power", report.tests_denied_power),
+        ("AppArrived", "apps_arrived", report.apps_arrived),
+        ("AppRejected", "apps_rejected", report.apps_rejected),
+        ("AppCompleted", "apps_completed", report.apps_completed),
         (
-            "CapAdjusted == cap_adjustments",
-            ev.count("CapAdjusted"),
-            report.cap_adjustments,
+            "AppMapped",
+            "apps_completed + apps_in_flight - apps_pending + apps_aborted + apps_restarted",
+            mapped,
         ),
-        (
-            "FaultActivated == fault_activations",
-            ev.count("FaultActivated"),
-            report.fault_activations,
-        ),
-        (
-            "TestLaunched == tests_completed + tests_aborted + tests_in_flight",
-            ev.count("TestLaunched"),
-            report.tests_completed + report.tests_aborted + report.tests_in_flight,
-        ),
-        (
-            "TestCompleted == tests_completed",
-            ev.count("TestCompleted"),
-            report.tests_completed,
-        ),
-        (
-            "TestAborted == tests_aborted",
-            ev.count("TestAborted"),
-            report.tests_aborted,
-        ),
-        (
-            "TestDeniedPower == tests_denied_power",
-            ev.count("TestDeniedPower"),
-            report.tests_denied_power,
-        ),
-        (
-            "AppArrived == apps_arrived",
-            ev.count("AppArrived"),
-            report.apps_arrived,
-        ),
-        (
-            "AppRejected == apps_rejected",
-            ev.count("AppRejected"),
-            report.apps_rejected,
-        ),
-        (
-            "AppCompleted == apps_completed",
-            ev.count("AppCompleted"),
-            report.apps_completed,
-        ),
-        (
-            "AppMapped == apps_completed + apps_in_flight - apps_pending \
-             + apps_aborted + apps_restarted",
-            ev.count("AppMapped"),
-            report.apps_completed + report.apps_in_flight - report.apps_pending
-                + report.apps_aborted
-                + report.apps_restarted,
-        ),
-        (
-            "FaultDetected == fault_detections",
-            ev.count("FaultDetected"),
-            report.fault_detections,
-        ),
-        (
-            "CoreSuspected == cores_suspected",
-            ev.count("CoreSuspected"),
-            report.cores_suspected,
-        ),
-        (
-            "CoreQuarantined == cores_quarantined",
-            ev.count("CoreQuarantined"),
-            report.cores_quarantined,
-        ),
-        (
-            "CoreCleared == cores_cleared",
-            ev.count("CoreCleared"),
-            report.cores_cleared,
-        ),
-        (
-            "AppAborted == apps_aborted",
-            ev.count("AppAborted"),
-            report.apps_aborted,
-        ),
-        (
-            "AppRestarted == apps_restarted",
-            ev.count("AppRestarted"),
-            report.apps_restarted,
-        ),
-        (
-            "AppMigrated == apps_migrated",
-            ev.count("AppMigrated"),
-            report.apps_migrated,
-        ),
-        (
-            "CoreProbeLaunched == probes_launched",
-            ev.count("CoreProbeLaunched"),
-            report.probes_launched,
-        ),
-        (
-            "CoreReadmitted == cores_readmitted",
-            ev.count("CoreReadmitted"),
-            report.cores_readmitted,
-        ),
-        (
-            "CoreRequarantined == cores_requarantined",
-            ev.count("CoreRequarantined"),
-            report.cores_requarantined,
-        ),
-        (
-            "AppCheckpointed == apps_checkpointed",
-            ev.count("AppCheckpointed"),
-            report.apps_checkpointed,
-        ),
+        ("FaultDetected", "fault_detections", report.fault_detections),
+        ("CoreSuspected", "cores_suspected", report.cores_suspected),
+        ("CoreQuarantined", "cores_quarantined", report.cores_quarantined),
+        ("CoreCleared", "cores_cleared", report.cores_cleared),
+        ("AppAborted", "apps_aborted", report.apps_aborted),
+        ("AppRestarted", "apps_restarted", report.apps_restarted),
+        ("AppMigrated", "apps_migrated", report.apps_migrated),
+        ("CoreProbeLaunched", "probes_launched", report.probes_launched),
+        ("CoreReadmitted", "cores_readmitted", report.cores_readmitted),
+        ("CoreRequarantined", "cores_requarantined", report.cores_requarantined),
+        ("AppCheckpointed", "apps_checkpointed", report.apps_checkpointed),
     ];
     let mut errors = String::new();
-    for (invariant, from_events, from_report) in checks {
+    for (kind, aggregate, from_report) in checks {
+        let from_events = ev.count(kind);
         if from_events != from_report {
             let _ = writeln!(
                 errors,
-                "event-count invariant violated: {invariant} \
+                "event-count invariant violated: {kind} == {aggregate} \
                  (events say {from_events}, report says {from_report})"
             );
         }

@@ -315,6 +315,9 @@ impl<T> AppTable<T> {
 pub struct PendingApp {
     /// The application (graph + identity + arrival stamp).
     pub app: Application,
+    /// The event its admission or rejection links back to: its arrival,
+    /// or the restart that re-queued it.
+    pub cause: manytest_sim::CauseLink,
 }
 
 #[cfg(test)]

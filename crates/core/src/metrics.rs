@@ -234,7 +234,8 @@ impl Report {
     }
 }
 
-/// Accumulates per-run statistics the [`Report`] is assembled from.
+/// The per-run distributions the [`Report`]'s means come from (its
+/// counters accumulate in a [`Report`] directly).
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
     /// Application latencies (arrival → completion).
@@ -245,48 +246,6 @@ pub struct MetricsCollector {
     pub test_interval: OnlineStats,
     /// Weighted hop cost per admitted app.
     pub hop_cost: OnlineStats,
-    /// Arrived / completed counters.
-    pub apps_arrived: u64,
-    /// Completed applications.
-    pub apps_completed: u64,
-    /// Executed instructions.
-    pub instructions: u64,
-    /// Completed sessions.
-    pub tests_completed: u64,
-    /// Aborted sessions.
-    pub tests_aborted: u64,
-    /// Epochs violating the cap.
-    pub cap_violations: u64,
-    /// Governor cap moves (one per control epoch).
-    pub cap_adjustments: u64,
-    /// Fault activation occurrences.
-    pub fault_activations: u64,
-    /// Cores that entered `Suspect`.
-    pub cores_suspected: u64,
-    /// Cores confirmed faulty and withdrawn.
-    pub cores_quarantined: u64,
-    /// Suspects cleared back to healthy.
-    pub cores_cleared: u64,
-    /// Quarantines with no solid active fault on the core.
-    pub false_quarantines: u64,
-    /// Confirmation retest sessions completed.
-    pub confirmation_retests: u64,
-    /// Probe sessions launched by the re-admission lane.
-    pub probes_launched: u64,
-    /// Quarantined cores re-admitted after a clean probation streak.
-    pub cores_readmitted: u64,
-    /// Failed probation rounds (core returned to quarantine).
-    pub cores_requarantined: u64,
-    /// Applications killed by quarantine.
-    pub apps_aborted: u64,
-    /// Applications re-queued by quarantine.
-    pub apps_restarted: u64,
-    /// Applications remapped in place by quarantine.
-    pub apps_migrated: u64,
-    /// Checkpoint images written by running applications.
-    pub apps_checkpointed: u64,
-    /// Core-seconds of app work on fault-active, not-yet-quarantined cores.
-    pub corruption_exposure: f64,
 }
 
 /// The trace series the epoch close records, one sample per epoch each.
@@ -413,7 +372,7 @@ mod tests {
     #[test]
     fn collector_defaults_to_zero() {
         let c = MetricsCollector::default();
-        assert_eq!(c.apps_arrived, 0);
+        assert_eq!(c.queue_wait.count(), 0);
         assert_eq!(c.app_latency.count(), 0);
     }
 }

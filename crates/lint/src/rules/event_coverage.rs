@@ -19,7 +19,9 @@
 //! Synthetic test workspaces whose obs file has no `fn expected` opt
 //! out of this half.
 //!
-//! The provenance half guards `crates/core/src/system.rs`:
+//! The provenance half guards every non-test line under
+//! `crates/core/src/`, where the control loop lives (`system.rs` and
+//! one module per phase under `system/`):
 //!
 //! * calling `EventLog::push_record` or `push_caused` directly is banned
 //!   — a raw log write bypasses the run's [`EventId`] minting, so the
@@ -43,9 +45,9 @@ const OBS_FILE: &str = "crates/sim/src/obs.rs";
 const AUDIT_FILE: &str = "crates/core/src/audit.rs";
 /// The enum under the coverage contract.
 const ENUM_NAME: &str = "SimEvent";
-/// The control loop whose emission sites are under the provenance
-/// contract.
-const SYSTEM_FILE: &str = "crates/core/src/system.rs";
+/// The crate whose emission sites are under the provenance contract:
+/// the control loop and everything it calls in `manytest-core`.
+const CORE_SRC: &str = "crates/core/src/";
 /// Emitters that mint root events (no cause link): call sites must
 /// justify root status with an audited allow.
 const ROOT_EMITTERS: [&str; 2] = ["observe", "emit_record"];
@@ -63,8 +65,8 @@ impl Rule for EventEmissionCoverage {
     }
 
     fn check_workspace(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        if let Some(system) = ws.file(SYSTEM_FILE) {
-            check_emission_sites(self.id(), system, out);
+        for file in ws.files.iter().filter(|f| f.rel_path.starts_with(CORE_SRC)) {
+            check_emission_sites(self.id(), file, out);
         }
         let Some(obs) = ws.file(OBS_FILE) else {
             return; // nothing to cover (synthetic workspaces opt in)
@@ -155,11 +157,12 @@ impl Rule for EventEmissionCoverage {
     }
 }
 
-/// Enforces the provenance half on the control loop: no raw event-log
-/// writes, and an audited allow on every root-emitter call site. The
-/// findings this emits are the hooks the `lint:allow` comments in
-/// `system.rs` attach to — an uncaused emission without a justification
-/// surfaces here, and a stale justification surfaces as `unused-allow`.
+/// Enforces the provenance half on one control-loop file: no raw
+/// event-log writes, and an audited allow on every root-emitter call
+/// site. The findings this emits are the hooks the `lint:allow`
+/// comments in the loop attach to — an uncaused emission without a
+/// justification surfaces here, and a stale justification surfaces as
+/// `unused-allow`.
 fn check_emission_sites(rule_id: &'static str, file: &SourceFile, out: &mut Vec<Finding>) {
     let code: Vec<&Token> = file.code_tokens().collect();
     for i in 0..code.len() {

@@ -21,21 +21,28 @@
 //!   (`warmup`) and lanes that deliberately own an allocation
 //!   (`alloc`), cf. the effect-annotation contract in CONTRIBUTING.md.
 //!
-//! Workspaces without `crates/core/src/system.rs` entry points (unit
-//! fixtures) are exempt — the rule is anchored to the real control
-//! loop; synthetic workspaces opt in by defining `impl System` methods
-//! with the entry-point names in a file named `system.rs`.
+//! The entry points are the `impl System` methods with those names in a
+//! file named `system.rs` or in any file under a `system/` directory:
+//! `crates/core/src/system.rs` holds `control`, and each later phase
+//! lives in its own module under `crates/core/src/system/`. The anchor
+//! fails closed: once the workspace defines `System::run` (the loop that
+//! drives the phases), every entry point that does not resolve is a
+//! finding, so renaming or moving a phase cannot silently drop its
+//! subtree from the check. Workspaces without `System::run` (unit
+//! fixtures) only get the entry points they define, and none at all
+//! outside those files.
 
 use super::Rule;
 use crate::callgraph::CallGraph;
 use crate::diag::Finding;
 use crate::effects::{self, EffectSet};
 use crate::source::Workspace;
-use crate::symbols::SymbolTable;
+use crate::symbols::{FnSym, SymbolTable};
 
 pub struct HotPathPurity;
 
-/// The six phase entry points: `System::<fn>` in a `system.rs`.
+/// The six phase entry points: `System::<fn>` in a `system.rs` or a
+/// file under `system/`.
 pub const ENTRY_POINTS: [(&str, &str); 6] = [
     ("System", "control"),        // pid capping + fault activation
     ("System", "map_context"),    // mapping inputs snapshot
@@ -63,23 +70,39 @@ impl Rule for HotPathPurity {
 
     fn check_workspace(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         let table = SymbolTable::build(ws);
-        let entries: Vec<usize> = table
-            .fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                !f.is_test
-                    && ws.files[f.file]
-                        .rel_path
-                        .rsplit('/')
-                        .next()
-                        .is_some_and(|base| base == "system.rs")
-                    && ENTRY_POINTS
-                        .iter()
-                        .any(|(owner, name)| f.owner.as_deref() == Some(*owner) && f.name == *name)
+        let defines = |f: &FnSym, (owner, name): (&str, &str)| {
+            !f.is_test && f.owner.as_deref() == Some(owner) && f.name == name
+        };
+        let entries: Vec<usize> = (0..table.fns.len())
+            .filter(|&i| {
+                let f = &table.fns[i];
+                is_anchor_file(&ws.files[f.file].rel_path)
+                    && ENTRY_POINTS.iter().any(|&entry| defines(f, entry))
             })
-            .map(|(i, _)| i)
             .collect();
+        // Fail closed on the real loop: with `System::run` present, an
+        // entry point that does not resolve is a finding.
+        if let Some(run) = table.fns.iter().find(|f| defines(f, ("System", "run"))) {
+            for (owner, name) in ENTRY_POINTS {
+                if entries.iter().any(|&i| defines(&table.fns[i], (owner, name))) {
+                    continue;
+                }
+                out.push(Finding {
+                    rule: self.id(),
+                    file: ws.files[run.file].rel_path.clone(),
+                    line: run.line,
+                    col: run.col,
+                    message: format!(
+                        "phase entry point `{owner}::{name}` is not defined in a `system.rs` \
+                         or under `system/`"
+                    ),
+                    rationale: "the rule walks the control loop from its six phase entry \
+                                points, so an entry point that was renamed or moved drops \
+                                its whole subtree from the check; update ENTRY_POINTS with \
+                                the code",
+                });
+            }
+        }
         if entries.is_empty() {
             return;
         }
@@ -139,6 +162,13 @@ impl Rule for HotPathPurity {
             }
         }
     }
+}
+
+/// Whether entry points may live in `rel_path`: a file named
+/// `system.rs`, or any file under a `system/` directory.
+fn is_anchor_file(rel_path: &str) -> bool {
+    let mut segments = rel_path.rsplit('/');
+    segments.next() == Some("system.rs") || segments.any(|dir| dir == "system")
 }
 
 /// `control → probe_lane → launch_probe`, reconstructed from BFS

@@ -123,6 +123,52 @@ fn hot_path_purity_is_anchored_to_system_rs_entry_points() {
     assert!(report.is_clean(), "{}", render_human(&report.findings, 1));
 }
 
+#[test]
+fn hot_path_purity_follows_phases_into_system_modules() {
+    // A phase entry point in a module under `system/` anchors the walk
+    // just as one in `system.rs` does.
+    let close = SourceFile::from_source(
+        "crates/core/src/system/close.rs",
+        "impl System {\n    fn close_epoch(&mut self) {\n        let scratch = vec![0; 3];\n    }\n}\n",
+    );
+    let report = run(&Workspace::from_sources("/nonexistent", vec![close]));
+    let hot: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "hot-path-purity")
+        .collect();
+    assert_eq!(hot.len(), 1, "{}", render_human(&report.findings, 1));
+    assert_eq!((hot[0].file.as_str(), hot[0].line), ("crates/core/src/system/close.rs", 3));
+    assert!(hot[0].message.contains("close_epoch"), "{}", hot[0].message);
+    assert!(hot[0].message.contains("allocates"), "{}", hot[0].message);
+}
+
+#[test]
+fn a_missing_phase_entry_point_fails_closed_once_the_loop_exists() {
+    // `System::run` marks the real control loop: every phase entry
+    // point must then resolve, and the one that does not (`handle`) is
+    // named at `run`.
+    let system = SourceFile::from_source(
+        "crates/core/src/system.rs",
+        "impl System {\n    pub fn run(self) {}\n    fn control(&mut self) {}\n    \
+         pub fn map_context(&mut self) {}\n    fn admit_pending(&mut self) {}\n    \
+         fn schedule_tests(&mut self) {}\n}\n",
+    );
+    let close = SourceFile::from_source(
+        "crates/core/src/system/close.rs",
+        "impl System {\n    fn close_epoch(&mut self) {}\n}\n",
+    );
+    let report = run(&Workspace::from_sources("/nonexistent", vec![system, close]));
+    let hot: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "hot-path-purity")
+        .collect();
+    assert_eq!(hot.len(), 1, "{}", render_human(&report.findings, 1));
+    assert!(hot[0].message.contains("`System::handle`"), "{}", hot[0].message);
+    assert_eq!((hot[0].file.as_str(), hot[0].line), ("crates/core/src/system.rs", 2));
+}
+
 // ----- event-match-exhaustiveness --------------------------------------
 
 #[test]
@@ -211,6 +257,8 @@ fn allow_without_reason_is_malformed() {
 
 // ----- event-emission-coverage (synthetic workspace) -------------------
 
+/// The emitter calls a plain `record`, not a root emitter: its file sits
+/// under `crates/core/src/`, where the provenance half also applies.
 fn synthetic_events_workspace(emitter_body: &str, audit_body: &str) -> Workspace {
     let obs = SourceFile::from_source(
         "crates/sim/src/obs.rs",
@@ -224,7 +272,7 @@ fn synthetic_events_workspace(emitter_body: &str, audit_body: &str) -> Workspace
 #[test]
 fn event_coverage_reports_unconstructed_and_unaudited_variants() {
     let ws = synthetic_events_workspace(
-        "pub fn emit() { observe(SimEvent::Alpha); observe(SimEvent::Beta { x: 1 }); }\n",
+        "pub fn emit() { record(SimEvent::Alpha); record(SimEvent::Beta { x: 1 }); }\n",
         "pub fn audit() { check(SimEvent::Alpha); check_count(\"Gamma\"); }\n",
     );
     let report = run(&ws);
@@ -245,7 +293,7 @@ fn event_coverage_reports_unconstructed_and_unaudited_variants() {
 fn deleting_an_audit_arm_fails_the_lint() {
     // Full coverage first: every variant constructed and audited.
     let emitter =
-        "pub fn emit() { observe(SimEvent::Alpha); observe(SimEvent::Beta { x: 1 }); observe(SimEvent::Gamma); }\n";
+        "pub fn emit() { record(SimEvent::Alpha); record(SimEvent::Beta { x: 1 }); record(SimEvent::Gamma); }\n";
     let full = synthetic_events_workspace(
         emitter,
         "pub fn audit() { check(SimEvent::Alpha); check(SimEvent::Beta); check_count(\"Gamma\"); }\n",
@@ -280,7 +328,7 @@ fn cause_table_workspace(expected_body: &str) -> Workspace {
     let obs = SourceFile::from_source("crates/sim/src/obs.rs", &obs_src);
     let emitter = SourceFile::from_source(
         "crates/core/src/emitter.rs",
-        "pub fn emit() { observe(SimEvent::Alpha); observe(SimEvent::Beta { x: 1 }); observe(SimEvent::Gamma); }\n",
+        "pub fn emit() { record(SimEvent::Alpha); record(SimEvent::Beta { x: 1 }); record(SimEvent::Gamma); }\n",
     );
     let audit = SourceFile::from_source(
         "crates/core/src/audit.rs",
@@ -371,6 +419,27 @@ fn raw_on_event_and_emit_record_calls_are_flagged() {
     assert!(
         messages.iter().any(|m| m.contains("emit_record")),
         "raw emit_record: {messages:?}"
+    );
+}
+
+#[test]
+fn raw_log_writes_under_system_modules_are_flagged() {
+    // The provenance half covers every non-test line of
+    // `crates/core/src/`, the phase modules under `system/` included.
+    let events = SourceFile::from_source(
+        "crates/core/src/system/events.rs",
+        "fn f(log: &mut EventLog) {\n    log.push_record(rec);\n}\n",
+    );
+    let report = run(&Workspace::from_sources("/nonexistent", vec![events]));
+    assert!(
+        report.findings.iter().any(|f| {
+            f.rule == "event-emission-coverage"
+                && f.file == "crates/core/src/system/events.rs"
+                && f.line == 2
+                && f.message.contains("push_record")
+        }),
+        "{}",
+        render_human(&report.findings, 1)
     );
 }
 

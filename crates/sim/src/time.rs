@@ -58,6 +58,12 @@ impl SimTime {
         SimTime(ns)
     }
 
+    /// Creates a time from floating point seconds, rounding to the
+    /// nearest nanosecond like [`Duration::from_secs_f64`].
+    pub fn from_secs_f64(secs: f64) -> Self {
+        SimTime(secs_to_ns(secs))
+    }
+
     /// This time expressed in (floating point) seconds; for reporting only.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -88,15 +94,7 @@ impl Duration {
     /// Creates a duration from floating point seconds, rounding to the
     /// nearest nanosecond and saturating at the representable range.
     pub fn from_secs_f64(secs: f64) -> Self {
-        if secs <= 0.0 {
-            return Duration::ZERO;
-        }
-        let ns = (secs * 1e9).round();
-        if ns >= u64::MAX as f64 {
-            Duration::MAX
-        } else {
-            Duration(ns as u64)
-        }
+        Duration(secs_to_ns(secs))
     }
 
     /// Raw nanosecond count.
@@ -113,6 +111,13 @@ impl Duration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
+}
+
+/// Seconds to the nearest nanosecond (ties away from zero). The `as`
+/// cast saturates: negatives, `-0.0` and NaN give 0, and products at or
+/// above 2^64 give `u64::MAX`.
+fn secs_to_ns(secs: f64) -> u64 {
+    (secs * 1e9).round() as u64
 }
 
 impl Epoch {
@@ -272,6 +277,37 @@ mod tests {
         assert_eq!(Duration::from_secs_f64(1e-9), Duration::from_ns(1));
         assert_eq!(Duration::from_secs_f64(0.5).as_ns(), 500_000_000);
         assert_eq!(Duration::from_secs_f64(f64::MAX), Duration::MAX);
+    }
+
+    #[test]
+    fn sim_time_from_secs_f64_matches_the_inline_rounding() {
+        let inline = |t: f64| SimTime::from_ns((t * 1e9).round() as u64);
+        let mut edges = vec![
+            -1.0,
+            -4e-10,
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            18_446_744_073.709_553,
+            18_446_744_073.709_55,
+            f64::MIN_POSITIVE,
+        ];
+        // Near half-nanosecond ties, and their float neighbours.
+        for ns in [0u64, 1, 2, 3, 1_000_000, 123_456_789, 9_007_199_254] {
+            let tie = (ns as f64 + 0.5) / 1e9;
+            let below = f64::from_bits(tie.to_bits() - 1);
+            edges.extend([tie, below, f64::from_bits(tie.to_bits() + 1)]);
+        }
+        for t in edges {
+            let got = SimTime::from_secs_f64(t);
+            assert_eq!(got, inline(t), "t = {t:e}");
+            assert_eq!(got.0, Duration::from_secs_f64(t).as_ns(), "t = {t:e}");
+        }
+        assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
+        assert_eq!(SimTime::from_secs_f64(f64::MAX), SimTime::MAX);
     }
 
     #[test]
