@@ -19,7 +19,7 @@
 use crate::stress::CoreStress;
 use serde::{Deserialize, Serialize};
 
-/// Tunable weights of the criticality metric.
+/// Weights of the criticality metric's two pressures.
 ///
 /// # Examples
 ///
@@ -39,41 +39,29 @@ pub struct CriticalityModel {
     pub stress_weight: f64,
     /// Weight of the staleness-pressure term.
     pub time_weight: f64,
-    /// Target test period, seconds: a core at reference wear should be
-    /// tested about this often.
-    pub target_period: f64,
-    /// Damage a reference core accumulates per second (normalises the
-    /// stress term); matches [`crate::model::AgingModel::base_rate`].
-    pub reference_wear_rate: f64,
 }
 
 impl CriticalityModel {
+    /// Target test period, seconds: a core at reference wear should be
+    /// tested about this often.
+    pub const TARGET_PERIOD: f64 = 0.1;
+    /// Damage a reference core accumulates per second (normalises the
+    /// stress term); matches [`crate::model::AgingModel::base_rate`].
+    pub const REFERENCE_WEAR_RATE: f64 = 1.0;
+
     /// Creates a model with explicit weights.
     ///
     /// # Panics
     ///
-    /// Panics if any weight is negative, or `target_period` /
-    /// `reference_wear_rate` is not strictly positive.
-    pub fn new(
-        stress_weight: f64,
-        time_weight: f64,
-        target_period: f64,
-        reference_wear_rate: f64,
-    ) -> Self {
+    /// Panics if any weight is negative.
+    pub fn new(stress_weight: f64, time_weight: f64) -> Self {
         assert!(
             stress_weight >= 0.0 && time_weight >= 0.0,
             "weights must be non-negative"
         );
-        assert!(target_period > 0.0, "target period must be positive");
-        assert!(
-            reference_wear_rate > 0.0,
-            "reference wear rate must be positive"
-        );
         CriticalityModel {
             stress_weight,
             time_weight,
-            target_period,
-            reference_wear_rate,
         }
     }
 
@@ -82,9 +70,8 @@ impl CriticalityModel {
     /// A value of roughly 1 means "one target period worth of pressure has
     /// built up"; the scheduler's queue orders descending on this value.
     pub fn criticality(&self, stress: &CoreStress, now: f64) -> f64 {
-        let reference_damage_per_period = self.reference_wear_rate * self.target_period;
-        let stress_term = stress.damage_since_test / reference_damage_per_period;
-        let time_term = stress.time_since_test(now) / self.target_period;
+        let stress_term = stress.damage_since_test / REFERENCE_DAMAGE_PER_PERIOD;
+        let time_term = stress.time_since_test(now) / Self::TARGET_PERIOD;
         self.stress_weight * stress_term + self.time_weight * time_term
     }
 
@@ -92,18 +79,22 @@ impl CriticalityModel {
     /// `dt` seconds during which its `damage_since_test` grows by at most
     /// `damage`.
     ///
-    /// The staleness term grows by exactly `time_weight·dt/target_period`
+    /// The staleness term grows by exactly `time_weight·dt/TARGET_PERIOD`
     /// on every core, tested or not, and the stress term by at most
     /// `damage`'s share of it. A completed test only lowers criticality,
     /// so it cannot break the bound. This is what lets the test scheduler
     /// predict, for a core below its threshold, the earliest time the
     /// core can reach it.
     pub fn rise_bound(&self, dt: f64, damage: f64) -> f64 {
-        let reference_damage_per_period = self.reference_wear_rate * self.target_period;
-        self.stress_weight * (damage / reference_damage_per_period)
-            + self.time_weight * (dt / self.target_period)
+        self.stress_weight * (damage / REFERENCE_DAMAGE_PER_PERIOD)
+            + self.time_weight * (dt / Self::TARGET_PERIOD)
     }
 }
+
+/// The damage a reference core accumulates over one target period: the
+/// stress term's unit.
+const REFERENCE_DAMAGE_PER_PERIOD: f64 =
+    CriticalityModel::REFERENCE_WEAR_RATE * CriticalityModel::TARGET_PERIOD;
 
 impl Default for CriticalityModel {
     /// Balanced weights with a 100 ms target test period at unit
@@ -113,7 +104,7 @@ impl Default for CriticalityModel {
     /// deployments test every few seconds; the period is compressed ~20×
     /// so half-second simulations cover several test rounds.)
     fn default() -> Self {
-        CriticalityModel::new(0.6, 0.4, 0.1, 1.0)
+        CriticalityModel::new(0.6, 0.4)
     }
 }
 
@@ -167,25 +158,26 @@ mod tests {
     fn one_period_of_reference_wear_scores_about_one() {
         let m = CriticalityModel::default();
         // damage = reference rate × period, tested exactly one period ago.
-        let s = stressed(m.reference_wear_rate * m.target_period, 0.0);
-        let c = m.criticality(&s, m.target_period);
+        let s = stressed(REFERENCE_DAMAGE_PER_PERIOD, 0.0);
+        let c = m.criticality(&s, CriticalityModel::TARGET_PERIOD);
         assert!((c - (m.stress_weight + m.time_weight)).abs() < 1e-12);
     }
 
     #[test]
     fn weights_steer_the_metric() {
-        let stress_only = CriticalityModel::new(1.0, 0.0, 1.0, 1.0);
-        let time_only = CriticalityModel::new(0.0, 1.0, 1.0, 1.0);
-        let s = stressed(5.0, 0.0);
-        assert_eq!(stress_only.criticality(&s, 100.0), 5.0);
-        assert_eq!(time_only.criticality(&s, 100.0), 100.0);
+        let stress_only = CriticalityModel::new(1.0, 0.0);
+        let time_only = CriticalityModel::new(0.0, 1.0);
+        // Half a period's reference damage, two periods ago.
+        let s = stressed(0.05, 0.0);
+        assert_eq!(stress_only.criticality(&s, 0.2), 0.5);
+        assert_eq!(time_only.criticality(&s, 0.2), 2.0);
     }
 
     #[test]
     fn never_tested_core_counts_from_origin() {
-        let m = CriticalityModel::new(0.0, 1.0, 1.0, 1.0);
+        let m = CriticalityModel::new(0.0, 1.0);
         let never = CoreStress::default();
-        assert_eq!(m.criticality(&never, 7.0), 7.0);
+        assert_eq!(m.criticality(&never, 0.8), 8.0);
     }
 
     #[test]
@@ -211,14 +203,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "target period")]
-    fn zero_period_panics() {
-        CriticalityModel::new(1.0, 1.0, 0.0, 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_weight_panics() {
-        CriticalityModel::new(-0.1, 1.0, 1.0, 1.0);
+        CriticalityModel::new(-0.1, 1.0);
     }
 }

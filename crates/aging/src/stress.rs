@@ -70,7 +70,7 @@ pub struct EpochWear {
 /// use manytest_aging::prelude::*;
 ///
 /// let aging = AgingModel::default();
-/// let mut tracker = StressTracker::new(4, 0.1);
+/// let mut tracker = StressTracker::new(4);
 /// // Core 0 drew 1.5 W through a whole 1 ms epoch; the others idled.
 /// let mut energy = [1.5e-3, 0.0, 0.0, 0.0];
 /// let mut busy = [1e-3, 0.0, 0.0, 0.0];
@@ -81,25 +81,22 @@ pub struct EpochWear {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StressTracker {
     cores: Vec<CoreStress>,
-    ema_alpha: f64,
 }
 
 impl StressTracker {
-    /// Creates a tracker for `core_count` cores with utilisation EMA
-    /// smoothing factor `ema_alpha` (weight of the newest epoch).
+    /// Smoothing factor of the utilisation average: the weight of the
+    /// newest epoch.
+    pub const EMA_ALPHA: f64 = 0.1;
+
+    /// Creates a tracker for `core_count` cores.
     ///
     /// # Panics
     ///
-    /// Panics if `core_count` is zero or `ema_alpha` is outside `(0, 1]`.
-    pub fn new(core_count: usize, ema_alpha: f64) -> Self {
+    /// Panics if `core_count` is zero.
+    pub fn new(core_count: usize) -> Self {
         assert!(core_count > 0, "need at least one core");
-        assert!(
-            ema_alpha > 0.0 && ema_alpha <= 1.0,
-            "EMA alpha must be in (0,1]"
-        );
         StressTracker {
             cores: vec![CoreStress::default(); core_count],
-            ema_alpha,
         }
     }
 
@@ -121,7 +118,7 @@ impl StressTracker {
     ) {
         assert_busy_fraction(busy);
         let damage = aging.damage(power, dt);
-        Self::charge_epoch(&mut self.cores[core], self.ema_alpha, damage, busy);
+        Self::charge_epoch(&mut self.cores[core], damage, busy);
     }
 
     /// Records one epoch for every core from its raw accumulators, then
@@ -173,7 +170,7 @@ impl StressTracker {
                 let damage = *gated_damage.get_or_insert_with(|| aging.damage(0.0, dt));
                 while i < n && gated(energy[i], busy[i]) {
                     let c = &mut self.cores[i];
-                    Self::charge_epoch(c, self.ema_alpha, damage, 0.0);
+                    Self::charge_epoch(c, damage, 0.0);
                     utilization += c.utilization;
                     i += 1;
                 }
@@ -184,7 +181,7 @@ impl StressTracker {
             let power = energy[i] / dt;
             assert_busy_fraction(busy_fraction);
             let damage = memo.get_or_eval(power, |p| aging.damage(p, dt));
-            Self::charge_epoch(c, self.ema_alpha, damage, busy_fraction);
+            Self::charge_epoch(c, damage, busy_fraction);
             busy[i] = 0.0;
             energy[i] = 0.0;
             utilization += c.utilization;
@@ -202,10 +199,10 @@ impl StressTracker {
 
     /// Charges one epoch's `damage` to `c` and folds `busy` into its
     /// utilisation average.
-    fn charge_epoch(c: &mut CoreStress, ema_alpha: f64, damage: f64, busy: f64) {
+    fn charge_epoch(c: &mut CoreStress, damage: f64, busy: f64) {
         c.total_damage += damage;
         c.damage_since_test += damage;
-        c.utilization = (1.0 - ema_alpha) * c.utilization + ema_alpha * busy;
+        c.utilization = (1.0 - Self::EMA_ALPHA) * c.utilization + Self::EMA_ALPHA * busy;
     }
 
     /// Records one epoch like [`Self::record_epoch`], but with the
@@ -229,7 +226,7 @@ impl StressTracker {
         assert_busy_fraction(busy);
         assert!(dt >= 0.0, "time must be non-negative");
         let damage = aging.base_rate * aging.acceleration_at(temperature) * dt;
-        Self::charge_epoch(&mut self.cores[core], self.ema_alpha, damage, busy);
+        Self::charge_epoch(&mut self.cores[core], damage, busy);
     }
 
     /// [`Self::record_epoch_all`] for the transient thermal path: core
@@ -266,7 +263,7 @@ impl StressTracker {
             assert_busy_fraction(busy);
             let damage =
                 memo.get_or_eval(temperature, |t| aging.base_rate * arrhenius.at(t) * dt);
-            Self::charge_epoch(c, self.ema_alpha, damage, busy);
+            Self::charge_epoch(c, damage, busy);
             *b = 0.0;
             *e = 0.0;
             utilization += c.utilization;
@@ -356,7 +353,7 @@ mod tests {
     use manytest_sim::SimRng;
 
     fn tracker() -> (AgingModel, StressTracker) {
-        (AgingModel::default(), StressTracker::new(4, 0.2))
+        (AgingModel::default(), StressTracker::new(4))
     }
 
     #[test]
@@ -373,11 +370,11 @@ mod tests {
     #[test]
     fn utilization_ema_converges() {
         let (aging, mut t) = tracker();
-        for _ in 0..100 {
+        for _ in 0..200 {
             t.record_epoch(0, &aging, 0.5, 1.0, 0.001);
         }
         assert!((t.core(0).utilization - 1.0).abs() < 1e-6);
-        for _ in 0..100 {
+        for _ in 0..200 {
             t.record_epoch(0, &aging, 0.0, 0.0, 0.001);
         }
         assert!(t.core(0).utilization < 1e-6);
@@ -410,9 +407,9 @@ mod tests {
     #[test]
     fn mean_utilization_averages() {
         let (aging, mut t) = tracker();
-        // Single epoch with alpha 0.2: util = 0.2 on one of four cores.
+        // Single epoch with alpha 0.1: util = 0.1 on one of four cores.
         t.record_epoch(0, &aging, 0.0, 1.0, 0.001);
-        assert!((t.mean_utilization() - 0.05).abs() < 1e-12);
+        assert!((t.mean_utilization() - 0.025).abs() < 1e-12);
     }
 
     #[test]
@@ -425,13 +422,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one core")]
     fn zero_cores_panics() {
-        StressTracker::new(0, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "EMA alpha")]
-    fn bad_alpha_panics() {
-        StressTracker::new(1, 0.0);
+        StressTracker::new(0);
     }
 
     #[test]
@@ -518,7 +509,7 @@ mod tests {
         let mut rng = SimRng::seed_from(2024);
         let aging = AgingModel::default();
         for n in [1, 2, 7, 64, 333, 4096] {
-            let mut fast = StressTracker::new(n, 0.1);
+            let mut fast = StressTracker::new(n);
             let mut slow = fast.clone();
             for epoch in 0..20 {
                 let shape = Shape::of_epoch(epoch);
@@ -558,7 +549,7 @@ mod tests {
         let mut rng = SimRng::seed_from(2025);
         let aging = AgingModel::default();
         for n in [1, 2, 7, 64, 333, 4096] {
-            let mut fast = StressTracker::new(n, 0.1);
+            let mut fast = StressTracker::new(n);
             let mut slow = fast.clone();
             for epoch in 0..20 {
                 let shape = Shape::of_epoch(epoch);
@@ -603,14 +594,14 @@ mod tests {
     #[should_panic(expected = "busy fraction")]
     fn record_epoch_all_zero_dt_panics_on_busy_fraction() {
         // `dt = 0` skips the gated fast path: `0 / 0` is NaN, as before.
-        let mut t = StressTracker::new(4, 0.1);
+        let mut t = StressTracker::new(4);
         t.record_epoch_all(&AgingModel::default(), &mut [0.0; 4], &mut [0.0; 4], 0.0);
     }
 
     #[test]
     #[should_panic(expected = "busy fraction")]
     fn record_epoch_all_at_temperature_zero_dt_panics_on_busy_fraction() {
-        let mut t = StressTracker::new(2, 0.1);
+        let mut t = StressTracker::new(2);
         t.record_epoch_all_at_temperature(
             &AgingModel::default(),
             &[320.0; 2],
@@ -623,7 +614,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power must be non-negative")]
     fn negative_energy_after_memo_hits_panics() {
-        let mut t = StressTracker::new(4, 0.1);
+        let mut t = StressTracker::new(4);
         let mut energy = [0.0, 0.0, 0.0, -1e-3];
         t.record_epoch_all(&AgingModel::default(), &mut energy, &mut [0.0; 4], DT);
     }
@@ -631,7 +622,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power must be non-negative")]
     fn nan_energy_after_memo_hits_panics() {
-        let mut t = StressTracker::new(4, 0.1);
+        let mut t = StressTracker::new(4);
         let mut energy = [1e-3, 1e-3, 1e-3, f64::NAN];
         t.record_epoch_all(&AgingModel::default(), &mut energy, &mut [0.0; 4], DT);
     }
@@ -639,7 +630,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "absolute temperature must be positive")]
     fn nan_temperature_after_memo_hits_panics() {
-        let mut t = StressTracker::new(3, 0.1);
+        let mut t = StressTracker::new(3);
         let temps = [320.0, 320.0, f64::NAN];
         t.record_epoch_all_at_temperature(
             &AgingModel::default(),

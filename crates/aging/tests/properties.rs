@@ -70,8 +70,7 @@ fn tracker_utilization_stays_in_unit_interval() {
     for seed in 0..96 {
         let mut rng = SimRng::seed_from(seed);
         let epochs = 1 + rng.gen_range(199);
-        let alpha = rng.gen_f64_range(0.01, 1.0);
-        let mut tracker = StressTracker::new(1, alpha);
+        let mut tracker = StressTracker::new(1);
         for _ in 0..epochs {
             let power = rng.gen_f64_range(0.0, 2.0);
             let busy = rng.gen_f64_range(0.0, 1.0);
@@ -88,7 +87,7 @@ fn damage_since_test_never_exceeds_total() {
     let aging = AgingModel::default();
     for seed in 0..96 {
         let mut rng = SimRng::seed_from(seed);
-        let mut tracker = StressTracker::new(1, 0.2);
+        let mut tracker = StressTracker::new(1);
         let mut t = 0.0;
         for _ in 0..1 + rng.gen_range(99) {
             let power = rng.gen_f64_range(0.0, 2.0);
@@ -116,7 +115,7 @@ fn test_completion_resets_criticality_pressure() {
         let mut rng = SimRng::seed_from(seed);
         let damage = rng.gen_f64_range(0.1, 10.0);
         let now = rng.gen_f64_range(0.1, 10.0);
-        let mut tracker = StressTracker::new(1, 0.2);
+        let mut tracker = StressTracker::new(1);
         // Build up damage proportional to the drawn value: 1 W, busy
         // throughout, for `damage` seconds.
         tracker.record_epoch_all(&aging, &mut [damage], &mut [damage], damage);

@@ -113,7 +113,7 @@ pub fn a2_criticality_weights(scale: Scale, jobs: usize) -> Vec<A2Row> {
                 .seed(91)
                 .sim_time_ms(ms)
                 .arrival_rate(2_000.0)
-                .criticality(CriticalityModel::new(w_stress, w_time, 0.1, 1.0));
+                .criticality(CriticalityModel::new(w_stress, w_time));
             crate::runner::run_system(builder)
         });
     }

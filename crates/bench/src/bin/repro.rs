@@ -50,8 +50,8 @@
 //! misplaced or retired name never silently changes what runs. `--jobs`
 //! is read by the table runs and `regress`, `--quick` by every command
 //! but `regress` (which always runs at quick scale), `--events` by the
-//! table runs, `--out` by `report` and `trace`, `--grids` and `--grid` by
-//! `bench kernels`, `--seed2` by `diff` and `--inject-drift` by `regress`.
+//! table runs, `--out` by `report` and `trace`, `--grids` by `bench
+//! kernels`, `--seed2` by `diff` and `--inject-drift` by `regress`.
 
 use manytest_bench::diff::{run_diff, DiffTarget};
 use manytest_bench::events::{explain, write_event_logs, PROBE_IDS};
@@ -80,7 +80,7 @@ struct Timing {
 const SWITCHES: [&str; 2] = ["--quick", "--inject-drift"];
 
 /// Flags that take a value, as `--flag VALUE` or `--flag=VALUE`.
-const VALUE_FLAGS: [&str; 6] = ["--jobs", "--events", "--out", "--grids", "--grid", "--seed2"];
+const VALUE_FLAGS: [&str; 5] = ["--jobs", "--events", "--out", "--grids", "--seed2"];
 
 /// The subcommands, named by the first positional word. Any other
 /// command line runs experiment tables.
@@ -88,13 +88,12 @@ const SUBCOMMANDS: [&str; 6] = ["explain", "report", "trace", "diff", "regress",
 
 /// Flags that only some commands read, with those commands (`tables` is
 /// the experiment-table run).
-const FLAG_READERS: [(&str, &[&str]); 8] = [
+const FLAG_READERS: [(&str, &[&str]); 7] = [
     ("--jobs", &["tables", "regress"]),
     ("--quick", &["tables", "explain", "report", "trace", "diff", "bench"]),
     ("--events", &["tables"]),
     ("--out", &["report", "trace"]),
     ("--grids", &["bench"]),
-    ("--grid", &["bench"]),
     ("--seed2", &["diff"]),
     ("--inject-drift", &["regress"]),
 ];
@@ -188,26 +187,26 @@ impl<'a> Args<'a> {
         self.switches.contains(&switch)
     }
 
-    /// The value given last to any of `flags`.
-    fn value(&self, flags: &[&str]) -> Option<&'a str> {
+    /// The value given last to `flag`.
+    fn value(&self, flag: &str) -> Option<&'a str> {
         self.values
             .iter()
             .rev()
-            .find(|(f, _)| flags.contains(f))
+            .find(|&&(f, _)| f == flag)
             .map(|&(_, v)| v)
     }
 
     /// `flag`'s value parsed as `T`. Exits 2 on a malformed value, saying
     /// what the flag wants.
     fn parsed<T: std::str::FromStr>(&self, flag: &str, wants: &str) -> Option<T> {
-        let raw = self.value(&[flag])?;
+        let raw = self.value(flag)?;
         let parsed = raw.parse().ok();
         Some(parsed.unwrap_or_else(|| usage_error(&format!("{flag} wants {wants}, got '{raw}'"))))
     }
 }
 
-/// `--grids 8,16,32` or `--grid 64`: a list of mesh edges >= 2. Exits 2
-/// on a malformed list.
+/// `--grids 8,16,32`: a list of mesh edges >= 2. Exits 2 on a malformed
+/// list.
 fn parse_grids(list: &str) -> Vec<u16> {
     let grids: Result<Vec<u16>, _> = list.split(',').map(|g| g.trim().parse::<u16>()).collect();
     match grids {
@@ -263,8 +262,8 @@ fn main() {
         .filter(|&n| n > 0)
         .unwrap_or_else(default_jobs);
     let positional = &args.positional;
-    let events_dir = args.value(&["--events"]).map(PathBuf::from);
-    let out_dir = args.value(&["--out"]).map(PathBuf::from);
+    let events_dir = args.value("--events").map(PathBuf::from);
+    let out_dir = args.value("--out").map(PathBuf::from);
 
     // `repro explain <id>`: one probe, human-readable decision timeline.
     if positional.first() == Some(&"explain") {
@@ -373,16 +372,16 @@ fn main() {
         std::process::exit(if ok { 0 } else { 1 });
     }
 
-    // `repro bench kernels [--grids 8,16,32,64 | --grid N]`: the
+    // `repro bench kernels [--grids 8,16,32,64]`: the
     // control-loop scaling sweep. The stdout table carries only the
     // deterministic phase-profile counters; wall-clock lands on stderr
     // and in BENCH_kernels.json.
     if positional.first() == Some(&"bench") {
         if positional.get(1) != Some(&"kernels") {
-            eprintln!("usage: repro bench kernels [--grids N,N,...] [--grid N] [--quick]");
+            eprintln!("usage: repro bench kernels [--grids N,N,...] [--quick]");
             std::process::exit(2);
         }
-        let grids = args.value(&["--grids", "--grid"]).map(parse_grids).unwrap_or_else(|| {
+        let grids = args.value("--grids").map(parse_grids).unwrap_or_else(|| {
             if quick {
                 QUICK_GRIDS.to_vec()
             } else {

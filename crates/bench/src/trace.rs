@@ -12,7 +12,8 @@
 //! stream — no wall-clock, no worker-count-dependent state — so the file
 //! is byte-identical across reruns (CI diffs two).
 //!
-//! Schema (checked by `manytest-lint`'s golden-schema rule):
+//! Schema (this module's tests check it on the e3, e11 and e12 quick
+//! probes' exports):
 //! * every entry has `name`, `ph`, `ts`, `pid`, `tid`;
 //! * `ph` is one of `M` (metadata), `X` (duration, with `dur`), `i`
 //!   (instant, with `s`), `s`/`f` (flow start/finish, with `id`);
@@ -237,6 +238,91 @@ mod tests {
     use super::*;
     use manytest_sim::emit_record;
 
+    /// Minimal Chrome trace-event schema validation, exploiting the
+    /// writer's line-oriented layout (one entry per line inside `[` … `]`).
+    /// Returns `(line, message)` pairs. Not a JSON parser: CI's trace
+    /// smoke loads an export with Python's `json.load`.
+    fn validate_perfetto(text: &str) -> Vec<(u32, String)> {
+        let mut errors = Vec::new();
+        let mut flow_starts: Vec<String> = Vec::new();
+        let mut flow_ends: Vec<String> = Vec::new();
+        let trimmed = text.trim();
+        if !trimmed.starts_with('[') || !trimmed.ends_with(']') {
+            return vec![(1, "trace is not a JSON array".into())];
+        }
+        for (idx, raw) in text.lines().enumerate() {
+            let line_no = (idx + 1) as u32;
+            let entry = raw.trim().trim_end_matches(',');
+            if entry.is_empty() || entry == "[" || entry == "]" {
+                continue;
+            }
+            if !entry.starts_with('{') || !entry.ends_with('}') {
+                errors.push((line_no, "trace entry is not one object per line".into()));
+                continue;
+            }
+            let field = |name: &str| -> Option<String> {
+                let pat = format!("\"{name}\":");
+                let start = entry.find(&pat)? + pat.len();
+                let rest = &entry[start..];
+                Some(if let Some(quoted) = rest.strip_prefix('"') {
+                    quoted.chars().take_while(|&c| c != '"').collect()
+                } else {
+                    rest.chars().take_while(|&c| c != ',' && c != '}').collect()
+                })
+            };
+            for required in ["name", "ph", "pid", "tid"] {
+                if field(required).is_none() {
+                    errors.push((line_no, format!("trace entry is missing `{required}`")));
+                }
+            }
+            let Some(ph) = field("ph") else { continue };
+            match ph.as_str() {
+                "M" => {}
+                "X" => {
+                    if field("dur").is_none() {
+                        errors.push((line_no, "duration slice (`ph`:`X`) is missing `dur`".into()));
+                    }
+                }
+                "i" => {} // instants only need the shared `ts` check below
+                "s" | "f" => match field("id") {
+                    Some(id) => {
+                        if ph == "s" {
+                            flow_starts.push(id);
+                        } else {
+                            if field("bp") != Some("e".into()) {
+                                errors.push((
+                                    line_no,
+                                    "flow finish (`ph`:`f`) is missing `\"bp\":\"e\"`".into(),
+                                ));
+                            }
+                            flow_ends.push(id);
+                        }
+                    }
+                    None => {
+                        errors.push((line_no, format!("flow event (`ph`:`{ph}`) is missing `id`")))
+                    }
+                },
+                other => errors.push((line_no, format!("unknown trace phase letter `{other}`"))),
+            }
+            if ph != "M" && field("ts").is_none() {
+                errors.push((line_no, format!("`ph`:`{ph}` entry is missing `ts`")));
+            }
+        }
+        flow_starts.sort();
+        flow_ends.sort();
+        if flow_starts != flow_ends {
+            errors.push((
+                1,
+                format!(
+                    "flow starts and finishes do not pair up ({} starts, {} finishes)",
+                    flow_starts.len(),
+                    flow_ends.len()
+                ),
+            ));
+        }
+        errors
+    }
+
     fn sample_report() -> Report {
         let mut r = Report::default();
         let mut next_id = 0;
@@ -313,6 +399,41 @@ mod tests {
         assert!(json.contains("\"name\":\"phase: pid\""));
         // No trailing comma before the closing bracket.
         assert!(!json.contains(",\n]"));
+        assert_eq!(validate_perfetto(&json), []);
+    }
+
+    #[test]
+    fn validate_perfetto_flags_malformed_entries_and_unpaired_flows() {
+        // An unmatched flow start, an X slice without dur, and a bogus
+        // phase letter; the well-formed entries draw no findings.
+        let text = "[\n\
+            {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"p\"}},\n\
+            {\"name\":\"FaultActivated\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"ts\":100.000,\"pid\":1,\"tid\":103,\"args\":{\"core\":3}},\n\
+            {\"name\":\"TestLaunched\",\"cat\":\"session\",\"ph\":\"X\",\"ts\":150.000,\"pid\":1,\"tid\":103},\n\
+            {\"name\":\"activation\",\"cat\":\"cause\",\"ph\":\"s\",\"id\":2,\"ts\":100.000,\"pid\":1,\"tid\":103},\n\
+            {\"name\":\"oops\",\"ph\":\"q\",\"ts\":1.000,\"pid\":1,\"tid\":1}\n\
+            ]\n";
+        let findings = validate_perfetto(text);
+        let lines: Vec<u32> = findings.iter().map(|&(line, _)| line).collect();
+        assert_eq!(lines, [4, 6, 1], "{findings:?}");
+        assert!(findings[0].1.contains("missing `dur`"), "{findings:?}");
+        assert!(
+            findings[1].1.contains("unknown trace phase letter `q`"),
+            "{findings:?}"
+        );
+        assert!(findings[2].1.contains("do not pair up"), "{findings:?}");
+    }
+
+    #[test]
+    fn quick_probe_traces_match_the_perfetto_schema() {
+        for id in ["e3", "e11", "e12"] {
+            let (report, json) = run_trace(id, Scale::Quick).expect("a probe id");
+            assert_eq!(validate_perfetto(&json), [], "{id}");
+            let flows = json.matches("\"ph\":\"s\"").count();
+            let links = ProvenanceGraph::build(report.events.events()).edge_count();
+            assert!(flows > 0, "{id}: no flow arrows");
+            assert_eq!(flows, links, "{id}: one arrow per resolvable cause link");
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn regress_gate_passes_clean_and_fails_on_injected_drift() {
 
 #[test]
 fn unknown_flags_are_rejected_by_name() {
-    for flag in ["--ledger", "--progress"] {
+    for flag in ["--ledger", "--progress", "--grid"] {
         let out = repro(&["e3", "--quick", flag]);
         assert_eq!(
             out.status.code(),

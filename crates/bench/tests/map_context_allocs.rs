@@ -116,14 +116,6 @@ fn map_context_allocates_nothing_after_the_first_tick() {
     let session = TestSession::new(RoutineId(0), VfLevel(0), 100, 1.0e9, 0.0);
     let mut budget = PowerBudget::new(10.0);
     let reservation = budget.reserve(1.0).expect("budget has headroom");
-    // Warm the dirty list to its full-mesh high-water capacity, then
-    // drain it. (advance_generation's debug-build consistency assert
-    // rebuilds the views, which allocates — warmup absorbs that too.)
-    for core in 0..n {
-        store.set_owner(core, Some((AppId(0), TaskId(0))));
-        store.set_owner(core, None);
-    }
-    store.advance_generation();
 
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     for tick in 0..1_000usize {
@@ -146,7 +138,7 @@ fn map_context_allocates_nothing_after_the_first_tick() {
             store.mappable_count(),
             store.testing_count(),
             store.testable_words().len(),
-            store.dirty_cores().len(),
+            store.dirty_marks(),
             visited,
         ));
     }
@@ -154,8 +146,8 @@ fn map_context_allocates_nothing_after_the_first_tick() {
     assert_eq!(
         allocations, 0,
         "CoreStore heap-allocated {allocations} times across 1000 warm \
-         mutate/scan rounds; a maintained view or the dirty list is \
-         reallocating on the hot path"
+         mutate/scan rounds; a maintained view is reallocating on the \
+         hot path"
     );
 
     // The incremental free-set path: admissions patch the map context in

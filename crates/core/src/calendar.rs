@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn a_core_that_cannot_rise_sleeps_until_a_raise() {
         // Stress-only weights and no wear yet: criticality cannot grow.
-        let model = CriticalityModel::new(1.0, 0.0, 0.1, 1.0);
+        let model = CriticalityModel::new(1.0, 0.0);
         let mut c = WakeCalendar::new(model, 0.5, DT, Some(0.0));
         c.ensure_len(1);
         assert!(!c.offer(0, 0.0, true));

@@ -84,15 +84,17 @@ pub struct SystemConfig {
     pub arrival_rate: f64,
     /// Online testing enabled at all (off = the "no test" baseline).
     pub testing_enabled: bool,
-    /// Test scheduler tuning. Its `ladder_levels` sizes the one DVFS
-    /// ladder of the run: admission, testing and the windowed-fault
-    /// level draw all use it.
+    /// The test scheduler's fixed-level ablation switch. The threshold,
+    /// launch cap, SBST IPC and ladder size are constants of
+    /// `manytest_sbst`; [`manytest_sbst::LADDER_LEVELS`] sizes the one
+    /// DVFS ladder of the run (admission, testing and the windowed-fault
+    /// level draw).
     pub test_scheduler: TestSchedulerConfig,
     /// Governor choice.
     pub governor: GovernorKind,
     /// Mapper choice.
     pub mapper: MapperKind,
-    /// Criticality metric parameters.
+    /// Criticality metric weights.
     pub criticality: CriticalityModel,
     /// Number of latent faults to inject, spread uniformly over the first
     /// half of the run (0 = none).

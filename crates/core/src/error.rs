@@ -11,8 +11,6 @@ pub enum BuildError {
     HorizonTooShort,
     /// The arrival rate is not strictly positive and finite.
     InvalidArrivalRate,
-    /// Fewer than two DVFS levels were requested.
-    TooFewDvfsLevels,
     /// The mesh edge override is zero.
     ZeroMesh,
     /// A fault-injection fraction or rate is NaN or outside `[0, 1]`.
@@ -25,8 +23,8 @@ pub enum BuildError {
     /// Faults were requested but the horizon is zero, so no injection
     /// time exists (faults spread over the first half of the run).
     FaultsNeedHorizon,
-    /// A criticality-metric or test-scheduler setting is NaN, infinite
-    /// or out of range.
+    /// A criticality weight is NaN, infinite or negative, or the fixed
+    /// test level lies outside the ladder.
     InvalidSchedulerSetting {
         /// The offending configuration field.
         field: &'static str,
@@ -46,7 +44,6 @@ impl fmt::Display for BuildError {
             BuildError::InvalidArrivalRate => {
                 write!(f, "arrival rate must be positive and finite")
             }
-            BuildError::TooFewDvfsLevels => write!(f, "need at least two DVFS levels"),
             BuildError::ZeroMesh => write!(f, "mesh edge must be positive"),
             BuildError::InvalidFaultFraction { field, value } => {
                 write!(f, "{field} must be a probability in [0,1], got {value}")
@@ -74,7 +71,6 @@ mod tests {
         for e in [
             BuildError::HorizonTooShort,
             BuildError::InvalidArrivalRate,
-            BuildError::TooFewDvfsLevels,
             BuildError::ZeroMesh,
             BuildError::InvalidFaultFraction {
                 field: "vf_windowed_fault_fraction",
@@ -82,9 +78,9 @@ mod tests {
             },
             BuildError::FaultsNeedHorizon,
             BuildError::InvalidSchedulerSetting {
-                field: "test_scheduler.ipc",
-                value: 0.0,
-                requirement: "finite and positive",
+                field: "criticality.time_weight",
+                value: -1.0,
+                requirement: "finite and non-negative",
             },
         ] {
             let s = e.to_string();

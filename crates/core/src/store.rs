@@ -23,13 +23,14 @@
 //!   share one wear history, so the schedule phase ranks them as one
 //!   class.
 //!
-//! A generation/dirty-set scheme stamps which cores changed policy-
-//! relevant state (mode, owner, session, health) since the last epoch
-//! boundary: every mutator funnels through `CoreStore::mark_dirty`,
-//! and [`CoreStore::advance_generation`] opens a fresh epoch without
+//! A generation scheme stamps which cores changed policy-relevant state
+//! (mode, owner, session, health) since the last epoch boundary: every
+//! mutator funnels through `CoreStore::mark_dirty`, and
+//! [`CoreStore::advance_generation`] opens a fresh epoch without
 //! touching the per-core stamps (the stamp comparison makes old marks
-//! stale implicitly). Consumers that cache per-core derived data can
-//! refresh only `dirty_cores()` instead of rescanning the mesh.
+//! stale implicitly). The stamps feed one deterministic work counter,
+//! [`CoreStore::dirty_marks`]: the distinct cores mutated per epoch,
+//! summed over the run.
 //!
 //! Every view is maintained incrementally and must stay equal to a from-
 //! scratch rebuild; [`CoreStore::rebuild_views`] computes the latter and
@@ -45,7 +46,7 @@ use manytest_workload::{AppId, TaskId};
 const WORD_BITS: usize = u64::BITS as usize;
 
 /// Hot per-core state as parallel flat arrays, plus incrementally
-/// maintained derived views and a generation/dirty-set.
+/// maintained derived views and per-epoch mutation stamps.
 ///
 /// Indexing any accessor with `core >= len()` panics, as slicing a
 /// `Vec<CoreSlot>` out of range always did; core ids come from the mesh
@@ -83,10 +84,9 @@ pub struct CoreStore {
     /// `never_powered` one, `words` each: one allocation for all three.
     bitsets: Vec<u64>,
     words: usize,
-    // --- generation / dirty set ---
+    // --- generation / mutation stamps ---
     generation: u64,
     dirty_stamp: Vec<u64>,
-    dirty: Vec<u32>,
     dirty_marks: u64,
 }
 
@@ -128,7 +128,6 @@ impl CoreStore {
             words,
             generation: 1,
             dirty_stamp: vec![0; n],
-            dirty: Vec::new(),
             dirty_marks: 0,
         }
     }
@@ -151,7 +150,7 @@ impl CoreStore {
     }
 
     /// Sets the mode of `core`, updating the testable, powered and
-    /// never-powered views and the dirty set.
+    /// never-powered views and the mutation stamp.
     #[inline]
     pub fn set_mode(&mut self, core: usize, mode: CoreMode) {
         self.mode[core] = mode;
@@ -363,26 +362,19 @@ impl CoreStore {
         }
     }
 
-    // --- generation / dirty set ---
+    // --- generation / mutation stamps ---
 
-    /// Cores whose policy state changed since the last
-    /// [`CoreStore::advance_generation`], in first-touch order, each at
-    /// most once.
-    pub fn dirty_cores(&self) -> &[u32] {
-        &self.dirty
-    }
-
-    /// Total dirty-set insertions over the run (a deterministic decision
-    /// counter: re-marking an already-dirty core does not count).
+    /// Cores whose policy state changed, counted once per epoch
+    /// (a deterministic decision counter: re-marking a core already
+    /// stamped in this epoch does not count).
     pub fn dirty_marks(&self) -> u64 {
         self.dirty_marks
     }
 
-    /// Closes the epoch: clears the dirty list and bumps the generation
-    /// so stale stamps age out implicitly (no per-core work).
+    /// Closes the epoch: bumps the generation so stale stamps age out
+    /// implicitly (no per-core work).
     pub fn advance_generation(&mut self) {
         debug_assert!(self.views_consistent(), "maintained views drifted from a rebuild");
-        self.dirty.clear();
         self.generation += 1;
     }
 
@@ -390,7 +382,6 @@ impl CoreStore {
     fn mark_dirty(&mut self, core: usize) {
         if self.dirty_stamp[core] != self.generation {
             self.dirty_stamp[core] = self.generation;
-            self.dirty.push(core as u32);
             self.dirty_marks += 1;
         }
     }
@@ -569,14 +560,12 @@ mod tests {
         store.set_mode(0, CoreMode::Idle(ladder_op()));
         store.set_mode(0, CoreMode::Busy(ladder_op()));
         store.set_owner(3, Some((AppId(1), TaskId(0))));
-        assert_eq!(store.dirty_cores(), &[0, 3]);
         assert_eq!(store.dirty_marks(), 2);
         store.advance_generation();
         assert_eq!(store.generation, 2);
-        assert!(store.dirty_cores().is_empty());
         // The same core dirties again in the new generation.
         store.set_mode(0, CoreMode::Off);
-        assert_eq!(store.dirty_cores(), &[0]);
+        store.set_owner(0, None);
         assert_eq!(store.dirty_marks(), 3);
     }
 

@@ -31,7 +31,7 @@ use manytest_power::{
 };
 use manytest_sbst::{
     CandidateClass, Fault, FaultLog, HealthBoard, RetestRequest, RoutineId, TestCandidate,
-    TestDenial, TestLaunch, TestScheduler, TestSession,
+    TestDenial, TestLaunch, TestScheduler, TestSession, CRITICALITY_THRESHOLD, LADDER_LEVELS,
 };
 use manytest_sim::{
     emit_record, AbortReason, CauseKind, CauseLink, CoreState, Epoch, EventId, EventLog,
@@ -343,17 +343,6 @@ impl std::fmt::Debug for System {
     }
 }
 
-/// The requirement `value` fails, if any: finite and positive, or finite
-/// and non-negative when `positive` is false.
-fn failed_requirement(value: f64, positive: bool) -> Option<&'static str> {
-    let in_range = if positive { value > 0.0 } else { value >= 0.0 };
-    match (value.is_finite() && in_range, positive) {
-        (true, _) => None,
-        (false, true) => Some("finite and positive"),
-        (false, false) => Some("finite and non-negative"),
-    }
-}
-
 impl System {
     fn new(config: SystemConfig, mix: WorkloadMix) -> Result<Self, BuildError> {
         for (field, value) in [
@@ -376,38 +365,28 @@ impl System {
         if !(config.arrival_rate > 0.0 && config.arrival_rate.is_finite()) {
             return Err(BuildError::InvalidArrivalRate);
         }
-        let levels = config.test_scheduler.ladder_levels;
-        if levels < 2 {
-            return Err(BuildError::TooFewDvfsLevels);
-        }
         // The criticality metric must stay finite and non-negative: the
         // mapper asserts that, the ranking panics on NaN, and the wake-up
         // calendar's bound assumes it.
         let crit = config.criticality;
-        let sched = config.test_scheduler;
-        for (field, value, positive) in [
-            ("criticality.stress_weight", crit.stress_weight, false),
-            ("criticality.time_weight", crit.time_weight, false),
-            ("criticality.target_period", crit.target_period, true),
-            ("criticality.reference_wear_rate", crit.reference_wear_rate, true),
-            ("test_scheduler.ipc", sched.ipc, true),
+        for (field, value) in [
+            ("criticality.stress_weight", crit.stress_weight),
+            ("criticality.time_weight", crit.time_weight),
         ] {
-            if let Some(requirement) = failed_requirement(value, positive) {
-                return Err(BuildError::InvalidSchedulerSetting { field, value, requirement });
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(BuildError::InvalidSchedulerSetting {
+                    field,
+                    value,
+                    requirement: "finite and non-negative",
+                });
             }
         }
-        if !sched.criticality_threshold.is_finite() {
-            return Err(BuildError::InvalidSchedulerSetting {
-                field: "test_scheduler.criticality_threshold",
-                value: sched.criticality_threshold,
-                requirement: "finite",
-            });
-        }
-        if let Some(level) = sched.fixed_level.filter(|&l| usize::from(l) >= levels) {
+        let sched = config.test_scheduler;
+        if let Some(level) = sched.fixed_level.filter(|&l| usize::from(l) >= LADDER_LEVELS) {
             return Err(BuildError::InvalidSchedulerSetting {
                 field: "test_scheduler.fixed_level",
                 value: f64::from(level),
-                requirement: "below test_scheduler.ladder_levels",
+                requirement: "below the number of DVFS levels",
             });
         }
         let params = config.node.params();
@@ -419,7 +398,7 @@ impl System {
         let n = mesh.node_count();
         let root = SimRng::seed_from(config.seed);
         let governor: Box<dyn PowerGovernor> = match config.governor {
-            GovernorKind::Pid => Box::new(PidController::default_tuning()),
+            GovernorKind::Pid => Box::new(PidController::default()),
             GovernorKind::Naive => Box::new(NaiveTdpPolicy::new()),
             GovernorKind::FixedTdp => Box::new(FixedCap),
         };
@@ -443,7 +422,7 @@ impl System {
             let at = rng_faults.next_f64() * config.horizon.as_secs_f64() * 0.5;
             let mut fault = if rng_faults.gen_bool(config.vf_windowed_fault_fraction) {
                 // Voltage-dependent: observable at exactly one level.
-                let level = manytest_power::VfLevel(rng_faults.gen_range(levels as u64) as u8);
+                let level = VfLevel(rng_faults.gen_range(LADDER_LEVELS as u64) as u8);
                 Fault::with_level_window(core, at, level, level)
             } else {
                 Fault::new(core, at)
@@ -465,13 +444,13 @@ impl System {
         Ok(System {
             mesh,
             model: PowerModel::for_node(config.node),
-            ladder: VfLadder::for_node(config.node, levels),
+            ladder: VfLadder::for_node(config.node, LADDER_LEVELS),
             budget: PowerBudget::new(params.tdp),
             governor,
             meter: PowerMeter::new(),
             aging,
             criticality: config.criticality,
-            stress: StressTracker::new(n, 0.1),
+            stress: StressTracker::new(n),
             scheduler,
             mapper,
             pending: VecDeque::new(),
@@ -499,7 +478,7 @@ impl System {
             profile: PhaseProfile::default(),
             calendar: WakeCalendar::new(
                 config.criticality,
-                config.test_scheduler.criticality_threshold,
+                CRITICALITY_THRESHOLD,
                 EPOCH.as_secs_f64(),
                 // A gated core's wear on the steady path: the wear pass
                 // charges it at 0 W.
@@ -800,20 +779,10 @@ impl System {
 mod tests {
     use super::*;
     use manytest_power::TechNode;
+    use manytest_sbst::MAX_LAUNCHES_PER_EPOCH;
 
     fn quick(node: TechNode) -> SystemBuilder {
         SystemBuilder::new(node).seed(11).sim_time_ms(160).arrival_rate(200.0)
-    }
-
-    /// `b` with its test-scheduler tuning adjusted, through the
-    /// `SystemConfig` the ablations build systems from.
-    fn with_scheduler(
-        b: SystemBuilder,
-        tune: impl FnOnce(&mut manytest_sbst::TestSchedulerConfig),
-    ) -> SystemBuilder {
-        let mut config = b.config().clone();
-        tune(&mut config.test_scheduler);
-        SystemBuilder::from_config(config)
     }
 
     #[test]
@@ -880,14 +849,8 @@ mod tests {
         cfg.horizon = manytest_sim::Duration::from_ms(100);
         cfg.arrival_rate = 0.0;
         assert_eq!(
-            SystemBuilder::from_config(cfg.clone()).build().err(),
-            Some(BuildError::InvalidArrivalRate)
-        );
-        cfg.arrival_rate = 10.0;
-        cfg.test_scheduler.ladder_levels = 1;
-        assert_eq!(
             SystemBuilder::from_config(cfg).build().err(),
-            Some(BuildError::TooFewDvfsLevels)
+            Some(BuildError::InvalidArrivalRate)
         );
     }
 
@@ -950,66 +913,33 @@ mod tests {
     }
 
     #[test]
-    fn zero_target_period_is_rejected() {
-        assert_rejects(|c| c.criticality.target_period = 0.0, "criticality.target_period");
-    }
-
-    #[test]
-    fn infinite_reference_wear_rate_is_rejected() {
-        assert_rejects(
-            |c| c.criticality.reference_wear_rate = f64::INFINITY,
-            "criticality.reference_wear_rate",
-        );
-    }
-
-    #[test]
-    fn nan_criticality_threshold_is_rejected() {
-        assert_rejects(
-            |c| c.test_scheduler.criticality_threshold = f64::NAN,
-            "test_scheduler.criticality_threshold",
-        );
-    }
-
-    #[test]
-    fn zero_ipc_is_rejected() {
-        assert_rejects(|c| c.test_scheduler.ipc = 0.0, "test_scheduler.ipc");
-    }
-
-    #[test]
     fn fixed_level_outside_the_ladder_is_rejected() {
         assert_rejects(|c| c.test_scheduler.fixed_level = Some(9), "test_scheduler.fixed_level");
         assert_rejects(
-            |c| c.test_scheduler.fixed_level = Some(c.test_scheduler.ladder_levels as u8),
+            |c| c.test_scheduler.fixed_level = Some(LADDER_LEVELS as u8),
             "test_scheduler.fixed_level",
         );
     }
 
     #[test]
     fn boundary_scheduler_settings_stay_valid() {
-        // A2's single-term weights, a zero threshold and the top level.
+        // A2's single-term weights and the top level.
         for (w_stress, w_time) in [(1.0, 0.0), (0.0, 1.0)] {
-            let model = CriticalityModel::new(w_stress, w_time, 0.1, 1.0);
+            let model = CriticalityModel::new(w_stress, w_time);
             assert!(quick(TechNode::N16).criticality(model).build().is_ok());
         }
         let mut cfg = SystemConfig::for_node(TechNode::N16);
-        cfg.test_scheduler.criticality_threshold = 0.0;
-        cfg.test_scheduler.fixed_level = Some(cfg.test_scheduler.ladder_levels as u8 - 1);
+        cfg.test_scheduler.fixed_level = Some(LADDER_LEVELS as u8 - 1);
         assert!(SystemBuilder::from_config(cfg).build().is_ok());
     }
 
     #[test]
     fn the_scheduler_ladder_sizes_the_platform_ladder() {
-        let builder = with_scheduler(quick(TechNode::N16), |s| s.ladder_levels = 3);
-        let r = builder.build().unwrap().run();
-        assert_eq!(r.tests_per_level.len(), 3, "one coverage column per level");
+        let system = quick(TechNode::N16).build().unwrap();
+        assert_eq!(system.ladder, *system.scheduler.ladder());
+        let r = system.run();
+        assert_eq!(r.tests_per_level.len(), LADDER_LEVELS, "one coverage column per level");
         assert!(r.tests_completed > 0);
-        assert_rejects(
-            |c| {
-                c.test_scheduler.ladder_levels = 3;
-                c.test_scheduler.fixed_level = Some(3);
-            },
-            "test_scheduler.fixed_level",
-        );
     }
 
     #[test]
@@ -1568,15 +1498,16 @@ mod tests {
     /// Whole runs across the configurations that move criticality in
     /// different ways. Every schedule call of every run checks the
     /// calendar against the full scan (`assert_matches_full_scan`); the
-    /// totals below make sure the runs reach the lanes that matter.
+    /// totals below make sure the runs reach the lanes that matter,
+    /// the launch cap among them.
     #[test]
     fn wake_calendar_matches_the_full_scan() {
         type Scenario = fn(SystemBuilder) -> SystemBuilder;
-        let scenarios: [(&str, Scenario); 12] = [
+        let scenarios: [(&str, Scenario); 9] = [
             ("steady", |b| b),
             ("transient", |b| b.transient_thermal(true).arrival_rate(2_000.0)),
-            ("stress-only", |b| b.criticality(CriticalityModel::new(1.0, 0.0, 0.1, 1.0))),
-            ("time-only", |b| b.criticality(CriticalityModel::new(0.0, 1.0, 0.1, 1.0))),
+            ("stress-only", |b| b.criticality(CriticalityModel::new(1.0, 0.0))),
+            ("time-only", |b| b.criticality(CriticalityModel::new(0.0, 1.0))),
             ("faults", |b| {
                 b.injected_faults(8).intermittent_faults(0.5).test_false_positives(0.05)
             }),
@@ -1587,23 +1518,26 @@ mod tests {
                     .fault_response(FaultResponsePolicy::MigrateRegion)
                     .probe_cadence_us(3_000)
             }),
-            ("fixed level", |b| with_scheduler(b, |s| s.fixed_level = Some(2))),
-            ("threshold 0", |b| with_scheduler(b, |s| s.criticality_threshold = 0.0)),
-            ("high threshold", |b| with_scheduler(b, |s| s.criticality_threshold = 1.5)),
-            ("launch cap 1", |b| with_scheduler(b, |s| s.max_launches_per_epoch = 1)),
+            // Through the `SystemConfig`, as A4 sets it.
+            ("fixed level", |b| {
+                let mut config = b.config().clone();
+                config.test_scheduler.fixed_level = Some(2);
+                SystemBuilder::from_config(config)
+            }),
             ("denials", |b| b.arrival_rate(6_000.0).governor(GovernorKind::Naive)),
             // Wear alone moves criticality, and gated tiles next to busy
             // ones run hotter than a gated core's steady-path wear: the
             // gated bound would wake them too late here.
             ("transient stress-only", |b| {
                 b.transient_thermal(true)
-                    .criticality(CriticalityModel::new(1.0, 0.0, 0.1, 1.0))
+                    .criticality(CriticalityModel::new(1.0, 0.0))
                     .arrival_rate(4_000.0)
                     .sim_time_ms(500)
             }),
         ];
         let mut rng = SimRng::seed_from(1717);
         let (mut denials, mut retests, mut probes, mut launches) = (0, 0, 0, 0);
+        let mut most_launches = 0;
         for (name, scenario) in scenarios {
             for _ in 0..2 {
                 let edge = [4u16, 6, 8, 12, 16][rng.gen_range(5) as usize];
@@ -1613,11 +1547,12 @@ mod tests {
                     .sim_time_ms(160 + rng.gen_range(240))
                     .arrival_rate(rng.gen_f64_range(100.0, 3_000.0));
                 let r = scenario(builder).build().expect("valid config").run();
-                assert!(r.tests_completed > 0 || name == "high threshold", "{name}, edge {edge}");
+                assert!(r.tests_completed > 0, "{name}, edge {edge}");
                 denials += r.tests_denied_power;
                 retests += r.confirmation_retests;
                 probes += r.probes_launched;
                 launches += r.profile.sched_launches;
+                most_launches = most_launches.max(r.profile.launches_high_water);
             }
         }
         // The largest mesh, short: steady and transient.
@@ -1632,8 +1567,10 @@ mod tests {
                 .expect("valid config")
                 .run();
             launches += r.profile.sched_launches;
+            most_launches = most_launches.max(r.profile.launches_high_water);
         }
         assert!(denials > 0, "some run must be denied power");
+        assert_eq!(most_launches, MAX_LAUNCHES_PER_EPOCH as u64, "the launch cap must bind");
         assert!(retests > 0, "some run must confirm a suspicion");
         assert!(probes > 0, "some run must probe a quarantined core");
         assert!(launches > 0);

@@ -184,7 +184,6 @@ impl System {
         if let Some(reservation) = reservation {
             self.budget.release(reservation);
         }
-        self.scheduler.on_session_aborted(core);
         self.report.tests_aborted += 1;
         let session_link = self.tel.session_cause[core]
             .take()
@@ -224,13 +223,12 @@ mod oracle {
             retests: &[RetestRequest],
             class: Option<f64>,
         ) {
-            let threshold = self.config.test_scheduler.criticality_threshold;
             let mut full = Vec::new();
             let mut full_retests = Vec::new();
             self.store.for_each_testable(|i| {
                 if self.health.is_healthy(i) {
                     let criticality = self.criticality.criticality(self.stress.core(i), now);
-                    if criticality >= threshold {
+                    if criticality >= CRITICALITY_THRESHOLD {
                         full.push((i, criticality.to_bits()));
                     }
                 } else if let Some(level) = self.health.suspect_level(i) {

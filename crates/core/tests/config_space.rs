@@ -4,14 +4,15 @@
 //!
 //! The draws cover mesh edges 0–24, invalid and extreme arrival rates,
 //! fault counts up to 10,000, probe and checkpoint cadences up to
-//! `u64::MAX` microseconds, DVFS ladders of 0–7 levels, and every
-//! policy, governor and mapper, at millisecond horizons. Fault-heavy
-//! draws quarantine, restart, migrate, checkpoint and re-admit, so the
-//! fuzz also drives the running-app table, the power ledger and the
-//! fault index through those lanes.
+//! `u64::MAX` microseconds, invalid and extreme criticality weights,
+//! fixed test levels in and outside the ladder, and every policy,
+//! governor and mapper, at millisecond horizons. Fault-heavy draws
+//! quarantine, restart, migrate, checkpoint and re-admit, so the fuzz
+//! also drives the running-app table, the power ledger and the fault
+//! index through those lanes.
 
+use manytest_aging::CriticalityModel;
 use manytest_core::prelude::*;
-use manytest_sbst::TestSchedulerConfig;
 use manytest_sim::SimRng;
 
 /// One of a few edge values, else a uniform draw below `bound`.
@@ -94,22 +95,19 @@ fn random_builder(rng: &mut SimRng) -> SystemBuilder {
     if rng.gen_bool(0.5) {
         b = b.probe_cadence_us(edgy_u64(rng, &big_us, 3_000));
     }
-    // A low threshold tests every idle core at once, so short runs reach
+    // A heavy staleness weight lifts every idle core over the test
+    // threshold within an epoch of its last test, so short runs reach
     // the detection, quarantine and re-admission lanes.
-    let threshold = match rng.gen_range(24) {
+    let time_weight = match rng.gen_range(24) {
         0 => f64::NAN,
         1 => f64::INFINITY,
-        2..=11 => 0.5,
-        _ => rng.gen_f64_range(-1.0, 0.1),
+        2 => -1.0,
+        3..=11 => 0.4,
+        _ => rng.gen_f64_range(50.0, 5_000.0),
     };
     let mut config = b.config().clone();
-    config.test_scheduler = TestSchedulerConfig {
-        criticality_threshold: threshold,
-        max_launches_per_epoch: edgy_u64(rng, &[0, 1, u64::MAX], 128) as usize,
-        fixed_level: rng.gen_bool(0.2).then(|| rng.gen_range(6) as u8),
-        ladder_levels: rng.gen_bool(0.2).then(|| rng.gen_range(8) as usize).unwrap_or(5),
-        ..TestSchedulerConfig::default()
-    };
+    config.criticality.time_weight = time_weight;
+    config.test_scheduler.fixed_level = rng.gen_bool(0.2).then(|| rng.gen_range(6) as u8);
     SystemBuilder::from_config(config)
 }
 
@@ -156,12 +154,14 @@ fn random_configs_build_or_run_with_a_clean_audit() {
 
 /// A solid fault fails every probation round, and with a zero cadence a
 /// quarantined core is re-probed at once, so in 400 ms one core fails
-/// more than 64 rounds. The backoff exponent keeps counting past 64,
-/// where a `u64` shift of the cadence multiplier would overflow, while
-/// the multiplier itself saturates at the lane's backoff cap.
+/// more than 64 rounds. The heavy staleness weight tests each idle core
+/// again within an epoch, so the faults are found early. The backoff
+/// exponent keeps counting past 64, where a `u64` shift of the cadence
+/// multiplier would overflow, while the multiplier itself saturates at
+/// the lane's backoff cap.
 #[test]
 fn backoff_past_64_failed_probation_rounds_runs_clean() {
-    let mut config = SystemBuilder::new(TechNode::N16)
+    let report = SystemBuilder::new(TechNode::N16)
         .mesh_edge(2)
         .seed(3)
         .sim_time_ms(400)
@@ -169,11 +169,8 @@ fn backoff_past_64_failed_probation_rounds_runs_clean() {
         .injected_faults(4)
         .fault_response(FaultResponsePolicy::Abort)
         .probe_cadence_us(0)
+        .criticality(CriticalityModel::new(0.6, 1_000.0))
         .capture_events(1 << 20)
-        .config()
-        .clone();
-    config.test_scheduler.criticality_threshold = -1.0;
-    let report = SystemBuilder::from_config(config)
         .build()
         .expect("valid config")
         .run();

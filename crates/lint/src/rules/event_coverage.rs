@@ -11,13 +11,21 @@
 //! audited is an invariant hole — deleting an audit arm must fail the
 //! lint, not just the runtime tests.
 //!
-//! The cause-link half reads `CauseKind::expected` in the obs file:
-//! every variant not named in `ROOT_KINDS` must appear as a *target*
-//! (the second `&[…]` group of an arm) somewhere in that table,
-//! otherwise the runtime validator would reject every emission of the
-//! kind — the lint fails closed at review time instead of at run time.
-//! Synthetic test workspaces whose obs file has no `fn expected` opt
-//! out of this half.
+//! The schema is found by declaration, wherever it lives in a non-test
+//! file under `crates/sim/src/`: the file that declares `enum SimEvent`
+//! holds the variants (and is left out of the construction scan), and
+//! `CauseKind::expected` and `const ROOT_KINDS` may sit in it or in a
+//! sibling. A workspace with the audit layer but no `SimEvent` is a
+//! finding, so moving or renaming the schema cannot silently turn the
+//! rule off. Synthetic workspaces without an audit file opt out of the
+//! variant halves.
+//!
+//! The cause-link half reads `CauseKind::expected`: every variant not
+//! named in `ROOT_KINDS` must appear as a *target* (the second `&[…]`
+//! group of an arm) somewhere in that table, otherwise the runtime
+//! validator would reject every emission of the kind — the lint fails
+//! closed at review time instead of at run time. Synthetic workspaces
+//! without a `CauseKind::expected` opt out of this half.
 //!
 //! The provenance half guards every non-test line under
 //! `crates/core/src/`, where the control loop lives (`system.rs` and
@@ -36,11 +44,12 @@ use super::Rule;
 use crate::diag::Finding;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{SourceFile, Workspace};
+use crate::symbols::extract_file;
 
 pub struct EventEmissionCoverage;
 
-/// Where the event enum lives.
-const OBS_FILE: &str = "crates/sim/src/obs.rs";
+/// Where the event schema lives, in any of its non-test files.
+const SIM_SRC: &str = "crates/sim/src/";
 /// Where every variant must be reconciled.
 const AUDIT_FILE: &str = "crates/core/src/audit.rs";
 /// The enum under the coverage contract.
@@ -68,18 +77,35 @@ impl Rule for EventEmissionCoverage {
         for file in ws.files.iter().filter(|f| f.rel_path.starts_with(CORE_SRC)) {
             check_emission_sites(self.id(), file, out);
         }
-        let Some(obs) = ws.file(OBS_FILE) else {
-            return; // nothing to cover (synthetic workspaces opt in)
+        let sim_files = || {
+            ws.files
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.rel_path.starts_with(SIM_SRC) && !f.is_test_file())
         };
-        let variants = enum_variants(obs, ENUM_NAME);
-        if variants.is_empty() {
+        let Some((_, schema)) = sim_files().find(|(_, f)| declares(f, "enum", ENUM_NAME)) else {
+            // Fail closed on the real tree: the audit layer reconciles
+            // a schema the rule can no longer find.
+            if ws.file(AUDIT_FILE).is_some() {
+                out.push(Finding {
+                    rule: self.id(),
+                    file: AUDIT_FILE.into(),
+                    line: 1,
+                    col: 1,
+                    message: format!("no non-test file under {SIM_SRC} declares `enum {ENUM_NAME}`"),
+                    rationale: "the rule finds the event schema by its declaration; a schema \
+                                that was renamed or moved leaves every variant unchecked, so \
+                                update ENUM_NAME or SIM_SRC with the code",
+                });
+            }
             return;
-        }
-        // Constructions anywhere outside obs.rs and audit.rs, in
-        // non-test code: `SimEvent` `::` `<Variant>`.
+        };
+        let variants = enum_variants(schema, ENUM_NAME);
+        // Constructions anywhere outside the schema file and audit.rs,
+        // in non-test code: `SimEvent` `::` `<Variant>`.
         let mut constructed: Vec<String> = Vec::new();
         for file in &ws.files {
-            if file.rel_path == OBS_FILE
+            if file.rel_path == schema.rel_path
                 || file.rel_path == AUDIT_FILE
                 || file.is_test_file()
             {
@@ -102,7 +128,7 @@ impl Rule for EventEmissionCoverage {
             if !constructed.iter().any(|c| *c == v.text) {
                 out.push(Finding {
                     rule: self.id(),
-                    file: obs.rel_path.clone(),
+                    file: schema.rel_path.clone(),
                     line: v.line,
                     col: v.col,
                     message: format!(
@@ -116,7 +142,7 @@ impl Rule for EventEmissionCoverage {
             if !audited.iter().any(|a| a == &v.text) {
                 out.push(Finding {
                     rule: self.id(),
-                    file: obs.rel_path.clone(),
+                    file: schema.rel_path.clone(),
                     line: v.line,
                     col: v.col,
                     message: format!(
@@ -131,8 +157,17 @@ impl Rule for EventEmissionCoverage {
         // Cause-link half: a non-root variant absent from the
         // `CauseKind::expected` target lists can never carry a typed
         // cause, so `validate_events` would reject every emission.
-        if let Some(targets) = cause_link_targets(obs) {
-            let roots = root_kind_strings(obs);
+        let table = sim_files().find_map(|(i, f)| {
+            let (fns, _) = extract_file(f, i);
+            let expected = fns.into_iter().find(|s| {
+                !s.is_test && s.owner.as_deref() == Some("CauseKind") && s.name == "expected"
+            })?;
+            Some((f, expected.body?))
+        });
+        if let Some((file, body)) = table {
+            let targets = cause_link_targets(file, body);
+            let roots: Vec<String> =
+                sim_files().flat_map(|(_, f)| root_kind_strings(f)).collect();
             for v in &variants {
                 if roots.iter().any(|r| r == &v.text)
                     || targets.iter().any(|t| t == &v.text)
@@ -141,7 +176,7 @@ impl Rule for EventEmissionCoverage {
                 }
                 out.push(Finding {
                     rule: self.id(),
-                    file: obs.rel_path.clone(),
+                    file: schema.rel_path.clone(),
                     line: v.line,
                     col: v.col,
                     message: format!(
@@ -206,42 +241,26 @@ fn check_emission_sites(rule_id: &'static str, file: &SourceFile, out: &mut Vec<
     }
 }
 
-/// Extracts the *target* kind names from the `CauseKind::expected`
-/// table: the string literals inside the second `&[…]` group of each
-/// `(&[sources], &[targets])` arm. Returns `None` when the file has no
-/// `fn expected` — synthetic workspaces without a cause-link table opt
-/// out of this half of the rule.
-fn cause_link_targets(file: &SourceFile) -> Option<Vec<String>> {
+/// Whether `file` declares `<keyword> <name>` (e.g. `enum SimEvent`)
+/// outside its test modules.
+fn declares(file: &SourceFile, keyword: &str, name: &str) -> bool {
     let code: Vec<&Token> = file.code_tokens().collect();
-    let mut i = 0;
-    while i + 1 < code.len() {
-        if code[i].is_ident("fn") && code[i + 1].is_ident("expected") {
-            break;
-        }
-        i += 1;
-    }
-    if i + 1 >= code.len() {
-        return None;
-    }
-    // Step over the signature (its return type contains `(`/`[` tokens,
-    // but no `{`) to the body's opening brace.
-    while i < code.len() && !code[i].is_punct('{') {
-        i += 1;
-    }
-    let mut depth = 0i32;
+    code.windows(2).any(|w| {
+        w[0].is_ident(keyword) && w[1].is_ident(name) && !file.is_test_line(w[0].line)
+    })
+}
+
+/// Extracts the *target* kind names from the `CauseKind::expected`
+/// table, whose body spans code tokens `start..=end` of `file`: the
+/// string literals inside the second `&[…]` group of each
+/// `(&[sources], &[targets])` arm.
+fn cause_link_targets(file: &SourceFile, (start, end): (usize, usize)) -> Vec<String> {
+    let code: Vec<&Token> = file.code_tokens().collect();
     let mut bracket_group = 0u32; // ordinal of the current `[…]` in its tuple
     let mut in_bracket = false;
     let mut targets = Vec::new();
-    while i < code.len() {
-        let t = code[i];
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if t.is_punct('(') {
+    for t in &code[start..=end] {
+        if t.is_punct('(') {
             bracket_group = 0;
         } else if t.is_punct('[') {
             in_bracket = true;
@@ -251,17 +270,17 @@ fn cause_link_targets(file: &SourceFile) -> Option<Vec<String>> {
         } else if in_bracket && bracket_group == 2 && t.kind == TokenKind::Str {
             targets.push(t.text.clone());
         }
-        i += 1;
     }
-    Some(targets)
+    targets
 }
 
-/// String literals of the `ROOT_KINDS` const initializer (empty when
-/// the const is absent — then every variant needs a table entry).
+/// String literals of the `const ROOT_KINDS` initializer in `file`
+/// (empty when the file does not declare it; with no declaration
+/// anywhere every variant needs a table entry).
 fn root_kind_strings(file: &SourceFile) -> Vec<String> {
     let code: Vec<&Token> = file.code_tokens().collect();
-    let mut i = 0;
-    while i < code.len() && !code[i].is_ident("ROOT_KINDS") {
+    let mut i = 1;
+    while i < code.len() && !(code[i - 1].is_ident("const") && code[i].is_ident("ROOT_KINDS")) {
         i += 1;
     }
     // Step over the type annotation (`[&'static str; N]` contains a

@@ -1,12 +1,4 @@
-//! `golden-schema`: trace exports and the docs must agree with the code.
-//!
-//! Perfetto exports (`*.trace.json`, in the golden dir or a generated
-//! `report/` directory) speak the Chrome trace-event schema:
-//! every entry needs `name`/`ph`/`pid`/`tid`, the phase letter must be
-//! one of `M`/`X`/`i`/`s`/`f` with its letter-specific fields (`dur` on
-//! slices, `id` on flows, `bp` on flow finishes), and every flow start
-//! must pair with a finish — a half-arrow renders as nothing in the UI,
-//! silently hiding a causal link.
+//! `golden-schema`: the docs must agree with the code.
 //!
 //! The docs must name real things: `repro explain e11`-style commands
 //! quoted in README/EXPERIMENTS must name probes in `PROBE_IDS`
@@ -20,6 +12,8 @@
 //! The golden store (`crates/bench/tests/golden/quick.json`) needs no
 //! lint: `repro regress` fails on a store that does not parse and on any
 //! key that is missing from it or that the current run does not produce.
+//! Nor do Perfetto exports: `crates/bench/src/trace.rs` checks the
+//! trace-event schema on real probe exports in its unit tests.
 
 use super::Rule;
 use crate::diag::Finding;
@@ -31,7 +25,6 @@ pub struct GoldenSchema;
 
 const EVENTS_FILE: &str = "crates/bench/src/events.rs";
 const REPORT_FILE: &str = "crates/bench/src/report.rs";
-const GOLDEN_DIR: &str = "crates/bench/tests/golden";
 const DOC_FILES: [&str; 2] = ["README.md", "EXPERIMENTS.md"];
 
 /// Workspace crate names in path form — `manytest_sim::…` in a doc is a
@@ -55,12 +48,10 @@ impl Rule for GoldenSchema {
     }
 
     fn description(&self) -> &'static str {
-        "Perfetto traces must match the trace-event schema; doc probe ids, metric names and \
-         verdict tests must exist"
+        "doc probe ids, metric names and verdict tests must exist"
     }
 
     fn check_workspace(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        self.check_trace_files(ws, out);
         self.check_doc_probe_ids(ws, &string_array(ws, EVENTS_FILE, "PROBE_IDS"), out);
         self.check_doc_metric_keys(ws, &string_array(ws, REPORT_FILE, "METRIC_KEYS"), out);
         self.check_doc_verdict_tests(ws, out);
@@ -68,53 +59,6 @@ impl Rule for GoldenSchema {
 }
 
 impl GoldenSchema {
-    /// Validates every Perfetto export (`*.trace.json`) found in the
-    /// golden dir or a generated `report/` directory against the Chrome
-    /// trace-event schema the `repro trace` writer promises.
-    fn check_trace_files(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for dir in [GOLDEN_DIR, "report"] {
-            let Ok(entries) = std::fs::read_dir(ws.root.join(dir)) else {
-                continue;
-            };
-            let mut paths: Vec<_> = entries
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| {
-                    p.file_name()
-                        .is_some_and(|n| n.to_string_lossy().ends_with(".trace.json"))
-                })
-                .collect();
-            paths.sort();
-            for path in paths {
-                let file_name = path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                let rel = format!("{dir}/{file_name}");
-                let Ok(text) = std::fs::read_to_string(&path) else {
-                    out.push(Finding {
-                        rule: self.id(),
-                        file: rel,
-                        line: 1,
-                        col: 1,
-                        message: "trace file is unreadable".into(),
-                        rationale: TRACE_RATIONALE,
-                    });
-                    continue;
-                };
-                for (line, msg) in validate_perfetto(&text) {
-                    out.push(Finding {
-                        rule: self.id(),
-                        file: rel.clone(),
-                        line,
-                        col: 1,
-                        message: msg,
-                        rationale: TRACE_RATIONALE,
-                    });
-                }
-            }
-        }
-    }
-
     /// `explain`/`report`/`trace`/`diff <id>` commands quoted in the
     /// docs must name real probes. `diff` takes up to two ids, so after
     /// a valid first id the following word is checked too.
@@ -282,94 +226,6 @@ fn test_fn_names(ws: &Workspace) -> BTreeSet<&str> {
         }
     }
     names
-}
-
-const TRACE_RATIONALE: &str =
-    "Perfetto silently drops malformed trace entries, so a schema slip hides telemetry \
-     instead of failing; regenerate with `repro trace <id>` rather than editing by hand";
-
-/// Minimal Chrome trace-event schema validation, exploiting the
-/// writer's line-oriented layout (one entry per line inside `[` … `]`).
-/// Returns `(line, message)` pairs.
-fn validate_perfetto(text: &str) -> Vec<(u32, String)> {
-    let mut errors = Vec::new();
-    let mut flow_starts: Vec<String> = Vec::new();
-    let mut flow_ends: Vec<String> = Vec::new();
-    let trimmed = text.trim();
-    if !trimmed.starts_with('[') || !trimmed.ends_with(']') {
-        return vec![(1, "trace is not a JSON array".into())];
-    }
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = (idx + 1) as u32;
-        let entry = raw.trim().trim_end_matches(',');
-        if entry.is_empty() || entry == "[" || entry == "]" {
-            continue;
-        }
-        if !entry.starts_with('{') || !entry.ends_with('}') {
-            errors.push((line_no, "trace entry is not one object per line".into()));
-            continue;
-        }
-        let field = |name: &str| -> Option<String> {
-            let pat = format!("\"{name}\":");
-            let start = entry.find(&pat)? + pat.len();
-            let rest = &entry[start..];
-            Some(if let Some(quoted) = rest.strip_prefix('"') {
-                quoted.chars().take_while(|&c| c != '"').collect()
-            } else {
-                rest.chars()
-                    .take_while(|&c| c != ',' && c != '}')
-                    .collect()
-            })
-        };
-        for required in ["name", "ph", "pid", "tid"] {
-            if field(required).is_none() {
-                errors.push((line_no, format!("trace entry is missing `{required}`")));
-            }
-        }
-        let Some(ph) = field("ph") else { continue };
-        match ph.as_str() {
-            "M" => {}
-            "X" => {
-                if field("dur").is_none() {
-                    errors.push((line_no, "duration slice (`ph`:`X`) is missing `dur`".into()));
-                }
-            }
-            "i" => {} // instants only need the shared `ts` check below
-            "s" | "f" => match field("id") {
-                Some(id) => {
-                    if ph == "s" {
-                        flow_starts.push(id);
-                    } else {
-                        if field("bp") != Some("e".into()) {
-                            errors.push((
-                                line_no,
-                                "flow finish (`ph`:`f`) is missing `\"bp\":\"e\"`".into(),
-                            ));
-                        }
-                        flow_ends.push(id);
-                    }
-                }
-                None => errors.push((line_no, format!("flow event (`ph`:`{ph}`) is missing `id`"))),
-            },
-            other => errors.push((line_no, format!("unknown trace phase letter `{other}`"))),
-        }
-        if ph != "M" && field("ts").is_none() {
-            errors.push((line_no, format!("`ph`:`{ph}` entry is missing `ts`")));
-        }
-    }
-    flow_starts.sort();
-    flow_ends.sort();
-    if flow_starts != flow_ends {
-        errors.push((
-            1,
-            format!(
-                "flow starts and finishes do not pair up ({} starts, {} finishes)",
-                flow_starts.len(),
-                flow_ends.len()
-            ),
-        ));
-    }
-    errors
 }
 
 /// A probe id is a short letter+digits token (`e3`, `a6`, `e11`).

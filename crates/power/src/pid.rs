@@ -33,7 +33,7 @@ pub trait PowerGovernor {
 /// cap[k] = target + Kp·e[k] + Ki·Σe + Kd·(e[k] − e[k−1])
 /// ```
 ///
-/// clamped to `[cap_min, cap_max]`. With the default gains the cap rises
+/// clamped to `[cap_min, cap_max]`. With its fixed gains the cap rises
 /// when the chip under-uses the TDP (letting more work/tests in) and dips
 /// below the TDP after an overshoot, draining the excess.
 ///
@@ -42,54 +42,28 @@ pub trait PowerGovernor {
 /// ```
 /// use manytest_power::pid::{PidController, PowerGovernor};
 ///
-/// let mut pid = PidController::new(0.5, 0.1, 0.05);
+/// let mut pid = PidController::default();
 /// // Chip measured well below the 80 W target: cap opens above target.
 /// let cap = pid.next_cap(80.0, 60.0);
 /// assert!(cap > 80.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PidController {
-    kp: f64,
-    ki: f64,
-    kd: f64,
     integral: f64,
     prev_error: Option<f64>,
 }
 
 impl PidController {
+    /// Proportional, integral and derivative gains, the tuning used
+    /// throughout the evaluation.
+    const KP: f64 = 0.5;
+    const KI: f64 = 0.08;
+    const KD: f64 = 0.1;
     /// Anti-windup clamp on the integral term, watt-epochs.
     const INTEGRAL_LIMIT: f64 = 50.0;
     /// The cap stays within `floor·target ..= ceil·target`.
     const CAP_FLOOR_FRACTION: f64 = 0.2;
     const CAP_CEIL_FRACTION: f64 = 1.25;
-
-    /// Creates a controller with the given gains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any gain is negative or non-finite.
-    pub fn new(kp: f64, ki: f64, kd: f64) -> Self {
-        assert!(
-            kp >= 0.0 && ki >= 0.0 && kd >= 0.0,
-            "PID gains must be non-negative"
-        );
-        assert!(
-            kp.is_finite() && ki.is_finite() && kd.is_finite(),
-            "PID gains must be finite"
-        );
-        PidController {
-            kp,
-            ki,
-            kd,
-            integral: 0.0,
-            prev_error: None,
-        }
-    }
-
-    /// Default tuning used throughout the evaluation.
-    pub fn default_tuning() -> Self {
-        PidController::new(0.5, 0.08, 0.1)
-    }
 }
 
 impl PowerGovernor for PidController {
@@ -98,7 +72,7 @@ impl PowerGovernor for PidController {
         self.integral = (self.integral + error).clamp(-Self::INTEGRAL_LIMIT, Self::INTEGRAL_LIMIT);
         let derivative = self.prev_error.map_or(0.0, |prev| error - prev);
         self.prev_error = Some(error);
-        let cap = target + self.kp * error + self.ki * self.integral + self.kd * derivative;
+        let cap = target + Self::KP * error + Self::KI * self.integral + Self::KD * derivative;
         cap.clamp(Self::CAP_FLOOR_FRACTION * target, Self::CAP_CEIL_FRACTION * target)
     }
 
@@ -177,7 +151,7 @@ mod tests {
 
     #[test]
     fn pid_converges_near_target_under_high_demand() {
-        let mut pid = PidController::default_tuning();
+        let mut pid = PidController::default();
         let trace = simulate(&mut pid, 80.0, 200.0, 200);
         let tail = &trace[150..];
         let mean: f64 = tail.iter().sum::<f64>() / tail.len() as f64;
@@ -194,7 +168,7 @@ mod tests {
         let tail = &trace[150..];
         let mean: f64 = tail.iter().sum::<f64>() / tail.len() as f64;
         let pid_mean = {
-            let mut pid = PidController::default_tuning();
+            let mut pid = PidController::default();
             let t = simulate(&mut pid, 80.0, 200.0, 200);
             t[150..].iter().sum::<f64>() / 50.0
         };
@@ -206,47 +180,50 @@ mod tests {
 
     #[test]
     fn pid_opens_cap_when_underutilized() {
-        let mut pid = PidController::default_tuning();
+        let mut pid = PidController::default();
         let cap = pid.next_cap(80.0, 20.0);
         assert!(cap > 80.0);
     }
 
     #[test]
     fn pid_tightens_cap_after_overshoot() {
-        let mut pid = PidController::default_tuning();
+        let mut pid = PidController::default();
         let cap = pid.next_cap(80.0, 100.0);
         assert!(cap < 80.0);
     }
 
     #[test]
     fn pid_cap_respects_bounds() {
-        let mut pid = PidController::new(10.0, 5.0, 0.0);
-        for measured in [0.0, 40.0, 200.0, 500.0] {
-            let cap = pid.next_cap(80.0, measured);
-            assert!((16.0..=100.0).contains(&cap), "cap {cap} out of bounds");
-        }
+        // The first two measurements drive the raw cap above the
+        // ceiling, the last two below the floor.
+        let mut pid = PidController::default();
+        let caps = [0.0, 40.0, 200.0, 500.0].map(|measured| pid.next_cap(80.0, measured));
+        assert_eq!(caps, [100.0, 100.0, 16.0, 16.0]);
     }
 
     #[test]
     fn integral_windup_is_clamped() {
-        let mut pid = PidController::new(0.0, 0.2, 0.0);
-        // Persistent large error would wind up to the cap ceiling without
-        // the clamp; with it the integral term stays at 0.2 × 50 W.
+        let mut pid = PidController::default();
+        // Persistent large error would wind the integral up to 8000
+        // watt-epochs and pin the cap at its ceiling once the chip
+        // reaches the target; with the clamp the integral term is
+        // 0.08 × 50 W.
         for _ in 0..100 {
             pid.next_cap(80.0, 0.0);
         }
-        let cap = pid.next_cap(80.0, 0.0);
-        assert!(cap <= 80.0 + 10.0 + 1e-9);
+        pid.next_cap(80.0, 80.0);
+        let cap = pid.next_cap(80.0, 80.0);
+        assert!((cap - 84.0).abs() < 1e-9, "cap {cap}");
     }
 
     #[test]
     fn reset_clears_history() {
-        let mut pid = PidController::default_tuning();
+        let mut pid = PidController::default();
         for _ in 0..10 {
             pid.next_cap(80.0, 10.0);
         }
         pid.reset();
-        let fresh = PidController::default_tuning().next_cap(80.0, 10.0);
+        let fresh = PidController::default().next_cap(80.0, 10.0);
         assert_eq!(pid.next_cap(80.0, 10.0), fresh);
     }
 
@@ -268,15 +245,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_gain_panics() {
-        PidController::new(-1.0, 0.0, 0.0);
-    }
-
-    #[test]
     fn governor_is_object_safe() {
         let mut governors: Vec<Box<dyn PowerGovernor>> = vec![
-            Box::new(PidController::default_tuning()),
+            Box::new(PidController::default()),
             Box::new(NaiveTdpPolicy::new()),
         ];
         for g in &mut governors {

@@ -81,7 +81,7 @@ fn pid_cap_is_always_within_clamp() {
     for seed in 0..96 {
         let mut rng = SimRng::seed_from(seed);
         let target = rng.gen_f64_range(1.0, 200.0);
-        let mut pid = PidController::default_tuning();
+        let mut pid = PidController::default();
         for _ in 0..1 + rng.gen_range(99) {
             let cap = pid.next_cap(target, rng.gen_f64_range(0.0, 400.0));
             assert!(

@@ -66,7 +66,7 @@ pub use health::{CoreHealth, HealthBoard};
 pub use routine::{RoutineId, RoutineLibrary, TestRoutine};
 pub use scheduler::{
     CandidateClass, RetestRequest, TestCandidate, TestDenial, TestLaunch, TestScheduler,
-    TestSchedulerConfig,
+    TestSchedulerConfig, CRITICALITY_THRESHOLD, LADDER_LEVELS, MAX_LAUNCHES_PER_EPOCH, SBST_IPC,
 };
 pub use session::{SessionOutcome, TestSession};
 

@@ -95,33 +95,27 @@ pub struct TestDenial {
     pub headroom: f64,
 }
 
-/// Scheduler tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Minimum criticality before a core is worth testing. With the default
+/// [`manytest_aging::CriticalityModel`] a completely idle core reaches it
+/// about every 125 ms of simulated time.
+pub const CRITICALITY_THRESHOLD: f64 = 0.5;
+
+/// Upper bound on sessions started per planning call, retests included.
+pub const MAX_LAUNCHES_PER_EPOCH: usize = 64;
+
+/// Instructions per cycle of SBST code (test code is branchy; < 1).
+pub const SBST_IPC: f64 = 0.8;
+
+/// Number of DVFS levels in the test ladder. The simulator sizes the
+/// run's one DVFS ladder with it.
+pub const LADDER_LEVELS: usize = 5;
+
+/// The scheduler setting an ablation varies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TestSchedulerConfig {
-    /// Minimum criticality before a core is worth testing. Zero means
-    /// "test any idle core whenever power allows".
-    pub criticality_threshold: f64,
-    /// Upper bound on sessions started per planning call.
-    pub max_launches_per_epoch: usize,
-    /// Instructions per cycle of SBST code (test code is branchy; < 1).
-    pub ipc: f64,
-    /// Number of DVFS levels in the test ladder.
-    pub ladder_levels: usize,
     /// Ablation switch: test only at this fixed level instead of rotating
     /// through the ladder. `None` (default) = rotate — the paper's policy.
     pub fixed_level: Option<u8>,
-}
-
-impl Default for TestSchedulerConfig {
-    fn default() -> Self {
-        TestSchedulerConfig {
-            criticality_threshold: 0.5,
-            max_launches_per_epoch: 64,
-            ipc: 0.8,
-            ladder_levels: 5,
-            fixed_level: None,
-        }
-    }
 }
 
 /// The power-aware online test scheduler (see module docs).
@@ -152,7 +146,7 @@ pub struct TestScheduler {
     cursors: Vec<RoutineId>,
     ledger: VfCoverageLedger,
     /// Projected session power per routine and level, routine-major:
-    /// `ladder_levels` entries per routine, each computed once by
+    /// [`LADDER_LEVELS`] entries per routine, each computed once by
     /// [`PowerModel::core_power`], so every read has the same bits as a
     /// fresh evaluation.
     power_table: Vec<f64>,
@@ -170,8 +164,8 @@ impl TestScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `core_count` is zero or the config is inconsistent
-    /// (`ipc <= 0`, fewer than two ladder levels).
+    /// Panics if `core_count` is zero or the fixed level lies outside the
+    /// ladder.
     pub fn with_library(
         config: TestSchedulerConfig,
         node: TechNode,
@@ -179,16 +173,11 @@ impl TestScheduler {
         core_count: usize,
     ) -> Self {
         assert!(core_count > 0, "need at least one core");
-        assert!(config.ipc > 0.0, "IPC must be positive");
-        assert!(config.ladder_levels >= 2, "need at least two DVFS levels");
         if let Some(level) = config.fixed_level {
-            assert!(
-                (level as usize) < config.ladder_levels,
-                "fixed level outside the ladder"
-            );
+            assert!((level as usize) < LADDER_LEVELS, "fixed level outside the ladder");
         }
         let model = PowerModel::for_node(node);
-        let ladder = VfLadder::for_node(node, config.ladder_levels);
+        let ladder = VfLadder::for_node(node, LADDER_LEVELS);
         let mut power_table = Vec::with_capacity(library.len() * ladder.len());
         for (_, routine) in library.iter() {
             power_table.extend(ladder.iter().map(|op| model.core_power(op, routine.activity)));
@@ -198,7 +187,7 @@ impl TestScheduler {
             ladder,
             library,
             cursors: vec![RoutineId(0); core_count],
-            ledger: VfCoverageLedger::new(core_count, config.ladder_levels),
+            ledger: VfCoverageLedger::new(core_count, LADDER_LEVELS),
             power_table,
             launches_denied_power: 0,
             heap_pops: 0,
@@ -248,7 +237,7 @@ impl TestScheduler {
     /// [`RetestRequest`] is served *before* any ranked candidate, pinned
     /// to the level the detection happened at and exempt from the
     /// criticality threshold. Retests still compete for the same headroom
-    /// and count against `max_launches_per_epoch` — confirmation is
+    /// and count against [`MAX_LAUNCHES_PER_EPOCH`] — confirmation is
     /// urgent, not free.
     ///
     /// `class`, when given, ranks each of its members as a candidate with
@@ -267,18 +256,17 @@ impl TestScheduler {
         denials.clear();
         let mut remaining = headroom_watts;
         for req in retests {
-            if launches.len() >= self.config.max_launches_per_epoch {
+            if launches.len() >= MAX_LAUNCHES_PER_EPOCH {
                 break;
             }
             self.launch_or_deny(req.core, req.level, &mut remaining, launches, denials);
         }
-        let threshold = self.config.criticality_threshold;
         let mut ranked = std::mem::take(&mut self.rank_scratch);
         // lint:allow(hot-path-purity, reason = "rank scratch reuses its capacity across scheduling rounds; extend allocates only until the high-water mark")
         ranked.extend(
             candidates
                 .iter()
-                .filter(|c| c.criticality >= threshold)
+                .filter(|c| c.criticality >= CRITICALITY_THRESHOLD)
                 .map(|c| Reverse(Self::rank_key(c))),
         );
         // Deterministic top-k partial selection: heapify in O(n) and pop
@@ -289,7 +277,9 @@ impl TestScheduler {
         // member ids; merging them with the heap pops the sequence a heap
         // of every member would.
         let (high, members) = match class {
-            Some(c) if c.criticality >= threshold => (Self::rank_high(c.criticality), c.members),
+            Some(c) if c.criticality >= CRITICALITY_THRESHOLD => {
+                (Self::rank_high(c.criticality), c.members)
+            }
             _ => (0, &[][..]),
         };
         let mut class_keys = members.iter().enumerate().flat_map(|(w, &word)| {
@@ -301,7 +291,7 @@ impl TestScheduler {
                 })
         });
         let mut next_member = class_keys.next();
-        while launches.len() < self.config.max_launches_per_epoch {
+        while launches.len() < MAX_LAUNCHES_PER_EPOCH {
             let key = match next_member {
                 Some(member) if heap.peek().is_none_or(|&Reverse(top)| member < top) => {
                     next_member = class_keys.next();
@@ -364,7 +354,7 @@ impl TestScheduler {
                 routine,
                 level,
                 power,
-                rate: self.ladder.point(level).frequency * self.config.ipc,
+                rate: self.ladder.point(level).frequency * SBST_IPC,
                 instructions: self.library.routine(routine).instructions,
             });
         } else {
@@ -436,7 +426,7 @@ impl TestScheduler {
                     routine: routine_id,
                     level,
                     power,
-                    rate: op.frequency * s.config.ipc,
+                    rate: op.frequency * SBST_IPC,
                     instructions: routine.instructions,
                 });
             } else {
@@ -452,9 +442,8 @@ impl TestScheduler {
         launches.clear();
         denials.clear();
         let mut remaining = headroom_watts;
-        let cap = self.config.max_launches_per_epoch;
         for req in retests {
-            if launches.len() >= cap {
+            if launches.len() >= MAX_LAUNCHES_PER_EPOCH {
                 break;
             }
             offer(self, req.core, req.level, &mut remaining, launches, denials);
@@ -462,14 +451,14 @@ impl TestScheduler {
         let mut ranked: Vec<TestCandidate> = candidates
             .iter()
             .copied()
-            .filter(|c| c.criticality >= self.config.criticality_threshold)
+            .filter(|c| c.criticality >= CRITICALITY_THRESHOLD)
             .collect();
         let mut heap_len = ranked.len();
         for i in (0..heap_len / 2).rev() {
             sift_down(&mut ranked, heap_len, i);
         }
         while heap_len > 0 {
-            if launches.len() >= cap {
+            if launches.len() >= MAX_LAUNCHES_PER_EPOCH {
                 break;
             }
             let cand = ranked[0];
@@ -497,10 +486,6 @@ impl TestScheduler {
         self.ledger.record(core, level);
         self.cursors[core] = self.library.next_in_rotation(routine);
     }
-
-    /// Records an aborted session: no coverage credit; the same routine is
-    /// retried on the core's next idle period.
-    pub fn on_session_aborted(&mut self, _core: usize) {}
 
     /// Number of planning attempts that were denied for lack of power.
     pub fn denied_for_power(&self) -> u64 {
@@ -543,8 +528,9 @@ mod tests {
         // Equivalence against the pre-heap ranking: pops must come out in
         // exactly the order the old full `sort_by` (descending
         // criticality, ties ascending by core id) produced. Deterministic
-        // xorshift inputs with a coarse criticality grid force plenty of
-        // ties.
+        // xorshift inputs with a coarse criticality grid at or above the
+        // threshold force plenty of ties; at most the launch cap's worth
+        // of candidates, so every one is popped.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -553,9 +539,9 @@ mod tests {
             state
         };
         for _ in 0..50 {
-            let n = (next() % 48) as usize + 1;
+            let n = (next() % MAX_LAUNCHES_PER_EPOCH as u64) as usize + 1;
             let candidates: Vec<TestCandidate> = (0..n)
-                .map(|core| candidate(core, (next() % 8) as f64 * 0.5))
+                .map(|core| candidate(core, (next() % 8 + 1) as f64 * 0.5))
                 .collect();
             let mut reference = candidates.clone();
             reference.sort_by(|a, b| {
@@ -565,11 +551,12 @@ mod tests {
                     .then(a.core.cmp(&b.core))
             });
             let expected: Vec<usize> = reference.iter().map(|c| c.core).collect();
-            let mut cfg = TestSchedulerConfig::default();
-            cfg.criticality_threshold = 0.0;
-            cfg.max_launches_per_epoch = 1024;
-            let mut s =
-                TestScheduler::with_library(cfg, TechNode::N16, RoutineLibrary::standard(), 64);
+            let mut s = TestScheduler::with_library(
+                TestSchedulerConfig::default(),
+                TechNode::N16,
+                RoutineLibrary::standard(),
+                64,
+            );
             let pops_before = s.heap_pops();
             let (mut launches, mut denials) = (Vec::new(), Vec::new());
             s.plan_with_retests_into(&[], &candidates, None, 1e9, &mut launches, &mut denials);
@@ -630,13 +617,18 @@ mod tests {
 
     #[test]
     fn max_launches_cap_is_respected() {
-        let mut cfg = TestSchedulerConfig::default();
-        cfg.max_launches_per_epoch = 2;
-        let mut s = TestScheduler::with_library(cfg, TechNode::N16, RoutineLibrary::standard(), 8);
-        let candidates: Vec<TestCandidate> = (0..8).map(|c| candidate(c, 1.0)).collect();
+        let cores = MAX_LAUNCHES_PER_EPOCH + 36;
+        let mut s = TestScheduler::with_library(
+            TestSchedulerConfig::default(),
+            TechNode::N16,
+            RoutineLibrary::standard(),
+            cores,
+        );
+        let candidates: Vec<TestCandidate> = (0..cores).map(|c| candidate(c, 1.0)).collect();
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
         s.plan_with_retests_into(&[], &candidates, None, 1e9, &mut launches, &mut denials);
-        assert_eq!(launches.len(), 2);
+        assert_eq!(launches.len(), MAX_LAUNCHES_PER_EPOCH);
+        assert!(denials.is_empty(), "the cap stops the lane before any denial");
     }
 
     #[test]
@@ -680,7 +672,6 @@ mod tests {
             &mut denials,
         );
         let first = launches[0];
-        s.on_session_aborted(first.core);
         s.plan_with_retests_into(
             &[],
             &[candidate(0, 1.0)],
@@ -797,11 +788,7 @@ mod tests {
 
     #[test]
     fn fixed_level_pins_every_launch() {
-        let cfg = TestSchedulerConfig {
-            fixed_level: Some(4),
-            criticality_threshold: 0.0,
-            ..TestSchedulerConfig::default()
-        };
+        let cfg = TestSchedulerConfig { fixed_level: Some(4) };
         let mut s = TestScheduler::with_library(cfg, TechNode::N16, RoutineLibrary::standard(), 8);
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
         for round in 0..3 {
@@ -863,37 +850,42 @@ mod tests {
         assert_eq!(denials.len(), 2);
         assert_eq!(denials[0].core, 2);
 
-        // Launch cap: one slot, claimed by the retest.
-        let mut cfg = TestSchedulerConfig::default();
-        cfg.max_launches_per_epoch = 1;
-        let mut s = TestScheduler::with_library(cfg, TechNode::N16, RoutineLibrary::standard(), 8);
+        // Launch cap: one retest more than the cap claims every slot,
+        // and the ranked candidate gets none.
+        let cores = MAX_LAUNCHES_PER_EPOCH + 2;
+        let mut s = TestScheduler::with_library(
+            TestSchedulerConfig::default(),
+            TechNode::N16,
+            RoutineLibrary::standard(),
+            cores,
+        );
+        let retests: Vec<RetestRequest> = (1..cores)
+            .map(|core| RetestRequest { core, level: VfLevel(0) })
+            .collect();
         s.plan_with_retests_into(
-            &[RetestRequest { core: 3, level: VfLevel(0) }],
+            &retests,
             &[candidate(0, 5.0)],
             None,
             1e9,
             &mut launches,
             &mut denials,
         );
-        assert_eq!(launches.len(), 1);
-        assert_eq!(launches[0].core, 3);
+        let served: Vec<usize> = launches.iter().map(|l| l.core).collect();
+        assert_eq!(served, (1..=MAX_LAUNCHES_PER_EPOCH).collect::<Vec<_>>());
+        assert!(denials.is_empty());
     }
 
     #[test]
     fn power_table_matches_core_power() {
-        for node in [TechNode::N45, TechNode::N16] {
-            for levels in [2, 3, 5, 7] {
-                let cfg = TestSchedulerConfig {
-                    ladder_levels: levels,
-                    ..TestSchedulerConfig::default()
-                };
-                let s = TestScheduler::with_library(cfg, node, RoutineLibrary::standard(), 1);
-                let model = PowerModel::for_node(node);
-                for (id, routine) in s.library().iter() {
-                    for op in s.ladder().iter() {
-                        let fresh = model.core_power(op, routine.activity);
-                        assert_eq!(s.session_power(id, op.level).to_bits(), fresh.to_bits());
-                    }
+        for node in TechNode::ALL {
+            let cfg = TestSchedulerConfig::default();
+            let s = TestScheduler::with_library(cfg, node, RoutineLibrary::standard(), 1);
+            let model = PowerModel::for_node(node);
+            assert_eq!(s.ladder().len(), LADDER_LEVELS);
+            for (id, routine) in s.library().iter() {
+                for op in s.ladder().iter() {
+                    let fresh = model.core_power(op, routine.activity);
+                    assert_eq!(s.session_power(id, op.level).to_bits(), fresh.to_bits());
                 }
             }
         }
@@ -905,12 +897,14 @@ mod tests {
         // level walk against `plan_reference`, over 12 epochs per
         // scheduler pair, with completions feeding back into the ledgers
         // and cursors. The criticalities are tie-heavy and include ±0.0,
-        // subnormals, ±∞, NaN and f64::MAX; thresholds go down to −∞. The
+        // subnormals, ±∞, NaN, f64::MAX and the threshold's neighbours;
+        // meshes of up to 160 cores let the launch cap bind. The
         // reference ranks the class's members as plain candidates.
         let crits = [
             0.0,
             -0.0,
-            0.5,
+            CRITICALITY_THRESHOLD,
+            CRITICALITY_THRESHOLD.next_down(),
             1.0,
             2.5,
             -1.0,
@@ -922,21 +916,15 @@ mod tests {
             f64::NAN,
             f64::MAX,
         ];
-        let thresholds = [0.5, 0.0, -0.0, -1.0, 5e-324, f64::NEG_INFINITY, 1.0, f64::NAN];
-        let caps = [0, 1, 2, 64, usize::MAX];
         let mut rng = manytest_sim::SimRng::seed_from(2323);
         let mut index = |len: usize| rng.gen_range(len as u64) as usize;
+        let mut capped = 0;
         for case in 0..300 {
             let node = [TechNode::N45, TechNode::N22, TechNode::N16][case % 3];
-            let levels = [2, 3, 5, 7][index(4)];
             let cfg = TestSchedulerConfig {
-                criticality_threshold: thresholds[index(thresholds.len())],
-                max_launches_per_epoch: caps[index(caps.len())],
-                ladder_levels: levels,
-                fixed_level: (index(5) == 0).then(|| index(levels) as u8),
-                ..TestSchedulerConfig::default()
+                fixed_level: (index(5) == 0).then(|| index(LADDER_LEVELS) as u8),
             };
-            let cores = 1 + index(80);
+            let cores = 1 + index(160);
             let mut fast =
                 TestScheduler::with_library(cfg, node, RoutineLibrary::standard(), cores);
             let mut slow = fast.clone();
@@ -962,7 +950,7 @@ mod tests {
                     .take(index(3))
                     .map(|&core| RetestRequest {
                         core,
-                        level: VfLevel(index(levels) as u8),
+                        level: VfLevel(index(LADDER_LEVELS) as u8),
                     })
                     .collect();
                 let headroom = match index(5) {
@@ -979,13 +967,12 @@ mod tests {
                 for &core in members {
                     words[core / 64] |= 1 << (core % 64);
                 }
-                let threshold = cfg.criticality_threshold;
                 let shared = match index(6) {
                     0 if n > 0 => candidates[index(n)].criticality,
                     1 => 0.0,
                     2 => -0.0,
-                    3 => threshold,
-                    4 => threshold.next_down(),
+                    3 => CRITICALITY_THRESHOLD,
+                    4 => CRITICALITY_THRESHOLD.next_down(),
                     _ => crits[index(crits.len())],
                 };
                 let class = (index(4) != 0).then_some(CandidateClass {
@@ -1012,6 +999,7 @@ mod tests {
                 assert_eq!(format!("{lf:?}"), format!("{ls:?}"), "{what}");
                 assert_eq!(format!("{df:?}"), format!("{ds:?}"), "{what}");
                 assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{what}");
+                capped += usize::from(lf.len() == MAX_LAUNCHES_PER_EPOCH);
                 for l in &lf {
                     if index(10) < 7 {
                         fast.on_session_complete(l.core, l.routine, l.level);
@@ -1020,6 +1008,7 @@ mod tests {
                 }
             }
         }
+        assert!(capped > 0, "the launch cap never bound");
     }
 
     #[test]
@@ -1042,10 +1031,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fixed level outside")]
     fn fixed_level_out_of_range_panics() {
-        let cfg = TestSchedulerConfig {
-            fixed_level: Some(9),
-            ..TestSchedulerConfig::default()
-        };
+        let cfg = TestSchedulerConfig { fixed_level: Some(9) };
         TestScheduler::with_library(cfg, TechNode::N16, RoutineLibrary::standard(), 4);
     }
 

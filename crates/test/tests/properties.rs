@@ -5,6 +5,7 @@
 use manytest_power::{TechNode, VfLevel};
 use manytest_sbst::health::{CoreHealth, HealthBoard};
 use manytest_sbst::prelude::*;
+use manytest_sbst::{CRITICALITY_THRESHOLD, MAX_LAUNCHES_PER_EPOCH};
 use manytest_sim::SimRng;
 
 /// One randomized call against the [`HealthBoard`] API.
@@ -116,12 +117,9 @@ fn random_candidates(rng: &mut SimRng, len: u64, lo: f64, hi: f64) -> Vec<TestCa
         .collect()
 }
 
-fn scheduler(cores: usize, threshold: f64) -> TestScheduler {
+fn scheduler(cores: usize) -> TestScheduler {
     TestScheduler::with_library(
-        TestSchedulerConfig {
-            criticality_threshold: threshold,
-            ..TestSchedulerConfig::default()
-        },
+        TestSchedulerConfig::default(),
         TechNode::N16,
         RoutineLibrary::standard(),
         cores,
@@ -135,7 +133,7 @@ fn plan_never_exceeds_headroom() {
         let headroom = rng.gen_f64_range(0.0, 50.0);
         let len = 1 + rng.gen_range(63);
         let candidates = random_candidates(&mut rng, len, 0.0, 5.0);
-        let mut s = scheduler(candidates.len(), 0.0);
+        let mut s = scheduler(candidates.len());
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
         s.plan_with_retests_into(
             &[],
@@ -164,7 +162,7 @@ fn plan_serves_descending_criticality() {
         let mut rng = SimRng::seed_from(seed);
         let len = 2 + rng.gen_range(30);
         let candidates = random_candidates(&mut rng, len, 0.5, 5.0);
-        let mut s = scheduler(candidates.len(), 0.0);
+        let mut s = scheduler(candidates.len());
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
         s.plan_with_retests_into(
             &[],
@@ -189,12 +187,13 @@ fn plan_serves_descending_criticality() {
 
 #[test]
 fn threshold_filters_exactly() {
+    // Up to twice the launch cap's worth of candidates, so the cap binds
+    // in some plans.
     for seed in 0..96 {
         let mut rng = SimRng::seed_from(seed);
-        let threshold = rng.gen_f64_range(0.0, 3.0);
-        let len = 1 + rng.gen_range(39);
+        let len = 1 + rng.gen_range(2 * MAX_LAUNCHES_PER_EPOCH as u64);
         let candidates = random_candidates(&mut rng, len, 0.0, 5.0);
-        let mut s = scheduler(candidates.len(), threshold);
+        let mut s = scheduler(candidates.len());
         let (mut launches, mut denials) = (Vec::new(), Vec::new());
         s.plan_with_retests_into(
             &[],
@@ -206,13 +205,16 @@ fn threshold_filters_exactly() {
         );
         let eligible = candidates
             .iter()
-            .filter(|c| c.criticality >= threshold)
+            .filter(|c| c.criticality >= CRITICALITY_THRESHOLD)
             .count();
-        let max = TestSchedulerConfig::default().max_launches_per_epoch;
-        assert_eq!(launches.len(), eligible.min(max), "seed {seed}");
+        assert_eq!(
+            launches.len(),
+            eligible.min(MAX_LAUNCHES_PER_EPOCH),
+            "seed {seed}"
+        );
         for l in &launches {
             assert!(
-                candidates[l.core].criticality >= threshold,
+                candidates[l.core].criticality >= CRITICALITY_THRESHOLD,
                 "seed {seed}: {l:?}"
             );
         }
@@ -225,7 +227,7 @@ fn rotation_reaches_full_coverage() {
         let mut rng = SimRng::seed_from(seed);
         let core = rng.gen_range(16) as usize;
         let extra_rounds = rng.gen_range(3) as usize;
-        let mut s = scheduler(16, 0.0);
+        let mut s = scheduler(16);
         let rounds = s.library().len() * s.ladder().len() + extra_rounds;
         let candidates = [TestCandidate { core, criticality: 1.0 }];
         let (mut launches, mut denials) = (Vec::new(), Vec::new());

@@ -113,14 +113,16 @@ fn scheduler_budget_loop_never_over_reserves() {
 fn aging_chain_prioritizes_the_stressed_core() {
     let aging = AgingModel::default();
     let crit = CriticalityModel::default();
-    let mut stress = StressTracker::new(4, 0.2);
+    let mut stress = StressTracker::new(4);
     // Core 2 runs hot (1.5 W, busy) for 100 epochs of 1 ms; others idle.
     for _ in 0..100 {
         let mut energy = [0.0, 0.0, 1.5e-3, 0.0];
         let mut busy = [0.0, 0.0, 1e-3, 0.0];
         stress.record_epoch_all(&aging, &mut energy, &mut busy, 0.001);
     }
-    let now = 0.1;
+    // Two target periods in, every core is past the threshold, so the
+    // ranking, not the threshold, puts the hot core first.
+    let now = 0.2;
     let candidates: Vec<TestCandidate> = (0..4)
         .map(|core| TestCandidate {
             core,
@@ -128,16 +130,14 @@ fn aging_chain_prioritizes_the_stressed_core() {
         })
         .collect();
     let mut scheduler = TestScheduler::with_library(
-        TestSchedulerConfig {
-            criticality_threshold: 0.0,
-            ..TestSchedulerConfig::default()
-        },
+        TestSchedulerConfig::default(),
         TechNode::N16,
         RoutineLibrary::standard(),
         4,
     );
     let (mut launches, mut denials) = (Vec::new(), Vec::new());
     scheduler.plan_with_retests_into(&[], &candidates, None, 100.0, &mut launches, &mut denials);
+    assert_eq!(launches.len(), 4);
     assert_eq!(launches[0].core, 2, "hot core must be tested first");
 }
 
