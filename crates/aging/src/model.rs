@@ -44,7 +44,7 @@ pub struct AgingModel {
 impl AgingModel {
     /// A model tuned for small manycore tiles: 45 °C ambient, 30 K/W tile
     /// thermal resistance, 0.6 eV activation energy, reference at 60 °C.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AgingModel {
             t_ambient: 318.15,     // 45 °C
             r_thermal: 30.0,       // K/W per tile
@@ -87,6 +87,14 @@ impl AgingModel {
     pub fn damage(&self, power: f64, seconds: f64) -> f64 {
         assert!(seconds >= 0.0, "time must be non-negative");
         self.wear_rate(power) * seconds
+    }
+
+    /// [`Self::damage`] with the Arrhenius constants hoisted out of a
+    /// pass over many cores: the same operations and checks in the same
+    /// order, so the same bits and the same panics.
+    pub(crate) fn damage_with(&self, arrhenius: Arrhenius, power: f64, seconds: f64) -> f64 {
+        assert!(seconds >= 0.0, "time must be non-negative");
+        self.base_rate * arrhenius.at(self.temperature(power)) * seconds
     }
 }
 

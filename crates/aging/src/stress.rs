@@ -37,7 +37,7 @@ impl Default for CoreStress {
 impl CoreStress {
     /// Seconds since the last completed test, treating "never tested" as
     /// since time zero.
-    pub fn time_since_test(&self, now: f64) -> f64 {
+    pub(crate) fn time_since_test(&self, now: f64) -> f64 {
         if self.last_test_time < 0.0 {
             now
         } else {
@@ -108,7 +108,7 @@ impl StressTracker {
     ///
     /// Panics if `core` is out of range or `busy` is outside `[0, 1]`.
     #[cfg(test)]
-    pub fn record_epoch(
+    pub(crate) fn record_epoch(
         &mut self,
         core: usize,
         aging: &AgingModel,
@@ -128,13 +128,14 @@ impl StressTracker {
     /// test oracle) in core order with power
     /// `energy[i] / dt` and busy fraction `(busy[i] / dt).clamp(0, 1)`.
     ///
-    /// Power-gated cores draw exactly 0 W, so runs of cores share one
-    /// power: the pass evaluates [`AgingModel::damage`] (one `exp`) only
-    /// when a core's power bits differ from the previous evaluation's.
-    /// For `dt > 0` a core whose accumulators are both `+0.0` (bits) has
-    /// power and busy fraction `+0.0`, so it skips the divisions, the
-    /// memo and the zeroing and is charged the zero-power damage,
-    /// evaluated once, at the first such core.
+    /// An epoch holds few distinct powers (cores at one operating point
+    /// and activity draw the same watts), so the pass evaluates
+    /// [`AgingModel::damage`] (one `exp`) once per distinct power bits
+    /// its direct-mapped cache holds, with the Arrhenius constants
+    /// hoisted. For `dt > 0` a core whose accumulators are both `+0.0`
+    /// (bits) is power-gated: its power and busy fraction are `+0.0`, so
+    /// it skips the divisions, the cache and the zeroing and is charged
+    /// the zero-power damage, evaluated once, at the first such core.
     ///
     /// `max_damage` is evaluated once more, at the highest power the pass
     /// charged: damage rises with power, and a running maximum of the
@@ -160,12 +161,13 @@ impl StressTracker {
         let fast_path = dt > 0.0;
         let gated = |e: f64, b: f64| fast_path && (e.to_bits() | b.to_bits()) == 0;
         let mut gated_damage: Option<f64> = None;
-        let mut memo = LastEval::new();
+        let arrhenius = aging.arrhenius();
+        let mut cache = DamageCache::new();
         let mut utilization = UTILIZATION_SUM_START;
         let mut i = 0;
         while i < n {
             if gated(energy[i], busy[i]) {
-                // A run of gated cores: one damage, no divisions, no memo
+                // A run of gated cores: one damage, no divisions, no cache
                 // probe, and accumulators that are already zero.
                 let damage = *gated_damage.get_or_insert_with(|| aging.damage(0.0, dt));
                 while i < n && gated(energy[i], busy[i]) {
@@ -180,7 +182,7 @@ impl StressTracker {
             let busy_fraction = (busy[i] / dt).clamp(0.0, 1.0);
             let power = energy[i] / dt;
             assert_busy_fraction(busy_fraction);
-            let damage = memo.get_or_eval(power, |p| aging.damage(p, dt));
+            let damage = cache.get_or_eval(power, |p| aging.damage_with(arrhenius, p, dt));
             Self::charge_epoch(c, damage, busy_fraction);
             busy[i] = 0.0;
             energy[i] = 0.0;
@@ -188,12 +190,12 @@ impl StressTracker {
             i += 1;
         }
         if gated_damage.is_some() {
-            memo.max_input = memo.max_input.max(0.0);
+            cache.max_input = cache.max_input.max(0.0);
         }
         EpochWear {
-            max_damage: aging.damage(memo.max_input, dt),
+            max_damage: aging.damage(cache.max_input, dt),
             mean_utilization: utilization / n as f64,
-            max_input: memo.max_input,
+            max_input: cache.max_input,
         }
     }
 
@@ -215,7 +217,7 @@ impl StressTracker {
     ///
     /// Panics if `core` is out of range or `busy` is outside `[0, 1]`.
     #[cfg(test)]
-    pub fn record_epoch_at_temperature(
+    pub(crate) fn record_epoch_at_temperature(
         &mut self,
         core: usize,
         aging: &AgingModel,
@@ -315,12 +317,71 @@ fn assert_busy_fraction(busy: f64) {
     assert!((0.0..=1.0).contains(&busy), "busy fraction must be in [0,1]");
 }
 
-/// One-entry memo of a pure `f64 → f64` function, keyed by the input's
-/// exact bits. It starts empty, so no sentinel input can match, and it
-/// only ever holds inputs the function accepted: an input the function
-/// rejects (a negative or NaN power) always reaches it and panics. It
-/// also keeps the largest input it evaluated, which only a miss can
-/// raise.
+/// Direct-mapped memo of the steady-state wear pass's damage, keyed by
+/// the power's exact bits: a hit returns the bits the evaluation it skips
+/// would return. An input probes only its own slot, and each slot starts
+/// out holding a key that hashes to another slot ([`Self::EMPTY`]), so
+/// no input can match an empty slot. Only inputs the function accepted
+/// are stored: an input it rejects (a negative or NaN power) always
+/// reaches it and panics. It keeps the largest input it evaluated; a hit
+/// repeats a stored input, so the maximum covers every input it was
+/// asked for. It lives on the stack for one pass.
+struct DamageCache {
+    keys: [u64; Self::SLOTS],
+    damages: [f64; Self::SLOTS],
+    max_input: f64,
+}
+
+impl DamageCache {
+    /// Slots, a power of two. On saturated 12×12 to 16×16 meshes an
+    /// epoch holds 19–25 distinct powers on average.
+    const SLOTS: usize = 64;
+
+    /// Each slot's empty key. Every key is `0` (the bits of `+0.0`),
+    /// which hashes to slot 0, except slot 0's, which is `1`, and `1`
+    /// hashes elsewhere.
+    const EMPTY: [u64; Self::SLOTS] = {
+        assert!(Self::slot(1) != Self::slot(0));
+        let mut keys = [0; Self::SLOTS];
+        keys[Self::slot(0)] = 1;
+        keys
+    };
+
+    /// Fibonacci hashing: the top bits of the key times 2⁶⁴/φ, which
+    /// depend on every bit of the key.
+    const fn slot(bits: u64) -> usize {
+        (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - Self::SLOTS.trailing_zeros()))
+            as usize
+    }
+
+    fn new() -> Self {
+        DamageCache {
+            keys: Self::EMPTY,
+            damages: [0.0; Self::SLOTS],
+            max_input: f64::NEG_INFINITY,
+        }
+    }
+
+    fn get_or_eval(&mut self, x: f64, f: impl FnOnce(f64) -> f64) -> f64 {
+        let bits = x.to_bits();
+        let slot = Self::slot(bits);
+        if self.keys[slot] == bits {
+            return self.damages[slot];
+        }
+        let y = f(x);
+        self.keys[slot] = bits;
+        self.damages[slot] = y;
+        self.max_input = self.max_input.max(x);
+        y
+    }
+}
+
+/// One-entry memo of the transient wear pass's damage, keyed by the
+/// temperature's exact bits. It starts empty, so no sentinel input can
+/// match, and it only ever holds inputs the function accepted: an input
+/// the function rejects (a temperature that is not positive) always
+/// reaches it and panics. It also keeps the largest input it evaluated,
+/// which only a miss can raise.
 struct LastEval {
     last: Option<(u64, f64)>,
     max_input: f64,
@@ -443,15 +504,25 @@ mod tests {
         /// Every accumulator `+0.0`: a fully dark epoch.
         Dark,
         /// `+0.0` and `-0.0` side by side, in energies and busy times:
-        /// the gated fast path keys on bits, so `-0.0` takes the memo.
+        /// the gated fast path keys on bits, so `-0.0` takes the memo,
+        /// and a `+0.0` energy beside a nonzero busy time is a `+0.0`
+        /// power on a core that is not gated.
         SignedZeros,
+        /// Powers drawn in random order from three times as many
+        /// distinct values as the steady pass's cache has slots.
+        Distinct,
+        /// Powers drawn in random order from four values that share
+        /// one cache slot, so each evicts the others.
+        Colliding,
     }
 
     impl Shape {
         fn of_epoch(epoch: usize) -> Self {
-            match epoch % 5 {
+            match epoch % 7 {
                 1 => Shape::Dark,
                 3 => Shape::SignedZeros,
+                4 => Shape::Distinct,
+                6 => Shape::Colliding,
                 _ => Shape::Mixed,
             }
         }
@@ -488,7 +559,58 @@ mod tests {
                 let busy = (0..n).map(|_| zero_or(rng, 0.5 * DT)).collect();
                 (energy, busy)
             }
+            Shape::Distinct | Shape::Colliding => {
+                let (size, slot) = match shape {
+                    Shape::Distinct => (3 * DamageCache::SLOTS, None),
+                    _ => (4, Some(rng.gen_range(DamageCache::SLOTS as u64) as usize)),
+                };
+                let mut pool = Vec::with_capacity(size);
+                while pool.len() < size {
+                    let e = rng.gen_f64_range(0.0, 3.0) * DT;
+                    if slot.is_none_or(|s| DamageCache::slot((e / DT).to_bits()) == s) {
+                        pool.push(e);
+                    }
+                }
+                let energy = (0..n)
+                    .map(|_| pool[rng.gen_range(size as u64) as usize])
+                    .collect();
+                let busy = (0..n).map(|_| rng.gen_f64_range(0.0, 2.0 * DT)).collect();
+                (energy, busy)
+            }
         }
+    }
+
+    /// What an epoch's accumulators put the steady pass's cache through:
+    /// the distinct powers it probes, the probes that find their slot
+    /// taken by another power they evicted earlier, and the `+0.0` and
+    /// `-0.0` powers of cores that are not gated.
+    #[derive(Default)]
+    struct CacheLoad {
+        distinct: usize,
+        evicted_repeats: usize,
+        zero_powers: [usize; 2],
+    }
+
+    fn cache_load(energy: &[f64], busy: &[f64]) -> CacheLoad {
+        let mut load = CacheLoad::default();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut slots = [None; DamageCache::SLOTS];
+        for (&e, &b) in energy.iter().zip(busy) {
+            if (e.to_bits() | b.to_bits()) == 0 {
+                continue;
+            }
+            let bits = (e / DT).to_bits();
+            let slot = &mut slots[DamageCache::slot(bits)];
+            if !seen.insert(bits) && *slot != Some(bits) {
+                load.evicted_repeats += 1;
+            }
+            *slot = Some(bits);
+            if (e / DT) == 0.0 {
+                load.zero_powers[usize::from(e.is_sign_negative())] += 1;
+            }
+        }
+        load.distinct = seen.len();
+        load
     }
 
     fn state_bits(t: &StressTracker) -> Vec<[u64; 4]> {
@@ -507,23 +629,40 @@ mod tests {
     #[test]
     fn record_epoch_all_matches_per_core_loop() {
         let mut rng = SimRng::seed_from(2024);
-        let aging = AgingModel::default();
-        for n in [1, 2, 7, 64, 333, 4096] {
+        // A base rate other than 1 makes the damage product's order show.
+        let models = [
+            AgingModel::default(),
+            AgingModel {
+                base_rate: 0.37,
+                activation_energy: 0.55,
+                ..AgingModel::default()
+            },
+        ];
+        let mut most_distinct = 0;
+        let mut evicted_repeats = 0;
+        let mut zero_powers = [0; 2];
+        let sizes = [1, 2, 7, 64, 333, 4096];
+        for (aging, n) in models.iter().flat_map(|m| sizes.map(|n| (m, n))) {
             let mut fast = StressTracker::new(n);
             let mut slow = fast.clone();
             for epoch in 0..20 {
                 let shape = Shape::of_epoch(epoch);
                 let (mut energy, mut busy) = random_epoch(&mut rng, n, shape);
+                let load = cache_load(&energy, &busy);
+                most_distinct = most_distinct.max(load.distinct);
+                evicted_repeats += load.evicted_repeats;
+                zero_powers[0] += load.zero_powers[0];
+                zero_powers[1] += load.zero_powers[1];
                 let mut largest = 0.0f64;
                 let mut hottest = f64::NEG_INFINITY;
                 for core in 0..n {
                     let b = (busy[core] / DT).clamp(0.0, 1.0);
-                    slow.record_epoch(core, &aging, energy[core] / DT, b, DT);
+                    slow.record_epoch(core, aging, energy[core] / DT, b, DT);
                     largest = largest.max(aging.damage(energy[core] / DT, DT));
                     hottest = hottest.max(energy[core] / DT);
                 }
-                let wear = fast.record_epoch_all(&aging, &mut energy, &mut busy, DT);
-                let at = format!("n {n}, epoch {epoch} ({shape:?})");
+                let wear = fast.record_epoch_all(aging, &mut energy, &mut busy, DT);
+                let at = format!("rate {}, n {n}, epoch {epoch} ({shape:?})", aging.base_rate);
                 assert_eq!(state_bits(&fast), state_bits(&slow), "{at}");
                 assert_eq!(wear.max_damage.to_bits(), largest.to_bits(), "{at}");
                 assert_eq!(
@@ -541,6 +680,16 @@ mod tests {
                     slow.note_test_complete(core, epoch as f64 * DT);
                 }
             }
+        }
+        assert!(most_distinct > DamageCache::SLOTS, "{most_distinct} powers");
+        assert!(evicted_repeats > 0, "no power came back to a slot it lost");
+        assert!(zero_powers.iter().all(|&z| z > 0), "±0 W {zero_powers:?}");
+    }
+
+    #[test]
+    fn no_input_matches_an_empty_slot() {
+        for (slot, &key) in DamageCache::EMPTY.iter().enumerate() {
+            assert_ne!(DamageCache::slot(key), slot, "slot {slot}'s empty key");
         }
     }
 

@@ -121,11 +121,11 @@ fn map_context_allocates_nothing_after_the_first_tick() {
     for tick in 0..1_000usize {
         let core = tick % n;
         // One admission + teardown round trip through the flat arrays.
-        store.set_mode(core, CoreMode::Idle(op));
+        store.set_mode(core, CoreMode::Idle(op), 1.0);
         store.set_owner(core, Some((AppId(1), TaskId(0))));
-        store.set_mode(core, CoreMode::Busy(op));
+        store.set_mode(core, CoreMode::Busy(op), 1.0);
         store.set_owner(core, None);
-        store.set_mode(core, CoreMode::Off);
+        store.set_mode(core, CoreMode::Off, 0.0);
         // One test-session lifecycle.
         let gen = store.begin_session(core, session, reservation);
         std::hint::black_box(gen);

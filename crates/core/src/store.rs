@@ -68,6 +68,9 @@ const WORD_BITS: usize = u64::BITS as usize;
 pub struct CoreStore {
     // --- hot parallel arrays (one entry per core, dense id order) ---
     mode: Vec<CoreMode>,
+    /// Watts each core draws in its mode, set with the mode: the epoch
+    /// close charges it without evaluating the power model.
+    power: Vec<f64>,
     accrued_since: Vec<f64>,
     owner: Vec<Option<(AppId, TaskId)>>,
     session: Vec<Option<TestSession>>,
@@ -116,6 +119,7 @@ impl CoreStore {
         Self::clear_tail_bits(&mut bitsets[2 * words..], n);
         CoreStore {
             mode: vec![CoreMode::Off; n],
+            power: vec![0.0; n],
             accrued_since: vec![0.0; n],
             owner: vec![None; n],
             session: vec![None; n],
@@ -149,11 +153,18 @@ impl CoreStore {
         self.mode[core]
     }
 
-    /// Sets the mode of `core`, updating the testable, powered and
-    /// never-powered views and the mutation stamp.
+    /// Watts `core` draws in its current mode.
+    pub(crate) fn power(&self, core: usize) -> f64 {
+        self.power[core]
+    }
+
+    /// Sets the mode of `core` and the `watts` it draws in it, updating
+    /// the testable, powered and never-powered views and the mutation
+    /// stamp.
     #[inline]
-    pub fn set_mode(&mut self, core: usize, mode: CoreMode) {
+    pub fn set_mode(&mut self, core: usize, mode: CoreMode, watts: f64) {
         self.mode[core] = mode;
+        self.power[core] = watts;
         self.refresh_testable(core);
         let word = self.words + core / WORD_BITS;
         let bit = 1u64 << (core % WORD_BITS);
@@ -494,7 +505,7 @@ mod tests {
     fn busy_core_is_neither_testable_nor_free() {
         let mut store = CoreStore::new(2);
         store.set_owner(0, Some((AppId(1), TaskId(0))));
-        store.set_mode(0, CoreMode::Busy(ladder_op()));
+        store.set_mode(0, CoreMode::Busy(ladder_op()), 1.0);
         assert!(!store.is_test_candidate(0));
         assert!(!store.is_free_for_mapping(0));
         assert_eq!(store.mappable_count(), 1);
@@ -507,7 +518,7 @@ mod tests {
     fn allocated_idle_core_is_testable_but_not_free() {
         let mut store = CoreStore::new(2);
         store.set_owner(1, Some((AppId(1), TaskId(0))));
-        store.set_mode(1, CoreMode::Idle(ladder_op()));
+        store.set_mode(1, CoreMode::Idle(ladder_op()), 1.0);
         assert!(store.is_test_candidate(1));
         assert!(!store.is_free_for_mapping(1));
         assert_eq!(store.mappable_count(), 1);
@@ -517,7 +528,7 @@ mod tests {
     fn session_lifecycle_maintains_views_and_generation() {
         let mut store = CoreStore::new(3);
         let gen = store.begin_session(1, session(), reservation());
-        store.set_mode(1, CoreMode::Testing(ladder_op(), 0.8));
+        store.set_mode(1, CoreMode::Testing(ladder_op(), 0.8), 1.0);
         assert_eq!(gen, 0);
         assert_eq!(store.testing_count(), 1);
         assert!(!store.is_test_candidate(1));
@@ -557,14 +568,14 @@ mod tests {
     fn dirty_set_dedups_within_a_generation() {
         let mut store = CoreStore::new(4);
         assert_eq!(store.generation, 1);
-        store.set_mode(0, CoreMode::Idle(ladder_op()));
-        store.set_mode(0, CoreMode::Busy(ladder_op()));
+        store.set_mode(0, CoreMode::Idle(ladder_op()), 1.0);
+        store.set_mode(0, CoreMode::Busy(ladder_op()), 1.0);
         store.set_owner(3, Some((AppId(1), TaskId(0))));
         assert_eq!(store.dirty_marks(), 2);
         store.advance_generation();
         assert_eq!(store.generation, 2);
         // The same core dirties again in the new generation.
-        store.set_mode(0, CoreMode::Off);
+        store.set_mode(0, CoreMode::Off, 0.0);
         store.set_owner(0, None);
         assert_eq!(store.dirty_marks(), 3);
     }
@@ -589,12 +600,12 @@ mod tests {
     fn maintained_views_match_rebuild_after_mixed_mutations() {
         let mut store = CoreStore::new(9);
         store.set_owner(0, Some((AppId(1), TaskId(0))));
-        store.set_mode(0, CoreMode::Busy(ladder_op()));
+        store.set_mode(0, CoreMode::Busy(ladder_op()), 1.0);
         store.begin_session(4, session(), reservation());
-        store.set_mode(4, CoreMode::Testing(ladder_op(), 0.5));
+        store.set_mode(4, CoreMode::Testing(ladder_op(), 0.5), 1.0);
         store.set_quarantined(7);
         store.end_session(4);
-        store.set_mode(4, CoreMode::Off);
+        store.set_mode(4, CoreMode::Off, 0.0);
         assert!(store.views_consistent());
         assert_eq!(store.current_views(), store.rebuild_views());
     }
@@ -616,7 +627,13 @@ mod tests {
             (0, CoreMode::Off),
             (65, CoreMode::Busy(op)),
         ] {
-            store.set_mode(core, mode);
+            let watts = if matches!(mode, CoreMode::Off) {
+                0.0
+            } else {
+                1.5
+            };
+            store.set_mode(core, mode, watts);
+            assert_eq!(store.power(core), watts, "the mode's watts are stored");
             let mut walked = Vec::new();
             store.for_each_powered(|c| walked.push(c));
             let scan: Vec<usize> = (0..store.len())

@@ -27,7 +27,7 @@ use manytest_map::{ConaMapper, FirstFitMapper, MapContext, Mapper, TestAwareMapp
 use manytest_noc::{ContentionModel, Coord, LinkEnergyModel, LinkLoads, Mesh2D, TrafficMatrix};
 use manytest_power::{
     NaiveTdpPolicy, PidController, PowerBudget, PowerCategory, PowerGovernor, PowerMeter,
-    PowerModel, VfLadder, VfLevel,
+    PowerModel, VfLevel,
 };
 use manytest_sbst::{
     CandidateClass, Fault, FaultLog, HealthBoard, RetestRequest, RoutineId, TestCandidate,
@@ -293,7 +293,6 @@ pub struct System {
     config: SystemConfig,
     mesh: Mesh2D,
     model: PowerModel,
-    ladder: VfLadder,
     budget: PowerBudget,
     governor: Box<dyn PowerGovernor>,
     meter: PowerMeter,
@@ -441,10 +440,11 @@ impl System {
             }
             faults.inject_fault(fault);
         }
+        let noc_model =
+            LinkEnergyModel::nominal_16nm().scaled_energy(params.feature_nm as f64 / 16.0);
         Ok(System {
             mesh,
             model: PowerModel::for_node(config.node),
-            ladder: VfLadder::for_node(config.node, LADDER_LEVELS),
             budget: PowerBudget::new(params.tdp),
             governor,
             meter: PowerMeter::new(),
@@ -459,10 +459,11 @@ impl System {
             epoch_busy: vec![0.0; n],
             epoch_energy: vec![0.0; n],
             noc: Noc {
-                model: LinkEnergyModel::nominal_16nm()
-                    .scaled_energy(params.feature_nm as f64 / 16.0),
+                model: noc_model,
                 contention: ContentionModel::new(),
-                loads: None,
+                loads: config.model_contention.then(|| {
+                    LinkLoads::idle(mesh, EPOCH.as_secs_f64(), noc_model.link_bandwidth)
+                }),
                 traffic: TrafficMatrix::new(mesh),
             },
             queue: EventQueue::with_capacity(1024),
@@ -577,20 +578,22 @@ impl System {
 
     // ----- accounting ---------------------------------------------------
 
-    fn mode_power(&self, mode: CoreMode) -> (PowerCategory, f64) {
+    /// Watts a core draws in `mode`; `set_mode` stores it with the mode.
+    fn mode_power(&self, mode: CoreMode) -> f64 {
         match mode {
-            CoreMode::Off => (PowerCategory::Idle, 0.0),
-            CoreMode::Idle(op) => (
-                PowerCategory::Idle,
-                self.model.core_power(op, PowerModel::IDLE_ACTIVITY),
-            ),
-            CoreMode::Busy(op) => (
-                PowerCategory::Workload,
-                self.model.core_power(op, PowerModel::WORKLOAD_ACTIVITY),
-            ),
-            CoreMode::Testing(op, activity) => {
-                (PowerCategory::Test, self.model.core_power(op, activity))
-            }
+            CoreMode::Off => 0.0,
+            CoreMode::Idle(op) => self.model.core_power(op, PowerModel::IDLE_ACTIVITY),
+            CoreMode::Busy(op) => self.model.core_power(op, PowerModel::WORKLOAD_ACTIVITY),
+            CoreMode::Testing(op, activity) => self.model.core_power(op, activity),
+        }
+    }
+
+    /// The meter category a core's power in `mode` is charged to.
+    fn mode_category(mode: CoreMode) -> PowerCategory {
+        match mode {
+            CoreMode::Off | CoreMode::Idle(_) => PowerCategory::Idle,
+            CoreMode::Busy(_) => PowerCategory::Workload,
+            CoreMode::Testing(..) => PowerCategory::Test,
         }
     }
 
@@ -603,8 +606,8 @@ impl System {
             return;
         }
         let mode = self.store.mode(core);
-        let (cat, watts) = self.mode_power(mode);
-        self.meter.add(cat, watts, dt);
+        let watts = self.store.power(core);
+        self.meter.add(Self::mode_category(mode), watts, dt);
         self.epoch_energy[core] += watts * dt;
         if matches!(mode, CoreMode::Busy(_)) {
             self.epoch_busy[core] += dt;
@@ -652,7 +655,7 @@ impl System {
                 self.calendar.power_on(core, never_powered);
             }
         }
-        self.store.set_mode(core, mode);
+        self.store.set_mode(core, mode, self.mode_power(mode));
     }
 
     /// The mode a core rests in between tasks and sessions: idle at its
@@ -935,9 +938,7 @@ mod tests {
 
     #[test]
     fn the_scheduler_ladder_sizes_the_platform_ladder() {
-        let system = quick(TechNode::N16).build().unwrap();
-        assert_eq!(system.ladder, *system.scheduler.ladder());
-        let r = system.run();
+        let r = quick(TechNode::N16).build().unwrap().run();
         assert_eq!(r.tests_per_level.len(), LADDER_LEVELS, "one coverage column per level");
         assert!(r.tests_completed > 0);
     }

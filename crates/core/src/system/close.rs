@@ -110,12 +110,9 @@ impl System {
         self.assert_close_matches_scans(wear);
         let trace = &mut self.close.trace;
         trace.push(EpochSeries::MeanUtilization, t1, wear.mean_utilization);
-        if self.config.model_contention {
-            let noc = &mut self.noc;
-            let loads = LinkLoads::from_traffic(&noc.traffic, epoch_secs, noc.model.link_bandwidth);
+        if let Some(loads) = &mut self.noc.loads {
+            loads.take_window(&mut self.noc.traffic);
             trace.push(EpochSeries::PeakLinkLoad, t1, loads.peak());
-            noc.loads = Some(loads);
-            noc.traffic.clear();
         }
         if self.close.recorder.is_some() {
             self.profile.snapshots += 1;
@@ -171,12 +168,13 @@ mod oracle {
 
     impl System {
         /// The oracle for the epoch close's bookkeeping: the full scans
-        /// it replaced. In unit-test builds every close checks that the
-        /// powered walk visits exactly the cores a `CoreMode` scan finds,
-        /// in ascending order; that the withdrawn counter equals the two
-        /// state scans; and that the wear pass's fused mean utilisation
-        /// and hottest tile equal `mean_utilization()` and
-        /// `max_temperature()`, bit for bit.
+        /// and evaluations it replaced. In unit-test builds every close
+        /// checks that the powered walk visits exactly the cores a
+        /// `CoreMode` scan finds, in ascending order; that each core's
+        /// stored power is its mode's, freshly evaluated; that the
+        /// withdrawn counter equals the two state scans; and that the
+        /// wear pass's fused mean utilisation and hottest tile equal
+        /// `mean_utilization()` and `max_temperature()`, bit for bit.
         pub(super) fn assert_close_matches_scans(&self, wear: EpochWear) {
             let mut walked = Vec::new();
             self.store.for_each_powered(|core| walked.push(core));
@@ -184,6 +182,13 @@ mod oracle {
                 .filter(|&core| !matches!(self.store.mode(core), CoreMode::Off))
                 .collect();
             assert_eq!(walked, powered, "powered walk");
+            for core in 0..self.store.len() {
+                assert_eq!(
+                    self.store.power(core).to_bits(),
+                    self.mode_power(self.store.mode(core)).to_bits(),
+                    "core {core}'s stored power"
+                );
+            }
             assert_eq!(
                 self.health.withdrawn_count(),
                 self.health.quarantined_count() + self.health.probation_count(),

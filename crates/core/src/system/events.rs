@@ -35,7 +35,8 @@ impl ArrivalLane {
 pub(super) struct Noc {
     pub(super) model: LinkEnergyModel,
     pub(super) contention: ContentionModel,
-    /// Last epoch's link loads, when contention is modelled.
+    /// Last epoch's link loads, when contention is modelled (all links
+    /// idle before the first close).
     pub(super) loads: Option<LinkLoads>,
     pub(super) traffic: TrafficMatrix,
 }

@@ -87,7 +87,7 @@ impl System {
                 // fits the current headroom.
                 let headroom = self.budget.headroom();
                 let per_core_cap = headroom / task_count as f64;
-                let Some(op) = self.ladder.highest_under(per_core_cap, |op| {
+                let Some(op) = self.scheduler.ladder().highest_under(per_core_cap, |op| {
                     self.model.core_power(op, PowerModel::WORKLOAD_ACTIVITY)
                 }) else {
                     break 'fit None; // not even near-threshold fits: wait for power

@@ -18,10 +18,10 @@ fn random_mutation(store: &mut CoreStore, rng: &mut SimRng, budget: &mut PowerBu
     let core = rng.gen_range(n as u64) as usize;
     let op = VfLadder::for_node(TechNode::N16, 5).point(VfLevel(4));
     match rng.gen_range(8) {
-        0 => store.set_mode(core, CoreMode::Off),
-        1 => store.set_mode(core, CoreMode::Idle(op)),
-        2 => store.set_mode(core, CoreMode::Busy(op)),
-        3 => store.set_mode(core, CoreMode::Testing(op, 0.9)),
+        0 => store.set_mode(core, CoreMode::Off, 0.0),
+        1 => store.set_mode(core, CoreMode::Idle(op), 1.0),
+        2 => store.set_mode(core, CoreMode::Busy(op), 1.0),
+        3 => store.set_mode(core, CoreMode::Testing(op, 0.9), 1.0),
         4 => {
             let owner = if rng.gen_bool(0.5) {
                 Some((AppId(rng.next_u64() as u32 as u64), TaskId(0)))
@@ -93,14 +93,14 @@ fn dirty_marks_count_exactly_the_distinct_cores_touched_per_epoch() {
     let mut store = CoreStore::new(32);
     let op = VfLadder::for_node(TechNode::N16, 5).point(VfLevel(4));
     // Touch three cores, one of them repeatedly: three marks.
-    store.set_mode(3, CoreMode::Idle(op));
-    store.set_mode(3, CoreMode::Busy(op));
+    store.set_mode(3, CoreMode::Idle(op), 1.0);
+    store.set_mode(3, CoreMode::Busy(op), 1.0);
     store.set_owner(7, Some((AppId(1), TaskId(0))));
     store.set_quarantined(19);
     assert_eq!(store.dirty_marks(), 3);
     store.advance_generation();
     // A new epoch re-counts the same core as one fresh mark.
-    store.set_mode(3, CoreMode::Off);
+    store.set_mode(3, CoreMode::Off, 0.0);
     store.set_owner(3, None);
     assert_eq!(store.dirty_marks(), 4);
 }

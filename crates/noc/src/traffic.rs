@@ -32,13 +32,16 @@ pub struct TrafficMatrix {
     link_bits: Vec<f64>,
 }
 
-fn dir_index(dir: Direction) -> usize {
-    match dir {
+/// The slot of the link leaving `from` in direction `dir`:
+/// node id × 4 + direction.
+pub(crate) fn link_index(mesh: Mesh2D, from: Coord, dir: Direction) -> usize {
+    let dir = match dir {
         Direction::West => 0,
         Direction::East => 1,
         Direction::South => 2,
         Direction::North => 3,
-    }
+    };
+    mesh.node_id(from).index() * 4 + dir
 }
 
 impl TrafficMatrix {
@@ -51,7 +54,7 @@ impl TrafficMatrix {
     }
 
     /// The mesh being accounted.
-    pub fn mesh(&self) -> Mesh2D {
+    pub(crate) fn mesh(&self) -> Mesh2D {
         self.mesh
     }
 
@@ -64,19 +67,27 @@ impl TrafficMatrix {
         assert!(self.mesh.contains(src) && self.mesh.contains(dst), "endpoint outside mesh");
         assert!(bits >= 0.0, "bits must be non-negative");
         for hop in xy_route(src, dst) {
-            let idx = self.mesh.node_id(hop.from).index() * 4 + dir_index(hop.dir);
-            self.link_bits[idx] += bits;
+            self.link_bits[link_index(self.mesh, hop.from, hop.dir)] += bits;
         }
     }
 
     /// Bits accumulated on the link leaving `from` in direction `dir`.
     pub fn link_bits(&self, from: Coord, dir: Direction) -> f64 {
-        self.link_bits[self.mesh.node_id(from).index() * 4 + dir_index(dir)]
+        self.link_bits[link_index(self.mesh, from, dir)]
     }
 
     /// Resets all accumulated traffic.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.link_bits.iter_mut().for_each(|b| *b = 0.0);
+    }
+
+    /// Swaps the accumulated bits with `bits`, a buffer of one slot per
+    /// link, and zeroes what comes in: the window's traffic leaves
+    /// without a copy and the next window starts empty.
+    pub(crate) fn swap_bits(&mut self, bits: &mut Vec<f64>) {
+        assert_eq!(bits.len(), self.link_bits.len(), "one slot per link");
+        std::mem::swap(&mut self.link_bits, bits);
+        self.clear();
     }
 }
 
